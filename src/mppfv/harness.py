@@ -7,27 +7,31 @@ mass audit.  Steps use ``dt = dt_factor * min(dx, dy)`` except that the
 step landing on a snapshot time or on the final time is clipped so the
 accumulated time hits it exactly (to roundoff).
 
-Scheme/limiter composition per step:
+Each step is a *proposal* followed by a *limiter*:
+
+proposal
+    ``sdirk5`` runs the DIRK stages and ``iex1`` .. ``iex4`` the
+    extrapolated backward-Euler substep chains, both on the
+    fifth-order-in-space fluxes.  The proposal returns its state, its
+    aggregated high-order flux and its intermediate states.  For ``iex``
+    with ``limiter="gmc"`` the substeps already use the semi-discretely
+    limited flux.
+limiter
+    ``"none"`` keeps the proposal as the step.  ``"fct"`` limits the
+    difference between a first-order solve from the same initial state and
+    the proposal's flux cellwise (optionally in several sweeps).  ``"gmc"``
+    solves the monolithic fixed point with the proposal's flux frozen and
+    produces the bound-preserving update directly.
+
+Two cases do not split this way:
 
 ``be``
     One backward-Euler step of the first-order scheme (Rusanov flux plus
     central diffusion).  Unconditionally bound preserving; no limiter.
-``sdirk5`` / ``iex1`` .. ``iex4`` with ``limiter="none"``
-    Unlimited fifth-order-in-space step (DIRK stages or extrapolated
-    backward-Euler substep chains).
-``limiter="fct"``
-    The unlimited step supplies the target flux; a first-order solve from
-    the same initial state supplies the fallback; the antidiffusive
-    difference is limited cellwise (optionally in several sweeps).
-``limiter="gmc"``
-    The unlimited step supplies the target flux; the monolithic fixed-point
-    limiter produces the bound-preserving update directly.  For ``iex``
-    schemes the substep chains themselves use the semi-discretely limited
-    flux before the final step-level limit.
 ``limit_stages``
     Variant of ``sdirk5`` in which every intermediate stage value is
     limited as well (the stages of a high-order DIRK method are otherwise
-    not bound preserving).
+    not bound preserving), followed by the step-level limit.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .limiters import (LIMITER_CHOICES, MAX_GMC_SWEEPS, TOL_GMC,
-                       TOL_GMC_TARGET, _fct_with_flux, _gmc_with_flux,
+from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
                        make_semidiscrete_gmc_substep_solver,
                        stage_limited_dirk_step)
 from .mesh import CellField
@@ -156,8 +159,6 @@ def _make_stepper(config, spec, grid):
     boundary contribution gives the flux-corrected mass audit.
     """
     mode = config.solver
-    limiter = config.limiter
-    gamma = config.gamma
 
     if config.scheme == "be":
         engine = JacobianEngine(spec, grid, mode)
@@ -169,94 +170,51 @@ def _make_stepper(config, spec, grid):
 
         return step
 
+    low_engine = JacobianEngine(spec, grid, mode)
     if config.scheme == "sdirk5":
         tableau = sdirk5_tableau()
         stage_solver = make_stage_solver(spec, grid, mode)
 
         if config.limit_stages:
-            low_engine = JacobianEngine(spec, grid, mode)
-
             def step(u, t, dt):
                 u_new, realized, stages = stage_limited_dirk_step(
-                    u, tableau, spec, grid, dt, limiter, t=t, gamma=gamma,
-                    fct_iterations=config.fct_iters,
+                    u, tableau, spec, grid, dt, config.limiter, t=t,
+                    gamma=config.gamma, fct_iterations=config.fct_iters,
                     stage_solver=stage_solver, engine=low_engine)
                 return u_new, realized, stages.stages
 
             return step
 
-        if limiter == "none":
-
-            def step(u, t, dt):
-                u_new, flux, stages = dirk_step(u, tableau, spec, grid,
-                                                stage_solver, dt, t=t)
-                return u_new, flux, stages.stages
-
-            return step
-
-        if limiter == "fct":
-            low_engine = JacobianEngine(spec, grid, mode)
-
-            def step(u, t, dt):
-                _, G_high, stages = dirk_step(u, tableau, spec, grid,
-                                              stage_solver, dt, t=t)
-                u_low, G_low, _ = newton_low_order(u, spec, grid, dt, t=t,
-                                                   engine=low_engine)
-                u_new, realized = _fct_with_flux(u, G_low, u_low, G_high,
-                                                 spec, grid, dt,
-                                                 config.fct_iters)
-                return u_new, realized, stages.stages
-
-            return step
-
-        def step(u, t, dt):
-            _, G_high, stages = dirk_step(u, tableau, spec, grid,
-                                          stage_solver, dt, t=t)
-            u_new, realized, _ = _gmc_with_flux(u, G_high, spec, grid, dt,
-                                                gamma, t, TOL_GMC,
-                                                TOL_GMC_TARGET,
-                                                MAX_GMC_SWEEPS)
-            return u_new, realized, stages.stages
-
-        return step
-
-    p = int(config.scheme[3:])
-    if limiter == "gmc":
-        substep = make_semidiscrete_gmc_substep_solver(spec, grid, gamma)
+        def propose(u, t, dt):
+            u_new, flux, stages = dirk_step(u, tableau, spec, grid,
+                                            stage_solver, dt, t=t)
+            return u_new, flux, stages.stages
     else:
-        substep = make_high_order_substep_solver(spec, grid, mode)
+        p = int(config.scheme[3:])
+        if config.limiter == "gmc":
+            substep = make_semidiscrete_gmc_substep_solver(spec, grid,
+                                                           config.gamma)
+        else:
+            substep = make_high_order_substep_solver(spec, grid, mode)
 
-    if limiter == "none":
+        def propose(u, t, dt):
+            return iex_step(u, p, spec, grid, substep, dt, t=t, details=True)
 
-        def step(u, t, dt):
-            u_new, flux, chain = iex_step(u, p, spec, grid, substep, dt,
-                                          t=t, details=True)
-            return u_new, flux, chain
+    if config.limiter == "none":
+        return propose
 
-        return step
-
-    if limiter == "fct":
-        low_engine = JacobianEngine(spec, grid, mode)
-
-        def step(u, t, dt):
-            _, G_high, chain = iex_step(u, p, spec, grid, substep, dt,
-                                        t=t, details=True)
+    def limit(u, G_high, t, dt):
+        if config.limiter == "fct":
             u_low, G_low, _ = newton_low_order(u, spec, grid, dt, t=t,
                                                engine=low_engine)
-            u_new, realized = _fct_with_flux(u, G_low, u_low, G_high,
-                                             spec, grid, dt,
-                                             config.fct_iters)
-            return u_new, realized, chain
-
-        return step
+            return _fct_with_flux(u, G_low, u_low, G_high, spec, grid, dt,
+                                  config.fct_iters)
+        return _gmc_with_flux(u, G_high, spec, grid, dt, config.gamma, t)[:2]
 
     def step(u, t, dt):
-        _, G_high, chain = iex_step(u, p, spec, grid, substep, dt,
-                                    t=t, details=True)
-        u_new, realized, _ = _gmc_with_flux(u, G_high, spec, grid, dt,
-                                            gamma, t, TOL_GMC,
-                                            TOL_GMC_TARGET, MAX_GMC_SWEEPS)
-        return u_new, realized, chain
+        _, G_high, stages = propose(u, t, dt)
+        u_new, realized = limit(u, G_high, t, dt)
+        return u_new, realized, stages
 
     return step
 

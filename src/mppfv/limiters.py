@@ -20,7 +20,11 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   where ``g_i = u_i + (ubar*_i - u_i)/(1+gamma)``,
   ``ubar*_i = ubar_i + (1/a_i) sum |S| alpha dG``, and the allowances are
   ``Q^± = a_i [(u^{max/min} - ubar_i) + gamma (u^{max/min} - u_i)]``.
-  Any solution is bounded with no time-step restriction.
+  Any solution is bounded with no time-step restriction.  One kernel,
+  ``_gmc_fixed_point``, holds the sweep loop; it takes ``G^H`` as a
+  callable of the iterate, which returns the frozen step-start flux for
+  :func:`gmc_step` and rebuilds the flux from the iterate for the
+  semi-discrete substep below.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -30,7 +34,8 @@ evaluated at the current state, limited so the semi-discretization is
 locally-extremum-diminishing with respect to the global bounds), the
 implicit-Euler substep solver built on it for the extrapolation
 integrator, and the stage-limited DIRK step that limits every intermediate
-stage value.
+stage value through the ``limit_stage`` hook of
+:func:`time_integration.dirk_step`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .fluxes import (FaceFluxSet, high_order_flux, low_order_with_bars,
 from .mesh import PERIODIC, CellField
 from .solvers import (NonConvergenceError, SolverReport, newton_low_order,
                       make_stage_solver)
-from .time_integration import StageSet
+from .time_integration import dirk_step
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
@@ -279,21 +284,23 @@ def gmc_budgets(a, ubar_cell, values, spec, gamma):
     return np.minimum(0.0, q_minus), np.maximum(0.0, q_plus)
 
 
-def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol, target,
-                   max_sweeps, strict_reference=True):
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
-    if strict_reference:
-        _check_reference(u0, spec, "the previous solution")
-    eval_time = t + dt
+def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
+                     tol=TOL_GMC, max_sweeps=MAX_GMC_SWEEPS):
+    """The GMC fixed point ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
+    high_flux(u)))``, the only GMC sweep loop.
+
+    ``high_flux`` returns a frozen ``G^H`` for the step-level limiter and
+    rebuilds it from the iterate for the semidiscrete substep; the low-order
+    flux is evaluated at time ``t``.  Sweeps stop at ``TOL_GMC_TARGET``, or
+    at ``tol`` once they stall or run out.  Returns
+    ``(u0 - dt div(realized), realized, SolverReport)``.
+    """
     nu = dt / grid.cell_volume
     u = u0.copy()
     prev_res = np.inf
     for sweep in range(max_sweeps + 1):
-        G_L, bars = low_order_with_bars(u, spec, grid, t=eval_time)
+        G_L, bars = low_order_with_bars(u, spec, grid, t=t)
+        G_H = high_flux(u)
         a = bars.cell_coefficient()
         ubar = bars.cell_bar_average()
         correction = G_L - G_H
@@ -304,11 +311,9 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol, target,
         residual = u - u0 + dt * realized.divergence()
         res = float(np.linalg.norm(np.ravel(residual)))
         stalled = res > 0.5 * prev_res
-        if res <= target or (res <= tol and (stalled or sweep == max_sweeps)):
-            u_new = u0 - dt * realized.divergence()
-            if strict_reference:
-                u_new = _restore_bounds(u_new, spec)
-            return (CellField(grid, u_new), realized,
+        if (res <= TOL_GMC_TARGET
+                or (res <= tol and (stalled or sweep == max_sweeps))):
+            return (u0 - dt * realized.divergence(), realized,
                     SolverReport(sweep, res, True, tol))
         if sweep == max_sweeps:
             raise NonConvergenceError(
@@ -321,6 +326,22 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol, target,
         w = nu * a * (1.0 + gamma)
         u = (u0 + w * g) / (1.0 + w)
     raise AssertionError("unreachable")
+
+
+def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol=TOL_GMC,
+                   max_sweeps=MAX_GMC_SWEEPS, strict_reference=True):
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
+    if strict_reference:
+        _check_reference(u0, spec, "the previous solution")
+    u_new, realized, report = _gmc_fixed_point(
+        u0, lambda _: G_H, spec, grid, dt, gamma, t + dt, tol, max_sweeps)
+    if strict_reference:
+        u_new = _restore_bounds(u_new, spec)
+    return CellField(grid, u_new), realized, report
 
 
 def gmc_step(u_n, G_H, spec, grid, dt, gamma=0.0, t=0.0, tol=TOL_GMC,
@@ -340,7 +361,7 @@ def gmc_step(u_n, G_H, spec, grid, dt, gamma=0.0, t=0.0, tol=TOL_GMC,
     exactly.  Raises :class:`NonConvergenceError` after ``max_sweeps``.
     """
     result, _, report = _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
-                                       tol, TOL_GMC_TARGET, max_sweeps)
+                                       tol, max_sweeps)
     return result, report
 
 
@@ -374,8 +395,7 @@ def semidiscrete_gmc_rhs(field, spec, grid, gamma=0.0, t=0.0):
     return -_semidiscrete_gmc_flux(field, spec, grid, gamma, t).divergence()
 
 
-def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, tol=TOL_GMC,
-                                         max_iter=MAX_GMC_SWEEPS):
+def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     """Implicit-Euler substep solver on the limited semi-discretization,
     for :func:`time_integration.iex_step`.
 
@@ -386,36 +406,10 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, tol=TOL_GMC,
     """
 
     def substep(u_prev, sub_dt, sub_time):
-        r0 = np.asarray(u_prev, dtype=float)
-        nu = sub_dt / grid.cell_volume
-        y = r0.copy()
-        prev_res = np.inf
-        for sweep in range(max_iter + 1):
-            G_L, bars = low_order_with_bars(y, spec, grid, t=sub_time)
-            G_H = high_order_flux(y, spec, grid, t=sub_time)
-            a = bars.cell_coefficient()
-            ubar = bars.cell_bar_average()
-            correction = G_L - G_H
-            q_minus, q_plus = gmc_budgets(a, ubar, y, spec, gamma)
-            alpha = zalesak_alphas(correction, q_minus, q_plus, grid)
-            accepted = alpha.apply(correction)
-            realized = G_L - accepted
-            residual = y - r0 + sub_dt * realized.divergence()
-            res = float(np.linalg.norm(np.ravel(residual)))
-            stalled = res > 0.5 * prev_res
-            if (res <= TOL_GMC_TARGET
-                    or (res <= tol and (stalled or sweep == max_iter))):
-                return r0 - sub_dt * realized.divergence(), realized
-            if sweep == max_iter:
-                raise NonConvergenceError(
-                    f"limited substep stalled at residual {res:.3e}",
-                    SolverReport(max_iter, res, False, tol))
-            prev_res = res
-            ustar = ubar + grid.cell_volume * accepted.divergence() / a
-            g = y + (ustar - y) / (1.0 + gamma)
-            w = nu * a * (1.0 + gamma)
-            y = (r0 + w * g) / (1.0 + w)
-        raise AssertionError("unreachable")
+        return _gmc_fixed_point(
+            np.asarray(u_prev, dtype=float),
+            lambda y: high_order_flux(y, spec, grid, t=sub_time),
+            spec, grid, sub_dt, gamma, sub_time)[:2]
 
     return substep
 
@@ -434,8 +428,10 @@ def stage_limited_dirk_step(u_n, tableau, spec, grid, dt, limiter,
     ``a_mm * dt`` from the reference state accumulating the *limited*
     fluxes of the previous stages; its unlimited solution provides the
     high-order flux, which is then limited (FCT or GMC) against the global
-    bounds.  The final update re-limits the tableau-weighted combination of
-    the realized stage fluxes at the full step size.
+    bounds.  This is :func:`time_integration.dirk_step` with that limit as
+    its ``limit_stage`` hook; the final update re-limits the
+    tableau-weighted combination of the realized stage fluxes at the full
+    step size.
 
     Returns ``(u^{n+1} CellField, realized step FaceFluxSet, StageSet of
     limited stages and realized stage fluxes)``.
@@ -444,10 +440,8 @@ def stage_limited_dirk_step(u_n, tableau, spec, grid, dt, limiter,
         raise ValueError("stage limiting requires limiter 'fct' or 'gmc'")
     if stage_solver is None:
         stage_solver = make_stage_solver(spec, grid)
-    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
-    A, b, c = tableau.A, tableau.b, tableau.c
 
-    def limit(reference, G_high, step_dt, start_time, iterations, strict):
+    def limit(reference, G_high, step_dt, start_time, strict=True):
         # Stage references of a DIRK tableau with negative coefficients may
         # leave the global bounds; the sign-clamped allowances then hold the
         # stage as close to the bounds as its reference permits.
@@ -455,45 +449,13 @@ def stage_limited_dirk_step(u_n, tableau, spec, grid, dt, limiter,
             u_low, G_low, _ = newton_low_order(reference, spec, grid, step_dt,
                                                t=start_time, engine=engine)
             return _fct_with_flux(reference, G_low, u_low, G_high, spec,
-                                  grid, step_dt, iterations,
+                                  grid, step_dt, fct_iterations,
                                   strict_reference=strict)
-        limited, realized, _ = _gmc_with_flux(reference, G_high, spec, grid,
-                                              step_dt, gamma, start_time,
-                                              TOL_GMC, TOL_GMC_TARGET,
-                                              MAX_GMC_SWEEPS,
-                                              strict_reference=strict)
-        return limited, realized
+        return _gmc_with_flux(reference, G_high, spec, grid, step_dt, gamma,
+                              start_time, strict_reference=strict)[:2]
 
-    stage_fields = []
-    stage_fluxes = []
-    guess = u0
-    for m in range(tableau.stages):
-        reference = u0.copy()
-        for s in range(m):
-            if A[m, s] != 0.0:
-                reference -= (dt * A[m, s]) * stage_fluxes[s].divergence()
-        stage_time = t + c[m] * dt
-        step_dt = A[m, m] * dt
-        if step_dt == 0.0:
-            y = reference
-        else:
-            y, report = stage_solver(reference, step_dt, stage_time, guess)
-            if not report.converged:
-                raise NonConvergenceError(
-                    f"stage {m + 1}/{tableau.stages} did not converge "
-                    f"(residual {report.residual:.3e})", report)
-        G_high_m = high_order_flux(y, spec, grid, t=stage_time)
-        if step_dt == 0.0:
-            limited_m, realized_m = CellField(grid, y.copy()), G_high_m
-        else:
-            limited_m, realized_m = limit(reference, G_high_m, step_dt,
-                                          stage_time - step_dt,
-                                          fct_iterations, strict=False)
-        stage_fields.append(limited_m)
-        stage_fluxes.append(realized_m)
-        guess = limited_m.values
-    total = stage_fluxes[0] * b[0]
-    for m in range(1, tableau.stages):
-        total = total + stage_fluxes[m] * b[m]
-    u_new, realized = limit(u0, total, dt, t, fct_iterations, strict=True)
-    return u_new, realized, StageSet(tuple(stage_fields), tuple(stage_fluxes))
+    _, total, stages = dirk_step(
+        u_n, tableau, spec, grid, stage_solver, dt, t=t,
+        limit_stage=lambda *stage: limit(*stage, strict=False))
+    u_new, realized = limit(u_n, total, dt, t)
+    return u_new, realized, stages

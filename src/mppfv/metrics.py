@@ -29,7 +29,6 @@ class RunDiagnostics:
 
     delta: float = np.inf
     e1: dict = field(default_factory=dict)        # time -> E1(t)
-    eoc: list = field(default_factory=list)       # rates between grid pairs
     mass_drift: float = 0.0                       # relative, flux-corrected
     stage_delta: float = np.inf                   # over intermediate stages
 

@@ -4,8 +4,8 @@ Provides Butcher tableaus (backward Euler, a five-stage fifth-order SDIRK
 with exact rational coefficients, and the implicit-Euler extrapolation
 family IEX-p in Runge-Kutta form), rooted-tree order-condition residuals,
 the stage-MPP inequality checker, the generic DIRK stepper with stage-flux
-aggregation, and the extrapolation stepper in its production (Aitken-
-Neville tableau) form.
+aggregation and an optional per-stage limit hook, and the extrapolation
+stepper in its production (Aitken-Neville tableau) form.
 
 The IEX-p method of order p runs, for k = 1..p, a chain of k backward-Euler
 substeps of size dt/k, then extrapolates the k first-order results to order
@@ -202,7 +202,8 @@ class StageSet:
             raise ValueError("stage values and stage fluxes must match in count")
 
 
-def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0):
+def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
+              limit_stage=None):
     """One DIRK step of the high-order scheme.
 
     Each stage solves ``y = r - (a_mm*dt/|K|) sum |S| G^H(y)`` with ``r``
@@ -218,6 +219,13 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0):
         (values, SolverReport)
         Nonlinear solver for one stage with effective implicit step
         ``step_dt = a_mm * dt``.
+    limit_stage : callable(reference, flux, step_dt, start_time) ->
+        (CellField, FaceFluxSet), optional
+        Replaces the value and flux of every stage with ``a_mm != 0`` by a
+        limited pair, treating the stage as a step of size ``step_dt``
+        from ``reference`` that starts at ``stage_time - step_dt``.  Later
+        stages accumulate the limited fluxes and start their solve from
+        the limited value.
 
     Returns
     -------
@@ -241,16 +249,21 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0):
             if A[m, s] != 0.0:
                 r -= (dt * A[m, s]) * stage_fluxes[s].divergence()
         stage_time = t + c[m] * dt
+        step_dt = A[m, m] * dt
         if A[m, m] == 0.0:
             y = r
         else:
-            y, report = stage_solver(r, A[m, m] * dt, stage_time, guess)
+            y, report = stage_solver(r, step_dt, stage_time, guess)
             if not report.converged:
                 raise NonConvergenceError(
                     f"stage {m + 1}/{tableau.stages} did not converge "
                     f"(residual {report.residual:.3e} after "
                     f"{report.iterations} iterations)", report)
         flux = high_order_flux(y, spec, grid, t=stage_time)
+        if limit_stage is not None and A[m, m] != 0.0:
+            limited, flux = limit_stage(r, flux, step_dt,
+                                        stage_time - step_dt)
+            y = limited.values
         stage_fields.append(CellField(grid, y))
         stage_fluxes.append(flux)
         guess = y

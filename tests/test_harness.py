@@ -1,6 +1,10 @@
 """Run driver: configuration, config files, CLI, snapshots, studies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,52 @@ class TestRunLoop:
         assert off.stage_delta == np.inf
 
 
+#: Every stepper branch of ``harness._make_stepper``, run on burgers1d for
+#: two steps; ``tests/data/stepper_golden.npz`` holds each final state.
+STEPPER_BRANCHES = {
+    "be": dict(scheme="be"),
+    "sdirk5-none": dict(scheme="sdirk5"),
+    "sdirk5-fct": dict(scheme="sdirk5", limiter="fct"),
+    "sdirk5-gmc": dict(scheme="sdirk5", limiter="gmc"),
+    "iex2-none": dict(scheme="iex2"),
+    "iex2-fct": dict(scheme="iex2", limiter="fct"),
+    "iex2-gmc": dict(scheme="iex2", limiter="gmc"),
+    "sdirk5-fct-stages": dict(scheme="sdirk5", limiter="fct",
+                              limit_stages=True),
+    "sdirk5-gmc-stages": dict(scheme="sdirk5", limiter="gmc",
+                              limit_stages=True),
+    "sdirk5-fct-stages-iters2": dict(scheme="sdirk5", limiter="fct",
+                                     limit_stages=True, fct_iters=2),
+    "iex2-gmc-gamma1": dict(scheme="iex2", limiter="gmc", gamma=1.0),
+}
+STEPPER_GOLDEN = Path(__file__).parent / "data" / "stepper_golden.npz"
+
+
+class TestStepperGolden:
+    """Pins each (scheme, limiter) branch to the state it reached before
+    the stepper was composed as proposal x limiter.  The tolerance admits
+    solver-level changes (accelerated fixed points, other Newton
+    strategies) but not a miswired branch, which moves the state by 1e-3
+    or more."""
+
+    @pytest.mark.parametrize("name", sorted(STEPPER_BRANCHES))
+    def test_final_state_matches_golden(self, name):
+        nx = 30
+        dt = 0.5 * 2.0 / nx        # dt_factor * dx on [-1, 1]
+        cfg = RunConfig(problem="burgers1d", nx=nx, t_final=2 * dt,
+                        **STEPPER_BRANCHES[name])
+        spec = build_problem(cfg)
+        diag, u = run(cfg)
+        with np.load(STEPPER_GOLDEN) as golden:
+            want = golden[name]
+        width = spec.global_max - spec.global_min
+        assert np.max(np.abs(u.values - want)) <= 1e-7 * width
+        assert abs(diag.mass_drift) <= 1e-12
+        if cfg.limiter != "none" or cfg.scheme == "be":
+            # Unlimited high-order steps overshoot the bounds by design.
+            assert diag.delta >= -1e-12
+
+
 class TestConvergenceStudy:
     def test_rows_and_rates_on_exact_problem(self, tmp_path):
         cfg = RunConfig(problem="linear1d", nx=16, scheme="be",
@@ -285,6 +335,18 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: solver-failure:")
+
+    def test_module_entry_point(self):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mppfv", "--problem", "linear1d",
+             "--nx", "16", "--scheme", "be", "--t-final", "0.1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "problem=linear1d" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -55,7 +55,7 @@ class TestUpdateDelta:
     def test_defaults(self):
         diag = RunDiagnostics()
         assert diag.delta == np.inf and diag.stage_delta == np.inf
-        assert diag.e1 == {} and diag.eoc == [] and diag.mass_drift == 0.0
+        assert diag.e1 == {} and diag.mass_drift == 0.0
 
 
 def _periodic_spec_grid(n, lo=0.0, hi=1.0):

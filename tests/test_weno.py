@@ -8,6 +8,8 @@ reconstruction.  The production kernels must agree with this independent
 construction.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -48,19 +50,31 @@ def _oracle_smoothness(p, h):
     return total
 
 
-def _oracle_face_value(averages, side, h=sp.Integer(1)):
-    """Full nonlinear reconstruction derived from scratch (rational until the
-    final regularized weighting, which is evaluated in float)."""
-    averages = [sp.nsimplify(a, rational=True) for a in averages]
+@functools.lru_cache(maxsize=None)
+def _oracle_symbolic_reconstruction(side):
+    """Sub-stencil face values and smoothness indicators as exact
+    expressions in the symbolic averages ``v0..v4``, plus the linear
+    weights; derived once per side."""
+    h = sp.Integer(1)
+    vs = sp.symbols("v0:5")
     centers = [k * h for k in range(-2, 3)]
     face = h / 2 if side == "+" else -h / 2
     candidates = []
     betas = []
     for k in range(3):
-        p = _fit_average_polynomial(averages[k:k + 3], centers[k:k + 3], h)
-        candidates.append(float(p.subs(X, face)))
-        betas.append(float(_oracle_smoothness(p, h)))
-    gammas = _oracle_linear_weights(side)
+        p = _fit_average_polynomial(list(vs[k:k + 3]), centers[k:k + 3], h)
+        candidates.append(sp.expand(p.subs(X, face)))
+        betas.append(sp.expand(_oracle_smoothness(p, h)))
+    return vs, candidates, betas, _oracle_linear_weights(side)
+
+
+def _oracle_face_value(averages, side):
+    """Full nonlinear reconstruction derived from scratch (rational until the
+    final regularized weighting, which is evaluated in float)."""
+    vs, cand_exprs, beta_exprs, gammas = _oracle_symbolic_reconstruction(side)
+    sample = {v: sp.nsimplify(a, rational=True) for v, a in zip(vs, averages)}
+    candidates = [float(c.subs(sample)) for c in cand_exprs]
+    betas = [float(b.subs(sample)) for b in beta_exprs]
     alphas = [g / (EPS_WENO + b) ** 2 for g, b in zip(gammas, betas)]
     s = sum(alphas)
     return sum(a / s * c for a, c in zip(alphas, candidates))
