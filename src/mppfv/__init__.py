@@ -14,8 +14,7 @@ from .harness import (RunConfig, build_problem, convergence_study, main,
                       read_snapshot, run, snapshot)
 from .limiters import (LIMITER_CHOICES, fct_step, gmc_step,
                        make_semidiscrete_gmc_substep_solver,
-                       semidiscrete_gmc_rhs, stage_limited_dirk_step,
-                       zalesak_alphas)
+                       semidiscrete_gmc_rhs, zalesak_alphas)
 from .mesh import (DIRICHLET, GHOST_WIDTH, PERIODIC, CellField, FaceRecord,
                    StructuredGrid, cell_center, faces, ghost_fill)
 from .metrics import (RunDiagnostics, cell_center_values, compute_E1, eoc,
@@ -24,9 +23,8 @@ from .problems import (BUILTIN_PROBLEMS, ProblemSpec, evaluate_exact,
                        initial_cell_averages, make_grid)
 from .solvers import (SOLVER_MODES, JacobianEngine, NonConvergenceError,
                       SolverReport, assemble_pseudo_jacobian,
-                      frozen_jacobian, linear_solve,
-                      make_high_order_substep_solver, make_stage_solver,
-                      newton_low_order, newton_stage)
+                      frozen_jacobian, make_high_order_substep_solver,
+                      make_stage_solver, newton_low_order)
 from .time_integration import (ButcherTableau, StageSet,
                                backward_euler_tableau, check_ssp_stages,
                                dirk_step, iex_step, iex_tableau,
@@ -39,17 +37,17 @@ __all__ = [
     "DIRICHLET", "FaceFluxSet", "FaceRecord", "GHOST_WIDTH",
     "JacobianEngine", "LIMITER_CHOICES", "NonConvergenceError", "PERIODIC",
     "ProblemSpec", "RunConfig", "RunDiagnostics", "SOLVER_MODES",
-    "SolverReport", "StageSet", "StructuredGrid", "assemble_pseudo_jacobian",
-    "backward_euler_tableau", "bar_states", "build_problem", "cell_center",
-    "cell_center_values", "check_ssp_stages", "compute_E1",
-    "convergence_study", "dirk_step", "eoc", "evaluate_exact", "faces",
-    "fct_step", "frozen_jacobian", "ghost_fill", "gmc_step",
-    "high_order_flux", "iex_step", "iex_tableau", "initial_cell_averages",
-    "linear_solve", "low_order_flux_set", "low_order_rhs",
+    "SolverReport", "StageSet", "StructuredGrid",
+    "assemble_pseudo_jacobian", "backward_euler_tableau", "bar_states",
+    "build_problem", "cell_center", "cell_center_values",
+    "check_ssp_stages", "compute_E1", "convergence_study", "dirk_step",
+    "eoc", "evaluate_exact", "faces", "fct_step", "frozen_jacobian",
+    "ghost_fill", "gmc_step", "high_order_flux", "iex_step", "iex_tableau",
+    "initial_cell_averages", "low_order_flux_set", "low_order_rhs",
     "low_order_with_bars", "main", "make_grid",
-    "make_high_order_substep_solver", "make_semidiscrete_gmc_substep_solver",
-    "make_stage_solver", "newton_low_order", "newton_stage",
-    "order_condition_residuals", "read_snapshot", "run", "sdirk5_tableau",
-    "semidiscrete_gmc_rhs", "snapshot", "stage_limited_dirk_step",
+    "make_high_order_substep_solver",
+    "make_semidiscrete_gmc_substep_solver", "make_stage_solver",
+    "newton_low_order", "order_condition_residuals", "read_snapshot",
+    "run", "sdirk5_tableau", "semidiscrete_gmc_rhs", "snapshot",
     "total_mass", "update_delta", "zalesak_alphas",
 ]

@@ -15,7 +15,10 @@ proposal
     fifth-order-in-space fluxes.  The proposal returns its state, its
     aggregated high-order flux and its intermediate states.  For ``iex``
     with ``limiter="gmc"`` the substeps already use the semi-discretely
-    limited flux.
+    limited flux.  With ``limit_stages`` the ``sdirk5`` proposal also
+    passes every intermediate stage through the limiter (the stages of a
+    high-order DIRK method are otherwise not bound preserving), using the
+    ``limit_stage`` hook of :func:`time_integration.dirk_step`.
 limiter
     ``"none"`` keeps the proposal as the step.  ``"fct"`` limits the
     difference between a first-order solve from the same initial state and
@@ -23,15 +26,9 @@ limiter
     solves the monolithic fixed point with the proposal's flux frozen and
     produces the bound-preserving update directly.
 
-Two cases do not split this way:
-
-``be``
-    One backward-Euler step of the first-order scheme (Rusanov flux plus
-    central diffusion).  Unconditionally bound preserving; no limiter.
-``limit_stages``
-    Variant of ``sdirk5`` in which every intermediate stage value is
-    limited as well (the stages of a high-order DIRK method are otherwise
-    not bound preserving), followed by the step-level limit.
+Only ``be`` falls outside this split: one backward-Euler step of the
+first-order scheme (Rusanov flux plus central diffusion), unconditionally
+bound preserving and taking no limiter.
 """
 
 from __future__ import annotations
@@ -44,8 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
-                       make_semidiscrete_gmc_substep_solver,
-                       stage_limited_dirk_step)
+                       make_semidiscrete_gmc_substep_solver)
 from .mesh import CellField
 from .metrics import RunDiagnostics, compute_E1, eoc, total_mass, update_delta
 from .problems import BUILTIN_PROBLEMS, initial_cell_averages, make_grid
@@ -159,10 +155,9 @@ def _make_stepper(config, spec, grid):
     boundary contribution gives the flux-corrected mass audit.
     """
     mode = config.solver
+    engine = JacobianEngine(spec, grid, mode)
 
     if config.scheme == "be":
-        engine = JacobianEngine(spec, grid, mode)
-
         def step(u, t, dt):
             u_new, flux, _ = newton_low_order(u, spec, grid, dt, t=t,
                                               engine=engine)
@@ -170,24 +165,29 @@ def _make_stepper(config, spec, grid):
 
         return step
 
-    low_engine = JacobianEngine(spec, grid, mode)
+    def limit(u, G_high, dt, t, strict=True):
+        if config.limiter == "fct":
+            u_low, G_low, _ = newton_low_order(u, spec, grid, dt, t=t,
+                                               engine=engine)
+            return _fct_with_flux(u, G_low, u_low, G_high, spec, grid, dt,
+                                  config.fct_iters, strict_reference=strict)
+        return _gmc_with_flux(u, G_high, spec, grid, dt, config.gamma, t,
+                              strict_reference=strict)[:2]
+
     if config.scheme == "sdirk5":
         tableau = sdirk5_tableau()
         stage_solver = make_stage_solver(spec, grid, mode)
-
+        limit_stage = None
         if config.limit_stages:
-            def step(u, t, dt):
-                u_new, realized, stages = stage_limited_dirk_step(
-                    u, tableau, spec, grid, dt, config.limiter, t=t,
-                    gamma=config.gamma, fct_iterations=config.fct_iters,
-                    stage_solver=stage_solver, engine=low_engine)
-                return u_new, realized, stages.stages
-
-            return step
+            # Stage references of a DIRK tableau with negative coefficients
+            # may leave the global bounds; the sign-clamped allowances then
+            # hold the stage as close to the bounds as its reference permits.
+            limit_stage = lambda *stage: limit(*stage, strict=False)
 
         def propose(u, t, dt):
             u_new, flux, stages = dirk_step(u, tableau, spec, grid,
-                                            stage_solver, dt, t=t)
+                                            stage_solver, dt, t=t,
+                                            limit_stage=limit_stage)
             return u_new, flux, stages.stages
     else:
         p = int(config.scheme[3:])
@@ -203,17 +203,9 @@ def _make_stepper(config, spec, grid):
     if config.limiter == "none":
         return propose
 
-    def limit(u, G_high, t, dt):
-        if config.limiter == "fct":
-            u_low, G_low, _ = newton_low_order(u, spec, grid, dt, t=t,
-                                               engine=low_engine)
-            return _fct_with_flux(u, G_low, u_low, G_high, spec, grid, dt,
-                                  config.fct_iters)
-        return _gmc_with_flux(u, G_high, spec, grid, dt, config.gamma, t)[:2]
-
     def step(u, t, dt):
         _, G_high, stages = propose(u, t, dt)
-        u_new, realized = limit(u, G_high, t, dt)
+        u_new, realized = limit(u, G_high, dt, t)
         return u_new, realized, stages
 
     return step
@@ -270,11 +262,15 @@ def read_snapshot(path):
     return header, data
 
 
+def _scheme_tag(config):
+    """``scheme`` or ``scheme-limiter``, as used in output file names."""
+    if config.limiter == "none":
+        return config.scheme
+    return f"{config.scheme}-{config.limiter}"
+
+
 def _snapshot_name(config, t):
-    tag = config.scheme
-    if config.limiter != "none":
-        tag += f"-{config.limiter}"
-    return f"{config.problem}_{tag}_t{t:.6f}.csv"
+    return f"{config.problem}_{_scheme_tag(config)}_t{t:.6f}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +369,12 @@ def convergence_study(config):
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        tag = config.scheme
-        if config.limiter != "none":
-            tag += f"-{config.limiter}"
         lines = ["dx,E1,EOC,delta"]
         for row in rows:
             eoc_txt = "" if row["eoc"] is None else f"{row['eoc']:.17g}"
             lines.append(f"{row['dx']:.17g},{row['e1']:.17g},{eoc_txt},"
                          f"{row['delta']:.17g}")
-        path = out_dir / f"study_{config.problem}_{tag}.csv"
+        path = out_dir / f"study_{config.problem}_{_scheme_tag(config)}.csv"
         path.write_text("\n".join(lines) + "\n")
     return rows
 
@@ -482,11 +475,8 @@ def main(argv=None):
         for key in RunConfig.__dataclass_fields__:
             value = getattr(args, key, None)
             if value is not None:
-                if key == "study":
-                    value = tuple(int(v) for v in value.split(",") if v.strip())
-                elif key == "snapshot_times":
-                    value = tuple(float(v) for v in value.split(",")
-                                  if v.strip())
+                if key in _INT_TUPLE_KEYS | _FLOAT_TUPLE_KEYS:
+                    value = _parse_config_value(key, value)
                 kwargs[key] = value
         config = RunConfig(**kwargs)
     except (ValueError, OSError) as exc:

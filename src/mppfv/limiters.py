@@ -31,11 +31,9 @@ antisymmetric per geometric face, so their divergences sum to zero.
 
 Also here: the semi-discrete GMC right-hand side (both flux orders
 evaluated at the current state, limited so the semi-discretization is
-locally-extremum-diminishing with respect to the global bounds), the
+locally-extremum-diminishing with respect to the global bounds) and the
 implicit-Euler substep solver built on it for the extrapolation
-integrator, and the stage-limited DIRK step that limits every intermediate
-stage value through the ``limit_stage`` hook of
-:func:`time_integration.dirk_step`.
+integrator.
 """
 
 from __future__ import annotations
@@ -47,9 +45,7 @@ import numpy as np
 from .fluxes import (FaceFluxSet, high_order_flux, low_order_with_bars,
                      tie_periodic_seam)
 from .mesh import PERIODIC, CellField
-from .solvers import (NonConvergenceError, SolverReport, newton_low_order,
-                      make_stage_solver)
-from .time_integration import dirk_step
+from .solvers import NonConvergenceError, SolverReport
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
@@ -412,50 +408,3 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
             spec, grid, sub_dt, gamma, sub_time)[:2]
 
     return substep
-
-
-# ---------------------------------------------------------------------------
-# Stage-limited DIRK stepping
-# ---------------------------------------------------------------------------
-
-def stage_limited_dirk_step(u_n, tableau, spec, grid, dt, limiter,
-                            t=0.0, gamma=0.0, fct_iterations=1,
-                            stage_solver=None, engine=None):
-    """DIRK step in which every intermediate stage value is replaced by its
-    limited counterpart.
-
-    Stage ``m`` is treated as a backward-Euler-like step of size
-    ``a_mm * dt`` from the reference state accumulating the *limited*
-    fluxes of the previous stages; its unlimited solution provides the
-    high-order flux, which is then limited (FCT or GMC) against the global
-    bounds.  This is :func:`time_integration.dirk_step` with that limit as
-    its ``limit_stage`` hook; the final update re-limits the
-    tableau-weighted combination of the realized stage fluxes at the full
-    step size.
-
-    Returns ``(u^{n+1} CellField, realized step FaceFluxSet, StageSet of
-    limited stages and realized stage fluxes)``.
-    """
-    if limiter not in ("fct", "gmc"):
-        raise ValueError("stage limiting requires limiter 'fct' or 'gmc'")
-    if stage_solver is None:
-        stage_solver = make_stage_solver(spec, grid)
-
-    def limit(reference, G_high, step_dt, start_time, strict=True):
-        # Stage references of a DIRK tableau with negative coefficients may
-        # leave the global bounds; the sign-clamped allowances then hold the
-        # stage as close to the bounds as its reference permits.
-        if limiter == "fct":
-            u_low, G_low, _ = newton_low_order(reference, spec, grid, step_dt,
-                                               t=start_time, engine=engine)
-            return _fct_with_flux(reference, G_low, u_low, G_high, spec,
-                                  grid, step_dt, fct_iterations,
-                                  strict_reference=strict)
-        return _gmc_with_flux(reference, G_high, spec, grid, step_dt, gamma,
-                              start_time, strict_reference=strict)[:2]
-
-    _, total, stages = dirk_step(
-        u_n, tableau, spec, grid, stage_solver, dt, t=t,
-        limit_stage=lambda *stage: limit(*stage, strict=False))
-    u_new, realized = limit(u_n, total, dt, t)
-    return u_new, realized, stages

@@ -25,6 +25,15 @@ Linear solves: direct sparse LU in 1D; in 2D a GMRES iteration
 preconditioned by the factorization of the constant-coefficient frozen
 Jacobian (relative tolerance 1e-13).  In ``frozen-jacobian`` mode the
 frozen factorization itself is the iteration matrix.
+
+One loop, ``_quasi_newton``, runs every such solve; its callers differ only
+in the flux they iterate on and in the reference state: the low-order
+backward-Euler step (:func:`newton_low_order`), a DIRK stage (the solver
+from :func:`make_stage_solver`) and an IEX substep (the solver from
+:func:`make_high_order_substep_solver`).  It stops at the first iterate
+whose l2 residual meets the tolerance and returns that iterate with the
+flux evaluated there; when the budget runs out it raises
+:class:`NonConvergenceError` whose report carries the final residual.
 """
 
 from __future__ import annotations
@@ -133,20 +142,6 @@ class SparseBandedMatrix:
         if info != 0 or np.linalg.norm(self.matrix @ x - b) > 10 * rtol * nb:
             return self.factorize().solve(b)
         return x
-
-
-def linear_solve(matrix, rhs):
-    """Solve a banded linear system to relative residual 1e-13.
-
-    Accepts a :class:`SparseBandedMatrix`, a scipy sparse matrix, or a dense
-    array.  Raises ``numpy.linalg.LinAlgError`` on singular input.
-    """
-    if isinstance(matrix, SparseBandedMatrix):
-        return matrix.solve(rhs)
-    if sp.issparse(matrix):
-        return SparseBandedMatrix(matrix.shape[0], matrix).solve(rhs)
-    return np.linalg.solve(np.asarray(matrix, dtype=float),
-                           np.ravel(np.asarray(rhs, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +282,7 @@ def _as_field(field_in, grid):
 
 
 # ---------------------------------------------------------------------------
-# Linear-solve strategy shared by the Newton loops
+# Linear-solve strategy of the quasi-Newton loop
 # ---------------------------------------------------------------------------
 
 class JacobianEngine:
@@ -334,8 +329,35 @@ def _l2(v):
 
 
 # ---------------------------------------------------------------------------
-# Newton loops
+# The quasi-Newton loop
 # ---------------------------------------------------------------------------
+
+def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
+                  tol, max_iter, what):
+    """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
+    quasi-Newton iteration with the engine's pseudo-Jacobian, starting from
+    ``guess``; the only Newton loop.
+
+    Returns ``(y, flux_of(y), SolverReport)`` once the l2 residual is at
+    most ``tol``.  ``report.iterations`` counts Newton updates.  Raises
+    :class:`NonConvergenceError` carrying the final residual after
+    ``max_iter`` updates; ``what`` names the solve in its message.
+    """
+    y = np.asarray(guess, dtype=float).copy()
+    for k in range(max_iter + 1):
+        flux = flux_of(y)
+        r = y - reference + step_dt * flux.divergence()
+        res = _l2(r)
+        if res <= tol:
+            return y, flux, SolverReport(k, res, True, tol)
+        if k == max_iter:
+            raise NonConvergenceError(
+                f"{what} stalled at residual {res:.3e} "
+                f"after {max_iter} iterations",
+                SolverReport(max_iter, res, False, tol))
+        y += engine.newton_update(y, step_dt, stage_time, r)
+    raise AssertionError("unreachable")
+
 
 def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
                      tol=TOL_LOW_ORDER, max_iter=MAX_ITER_LOW_ORDER):
@@ -344,11 +366,10 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
 
     Returns ``(u^L CellField, G^L FaceFluxSet, SolverReport)``; raises
     :class:`NonConvergenceError` when the iteration budget is exhausted.
-    ``report.iterations`` counts Newton updates (a converged verification
-    pass follows the last update).  The returned state is recomputed from
-    the returned fluxes, ``u^L = u^n - (dt/|K|) sum |S| G^L``, so the pair
-    is exactly conservative; the reported residual is that of the final
-    Newton iterate, from which the returned state differs by at most the
+    The returned state is recomputed from the returned fluxes,
+    ``u^L = u^n - (dt/|K|) sum |S| G^L``, so the pair is exactly
+    conservative; the reported residual is that of the final Newton
+    iterate, from which the returned state differs by at most the
     tolerance.
     """
     if dt <= 0:
@@ -356,90 +377,34 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
     if engine is None:
         engine = JacobianEngine(spec, grid)
     u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
-    u = u0.copy()
     stage_time = t + dt
-    for k in range(max_iter + 1):
-        flux = fluxes.low_order_flux_set(u, spec, grid, t=stage_time)
-        r = u - u0 + dt * flux.divergence()
-        res = _l2(r)
-        if res <= tol:
-            return (CellField(grid, u0 - dt * flux.divergence()), flux,
-                    SolverReport(k, res, True, tol))
-        if k == max_iter:
-            report = SolverReport(max_iter, res, False, tol)
-            raise NonConvergenceError(
-                f"low-order solve stalled at residual {res:.3e} "
-                f"after {max_iter} iterations", report)
-        u = u + engine.newton_update(u, dt, stage_time, r)
-    raise AssertionError("unreachable")
+    _, flux, report = _quasi_newton(
+        u0, lambda u: fluxes.low_order_flux_set(u, spec, grid, t=stage_time),
+        dt, stage_time, u0, engine, tol, max_iter, "low-order solve")
+    return CellField(grid, u0 - dt * flux.divergence()), flux, report
 
 
-def _newton_high_order(reference, step_dt, spec, grid, stage_time, guess,
-                       engine, tol=TOL_STAGE, max_iter=MAX_ITER_STAGE):
-    """Core quasi-Newton loop for one implicit stage of the high-order
-    scheme: solve ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0``.
-
-    Returns ``(y, G^H(y) FaceFluxSet, SolverReport)`` with the best iterate
-    on non-convergence (converged=False, never an exception).
-    """
-    y = np.asarray(guess, dtype=float).copy()
-    best = None
-    for k in range(max_iter + 1):
-        flux = fluxes.high_order_flux(y, spec, grid, t=stage_time)
-        r = y - reference + step_dt * flux.divergence()
-        res = _l2(r)
-        if res <= tol:
-            return y, flux, SolverReport(k, res, True, tol)
-        if best is None or res < best[0]:
-            best = (res, y, flux, k)
-        if k == max_iter:
-            break
-        y = y + engine.newton_update(y, step_dt, stage_time, r)
-    res, y, flux, _ = best
-    return y, flux, SolverReport(max_iter, res, False, tol)
-
-
-def newton_stage(u_n, explicit_part, a_mm, spec, grid, dt, stage_time,
-                 guess=None, engine=None, tol=TOL_STAGE,
-                 max_iter=MAX_ITER_STAGE):
-    """Solve DIRK stage ``y = explicit_part - (a_mm*dt/|K_i|) sum |S| G^H(y)``
-    with the low-order pseudo-Jacobian as iteration matrix.
-
-    ``explicit_part`` is ``u^n`` minus the tableau-weighted divergences of
-    the previous stage fluxes.  ``a_mm = 0`` degenerates to an explicit
-    evaluation with zero iterations.  Non-convergence is reported through
-    the returned :class:`SolverReport` together with the best iterate.
-    """
-    r_const = np.asarray(explicit_part, dtype=float)
-    if a_mm == 0.0:
-        return r_const.copy(), SolverReport(0, 0.0, True, tol)
-    if engine is None:
-        engine = JacobianEngine(spec, grid)
-    if guess is None:
-        guess = u_n.values if isinstance(u_n, CellField) else u_n
-    y, _, report = _newton_high_order(r_const, a_mm * dt, spec, grid,
-                                      stage_time, guess, engine,
-                                      tol=tol, max_iter=max_iter)
-    return y, report
-
-
-def make_stage_solver(spec, grid, mode="fresh-jacobian", tol=TOL_STAGE,
-                      max_iter=MAX_ITER_STAGE):
+def make_stage_solver(spec, grid, mode="fresh-jacobian"):
     """Stage-solver callable for :func:`time_integration.dirk_step`, sharing
-    one frozen factorization cache across all stages and steps."""
+    one frozen factorization cache across all stages and steps.
+
+    ``solver(reference, step_dt, stage_time, guess)`` solves
+    ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0`` and returns
+    ``(y, G^H(y), SolverReport)``; it raises on non-convergence.
+    """
     engine = JacobianEngine(spec, grid, mode)
 
     def solver(reference, step_dt, stage_time, guess):
-        y, _, report = _newton_high_order(reference, step_dt, spec, grid,
-                                          stage_time, guess, engine,
-                                          tol=tol, max_iter=max_iter)
-        return y, report
+        return _quasi_newton(
+            reference,
+            lambda y: fluxes.high_order_flux(y, spec, grid, t=stage_time),
+            step_dt, stage_time, guess, engine, TOL_STAGE, MAX_ITER_STAGE,
+            "stage solve")
 
     return solver
 
 
-def make_high_order_substep_solver(spec, grid, mode="fresh-jacobian",
-                                   tol=TOL_STAGE, max_iter=MAX_ITER_STAGE):
+def make_high_order_substep_solver(spec, grid, mode="fresh-jacobian"):
     """Backward-Euler substep solver (unlimited high-order flux) for
     :func:`time_integration.iex_step`.
 
@@ -451,13 +416,11 @@ def make_high_order_substep_solver(spec, grid, mode="fresh-jacobian",
 
     def substep(u_prev, sub_dt, sub_time):
         u_prev = np.asarray(u_prev, dtype=float)
-        y, flux, report = _newton_high_order(u_prev, sub_dt, spec, grid,
-                                             sub_time, u_prev, engine,
-                                             tol=tol, max_iter=max_iter)
-        if not report.converged:
-            raise NonConvergenceError(
-                f"substep solve stalled at residual {report.residual:.3e}",
-                report)
+        _, flux, _ = _quasi_newton(
+            u_prev,
+            lambda y: fluxes.high_order_flux(y, spec, grid, t=sub_time),
+            sub_dt, sub_time, u_prev, engine, TOL_STAGE, MAX_ITER_STAGE,
+            "substep solve")
         return u_prev - sub_dt * flux.divergence(), flux
 
     return substep

@@ -216,9 +216,12 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     Parameters
     ----------
     stage_solver : callable(reference, step_dt, stage_time, guess) ->
-        (values, SolverReport)
+        (values, FaceFluxSet, SolverReport)
         Nonlinear solver for one stage with effective implicit step
-        ``step_dt = a_mm * dt``.
+        ``step_dt = a_mm * dt``; returns the converged stage value with the
+        high-order flux evaluated there, and raises
+        :class:`NonConvergenceError` on failure.  Stages with ``a_mm = 0``
+        are explicit and call :func:`fluxes.high_order_flux` instead.
     limit_stage : callable(reference, flux, step_dt, start_time) ->
         (CellField, FaceFluxSet), optional
         Replaces the value and flux of every stage with ``a_mm != 0`` by a
@@ -234,7 +237,8 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     Raises
     ------
     NonConvergenceError
-        If a stage solver reports failure.
+        The stage solver's, re-raised with a ``stage m/M:`` prefix and the
+        same report.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -252,14 +256,14 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
         step_dt = A[m, m] * dt
         if A[m, m] == 0.0:
             y = r
+            flux = high_order_flux(y, spec, grid, t=stage_time)
         else:
-            y, report = stage_solver(r, step_dt, stage_time, guess)
-            if not report.converged:
+            try:
+                y, flux, _ = stage_solver(r, step_dt, stage_time, guess)
+            except NonConvergenceError as err:
                 raise NonConvergenceError(
-                    f"stage {m + 1}/{tableau.stages} did not converge "
-                    f"(residual {report.residual:.3e} after "
-                    f"{report.iterations} iterations)", report)
-        flux = high_order_flux(y, spec, grid, t=stage_time)
+                    f"stage {m + 1}/{tableau.stages}: {err}",
+                    err.report) from err
         if limit_stage is not None and A[m, m] != 0.0:
             limited, flux = limit_stage(r, flux, step_dt,
                                         stage_time - step_dt)

@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from mppfv import harness
-from mppfv.harness import (RunConfig, build_problem, convergence_study,
-                           load_config_file, main, read_snapshot, run,
-                           snapshot)
+from mppfv.harness import (RunConfig, _make_stepper, build_problem,
+                           convergence_study, load_config_file, main,
+                           read_snapshot, run, snapshot)
+from mppfv.limiters import _restore_bounds
 from mppfv.mesh import PERIODIC, StructuredGrid
 from mppfv.metrics import RunDiagnostics
 from mppfv.problems import initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError
+
+from test_limiters import _burgers_pulse
 
 
 class TestRunConfigValidation:
@@ -251,6 +254,32 @@ class TestStepperGolden:
             assert diag.delta >= -1e-12
 
 
+class TestStageLimitedStep:
+    """``limit_stages``: every implicit sdirk5 stage is limited through the
+    ``limit_stage`` hook of ``dirk_step``, then the step itself.  An unknown
+    limiter name is rejected by ``RunConfig`` (see
+    ``TestRunConfigValidation.test_rejected_configurations``)."""
+
+    @pytest.mark.parametrize("limiter,kw", [("fct", dict(fct_iters=2)),
+                                            ("gmc", dict(gamma=1.0))])
+    def test_output_within_bounds_and_conservative(self, limiter, kw):
+        spec, grid, u0 = _burgers_pulse(60)
+        dt = 0.5 * grid.spacing[0]
+        cfg = RunConfig(problem="burgers1d", nx=60, scheme="sdirk5",
+                        limiter=limiter, limit_stages=True, **kw)
+        out, realized, stages = _make_stepper(cfg, spec, grid)(u0, 0.0, dt)
+        assert len(stages) == 5
+        assert np.min(out.values) >= spec.global_min
+        assert np.max(out.values) <= spec.global_max
+        assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-12)
+        # The realized flux reproduces the update; the two summation orders
+        # agree to roundoff only, so the comparison is not bitwise.
+        assert np.allclose(
+            out.values,
+            _restore_bounds(u0 - dt * realized.divergence(), spec),
+            rtol=0.0, atol=1e-12)
+
+
 class TestConvergenceStudy:
     def test_rows_and_rates_on_exact_problem(self, tmp_path):
         cfg = RunConfig(problem="linear1d", nx=16, scheme="be",
@@ -272,6 +301,17 @@ class TestConvergenceStudy:
         assert float(first[3]) == rows[0]["delta"]
         second = csv[2].split(",")
         assert float(second[2]) == rows[1]["eoc"]
+
+    def test_sdirk5_gmc_order_gate(self):
+        # End-to-end order of the limited fifth-order scheme on a smooth
+        # problem.  With epsilon = 0 the limited runs drop to about third
+        # order by design: the sin^4 data touches both global bounds, so the
+        # limiter clips the smooth extrema.  That case is not gated.
+        rows = convergence_study(RunConfig(
+            problem="linear1d", epsilon=0.1, scheme="sdirk5", limiter="gmc",
+            t_final=1.0, study=(40, 80, 160)))
+        assert rows[-1]["eoc"] >= 4.5
+        assert all(row["delta"] >= -1e-12 for row in rows)
 
     def test_requires_study_grids_and_exact_solution(self):
         with pytest.raises(ValueError, match="grid sequence"):
@@ -347,6 +387,14 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert "problem=linear1d" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_snapshot_times_flag_writes_snapshots(self, tmp_path, capsys):
+        code = main(["--problem", "linear1d", "--nx", "16", "--scheme", "be",
+                     "--t-final", "0.1", "--snapshot-times", "0, 0.05,",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "linear1d_be_t0.000000.csv", "linear1d_be_t0.050000.csv"]
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -17,12 +17,11 @@ from mppfv.limiters import (BoundBudget, LimiterCoefficients, REFERENCE_SLACK,
                             _check_reference, _restore_bounds,
                             compute_bound_budgets, fct_step, gmc_budgets,
                             gmc_step, make_semidiscrete_gmc_substep_solver,
-                            semidiscrete_gmc_rhs, stage_limited_dirk_step,
-                            zalesak_alphas)
+                            semidiscrete_gmc_rhs, zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, faces
 from mppfv.problems import burgers_1d, make_grid
 from mppfv.solvers import NonConvergenceError, newton_low_order
-from mppfv.time_integration import iex_step, sdirk5_tableau
+from mppfv.time_integration import iex_step
 
 from test_fluxes import (_cell_slot, make_advection_2d, make_burgers_1d,
                          random_flux_set)
@@ -408,31 +407,3 @@ class TestSemidiscreteGmc:
             assert np.min(state.values) >= spec.global_min - 1e-12
             assert np.max(state.values) <= spec.global_max + 1e-12
         assert np.sum(u1.values) == pytest.approx(np.sum(u0), rel=1e-12)
-
-
-class TestStageLimitedStep:
-    @pytest.mark.parametrize("limiter,kw", [("fct", dict(fct_iterations=2)),
-                                            ("gmc", dict(gamma=1.0))])
-    def test_output_within_bounds_and_conservative(self, limiter, kw):
-        spec, grid, u0 = _burgers_pulse(60)
-        dt = 0.5 * grid.spacing[0]
-        out, realized, stages = stage_limited_dirk_step(
-            u0, sdirk5_tableau(), spec, grid, dt, limiter, **kw)
-        assert len(stages.stages) == 5
-        assert np.min(out.values) >= spec.global_min
-        assert np.max(out.values) <= spec.global_max
-        assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-12)
-        # The realized flux reproduces the update; the two summation orders
-        # agree to roundoff only, so the comparison is not bitwise.
-        assert np.allclose(out.values, _restore_like(u0, dt, realized, spec),
-                           rtol=0.0, atol=1e-12)
-
-    def test_limiter_name_validated(self):
-        spec, grid, u0 = _burgers_pulse(20)
-        with pytest.raises(ValueError):
-            stage_limited_dirk_step(u0, sdirk5_tableau(), spec, grid,
-                                    0.01, "median")
-
-
-def _restore_like(u0, dt, realized, spec):
-    return _restore_bounds(u0 - dt * realized.divergence(), spec)

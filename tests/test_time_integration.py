@@ -208,10 +208,12 @@ class TestDirkStep:
         solver = make_stage_solver(spec, grid)
         u1, _, _ = dirk_step(u0, backward_euler_tableau(), spec, grid,
                              solver, dt=0.01)
-        y, report = solver(u0, 0.01, 0.01, u0)
+        y, flux, report = solver(u0, 0.01, 0.01, u0)
         assert report.converged
         from mppfv.fluxes import high_order_flux
-        manual = u0 - 0.01 * high_order_flux(y, spec, grid, t=0.01).divergence()
+        assert all(np.array_equal(a, b) for a, b in zip(
+            flux.arrays, high_order_flux(y, spec, grid, t=0.01).arrays))
+        manual = u0 - 0.01 * flux.divergence()
         assert np.allclose(u1.values, manual, rtol=0, atol=1e-15)
 
     def test_explicit_stage_skips_solver(self, advdiff_setup):
@@ -229,6 +231,18 @@ class TestDirkStep:
         dirk_step(u0, tab, spec, grid, counting, dt=0.01)
         assert len(calls) == 1
 
+    def test_explicit_first_stage_does_not_alias_input(self, advdiff_setup):
+        spec, grid, u0 = advdiff_setup
+        kept = u0.copy()
+        tab = ButcherTableau(A=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
+                             c=[0.0, 1.0], order=2)
+        _, _, stages = dirk_step(u0, tab, spec, grid,
+                                 make_stage_solver(spec, grid), dt=0.01)
+        first = stages.stages[0].values
+        assert np.array_equal(first, kept)  # the explicit stage is u^n
+        first[0] = 99.0
+        assert np.array_equal(u0, kept)  # ... but not aliased to it
+
     def test_nonpositive_dt_rejected(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
         solver = make_stage_solver(spec, grid)
@@ -237,13 +251,15 @@ class TestDirkStep:
 
     def test_stage_failure_raises_with_report(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
+        report = SolverReport(7, 1.0, False, 1e-8)
 
         def failing(reference, step_dt, stage_time, guess):
-            return guess, SolverReport(7, 1.0, False, 1e-8)
+            raise NonConvergenceError("stage solve stalled", report)
 
         with pytest.raises(NonConvergenceError) as exc:
             dirk_step(u0, sdirk5_tableau(), spec, grid, failing, dt=0.01)
-        assert exc.value.report.iterations == 7
+        assert exc.value.report is report
+        assert "stage 1/5" in str(exc.value)
 
     def test_accepts_cell_field_input(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup

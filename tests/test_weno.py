@@ -70,9 +70,10 @@ def _oracle_symbolic_reconstruction(side):
 
 def _oracle_face_value(averages, side):
     """Full nonlinear reconstruction derived from scratch (rational until the
-    final regularized weighting, which is evaluated in float)."""
+    final regularized weighting, which is evaluated in float).  Each average
+    enters as the exact rational value of the float the kernel receives."""
     vs, cand_exprs, beta_exprs, gammas = _oracle_symbolic_reconstruction(side)
-    sample = {v: sp.nsimplify(a, rational=True) for v, a in zip(vs, averages)}
+    sample = {v: sp.Rational(float(a)) for v, a in zip(vs, averages)}
     candidates = [float(c.subs(sample)) for c in cand_exprs]
     betas = [float(b.subs(sample)) for b in beta_exprs]
     alphas = [g / (EPS_WENO + b) ** 2 for g, b in zip(gammas, betas)]
