@@ -75,11 +75,11 @@ def _key(kwargs):
     return tuple(sorted(kwargs.items()))
 
 
-def run_matrix(dt_factors):
+def run_matrix():
     from mppfv.harness import RunConfig, build_problem, run
 
     results = {}
-    for dt_factor in dt_factors:
+    for dt_factor in DT_FACTORS:
         start = time.perf_counter()
         for kwargs in configurations(dt_factor):
             config = RunConfig(**kwargs)
@@ -141,14 +141,12 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run the matrix and pickle results")
     p_run.add_argument("out")
-    p_run.add_argument("--dt-factor", type=float, nargs="+",
-                       default=list(DT_FACTORS))
     p_cmp = sub.add_parser("compare", help="compare two result files")
     p_cmp.add_argument("old")
     p_cmp.add_argument("new")
     args = parser.parse_args(argv)
     if args.command == "run":
-        results = run_matrix(args.dt_factor)
+        results = run_matrix()
         with open(args.out, "wb") as fh:
             pickle.dump(results, fh)
         return 0
