@@ -22,21 +22,26 @@ grid, this module assembles, per geometric face,
   averaged over the two reconstructed states.
 
 Storage convention: one array per axis holding the flux *along the positive
-axis direction* at every face plane, shape ``(nx+1,)`` in 1D and
-``(ny, nx+1)`` / ``(ny+1, nx)`` for x-/y-faces in 2D.  On periodic axes the
-wrap face appears at both array ends; the far entry is copied bitwise from
-the near one so every geometric face has exactly one computed value and
-antisymmetry ``G_ij = -G_ji`` is exact.
+axis direction* at every face plane, laid out like a cell field (grid axis
+``k`` is array axis ``-1-k``, see :mod:`mesh`) with one more entry along the
+face normal: shape ``(nx+1,)`` in 1D and ``(ny, nx+1)`` / ``(ny+1, nx)`` for
+x-/y-faces in 2D.  On periodic axes the wrap face appears at both array
+ends; the far entry is copied bitwise from the near one so every geometric
+face has exactly one computed value and antisymmetry ``G_ij = -G_ji`` is
+exact.  :func:`adjacent_cells` gives the two cells of every face; the
+kernels between face and cell arrays are one loop over grid axes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import weno
-from .mesh import GHOST_WIDTH, PERIODIC, CellField, ghost_fill
+from .mesh import (FIRST, GHOST_WIDTH, LAST, PERIODIC, CellField, axis_index,
+                   ghost_fill, sides)
 from .problems import LAMBDA_FLOOR
 
 
@@ -84,30 +89,31 @@ def adjacent_center_coordinates(grid, axis):
 def adjacent_slices(grid, width, axis):
     """Index tuples selecting, from a ghost-extended array, the low-side and
     high-side cell values of every face of ``axis`` (face-array shape)."""
-    if grid.dim == 1:
-        n = grid.nx
-        return (slice(width - 1, width + n),), (slice(width, width + n + 1),)
-    ny, nx = grid.ny, grid.nx
-    if axis == 0:
-        lo = (slice(width, width + ny), slice(width - 1, width + nx))
-        hi = (slice(width, width + ny), slice(width, width + nx + 1))
+    lo = [slice(width, width + n) for n in reversed(grid.cells_per_axis)]
+    hi = lo.copy()
+    n = grid.cells_per_axis[axis]
+    lo[-1 - axis] = slice(width - 1, width + n)
+    hi[-1 - axis] = slice(width, width + n + 1)
+    return tuple(lo), tuple(hi)
+
+
+def adjacent_cells(values, grid, axis, fill):
+    """The low-side and high-side cell values of every face of ``axis``
+    (face-array shape): the wrapped cell across a periodic seam, ``fill``
+    beyond a Dirichlet boundary."""
+    first, last = values[FIRST[axis]], values[LAST[axis]]
+    if grid.boundary[axis] == PERIODIC:
+        before, after = last, first
     else:
-        lo = (slice(width - 1, width + ny), slice(width, width + nx))
-        hi = (slice(width, width + ny + 1), slice(width, width + nx))
-    return lo, hi
+        before = after = np.full_like(first, fill)
+    return sides(np.concatenate((before, values, after), axis=-1 - axis), axis)
 
 
 def tie_periodic_seam(arr, grid, axis):
     """Copy the near wrap-face entry over the far one (in place) so both
     array ends of a periodic axis hold bitwise-identical values."""
-    if grid.boundary[axis] != PERIODIC:
-        return arr
-    if grid.dim == 1:
-        arr[-1] = arr[0]
-    elif axis == 0:
-        arr[:, -1] = arr[:, 0]
-    else:
-        arr[-1, :] = arr[0, :]
+    if grid.boundary[axis] == PERIODIC:
+        arr[LAST[axis]] = arr[FIRST[axis]]
     return arr
 
 
@@ -165,13 +171,12 @@ class FaceFluxSet:
 
     def divergence(self):
         """Per-cell ``(1/|K_i|) sum_j |S_ij| G_ij`` (outward)."""
-        g = self.grid
-        if g.dim == 1:
-            G = self.arrays[0]
-            return (G[1:] - G[:-1]) / g.spacing[0]
-        Gx, Gy = self.arrays
-        return ((Gx[:, 1:] - Gx[:, :-1]) / g.spacing[0]
-                + (Gy[1:, :] - Gy[:-1, :]) / g.spacing[1])
+        spacing = self.grid.spacing
+        for axis, G in enumerate(self.arrays):
+            low, high = sides(G, axis)
+            term = (high - low) / spacing[axis]
+            out = term if axis == 0 else out + term
+        return out
 
     def __add__(self, other):
         return FaceFluxSet(self.grid,
@@ -211,22 +216,26 @@ class BarStateSet:
 
     def _cell_sum(self, per_axis):
         """Sum ``|S_ij| q_ij`` over the faces of each cell."""
-        g = self.grid
-        if g.dim == 1:
-            q = per_axis[0]
-            return q[:-1] + q[1:]
-        qx, qy = per_axis
-        sx, sy = g.face_area(0), g.face_area(1)
-        return (sx * (qx[:, :-1] + qx[:, 1:]) + sy * (qy[:-1, :] + qy[1:, :]))
+        face_area = self.grid.face_area
+        for axis, q in enumerate(per_axis):
+            low, high = sides(q, axis)
+            term = face_area(axis) * (low + high)
+            out = term if axis == 0 else out + term
+        return out
+
+    @cached_property
+    def _coefficient(self):
+        return self._cell_sum(self.lam)
 
     def cell_coefficient(self):
-        """``a_i = sum_j |S_ij| lam_ij`` per cell."""
-        return self._cell_sum(self.lam)
+        """``a_i = sum_j |S_ij| lam_ij`` per cell (computed once per set;
+        callers must not modify it in place)."""
+        return self._coefficient
 
     def cell_bar_average(self):
         """``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij`` per cell."""
         weighted = tuple(l * u for l, u in zip(self.lam, self.ubar))
-        return self._cell_sum(weighted) / self.cell_coefficient()
+        return self._cell_sum(weighted) / self._coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -245,31 +254,42 @@ def _wave_speeds(spec, axis, ua, ub, ra, rb, xf, yf, t):
 # Low-order assembly
 # ---------------------------------------------------------------------------
 
+def _face_states(u_ext, spec, grid, axis, t):
+    """Face data shared by the low-order flux of ``axis`` and its
+    pseudo-Jacobian, so the Jacobian differentiates exactly the flux the
+    residual uses: ``(ua, ub, face_xy, a_xy, b_xy, lam_a, u_mid, c_mid)``,
+    the adjacent states of a one-ghost-layer array, the face coordinates,
+    the flux sampling coordinates of each side, the wave-speed bound, the
+    mean state and the diffusion coefficient there."""
+    lo, hi = adjacent_slices(grid, 1, axis)
+    ua, ub = u_ext[lo], u_ext[hi]
+    face_xy = face_coordinates(grid, axis)
+    lam_a = _wave_speeds(spec, axis, ua, ub, ua, ub, *face_xy, t)
+    if spec.flux_at_cell_centers:
+        a_xy, b_xy = adjacent_center_coordinates(grid, axis)
+    else:
+        a_xy = b_xy = face_xy
+    u_mid = 0.5 * (ua + ub)
+    c_mid = np.array(spec.diffusion(u_mid, *face_xy), dtype=float)
+    return ua, ub, face_xy, a_xy, b_xy, lam_a, u_mid, c_mid
+
+
 class _AxisLowOrder:
     __slots__ = ("G", "ubar_a", "ubar_d", "ubar", "lam", "lam_a", "c_mid",
                  "ua", "ub")
 
 
-def _axis_low_order(u_ext, spec, grid, axis, t, width):
-    lo, hi = adjacent_slices(grid, width, axis)
-    ua, ub = u_ext[lo], u_ext[hi]
-    xf, yf = face_coordinates(grid, axis)
-    lam_a = _wave_speeds(spec, axis, ua, ub, ua, ub, xf, yf, t)
-
-    if spec.flux_at_cell_centers:
-        (xa, ya), (xb, yb) = adjacent_center_coordinates(grid, axis)
-    else:
-        (xa, ya), (xb, yb) = (xf, yf), (xf, yf)
-    fa = np.asarray(spec.flux(axis, ua, xa, ya, t), dtype=float)
-    fb = np.asarray(spec.flux(axis, ub, xb, yb, t), dtype=float)
-
+def _axis_low_order(u_ext, spec, grid, axis, t):
+    ua, ub, _, a_xy, b_xy, lam_a, u_mid, c_mid = _face_states(
+        u_ext, spec, grid, axis, t)
+    fa = np.asarray(spec.flux(axis, ua, *a_xy, t), dtype=float)
+    fb = np.asarray(spec.flux(axis, ub, *b_xy, t), dtype=float)
     d = grid.spacing[axis]
-    c_mid = np.array(spec.diffusion(0.5 * (ua + ub), xf, yf), dtype=float)
 
     out = _AxisLowOrder()
     out.ua, out.ub = ua, ub
     out.G = 0.5 * (fa + fb) - 0.5 * lam_a * (ub - ua) - c_mid * (ub - ua) / d
-    out.ubar_d = 0.5 * (ua + ub)
+    out.ubar_d = u_mid
     out.ubar_a = out.ubar_d - (fb - fa) / (2.0 * lam_a)
     ratio = 2.0 * c_mid / (lam_a * d)
     out.lam = lam_a * (1.0 + ratio)
@@ -287,7 +307,7 @@ def low_order_with_bars(field, spec, grid, t=0.0):
     Returns ``(FaceFluxSet of G^L, BarStateSet)``.
     """
     u_ext = ghost_fill(_values_field(field, grid), spec, time=t, width=1)
-    per_axis = [_axis_low_order(u_ext, spec, grid, axis, t, width=1)
+    per_axis = [_axis_low_order(u_ext, spec, grid, axis, t)
                 for axis in range(grid.dim)]
     flux = FaceFluxSet(grid, tuple(p.G for p in per_axis))
     bars = BarStateSet(
@@ -376,21 +396,22 @@ def low_order_diffusive_flux(u_i, u_j, face, spec):
 # High-order assembly
 # ---------------------------------------------------------------------------
 
+#: Per grid axis, the interior of a ``GHOST_WIDTH``-extended array along it.
+_INTERIOR = tuple(axis_index(k, slice(GHOST_WIDTH, -GHOST_WIDTH))
+                  for k in range(2))
+
+
 def _axis_high_order(u_ext, spec, grid, axis, t):
     w = GHOST_WIDTH
-    if grid.dim == 1:
-        line = u_ext
-        um, up = weno.face_values_line(line, ghost=w)
-        dP = weno.face_derivatives_line(line, grid.spacing[0], ghost=w)
-    elif axis == 0:
-        sub = u_ext[w: w + grid.ny, :]
-        um, up = weno.face_values_line(sub, ghost=w)
-        dP = weno.face_derivatives_line(sub, grid.spacing[0], ghost=w)
-    else:
-        sub = u_ext[:, w: w + grid.nx].T
-        um_t, up_t = weno.face_values_line(sub, ghost=w)
-        um, up = um_t.T, up_t.T
-        dP = weno.face_derivatives_line(sub, grid.spacing[1], ghost=w).T
+    line = u_ext
+    for other in range(grid.dim):
+        if other != axis:
+            line = line[_INTERIOR[other]]
+    # The WENO kernels reconstruct along the last array axis.
+    line = np.swapaxes(line, -1, -1 - axis)
+    um, up = weno.face_values_line(line, ghost=w)
+    dP = weno.face_derivatives_line(line, grid.spacing[axis], ghost=w)
+    um, up, dP = (np.swapaxes(v, -1, -1 - axis) for v in (um, up, dP))
 
     lo, hi = adjacent_slices(grid, w, axis)
     ua, ub = u_ext[lo], u_ext[hi]

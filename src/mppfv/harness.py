@@ -42,7 +42,7 @@ import numpy as np
 
 from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
                        make_semidiscrete_gmc_substep_solver)
-from .mesh import CellField
+from .mesh import FIRST, LAST, CellField
 from .metrics import RunDiagnostics, compute_E1, eoc, total_mass, update_delta
 from .problems import BUILTIN_PROBLEMS, initial_cell_averages, make_grid
 from .solvers import (SOLVER_MODES, JacobianEngine, NonConvergenceError,
@@ -169,7 +169,7 @@ def _make_stepper(config, spec, grid):
         if config.limiter == "fct":
             u_low, G_low, _ = newton_low_order(u, spec, grid, dt, t=t,
                                                engine=engine)
-            return _fct_with_flux(u, G_low, u_low, G_high, spec, grid, dt,
+            return _fct_with_flux(G_low, u_low, G_high, spec, grid, dt,
                                   config.fct_iters, strict_reference=strict)
         return _gmc_with_flux(u, G_high, spec, grid, dt, config.gamma, t,
                               strict_reference=strict)[:2]
@@ -198,7 +198,7 @@ def _make_stepper(config, spec, grid):
             substep = make_high_order_substep_solver(spec, grid, mode)
 
         def propose(u, t, dt):
-            return iex_step(u, p, spec, grid, substep, dt, t=t, details=True)
+            return iex_step(u, p, spec, grid, substep, dt, t=t)
 
     if config.limiter == "none":
         return propose
@@ -216,12 +216,11 @@ def _boundary_outflow(flux):
     (outward).  Periodic axes contribute exactly zero because the wrap
     face is stored once and tied."""
     grid = flux.grid
-    if grid.dim == 1:
-        G = flux.arrays[0]
-        return grid.face_area(0) * (G[-1] - G[0])
-    Gx, Gy = flux.arrays
-    return (grid.face_area(0) * float(np.sum(Gx[:, -1]) - np.sum(Gx[:, 0]))
-            + grid.face_area(1) * float(np.sum(Gy[-1, :]) - np.sum(Gy[0, :])))
+    for axis, G in enumerate(flux.arrays):
+        term = grid.face_area(axis) * float(np.sum(G[LAST[axis]])
+                                            - np.sum(G[FIRST[axis]]))
+        out = term if axis == 0 else out + term
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
+Coefficients, budgets and correction sums are built by one loop over grid
+axes on the array-axis convention of :mod:`mesh`, with
+:func:`fluxes.adjacent_cells` giving each face its two cells.
 
 Also here: the semi-discrete GMC right-hand side (both flux orders
 evaluated at the current state, limited so the semi-discretization is
@@ -42,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import (FaceFluxSet, high_order_flux, low_order_with_bars,
-                     tie_periodic_seam)
-from .mesh import PERIODIC, CellField
+from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
+                     low_order_with_bars, tie_periodic_seam)
+from .mesh import CellField, sides
 from .solvers import NonConvergenceError, SolverReport
 
 TOL_GMC = 1e-12
@@ -108,41 +111,16 @@ class BoundBudget:
 
 def _outward_sums(flux_set, grid):
     """Cellwise ``(sum |S| max(0, dG_outward), sum |S| min(0, dG_outward))``."""
-    if grid.dim == 1:
-        dg = flux_set.arrays[0]
-        p_plus = np.maximum(0.0, dg[1:]) + np.maximum(0.0, -dg[:-1])
-        p_minus = np.minimum(0.0, dg[1:]) + np.minimum(0.0, -dg[:-1])
-        return p_plus, p_minus
-    dgx, dgy = flux_set.arrays
-    sx, sy = grid.face_area(0), grid.face_area(1)
-    p_plus = (sx * (np.maximum(0.0, dgx[:, 1:]) + np.maximum(0.0, -dgx[:, :-1]))
-              + sy * (np.maximum(0.0, dgy[1:, :]) + np.maximum(0.0, -dgy[:-1, :])))
-    p_minus = (sx * (np.minimum(0.0, dgx[:, 1:]) + np.minimum(0.0, -dgx[:, :-1]))
-               + sy * (np.minimum(0.0, dgy[1:, :]) + np.minimum(0.0, -dgy[:-1, :])))
+    for axis, dg in enumerate(flux_set.arrays):
+        area = grid.face_area(axis)
+        low, high = sides(dg, axis)
+        plus = area * (np.maximum(0.0, high) + np.maximum(0.0, -low))
+        minus = area * (np.minimum(0.0, high) + np.minimum(0.0, -low))
+        if axis == 0:
+            p_plus, p_minus = plus, minus
+        else:
+            p_plus, p_minus = p_plus + plus, p_minus + minus
     return p_plus, p_minus
-
-
-def _extend_cells(values, grid, axis):
-    """Cell array extended by one layer on each side of ``axis``: periodic
-    wrap, or ones on Dirichlet axes (ghost cells impose no budget)."""
-    arr_axis = 0 if grid.dim == 1 else 1 - axis
-    if grid.boundary[axis] == PERIODIC:
-        return np.take(values,
-                       range(-1, values.shape[arr_axis] + 1),
-                       axis=arr_axis, mode="wrap")
-    pad = [(0, 0)] * values.ndim
-    pad[arr_axis] = (1, 1)
-    return np.pad(values, pad, mode="constant", constant_values=1.0)
-
-
-def _adjacent_cells(values, grid, axis):
-    """Per-face (low-side, high-side) views of an extended cell array."""
-    ext = _extend_cells(values, grid, axis)
-    if grid.dim == 1:
-        return ext[:-1], ext[1:]
-    if axis == 0:
-        return ext[:, :-1], ext[:, 1:]
-    return ext[:-1, :], ext[1:, :]
 
 
 def compute_bound_budgets(flux_corrections, q_minus, q_plus, grid):
@@ -174,8 +152,9 @@ def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
     arrays = []
     for axis in range(grid.dim):
         dg = flux_corrections.arrays[axis]
-        rp_lo, rp_hi = _adjacent_cells(budget.r_plus, grid, axis)
-        rm_lo, rm_hi = _adjacent_cells(budget.r_minus, grid, axis)
+        # Ghost cells impose no budget.
+        rp_lo, rp_hi = adjacent_cells(budget.r_plus, grid, axis, 1.0)
+        rm_lo, rm_hi = adjacent_cells(budget.r_minus, grid, axis, 1.0)
         alpha = np.where(dg >= 0.0,
                          np.minimum(rp_lo, rm_hi),
                          np.minimum(rm_lo, rp_hi))
@@ -225,7 +204,7 @@ def _restore_bounds(values, spec):
     return np.clip(values, spec.global_min, spec.global_max)
 
 
-def _fct_with_flux(u_n, G_L, u_L, G_H, spec, grid, dt, iterations,
+def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
                    strict_reference=True):
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -249,7 +228,7 @@ def _fct_with_flux(u_n, G_L, u_L, G_H, spec, grid, dt, iterations,
     return CellField(grid, u), realized
 
 
-def fct_step(u_n, G_L, u_L, G_H, spec, grid, dt, iterations=1):
+def fct_step(G_L, u_L, G_H, spec, grid, dt, iterations=1):
     """Flux-corrected step ``u = u^L + (dt/|K|) sum |S| alpha (G^L - G^H)``
     with allowances ``Q^± = (|K|/dt)(u^{max/min} - u^L)``.
 
@@ -258,7 +237,7 @@ def fct_step(u_n, G_L, u_L, G_H, spec, grid, dt, iterations=1):
     high-order flux.  The output lies in the global bounds up to roundoff
     whenever ``u^L`` does (precondition, checked).
     """
-    return _fct_with_flux(u_n, G_L, u_L, G_H, spec, grid, dt, iterations)[0]
+    return _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +259,20 @@ def gmc_budgets(a, ubar_cell, values, spec, gamma):
     return np.minimum(0.0, q_minus), np.maximum(0.0, q_plus)
 
 
+def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
+    """The GMC terms of state ``u`` against high-order flux ``G_H``: the
+    low-order flux ``G^L`` at time ``t``, the accepted correction
+    ``alpha (G^L - G^H)``, the cell coefficients ``a_i`` and the bar-state
+    averages ``ubar_i``."""
+    G_L, bars = low_order_with_bars(u, spec, grid, t=t)
+    a = bars.cell_coefficient()
+    ubar = bars.cell_bar_average()
+    correction = G_L - G_H
+    q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
+    alpha = zalesak_alphas(correction, q_minus, q_plus, grid)
+    return G_L, alpha.apply(correction), a, ubar
+
+
 def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
                      tol=TOL_GMC, max_sweeps=MAX_GMC_SWEEPS):
     """The GMC fixed point ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
@@ -295,14 +288,8 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
     u = u0.copy()
     prev_res = np.inf
     for sweep in range(max_sweeps + 1):
-        G_L, bars = low_order_with_bars(u, spec, grid, t=t)
-        G_H = high_flux(u)
-        a = bars.cell_coefficient()
-        ubar = bars.cell_bar_average()
-        correction = G_L - G_H
-        q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
-        alpha = zalesak_alphas(correction, q_minus, q_plus, grid)
-        accepted = alpha.apply(correction)
+        G_L, accepted, a, ubar = _gmc_face_terms(u, high_flux(u), spec, grid,
+                                                 gamma, t)
         realized = G_L - accepted
         residual = u - u0 + dt * realized.divergence()
         res = float(np.linalg.norm(np.ravel(residual)))
@@ -369,14 +356,9 @@ def _semidiscrete_gmc_flux(field, spec, grid, gamma, t=0.0):
     """Limited instantaneous flux ``G^L - alpha (G^L - G^H)`` with both
     orders evaluated at the current state and allowances referenced to it."""
     values = field.values if isinstance(field, CellField) else np.asarray(field, dtype=float)
-    G_L, bars = low_order_with_bars(values, spec, grid, t=t)
-    G_H = high_order_flux(values, spec, grid, t=t)
-    a = bars.cell_coefficient()
-    ubar = bars.cell_bar_average()
-    correction = G_L - G_H
-    q_minus, q_plus = gmc_budgets(a, ubar, values, spec, gamma)
-    alpha = zalesak_alphas(correction, q_minus, q_plus, grid)
-    return G_L - alpha.apply(correction)
+    G_L, accepted, _, _ = _gmc_face_terms(
+        values, high_order_flux(values, spec, grid, t=t), spec, grid, gamma, t)
+    return G_L - accepted
 
 
 def semidiscrete_gmc_rhs(field, spec, grid, gamma=0.0, t=0.0):

@@ -3,15 +3,26 @@
 Cells are axis-aligned boxes of identical size.  Fields store one value per
 cell (the cell average).  Boundary conditions enter through ghost layers:
 periodic axes wrap the interior values, Dirichlet axes are filled with the
-prescribed constant boundary value.  2D fields are stored row-major with x
-fastest (``values[iy, ix]``); face enumeration lists x-faces first, then
-y-faces, each in row-major order, so that downstream assembly is
+prescribed constant boundary value.  Face enumeration lists x-faces first,
+then y-faces, each in row-major order, so that downstream assembly is
 deterministic.
+
+Array-axis convention: grid axis ``k`` is array axis ``-1-k`` of every cell
+and face array, in 1D and 2D alike, so x is the last array axis and y the
+one before it (``values[iy, ix]``, row-major with x fastest).  Kernels
+between face and cell arrays are one loop over grid axes and meet the
+convention only through :func:`axis_index` (and the index tuples ``LOW``,
+``HIGH``, ``FIRST``, ``LAST`` built from it once), :func:`sides` and
+:func:`fluxes.adjacent_cells`.  Beyond these, only the calls that hand an
+array axis to NumPy write ``-1 - axis``: the padding of :func:`ghost_fill`,
+:func:`fluxes.adjacent_slices` and the WENO transpose of the high-order
+flux.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +33,28 @@ GHOST_WIDTH = 3
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
+
+
+def axis_index(axis, index):
+    """Index tuple applying ``index`` along grid axis ``axis`` (array axis
+    ``-1-axis``) of a cell or face array of either dimension."""
+    return (Ellipsis, index) + (slice(None),) * axis
+
+
+#: Per grid axis, the index tuples of the low-side entries (all but the
+#: last), the high-side entries (all but the first), and the first and last
+#: one-entry slabs along that axis.
+LOW = tuple(axis_index(k, slice(None, -1)) for k in range(2))
+HIGH = tuple(axis_index(k, slice(1, None)) for k in range(2))
+FIRST = tuple(axis_index(k, slice(None, 1)) for k in range(2))
+LAST = tuple(axis_index(k, slice(-1, None)) for k in range(2))
+
+
+def sides(arr, axis):
+    """``(arr[:-1], arr[1:])`` along grid axis ``axis``: of a face array,
+    the low and high face of every cell; of a cell array extended by one
+    layer, the low and high cell of every face."""
+    return arr[LOW[axis]], arr[HIGH[axis]]
 
 
 @dataclass(frozen=True)
@@ -59,7 +92,7 @@ class StructuredGrid:
         if any(b not in (PERIODIC, DIRICHLET) for b in self.boundary):
             raise ValueError("boundary entries must be 'periodic' or 'dirichlet'")
 
-    @property
+    @cached_property
     def spacing(self):
         """Per-axis cell size ``(Δx,)`` or ``(Δx, Δy)``."""
         return tuple(
@@ -84,7 +117,7 @@ class StructuredGrid:
     def num_cells(self):
         return int(np.prod(self.cells_per_axis))
 
-    @property
+    @cached_property
     def cell_volume(self):
         """|K_i|: Δx in 1D, Δx·Δy in 2D (identical for every cell)."""
         vol = 1.0
@@ -288,12 +321,9 @@ def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
     grid = field.grid
     values = field.values if isinstance(field, CellField) else np.asarray(field)
     ext = values
-    # Pad one axis at a time; ndarray axis 0 is y in 2D, so map grid axis ->
-    # array axis.
     for axis in range(grid.dim):
-        arr_axis = 0 if grid.dim == 1 else (1 - axis)
         pad = [(0, 0)] * ext.ndim
-        pad[arr_axis] = (width, width)
+        pad[-1 - axis] = (width, width)
         if grid.boundary[axis] == PERIODIC:
             ext = np.pad(ext, pad, mode="wrap")
         else:
@@ -303,12 +333,6 @@ def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
                     f"axis {axis} is Dirichlet but the problem spec provides "
                     "no boundary values"
                 )
-            lo_val, hi_val = dvals[axis]
-            ext = np.pad(ext, pad, mode="constant")
-            lo_slc = [slice(None)] * ext.ndim
-            hi_slc = [slice(None)] * ext.ndim
-            lo_slc[arr_axis] = slice(0, width)
-            hi_slc[arr_axis] = slice(ext.shape[arr_axis] - width, None)
-            ext[tuple(lo_slc)] = lo_val
-            ext[tuple(hi_slc)] = hi_val
+            ext = np.pad(ext, pad, mode="constant",
+                         constant_values=(dvals[axis],))
     return ext

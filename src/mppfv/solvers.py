@@ -12,14 +12,18 @@ iteration matrix.
 
 Per face with low-side state ``u_L``, high-side state ``u_R``, spacing
 ``d``, wave-speed bound ``lam``, face diffusion ``c`` and its state
-derivative ``c'`` (evaluated at the mean state), the flux derivatives are
+derivative ``c'`` (evaluated at the mean state; the face states come from
+:func:`fluxes._face_states`, the same ones the low-order flux uses), the
+flux derivatives are
 
     dG/du_L = f'(u_L)/2 + lam/2 + c/d - (c'/2) (u_R - u_L)/d
     dG/du_R = f'(u_R)/2 - lam/2 - c/d - (c'/2) (u_R - u_L)/d
 
 and the pseudo-Jacobian is ``J = I + (scale/|K_i|) sum_faces |S| dG/du_j``
 with ``scale`` the total implicit weight (the time step for backward
-Euler, ``a_mm * dt`` for stage ``m``).
+Euler, ``a_mm * dt`` for stage ``m``).  Cell ids are the flattened cell
+array of the :mod:`mesh` axis convention, so the face-to-cell map of every
+axis comes from :func:`fluxes.adjacent_cells` with no dimension branch.
 
 Linear solves: direct sparse LU in 1D; in 2D a GMRES iteration
 preconditioned by the factorization of the constant-coefficient frozen
@@ -45,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fluxes
-from .mesh import PERIODIC, CellField, ghost_fill
+from .mesh import LAST, PERIODIC, CellField, ghost_fill
 from .problems import initial_cell_averages
 
 SOLVER_MODES = ("fresh-jacobian", "frozen-jacobian")
@@ -152,64 +156,22 @@ def _face_adjacent_ids(grid, axis):
     """Flattened cell ids on the low/high side of each face of ``axis``,
     with -1 marking a ghost side, and the mask of faces to assemble (on
     periodic axes the wrap face is counted once, at the near array end)."""
-    periodic = grid.boundary[axis] == PERIODIC
-    if grid.dim == 1:
-        n = grid.nx
-        k = np.arange(n + 1)
-        if periodic:
-            low = (k - 1) % n
-            high = k % n
-            use = k < n
-        else:
-            low = np.where(k >= 1, k - 1, -1)
-            high = np.where(k <= n - 1, k, -1)
-            use = np.ones(n + 1, dtype=bool)
-        return low, high, use
-
-    ny, nx = grid.ny, grid.nx
-    if axis == 0:
-        iy = np.arange(ny)[:, None]
-        k = np.arange(nx + 1)[None, :]
-        if periodic:
-            low = iy * nx + (k - 1) % nx
-            high = iy * nx + k % nx
-            use = np.broadcast_to(k < nx, (ny, nx + 1))
-        else:
-            low = np.where(k >= 1, iy * nx + (k - 1), -1)
-            high = np.where(k <= nx - 1, iy * nx + k, -1)
-            use = np.ones((ny, nx + 1), dtype=bool)
-    else:
-        k = np.arange(ny + 1)[:, None]
-        ix = np.arange(nx)[None, :]
-        if periodic:
-            low = ((k - 1) % ny) * nx + ix
-            high = (k % ny) * nx + ix
-            use = np.broadcast_to(k < ny, (ny + 1, nx))
-        else:
-            low = np.where(k >= 1, (k - 1) * nx + ix, -1)
-            high = np.where(k <= ny - 1, k * nx + ix, -1)
-            use = np.ones((ny + 1, nx), dtype=bool)
-    return (np.broadcast_to(low, use.shape).ravel(),
-            np.broadcast_to(high, use.shape).ravel(),
-            use.ravel())
+    ids = np.arange(grid.num_cells).reshape(grid.shape)
+    low, high = fluxes.adjacent_cells(ids, grid, axis, -1)
+    use = np.ones(low.shape, dtype=bool)
+    if grid.boundary[axis] == PERIODIC:
+        use[LAST[axis]] = False
+    return low.ravel(), high.ravel(), use.ravel()
 
 
 def _axis_flux_derivatives(u_ext, spec, grid, axis, t):
     """Per-face ``(dG/du_L, dG/du_R)`` of the low-order flux."""
-    lo, hi = fluxes.adjacent_slices(grid, 1, axis)
-    ua, ub = u_ext[lo], u_ext[hi]
-    xf, yf = fluxes.face_coordinates(grid, axis)
-    lam = fluxes._wave_speeds(spec, axis, ua, ub, ua, ub, xf, yf, t)
-    if spec.flux_at_cell_centers:
-        (xa, ya), (xb, yb) = fluxes.adjacent_center_coordinates(grid, axis)
-    else:
-        (xa, ya), (xb, yb) = (xf, yf), (xf, yf)
-    fpa = np.asarray(spec.flux_derivative(axis, ua, xa, ya, t), dtype=float)
-    fpb = np.asarray(spec.flux_derivative(axis, ub, xb, yb, t), dtype=float)
+    ua, ub, face_xy, a_xy, b_xy, lam, u_mid, c = fluxes._face_states(
+        u_ext, spec, grid, axis, t)
+    fpa = np.asarray(spec.flux_derivative(axis, ua, *a_xy, t), dtype=float)
+    fpb = np.asarray(spec.flux_derivative(axis, ub, *b_xy, t), dtype=float)
     d = grid.spacing[axis]
-    u_mid = 0.5 * (ua + ub)
-    c = np.asarray(spec.diffusion(u_mid, xf, yf), dtype=float)
-    cp = np.asarray(spec.diffusion_derivative(u_mid, xf, yf), dtype=float)
+    cp = np.asarray(spec.diffusion_derivative(u_mid, *face_xy), dtype=float)
     slope = (ub - ua) / d
     shape = ua.shape
     dGdL = np.broadcast_to(0.5 * fpa + 0.5 * lam + c / d - 0.5 * cp * slope,
@@ -228,7 +190,8 @@ def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     of Dirichlet boundaries are data, not unknowns: they contribute no
     columns.
     """
-    u_ext = ghost_fill(_as_field(field_in, grid), spec, time=t, width=1)
+    u_ext = ghost_fill(fluxes._values_field(field_in, grid), spec, time=t,
+                       width=1)
     rows, cols, vals = [], [], []
     for axis in range(grid.dim):
         dGdL, dGdR = _axis_flux_derivatives(u_ext, spec, grid, axis, t)
@@ -273,12 +236,6 @@ def frozen_jacobian(spec, grid, dt, scale=1.0):
     jac = assemble_pseudo_jacobian(frozen_state, spec, grid, scale * dt, t=0.0)
     jac.factorize()
     return jac
-
-
-def _as_field(field_in, grid):
-    if isinstance(field_in, CellField):
-        return field_in
-    return CellField(grid, np.asarray(field_in, dtype=float))
 
 
 # ---------------------------------------------------------------------------

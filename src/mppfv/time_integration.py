@@ -280,7 +280,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
             StageSet(tuple(stage_fields), tuple(stage_fluxes)))
 
 
-def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0, details=False):
+def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0):
     """One step of the order-p implicit-Euler extrapolation method.
 
     For k = 1..p, k backward-Euler substeps of size dt/k are chained; the
@@ -299,14 +299,12 @@ def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0, details=False):
         (values, FaceFluxSet)
         Solves one implicit-Euler substep and reports the realized flux, so
         that ``out = in - (sub_dt/|K|) sum |S| flux`` holds.
-    details : bool
-        When true, also return the extrapolated flux set and every substep
-        chain state (the "intermediate stages" of the method).
 
     Returns
     -------
-    CellField, or ``(CellField, FaceFluxSet, list[CellField])`` with
-    ``details=True``.
+    (CellField, FaceFluxSet, list[CellField])
+        The new state, the extrapolated flux set, and every substep chain
+        state (the "intermediate stages" of the method).
     """
     if p < 1:
         raise ValueError("extrapolation order p must be >= 1")
@@ -335,7 +333,4 @@ def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0, details=False):
 
     flux_pp = F[(p, p)]
     u_new = u0 - dt * flux_pp.divergence()
-    result = CellField(grid, u_new)
-    if details:
-        return result, flux_pp, chain_states
-    return result
+    return CellField(grid, u_new), flux_pp, chain_states

@@ -308,21 +308,22 @@ class TestBarStates:
         assert np.all(bars.ubar_a[0] >= -1e-14)
 
     def test_cell_coefficient_matches_face_loop(self, rng):
-        spec, grid = make_advection_2d(shape=(5, 4))
-        spec = type(spec)(**{
-            **spec.__dict__,
-            "diffusion": lambda u, x, y: _shaped(0.02, u, x, y),
-        })
-        u = rng.uniform(0.0, 1.0, grid.shape)
-        bars = bar_states(u, spec, grid)
-        a = bars.cell_coefficient()
-        want = np.zeros(grid.shape)
-        for face in faces(grid):
-            contrib = face.area * bars.face_value(face, "lam")
-            want[_cell_slot(face.owner, grid)] += contrib
-            if face.neighbor is not None:
-                want[_cell_slot(face.neighbor, grid)] += contrib
-        assert np.allclose(a, want, rtol=1e-13)
+        for boundary in [(PERIODIC, PERIODIC), (DIRICHLET, PERIODIC)]:
+            spec, grid = make_advection_2d(shape=(5, 4), boundary=boundary)
+            spec = type(spec)(**{
+                **spec.__dict__,
+                "diffusion": lambda u, x, y: _shaped(0.02, u, x, y),
+            })
+            u = rng.uniform(0.0, 1.0, grid.shape)
+            bars = bar_states(u, spec, grid)
+            a = bars.cell_coefficient()
+            want = np.zeros(grid.shape)
+            for face in faces(grid):
+                contrib = face.area * bars.face_value(face, "lam")
+                want[_cell_slot(face.owner, grid)] += contrib
+                if face.neighbor is not None:
+                    want[_cell_slot(face.neighbor, grid)] += contrib
+            assert np.allclose(a, want, rtol=1e-13), boundary
 
 
 class TestLowOrderRhs:

@@ -14,11 +14,12 @@ from mppfv.harness import (RunConfig, _make_stepper, build_problem,
                            convergence_study, load_config_file, main,
                            read_snapshot, run, snapshot)
 from mppfv.limiters import _restore_bounds
-from mppfv.mesh import PERIODIC, StructuredGrid
+from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.metrics import RunDiagnostics
 from mppfv.problems import initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError
 
+from test_fluxes import random_flux_set
 from test_limiters import _burgers_pulse
 
 
@@ -227,6 +228,24 @@ STEPPER_BRANCHES = {
     "iex2-gmc-gamma1": dict(scheme="iex2", limiter="gmc", gamma=1.0),
 }
 STEPPER_GOLDEN = Path(__file__).parent / "data" / "stepper_golden.npz"
+
+
+class TestBoundaryOutflow:
+    @pytest.mark.parametrize("boundary", [
+        (DIRICHLET, PERIODIC), (PERIODIC, DIRICHLET), (DIRICHLET, DIRICHLET)])
+    def test_equals_total_divergence(self, boundary, rng):
+        # sum_i |K| div_i telescopes to the boundary faces' outward flux.
+        grid = StructuredGrid(2, (6, 5), (0.0, -1.0), (1.5, 1.0), boundary)
+        flux = random_flux_set(grid, rng)
+        want = grid.cell_volume * float(np.sum(flux.divergence()))
+        got = harness._boundary_outflow(flux)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert abs(got) > 1e-3
+
+    def test_zero_on_periodic_grid(self, rng):
+        grid = StructuredGrid(2, (6, 5), (0.0, -1.0), (1.5, 1.0),
+                              (PERIODIC, PERIODIC))
+        assert harness._boundary_outflow(random_flux_set(grid, rng)) == 0.0
 
 
 class TestStepperGolden:

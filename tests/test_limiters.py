@@ -247,7 +247,7 @@ class TestFctStep:
         spec, grid, u0 = _burgers_pulse(50)
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
-        out = fct_step(u0, G_L, u_L, G_L.copy(), spec, grid, dt)
+        out = fct_step(G_L, u_L, G_L.copy(), spec, grid, dt)
         assert np.array_equal(out.values, u_L.values)
 
     def test_full_acceptance_away_from_bounds(self):
@@ -257,7 +257,7 @@ class TestFctStep:
         dt = 0.4 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
-        out = fct_step(u0, G_L, u_L, G_H, spec, grid, dt)
+        out = fct_step(G_L, u_L, G_H, spec, grid, dt)
         unlimited = u_L.values + dt * (G_L - G_H).divergence()
         assert np.array_equal(out.values, unlimited)
 
@@ -267,7 +267,7 @@ class TestFctStep:
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
         for iterations in (1, 2, 3):
-            out = fct_step(u0, G_L, u_L, G_H, spec, grid, dt,
+            out = fct_step(G_L, u_L, G_H, spec, grid, dt,
                            iterations=iterations)
             assert np.min(out.values) >= spec.global_min
             assert np.max(out.values) <= spec.global_max
@@ -280,7 +280,7 @@ class TestFctStep:
         G_H = high_order_flux(u0, spec, grid)
         rejected = []
         for iterations in (1, 2, 3):
-            _, realized = _fct_with_flux(u0, G_L, u_L, G_H, spec, grid, dt,
+            _, realized = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt,
                                          iterations)
             rejected.append(np.sum(np.abs((realized - G_H).arrays[0])))
         assert rejected[1] <= rejected[0] + 1e-14
@@ -291,7 +291,7 @@ class TestFctStep:
         dt = grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
-        out = fct_step(u0, G_L, u_L, G_H, spec, grid, dt, iterations=2)
+        out = fct_step(G_L, u_L, G_H, spec, grid, dt, iterations=2)
         assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_low_order_reference_validated(self):
@@ -300,14 +300,14 @@ class TestFctStep:
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         bad = u_L.values + 3.0  # far outside [0, 2]
         with pytest.raises(ValueError, match="low-order solution"):
-            fct_step(u0, G_L, bad, G_L.copy(), spec, grid, dt)
+            fct_step(G_L, bad, G_L.copy(), spec, grid, dt)
 
     def test_iteration_count_validated(self):
         spec, grid, u0 = _burgers_pulse(20)
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         with pytest.raises(ValueError):
-            fct_step(u0, G_L, u_L, G_L.copy(), spec, grid, dt, iterations=0)
+            fct_step(G_L, u_L, G_L.copy(), spec, grid, dt, iterations=0)
 
 
 class TestGmcStep:
@@ -401,7 +401,7 @@ class TestSemidiscreteGmc:
         spec, grid, u0 = _burgers_pulse(50)
         substep = make_semidiscrete_gmc_substep_solver(spec, grid)
         dt = 2.0 * grid.spacing[0]
-        u1, _, chains = iex_step(u0, 4, spec, grid, substep, dt, details=True)
+        u1, _, chains = iex_step(u0, 4, spec, grid, substep, dt)
         assert len(chains) == 10
         for state in chains:
             assert np.min(state.values) >= spec.global_min - 1e-12

@@ -274,7 +274,7 @@ class TestExtrapolationStep:
     def test_first_order_step_is_one_implicit_euler_substep(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
         substep = make_high_order_substep_solver(spec, grid)
-        got = iex_step(u0, 1, spec, grid, substep, dt=0.01)
+        got, _, _ = iex_step(u0, 1, spec, grid, substep, dt=0.01)
         want, _ = substep(u0, 0.01, 0.01)
         assert np.array_equal(got.values, want)
 
@@ -282,8 +282,7 @@ class TestExtrapolationStep:
         spec, grid, u0 = advdiff_setup
         substep = make_high_order_substep_solver(spec, grid)
         p = 4
-        u1, flux, chains = iex_step(u0, p, spec, grid, substep, dt=0.01,
-                                    details=True)
+        u1, flux, chains = iex_step(u0, p, spec, grid, substep, dt=0.01)
         assert len(chains) == p * (p + 1) // 2
         assert np.array_equal(u1.values, u0 - 0.01 * flux.divergence())
 
@@ -293,8 +292,7 @@ class TestExtrapolationStep:
         spec, grid, u0 = advdiff_setup
         substep = make_high_order_substep_solver(spec, grid)
         p = 3
-        u1, _, chains = iex_step(u0, p, spec, grid, substep, dt=0.01,
-                                 details=True)
+        u1, _, chains = iex_step(u0, p, spec, grid, substep, dt=0.01)
         finals = []
         offset = 0
         for k in range(1, p + 1):
@@ -308,7 +306,7 @@ class TestExtrapolationStep:
     def test_mass_conserved(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
         substep = make_high_order_substep_solver(spec, grid)
-        u1 = iex_step(u0, 4, spec, grid, substep, dt=0.02)
+        u1, _, _ = iex_step(u0, 4, spec, grid, substep, dt=0.02)
         assert np.sum(u1.values) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_validation(self, advdiff_setup):
@@ -329,6 +327,6 @@ class TestExtrapolationStep:
         m = 200
         for j in range(m):
             ref, _ = substep(ref, dt / m, (j + 1) * dt / m)
-        e1 = np.max(np.abs(iex_step(u0, 1, spec, grid, substep, dt).values - ref))
-        e4 = np.max(np.abs(iex_step(u0, 4, spec, grid, substep, dt).values - ref))
+        e1 = np.max(np.abs(iex_step(u0, 1, spec, grid, substep, dt)[0].values - ref))
+        e4 = np.max(np.abs(iex_step(u0, 4, spec, grid, substep, dt)[0].values - ref))
         assert e4 < e1 / 50.0
