@@ -35,7 +35,6 @@ kernels between face and cell arrays are one loop over grid axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +53,15 @@ def _values(field):
 # ---------------------------------------------------------------------------
 
 def face_array_shapes(grid):
-    """Per-axis shapes of the face arrays."""
-    if grid.dim == 1:
-        return ((grid.nx + 1,),)
-    return ((grid.ny, grid.nx + 1), (grid.ny + 1, grid.nx))
+    """Per-axis shapes of the face arrays: the cell shape with one more
+    entry along the face normal."""
+    cells = grid.shape
+    shapes = []
+    for axis in range(grid.dim):
+        shape = list(cells)
+        shape[-1 - axis] += 1
+        shapes.append(tuple(shape))
+    return tuple(shapes)
 
 
 def face_coordinates(grid, axis):
@@ -89,7 +93,7 @@ def adjacent_center_coordinates(grid, axis):
 def adjacent_slices(grid, width, axis):
     """Index tuples selecting, from a ghost-extended array, the low-side and
     high-side cell values of every face of ``axis`` (face-array shape)."""
-    lo = [slice(width, width + n) for n in reversed(grid.cells_per_axis)]
+    lo = [slice(width, width + n) for n in grid.shape]
     hi = lo.copy()
     n = grid.cells_per_axis[axis]
     lo[-1 - axis] = slice(width - 1, width + n)
@@ -223,19 +227,15 @@ class BarStateSet:
             out = term if axis == 0 else out + term
         return out
 
-    @cached_property
-    def _coefficient(self):
+    def cell_coefficient(self):
+        """``a_i = sum_j |S_ij| lam_ij`` per cell."""
         return self._cell_sum(self.lam)
 
-    def cell_coefficient(self):
-        """``a_i = sum_j |S_ij| lam_ij`` per cell (computed once per set;
-        callers must not modify it in place)."""
-        return self._coefficient
-
-    def cell_bar_average(self):
-        """``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij`` per cell."""
+    def cell_bar_average(self, a):
+        """``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij`` per cell, given
+        ``a = cell_coefficient()``."""
         weighted = tuple(l * u for l, u in zip(self.lam, self.ubar))
-        return self._cell_sum(weighted) / self._coefficient
+        return self._cell_sum(weighted) / a
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def low_order_rhs(field, spec, grid, t=0.0):
     u = _values(field)
     bars = bar_states(field, spec, grid, t)
     a = bars.cell_coefficient()
-    return (a * (bars.cell_bar_average() - u)) / grid.cell_volume
+    return (a * (bars.cell_bar_average(a) - u)) / grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +408,10 @@ def _axis_high_order(u_ext, spec, grid, axis, t):
         if other != axis:
             line = line[_INTERIOR[other]]
     # The WENO kernels reconstruct along the last array axis.
-    line = np.swapaxes(line, -1, -1 - axis)
+    line = line.swapaxes(-1, -1 - axis)
     um, up = weno.face_values_line(line, ghost=w)
     dP = weno.face_derivatives_line(line, grid.spacing[axis], ghost=w)
-    um, up, dP = (np.swapaxes(v, -1, -1 - axis) for v in (um, up, dP))
+    um, up, dP = (v.swapaxes(-1, -1 - axis) for v in (um, up, dP))
 
     lo, hi = adjacent_slices(grid, w, axis)
     ua, ub = u_ext[lo], u_ext[hi]

@@ -266,7 +266,7 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     averages ``ubar_i``."""
     G_L, bars = low_order_with_bars(u, spec, grid, t=t)
     a = bars.cell_coefficient()
-    ubar = bars.cell_bar_average()
+    ubar = bars.cell_bar_average(a)
     correction = G_L - G_H
     q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
     alpha = zalesak_alphas(correction, q_minus, q_plus, grid)

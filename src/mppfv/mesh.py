@@ -9,14 +9,16 @@ deterministic.
 
 Array-axis convention: grid axis ``k`` is array axis ``-1-k`` of every cell
 and face array, in 1D and 2D alike, so x is the last array axis and y the
-one before it (``values[iy, ix]``, row-major with x fastest).  Kernels
+one before it (``values[iy, ix]``, row-major with x fastest), and
+:attr:`StructuredGrid.shape` lists the cell counts in reverse.  Kernels
 between face and cell arrays are one loop over grid axes and meet the
 convention only through :func:`axis_index` (and the index tuples ``LOW``,
 ``HIGH``, ``FIRST``, ``LAST`` built from it once), :func:`sides` and
 :func:`fluxes.adjacent_cells`.  Beyond these, only the calls that hand an
-array axis to NumPy write ``-1 - axis``: the padding of :func:`ghost_fill`,
-:func:`fluxes.adjacent_slices` and the WENO transpose of the high-order
-flux.
+array axis to NumPy or index a shape write ``-1 - axis``: the padding of
+:func:`ghost_fill`, :func:`fluxes.adjacent_slices`,
+:func:`fluxes.face_array_shapes` and the per-axis transposes of the WENO
+face values and :func:`metrics.cell_center_values`.
 """
 
 from __future__ import annotations
@@ -108,12 +110,13 @@ class StructuredGrid:
     def ny(self):
         return self.cells_per_axis[1] if self.dim == 2 else 1
 
-    @property
+    @cached_property
     def shape(self):
-        """ndarray shape of a cell field: ``(nx,)`` in 1D, ``(ny, nx)`` in 2D."""
-        return (self.nx,) if self.dim == 1 else (self.ny, self.nx)
+        """ndarray shape of a cell field, the cell counts in reverse axis
+        order: ``(nx,)`` in 1D, ``(ny, nx)`` in 2D."""
+        return tuple(reversed(self.cells_per_axis))
 
-    @property
+    @cached_property
     def num_cells(self):
         return int(np.prod(self.cells_per_axis))
 

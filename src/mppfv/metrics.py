@@ -50,11 +50,12 @@ def cell_center_values(field_in, spec, grid, t=0.0):
     dimension by dimension)."""
     if not isinstance(field_in, CellField):
         field_in = CellField(grid, field_in)
-    ext = ghost_fill(field_in, spec, time=t, width=2)
-    if grid.dim == 1:
-        return weno.center_point_values_line(ext, ghost=2)
-    mid = weno.center_point_values_line(ext, ghost=2)       # x-direction
-    return weno.center_point_values_line(mid.T, ghost=2).T  # then y
+    values = ghost_fill(field_in, spec, time=t, width=2)
+    for axis in range(grid.dim):  # x, then y, each on the last array axis
+        line = values.swapaxes(-1, -1 - axis)
+        values = weno.center_point_values_line(line, ghost=2).swapaxes(
+            -1, -1 - axis)
+    return values
 
 
 def compute_E1(field_in, spec, grid, t):

@@ -386,7 +386,7 @@ class TestLowOrderRhs:
         assert np.array_equal(flux.arrays[0],
                               low_order_flux_set(u, spec, grid).arrays[0])
         a = bars.cell_coefficient()
-        led = a * (bars.cell_bar_average() - u) / grid.cell_volume
+        led = a * (bars.cell_bar_average(a) - u) / grid.cell_volume
         assert np.allclose(led, low_order_rhs(u, spec, grid), rtol=1e-13)
 
 

@@ -356,7 +356,7 @@ class TestGmcStep:
         spec, grid, u0 = _burgers_pulse(16)
         _, bars = low_order_with_bars(u0, spec, grid)
         a = bars.cell_coefficient()
-        ubar = bars.cell_bar_average()
+        ubar = bars.cell_bar_average(a)
         # Nudge the reference past the bounds: allowances must stay signed.
         shifted = u0 + 1e-10
         qm, qp = gmc_budgets(a, ubar, shifted, spec, gamma=3.0)

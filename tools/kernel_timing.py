@@ -1,13 +1,15 @@
 """Per-call times of the flux and limiter kernels in two source trees.
 
-Whole-run wall times cannot resolve a change of a few percent in one
-kernel; the minimum over many timed calls can.  ::
+Whole-run wall times mix every kernel; this script times each kernel
+alone, as the minimum over many calls.  On a machine shared with other
+work the minima still move between runs, so compare only trees timed in
+the same run.  ::
 
-    python tools/kernel_timing.py A_SRC B_SRC [--runs N]
+    python tools/kernel_timing.py A_SRC B_SRC
 
 ``A_SRC`` and ``B_SRC`` are the directories that hold each tree's ``mppfv``
-package (``<tree>/src``).  The script starts ``N`` fresh processes per tree
-(default 6), alternating the trees and which of them goes first in each
+package (``<tree>/src``).  The script starts ``RUNS`` fresh processes per
+tree, alternating the trees and which of them goes first in each
 pair, with BLAS and OpenMP pinned to one thread.  Each process times, on
 burgers1d (nx=200) and rotation2d (64 x 64) at their initial states:
 
@@ -22,8 +24,8 @@ burgers1d (nx=200) and rotation2d (64 x 64) at their initial states:
 It prints, per tree, the minimum over all its processes of the minimum time
 per call, in microseconds.  Only names both trees share are called:
 ``limiters._gmc_fixed_point``, ``gmc_budgets``, ``zalesak_alphas``,
-``fluxes.high_order_flux``, ``low_order_with_bars`` and
-``FaceFluxSet.divergence``.
+``fluxes.high_order_flux``, ``low_order_with_bars``, ``low_order_rhs``,
+``FaceFluxSet.divergence`` and ``BarStateSet.cell_coefficient``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ KERNELS = ("gmc_sweep", "high_order_flux", "low_order_with_bars",
 #: Sweeps per timed call of the GMC fixed point.
 GMC_SWEEPS = 20
 REPEATS = 7
+#: Fresh processes per tree.
+RUNS = 6
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                     "VECLIB_MAXIMUM_THREADS")
@@ -67,8 +71,10 @@ def _time_case(config):
     dt = 5.0 * min(grid.spacing)
     G_L, bars = fluxes.low_order_with_bars(u, spec, grid, t=0.0)
     G_H = fluxes.high_order_flux(u, spec, grid, t=0.0)
-    q_minus, q_plus = limiters.gmc_budgets(
-        bars.cell_coefficient(), bars.cell_bar_average(), u, spec, 0.0)
+    # ubar_i from the low-order right-hand side a_i (ubar_i - u_i) / |K_i|.
+    a = bars.cell_coefficient()
+    ubar = u + grid.cell_volume * fluxes.low_order_rhs(u, spec, grid) / a
+    q_minus, q_plus = limiters.gmc_budgets(a, ubar, u, spec, 0.0)
     correction = G_L - G_H
 
     def gmc_sweeps():
@@ -111,8 +117,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src", nargs="?", type=Path)
     parser.add_argument("b_src", nargs="?", type=Path)
-    parser.add_argument("--runs", type=int, default=6,
-                        help="processes per tree (default 6)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -124,11 +128,9 @@ def main(argv=None):
     for label, src in trees.items():
         if not (src / "mppfv" / "__init__.py").is_file():
             parser.error(f"{label}: no mppfv package in {src}")
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     best = {label: {} for label in trees}
-    for run in range(args.runs):
+    for run in range(RUNS):
         order = ("A", "B") if run % 2 == 0 else ("B", "A")
         for label in order:
             for case, times in _run_tree(trees[label]).items():
@@ -138,7 +140,7 @@ def main(argv=None):
                                            seconds)
 
     print(f"A = {trees['A']}\nB = {trees['B']}\n"
-          f"min of {args.runs} processes per tree, microseconds per call")
+          f"min of {RUNS} processes per tree, microseconds per call")
     print(f"{'case':<12}{'kernel':<22}{'A':>10}{'B':>10}{'B/A':>8}")
     for case in CASES:
         for kernel in KERNELS:
