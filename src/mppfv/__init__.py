@@ -15,8 +15,8 @@ from .harness import (RunConfig, build_problem, convergence_study, main,
 from .limiters import (LIMITER_CHOICES, fct_step, gmc_step,
                        make_semidiscrete_gmc_substep_solver,
                        semidiscrete_gmc_rhs, zalesak_alphas)
-from .mesh import (DIRICHLET, GHOST_WIDTH, PERIODIC, CellField, FaceRecord,
-                   StructuredGrid, cell_center, faces, ghost_fill)
+from .mesh import (DIRICHLET, GHOST_WIDTH, PERIODIC, CellField,
+                   StructuredGrid, ghost_fill)
 from .metrics import (RunDiagnostics, cell_center_values, compute_E1, eoc,
                       total_mass, update_delta)
 from .problems import (BUILTIN_PROBLEMS, ProblemSpec, evaluate_exact,
@@ -34,14 +34,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_PROBLEMS", "BarStateSet", "ButcherTableau", "CellField",
-    "DIRICHLET", "FaceFluxSet", "FaceRecord", "GHOST_WIDTH",
+    "DIRICHLET", "FaceFluxSet", "GHOST_WIDTH",
     "JacobianEngine", "LIMITER_CHOICES", "NonConvergenceError", "PERIODIC",
     "ProblemSpec", "RunConfig", "RunDiagnostics", "SOLVER_MODES",
     "SolverReport", "StageSet", "StructuredGrid",
     "assemble_pseudo_jacobian", "backward_euler_tableau", "bar_states",
-    "build_problem", "cell_center", "cell_center_values",
+    "build_problem", "cell_center_values",
     "check_ssp_stages", "compute_E1", "convergence_study", "dirk_step",
-    "eoc", "evaluate_exact", "faces", "fct_step", "frozen_jacobian",
+    "eoc", "evaluate_exact", "fct_step", "frozen_jacobian",
     "ghost_fill", "gmc_step", "high_order_flux", "iex_step", "iex_tableau",
     "initial_cell_averages", "low_order_flux_set", "low_order_rhs",
     "low_order_with_bars", "main", "make_grid",

@@ -1,7 +1,8 @@
 """Numerical face fluxes and bar states.
 
 For the conservation law ``u_t + div f = div(c grad u)`` on a structured
-grid, this module assembles, per geometric face,
+grid, this module assembles, for every geometric face at once (there is no
+one-face-at-a-time path),
 
 * the low-order convective flux (local Lax-Friedrichs / Rusanov form)
   ``F^L = n.(f_i + f_j)/2 - lam^A (u_j - u_i)/2``,
@@ -40,12 +41,8 @@ import numpy as np
 
 from . import weno
 from .mesh import (FIRST, GHOST_WIDTH, LAST, PERIODIC, CellField, axis_index,
-                   ghost_fill, sides)
+                   cell_values, ghost_fill, sides)
 from .problems import LAMBDA_FLOOR
-
-
-def _values(field):
-    return field.values if isinstance(field, CellField) else np.asarray(field, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +118,6 @@ def tie_periodic_seam(arr, grid, axis):
     return arr
 
 
-def _face_entry(grid, face):
-    """Index into the per-axis face array for a :class:`mesh.FaceRecord`."""
-    if grid.dim == 1:
-        i = face.owner[0]
-        return (i + 1,) if face.normal > 0 else (0,)
-    ix, iy = face.owner
-    if face.axis == 0:
-        return (iy, ix + 1) if face.normal > 0 else (iy, 0)
-    return (iy + 1, ix) if face.normal > 0 else (0, ix)
-
-
 # ---------------------------------------------------------------------------
 # Face data containers
 # ---------------------------------------------------------------------------
@@ -167,11 +153,6 @@ class FaceFluxSet:
 
     def copy(self):
         return FaceFluxSet(self.grid, tuple(a.copy() for a in self.arrays))
-
-    def value(self, face):
-        """Flux through ``face`` oriented outward from its owner cell."""
-        v = self.arrays[face.axis][_face_entry(self.grid, face)]
-        return v if face.normal > 0 else -v
 
     def divergence(self):
         """Per-cell ``(1/|K_i|) sum_j |S_ij| G_ij`` (outward)."""
@@ -213,10 +194,6 @@ class BarStateSet:
     c_mid: tuple    # face diffusion coefficient c_ij
     u_low: tuple    # low-side adjacent cell value
     u_high: tuple   # high-side adjacent cell value
-
-    def face_value(self, face, name):
-        """One named quantity (e.g. ``"ubar"``, ``"lam"``) at a face."""
-        return getattr(self, name)[face.axis][_face_entry(self.grid, face)]
 
     def _cell_sum(self, per_axis):
         """Sum ``|S_ij| q_ij`` over the faces of each cell."""
@@ -344,52 +321,10 @@ def low_order_rhs(field, spec, grid, t=0.0):
     """Per-cell ``sum_j |S_ij| lam_ij (ubar_ij - u_i) / |K_i|`` — the
     bar-state form of the low-order right-hand side, algebraically equal to
     ``-(1/|K_i|) sum_j |S_ij| G^L_ij``."""
-    u = _values(field)
+    u = cell_values(field)
     bars = bar_states(field, spec, grid, t)
     a = bars.cell_coefficient()
     return (a * (bars.cell_bar_average(a) - u)) / grid.cell_volume
-
-
-# ---------------------------------------------------------------------------
-# Face-level operations (one face at a time)
-# ---------------------------------------------------------------------------
-
-def _face_xy(face):
-    x = face.midpoint[0]
-    y = face.midpoint[1] if len(face.midpoint) > 1 else 0.0
-    return x, y
-
-
-def low_order_convective_flux(u_i, u_j, face, spec, t=0.0):
-    """Rusanov flux ``n.(f(u_j)+f(u_i))/2 - lam^A (u_j - u_i)/2`` through one
-    face, oriented outward from the owner cell (``u_i`` owner, ``u_j``
-    neighbor)."""
-    x, y = _face_xy(face)
-    lam = float(np.asarray(
-        spec.wave_speed_bound(face.axis, u_i, u_j, u_i, u_j, x, y, t)))
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError("wave-speed bound must be positive and finite")
-    lam = max(lam, LAMBDA_FLOOR)
-    if spec.flux_at_cell_centers:
-        shift = 0.5 * face.normal * face.spacing
-        ci = [x, y]
-        cj = [x, y]
-        ci[face.axis] -= shift
-        cj[face.axis] += shift
-        f_i = float(np.asarray(spec.flux(face.axis, u_i, ci[0], ci[1], t)))
-        f_j = float(np.asarray(spec.flux(face.axis, u_j, cj[0], cj[1], t)))
-    else:
-        f_i = float(np.asarray(spec.flux(face.axis, u_i, x, y, t)))
-        f_j = float(np.asarray(spec.flux(face.axis, u_j, x, y, t)))
-    return face.normal * 0.5 * (f_j + f_i) - 0.5 * lam * (u_j - u_i)
-
-
-def low_order_diffusive_flux(u_i, u_j, face, spec):
-    """``c_ij (u_j - u_i)/|x_j - x_i|`` with ``c_ij`` evaluated at the mean
-    state and the face midpoint, oriented outward from the owner cell."""
-    x, y = _face_xy(face)
-    c = float(np.asarray(spec.diffusion(0.5 * (u_i + u_j), x, y)))
-    return c * (u_j - u_i) / face.spacing
 
 
 # ---------------------------------------------------------------------------

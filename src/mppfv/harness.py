@@ -42,7 +42,7 @@ import numpy as np
 
 from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
                        make_semidiscrete_gmc_substep_solver)
-from .mesh import FIRST, LAST, CellField
+from .mesh import FIRST, LAST, cell_values
 from .metrics import RunDiagnostics, compute_E1, eoc, total_mass, update_delta
 from .problems import BUILTIN_PROBLEMS, initial_cell_averages, make_grid
 from .solvers import (SOLVER_MODES, JacobianEngine, NonConvergenceError,
@@ -235,7 +235,7 @@ def snapshot(field_in, grid, path):
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    u = field_in.values if isinstance(field_in, CellField) else np.asarray(field_in)
+    u = cell_values(field_in)
     lines = []
     if grid.dim == 1:
         lines.append("x,u")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
                      low_order_with_bars, tie_periodic_seam)
-from .mesh import CellField, sides
+from .mesh import CellField, cell_values, sides
 from .solvers import NonConvergenceError, SolverReport
 
 TOL_GMC = 1e-12
@@ -80,10 +80,6 @@ class LimiterCoefficients:
             if a.size and (np.min(a) < 0.0 or np.max(a) > 1.0):
                 raise ValueError("limiter coefficients must lie in [0, 1]")
         self.arrays = arrays
-
-    def face_value(self, face):
-        from .fluxes import _face_entry
-        return self.arrays[face.axis][_face_entry(self.grid, face)]
 
     def apply(self, flux_set):
         """Coefficient-weighted flux set (elementwise per face)."""
@@ -208,7 +204,7 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
                    strict_reference=True):
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    u_L = u_L.values if isinstance(u_L, CellField) else np.asarray(u_L, dtype=float)
+    u_L = cell_values(u_L)
     if strict_reference:
         _check_reference(u_L, spec, "the low-order solution")
     u = u_L.copy()
@@ -317,7 +313,7 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol=TOL_GMC,
         raise ValueError("dt must be positive")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
+    u0 = cell_values(u_n)
     if strict_reference:
         _check_reference(u0, spec, "the previous solution")
     u_new, realized, report = _gmc_fixed_point(
@@ -355,7 +351,7 @@ def gmc_step(u_n, G_H, spec, grid, dt, gamma=0.0, t=0.0, tol=TOL_GMC,
 def _semidiscrete_gmc_flux(field, spec, grid, gamma, t=0.0):
     """Limited instantaneous flux ``G^L - alpha (G^L - G^H)`` with both
     orders evaluated at the current state and allowances referenced to it."""
-    values = field.values if isinstance(field, CellField) else np.asarray(field, dtype=float)
+    values = cell_values(field)
     G_L, accepted, _, _ = _gmc_face_terms(
         values, high_order_flux(values, spec, grid, t=t), spec, grid, gamma, t)
     return G_L - accepted

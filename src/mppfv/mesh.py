@@ -3,9 +3,7 @@
 Cells are axis-aligned boxes of identical size.  Fields store one value per
 cell (the cell average).  Boundary conditions enter through ghost layers:
 periodic axes wrap the interior values, Dirichlet axes are filled with the
-prescribed constant boundary value.  Face enumeration lists x-faces first,
-then y-faces, each in row-major order, so that downstream assembly is
-deterministic.
+prescribed constant boundary value.
 
 Array-axis convention: grid axis ``k`` is array axis ``-1-k`` of every cell
 and face array, in 1D and 2D alike, so x is the last array axis and y the
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -194,116 +191,9 @@ class CellField:
         return CellField(self.grid, self.values.copy())
 
 
-class FaceRecord(NamedTuple):
-    """One geometric face: owner cell, neighbor cell (``None`` for a ghost
-    slot on a Dirichlet boundary), normal axis and sign (outward from the
-    owner), face area, face-midpoint coordinates, and the distance between
-    the two adjacent cell centers."""
-
-    owner: tuple
-    neighbor: tuple
-    axis: int
-    normal: int
-    area: float
-    midpoint: tuple
-    spacing: float
-
-
-def cell_center(grid, cell_index):
-    """Midpoint coordinates of one cell.
-
-    ``cell_index`` is ``(ix,)`` or an int in 1D, ``(ix, iy)`` in 2D.
-    """
-    if np.isscalar(cell_index):
-        cell_index = (int(cell_index),)
-    if len(cell_index) != grid.dim:
-        raise ValueError(f"cell index must have {grid.dim} components")
-    coords = []
-    for axis, i in enumerate(cell_index):
-        n = grid.cells_per_axis[axis]
-        if not 0 <= i < n:
-            raise IndexError(f"cell index {i} out of range [0, {n}) on axis {axis}")
-        coords.append(grid.domain_lo[axis] + grid.spacing[axis] * (i + 0.5))
-    return tuple(coords)
-
-
-def faces(grid):
-    """Enumerate every geometric face exactly once.
-
-    Returns a list of :class:`FaceRecord`.  Interior faces have the owner on
-    the low side and normal +1; a periodic wrap face connects the last cell
-    back to the first.  Dirichlet boundary faces keep the interior cell as
-    owner (outward normal, so the low-end face has normal −1) and
-    ``neighbor=None`` marking the ghost slot.  In 2D, x-normal faces are
-    listed first, then y-normal faces, each in row-major order.
-    """
-    out = []
-    if grid.dim == 1:
-        _axis_faces_1d(grid, out)
-    else:
-        _axis_faces_2d(grid, axis=0, out=out)
-        _axis_faces_2d(grid, axis=1, out=out)
-    return out
-
-
-def _axis_faces_1d(grid, out):
-    nx = grid.nx
-    xf = grid.axis_faces(0)
-    h = grid.spacing[0]
-    if grid.boundary[0] == PERIODIC:
-        for i in range(nx):
-            out.append(FaceRecord((i,), ((i + 1) % nx,), 0, +1, 1.0, (xf[i + 1],), h))
-    else:
-        out.append(FaceRecord((0,), None, 0, -1, 1.0, (xf[0],), h))
-        for i in range(nx - 1):
-            out.append(FaceRecord((i,), (i + 1,), 0, +1, 1.0, (xf[i + 1],), h))
-        out.append(FaceRecord((nx - 1,), None, 0, +1, 1.0, (xf[nx],), h))
-
-
-def _axis_faces_2d(grid, axis, out):
-    nx, ny = grid.nx, grid.ny
-    area = grid.face_area(axis)
-    xf = grid.axis_faces(0)
-    yf = grid.axis_faces(1)
-    xc = grid.axis_centers(0)
-    yc = grid.axis_centers(1)
-    periodic = grid.boundary[axis] == PERIODIC
-
-    h = grid.spacing[axis]
-    if axis == 0:
-        for iy in range(ny):
-            if periodic:
-                for ix in range(nx):
-                    out.append(
-                        FaceRecord((ix, iy), ((ix + 1) % nx, iy), 0, +1, area,
-                                   (xf[ix + 1], yc[iy]), h)
-                    )
-            else:
-                out.append(FaceRecord((0, iy), None, 0, -1, area, (xf[0], yc[iy]), h))
-                for ix in range(nx - 1):
-                    out.append(
-                        FaceRecord((ix, iy), (ix + 1, iy), 0, +1, area,
-                                   (xf[ix + 1], yc[iy]), h)
-                    )
-                out.append(
-                    FaceRecord((nx - 1, iy), None, 0, +1, area, (xf[nx], yc[iy]), h)
-                )
-    else:
-        for iy in range(ny if periodic else ny - 1):
-            for ix in range(nx):
-                jy = (iy + 1) % ny
-                out.append(
-                    FaceRecord((ix, iy), (ix, jy), 1, +1, area, (xc[ix], yf[iy + 1]), h)
-                )
-        if not periodic:
-            extra = []
-            for ix in range(nx):
-                extra.append(FaceRecord((ix, 0), None, 1, -1, area, (xc[ix], yf[0]), h))
-            for ix in range(nx):
-                extra.append(
-                    FaceRecord((ix, ny - 1), None, 1, +1, area, (xc[ix], yf[ny]), h)
-                )
-            out.extend(extra)
+def cell_values(field):
+    """The cell values of a :class:`CellField` or an array, as float64."""
+    return field.values if isinstance(field, CellField) else np.asarray(field, dtype=float)
 
 
 def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
@@ -322,8 +212,7 @@ def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
     if width < 1:
         raise ValueError("ghost width must be >= 1")
     grid = field.grid
-    values = field.values if isinstance(field, CellField) else np.asarray(field)
-    ext = values
+    ext = cell_values(field)
     for axis in range(grid.dim):
         pad = [(0, 0)] * ext.ndim
         pad[-1 - axis] = (width, width)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import weno
-from .mesh import CellField, ghost_fill
+from .mesh import CellField, cell_values, ghost_fill
 from .problems import evaluate_exact
 
 
@@ -35,7 +35,7 @@ class RunDiagnostics:
 
 def update_delta(diag, field_in, spec):
     """Fold one state into the running bound-violation minimum."""
-    u = field_in.values if isinstance(field_in, CellField) else np.asarray(field_in)
+    u = cell_values(field_in)
     low = float(np.min(u - spec.global_min))
     if np.isfinite(spec.global_max):
         high = float(np.min(spec.global_max - u))
@@ -80,5 +80,5 @@ def eoc(errors, spacings):
 
 def total_mass(field_in, grid):
     """``sum_i |K_i| u_i``."""
-    u = field_in.values if isinstance(field_in, CellField) else np.asarray(field_in)
+    u = cell_values(field_in)
     return float(grid.cell_volume * np.sum(u))

@@ -49,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fluxes
-from .mesh import LAST, PERIODIC, CellField, ghost_fill
+from .mesh import LAST, PERIODIC, CellField, cell_values, ghost_fill
 from .problems import initial_cell_averages
 
 SOLVER_MODES = ("fresh-jacobian", "frozen-jacobian")
@@ -103,20 +103,6 @@ class SparseBandedMatrix:
         if m.shape != (self.dimension, self.dimension):
             raise ValueError("matrix shape must equal (dimension, dimension)")
         self.matrix = m
-
-    def row_entries(self, i):
-        """Nonzero column indices and values of row ``i``."""
-        m = self.matrix
-        lo, hi = m.indptr[i], m.indptr[i + 1]
-        return m.indices[lo:hi], m.data[lo:hi]
-
-    def is_structurally_symmetric(self):
-        pattern = self.matrix.copy()
-        pattern.data = np.ones_like(pattern.data)
-        return (pattern != pattern.T).nnz == 0
-
-    def matvec(self, v):
-        return self.matrix @ np.ravel(v)
 
     def factorize(self):
         """Compute (once) and return the sparse LU factorization."""
@@ -333,7 +319,7 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
         raise ValueError("dt must be positive")
     if engine is None:
         engine = JacobianEngine(spec, grid)
-    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
+    u0 = cell_values(u_n)
     stage_time = t + dt
     _, flux, report = _quasi_newton(
         u0, lambda u: fluxes.low_order_flux_set(u, spec, grid, t=stage_time),

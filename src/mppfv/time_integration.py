@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fluxes import FaceFluxSet, high_order_flux
-from .mesh import CellField
+from .mesh import CellField, cell_values
 from .solvers import NonConvergenceError
 
 
@@ -242,7 +242,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
+    u0 = cell_values(u_n)
     A, b, c = tableau.A, tableau.b, tableau.c
     stage_fields = []
     stage_fluxes = []
@@ -310,7 +310,7 @@ def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0):
         raise ValueError("extrapolation order p must be >= 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u0 = u_n.values if isinstance(u_n, CellField) else np.asarray(u_n, dtype=float)
+    u0 = cell_values(u_n)
 
     T = {}
     F = {}

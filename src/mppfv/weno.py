@@ -20,16 +20,17 @@ exact for cell averages of polynomials through degree 4 (odd part: cubic
 reproduction; degree-4 even part: cancels by antisymmetry).  No three-cell
 sub-stencil combination can exceed second order for the face derivative, so
 the nonlinear weighting used for values degenerates here and the linear
-formula is used directly; both cells adjacent to a face produce the identical
-derivative value.
+formula is used directly, one value per face.
 
-All kernels are vectorized over leading array dimensions and operate along
-the last axis.
+The public kernels work on whole lines of a ghost-extended array: they are
+vectorized over leading array dimensions, reconstruct along the last axis,
+and return one entry per face (values and derivatives) or per cell (center
+values).  A single five-cell stencil ``v`` is the line ``[0, *v, 0]`` with
+``ghost=3``: of ``um, up = face_values_line(...)``, ``um[1]`` is the center
+cell's right-face value and ``up[0]`` its left-face value.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,22 +43,6 @@ LINEAR_WEIGHTS_RIGHT = (0.1, 0.6, 0.3)
 
 #: Coefficients of the degree-4 cell-average -> center-point conversion.
 CENTER_STENCIL = np.array([9.0, -116.0, 2134.0, -116.0, 9.0]) / 1920.0
-
-
-class Stencil5(NamedTuple):
-    """Five consecutive cell averages ``v[i-2..i+2]`` along one axis and the
-    (positive) cell spacing ``h``."""
-
-    values: tuple
-    h: float
-
-
-def _as_side(side):
-    if side in ("+", +1, 1):
-        return +1
-    if side in ("-", -1):
-        return -1
-    raise ValueError(f"side must be '+' or '-', got {side!r}")
 
 
 def _smoothness_indicators(v0, v1, v2, v3, v4):
@@ -91,62 +76,6 @@ def _nonlinear_weights(b0, b1, b2, side):
     a2 = d[2] / (EPS_WENO + b2) ** 2
     s = a0 + a1 + a2
     return a0 / s, a1 / s, a2 / s
-
-
-def _face_value(v0, v1, v2, v3, v4, side):
-    b0, b1, b2 = _smoothness_indicators(v0, v1, v2, v3, v4)
-    w0, w1, w2 = _nonlinear_weights(b0, b1, b2, side)
-    if side > 0:
-        p0, p1, p2 = _candidates_right(v0, v1, v2, v3, v4)
-    else:
-        p0, p1, p2 = _candidates_left(v0, v1, v2, v3, v4)
-    return w0 * p0 + w1 * p1 + w2 * p2
-
-
-def weno5_face_value(stencil, side):
-    """Reconstructed point value at the right (``side='+'``) or left
-    (``side='-'``) face midpoint of the stencil's center cell.
-
-    Fifth-order accurate for smooth data; a convex combination of the three
-    quadratic sub-stencil reconstructions, hence bounded by their range.
-    """
-    s = _as_side(side)
-    v0, v1, v2, v3, v4 = (float(x) for x in stencil.values)
-    return float(_face_value(v0, v1, v2, v3, v4, s))
-
-
-def weno5_weights(stencil, side):
-    """The three nonlinear weights used by :func:`weno5_face_value`
-    (nonnegative, summing to 1)."""
-    s = _as_side(side)
-    v0, v1, v2, v3, v4 = (float(x) for x in stencil.values)
-    b0, b1, b2 = _smoothness_indicators(v0, v1, v2, v3, v4)
-    w = _nonlinear_weights(b0, b1, b2, s)
-    return tuple(float(x) for x in w)
-
-
-def weno5_face_derivative(stencil, side):
-    """First derivative of the reconstruction at the face midpoint.
-
-    At least fourth-order accurate for smooth data and exact for cell
-    averages of polynomials through degree 4 (see module docstring).
-    """
-    s = _as_side(side)
-    v = [float(x) for x in stencil.values]
-    h = float(stencil.h)
-    if s > 0:
-        a, b, c, d = v[1], v[2], v[3], v[4]
-    else:
-        a, b, c, d = v[0], v[1], v[2], v[3]
-    return (a - 15.0 * b + 15.0 * c - d) / (12.0 * h)
-
-
-def center_point_value(stencil):
-    """Point value at the center cell's midpoint of the unique degree-4
-    polynomial matching the five cell averages (linear, no nonlinear
-    weighting)."""
-    v = np.asarray(stencil.values, dtype=float)
-    return float(CENTER_STENCIL @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +127,7 @@ def face_values_line(v_ext, ghost=3):
 
 
 def face_derivatives_line(v_ext, h, ghost=3):
-    """Face-midpoint first derivatives along the last axis (both adjacent
-    cells produce this same value).
+    """Face-midpoint first derivatives along the last axis, one per face.
 
     Returns an ndarray of shape ``(..., n + 1)``.
     """

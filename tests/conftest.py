@@ -1,10 +1,12 @@
-"""Shared fixtures: small custom problems with known closed forms."""
+"""Shared fixtures: small custom problems with known closed forms, and
+random periodic-consistent flux sets."""
 
 import numpy as np
 import pytest
 
+from mppfv.fluxes import FaceFluxSet, face_array_shapes, tie_periodic_seam
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
-from mppfv.problems import ProblemSpec
+from mppfv.problems import LAMBDA_FLOOR, ProblemSpec
 
 
 def constant_speed(value):
@@ -77,6 +79,80 @@ def make_pure_diffusion_1d(coefficient=1.0, n=None, boundary=PERIODIC):
         return spec
     grid = StructuredGrid(1, (n,), (0.0,), (1.0,), (boundary,))
     return spec, grid
+
+
+def shaped(value, *templates):
+    shape = np.broadcast_shapes(*(np.shape(t) for t in templates))
+    return np.full(shape, float(value))
+
+
+def make_burgers_1d(n=None, eps=0.01, boundary=PERIODIC, lo=-1.0, hi=1.0):
+    """Inviscid-square flux with constant diffusion and a max-|state| bound."""
+    spec = ProblemSpec(
+        name="burgers-test",
+        dim=1,
+        domain_lo=(lo,),
+        domain_hi=(hi,),
+        boundary=(boundary,),
+        dirichlet_values=((0.0, 0.0) if boundary == DIRICHLET else None,),
+        flux=lambda axis, u, x, y, t: 0.5 * np.square(np.asarray(u, dtype=float)),
+        flux_derivative=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
+        diffusion=lambda u, x, y: shaped(eps, u, x),
+        diffusion_derivative=lambda u, x, y: shaped(0.0, u, x),
+        wave_speed_bound=lambda axis, ua, ub, ra, rb, x, y, t: np.maximum(
+            np.maximum.reduce([np.abs(ua), np.abs(ub),
+                               np.abs(ra), np.abs(rb)]), LAMBDA_FLOOR),
+        # Spans [0, 2] so the frozen-state linearization sits mid-range.
+        initial_condition=lambda x, y: 1.0 + np.sin(
+            np.pi * np.asarray(x, dtype=float)),
+        global_min=-4.0,
+        global_max=4.0,
+        final_time=1.0,
+        exact_solution=None,
+    )
+    if n is None:
+        return spec
+    return spec, StructuredGrid(1, (n,), (lo,), (hi,), (boundary,))
+
+
+def make_advection_2d(vel=(1.0, -0.5), shape=(6, 5),
+                      boundary=(PERIODIC, PERIODIC)):
+    """Constant-velocity advection on the unit square."""
+    vx, vy = float(vel[0]), float(vel[1])
+    spec = ProblemSpec(
+        name="advection2d-test",
+        dim=2,
+        domain_lo=(0.0, 0.0),
+        domain_hi=(1.0, 1.0),
+        boundary=tuple(boundary),
+        dirichlet_values=tuple(
+            (0.0, 0.0) if b == DIRICHLET else None for b in boundary),
+        flux=lambda axis, u, x, y, t: (vx if axis == 0 else vy)
+        * np.asarray(u, dtype=float),
+        flux_derivative=lambda axis, u, x, y, t: shaped(
+            vx if axis == 0 else vy, u),
+        diffusion=lambda u, x, y: shaped(0.0, u, x, y),
+        diffusion_derivative=lambda u, x, y: shaped(0.0, u, x, y),
+        wave_speed_bound=lambda axis, ua, ub, ra, rb, x, y, t: shaped(
+            max(abs(vx if axis == 0 else vy), LAMBDA_FLOOR), ua, ub),
+        initial_condition=lambda x, y: np.zeros(np.broadcast_shapes(
+            np.shape(x), np.shape(y))),
+        global_min=0.0,
+        global_max=1.0,
+        final_time=1.0,
+        exact_solution=None,
+    )
+    grid = StructuredGrid(2, tuple(shape), (0.0, 0.0), (1.0, 1.0),
+                          tuple(boundary))
+    return spec, grid
+
+
+def random_flux_set(grid, rng):
+    arrays = []
+    for axis, shape in enumerate(face_array_shapes(grid)):
+        arr = rng.standard_normal(shape)
+        arrays.append(tie_periodic_seam(arr, grid, axis))
+    return FaceFluxSet(grid, tuple(arrays))
 
 
 @pytest.fixture

@@ -1,0 +1,260 @@
+"""Reference code for the tests: the grid walked one geometric face at a time.
+
+This is reference code.  ``mppfv`` never imports it, and it shares no array
+layout with the library: faces are :class:`FaceRecord` tuples enumerated one
+by one, cells are index tuples ``(ix,)`` or ``(ix, iy)``, and the low-order
+fluxes are evaluated on scalars, face by face.  The one bridge to the
+library's per-axis face arrays is :func:`face_entry`, which reads a single
+entry at a record.  Tests hold the library's whole-array kernels against
+these walks.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from mppfv.mesh import PERIODIC
+from mppfv.problems import LAMBDA_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# Face enumeration
+# ---------------------------------------------------------------------------
+
+class FaceRecord(NamedTuple):
+    """One geometric face: owner cell, neighbor cell (``None`` for a ghost
+    slot on a Dirichlet boundary), normal axis and sign (outward from the
+    owner), face area, face-midpoint coordinates, and the distance between
+    the two adjacent cell centers."""
+
+    owner: tuple
+    neighbor: tuple
+    axis: int
+    normal: int
+    area: float
+    midpoint: tuple
+    spacing: float
+
+
+def faces(grid):
+    """Enumerate every geometric face exactly once.
+
+    Returns a list of :class:`FaceRecord`.  Interior faces have the owner on
+    the low side and normal +1; a periodic wrap face connects the last cell
+    back to the first.  Dirichlet boundary faces keep the interior cell as
+    owner (outward normal, so the low-end face has normal −1) and
+    ``neighbor=None`` marking the ghost slot.  In 2D, x-normal faces are
+    listed first, then y-normal faces, each in row-major order.
+    """
+    out = []
+    if grid.dim == 1:
+        _axis_faces_1d(grid, out)
+    else:
+        _axis_faces_2d(grid, axis=0, out=out)
+        _axis_faces_2d(grid, axis=1, out=out)
+    return out
+
+
+def _axis_faces_1d(grid, out):
+    nx = grid.nx
+    xf = grid.axis_faces(0)
+    h = grid.spacing[0]
+    if grid.boundary[0] == PERIODIC:
+        for i in range(nx):
+            out.append(FaceRecord((i,), ((i + 1) % nx,), 0, +1, 1.0, (xf[i + 1],), h))
+    else:
+        out.append(FaceRecord((0,), None, 0, -1, 1.0, (xf[0],), h))
+        for i in range(nx - 1):
+            out.append(FaceRecord((i,), (i + 1,), 0, +1, 1.0, (xf[i + 1],), h))
+        out.append(FaceRecord((nx - 1,), None, 0, +1, 1.0, (xf[nx],), h))
+
+
+def _axis_faces_2d(grid, axis, out):
+    nx, ny = grid.nx, grid.ny
+    area = grid.face_area(axis)
+    xf = grid.axis_faces(0)
+    yf = grid.axis_faces(1)
+    xc = grid.axis_centers(0)
+    yc = grid.axis_centers(1)
+    periodic = grid.boundary[axis] == PERIODIC
+
+    h = grid.spacing[axis]
+    if axis == 0:
+        for iy in range(ny):
+            if periodic:
+                for ix in range(nx):
+                    out.append(
+                        FaceRecord((ix, iy), ((ix + 1) % nx, iy), 0, +1, area,
+                                   (xf[ix + 1], yc[iy]), h)
+                    )
+            else:
+                out.append(FaceRecord((0, iy), None, 0, -1, area, (xf[0], yc[iy]), h))
+                for ix in range(nx - 1):
+                    out.append(
+                        FaceRecord((ix, iy), (ix + 1, iy), 0, +1, area,
+                                   (xf[ix + 1], yc[iy]), h)
+                    )
+                out.append(
+                    FaceRecord((nx - 1, iy), None, 0, +1, area, (xf[nx], yc[iy]), h)
+                )
+    else:
+        for iy in range(ny if periodic else ny - 1):
+            for ix in range(nx):
+                jy = (iy + 1) % ny
+                out.append(
+                    FaceRecord((ix, iy), (ix, jy), 1, +1, area, (xc[ix], yf[iy + 1]), h)
+                )
+        if not periodic:
+            extra = []
+            for ix in range(nx):
+                extra.append(FaceRecord((ix, 0), None, 1, -1, area, (xc[ix], yf[0]), h))
+            for ix in range(nx):
+                extra.append(
+                    FaceRecord((ix, ny - 1), None, 1, +1, area, (xc[ix], yf[ny]), h)
+                )
+            out.extend(extra)
+
+
+def cell_slot(cell, grid):
+    """Index of a face-record cell tuple into the cell-value array."""
+    if grid.dim == 1:
+        return (cell[0],)
+    return (cell[1], cell[0])
+
+
+# ---------------------------------------------------------------------------
+# Reading the library's face arrays at a record
+# ---------------------------------------------------------------------------
+
+def face_entry(arrays, grid, face):
+    """The entry at ``face`` of per-axis face arrays (a flux set's
+    ``arrays``, a bar-state field, limiter coefficients), stored along
+    +axis."""
+    if grid.dim == 1:
+        i = face.owner[0]
+        index = (i + 1,) if face.normal > 0 else (0,)
+    else:
+        ix, iy = face.owner
+        if face.axis == 0:
+            index = (iy, ix + 1) if face.normal > 0 else (iy, 0)
+        else:
+            index = (iy + 1, ix) if face.normal > 0 else (0, ix)
+    return arrays[face.axis][index]
+
+
+def outward_value(flux_set, face):
+    """Flux through ``face`` oriented outward from its owner cell."""
+    v = face_entry(flux_set.arrays, flux_set.grid, face)
+    return v if face.normal > 0 else -v
+
+
+# ---------------------------------------------------------------------------
+# Low-order fluxes through one face
+# ---------------------------------------------------------------------------
+
+def face_xy(face):
+    x = face.midpoint[0]
+    y = face.midpoint[1] if len(face.midpoint) > 1 else 0.0
+    return x, y
+
+
+def low_order_convective_flux(u_i, u_j, face, spec, t=0.0):
+    """Rusanov flux ``n.(f(u_j)+f(u_i))/2 - lam^A (u_j - u_i)/2`` through one
+    face, oriented outward from the owner cell (``u_i`` owner, ``u_j``
+    neighbor)."""
+    x, y = face_xy(face)
+    lam = float(np.asarray(
+        spec.wave_speed_bound(face.axis, u_i, u_j, u_i, u_j, x, y, t)))
+    if not np.isfinite(lam) or lam <= 0.0:
+        raise ValueError("wave-speed bound must be positive and finite")
+    lam = max(lam, LAMBDA_FLOOR)
+    if spec.flux_at_cell_centers:
+        shift = 0.5 * face.normal * face.spacing
+        ci = [x, y]
+        cj = [x, y]
+        ci[face.axis] -= shift
+        cj[face.axis] += shift
+        f_i = float(np.asarray(spec.flux(face.axis, u_i, ci[0], ci[1], t)))
+        f_j = float(np.asarray(spec.flux(face.axis, u_j, cj[0], cj[1], t)))
+    else:
+        f_i = float(np.asarray(spec.flux(face.axis, u_i, x, y, t)))
+        f_j = float(np.asarray(spec.flux(face.axis, u_j, x, y, t)))
+    return face.normal * 0.5 * (f_j + f_i) - 0.5 * lam * (u_j - u_i)
+
+
+def low_order_diffusive_flux(u_i, u_j, face, spec):
+    """``c_ij (u_j - u_i)/|x_j - x_i|`` with ``c_ij`` evaluated at the mean
+    state and the face midpoint, oriented outward from the owner cell."""
+    x, y = face_xy(face)
+    c = float(np.asarray(spec.diffusion(0.5 * (u_i + u_j), x, y)))
+    return c * (u_j - u_i) / face.spacing
+
+
+# ---------------------------------------------------------------------------
+# Cell sums and the Zalesak limiter, walked over the records
+# ---------------------------------------------------------------------------
+
+def divergence_by_face_loop(flux_set, grid):
+    """Slow-path divergence: walk the geometric face records one by one."""
+    div = np.zeros(grid.shape)
+    for face in faces(grid):
+        outward = outward_value(flux_set, face) * face.area / grid.cell_volume
+        div[cell_slot(face.owner, grid)] += outward
+        if face.neighbor is not None:
+            div[cell_slot(face.neighbor, grid)] -= outward
+    return div
+
+
+def zalesak_by_face_records(flux_set, q_minus, q_plus, grid):
+    """The limiter written as a per-record walk over the geometric faces."""
+    p_plus = np.zeros(grid.shape)
+    p_minus = np.zeros(grid.shape)
+    recs = list(faces(grid))
+    for f in recs:
+        v = outward_value(flux_set, f) * f.area
+        p_plus[cell_slot(f.owner, grid)] += max(0.0, v)
+        p_minus[cell_slot(f.owner, grid)] += min(0.0, v)
+        if f.neighbor is not None:
+            p_plus[cell_slot(f.neighbor, grid)] += max(0.0, -v)
+            p_minus[cell_slot(f.neighbor, grid)] += min(0.0, -v)
+
+    def r_plus(cell):
+        p = p_plus[cell_slot(cell, grid)]
+        return min(1.0, q_plus[cell_slot(cell, grid)] / p) if p > 0 else 1.0
+
+    def r_minus(cell):
+        p = p_minus[cell_slot(cell, grid)]
+        return min(1.0, q_minus[cell_slot(cell, grid)] / p) if p < 0 else 1.0
+
+    return p_plus, p_minus, r_plus, r_minus, recs
+
+
+def zalesak_alpha_oracle(flux_set, q_minus, q_plus, grid):
+    """Face-record restatement of the coefficient rule: a list of
+    ``(FaceRecord, alpha)``."""
+    p_plus, p_minus, r_plus, r_minus, recs = zalesak_by_face_records(
+        flux_set, q_minus, q_plus, grid)
+    out = []
+    for f in recs:
+        dg = f.normal * outward_value(flux_set, f)  # value stored along +axis
+        lo, hi = (f.owner, f.neighbor) if f.normal > 0 else (f.neighbor, f.owner)
+        rp_lo = r_plus(lo) if lo is not None else 1.0
+        rm_lo = r_minus(lo) if lo is not None else 1.0
+        rp_hi = r_plus(hi) if hi is not None else 1.0
+        rm_hi = r_minus(hi) if hi is not None else 1.0
+        alpha = min(rp_lo, rm_hi) if dg >= 0.0 else min(rm_lo, rp_hi)
+        out.append((f, alpha))
+    return out
+
+
+def outward_limited_sums(alpha, flux_set, grid):
+    """Cellwise ``sum |S| alpha dG`` (outward), via the face records."""
+    total = np.zeros(grid.shape)
+    for f in faces(grid):
+        v = face_entry(alpha.arrays, grid, f) * outward_value(flux_set, f) * f.area
+        total[cell_slot(f.owner, grid)] += v
+        if f.neighbor is not None:
+            total[cell_slot(f.neighbor, grid)] -= v
+    return total

@@ -1,115 +1,25 @@
 """Face-flux assembly, bar states, and the two equivalent low-order forms.
 
-The divergence and cell-sum code paths are checked against a slow
-face-by-face loop over the geometric face records, which never touches the
-vectorized array layout.
+The low-order flux, the divergence and the cell sums are checked against the
+face-by-face walks of :mod:`oracles`, which never touch the vectorized array
+layout.
 """
 
 import numpy as np
 import pytest
 
-from mppfv.fluxes import (BarStateSet, FaceFluxSet, bar_states,
-                          face_array_shapes, high_order_flux,
-                          low_order_convective_flux, low_order_diffusive_flux,
+from mppfv.fluxes import (FaceFluxSet, bar_states, high_order_flux,
                           low_order_flux_set, low_order_rhs,
-                          low_order_with_bars, tie_periodic_seam)
-from mppfv.mesh import (DIRICHLET, PERIODIC, CellField, StructuredGrid,
-                        faces, ghost_fill)
-from mppfv.problems import LAMBDA_FLOOR, ProblemSpec, steady_gaussian_1d
+                          low_order_with_bars)
+from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid, ghost_fill
+from mppfv.problems import (buckley_leverett_1d, kpp_2d, make_grid,
+                            steady_gaussian_1d)
 
-from conftest import constant_speed, make_linear_advection_1d
-
-
-def _shaped(value, *templates):
-    shape = np.broadcast_shapes(*(np.shape(t) for t in templates))
-    return np.full(shape, float(value))
-
-
-def make_burgers_1d(n=None, eps=0.01, boundary=PERIODIC, lo=-1.0, hi=1.0):
-    """Inviscid-square flux with constant diffusion and a max-|state| bound."""
-    spec = ProblemSpec(
-        name="burgers-test",
-        dim=1,
-        domain_lo=(lo,),
-        domain_hi=(hi,),
-        boundary=(boundary,),
-        dirichlet_values=((0.0, 0.0) if boundary == DIRICHLET else None,),
-        flux=lambda axis, u, x, y, t: 0.5 * np.square(np.asarray(u, dtype=float)),
-        flux_derivative=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
-        diffusion=lambda u, x, y: _shaped(eps, u, x),
-        diffusion_derivative=lambda u, x, y: _shaped(0.0, u, x),
-        wave_speed_bound=lambda axis, ua, ub, ra, rb, x, y, t: np.maximum(
-            np.maximum.reduce([np.abs(ua), np.abs(ub),
-                               np.abs(ra), np.abs(rb)]), LAMBDA_FLOOR),
-        # Spans [0, 2] so the frozen-state linearization sits mid-range.
-        initial_condition=lambda x, y: 1.0 + np.sin(
-            np.pi * np.asarray(x, dtype=float)),
-        global_min=-4.0,
-        global_max=4.0,
-        final_time=1.0,
-        exact_solution=None,
-    )
-    if n is None:
-        return spec
-    return spec, StructuredGrid(1, (n,), (lo,), (hi,), (boundary,))
-
-
-def make_advection_2d(vel=(1.0, -0.5), shape=(6, 5),
-                      boundary=(PERIODIC, PERIODIC)):
-    """Constant-velocity advection on the unit square."""
-    vx, vy = float(vel[0]), float(vel[1])
-    spec = ProblemSpec(
-        name="advection2d-test",
-        dim=2,
-        domain_lo=(0.0, 0.0),
-        domain_hi=(1.0, 1.0),
-        boundary=tuple(boundary),
-        dirichlet_values=tuple(
-            (0.0, 0.0) if b == DIRICHLET else None for b in boundary),
-        flux=lambda axis, u, x, y, t: (vx if axis == 0 else vy)
-        * np.asarray(u, dtype=float),
-        flux_derivative=lambda axis, u, x, y, t: _shaped(
-            vx if axis == 0 else vy, u),
-        diffusion=lambda u, x, y: _shaped(0.0, u, x, y),
-        diffusion_derivative=lambda u, x, y: _shaped(0.0, u, x, y),
-        wave_speed_bound=lambda axis, ua, ub, ra, rb, x, y, t: _shaped(
-            max(abs(vx if axis == 0 else vy), LAMBDA_FLOOR), ua, ub),
-        initial_condition=lambda x, y: np.zeros(np.broadcast_shapes(
-            np.shape(x), np.shape(y))),
-        global_min=0.0,
-        global_max=1.0,
-        final_time=1.0,
-        exact_solution=None,
-    )
-    grid = StructuredGrid(2, tuple(shape), (0.0, 0.0), (1.0, 1.0),
-                          tuple(boundary))
-    return spec, grid
-
-
-def _cell_slot(cell, grid):
-    """Index of a face-record cell tuple into the cell-value array."""
-    if grid.dim == 1:
-        return (cell[0],)
-    return (cell[1], cell[0])
-
-
-def divergence_by_face_loop(flux_set, grid):
-    """Slow-path divergence: walk the geometric face records one by one."""
-    div = np.zeros((grid.nx,) if grid.dim == 1 else grid.shape)
-    for face in faces(grid):
-        outward = flux_set.value(face) * face.area / grid.cell_volume
-        div[_cell_slot(face.owner, grid)] += outward
-        if face.neighbor is not None:
-            div[_cell_slot(face.neighbor, grid)] -= outward
-    return div
-
-
-def random_flux_set(grid, rng):
-    arrays = []
-    for axis, shape in enumerate(face_array_shapes(grid)):
-        arr = rng.standard_normal(shape)
-        arrays.append(tie_periodic_seam(arr, grid, axis))
-    return FaceFluxSet(grid, tuple(arrays))
+from conftest import (constant_speed, make_advection_2d, make_burgers_1d,
+                      make_linear_advection_1d, random_flux_set, shaped)
+from oracles import (cell_slot, divergence_by_face_loop, face_entry, faces,
+                     low_order_convective_flux, low_order_diffusive_flux,
+                     outward_value)
 
 
 class TestFaceFluxSet:
@@ -134,9 +44,9 @@ class TestFaceFluxSet:
         assert len(boundary) == 2
         for face in boundary:
             if face.normal < 0:
-                assert fs.value(face) == -1.0  # outward at the low end
+                assert outward_value(fs, face) == -1.0  # outward at the low end
             else:
-                assert fs.value(face) == 5.0
+                assert outward_value(fs, face) == 5.0
 
     def test_algebra_and_zeros(self, rng):
         grid = StructuredGrid(2, (4, 3), (0.0, 0.0), (1.0, 1.0),
@@ -170,6 +80,9 @@ class TestFaceFluxSet:
 
 
 class TestSingleFaceFluxes:
+    """The one-face reference fluxes of :mod:`oracles` on hand-worked
+    values."""
+
     def _face(self, spec_grid):
         spec, grid = spec_grid
         face = next(f for f in faces(grid) if f.normal > 0)
@@ -225,6 +138,58 @@ class TestSingleFaceFluxes:
             1.0 / face.spacing, rel=1e-14)
 
 
+def _on_grid(spec, *cells):
+    return spec, make_grid(spec, *cells)
+
+
+def _kpp2d(boundary):
+    """kpp2d with diffusion 0.05 on the given boundary pair; Dirichlet sides
+    hold values inside the bounds [pi/4, 14 pi/4]."""
+    spec = kpp_2d(0.05)
+    return _on_grid(type(spec)(**{
+        **spec.__dict__,
+        "boundary": boundary,
+        "dirichlet_values": tuple((1.0, 9.0) if b == DIRICHLET else None
+                                  for b in boundary),
+    }), 7, 6)
+
+
+LOW_ORDER_CASES = {
+    "burgers-periodic": lambda: make_burgers_1d(11),
+    "bl1d-dirichlet": lambda: _on_grid(buckley_leverett_1d(), 9),
+    "steady1d-center-flux": lambda: _on_grid(steady_gaussian_1d(), 9),
+    "kpp2d-periodic-periodic": lambda: _kpp2d((PERIODIC, PERIODIC)),
+    "kpp2d-dirichlet-periodic": lambda: _kpp2d((DIRICHLET, PERIODIC)),
+    "kpp2d-periodic-dirichlet": lambda: _kpp2d((PERIODIC, DIRICHLET)),
+    "kpp2d-dirichlet-dirichlet": lambda: _kpp2d((DIRICHLET, DIRICHLET)),
+}
+
+
+class TestLowOrderFluxMatchesFaceOracle:
+    """The production ``G^L`` at every face against the oracle's one-face
+    ``convective - diffusive`` flux, oriented outward from the owner, with
+    the Dirichlet boundary value as the ghost state."""
+
+    @pytest.mark.parametrize("case", sorted(LOW_ORDER_CASES))
+    def test_every_face_matches(self, case, rng):
+        spec, grid = LOW_ORDER_CASES[case]()
+        hi = spec.global_max if np.isfinite(spec.global_max) else 1.0
+        u = rng.uniform(spec.global_min, hi, grid.shape)
+        t = 0.3
+        G = low_order_flux_set(u, spec, grid, t=t)
+        got, want = [], []
+        for face in faces(grid):
+            u_i = u[cell_slot(face.owner, grid)]
+            if face.neighbor is None:
+                u_j = spec.dirichlet_values[face.axis][face.normal > 0]
+            else:
+                u_j = u[cell_slot(face.neighbor, grid)]
+            got.append(outward_value(G, face))
+            want.append(low_order_convective_flux(u_i, u_j, face, spec, t)
+                        - low_order_diffusive_flux(u_i, u_j, face, spec))
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 class TestBarStates:
     def test_constant_field_collapses_all_states(self):
         spec, grid = make_burgers_1d(9)
@@ -246,7 +211,7 @@ class TestBarStates:
         assert bars.ubar_a[0][1] == pytest.approx(0.0, abs=1e-15)
         face = next(f for f in faces(grid)
                     if f.owner == (0,) and f.neighbor == (1,))
-        assert bars.face_value(face, "ubar_a") == pytest.approx(0.0, abs=1e-15)
+        assert face_entry(bars.ubar_a, grid, face) == pytest.approx(0.0, abs=1e-15)
 
     def test_combined_speed_dominates_convective_bound(self, rng):
         spec, grid = make_burgers_1d(16)
@@ -287,7 +252,7 @@ class TestBarStates:
             "flux_derivative": lambda axis, u, x, y, t: np.cos(
                 np.asarray(u, dtype=float)),
             "wave_speed_bound": constant_speed(1.0),
-            "diffusion": lambda u, x, y: _shaped(0.003, u, x),
+            "diffusion": lambda u, x, y: shaped(0.003, u, x),
         })
         bars = bar_states(rng.uniform(-3.0, 3.0, n), spec, grid)
         lo = np.minimum(bars.u_low[0], bars.u_high[0])
@@ -312,17 +277,17 @@ class TestBarStates:
             spec, grid = make_advection_2d(shape=(5, 4), boundary=boundary)
             spec = type(spec)(**{
                 **spec.__dict__,
-                "diffusion": lambda u, x, y: _shaped(0.02, u, x, y),
+                "diffusion": lambda u, x, y: shaped(0.02, u, x, y),
             })
             u = rng.uniform(0.0, 1.0, grid.shape)
             bars = bar_states(u, spec, grid)
             a = bars.cell_coefficient()
             want = np.zeros(grid.shape)
             for face in faces(grid):
-                contrib = face.area * bars.face_value(face, "lam")
-                want[_cell_slot(face.owner, grid)] += contrib
+                contrib = face.area * face_entry(bars.lam, grid, face)
+                want[cell_slot(face.owner, grid)] += contrib
                 if face.neighbor is not None:
-                    want[_cell_slot(face.neighbor, grid)] += contrib
+                    want[cell_slot(face.neighbor, grid)] += contrib
             assert np.allclose(a, want, rtol=1e-13), boundary
 
 
@@ -345,7 +310,7 @@ class TestLowOrderRhs:
                                        boundary=(PERIODIC, DIRICHLET))
         spec = type(spec)(**{
             **spec.__dict__,
-            "diffusion": lambda u, x, y: _shaped(0.015, u, x, y),
+            "diffusion": lambda u, x, y: shaped(0.015, u, x, y),
         })
         u = rng.uniform(0.0, 1.0, grid.shape)
         rhs = low_order_rhs(u, spec, grid)

@@ -19,7 +19,7 @@ from mppfv.metrics import RunDiagnostics
 from mppfv.problems import initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError
 
-from test_fluxes import random_flux_set
+from conftest import random_flux_set
 from test_limiters import _burgers_pulse
 
 

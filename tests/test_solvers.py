@@ -18,8 +18,8 @@ from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            make_stage_solver, newton_low_order)
 from mppfv.problems import ProblemSpec, burgers_1d, make_grid
 
-from conftest import make_linear_advection_1d, make_pure_diffusion_1d
-from test_fluxes import make_advection_2d, make_burgers_1d, _shaped
+from conftest import (make_advection_2d, make_burgers_1d,
+                      make_linear_advection_1d, make_pure_diffusion_1d, shaped)
 
 
 def freeze_speed_bound(spec, grid, state, t=0.0):
@@ -81,7 +81,7 @@ class TestPseudoJacobian:
                                            boundary=boundary)
             spec = type(base)(**{
                 **base.__dict__,
-                "diffusion": lambda u, x, y: _shaped(0.02, u, x, y),
+                "diffusion": lambda u, x, y: shaped(0.02, u, x, y),
             })
             u = rng.uniform(0.2, 0.8, grid.shape)
             dt = 0.05
@@ -135,8 +135,9 @@ class TestPseudoJacobian:
     def test_structural_symmetry(self, make, rng):
         spec, grid = make()
         u = rng.uniform(0.1, 0.9, grid.shape)
-        jac = assemble_pseudo_jacobian(u, spec, grid, 0.02)
-        assert jac.is_structurally_symmetric()
+        pattern = assemble_pseudo_jacobian(u, spec, grid, 0.02).matrix.copy()
+        pattern.data = np.ones_like(pattern.data)
+        assert (pattern != pattern.T).nnz == 0
 
     def test_frozen_jacobian_linearizes_at_half_range(self):
         spec = burgers_1d()
@@ -205,17 +206,6 @@ class TestLinearSolve:
 
 
 class TestSparseBandedMatrix:
-    def test_row_entries_and_matvec(self, rng):
-        m = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
-                                    [-1.0, 2.0, -1.0],
-                                    [0.0, -1.0, 2.0]]))
-        banded = SparseBandedMatrix(3, m)
-        cols, vals = banded.row_entries(1)
-        assert list(cols) == [0, 1, 2]
-        assert list(vals) == [-1.0, 2.0, -1.0]
-        v = rng.standard_normal(3)
-        assert np.allclose(banded.matvec(v), m @ v, atol=1e-14)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SparseBandedMatrix(4, sp.identity(3, format="csr"))
@@ -224,7 +214,7 @@ class TestSparseBandedMatrix:
         spec, grid = make_advection_2d(shape=(6, 5))
         spec = type(spec)(**{
             **spec.__dict__,
-            "diffusion": lambda u, x, y: _shaped(0.01, u, x, y),
+            "diffusion": lambda u, x, y: shaped(0.01, u, x, y),
         })
         u = rng.uniform(0.2, 0.8, grid.shape)
         jac = assemble_pseudo_jacobian(u, spec, grid, 0.05)

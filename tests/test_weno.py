@@ -5,7 +5,8 @@ polynomials are fitted by solving average-matching systems in exact rational
 arithmetic, smoothness indicators are computed from their defining integrals,
 and the optimal linear weights are derived by matching the five-cell
 reconstruction.  The production kernels must agree with this independent
-construction.
+construction.  A single five-cell stencil is fed to the line kernels as a
+line of its own (see :func:`face_value`).
 """
 
 import functools
@@ -15,12 +16,42 @@ import pytest
 import sympy as sp
 
 from mppfv import weno
+from mppfv.fluxes import high_order_flux
 from mppfv.weno import (CENTER_STENCIL, EPS_WENO, LINEAR_WEIGHTS_RIGHT,
-                        Stencil5, center_point_value, center_point_values_line,
-                        face_derivatives_line, face_values_line,
-                        weno5_face_derivative, weno5_face_value, weno5_weights)
+                        center_point_values_line, face_derivatives_line,
+                        face_values_line)
+
+from conftest import make_linear_advection_1d
 
 X = sp.Symbol("x")
+
+
+def face_value(v, side):
+    """WENO value at the right (``"+"``) or left (``"-"``) face of the
+    center cell of the five averages ``v``: the line ``[0, *v, 0]`` with
+    three ghost layers has that cell as its one interior cell."""
+    um, up = face_values_line(np.array([0.0, *v, 0.0]), ghost=3)
+    return float(um[1] if side == "+" else up[0])
+
+
+def face_weights(v, side):
+    """The three nonlinear weights behind :func:`face_value`."""
+    b = weno._smoothness_indicators(*np.asarray(v, dtype=float))
+    return tuple(float(w) for w in
+                 weno._nonlinear_weights(*b, +1 if side == "+" else -1))
+
+
+def face_derivative(v, h, side):
+    """Face derivative at the right or left face of the center cell of the
+    five averages ``v`` (the line kernel yields ``[left, right]``)."""
+    d = face_derivatives_line(np.asarray(v, dtype=float), h, ghost=2)
+    return float(d[1] if side == "+" else d[0])
+
+
+def center_value(v):
+    """Center-point value of the middle cell of the five averages ``v``."""
+    return float(center_point_values_line(np.asarray(v, dtype=float),
+                                          ghost=2)[0])
 
 
 def _fit_average_polynomial(averages, centers, h):
@@ -122,41 +153,41 @@ class TestFaceValueOracle:
     def test_matches_symbolic_reconstruction_on_random_data(self, side, rng):
         for _ in range(60):
             vals = rng.uniform(-2.0, 2.0, 5)
-            got = weno5_face_value(Stencil5(tuple(vals), 1.0), side)
+            got = face_value(vals, side)
             want = _oracle_face_value(vals, side)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_scale_invariance_in_h(self, rng):
-        # Face values depend only on the averages, not the spacing.
-        vals = tuple(rng.uniform(0.0, 1.0, 5))
-        for side in "+-":
-            v1 = weno5_face_value(Stencil5(vals, 1.0), side)
-            v2 = weno5_face_value(Stencil5(vals, 1e-3), side)
-            assert v1 == pytest.approx(v2, rel=1e-14)
+        # Face values depend only on the averages, not the spacing: the
+        # same averages on a 1000 times finer grid give the same
+        # (diffusion-free, constant-speed) high-order flux.
+        vals = rng.uniform(0.0, 1.0, 9)
+        fluxes = []
+        for hi in (1.0, 1e-3):
+            spec, grid = make_linear_advection_1d(velocity=1.0, n=9, hi=hi,
+                                                  wave_speed=1.0)
+            fluxes.append(high_order_flux(vals, spec, grid).arrays[0])
+        assert fluxes[0] == pytest.approx(fluxes[1], rel=1e-14)
 
     def test_convex_combination_bounded_by_candidate_range(self, rng):
         for _ in range(200):
             vals = rng.uniform(-1.0, 1.0, 5)
-            w = weno5_weights(Stencil5(tuple(vals), 1.0), "+")
+            w = face_weights(vals, "+")
             assert all(x >= 0 for x in w)
             assert sum(w) == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_data_reproduced_exactly(self):
-        st = Stencil5((0.7,) * 5, 0.25)
+        st = (0.7,) * 5
         for side in "+-":
-            assert weno5_face_value(st, side) == pytest.approx(0.7, abs=1e-15)
-            assert weno5_weights(st, side) == pytest.approx(
+            assert face_value(st, side) == pytest.approx(0.7, abs=1e-15)
+            assert face_weights(st, side) == pytest.approx(
                 LINEAR_WEIGHTS_RIGHT if side == "+" else LINEAR_WEIGHTS_RIGHT[::-1])
 
     def test_mirror_symmetry(self, rng):
         vals = rng.uniform(0.0, 1.0, 5)
-        left = weno5_face_value(Stencil5(tuple(vals), 1.0), "-")
-        right = weno5_face_value(Stencil5(tuple(vals[::-1]), 1.0), "+")
+        left = face_value(vals, "-")
+        right = face_value(vals[::-1], "+")
         assert left == pytest.approx(right, rel=1e-14)
-
-    def test_side_argument_validated(self):
-        with pytest.raises(ValueError):
-            weno5_face_value(Stencil5((0,) * 5, 1.0), "up")
 
 
 def quartic_cell_averages(coeffs, centers, h):
@@ -178,7 +209,7 @@ class TestDegree4Reproduction:
                       for c in rng.uniform(-3, 3, 5)]
             avgs = quartic_cell_averages(coeffs, [k * h for k in range(-2, 3)], h)
             exact = float(coeffs[0])  # polynomial value at the cell center x=0
-            got = center_point_value(Stencil5(tuple(avgs), float(h)))
+            got = center_value(avgs)
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("side", ["+", "-"])
@@ -191,7 +222,7 @@ class TestDegree4Reproduction:
             p = sum(c * X ** k for k, c in enumerate(coeffs))
             exact = float(sp.diff(p, X).subs(X, face))
             avgs = quartic_cell_averages(coeffs, [k * h for k in range(-2, 3)], h)
-            got = weno5_face_derivative(Stencil5(tuple(avgs), float(h)), side)
+            got = face_derivative(avgs, float(h), side)
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_linear_weighted_face_value_reproduces_quartics(self, rng):
@@ -218,64 +249,26 @@ class TestDegree4Reproduction:
             avgs = [a + b * xc + c * (xc ** 2 + h ** 2 / 12.0) for xc in centers]
             for side, x in (("+", h / 2), ("-", -h / 2)):
                 exact = a + b * x + c * x ** 2
-                got = weno5_face_value(Stencil5(tuple(avgs), h), side)
+                got = face_value(avgs, side)
                 assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
 class TestShockBehaviour:
     def test_weights_collapse_onto_smooth_substencil(self):
         # A jump in the last cell should suppress the rightmost candidate.
-        st = Stencil5((1.0, 1.0, 1.0, 1.0, 100.0), 1.0)
-        w = weno5_weights(st, "+")
+        st = (1.0, 1.0, 1.0, 1.0, 100.0)
+        w = face_weights(st, "+")
         assert w[2] < 1e-4
-        assert weno5_face_value(st, "+") == pytest.approx(1.0, abs=1e-3)
+        assert face_value(st, "+") == pytest.approx(1.0, abs=1e-3)
 
     def test_no_overshoot_at_step_data(self):
-        st = Stencil5((0.0, 0.0, 0.0, 2.0, 2.0), 1.0)
+        st = (0.0, 0.0, 0.0, 2.0, 2.0)
         for side in "+-":
-            v = weno5_face_value(st, side)
+            v = face_value(st, side)
             assert -1e-12 <= v <= 2.0 + 1e-12
 
 
 class TestVectorizedKernels:
-    def test_face_values_line_matches_scalar_kernel(self, rng):
-        n, ghost = 9, 3
-        v = rng.uniform(0.0, 1.0, n + 2 * ghost)
-        um, up = face_values_line(v, ghost=ghost)
-        assert um.shape == up.shape == (n + 1,)
-        for k in range(n + 1):
-            i_lo = k - 1 + ghost  # low-side cell of face k
-            st_lo = Stencil5(tuple(v[i_lo - 2:i_lo + 3]), 1.0)
-            st_hi = Stencil5(tuple(v[i_lo - 1:i_lo + 4]), 1.0)
-            assert um[k] == pytest.approx(weno5_face_value(st_lo, "+"), rel=1e-14)
-            assert up[k] == pytest.approx(weno5_face_value(st_hi, "-"), rel=1e-14)
-
-    def test_face_derivatives_line_matches_scalar_kernel(self, rng):
-        n, ghost, h = 7, 3, 0.35
-        v = rng.uniform(0.0, 1.0, n + 2 * ghost)
-        d = face_derivatives_line(v, h, ghost=ghost)
-        assert d.shape == (n + 1,)
-        for k in range(n + 1):
-            i_lo = k - 1 + ghost
-            st = Stencil5(tuple(v[i_lo - 2:i_lo + 3]), h)
-            assert d[k] == pytest.approx(weno5_face_derivative(st, "+"), rel=1e-14)
-
-    def test_derivative_identical_from_both_adjacent_cells(self, rng):
-        v = rng.uniform(0.0, 1.0, 12)
-        h = 0.1
-        lo = Stencil5(tuple(v[0:5]), h)   # face between v[2] and v[3]
-        hi = Stencil5(tuple(v[1:6]), h)
-        assert weno5_face_derivative(lo, "+") == weno5_face_derivative(hi, "-")
-
-    def test_center_point_values_line_matches_scalar(self, rng):
-        n, ghost = 6, 2
-        v = rng.uniform(0.0, 1.0, n + 2 * ghost)
-        c = center_point_values_line(v, ghost=ghost)
-        assert c.shape == (n,)
-        for i in range(n):
-            st = Stencil5(tuple(v[i:i + 5]), 1.0)
-            assert c[i] == pytest.approx(center_point_value(st), rel=1e-14)
-
     def test_2d_leading_axes_broadcast(self, rng):
         v = rng.uniform(0.0, 1.0, (4, 13))
         um, up = face_values_line(v)
@@ -300,7 +293,7 @@ class TestFifthOrderConvergence:
             centers = np.array([k * h for k in range(-2, 3)])
             # smooth, non-polynomial data via exact averages of sin
             avgs = (np.cos(centers - h / 2) - np.cos(centers + h / 2)) / h
-            got = weno5_face_value(Stencil5(tuple(avgs), h), "+")
+            got = face_value(avgs, "+")
             errs.append(abs(got - np.sin(h / 2)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert rates[-1] > 4.5
