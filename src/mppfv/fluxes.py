@@ -122,12 +122,24 @@ def tie_periodic_seam(arr, grid, axis):
 # Face data containers
 # ---------------------------------------------------------------------------
 
+def unchecked(cls, **fields):
+    """An instance of dataclass ``cls`` holding ``fields``, built without the
+    checks of its ``__post_init__``: for values derived from checked ones
+    inside a loop, which checks its result once on exit."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
+
+
 @dataclass
 class FaceFluxSet:
     """One flux value per geometric face, stored along +axis per axis.
 
     Supports elementwise arithmetic (for flux differences and tableau-
-    weighted aggregation) and cellwise divergence.
+    weighted aggregation) and cellwise divergence.  Construction checks
+    the shapes and finiteness of the arrays; arithmetic builds its result
+    with :func:`unchecked`, so the kernels that combine flux sets in a loop
+    call :meth:`check_finite` once on the flux they return.
     """
 
     grid: object
@@ -142,10 +154,15 @@ class FaceFluxSet:
             arr = np.asarray(arr, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"face array shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("face fluxes must be finite")
             arrays.append(arr)
         self.arrays = tuple(arrays)
+        self.check_finite()
+
+    def check_finite(self):
+        """Raise ``ValueError`` unless every face flux is finite."""
+        if not all(np.isfinite(a).all() for a in self.arrays):
+            raise ValueError("face fluxes must be finite")
+        return self
 
     @classmethod
     def zeros(cls, grid):
@@ -164,15 +181,16 @@ class FaceFluxSet:
         return out
 
     def __add__(self, other):
-        return FaceFluxSet(self.grid,
-                           tuple(a + b for a, b in zip(self.arrays, other.arrays)))
+        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
+            a + b for a, b in zip(self.arrays, other.arrays)))
 
     def __sub__(self, other):
-        return FaceFluxSet(self.grid,
-                           tuple(a - b for a, b in zip(self.arrays, other.arrays)))
+        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
+            a - b for a, b in zip(self.arrays, other.arrays)))
 
     def __mul__(self, scalar):
-        return FaceFluxSet(self.grid, tuple(a * float(scalar) for a in self.arrays))
+        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
+            a * float(scalar) for a in self.arrays))
 
     __rmul__ = __mul__
 

@@ -24,7 +24,12 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   ``_gmc_fixed_point``, holds the sweep loop; it takes ``G^H`` as a
   callable of the iterate, which returns the frozen step-start flux for
   :func:`gmc_step` and rebuilds the flux from the iterate for the
-  semi-discrete substep below.
+  semi-discrete substep below.  Each sweep mixes the diagonal update
+  above with the previous ``ANDERSON_DEPTH`` sweeps (type-II Anderson
+  acceleration, Walker & Ni 2011), which needs a fraction of the plain
+  sweeps and converges at large steps where they stall.  The mixed
+  iterates are not projected onto the bounds; boundedness comes from the
+  converged fixed point, whose state is recomputed from the realized flux.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
-                     low_order_with_bars, tie_periodic_seam)
+                     low_order_with_bars, tie_periodic_seam, unchecked)
 from .mesh import CellField, cell_values, sides
 from .solvers import NonConvergenceError, SolverReport
 
@@ -54,9 +59,14 @@ TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
 #: on stagnation so realized states stay well inside the 1e-12 slack.
 TOL_GMC_TARGET = 1e-13
-# The diagonal fixed point contracts at a rate that degrades with the step
-# size; large steps (dt ~ 5 dx on a shock) converge monotonically but need
-# a few thousand sweeps to cross 1e-12.
+#: Number of past sweeps the Anderson mixing of the GMC fixed point keeps,
+#: and the residual growth over one sweep that drops them.  Dropping them
+#: on any growth can lock the sweeps into a cycle just above TOL_GMC.
+ANDERSON_DEPTH = 5
+ANDERSON_RESTART = 2.0
+# The plain diagonal sweep contracts at a rate that degrades with the step
+# size (thousands of sweeps at dt ~ 5 dx on a shock); Anderson mixing cuts
+# that to tens or hundreds, and the cap bounds the rest.
 MAX_GMC_SWEEPS = 5000
 LIMITER_CHOICES = ("none", "fct", "gmc")
 
@@ -69,22 +79,30 @@ REFERENCE_SLACK = 1e-9
 class LimiterCoefficients:
     """One ``alpha in [0,1]`` per geometric face, stored like a
     :class:`fluxes.FaceFluxSet` (symmetry ``alpha_ij = alpha_ji`` holds by
-    construction: each geometric face has exactly one entry)."""
+    construction: each geometric face has exactly one entry), with the
+    :class:`BoundBudget` they were computed from, if any."""
 
     grid: object
     arrays: tuple
+    budget: BoundBudget | None = None
 
     def __post_init__(self):
-        arrays = tuple(np.asarray(a, dtype=float) for a in self.arrays)
-        for a in arrays:
+        self.arrays = tuple(np.asarray(a, dtype=float) for a in self.arrays)
+        self.check()
+
+    def check(self):
+        """Raise ``ValueError`` unless the budget ratios and the
+        coefficients lie in [0, 1]."""
+        if self.budget is not None:
+            self.budget.check()
+        for a in self.arrays:
             if a.size and (np.min(a) < 0.0 or np.max(a) > 1.0):
                 raise ValueError("limiter coefficients must lie in [0, 1]")
-        self.arrays = arrays
 
     def apply(self, flux_set):
         """Coefficient-weighted flux set (elementwise per face)."""
-        return FaceFluxSet(self.grid, tuple(a * g for a, g in
-                                            zip(self.arrays, flux_set.arrays)))
+        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
+            a * g for a, g in zip(self.arrays, flux_set.arrays)))
 
 
 @dataclass
@@ -100,6 +118,10 @@ class BoundBudget:
     r_plus: np.ndarray
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
+        """Raise ``ValueError`` unless both ratios lie in [0, 1]."""
         for r in (self.r_minus, self.r_plus):
             if np.min(r) < 0.0 or np.max(r) > 1.0:
                 raise ValueError("limiter ratios must lie in [0, 1]")
@@ -121,7 +143,8 @@ def _outward_sums(flux_set, grid):
 
 def compute_bound_budgets(flux_corrections, q_minus, q_plus, grid):
     """Zalesak budget stage: correction sums ``P^±`` and ratios
-    ``R^± = min(1, Q^±/P^±)`` with ``R = 1`` where ``P = 0``."""
+    ``R^± = min(1, Q^±/P^±)`` with ``R = 1`` where ``P = 0``.  The ratios
+    are range-checked by :meth:`BoundBudget.check`, not here."""
     q_minus = np.asarray(q_minus, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     if np.any(q_minus > 0.0) or np.any(q_plus < 0.0):
@@ -136,14 +159,21 @@ def compute_bound_budgets(flux_corrections, q_minus, q_plus, grid):
                            np.minimum(1.0, q_minus / np.where(p_minus < 0.0,
                                                               p_minus, -1.0)),
                            1.0)
-    return BoundBudget(q_minus, q_plus, p_minus, p_plus, r_minus, r_plus)
+    return unchecked(BoundBudget, q_minus=q_minus, q_plus=q_plus,
+                      p_minus=p_minus, p_plus=p_plus, r_minus=r_minus,
+                      r_plus=r_plus)
 
 
 def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
     """Per-face limiter coefficients capping the outward correction sums by
     the cell allowances: ``alpha_ij = min(R_i^+, R_j^-)`` where the
     correction leaves cell ``i`` (and symmetrically otherwise), so that
-    ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell."""
+    ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell.
+
+    The fixed-point sweeps call this once per sweep, so neither the budget
+    nor the coefficients are range-checked here: the limiters call
+    :meth:`LimiterCoefficients.check` on the coefficients of each flux they
+    realize."""
     budget = compute_bound_budgets(flux_corrections, q_minus, q_plus, grid)
     arrays = []
     for axis in range(grid.dim):
@@ -155,7 +185,8 @@ def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
                          np.minimum(rp_lo, rm_hi),
                          np.minimum(rm_lo, rp_hi))
         arrays.append(tie_periodic_seam(alpha, grid, axis))
-    return LimiterCoefficients(grid, tuple(arrays))
+    return unchecked(LimiterCoefficients, grid=grid, arrays=tuple(arrays),
+                      budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +246,12 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
         q_plus = np.maximum(0.0, volume_rate * (spec.global_max - u))
         q_minus = np.minimum(0.0, volume_rate * (spec.global_min - u))
         alpha = zalesak_alphas(remainder, q_minus, q_plus, grid)
+        alpha.check()
         accepted = alpha.apply(remainder)
         u = u + dt * accepted.divergence()
         realized = realized - accepted
         remainder = remainder - accepted
+    realized.check_finite()
     if strict_reference:
         u = _restore_bounds(u, spec)
     return CellField(grid, u), realized
@@ -257,16 +290,16 @@ def gmc_budgets(a, ubar_cell, values, spec, gamma):
 
 def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     """The GMC terms of state ``u`` against high-order flux ``G_H``: the
-    low-order flux ``G^L`` at time ``t``, the accepted correction
-    ``alpha (G^L - G^H)``, the cell coefficients ``a_i`` and the bar-state
-    averages ``ubar_i``."""
+    low-order flux ``G^L`` at time ``t``, the limiter coefficients
+    ``alpha``, the accepted correction ``alpha (G^L - G^H)``, the cell
+    coefficients ``a_i`` and the bar-state averages ``ubar_i``."""
     G_L, bars = low_order_with_bars(u, spec, grid, t=t)
     a = bars.cell_coefficient()
     ubar = bars.cell_bar_average(a)
     correction = G_L - G_H
     q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
     alpha = zalesak_alphas(correction, q_minus, q_plus, grid)
-    return G_L, alpha.apply(correction), a, ubar
+    return G_L, alpha, alpha.apply(correction), a, ubar
 
 
 def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
@@ -276,22 +309,39 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
 
     ``high_flux`` returns a frozen ``G^H`` for the step-level limiter and
     rebuilds it from the iterate for the semidiscrete substep; the low-order
-    flux is evaluated at time ``t``.  Sweeps stop at ``TOL_GMC_TARGET``, or
-    at ``tol`` once they stall or run out.  Returns
-    ``(u0 - dt div(realized), realized, SolverReport)``.
+    flux is evaluated at time ``t``.  Each sweep evaluates the diagonal map
+    ``T(u) = (u0 + w g(u))/(1 + w)`` and mixes it with the last
+    ``ANDERSON_DEPTH`` differences of ``T`` and of ``f = T(u) - u``
+    (type-II Anderson acceleration): ``u <- T(u) - dT c`` with ``c`` the
+    least-squares solution of ``dF c = f``.  A sweep whose residual grew
+    more than ``ANDERSON_RESTART``-fold drops the history and takes the
+    plain ``u <- T(u)``.  Sweeps stop at ``TOL_GMC_TARGET``, or at ``tol``
+    once they stall or run out.  Returns
+    ``(u0 - dt div(realized), realized, SolverReport)``.  A non-finite
+    residual raises ``ValueError`` at once (a finite one means a finite
+    realized flux); the limiter coefficients are range-checked on exit.
     """
     nu = dt / grid.cell_volume
     u = u0.copy()
     prev_res = np.inf
+    # Rows hold the last differences of f and T(u), in rotating order;
+    # ``kept`` counts the differences stored since the last restart.
+    dF = np.empty((ANDERSON_DEPTH, u.size))
+    dT = np.empty((ANDERSON_DEPTH, u.size))
+    kept, f_prev = 0, None
     for sweep in range(max_sweeps + 1):
-        G_L, accepted, a, ubar = _gmc_face_terms(u, high_flux(u), spec, grid,
-                                                 gamma, t)
+        G_L, alpha, accepted, a, ubar = _gmc_face_terms(
+            u, high_flux(u), spec, grid, gamma, t)
         realized = G_L - accepted
         residual = u - u0 + dt * realized.divergence()
         res = float(np.linalg.norm(np.ravel(residual)))
+        if not np.isfinite(res):
+            raise ValueError(f"bound-preserving fixed point: non-finite "
+                             f"residual at sweep {sweep}")
         stalled = res > 0.5 * prev_res
         if (res <= TOL_GMC_TARGET
                 or (res <= tol and (stalled or sweep == max_sweeps))):
+            alpha.check()
             return (u0 - dt * realized.divergence(), realized,
                     SolverReport(sweep, res, True, tol))
         if sweep == max_sweeps:
@@ -299,11 +349,25 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
                 f"bound-preserving fixed point stalled at residual "
                 f"{res:.3e} after {max_sweeps} sweeps",
                 SolverReport(max_sweeps, res, False, tol))
+        if res > ANDERSON_RESTART * prev_res:
+            # The last mixed sweep made things worse: drop the history.
+            kept, f_prev = 0, None
         prev_res = res
         ustar = ubar + grid.cell_volume * accepted.divergence() / a
         g = u + (ustar - u) / (1.0 + gamma)
         w = nu * a * (1.0 + gamma)
-        u = (u0 + w * g) / (1.0 + w)
+        T = np.ravel((u0 + w * g) / (1.0 + w))
+        f = T - np.ravel(u)
+        mixed = T
+        if f_prev is not None:
+            dF[kept % ANDERSON_DEPTH] = f - f_prev
+            dT[kept % ANDERSON_DEPTH] = T - T_prev
+            kept += 1
+            rows = min(kept, ANDERSON_DEPTH)
+            c = np.linalg.lstsq(dF[:rows].T, f, rcond=None)[0]
+            mixed = T - c @ dT[:rows]
+        u = mixed.reshape(u0.shape)
+        f_prev, T_prev = f, T
     raise AssertionError("unreachable")
 
 
@@ -329,15 +393,20 @@ def gmc_step(u_n, G_H, spec, grid, dt, gamma=0.0, t=0.0, tol=TOL_GMC,
     start and the low-order flux treated implicitly.
 
     Fixed-point sweeps rebuild the bar states, allowances and limiter
-    coefficients from the current iterate and update
+    coefficients from the current iterate, evaluate the diagonal update
 
-        u <- [u^n + nu a (1+gamma) g] / [1 + nu a (1+gamma)]
+        T(u) = [u^n + nu a (1+gamma) g] / [1 + nu a (1+gamma)]
 
-    until the self-consistent l2 residual drops below tolerance (1e-12;
-    sweeps continue toward 1e-13 while they keep contracting).  The
-    returned state is recomputed from the realized flux
-    ``G^L - alpha (G^L - G^H)`` at the final iterate, so mass is conserved
-    exactly.  Raises :class:`NonConvergenceError` after ``max_sweeps``.
+    and set ``u <- T(u) - dT c``, where ``dT`` and ``dF`` hold the
+    differences of ``T`` and of ``f = T(u) - u`` over the last
+    ``ANDERSON_DEPTH`` sweeps and ``c`` solves ``dF c = f`` in the
+    least-squares sense (Anderson mixing; the first sweep, and any sweep
+    whose residual grew more than ``ANDERSON_RESTART``-fold, is
+    ``u <- T(u)`` and restarts the history).  Sweeps stop once the
+    self-consistent l2 residual drops below tolerance (1e-12; sweeps
+    continue toward 1e-13 while they keep contracting).  The returned
+    state is recomputed from the realized flux ``G^L - alpha (G^L - G^H)``
+    at the final iterate, so mass is conserved exactly.  Raises :class:`NonConvergenceError` after ``max_sweeps``.
     """
     result, _, report = _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
                                        tol, max_sweeps)
@@ -352,9 +421,10 @@ def _semidiscrete_gmc_flux(field, spec, grid, gamma, t=0.0):
     """Limited instantaneous flux ``G^L - alpha (G^L - G^H)`` with both
     orders evaluated at the current state and allowances referenced to it."""
     values = cell_values(field)
-    G_L, accepted, _, _ = _gmc_face_terms(
+    G_L, alpha, accepted, _, _ = _gmc_face_terms(
         values, high_order_flux(values, spec, grid, t=t), spec, grid, gamma, t)
-    return G_L - accepted
+    alpha.check()
+    return (G_L - accepted).check_finite()
 
 
 def semidiscrete_gmc_rhs(field, spec, grid, gamma=0.0, t=0.0):
@@ -373,10 +443,10 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     """Implicit-Euler substep solver on the limited semi-discretization,
     for :func:`time_integration.iex_step`.
 
-    Each substep solves ``y = r + sub_dt * RHS(y)`` by the same diagonal
-    fixed point as :func:`gmc_step` (with the high-order flux rebuilt at
-    every iterate); the returned state is recomputed from the realized flux
-    so substep chains conserve mass exactly.
+    Each substep solves ``y = r + sub_dt * RHS(y)`` by the same
+    Anderson-mixed fixed point as :func:`gmc_step` (with the high-order
+    flux rebuilt at every iterate); the returned state is recomputed from
+    the realized flux so substep chains conserve mass exactly.
     """
 
     def substep(u_prev, sub_dt, sub_time):

@@ -13,8 +13,8 @@ between face and cell arrays are one loop over grid axes and meet the
 convention only through :func:`axis_index` (and the index tuples ``LOW``,
 ``HIGH``, ``FIRST``, ``LAST`` built from it once), :func:`sides` and
 :func:`fluxes.adjacent_cells`.  Beyond these, only the calls that hand an
-array axis to NumPy or index a shape write ``-1 - axis``: the padding of
-:func:`ghost_fill`, :func:`fluxes.adjacent_slices`,
+array axis to NumPy or index a shape write ``-1 - axis``: the ghost layers
+of :func:`ghost_fill`, :func:`fluxes.adjacent_slices`,
 :func:`fluxes.face_array_shapes` and the per-axis transposes of the WENO
 face values and :func:`metrics.cell_center_values`.
 """
@@ -214,10 +214,13 @@ def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
     grid = field.grid
     ext = cell_values(field)
     for axis in range(grid.dim):
-        pad = [(0, 0)] * ext.ndim
-        pad[-1 - axis] = (width, width)
         if grid.boundary[axis] == PERIODIC:
-            ext = np.pad(ext, pad, mode="wrap")
+            # Whole periods cover the layers even when width exceeds n.
+            periods = -(-width // ext.shape[-1 - axis])
+            tiled = (ext if periods == 1 else
+                     np.concatenate((ext,) * periods, axis=-1 - axis))
+            before = tiled[axis_index(axis, slice(-width, None))]
+            after = tiled[axis_index(axis, slice(None, width))]
         else:
             dvals = getattr(problem_spec, "dirichlet_values", None)
             if dvals is None or dvals[axis] is None:
@@ -225,6 +228,9 @@ def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
                     f"axis {axis} is Dirichlet but the problem spec provides "
                     "no boundary values"
                 )
-            ext = np.pad(ext, pad, mode="constant",
-                         constant_values=(dvals[axis],))
+            shape = list(ext.shape)
+            shape[-1 - axis] = width
+            before = np.full(shape, dvals[axis][0], dtype=float)
+            after = np.full(shape, dvals[axis][1], dtype=float)
+        ext = np.concatenate((before, ext, after), axis=-1 - axis)
     return ext

@@ -275,6 +275,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     total = stage_fluxes[0] * b[0]
     for m in range(1, tableau.stages):
         total = total + stage_fluxes[m] * b[m]
+    total.check_finite()
     u_new = u0 - dt * total.divergence()
     return (CellField(grid, u_new), total,
             StageSet(tuple(stage_fields), tuple(stage_fluxes)))
@@ -331,6 +332,6 @@ def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0):
             T[(j, k)] = T[(j, k - 1)] + w * (T[(j, k - 1)] - T[(j - 1, k - 1)])
             F[(j, k)] = F[(j, k - 1)] + w * (F[(j, k - 1)] - F[(j - 1, k - 1)])
 
-    flux_pp = F[(p, p)]
+    flux_pp = F[(p, p)].check_finite()
     u_new = u0 - dt * flux_pp.divergence()
     return CellField(grid, u_new), flux_pp, chain_states

@@ -78,6 +78,15 @@ class TestFaceFluxSet:
         with pytest.raises(ValueError):
             FaceFluxSet(grid, (bad,))
 
+    def test_arithmetic_defers_finiteness_check(self):
+        grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
+        a = FaceFluxSet(grid, (np.ones(6),))
+        infinite = a * np.inf
+        assert np.all(np.isinf(infinite.arrays[0]))
+        with pytest.raises(ValueError, match="finite"):
+            infinite.check_finite()
+        assert (a + a - a).check_finite().arrays[0].tolist() == [1.0] * 6
+
 
 class TestSingleFaceFluxes:
     """The one-face reference fluxes of :mod:`oracles` on hand-worked

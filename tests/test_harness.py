@@ -299,6 +299,23 @@ class TestStageLimitedStep:
             rtol=0.0, atol=1e-12)
 
 
+class TestLargeStepSemidiscreteGmc:
+    """iex2 + gmc at dt = 5h.  With plain diagonal sweeps the substep fixed
+    point stalled on both problems (linear1d at residual about 1 after
+    5000 sweeps); Anderson mixing lets it converge."""
+
+    @pytest.mark.parametrize("problem,nx,steps", [("linear1d", 40, 4),
+                                                  ("rotation2d", 12, 2)])
+    def test_finishes_bounded_and_conservative(self, problem, nx, steps):
+        h = min(make_grid(build_problem(RunConfig(problem=problem)),
+                          nx).spacing)
+        diag, _ = run(RunConfig(problem=problem, nx=nx, scheme="iex2",
+                                limiter="gmc", dt_factor=5.0,
+                                t_final=steps * 5.0 * h))
+        assert diag.delta >= -1e-12
+        assert abs(diag.mass_drift) <= 1e-12
+
+
 class TestConvergenceStudy:
     def test_rows_and_rates_on_exact_problem(self, tmp_path):
         cfg = RunConfig(problem="linear1d", nx=16, scheme="be",

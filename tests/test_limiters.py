@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mppfv import limiters
 from mppfv.fluxes import (FaceFluxSet, high_order_flux, low_order_flux_set,
                           low_order_rhs, low_order_with_bars,
                           tie_periodic_seam)
@@ -20,7 +21,7 @@ from mppfv.limiters import (BoundBudget, LimiterCoefficients, REFERENCE_SLACK,
                             gmc_step, make_semidiscrete_gmc_substep_solver,
                             semidiscrete_gmc_rhs, zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
-from mppfv.problems import burgers_1d, make_grid
+from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError, newton_low_order
 from mppfv.time_integration import iex_step
 
@@ -147,6 +148,22 @@ class TestZalesakCoefficients:
         fs = random_flux_set(grid, rng)
         assert np.allclose(ok.apply(fs).arrays[0], 0.25 * fs.arrays[0])
 
+    def test_sweep_coefficients_range_checked_on_demand(self, rng):
+        # zalesak_alphas runs once per fixed-point sweep and skips the
+        # range checks; the limiters call check() on the coefficients of
+        # the flux they realize.
+        grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
+        alpha = zalesak_alphas(random_flux_set(grid, rng), -np.ones(5),
+                               np.ones(5), grid)
+        alpha.check()
+        alpha.budget.r_plus[2] = 1.5
+        with pytest.raises(ValueError, match="ratios"):
+            alpha.check()
+        alpha.budget.r_plus[2] = 1.0
+        alpha.arrays[0][1] = -0.1
+        with pytest.raises(ValueError, match="coefficients"):
+            alpha.check()
+
 
 class TestReferenceGuards:
     class _Spec:
@@ -256,6 +273,15 @@ class TestFctStep:
         with pytest.raises(ValueError):
             fct_step(G_L, u_L, G_L.copy(), spec, grid, dt, iterations=0)
 
+    def test_non_finite_high_order_flux_raises(self):
+        spec, grid, u0 = _burgers_pulse(20)
+        dt = 0.5 * grid.spacing[0]
+        u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
+        G_H = G_L.copy()
+        G_H.arrays[0][4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fct_step(G_L, u_L, G_H, spec, grid, dt)
+
 
 class TestGmcStep:
     def test_constant_state_is_fixed_point(self):
@@ -292,6 +318,26 @@ class TestGmcStep:
             gmc_step(u0, G_H, spec, grid, dt=0.1, gamma=-1.0)
         with pytest.raises(ValueError, match="previous solution"):
             gmc_step(u0 + 5.0, G_H, spec, grid, dt=0.1)
+
+    @pytest.mark.parametrize("gamma,ceiling", [(0.0, 37), (1.0, 71)])
+    def test_sweep_count_ceiling(self, gamma, ceiling):
+        # Plain diagonal sweeps needed 112 (gamma=0) and 215 (gamma=1) here;
+        # each ceiling is a third of that.
+        spec = burgers_1d()
+        grid = make_grid(spec, 200)
+        u0 = initial_cell_averages(spec, grid)
+        G_H = high_order_flux(u0, spec, grid)
+        _, report = gmc_step(u0, G_H, spec, grid, 0.5 * grid.spacing[0],
+                             gamma=gamma)
+        assert report.converged
+        assert report.iterations <= ceiling
+
+    def test_non_finite_high_order_flux_raises(self):
+        spec, grid, u0 = _burgers_pulse(32)
+        G_H = high_order_flux(u0, spec, grid)
+        G_H.arrays[0][7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            gmc_step(u0, G_H, spec, grid, dt=0.1)
 
     def test_exhausted_sweeps_raise(self):
         spec, grid, u0 = _burgers_pulse(32)
@@ -330,6 +376,19 @@ class TestSemidiscreteGmc:
         at_min = u0 == spec.global_min
         assert np.all(rhs[at_max] <= 1e-14)
         assert np.all(rhs[at_min] >= -1e-14)
+
+    def test_non_finite_high_order_flux_raises(self, monkeypatch):
+        spec, grid, u0 = _burgers_pulse(32)
+
+        def poisoned(values, *args, **kwargs):
+            flux = high_order_flux(values, *args, **kwargs)
+            flux.arrays[0][7] = np.nan
+            return flux
+
+        monkeypatch.setattr(limiters, "high_order_flux", poisoned)
+        substep = make_semidiscrete_gmc_substep_solver(spec, grid)
+        with pytest.raises(ValueError, match="non-finite"):
+            substep(u0, 0.1, 0.1)
 
     def test_substep_solver_bounds_and_identity_at_huge_step(self):
         spec, grid, u0 = _burgers_pulse(60)

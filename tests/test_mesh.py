@@ -1,6 +1,8 @@
 """Grid geometry, ghost-layer filling, and the reference face enumeration
 of :mod:`oracles`."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,32 @@ class TestGhostFill:
         g = grid_1d(4)
         with pytest.raises(ValueError):
             ghost_fill(CellField(g, np.zeros(4)), None, width=0)
+
+    @pytest.mark.parametrize("cells", [(2,), (5,), (2, 3), (5, 4)])
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_bitwise_equal_to_numpy_pad(self, cells, width, rng):
+        # np.pad "wrap" repeats the period when the width exceeds it.
+        for boundary in itertools.product((PERIODIC, DIRICHLET),
+                                          repeat=len(cells)):
+            dim = len(cells)
+            g = StructuredGrid(dim, cells, (0.0,) * dim, (1.0,) * dim,
+                               boundary)
+
+            class Spec:
+                dirichlet_values = tuple(tuple(rng.random(2))
+                                         for _ in range(dim))
+
+            values = rng.random(g.shape)
+            want = values
+            for axis, b in enumerate(boundary):
+                pad = [(0, 0)] * dim
+                pad[-1 - axis] = (width, width)
+                want = (np.pad(want, pad, mode="wrap") if b == PERIODIC else
+                        np.pad(want, pad, mode="constant",
+                               constant_values=(Spec.dirichlet_values[axis],)))
+            got = ghost_fill(CellField(g, values), Spec(), width=width)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestClosedCellIdentity:

@@ -6,8 +6,9 @@ found on the import path and pickles, per configuration, either the final
 state with ``delta``, ``mass_drift``, ``e1`` and ``stage_delta``, or the
 class name of the exception the run raised.  ``compare A B`` reads two such
 files and reports, per dt factor, how many configurations are bitwise
-equal, the largest ``|du|`` as a share of the problem's bound width, and
-whether the same configurations failed.
+equal, the largest ``|du|`` as a share of the problem's bound width,
+whether the same configurations failed, and by name the configurations
+that fail in only one of the files.
 
 The matrix: problem (burgers1d nx=30 t=0.06, rotation2d 12^2 for two
 steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
@@ -109,9 +110,23 @@ def _bits(result):
             np.array(sorted(result["e1"].items())).tobytes())
 
 
+def _name(key):
+    """A configuration's name: its matrix entries, without the defaults."""
+    c = dict(key)
+    name = f"{c['problem']} {c['scheme']}+{c['limiter']} {c['solver']}"
+    if c["limit_stages"]:
+        name += " limit_stages"
+    if c["limiter"] == "fct":
+        name += f" fct_iters={c['fct_iters']}"
+    if c["limiter"] == "gmc":
+        name += f" gamma={c['gamma']:g}"
+    return name
+
+
 def compare(old, new):
-    """Print the comparison; return True when both files hold the same
-    configurations, the same failures and bitwise equal results."""
+    """Print the comparison, naming the configurations that fail in only
+    one file; return True when both files hold the same configurations,
+    the same failures and bitwise equal results."""
     if set(old) != set(new):
         print(f"different configurations: {len(set(old) ^ set(new))} "
               f"not in both files")
@@ -132,6 +147,10 @@ def compare(old, new):
         print(f"dt_factor {dt_factor}: {equal}/{len(keys)} bitwise equal; "
               f"max |du|/width {worst:.3e}; failures {len(fail_old)} -> "
               f"{len(fail_new)}, same set: {same_failures}")
+        for label, changed in (("newly failing", fail_new - fail_old),
+                               ("newly passing", fail_old - fail_new)):
+            for name in sorted(map(_name, changed)):
+                print(f"  {label}: {name}")
         ok = ok and equal == len(keys) and same_failures
     return ok
 
