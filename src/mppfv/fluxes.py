@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weno
-from .mesh import (FIRST, GHOST_WIDTH, LAST, PERIODIC, CellField, axis_index,
+from .mesh import (FIRST, GHOST_WIDTH, LAST, PERIODIC, axis_index,
                    cell_values, ghost_fill, sides)
 from .problems import LAMBDA_FLOOR
 
@@ -301,7 +301,7 @@ def low_order_with_bars(field, spec, grid, t=0.0):
 
     Returns ``(FaceFluxSet of G^L, BarStateSet)``.
     """
-    u_ext = ghost_fill(_values_field(field, grid), spec, time=t, width=1)
+    u_ext = ghost_fill(field, spec, grid, time=t, width=1)
     per_axis = [_axis_low_order(u_ext, spec, grid, axis, t)
                 for axis in range(grid.dim)]
     flux = FaceFluxSet(grid, tuple(p.G for p in per_axis))
@@ -317,12 +317,6 @@ def low_order_with_bars(field, spec, grid, t=0.0):
         u_high=tuple(p.ub for p in per_axis),
     )
     return flux, bars
-
-
-def _values_field(field, grid):
-    if isinstance(field, CellField):
-        return field
-    return CellField(grid, np.asarray(field, dtype=float))
 
 
 def low_order_flux_set(field, spec, grid, t=0.0):
@@ -384,7 +378,7 @@ def high_order_flux(field, spec, grid, t=0.0):
     """``F^H - P^H`` per face: Rusanov form on the two WENO face values minus
     the reconstructed diffusive flux (fourth-order face derivative times the
     average of the diffusion coefficient at the two reconstructed states)."""
-    u_ext = ghost_fill(_values_field(field, grid), spec, time=t, width=GHOST_WIDTH)
+    u_ext = ghost_fill(field, spec, grid, time=t, width=GHOST_WIDTH)
     arrays = tuple(_axis_high_order(u_ext, spec, grid, axis, t)
                    for axis in range(grid.dim))
     return FaceFluxSet(grid, arrays)

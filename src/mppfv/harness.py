@@ -281,7 +281,9 @@ def run(config):
 
     Returns ``(RunDiagnostics, final CellField)``.  Snapshots are written
     to ``config.out`` at the requested times (0 means the initial data).
-    Solver failures propagate as :class:`NonConvergenceError`.
+    Solver failures propagate as :class:`NonConvergenceError`, re-raised
+    with a ``step k at t=..., dt=...:`` prefix (``k`` counts from 1) and the
+    failed solve's report.
     """
     spec = build_problem(config)
     grid = make_grid(spec, config.nx, config.ny)
@@ -303,12 +305,19 @@ def run(config):
     mass0 = total_mass(u, grid)
     outflow = 0.0
     t = 0.0
+    steps = 0
     while t_end - t > t_end * TIME_RTOL:
         stops = [s for s in targets if s - t > t_end * TIME_RTOL]
         next_stop = stops[0] if stops else t_end
         remaining = next_stop - t
         dt = dt_nominal if remaining > dt_nominal * (1.0 + 1e-9) else remaining
-        u, flux, stage_fields = step(u, t, dt)
+        steps += 1
+        try:
+            u, flux, stage_fields = step(u, t, dt)
+        except NonConvergenceError as err:
+            raise NonConvergenceError(
+                f"step {steps} at t={t:.6g}, dt={dt:.6g}: {err}",
+                err.report) from err
         t += dt
         update_delta(diag, u, spec)
         if config.stage_delta:

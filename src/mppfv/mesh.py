@@ -196,8 +196,9 @@ def cell_values(field):
     return field.values if isinstance(field, CellField) else np.asarray(field, dtype=float)
 
 
-def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
-    """Extend a cell field with ``width`` ghost layers per side.
+def ghost_fill(field, problem_spec, grid, time=0.0, width=GHOST_WIDTH):
+    """Extend the cell values of ``field`` (a :class:`CellField` or an
+    array of ``grid.shape``) with ``width`` ghost layers per side.
 
     Periodic axes copy wrapped interior values; Dirichlet axes fill every
     ghost layer with the prescribed constant boundary value taken from
@@ -207,12 +208,15 @@ def ghost_fill(field, problem_spec, time=0.0, width=GHOST_WIDTH):
     Raises
     ------
     ValueError
-        If a Dirichlet axis has no boundary values on the problem spec.
+        If the values do not have ``grid.shape``, or a Dirichlet axis has
+        no boundary values on the problem spec.
     """
     if width < 1:
         raise ValueError("ghost width must be >= 1")
-    grid = field.grid
     ext = cell_values(field)
+    if ext.shape != grid.shape:
+        raise ValueError(f"values shape {ext.shape} does not match grid "
+                         f"shape {grid.shape}")
     for axis in range(grid.dim):
         if grid.boundary[axis] == PERIODIC:
             # Whole periods cover the layers even when width exceeds n.

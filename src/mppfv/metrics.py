@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import weno
-from .mesh import CellField, cell_values, ghost_fill
+from .mesh import cell_values, ghost_fill
 from .problems import evaluate_exact
 
 
@@ -48,9 +48,7 @@ def update_delta(diag, field_in, spec):
 def cell_center_values(field_in, spec, grid, t=0.0):
     """Cell-center point values from cell averages (degree-4 conversion,
     dimension by dimension)."""
-    if not isinstance(field_in, CellField):
-        field_in = CellField(grid, field_in)
-    values = ghost_fill(field_in, spec, time=t, width=2)
+    values = ghost_fill(field_in, spec, grid, time=t, width=2)
     for axis in range(grid.dim):  # x, then y, each on the last array axis
         line = values.swapaxes(-1, -1 - axis)
         values = weno.center_point_values_line(line, ghost=2).swapaxes(

@@ -25,10 +25,23 @@ Euler, ``a_mm * dt`` for stage ``m``).  Cell ids are the flattened cell
 array of the :mod:`mesh` axis convention, so the face-to-cell map of every
 axis comes from :func:`fluxes.adjacent_cells` with no dimension branch.
 
-Linear solves: direct sparse LU in 1D; in 2D a GMRES iteration
-preconditioned by the factorization of the constant-coefficient frozen
-Jacobian (relative tolerance 1e-13).  In ``frozen-jacobian`` mode the
-frozen factorization itself is the iteration matrix.
+The matrix is assembled into a sparsity pattern computed once per grid
+(the first time that grid is assembled): the CSR and CSC index arrays and
+the data slot of every face term, the terms summed into their slots in the
+order a COO-to-CSR conversion sums them, so the data are bitwise those of a
+COO assembly.  Every face keeps both off-diagonal positions (explicit
+zeros included), so the pattern is structurally symmetric.
+
+Linear solves: each distinct matrix is factorized at most once per
+implicit scale.  In ``fresh-jacobian`` mode the pseudo-Jacobian is
+assembled at every iterate; when its data equal those of the factorized
+matrix the engine holds for this scale (in 2D the frozen one, in 1D the
+last one factorized at this scale), that LU solves directly.  Otherwise
+1D factorizes the new matrix, which replaces the held one, and 2D runs a
+GMRES iteration preconditioned by the frozen factorization (relative
+tolerance 1e-13).  On state-independent problems every update is one LU
+solve.  In ``frozen-jacobian`` mode the frozen factorization itself is the
+iteration matrix.
 
 One loop, ``_quasi_newton``, runs every such solve; its callers differ only
 in the flux they iterate on and in the reference state: the low-order
@@ -42,6 +55,7 @@ flux evaluated there; when the budget runs out it raises
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +110,9 @@ class SparseBandedMatrix:
 
     dimension: int
     matrix: object
+    #: The :class:`_JacobianPattern` the matrix was assembled into, if any;
+    #: it gives the CSC form for the factorization without a conversion.
+    pattern: object = field(default=None, repr=False, compare=False)
     _lu: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,8 +124,10 @@ class SparseBandedMatrix:
     def factorize(self):
         """Compute (once) and return the sparse LU factorization."""
         if self._lu is None:
+            csc = (self.matrix.tocsc() if self.pattern is None
+                   else self.pattern.csc(self.matrix.data))
             try:
-                self._lu = spla.splu(self.matrix.tocsc())
+                self._lu = spla.splu(csc)
             except RuntimeError as err:  # splu signals exact singularity
                 raise np.linalg.LinAlgError(str(err)) from err
         return self._lu
@@ -167,6 +186,74 @@ def _axis_flux_derivatives(u_ext, spec, grid, axis, t):
     return dGdL, dGdR
 
 
+class _JacobianPattern:
+    """The pseudo-Jacobian's sparsity pattern on one grid.
+
+    Per axis, ``faces`` holds the flat face indices of the face terms in
+    assembly order: the faces with a low-side cell (its diagonal), with
+    cells on both sides (both off-diagonals) and with a high-side cell (its
+    diagonal).  ``slots`` maps every term, the identity last, to its CSR
+    data slot; ``csc_order`` reorders CSR data into CSC data.
+    """
+
+    def __init__(self, grid):
+        N = grid.num_cells
+        self.faces, rows, cols = [], [], []
+        for axis in range(grid.dim):
+            low, high, use = _face_adjacent_ids(grid, axis)
+            faces = np.flatnonzero(use)
+            L, R = low[faces], high[faces]
+            mL, mR = L >= 0, R >= 0
+            both = mL & mR
+            self.faces.append((faces[mL], faces[both], faces[mR]))
+            # The term groups of assemble_pseudo_jacobian, in its order.
+            rows += [L[mL], L[both], R[mR], R[both]]
+            cols += [L[mL], R[both], R[mR], L[both]]
+        ids = np.arange(N)
+        rows = np.concatenate(rows + [ids])
+        cols = np.concatenate(cols + [ids])
+        entries, self.slots = np.unique(rows * N + cols, return_inverse=True)
+        self.nnz = len(entries)
+        r, c = np.divmod(entries, N)
+        index = np.int32 if max(self.nnz, N) < 2**31 else np.int64
+        self.shape = (N, N)
+        self.indices = c.astype(index)
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(r, minlength=N)))).astype(index)
+        self.csc_order = np.lexsort((r, c))
+        self.csc_indices = r[self.csc_order].astype(index)
+        self.csc_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(c, minlength=N)))).astype(index)
+        # Every matrix on this grid shares these; none may change them.
+        for arr in (self.indices, self.indptr, self.csc_indices,
+                    self.csc_indptr):
+            arr.setflags(write=False)
+        # Terms alone in their slot, written directly: bincount starts
+        # every slot at +0.0, which would turn a lone -0.0 term into +0.0.
+        alone = np.bincount(self.slots, minlength=self.nnz)[self.slots] == 1
+        self.lone_terms = np.flatnonzero(alone)
+        self.lone_slots = self.slots[self.lone_terms]
+
+    def matrix(self, terms):
+        """The CSR matrix with each term summed into its slot, in order."""
+        data = np.bincount(self.slots, weights=terms, minlength=self.nnz)
+        data[self.lone_slots] = terms[self.lone_terms]
+        csr = sp.csr_matrix((data, self.indices, self.indptr),
+                            shape=self.shape)
+        return SparseBandedMatrix(self.shape[0], csr, pattern=self)
+
+    def csc(self, data):
+        """The CSC matrix of the CSR ``data`` on this pattern."""
+        return sp.csc_matrix((data[self.csc_order], self.csc_indices,
+                              self.csc_indptr), shape=self.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _jacobian_pattern(grid):
+    """The grid's pattern, built on its first assembly."""
+    return _JacobianPattern(grid)
+
+
 def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     """Pseudo-Jacobian ``J = I + (scale/|K_i|) sum_faces |S| dG^L/du_j`` at
     the given state, with the wave-speed bound held fixed.
@@ -174,38 +261,23 @@ def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     ``scale`` is the total implicit weight: the time step itself for the
     backward-Euler system, ``a_mm * dt`` for DIRK stage ``m``.  Ghost cells
     of Dirichlet boundaries are data, not unknowns: they contribute no
-    columns.
+    columns.  The matrix shares the grid's cached index arrays.
     """
-    u_ext = ghost_fill(fluxes._values_field(field_in, grid), spec, time=t,
-                       width=1)
-    rows, cols, vals = [], [], []
-    for axis in range(grid.dim):
+    u_ext = ghost_fill(field_in, spec, grid, time=t, width=1)
+    pattern = _jacobian_pattern(grid)
+    terms = []
+    for axis, (fL, fB, fR) in enumerate(pattern.faces):
         dGdL, dGdR = _axis_flux_derivatives(u_ext, spec, grid, axis, t)
-        low, high, use = _face_adjacent_ids(grid, axis)
-        dL = dGdL.ravel()[use]
-        dR = dGdR.ravel()[use]
-        L, R = low[use], high[use]
+        dL, dR = dGdL.ravel(), dGdR.ravel()
         coef = scale / grid.spacing[axis]
-        mL, mR = L >= 0, R >= 0
-        both = mL & mR
         # Row of the low-side cell: the face is outward-oriented (+axis).
-        rows.append(L[mL]);   cols.append(L[mL]);   vals.append(coef * dL[mL])
-        rows.append(L[both]); cols.append(R[both]); vals.append(coef * dR[both])
+        terms += [coef * dL[fL], coef * dR[fB]]
         # Row of the high-side cell: the same face is inward (-axis).
-        rows.append(R[mR]);   cols.append(R[mR]);   vals.append(-coef * dR[mR])
-        rows.append(R[both]); cols.append(L[both]); vals.append(-coef * dL[both])
-    N = grid.num_cells
-    # The identity goes into the same COO batch: sparse *addition* would
-    # prune the explicit zeros of one-sided (pure upwind) couplings and
-    # destroy the structurally symmetric face pattern.
-    rows.append(np.arange(N))
-    cols.append(np.arange(N))
-    vals.append(np.ones(N))
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N)).tocsr()
-    A.sum_duplicates()
-    return SparseBandedMatrix(N, A)
+        terms += [-coef * dR[fR], -coef * dL[fB]]
+    # The identity's ones are summed into the diagonal slots last; explicit
+    # zeros of one-sided (pure upwind) couplings stay in the pattern.
+    terms.append(np.ones(grid.num_cells))
+    return pattern.matrix(np.concatenate(terms))
 
 
 def frozen_jacobian(spec, grid, dt, scale=1.0):
@@ -229,11 +301,17 @@ def frozen_jacobian(spec, grid, dt, scale=1.0):
 # ---------------------------------------------------------------------------
 
 class JacobianEngine:
-    """Owns the iteration-matrix strategy and the frozen factorizations.
+    """Owns the iteration-matrix strategy and the factorizations it holds.
 
-    ``fresh-jacobian``: reassemble the pseudo-Jacobian at every iterate
-    (direct solve in 1D; in 2D GMRES preconditioned with the frozen
-    factorization).  ``frozen-jacobian``: always iterate with the frozen
+    ``fresh-jacobian``: assemble the pseudo-Jacobian at every iterate and
+    factorize each distinct matrix at most once per implicit scale
+    ``step_dt``.  Per scale the engine holds one factorized matrix: in 2D
+    the frozen one, in 1D the last one it factorized.  When the assembled
+    matrix's data equal the held matrix's (they share the grid's pattern),
+    the held LU solves directly.  Otherwise, in 1D the new matrix is
+    factorized and replaces the held one; in 2D GMRES preconditioned with
+    the frozen factorization solves it, and no second 2D factorization is
+    kept.  ``frozen-jacobian``: always iterate with the frozen
     constant-coefficient factorization.
     """
 
@@ -245,6 +323,7 @@ class JacobianEngine:
         self.grid = grid
         self.mode = mode
         self._frozen = {}
+        self._held = {}
 
     def frozen(self, step_dt):
         key = float(step_dt)
@@ -256,14 +335,19 @@ class JacobianEngine:
         """Solve ``J delta = -residual`` for the current iterate."""
         rhs = -np.ravel(residual)
         if self.mode == "frozen-jacobian":
-            delta = self.frozen(step_dt).solve(rhs)
+            return self.frozen(step_dt).solve(rhs).reshape(self.grid.shape)
+        key = float(step_dt)
+        jac = assemble_pseudo_jacobian(state, self.spec, self.grid,
+                                       step_dt, t=stage_time)
+        held = self.frozen(key) if self.grid.dim == 2 else self._held.get(key)
+        if held is not None and np.array_equal(jac.matrix.data,
+                                               held.matrix.data):
+            delta = held.solve(rhs)
+        elif self.grid.dim == 1:
+            delta = jac.solve(rhs)
+            self._held[key] = jac
         else:
-            jac = assemble_pseudo_jacobian(state, self.spec, self.grid,
-                                           step_dt, t=stage_time)
-            if self.grid.dim == 1:
-                delta = jac.solve(rhs)
-            else:
-                delta = jac.solve(rhs, preconditioner=self.frozen(step_dt))
+            delta = jac.solve(rhs, preconditioner=held)
         return delta.reshape(self.grid.shape)
 
 

@@ -7,6 +7,11 @@ fluxes are evaluated on scalars, face by face.  The one bridge to the
 library's per-axis face arrays is :func:`face_entry`, which reads a single
 entry at a record.  Tests hold the library's whole-array kernels against
 these walks.
+
+One oracle is of another kind: :func:`coo_pseudo_jacobian` assembles the
+pseudo-Jacobian from the library's per-face derivatives through a COO
+matrix, the assembly that :mod:`mppfv.solvers` replaced by a cached
+sparsity pattern; the tests hold the two bitwise equal.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from mppfv.mesh import PERIODIC
+from mppfv.mesh import PERIODIC, ghost_fill
 from mppfv.problems import LAMBDA_FLOOR
+from mppfv.solvers import _axis_flux_derivatives, _face_adjacent_ids
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +265,40 @@ def outward_limited_sums(alpha, flux_set, grid):
         if f.neighbor is not None:
             total[cell_slot(f.neighbor, grid)] -= v
     return total
+
+
+# ---------------------------------------------------------------------------
+# The pseudo-Jacobian through a COO matrix
+# ---------------------------------------------------------------------------
+
+def coo_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
+    """``J = I + (scale/|K_i|) sum_faces |S| dG^L/du_j`` as a canonical CSR
+    matrix, assembled from (row, column, value) triplets whose duplicates
+    scipy sums in triplet order.  The identity goes into the same batch, so
+    the explicit zeros of one-sided couplings stay in the pattern."""
+    u_ext = ghost_fill(field_in, spec, grid, time=t, width=1)
+    rows, cols, vals = [], [], []
+    for axis in range(grid.dim):
+        dGdL, dGdR = _axis_flux_derivatives(u_ext, spec, grid, axis, t)
+        low, high, use = _face_adjacent_ids(grid, axis)
+        dL = dGdL.ravel()[use]
+        dR = dGdR.ravel()[use]
+        L, R = low[use], high[use]
+        coef = scale / grid.spacing[axis]
+        mL, mR = L >= 0, R >= 0
+        both = mL & mR
+        # Row of the low-side cell: the face is outward-oriented (+axis).
+        rows.append(L[mL]);   cols.append(L[mL]);   vals.append(coef * dL[mL])
+        rows.append(L[both]); cols.append(R[both]); vals.append(coef * dR[both])
+        # Row of the high-side cell: the same face is inward (-axis).
+        rows.append(R[mR]);   cols.append(R[mR]);   vals.append(-coef * dR[mR])
+        rows.append(R[both]); cols.append(L[both]); vals.append(-coef * dL[both])
+    N = grid.num_cells
+    rows.append(np.arange(N))
+    cols.append(np.arange(N))
+    vals.append(np.ones(N))
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N)).tocsr()
+    A.sum_duplicates()
+    return A

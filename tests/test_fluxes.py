@@ -447,7 +447,7 @@ class TestGhostCoupling:
     def test_periodic_ghost_fill_roundtrip(self, rng):
         spec, grid = make_burgers_1d(8)
         u = rng.uniform(0.0, 1.0, 8)
-        ext = ghost_fill(CellField(grid, u), spec, width=3)
+        ext = ghost_fill(CellField(grid, u), spec, grid, width=3)
         assert np.array_equal(ext[3:-3], u)
         assert np.array_equal(ext[:3], u[-3:])
         assert np.array_equal(ext[-3:], u[:3])

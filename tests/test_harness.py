@@ -412,6 +412,50 @@ class TestCommandLine:
         assert code == 3
         assert err.startswith("error: solver-failure:")
 
+    # bl1d, be, frozen Jacobian, dt = 5h: one of the configurations of
+    # tools/stepper_sweep.py whose low-order solve stalls in the first step.
+    FAILING = dict(problem="bl1d", nx=40, t_final=0.1, scheme="be",
+                   solver="frozen-jacobian", dt_factor=5.0)
+
+    def test_solver_failure_names_its_step(self):
+        with pytest.raises(NonConvergenceError) as exc:
+            run(RunConfig(**self.FAILING))
+        err = exc.value
+        assert str(err).startswith(
+            "step 1 at t=0, dt=0.1: low-order solve stalled at residual ")
+        assert err.report is err.__cause__.report
+        assert not err.report.converged
+
+    def test_solver_failure_cli_reports_the_step(self, capsys):
+        code = main(["--problem", "bl1d", "--nx", "40", "--t-final", "0.1",
+                     "--scheme", "be", "--solver", "frozen-jacobian",
+                     "--dt-factor", "5"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: solver-failure: step 1 at t=0, dt=0.1: low-order solve")
+
+    def test_failing_step_counts_from_one(self, monkeypatch):
+        calls = []
+
+        def make_stepper(config, spec, grid):
+            def step(u, t, dt):
+                calls.append(t)
+                if len(calls) == 3:
+                    raise NonConvergenceError("stage 2/5: stalled", "report")
+                return u, None, ()
+            return step
+
+        monkeypatch.setattr(harness, "_make_stepper", make_stepper)
+        monkeypatch.setattr(harness, "_boundary_outflow", lambda flux: 0.0)
+        config = RunConfig(problem="linear1d", nx=16, scheme="be",
+                           dt_factor=1.0, t_final=2.0)
+        with pytest.raises(NonConvergenceError) as exc:
+            run(config)
+        dt = min(make_grid(build_problem(config), 16).spacing)
+        assert str(exc.value) == (f"step 3 at t={2 * dt:.6g}, dt={dt:.6g}: "
+                                  "stage 2/5: stalled")
+        assert exc.value.report == "report"
+
     def test_module_entry_point(self):
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -123,7 +123,7 @@ class TestGhostFill:
         spec_like = None
         g = grid_1d(5)
         f = CellField(g, np.arange(5.0))
-        ext = ghost_fill(f, spec_like, width=2)
+        ext = ghost_fill(f, spec_like, g, width=2)
         assert ext.shape == (9,)
         assert np.array_equal(ext, [3, 4, 0, 1, 2, 3, 4, 0, 1])
 
@@ -134,7 +134,7 @@ class TestGhostFill:
             dirichlet_values = ((7.0, -3.0),)
 
         f = CellField(g, np.array([1.0, 2.0, 3.0, 4.0]))
-        ext = ghost_fill(f, Spec(), width=3)
+        ext = ghost_fill(f, Spec(), g, width=3)
         assert np.array_equal(ext[:3], [7.0, 7.0, 7.0])
         assert np.array_equal(ext[-3:], [-3.0, -3.0, -3.0])
         assert np.array_equal(ext[3:-3], f.values)
@@ -146,7 +146,7 @@ class TestGhostFill:
             dirichlet_values = (None,)
 
         with pytest.raises(ValueError):
-            ghost_fill(CellField(g, np.zeros(4)), Spec())
+            ghost_fill(CellField(g, np.zeros(4)), Spec(), g)
 
     def test_2d_mixed_axes(self):
         g = grid_2d(3, 2, bx=PERIODIC, by=DIRICHLET)
@@ -155,7 +155,7 @@ class TestGhostFill:
             dirichlet_values = (None, (9.0, 8.0))
 
         vals = np.arange(6.0).reshape(2, 3)  # [iy, ix]
-        ext = ghost_fill(CellField(g, vals), Spec(), width=1)
+        ext = ghost_fill(CellField(g, vals), Spec(), g, width=1)
         assert ext.shape == (4, 5)
         # periodic x: wrap columns
         assert np.array_equal(ext[1, :], [2, 0, 1, 2, 0])
@@ -166,7 +166,7 @@ class TestGhostFill:
     def test_width_validated(self):
         g = grid_1d(4)
         with pytest.raises(ValueError):
-            ghost_fill(CellField(g, np.zeros(4)), None, width=0)
+            ghost_fill(CellField(g, np.zeros(4)), None, g, width=0)
 
     @pytest.mark.parametrize("cells", [(2,), (5,), (2, 3), (5, 4)])
     @pytest.mark.parametrize("width", [1, 3, 5])
@@ -190,9 +190,16 @@ class TestGhostFill:
                 want = (np.pad(want, pad, mode="wrap") if b == PERIODIC else
                         np.pad(want, pad, mode="constant",
                                constant_values=(Spec.dirichlet_values[axis],)))
-            got = ghost_fill(CellField(g, values), Spec(), width=width)
+            got = ghost_fill(CellField(g, values), Spec(), g, width=width)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            # A bare array of the grid's shape fills the same way.
+            bare = ghost_fill(values, Spec(), g, width=width)
+            assert bare.tobytes() == want.tobytes()
+
+    def test_array_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            ghost_fill(np.zeros(5), None, grid_1d(4), width=1)
 
 
 class TestClosedCellIdentity:

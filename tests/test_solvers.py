@@ -6,20 +6,27 @@ the linearization state (the matrix deliberately omits the bound's own
 state dependence, so the comparison freezes it too).
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mppfv import solvers
 from mppfv.fluxes import bar_states, high_order_flux, low_order_flux_set
+from mppfv.harness import RunConfig, build_problem, run
 from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, frozen_jacobian,
                            make_stage_solver, newton_low_order)
-from mppfv.problems import ProblemSpec, burgers_1d, make_grid
+from mppfv.problems import (BUILTIN_PROBLEMS, ProblemSpec, burgers_1d,
+                            initial_cell_averages, make_grid)
 
 from conftest import (make_advection_2d, make_burgers_1d,
                       make_linear_advection_1d, make_pure_diffusion_1d, shaped)
+from oracles import coo_pseudo_jacobian
 
 
 def freeze_speed_bound(spec, grid, state, t=0.0):
@@ -146,6 +153,125 @@ class TestPseudoJacobian:
         # Initial data spans [0, 2]; the frozen state is the half-range 1.
         direct = assemble_pseudo_jacobian(np.full(40, 1.0), spec, grid, 0.01)
         assert np.max(np.abs((frozen.matrix - direct.matrix).toarray())) == 0.0
+
+
+class TestCachedPattern:
+    """The pseudo-Jacobian assembled into the grid's cached pattern is the
+    COO assembly of ``oracles.coo_pseudo_jacobian``: the same index arrays,
+    explicit zeros included, and bitwise-equal data; and the CSC form
+    handed to the factorization is scipy's conversion of it."""
+
+    @staticmethod
+    def assert_same(u, spec, grid, scale, t):
+        jac = assemble_pseudo_jacobian(u, spec, grid, scale, t=t)
+        want = coo_pseudo_jacobian(u, spec, grid, scale, t=t)
+        for got, ref in ((jac.matrix, want),
+                         (jac.pattern.csc(jac.matrix.data), want.tocsc())):
+            assert got.format == ref.format
+            assert got.indices.dtype == ref.indices.dtype
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+            # Bytes, not values: -0.0 entries keep their sign.
+            assert got.data.tobytes() == ref.data.tobytes()
+        return want
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
+    def test_builtin_problems_match_coo_assembly(self, name, rng):
+        for epsilon in ((None, 0.02) if name in ("linear1d", "linear2d",
+                                                 "kpp2d") else (None,)):
+            spec = build_problem(RunConfig(problem=name, epsilon=epsilon))
+            grid = make_grid(spec, 9, 7 if spec.dim == 2 else None)
+            hi = spec.global_max if np.isfinite(spec.global_max) else 2.0
+            states = [initial_cell_averages(spec, grid).values]
+            states += [rng.uniform(spec.global_min, hi, grid.shape)
+                       for _ in range(3)]
+            for u in states:
+                self.assert_same(u, spec, grid, rng.uniform(0.01, 0.5),
+                                 rng.uniform(0.0, 0.5))
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_1d_boundary_kinds_match_coo_assembly(self, boundary, rng):
+        for spec, grid in (make_burgers_1d(8, boundary=boundary),
+                           make_linear_advection_1d(velocity=1.0, n=6,
+                                                    wave_speed=1.0,
+                                                    boundary=boundary)):
+            self.assert_same(rng.uniform(0.0, 1.0, grid.shape), spec, grid,
+                             0.1, 0.0)
+
+    @pytest.mark.parametrize("boundary", list(itertools.product(
+        (PERIODIC, DIRICHLET), repeat=2)))
+    def test_2d_boundary_pairs_match_coo_assembly(self, boundary, rng):
+        spec, grid = make_advection_2d(vel=(0.8, -0.6), shape=(5, 4),
+                                       boundary=boundary)
+        want = self.assert_same(rng.uniform(0.2, 0.8, grid.shape), spec,
+                                grid, 0.05, 0.0)
+        # Pure upwind couplings are explicit zeros, some of them -0.0.
+        assert np.any(np.signbit(want.data[want.data == 0.0]))
+        diffusive = type(spec)(**{
+            **spec.__dict__,
+            "diffusion": lambda u, x, y: shaped(0.02, u, x, y),
+        })
+        self.assert_same(rng.uniform(0.2, 0.8, grid.shape), diffusive, grid,
+                         0.05, 0.0)
+
+    def test_matrices_share_the_grid_pattern(self, rng):
+        spec, grid = make_burgers_1d(10)
+        a, b = (assemble_pseudo_jacobian(rng.uniform(0, 2, 10), spec, grid,
+                                         0.1) for _ in range(2))
+        assert np.shares_memory(a.matrix.indices, b.matrix.indices)
+        assert np.shares_memory(a.matrix.indptr, b.matrix.indptr)
+
+
+class TestFactorizationReuse:
+    """``fresh-jacobian`` factorizes each distinct pseudo-Jacobian at most
+    once per implicit scale.  Counted on whole runs: ``splu`` calls are
+    factorizations, ``gmres`` calls are Krylov solves, and the ``scale``
+    arguments of the assemblies are the implicit scales (each engine of
+    these runs sees its own)."""
+
+    @staticmethod
+    def count(**kwargs):
+        config = RunConfig(solver="fresh-jacobian", **kwargs)
+        with mock.patch.object(solvers.spla, "splu",
+                               wraps=solvers.spla.splu) as splu, \
+                mock.patch.object(solvers.spla, "gmres",
+                                  wraps=solvers.spla.gmres) as gmres, \
+                mock.patch.object(solvers, "assemble_pseudo_jacobian",
+                                  wraps=solvers.assemble_pseudo_jacobian) \
+                as assemble:
+            run(config)
+        scales = {float(call.args[3]) for call in assemble.call_args_list}
+        return splu.call_count, gmres.call_count, assemble.call_count, scales
+
+    @pytest.mark.parametrize("problem", ["rotation2d", "linear2d"])
+    def test_state_independent_2d_solves_with_the_frozen_lu(self, problem):
+        splu, gmres, assembled, scales = self.count(
+            problem=problem, nx=12, scheme="sdirk5", limiter="fct",
+            t_final=0.5 / 12)
+        assert gmres == 0
+        # The stage scale a_mm*dt and the low-order scale dt.
+        assert splu == len(scales) == 2
+        assert assembled > 2 * splu
+
+    def test_state_dependent_2d_still_runs_gmres(self):
+        _, gmres, _, _ = self.count(problem="kpp2d", nx=12, scheme="sdirk5",
+                                    t_final=0.5 / 12)
+        assert gmres > 0
+
+    def test_linear1d_factorizes_once_per_scale(self):
+        splu, gmres, assembled, scales = self.count(
+            problem="linear1d", nx=20, scheme="sdirk5", limiter="fct",
+            t_final=0.5)
+        assert gmres == 0
+        assert splu == len(scales)
+        assert assembled > 2 * splu
+
+    def test_burgers1d_factorizes_every_update(self):
+        # In 1D fresh mode every Newton update assembles once.
+        splu, gmres, assembled, _ = self.count(
+            problem="burgers1d", nx=20, scheme="sdirk5", t_final=0.1)
+        assert gmres == 0
+        assert splu == assembled > 0
 
 
 def _direct_solve(matrix, rhs):

@@ -49,3 +49,23 @@ def test_compare_passes_identical_files(sweep, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "dt_factor 5.0: 2/2 bitwise equal; max |du|/width 0.000e+00; "
         "failures 1 -> 1, same set: True"]
+
+
+def test_compare_groups_results_that_moved(sweep, capsys):
+    moved = {_key(): (_result(0.5), _result(0.5 + 2e-13)),
+             _key(gamma=1.0): (_result(0.5), _result(0.5 - 1e-13)),
+             _key(problem="bl1d", solver="frozen-jacobian"):
+                 (_result(0.25), _result(0.25 + 1e-9)),
+             _key(problem="bl1d"): (_result(0.25), _result(0.25))}
+    old = {k: pair[0] for k, pair in moved.items()}
+    new = {k: pair[1] for k, pair in moved.items()}
+    new[_key(gamma=1.0)]["delta"] = 1.0  # moved, though not in u
+    assert not sweep.compare(old, new)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("dt_factor 5.0: 1/4 bitwise equal; "
+                               "max |du|/width 1.000e-09;")
+    assert lines[1:] == [
+        "  not bitwise equal: bl1d frozen-jacobian: 1, "
+        "max |du|/width 1.000e-09",
+        "  not bitwise equal: rotation2d fresh-jacobian: 2, "
+        "max |du|/width 2.000e-13"]

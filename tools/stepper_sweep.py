@@ -7,8 +7,10 @@ state with ``delta``, ``mass_drift``, ``e1`` and ``stage_delta``, or the
 class name of the exception the run raised.  ``compare A B`` reads two such
 files and reports, per dt factor, how many configurations are bitwise
 equal, the largest ``|du|`` as a share of the problem's bound width,
-whether the same configurations failed, and by name the configurations
-that fail in only one of the files.
+whether the same configurations failed, by name the configurations that
+fail in only one of the files, and, grouped by (problem, solver mode), how
+many finished configurations are not bitwise equal with each group's
+largest ``|du|`` per width.
 
 The matrix: problem (burgers1d nx=30 t=0.06, rotation2d 12^2 for two
 steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
@@ -138,11 +140,16 @@ def compare(old, new):
         fail_old = {k for k in keys if isinstance(old[k], str)}
         fail_new = {k for k in keys if isinstance(new[k], str)}
         worst = 0.0
+        moved = {}  # (problem, solver mode) -> (count, max |du|/width)
         for k in keys:
             if k in fail_old or k in fail_new:
                 continue
-            du = np.max(np.abs(old[k]["u"] - new[k]["u"]))
-            worst = max(worst, du / old[k]["width"])
+            du = np.max(np.abs(old[k]["u"] - new[k]["u"])) / old[k]["width"]
+            worst = max(worst, du)
+            if _bits(old[k]) != _bits(new[k]):
+                group = (dict(k)["problem"], dict(k)["solver"])
+                count, group_worst = moved.get(group, (0, 0.0))
+                moved[group] = (count + 1, max(group_worst, du))
         same_failures = fail_old == fail_new
         print(f"dt_factor {dt_factor}: {equal}/{len(keys)} bitwise equal; "
               f"max |du|/width {worst:.3e}; failures {len(fail_old)} -> "
@@ -151,6 +158,9 @@ def compare(old, new):
                                ("newly passing", fail_old - fail_new)):
             for name in sorted(map(_name, changed)):
                 print(f"  {label}: {name}")
+        for (problem, solver), (count, du) in sorted(moved.items()):
+            print(f"  not bitwise equal: {problem} {solver}: {count}, "
+                  f"max |du|/width {du:.3e}")
         ok = ok and equal == len(keys) and same_failures
     return ok
 
