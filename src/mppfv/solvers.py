@@ -26,22 +26,22 @@ array of the :mod:`mesh` axis convention, so the face-to-cell map of every
 axis comes from :func:`fluxes.adjacent_cells` with no dimension branch.
 
 The matrix is assembled into a sparsity pattern computed once per grid
-(the first time that grid is assembled): the CSR and CSC index arrays and
-the data slot of every face term, the terms summed into their slots in the
-order a COO-to-CSR conversion sums them, so the data are bitwise those of a
-COO assembly.  Every face keeps both off-diagonal positions (explicit
-zeros included), so the pattern is structurally symmetric.
+(the first time that grid is assembled): the CSR index arrays and the data
+slot of every face term, the terms summed into their slots in the order a
+COO-to-CSR conversion sums them, so the data equal those of a COO
+assembly (bitwise, but for the sign of zeros: every slot starts at +0.0).
+Every face keeps both off-diagonal positions (explicit zeros included), so
+the pattern is structurally symmetric.
 
-Linear solves: each distinct matrix is factorized at most once per
-implicit scale.  In ``fresh-jacobian`` mode the pseudo-Jacobian is
-assembled at every iterate; when its data equal those of the factorized
-matrix the engine holds for this scale (in 2D the frozen one, in 1D the
-last one factorized at this scale), that LU solves directly.  Otherwise
-1D factorizes the new matrix, which replaces the held one, and 2D runs a
-GMRES iteration preconditioned by the frozen factorization (relative
-tolerance 1e-13).  On state-independent problems every update is one LU
-solve.  In ``frozen-jacobian`` mode the frozen factorization itself is the
-iteration matrix.
+Linear solves: in ``fresh-jacobian`` mode the pseudo-Jacobian is assembled
+at every iterate.  In 1D it is factorized and solved directly.  In 2D,
+when its data equal those of the frozen matrix for this implicit scale,
+whose LU the engine holds anyway, that LU solves directly; otherwise a
+GMRES iteration preconditioned by the frozen factorization solves it
+(relative tolerance 1e-13).  So on state-independent 2D problems every
+update is one LU solve and no matrix is factorized twice.  In
+``frozen-jacobian`` mode the frozen factorization itself is the iteration
+matrix.
 
 One loop, ``_quasi_newton``, runs every such solve; its callers differ only
 in the flux they iterate on and in the reference state: the low-order
@@ -110,9 +110,6 @@ class SparseBandedMatrix:
 
     dimension: int
     matrix: object
-    #: The :class:`_JacobianPattern` the matrix was assembled into, if any;
-    #: it gives the CSC form for the factorization without a conversion.
-    pattern: object = field(default=None, repr=False, compare=False)
     _lu: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,10 +121,8 @@ class SparseBandedMatrix:
     def factorize(self):
         """Compute (once) and return the sparse LU factorization."""
         if self._lu is None:
-            csc = (self.matrix.tocsc() if self.pattern is None
-                   else self.pattern.csc(self.matrix.data))
             try:
-                self._lu = spla.splu(csc)
+                self._lu = spla.splu(self.matrix.tocsc())
             except RuntimeError as err:  # splu signals exact singularity
                 raise np.linalg.LinAlgError(str(err)) from err
         return self._lu
@@ -189,26 +184,35 @@ def _axis_flux_derivatives(u_ext, spec, grid, axis, t):
 class _JacobianPattern:
     """The pseudo-Jacobian's sparsity pattern on one grid.
 
-    Per axis, ``faces`` holds the flat face indices of the face terms in
-    assembly order: the faces with a low-side cell (its diagonal), with
-    cells on both sides (both off-diagonals) and with a high-side cell (its
-    diagonal).  ``slots`` maps every term, the identity last, to its CSR
-    data slot; ``csc_order`` reorders CSR data into CSC data.
+    ``groups[axis]`` lists the face-term groups of that axis in assembly
+    order as ``(faces, sign, side)``: the flat indices of the faces in the
+    group, the sign of the term and which flux derivative it takes (0 for
+    ``dG/du_L``, 1 for ``dG/du_R``).  The groups are the row of the
+    low-side cell (the face is outward, +axis): its diagonal and, where
+    both sides are cells, its high-side column; then the row of the
+    high-side cell (the face is inward, -axis): its diagonal and its
+    low-side column.  ``slots`` maps every term, the identity's last, to
+    its CSR data slot.
     """
 
     def __init__(self, grid):
         N = grid.num_cells
-        self.faces, rows, cols = [], [], []
+        self.groups, rows, cols = [], [], []
         for axis in range(grid.dim):
             low, high, use = _face_adjacent_ids(grid, axis)
             faces = np.flatnonzero(use)
             L, R = low[faces], high[faces]
             mL, mR = L >= 0, R >= 0
             both = mL & mR
-            self.faces.append((faces[mL], faces[both], faces[mR]))
-            # The term groups of assemble_pseudo_jacobian, in its order.
-            rows += [L[mL], L[both], R[mR], R[both]]
-            cols += [L[mL], R[both], R[mR], L[both]]
+            groups = []
+            for m, sign, side, row, col in ((mL, 1.0, 0, L, L),
+                                            (both, 1.0, 1, L, R),
+                                            (mR, -1.0, 1, R, R),
+                                            (both, -1.0, 0, R, L)):
+                groups.append((faces[m], sign, side))
+                rows.append(row[m])
+                cols.append(col[m])
+            self.groups.append(groups)
         ids = np.arange(N)
         rows = np.concatenate(rows + [ids])
         cols = np.concatenate(cols + [ids])
@@ -220,32 +224,16 @@ class _JacobianPattern:
         self.indices = c.astype(index)
         self.indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(r, minlength=N)))).astype(index)
-        self.csc_order = np.lexsort((r, c))
-        self.csc_indices = r[self.csc_order].astype(index)
-        self.csc_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(c, minlength=N)))).astype(index)
         # Every matrix on this grid shares these; none may change them.
-        for arr in (self.indices, self.indptr, self.csc_indices,
-                    self.csc_indptr):
-            arr.setflags(write=False)
-        # Terms alone in their slot, written directly: bincount starts
-        # every slot at +0.0, which would turn a lone -0.0 term into +0.0.
-        alone = np.bincount(self.slots, minlength=self.nnz)[self.slots] == 1
-        self.lone_terms = np.flatnonzero(alone)
-        self.lone_slots = self.slots[self.lone_terms]
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
 
     def matrix(self, terms):
         """The CSR matrix with each term summed into its slot, in order."""
         data = np.bincount(self.slots, weights=terms, minlength=self.nnz)
-        data[self.lone_slots] = terms[self.lone_terms]
         csr = sp.csr_matrix((data, self.indices, self.indptr),
                             shape=self.shape)
-        return SparseBandedMatrix(self.shape[0], csr, pattern=self)
-
-    def csc(self, data):
-        """The CSC matrix of the CSR ``data`` on this pattern."""
-        return sp.csc_matrix((data[self.csc_order], self.csc_indices,
-                              self.csc_indptr), shape=self.shape)
+        return SparseBandedMatrix(self.shape[0], csr)
 
 
 @functools.lru_cache(maxsize=16)
@@ -266,14 +254,12 @@ def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     u_ext = ghost_fill(field_in, spec, grid, time=t, width=1)
     pattern = _jacobian_pattern(grid)
     terms = []
-    for axis, (fL, fB, fR) in enumerate(pattern.faces):
-        dGdL, dGdR = _axis_flux_derivatives(u_ext, spec, grid, axis, t)
-        dL, dR = dGdL.ravel(), dGdR.ravel()
+    for axis, groups in enumerate(pattern.groups):
+        dG = [d.ravel() for d in _axis_flux_derivatives(u_ext, spec, grid,
+                                                        axis, t)]
         coef = scale / grid.spacing[axis]
-        # Row of the low-side cell: the face is outward-oriented (+axis).
-        terms += [coef * dL[fL], coef * dR[fB]]
-        # Row of the high-side cell: the same face is inward (-axis).
-        terms += [-coef * dR[fR], -coef * dL[fB]]
+        terms += [sign * coef * dG[side][faces]
+                  for faces, sign, side in groups]
     # The identity's ones are summed into the diagonal slots last; explicit
     # zeros of one-sided (pure upwind) couplings stay in the pattern.
     terms.append(np.ones(grid.num_cells))
@@ -301,18 +287,15 @@ def frozen_jacobian(spec, grid, dt, scale=1.0):
 # ---------------------------------------------------------------------------
 
 class JacobianEngine:
-    """Owns the iteration-matrix strategy and the factorizations it holds.
+    """Owns the iteration-matrix strategy and the frozen factorizations.
 
-    ``fresh-jacobian``: assemble the pseudo-Jacobian at every iterate and
-    factorize each distinct matrix at most once per implicit scale
-    ``step_dt``.  Per scale the engine holds one factorized matrix: in 2D
-    the frozen one, in 1D the last one it factorized.  When the assembled
-    matrix's data equal the held matrix's (they share the grid's pattern),
-    the held LU solves directly.  Otherwise, in 1D the new matrix is
-    factorized and replaces the held one; in 2D GMRES preconditioned with
-    the frozen factorization solves it, and no second 2D factorization is
-    kept.  ``frozen-jacobian``: always iterate with the frozen
-    constant-coefficient factorization.
+    ``fresh-jacobian``: assemble the pseudo-Jacobian at every iterate.  In
+    1D factorize it and solve directly.  In 2D, when its data equal the
+    frozen matrix's for this implicit scale ``step_dt`` (they share the
+    grid's pattern), solve with the frozen LU; otherwise solve by GMRES
+    preconditioned with the frozen factorization.  No second 2D
+    factorization is kept.  ``frozen-jacobian``: always iterate with the
+    frozen constant-coefficient factorization.
     """
 
     def __init__(self, spec, grid, mode="fresh-jacobian"):
@@ -323,7 +306,6 @@ class JacobianEngine:
         self.grid = grid
         self.mode = mode
         self._frozen = {}
-        self._held = {}
 
     def frozen(self, step_dt):
         key = float(step_dt)
@@ -335,19 +317,18 @@ class JacobianEngine:
         """Solve ``J delta = -residual`` for the current iterate."""
         rhs = -np.ravel(residual)
         if self.mode == "frozen-jacobian":
-            return self.frozen(step_dt).solve(rhs).reshape(self.grid.shape)
-        key = float(step_dt)
-        jac = assemble_pseudo_jacobian(state, self.spec, self.grid,
-                                       step_dt, t=stage_time)
-        held = self.frozen(key) if self.grid.dim == 2 else self._held.get(key)
-        if held is not None and np.array_equal(jac.matrix.data,
-                                               held.matrix.data):
-            delta = held.solve(rhs)
-        elif self.grid.dim == 1:
-            delta = jac.solve(rhs)
-            self._held[key] = jac
+            delta = self.frozen(step_dt).solve(rhs)
         else:
-            delta = jac.solve(rhs, preconditioner=held)
+            jac = assemble_pseudo_jacobian(state, self.spec, self.grid,
+                                           step_dt, t=stage_time)
+            if self.grid.dim == 1:
+                delta = jac.solve(rhs)
+            else:
+                frozen = self.frozen(step_dt)
+                if np.array_equal(jac.matrix.data, frozen.matrix.data):
+                    delta = frozen.solve(rhs)
+                else:
+                    delta = jac.solve(rhs, preconditioner=frozen)
         return delta.reshape(self.grid.shape)
 
 
