@@ -35,6 +35,7 @@ kernels between face and cell arrays are one loop over grid axes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,30 +62,29 @@ def face_array_shapes(grid):
     return tuple(shapes)
 
 
+@functools.lru_cache(maxsize=16)
 def face_coordinates(grid, axis):
-    """Face-midpoint coordinates ``(X, Y)`` broadcastable to the face-array
-    shape of ``axis`` (``Y`` is 0.0 in 1D)."""
-    if grid.dim == 1:
-        return grid.axis_faces(0), 0.0
-    if axis == 0:
-        return grid.axis_faces(0)[None, :], grid.axis_centers(1)[:, None]
-    return grid.axis_centers(0)[None, :], grid.axis_faces(1)[:, None]
+    """Face-midpoint points ``(x, y)`` of ``axis``, broadcastable to its
+    face-array shape; computed once per grid and read-only."""
+    per_axis = [grid.axis_centers(k) for k in range(grid.dim)]
+    per_axis[axis] = grid.axis_faces(axis)
+    return grid.points(per_axis)
 
 
+@functools.lru_cache(maxsize=16)
 def adjacent_center_coordinates(grid, axis):
-    """Cell-center coordinates of the two cells adjacent to each face of
-    ``axis``, as ``((xa, ya), (xb, yb))`` broadcastable to the face-array
-    shape.  Periodic ghost cells get wrapped in-domain coordinates."""
+    """Cell-center points ``((xa, ya), (xb, yb))`` of the two cells
+    adjacent to each face of ``axis``, broadcastable to its face-array
+    shape; periodic ghost cells get wrapped in-domain coordinates.
+    Computed once per grid and read-only."""
     n = grid.cells_per_axis[axis]
     ext = grid.extended_axis_centers(axis, 1)
-    a, b = ext[: n + 1], ext[1:]
-    if grid.dim == 1:
-        return (a, 0.0), (b, 0.0)
-    if axis == 0:
-        yc = grid.axis_centers(1)[:, None]
-        return (a[None, :], yc), (b[None, :], yc)
-    xc = grid.axis_centers(0)[None, :]
-    return (xc, a[:, None]), (xc, b[:, None])
+    per_axis = [grid.axis_centers(k) for k in range(grid.dim)]
+    out = []
+    for centers in (ext[: n + 1], ext[1:]):
+        per_axis[axis] = centers
+        out.append(grid.points(per_axis))
+    return tuple(out)
 
 
 def adjacent_slices(grid, width, axis):

@@ -235,20 +235,11 @@ def snapshot(field_in, grid, path):
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    u = cell_values(field_in)
-    lines = []
-    if grid.dim == 1:
-        lines.append("x,u")
-        x = grid.axis_centers(0)
-        for i in range(grid.nx):
-            lines.append(f"{x[i]:.17g},{u[i]:.17g}")
-    else:
-        lines.append("x,y,u")
-        x = grid.axis_centers(0)
-        y = grid.axis_centers(1)
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                lines.append(f"{x[ix]:.17g},{y[iy]:.17g},{u[iy, ix]:.17g}")
+    points = grid.center_mesh()[:grid.dim]
+    columns = [np.broadcast_to(c, grid.shape).ravel()
+               for c in points + (cell_values(field_in),)]
+    lines = [",".join("xy"[:grid.dim]) + ",u"]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

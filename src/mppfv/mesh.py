@@ -12,15 +12,22 @@ one before it (``values[iy, ix]``, row-major with x fastest), and
 between face and cell arrays are one loop over grid axes and meet the
 convention only through :func:`axis_index` (and the index tuples ``LOW``,
 ``HIGH``, ``FIRST``, ``LAST`` built from it once), :func:`sides` and
-:func:`fluxes.adjacent_cells`.  Beyond these, only the calls that hand an
-array axis to NumPy or index a shape write ``-1 - axis``: the ghost layers
-of :func:`ghost_fill`, :func:`fluxes.adjacent_slices`,
+:func:`fluxes.adjacent_cells`.  Points meet it only through
+:meth:`StructuredGrid.points`, which turns one coordinate array per grid
+axis into the ``(x, y)`` pair that problem callbacks take, broadcastable
+to the cell or face array (``y`` is 0.0 in 1D); every producer of points
+(cell centers, face midpoints, the cells beside a face, quadrature
+nodes, snapshots) goes through it.  Beyond these, only the calls that
+hand an array axis to NumPy or index a shape write ``-1 - axis``: the
+ghost layers of :func:`ghost_fill`, the seam layers of
+:func:`fluxes.adjacent_cells`, :func:`fluxes.adjacent_slices`,
 :func:`fluxes.face_array_shapes` and the per-axis transposes of the WENO
 face values and :func:`metrics.cell_center_values`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,11 +133,10 @@ class StructuredGrid:
         return vol
 
     def face_area(self, axis):
-        """|S_ij| of a face with normal along ``axis``: 1 in 1D, the
-        transverse spacing in 2D."""
-        if self.dim == 1:
-            return 1.0
-        return self.spacing[1 - axis]
+        """|S_ij| of a face with normal along ``axis``: the product of the
+        other axes' spacings (1 in 1D)."""
+        return math.prod((h for k, h in enumerate(self.spacing) if k != axis),
+                         start=1.0)
 
     def axis_centers(self, axis):
         """Cell-center coordinates along one axis (length ``cells_per_axis[axis]``)."""
@@ -144,32 +150,32 @@ class StructuredGrid:
         h = self.spacing[axis]
         return lo + h * np.arange(self.cells_per_axis[axis] + 1)
 
+    def points(self, per_axis):
+        """The ``(x, y)`` pair that problem callbacks take, from one
+        coordinate array per grid axis: array ``k`` becomes a read-only
+        view along array axis ``-1-k``, so the pair broadcasts to a cell or
+        face array; ``y`` is 0.0 in 1D."""
+        coords = tuple(np.reshape(c, (-1,) + (1,) * k)
+                       for k, c in enumerate(per_axis))
+        for c in coords:
+            c.setflags(write=False)
+        return coords + (0.0,) * (2 - self.dim)
+
     def center_mesh(self):
-        """Cell-center coordinate arrays shaped like a field.
+        """Cell-center points ``(x, y)``, broadcastable to the cell shape."""
+        return self.points([self.axis_centers(k) for k in range(self.dim)])
 
-        Returns ``(X,)`` in 1D or ``(X, Y)`` in 2D with ``X[iy, ix]`` etc.
-        """
-        if self.dim == 1:
-            return (self.axis_centers(0),)
-        X, Y = np.meshgrid(self.axis_centers(0), self.axis_centers(1), indexing="xy")
-        return (X, Y)
-
-    def extended_axis_centers(self, axis, width, wrap_periodic=True):
+    def extended_axis_centers(self, axis, width):
         """Cell-center coordinates along ``axis`` including ``width`` ghost
-        layers per side.
-
-        For a periodic axis with ``wrap_periodic`` the ghost coordinates are
-        the wrapped in-domain centers (the coordinates at which coefficient
-        functions must be evaluated so that wrap faces see consistent data);
-        otherwise ghosts get their true out-of-domain positions.
-        """
+        layers per side.  On a periodic axis the ghosts get the wrapped
+        in-domain centers, where coefficient functions must be evaluated so
+        that wrap faces see consistent data; on a Dirichlet axis, their
+        true out-of-domain positions."""
         n = self.cells_per_axis[axis]
-        lo = self.domain_lo[axis]
-        h = self.spacing[axis]
         idx = np.arange(-width, n + width)
-        if self.boundary[axis] == PERIODIC and wrap_periodic:
+        if self.boundary[axis] == PERIODIC:
             idx = idx % n
-        return lo + h * (idx + 0.5)
+        return self.domain_lo[axis] + self.spacing[axis] * (idx + 0.5)
 
 
 @dataclass

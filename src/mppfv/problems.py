@@ -11,13 +11,16 @@ on a box, with periodic or constant-Dirichlet boundaries.  A
 eight named benchmark constructors (four 1D, four 2D).
 
 All evaluation callbacks are vectorized over numpy arrays and share the
-signature convention ``(u, x, y, t)`` (``y`` is passed as 0.0 for 1D
-problems); flux-like callbacks additionally take the axis as the first
-argument.
+signature convention ``(u, x, y, t)``; flux-like callbacks additionally
+take the axis as the first argument.  The points ``(x, y)`` come from
+:meth:`mesh.StructuredGrid.points`: arrays that broadcast to the cell or
+face array they describe (not full meshes), with ``y = 0.0`` in 1D.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,21 +110,32 @@ def _constant_wave_speed(value):
     return policy
 
 
-def _zero_diffusion(u, x, y):
-    return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(x)))
+def _constant(value):
+    """The coefficient callback ``(u, x, y) -> value`` (diffusion or its
+    derivative), shaped like ``u`` and ``x`` broadcast together."""
+    def coefficient(u, x, y):
+        return np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), value)
+
+    return coefficient
 
 
-def _zero_scalar(u, x, y):
-    return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(x)))
+def _transport(velocity):
+    """``flux`` and ``flux_derivative`` of linear transport ``f = v u`` by
+    the velocity field ``velocity(axis, x, y, t)``, as keyword arguments of
+    :class:`ProblemSpec`."""
+    def flux(axis, u, x, y, t):
+        return velocity(axis, x, y, t) * np.asarray(u, dtype=float)
+
+    def flux_derivative(axis, u, x, y, t):
+        return velocity(axis, x, y, t) * np.ones(np.shape(u))
+
+    return dict(flux=flux, flux_derivative=flux_derivative)
 
 
 def make_grid(spec, nx, ny=None):
     """Build the :class:`StructuredGrid` matching a problem's domain."""
-    if spec.dim == 1:
-        return StructuredGrid(1, (int(nx),), spec.domain_lo, spec.domain_hi,
-                              spec.boundary)
-    ny = int(nx) if ny is None else int(ny)
-    return StructuredGrid(2, (int(nx), ny), spec.domain_lo, spec.domain_hi,
+    cells = (int(nx), int(nx) if ny is None else int(ny))[:spec.dim]
+    return StructuredGrid(spec.dim, cells, spec.domain_lo, spec.domain_hi,
                           spec.boundary)
 
 
@@ -149,10 +163,9 @@ def linear_advdiff_1d(epsilon):
         domain_hi=(2.0 * np.pi,),
         boundary=(PERIODIC,),
         dirichlet_values=(None,),
-        flux=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
-        flux_derivative=lambda axis, u, x, y, t: np.ones(np.shape(u)),
-        diffusion=lambda u, x, y: np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), eps),
-        diffusion_derivative=_zero_scalar,
+        **_transport(lambda axis, x, y, t: 1.0),
+        diffusion=_constant(eps),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=_constant_wave_speed(1.0),
         initial_condition=lambda x, y: exact(x, y, 0.0),
         global_min=0.0,
@@ -183,8 +196,8 @@ def burgers_1d():
         dirichlet_values=(None,),
         flux=lambda axis, u, x, y, t: 0.5 * np.asarray(u, dtype=float) ** 2,
         flux_derivative=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
-        diffusion=lambda u, x, y: np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), eps),
-        diffusion_derivative=_zero_scalar,
+        diffusion=_constant(eps),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=wave_speed,
         initial_condition=lambda x, y: np.where(np.abs(x) < 0.5, 2.0, 0.0),
         global_min=0.0,
@@ -260,11 +273,9 @@ def steady_gaussian_1d():
         domain_hi=(1.0,),
         boundary=(DIRICHLET,),
         dirichlet_values=((0.0, 0.0),),
-        flux=lambda axis, u, x, y, t: -drift * np.asarray(x, dtype=float) * u,
-        flux_derivative=lambda axis, u, x, y, t: -drift * np.asarray(x, dtype=float)
-        * np.ones(np.shape(u)),
-        diffusion=lambda u, x, y: np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), eps),
-        diffusion_derivative=_zero_scalar,
+        **_transport(lambda axis, x, y, t: -drift * np.asarray(x, dtype=float)),
+        diffusion=_constant(eps),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=_constant_wave_speed(1.0),
         initial_condition=lambda x, y: np.sqrt(2.0 * np.pi) * 0.1
         * np.sin(2.0 * np.pi * x) ** 2,
@@ -304,15 +315,10 @@ def solid_rotation_2d():
     revolution per unit time; bounds [0, 1], wave-speed bound pi, final
     time 1."""
 
-    def flux(axis, u, x, y, t):
+    def velocity(axis, x, y, t):
         if axis == 0:
-            return 2.0 * np.pi * (0.5 - np.asarray(y, dtype=float)) * u
-        return 2.0 * np.pi * (np.asarray(x, dtype=float) - 0.5) * u
-
-    def flux_derivative(axis, u, x, y, t):
-        if axis == 0:
-            return 2.0 * np.pi * (0.5 - np.asarray(y, dtype=float)) * np.ones(np.shape(u))
-        return 2.0 * np.pi * (np.asarray(x, dtype=float) - 0.5) * np.ones(np.shape(u))
+            return 2.0 * np.pi * (0.5 - np.asarray(y, dtype=float))
+        return 2.0 * np.pi * (np.asarray(x, dtype=float) - 0.5)
 
     def exact(x, y, t):
         # The profile rotates rigidly: trace each point back by angle 2*pi*t.
@@ -330,10 +336,9 @@ def solid_rotation_2d():
         domain_hi=(1.0, 1.0),
         boundary=(PERIODIC, PERIODIC),
         dirichlet_values=(None, None),
-        flux=flux,
-        flux_derivative=flux_derivative,
-        diffusion=_zero_diffusion,
-        diffusion_derivative=_zero_scalar,
+        **_transport(velocity),
+        diffusion=_constant(0.0),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=_constant_wave_speed(np.pi),
         initial_condition=three_body_initial_condition,
         global_min=0.0,
@@ -352,23 +357,13 @@ def swirling_vortex_2d(T=1.5):
         raise ValueError("vortex period T must be positive")
     T = float(T)
 
-    def flux(axis, u, x, y, t):
+    def velocity(axis, x, y, t):
         g = np.cos(np.pi * t / T)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if axis == 0:
-            return np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y) * g * u
-        return -np.sin(np.pi * y) ** 2 * np.sin(2.0 * np.pi * x) * g * u
-
-    def flux_derivative(axis, u, x, y, t):
-        g = np.cos(np.pi * t / T)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if axis == 0:
-            vel = np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y) * g
-        else:
-            vel = -np.sin(np.pi * y) ** 2 * np.sin(2.0 * np.pi * x) * g
-        return vel * np.ones(np.shape(u))
+            return np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y) * g
+        return -np.sin(np.pi * y) ** 2 * np.sin(2.0 * np.pi * x) * g
 
     return ProblemSpec(
         name="vortex2d",
@@ -377,10 +372,9 @@ def swirling_vortex_2d(T=1.5):
         domain_hi=(1.0, 1.0),
         boundary=(PERIODIC, PERIODIC),
         dirichlet_values=(None, None),
-        flux=flux,
-        flux_derivative=flux_derivative,
-        diffusion=_zero_diffusion,
-        diffusion_derivative=_zero_scalar,
+        **_transport(velocity),
+        diffusion=_constant(0.0),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=_constant_wave_speed(1.0),
         initial_condition=three_body_initial_condition,
         global_min=0.0,
@@ -411,10 +405,9 @@ def linear_advdiff_2d(epsilon):
         domain_hi=(2.0 * np.pi, 2.0 * np.pi),
         boundary=(PERIODIC, PERIODIC),
         dirichlet_values=(None, None),
-        flux=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
-        flux_derivative=lambda axis, u, x, y, t: np.ones(np.shape(u)),
-        diffusion=lambda u, x, y: np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), eps),
-        diffusion_derivative=_zero_scalar,
+        **_transport(lambda axis, x, y, t: 1.0),
+        diffusion=_constant(eps),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=_constant_wave_speed(1.0),
         initial_condition=lambda x, y: exact(x, y, 0.0),
         global_min=0.0,
@@ -450,8 +443,8 @@ def kpp_2d(epsilon):
         dirichlet_values=(None, None),
         flux=flux,
         flux_derivative=flux_derivative,
-        diffusion=lambda u, x, y: np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), eps),
-        diffusion_derivative=_zero_scalar,
+        diffusion=_constant(eps),
+        diffusion_derivative=_constant(0.0),
         wave_speed_bound=_constant_wave_speed(1.0),
         initial_condition=lambda x, y: np.where(np.sqrt(x ** 2 + y ** 2) <= 1.0,
                                                 14.0 * np.pi / 4.0, np.pi / 4.0),
@@ -476,11 +469,7 @@ def evaluate_exact(spec, grid, t):
     """
     if spec.exact_solution is None:
         raise ValueError(f"problem {spec.name!r} has no exact solution")
-    if grid.dim == 1:
-        x = grid.axis_centers(0)
-        return CellField(grid, spec.exact_solution(x, 0.0, t))
-    X, Y = grid.center_mesh()
-    return CellField(grid, spec.exact_solution(X, Y, t))
+    return CellField(grid, spec.exact_solution(*grid.center_mesh(), t))
 
 
 #: 5-point Gauss-Legendre rule on [-1/2, 1/2] (exact through degree 9).
@@ -492,20 +481,16 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 def initial_cell_averages(spec, grid):
     """Project the pointwise initial condition to cell averages with a
     per-axis 5-point Gauss-Legendre rule (positive weights, so averages stay
-    inside the global bounds whenever the pointwise data does)."""
-    if grid.dim == 1:
-        x = grid.axis_centers(0)
-        h = grid.spacing[0]
-        vals = np.zeros(grid.shape)
-        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
-            vals += w * spec.initial_condition(x + node * h, 0.0)
-        return CellField(grid, vals)
-    X, Y = grid.center_mesh()
-    hx, hy = grid.spacing
+    inside the global bounds whenever the pointwise data does).  The terms
+    of the tensor rule are summed with the x node outermost."""
+    centers = [grid.axis_centers(k) for k in range(grid.dim)]
     vals = np.zeros(grid.shape)
-    for nx_, wx in zip(_GL_NODES, _GL_WEIGHTS):
-        for ny_, wy in zip(_GL_NODES, _GL_WEIGHTS):
-            vals += wx * wy * spec.initial_condition(X + nx_ * hx, Y + ny_ * hy)
+    for nodes in itertools.product(zip(_GL_NODES, _GL_WEIGHTS),
+                                   repeat=grid.dim):
+        weight = math.prod(w for _, w in nodes)
+        per_axis = [c + node * h
+                    for c, (node, _), h in zip(centers, nodes, grid.spacing)]
+        vals += weight * spec.initial_condition(*grid.points(per_axis))
     return CellField(grid, vals)
 
 

@@ -8,10 +8,14 @@ library's per-axis face arrays is :func:`face_entry`, which reads a single
 entry at a record.  Tests hold the library's whole-array kernels against
 these walks.
 
-One oracle is of another kind: :func:`coo_pseudo_jacobian` assembles the
-pseudo-Jacobian from the library's per-face derivatives through a COO
-matrix, the assembly that :mod:`mppfv.solvers` replaced by a cached
-sparsity pattern; the tests hold the two bitwise equal.
+Two oracles are of another kind, each an assembly the library replaced
+and the tests hold bitwise equal to it: :func:`coo_pseudo_jacobian`
+assembles the pseudo-Jacobian from the library's per-face derivatives
+through a COO matrix, where :mod:`mppfv.solvers` uses a cached sparsity
+pattern; :func:`nested_loop_cell_averages` projects the initial data with
+one quadrature loop per dimension on full coordinate meshes, where
+:func:`mppfv.problems.initial_cell_averages` runs one loop over broadcast
+points.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from mppfv.mesh import PERIODIC, ghost_fill
-from mppfv.problems import LAMBDA_FLOOR
+from mppfv.problems import _GL_NODES, _GL_WEIGHTS, LAMBDA_FLOOR
 from mppfv.solvers import _axis_flux_derivatives, _face_adjacent_ids
 
 
@@ -302,3 +306,28 @@ def coo_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
                       shape=(N, N)).tocsr()
     A.sum_duplicates()
     return A
+
+
+# ---------------------------------------------------------------------------
+# Cell averages, one quadrature loop per dimension
+# ---------------------------------------------------------------------------
+
+def nested_loop_cell_averages(spec, grid):
+    """Cell averages of the initial data by the per-axis 5-point
+    Gauss-Legendre rule: a loop over the x nodes in 1D; in 2D, nested loops
+    (x outer) on ``np.meshgrid`` arrays, the weights multiplied x first."""
+    vals = np.zeros(grid.shape)
+    if grid.dim == 1:
+        x = grid.axis_centers(0)
+        h = grid.spacing[0]
+        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
+            vals += w * spec.initial_condition(x + node * h, 0.0)
+        return vals
+    X, Y = np.meshgrid(grid.axis_centers(0), grid.axis_centers(1),
+                       indexing="xy")
+    hx, hy = grid.spacing
+    for nx_, wx in zip(_GL_NODES, _GL_WEIGHTS):
+        for ny_, wy in zip(_GL_NODES, _GL_WEIGHTS):
+            vals += wx * wy * spec.initial_condition(X + nx_ * hx,
+                                                     Y + ny_ * hy)
+    return vals

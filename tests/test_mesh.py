@@ -6,10 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
+from mppfv.fluxes import (adjacent_center_coordinates, face_array_shapes,
+                          face_coordinates)
 from mppfv.mesh import (DIRICHLET, PERIODIC, CellField, StructuredGrid,
                         ghost_fill)
 
-from oracles import faces
+from oracles import face_entry, face_xy, faces
 
 
 def grid_1d(n=8, boundary=PERIODIC, lo=0.0, hi=1.0):
@@ -116,6 +118,63 @@ class TestFaceEnumeration:
         g = grid_2d(4, 10)
         for r in faces(g):
             assert r.spacing == pytest.approx(g.spacing[r.axis])
+
+
+POINT_GRIDS = [grid_1d(), grid_1d(boundary=DIRICHLET),
+               grid_2d(4, 3, bx=DIRICHLET, by=PERIODIC), grid_2d(5, 6)]
+
+
+class TestPoints:
+    def test_arrays_lie_along_reversed_array_axes(self):
+        g = grid_2d(4, 3)
+        x, y = g.points([np.arange(4.0), np.arange(3.0)])
+        assert (x.shape, y.shape) == ((4,), (3, 1))
+        assert np.broadcast_shapes(x.shape, y.shape) == g.shape
+        x, y = grid_1d(5).points([np.arange(5.0)])
+        assert x.shape == (5,) and y == 0.0
+
+    @pytest.mark.parametrize("g", POINT_GRIDS)
+    def test_points_broadcast_to_cell_and_face_shapes(self, g):
+        for c in g.center_mesh():
+            assert np.broadcast_shapes(np.shape(c), g.shape) == g.shape
+        for axis, shape in enumerate(face_array_shapes(g)):
+            sides = adjacent_center_coordinates(g, axis)
+            for c in face_coordinates(g, axis) + sides[0] + sides[1]:
+                assert np.broadcast_shapes(np.shape(c), shape) == shape
+
+    @pytest.mark.parametrize("g", POINT_GRIDS)
+    def test_face_points_are_the_face_midpoints(self, g):
+        shapes = face_array_shapes(g)
+        for k in range(2):
+            coords = [np.broadcast_to(face_coordinates(g, axis)[k], shape)
+                      for axis, shape in enumerate(shapes)]
+            for r in faces(g):
+                assert face_entry(coords, g, r) == face_xy(r)[k]
+
+    @pytest.mark.parametrize("g", POINT_GRIDS)
+    def test_cached_points_are_shared_and_read_only(self, g):
+        for axis in range(g.dim):
+            points = face_coordinates(g, axis)
+            sides = adjacent_center_coordinates(g, axis)
+            assert face_coordinates(g, axis) is points
+            assert adjacent_center_coordinates(g, axis) is sides
+            arrays = [c for c in points + sides[0] + sides[1]
+                      if isinstance(c, np.ndarray)]
+            assert len(arrays) == 3 * g.dim
+            for c in arrays:
+                assert not c.flags.writeable
+                with pytest.raises(ValueError):
+                    c[...] = 0.0
+
+    def test_periodic_neighbours_of_the_seam_wrap(self):
+        g = grid_1d(8)
+        (xa, _), (xb, _) = adjacent_center_coordinates(g, 0)
+        centers = g.axis_centers(0)
+        assert xa[0] == centers[-1] and xb[-1] == centers[0]
+        assert np.array_equal(xa[1:], centers) and np.array_equal(xb[:-1], centers)
+        (xa, _), (xb, _) = adjacent_center_coordinates(
+            grid_1d(8, boundary=DIRICHLET), 0)
+        assert xa[0] < 0.0 and xb[-1] > 1.0
 
 
 class TestGhostFill:

@@ -16,8 +16,13 @@ The matrix: problem (burgers1d nx=30 t=0.06, rotation2d 12^2 for two
 steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
 solver mode x ``limit_stages`` x ``fct_iters`` in {1, 2} (fct only) x
 ``gamma`` in {0, 1} (gmc only), ``stage_delta`` on; 120 configurations per
-dt factor, run at dt factors 0.5 and 5.  Result files are pickles: compare
-only files this script wrote.
+dt factor.  Then the whole catalogue: each of the 8 built-in problems (1D
+nx=30, 2D 12^2, epsilon=0.01 where the problem takes one) for two steps
+with sdirk5+gmc and iex2+fct in fresh-jacobian mode, 16 more
+configurations per dt factor but for those already in the matrix
+(rotation2d sdirk5+gmc at dt factor 0.5).  Both run at dt factors 0.5
+and 5.  Result files are pickles:
+compare only files this script wrote.
 
 Compare two trees::
 
@@ -41,6 +46,8 @@ PROBLEMS = {"burgers1d": dict(nx=30, t_final=0.06),
             "rotation2d": dict(nx=12),
             "bl1d": dict(nx=40, t_final=0.1)}
 SCHEMES = ("be", "sdirk5", "iex2", "iex4")
+CATALOGUE_SIZES = {1: 30, 2: 12}
+CATALOGUE_SCHEMES = (("sdirk5", "gmc"), ("iex2", "fct"))
 
 
 def configurations(dt_factor):
@@ -71,6 +78,26 @@ def configurations(dt_factor):
                                 fct_iters=fct_iters, gamma=gamma,
                                 dt_factor=dt_factor, stage_delta=True,
                                 **size))
+    return out + [c for c in _catalogue(dt_factor) if c not in out]
+
+
+def _catalogue(dt_factor):
+    """Every built-in problem for two steps, fresh-jacobian mode."""
+    from mppfv.harness import _EPSILON_PROBLEMS, RunConfig, build_problem
+    from mppfv.problems import BUILTIN_PROBLEMS, make_grid
+
+    out = []
+    for problem in BUILTIN_PROBLEMS:
+        spec = build_problem(RunConfig(problem=problem))
+        nx = CATALOGUE_SIZES[spec.dim]
+        dt = dt_factor * min(make_grid(spec, nx).spacing)
+        extra = dict(epsilon=0.01) if problem in _EPSILON_PROBLEMS else {}
+        for scheme, limiter in CATALOGUE_SCHEMES:
+            out.append(dict(problem=problem, scheme=scheme, limiter=limiter,
+                            solver="fresh-jacobian", limit_stages=False,
+                            fct_iters=1, gamma=0.0, dt_factor=dt_factor,
+                            stage_delta=True, nx=nx, t_final=2.0 * dt,
+                            **extra))
     return out
 
 
@@ -122,6 +149,8 @@ def _name(key):
         name += f" fct_iters={c['fct_iters']}"
     if c["limiter"] == "gmc":
         name += f" gamma={c['gamma']:g}"
+    if "epsilon" in c:
+        name += f" epsilon={c['epsilon']:g}"
     return name
 
 
