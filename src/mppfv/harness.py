@@ -152,10 +152,11 @@ def _make_stepper(config, spec, grid):
     The realized flux satisfies the discrete balance
     ``u_new = u - dt * div(flux)`` up to solver tolerance (exactly, for the
     paths that reconstruct the state from the flux), so accumulating its
-    boundary contribution gives the flux-corrected mass audit.
+    boundary contribution gives the flux-corrected mass audit.  One
+    :class:`JacobianEngine` serves every implicit solve of the run, so each
+    frozen matrix is factorized once.
     """
-    mode = config.solver
-    engine = JacobianEngine(spec, grid, mode)
+    engine = JacobianEngine(spec, grid, config.solver)
 
     if config.scheme == "be":
         def step(u, t, dt):
@@ -176,7 +177,7 @@ def _make_stepper(config, spec, grid):
 
     if config.scheme == "sdirk5":
         tableau = sdirk5_tableau()
-        stage_solver = make_stage_solver(spec, grid, mode)
+        stage_solver = make_stage_solver(engine)
         limit_stage = None
         if config.limit_stages:
             # Stage references of a DIRK tableau with negative coefficients
@@ -195,7 +196,7 @@ def _make_stepper(config, spec, grid):
             substep = make_semidiscrete_gmc_substep_solver(spec, grid,
                                                            config.gamma)
         else:
-            substep = make_high_order_substep_solver(spec, grid, mode)
+            substep = make_high_order_substep_solver(engine)
 
         def propose(u, t, dt):
             return iex_step(u, p, spec, grid, substep, dt, t=t)

@@ -392,15 +392,16 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
     return CellField(grid, u0 - dt * flux.divergence()), flux, report
 
 
-def make_stage_solver(spec, grid, mode="fresh-jacobian"):
-    """Stage-solver callable for :func:`time_integration.dirk_step`, sharing
-    one frozen factorization cache across all stages and steps.
+def make_stage_solver(engine):
+    """Stage-solver callable for :func:`time_integration.dirk_step` on the
+    engine's problem and grid, sharing the engine's frozen factorizations
+    across all stages and steps.
 
     ``solver(reference, step_dt, stage_time, guess)`` solves
     ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0`` and returns
     ``(y, G^H(y), SolverReport)``; it raises on non-convergence.
     """
-    engine = JacobianEngine(spec, grid, mode)
+    spec, grid = engine.spec, engine.grid
 
     def solver(reference, step_dt, stage_time, guess):
         return _quasi_newton(
@@ -412,15 +413,15 @@ def make_stage_solver(spec, grid, mode="fresh-jacobian"):
     return solver
 
 
-def make_high_order_substep_solver(spec, grid, mode="fresh-jacobian"):
+def make_high_order_substep_solver(engine):
     """Backward-Euler substep solver (unlimited high-order flux) for
-    :func:`time_integration.iex_step`.
+    :func:`time_integration.iex_step` on the engine's problem and grid.
 
     The returned state is recomputed from the realized flux,
     ``out = in - (sub_dt/|K|) sum |S| G^H(y)``, so chaining substeps
     conserves mass exactly.
     """
-    engine = JacobianEngine(spec, grid, mode)
+    spec, grid = engine.spec, engine.grid
 
     def substep(u_prev, sub_dt, sub_time):
         u_prev = np.asarray(u_prev, dtype=float)

@@ -225,7 +225,7 @@ class TestFactorizationReuse:
     twice; in 1D it factorizes every assembled matrix.  Counted on whole
     runs: ``splu`` calls are factorizations, ``gmres`` calls are Krylov
     solves, and the ``scale`` arguments of the assemblies are the implicit
-    scales (each engine of these runs sees its own)."""
+    scales (one engine serves every solve of a run)."""
 
     @staticmethod
     def count(**kwargs):
@@ -439,7 +439,7 @@ class TestNewtonStage:
         spec, grid = make_linear_advection_1d(velocity=1.0, diffusion=0.005,
                                               n=24, wave_speed=1.0)
         u0 = spec.initial_condition(grid.axis_centers(0), 0.0)
-        solver = make_stage_solver(spec, grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         y, flux, report = solver(u0, 0.278 * 0.01, 0.0, u0)
         assert report.converged
         assert report.residual <= report.tolerance

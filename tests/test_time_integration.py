@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from mppfv.mesh import CellField
-from mppfv.solvers import (NonConvergenceError, SolverReport,
-                           make_high_order_substep_solver, make_stage_solver)
+from mppfv.solvers import (JacobianEngine, NonConvergenceError,
+                           SolverReport, make_high_order_substep_solver,
+                           make_stage_solver)
 from mppfv.time_integration import (ButcherTableau, StageSet,
                                     backward_euler_tableau, check_ssp_stages,
                                     dirk_step, iex_step, iex_tableau,
@@ -190,7 +191,7 @@ def advdiff_setup():
 class TestDirkStep:
     def test_update_is_flux_divergence_identity(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        solver = make_stage_solver(spec, grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         u1, total, stages = dirk_step(u0, sdirk5_tableau(), spec, grid,
                                       solver, dt=0.01)
         assert isinstance(stages, StageSet)
@@ -199,13 +200,13 @@ class TestDirkStep:
 
     def test_mass_conserved_on_periodic_grid(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        solver = make_stage_solver(spec, grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         u1, _, _ = dirk_step(u0, sdirk5_tableau(), spec, grid, solver, dt=0.02)
         assert np.sum(u1.values) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_single_stage_tableau_equals_one_solve(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        solver = make_stage_solver(spec, grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         u1, _, _ = dirk_step(u0, backward_euler_tableau(), spec, grid,
                              solver, dt=0.01)
         y, flux, report = solver(u0, 0.01, 0.01, u0)
@@ -219,7 +220,7 @@ class TestDirkStep:
     def test_explicit_stage_skips_solver(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
         calls = []
-        inner = make_stage_solver(spec, grid)
+        inner = make_stage_solver(JacobianEngine(spec, grid))
 
         def counting(reference, step_dt, stage_time, guess):
             calls.append(step_dt)
@@ -236,8 +237,8 @@ class TestDirkStep:
         kept = u0.copy()
         tab = ButcherTableau(A=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
                              c=[0.0, 1.0], order=2)
-        _, _, stages = dirk_step(u0, tab, spec, grid,
-                                 make_stage_solver(spec, grid), dt=0.01)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
+        _, _, stages = dirk_step(u0, tab, spec, grid, solver, dt=0.01)
         first = stages.stages[0].values
         assert np.array_equal(first, kept)  # the explicit stage is u^n
         first[0] = 99.0
@@ -245,7 +246,7 @@ class TestDirkStep:
 
     def test_nonpositive_dt_rejected(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        solver = make_stage_solver(spec, grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         with pytest.raises(ValueError):
             dirk_step(u0, sdirk5_tableau(), spec, grid, solver, dt=0.0)
 
@@ -263,7 +264,7 @@ class TestDirkStep:
 
     def test_accepts_cell_field_input(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        solver = make_stage_solver(spec, grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         a, _, _ = dirk_step(CellField(grid, u0), sdirk5_tableau(), spec,
                             grid, solver, dt=0.01)
         b, _, _ = dirk_step(u0, sdirk5_tableau(), spec, grid, solver, dt=0.01)
@@ -273,14 +274,14 @@ class TestDirkStep:
 class TestExtrapolationStep:
     def test_first_order_step_is_one_implicit_euler_substep(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(spec, grid)
+        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
         got, _, _ = iex_step(u0, 1, spec, grid, substep, dt=0.01)
         want, _ = substep(u0, 0.01, 0.01)
         assert np.array_equal(got.values, want)
 
     def test_chain_states_and_flux_details(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(spec, grid)
+        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
         p = 4
         u1, flux, chains = iex_step(u0, p, spec, grid, substep, dt=0.01)
         assert len(chains) == p * (p + 1) // 2
@@ -290,7 +291,7 @@ class TestExtrapolationStep:
         # The Aitken-Neville recurrence must reproduce the closed-form
         # weighted combination of the per-chain backward-Euler results.
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(spec, grid)
+        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
         p = 3
         u1, _, chains = iex_step(u0, p, spec, grid, substep, dt=0.01)
         finals = []
@@ -305,13 +306,13 @@ class TestExtrapolationStep:
 
     def test_mass_conserved(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(spec, grid)
+        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
         u1, _, _ = iex_step(u0, 4, spec, grid, substep, dt=0.02)
         assert np.sum(u1.values) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_validation(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(spec, grid)
+        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
         with pytest.raises(ValueError):
             iex_step(u0, 0, spec, grid, substep, dt=0.01)
         with pytest.raises(ValueError):
@@ -321,7 +322,7 @@ class TestExtrapolationStep:
         # One coarse step with p=4 should land far closer to a heavily
         # substepped reference than the p=1 step does.
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(spec, grid)
+        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
         dt = 0.05
         ref = u0.copy()
         m = 200
