@@ -5,7 +5,9 @@ chosen time integrator and flux limiter, recording bound violations, the
 L1 error against the exact solution (when one exists), and a flux-corrected
 mass audit.  Steps use ``dt = dt_factor * min(dx, dy)`` except that the
 step landing on a snapshot time or on the final time is clipped so the
-accumulated time hits it exactly (to roundoff).
+accumulated time hits it exactly (to roundoff).  A clip that would change
+dt by no more than the time tolerance ``t_end * TIME_RTOL`` is not made,
+so roundoff gives the implicit solves no new scale.
 
 Each step is a *proposal* followed by a *limiter*:
 
@@ -302,7 +304,13 @@ def run(config):
         stops = [s for s in targets if s - t > t_end * TIME_RTOL]
         next_stop = stops[0] if stops else t_end
         remaining = next_stop - t
-        dt = dt_nominal if remaining > dt_nominal * (1.0 + 1e-9) else remaining
+        # A step that would differ from the nominal one only by roundoff
+        # keeps it, and with it the implicit scales of the solves.
+        if (remaining > dt_nominal * (1.0 + 1e-9)
+                or abs(remaining - dt_nominal) <= t_end * TIME_RTOL):
+            dt = dt_nominal
+        else:
+            dt = remaining
         steps += 1
         try:
             u, flux, stage_fields = step(u, t, dt)

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mppfv import harness
+from mppfv import harness, solvers
 from mppfv.harness import (RunConfig, _make_stepper, build_problem,
                            convergence_study, load_config_file, main,
                            read_snapshot, run, snapshot)
@@ -228,6 +229,44 @@ STEPPER_BRANCHES = {
     "iex2-gmc-gamma1": dict(scheme="iex2", limiter="gmc", gamma=1.0),
 }
 STEPPER_GOLDEN = Path(__file__).parent / "data" / "stepper_golden.npz"
+
+
+class TestRoundoffLastStep:
+    """A last step that differs from the nominal dt only by roundoff keeps
+    the nominal dt, so it meets no new implicit scale: one factorization per
+    scale (``splu`` calls; 2D fresh mode factorizes only the frozen
+    matrices), and the run still ends within ``TIME_RTOL`` of the final
+    time.  At each of these final times, clipping the last step would
+    change dt by an ulp or two."""
+
+    @pytest.mark.parametrize("kwargs, scales", [
+        (dict(problem="rotation2d", nx=12, scheme="sdirk5", limiter="gmc",
+              t_final=3 * 0.5 / 12), 1),
+        (dict(problem="linear1d", nx=30, scheme="sdirk5",
+              solver="frozen-jacobian", t_final=math.pi / 10), 1),
+        # The stage scale a_mm*dt and the low-order scale dt of the FCT.
+        (dict(problem="bl1d", nx=40, scheme="sdirk5", limiter="fct",
+              solver="frozen-jacobian", t_final=0.05), 2),
+    ], ids=["rotation2d", "linear1d", "bl1d"])
+    def test_one_factorization_per_scale(self, kwargs, scales, monkeypatch):
+        ends = []
+        make_stepper = harness._make_stepper
+
+        def recording_stepper(config, spec, grid):
+            step = make_stepper(config, spec, grid)
+
+            def recorded(u, t, dt):
+                ends.append(t + dt)
+                return step(u, t, dt)
+            return recorded
+
+        monkeypatch.setattr(harness, "_make_stepper", recording_stepper)
+        with mock.patch.object(solvers.spla, "splu",
+                               wraps=solvers.spla.splu) as splu:
+            run(RunConfig(**kwargs))
+        assert splu.call_count == scales
+        t_end = kwargs["t_final"]
+        assert abs(ends[-1] - t_end) <= t_end * harness.TIME_RTOL
 
 
 class TestBoundaryOutflow:
