@@ -21,8 +21,7 @@ nx=30, 2D 12^2, epsilon=0.01 where the problem takes one) for two steps
 with sdirk5+gmc and iex2+fct in fresh-jacobian mode, 16 more
 configurations per dt factor but for those already in the matrix
 (rotation2d sdirk5+gmc at dt factor 0.5).  Both run at dt factors 0.5
-and 5.  Result files are pickles:
-compare only files this script wrote.
+and 5.  Result files are pickles: compare only files this script wrote.
 
 Compare two trees::
 
