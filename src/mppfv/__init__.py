@@ -21,10 +21,10 @@ from .metrics import (RunDiagnostics, cell_center_values, compute_E1, eoc,
                       total_mass, update_delta)
 from .problems import (BUILTIN_PROBLEMS, ProblemSpec, evaluate_exact,
                        initial_cell_averages, make_grid)
-from .solvers import (SOLVER_MODES, JacobianEngine, NonConvergenceError,
-                      SolverReport, assemble_pseudo_jacobian,
-                      frozen_jacobian, make_high_order_substep_solver,
-                      make_stage_solver, newton_low_order)
+from .solvers import (JacobianEngine, NonConvergenceError, SolverReport,
+                      assemble_pseudo_jacobian, frozen_jacobian,
+                      make_high_order_substep_solver, make_stage_solver,
+                      newton_low_order)
 from .time_integration import (ButcherTableau, StageSet,
                                backward_euler_tableau, check_ssp_stages,
                                dirk_step, iex_step, iex_tableau,
@@ -36,7 +36,7 @@ __all__ = [
     "BUILTIN_PROBLEMS", "BarStateSet", "ButcherTableau", "CellField",
     "DIRICHLET", "FaceFluxSet", "GHOST_WIDTH",
     "JacobianEngine", "LIMITER_CHOICES", "NonConvergenceError", "PERIODIC",
-    "ProblemSpec", "RunConfig", "RunDiagnostics", "SOLVER_MODES",
+    "ProblemSpec", "RunConfig", "RunDiagnostics",
     "SolverReport", "StageSet", "StructuredGrid",
     "assemble_pseudo_jacobian", "backward_euler_tableau", "bar_states",
     "build_problem", "cell_center_values",

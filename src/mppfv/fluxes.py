@@ -137,9 +137,10 @@ class FaceFluxSet:
 
     Supports elementwise arithmetic (for flux differences and tableau-
     weighted aggregation) and cellwise divergence.  Construction checks
-    the shapes and finiteness of the arrays; arithmetic builds its result
-    with :func:`unchecked`, so the kernels that combine flux sets in a loop
-    call :meth:`check_finite` once on the flux they return.
+    the shapes and finiteness of the arrays; arithmetic and the flux
+    kernels build theirs with :func:`unchecked`, so the solver loops raise
+    on a non-finite residual and the kernels that combine flux sets call
+    :meth:`check_finite` once on the flux they return.
     """
 
     grid: object
@@ -304,7 +305,8 @@ def low_order_with_bars(field, spec, grid, t=0.0):
     u_ext = ghost_fill(field, spec, grid, time=t, width=1)
     per_axis = [_axis_low_order(u_ext, spec, grid, axis, t)
                 for axis in range(grid.dim)]
-    flux = FaceFluxSet(grid, tuple(p.G for p in per_axis))
+    flux = unchecked(FaceFluxSet, grid=grid,
+                     arrays=tuple(p.G for p in per_axis))
     bars = BarStateSet(
         grid,
         ubar_a=tuple(p.ubar_a for p in per_axis),
@@ -381,4 +383,4 @@ def high_order_flux(field, spec, grid, t=0.0):
     u_ext = ghost_fill(field, spec, grid, time=t, width=GHOST_WIDTH)
     arrays = tuple(_axis_high_order(u_ext, spec, grid, axis, t)
                    for axis in range(grid.dim))
-    return FaceFluxSet(grid, arrays)
+    return unchecked(FaceFluxSet, grid=grid, arrays=arrays)

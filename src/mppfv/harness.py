@@ -47,7 +47,7 @@ from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
 from .mesh import FIRST, LAST, cell_values
 from .metrics import RunDiagnostics, compute_E1, eoc, total_mass, update_delta
 from .problems import BUILTIN_PROBLEMS, initial_cell_averages, make_grid
-from .solvers import (SOLVER_MODES, JacobianEngine, NonConvergenceError,
+from .solvers import (JacobianEngine, NonConvergenceError,
                       make_high_order_substep_solver, make_stage_solver,
                       newton_low_order)
 from .time_integration import dirk_step, iex_step, sdirk5_tableau
@@ -74,7 +74,7 @@ class RunConfig:
     gamma: float = 0.0
     dt_factor: float = 0.5
     t_final: float | None = None
-    solver: str = "fresh-jacobian"
+    solver: str = "fresh-jacobian"  # the only value; callers still name it
     out: str | None = None
     study: tuple = ()
     snapshot_times: tuple = ()
@@ -92,9 +92,10 @@ class RunConfig:
         if self.limiter not in LIMITER_CHOICES:
             raise ValueError(f"unknown limiter {self.limiter!r}; choose from "
                              f"{LIMITER_CHOICES}")
-        if self.solver not in SOLVER_MODES:
-            raise ValueError(f"unknown solver mode {self.solver!r}; choose "
-                             f"from {SOLVER_MODES}")
+        if self.solver != "fresh-jacobian":
+            raise ValueError(f"solver {self.solver!r} is not available: the "
+                             f"frozen-jacobian mode was removed, every solve "
+                             f"picks its Jacobian from how it contracts")
         if self.nx < 5:
             raise ValueError("nx must be at least 5")
         if self.ny is not None and self.ny < 5:
@@ -158,7 +159,7 @@ def _make_stepper(config, spec, grid):
     :class:`JacobianEngine` serves every implicit solve of the run, so each
     frozen matrix is factorized once.
     """
-    engine = JacobianEngine(spec, grid, config.solver)
+    engine = JacobianEngine(spec, grid)
 
     if config.scheme == "be":
         def step(u, t, dt):
@@ -457,8 +458,6 @@ def _build_parser():
     parser.add_argument("--dt-factor", type=float,
                         help="dt = dt_factor * min(dx, dy)")
     parser.add_argument("--t-final", type=float, help="override final time")
-    parser.add_argument("--solver", choices=SOLVER_MODES,
-                        help="Jacobian strategy for the Newton solves")
     parser.add_argument("--out", help="output directory for CSV files")
     parser.add_argument("--study", help="comma-separated grid sizes, each "
                                         "twice the previous")

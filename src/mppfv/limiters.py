@@ -53,7 +53,7 @@ import numpy as np
 from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
                      low_order_with_bars, tie_periodic_seam, unchecked)
 from .mesh import CellField, cell_values, sides
-from .solvers import NonConvergenceError, SolverReport
+from .solvers import STALL_RATIO, NonConvergenceError, SolverReport
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
@@ -338,7 +338,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
         if not np.isfinite(res):
             raise ValueError(f"bound-preserving fixed point: non-finite "
                              f"residual at sweep {sweep}")
-        stalled = res > 0.5 * prev_res
+        stalled = res > STALL_RATIO * prev_res
         if (res <= TOL_GMC_TARGET
                 or (res <= tol and (stalled or sweep == max_sweeps))):
             alpha.check()

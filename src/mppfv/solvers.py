@@ -33,15 +33,14 @@ assembly (bitwise, but for the sign of zeros: every slot starts at +0.0).
 Every face keeps both off-diagonal positions (explicit zeros included), so
 the pattern is structurally symmetric.
 
-Linear solves: in ``fresh-jacobian`` mode the pseudo-Jacobian is assembled
-at every iterate.  In 1D it is factorized and solved directly.  In 2D,
-when its data equal those of the frozen matrix for this implicit scale,
-whose LU the engine holds anyway, that LU solves directly; otherwise a
-GMRES iteration preconditioned by the frozen factorization solves it
-(relative tolerance 1e-13).  So on state-independent 2D problems every
-update is one LU solve and no matrix is factorized twice.  In
-``frozen-jacobian`` mode the frozen factorization itself is the iteration
-matrix.
+Linear solves (modified Newton, Hairer & Wanner, *Solving ODEs II*,
+§IV.8): every solve starts on the frozen matrix for its implicit scale,
+factorized once per scale and held by the :class:`JacobianEngine`.  Once an
+iterate's residual is more than ``STALL_RATIO`` of the previous one, every
+later update of that solve assembles the pseudo-Jacobian at its iterate.
+If the assembled data equal the frozen matrix's (state-independent
+problems), the frozen LU solves it; otherwise 1D factorizes it and 2D runs
+GMRES preconditioned by the frozen LU (relative tolerance 1e-13).
 
 One loop, ``_quasi_newton``, runs every such solve; its callers differ only
 in the flux they iterate on and in the reference state: the low-order
@@ -66,8 +65,6 @@ from . import fluxes
 from .mesh import LAST, PERIODIC, CellField, cell_values, ghost_fill
 from .problems import initial_cell_averages
 
-SOLVER_MODES = ("fresh-jacobian", "frozen-jacobian")
-
 TOL_LOW_ORDER = 1e-12
 TOL_STAGE = 1e-8
 MAX_ITER_LOW_ORDER = 100
@@ -75,6 +72,9 @@ MAX_ITER_LOW_ORDER = 100
 # is linear with a rate that degrades as the step size grows; large-step runs
 # (dt ~ 5 dx on a shock) need ~60 iterations per stage.
 MAX_ITER_STAGE = 200
+#: An iterate whose residual is more than this share of the previous one has
+#: stalled: quasi-Newton refreshes its matrix, GMC may stop at its tolerance.
+STALL_RATIO = 0.5
 
 
 class NonConvergenceError(RuntimeError):
@@ -287,24 +287,18 @@ def frozen_jacobian(spec, grid, dt, scale=1.0):
 # ---------------------------------------------------------------------------
 
 class JacobianEngine:
-    """Owns the iteration-matrix strategy and the frozen factorizations.
+    """Holds one frozen factorization per implicit scale ``step_dt`` and
+    solves each quasi-Newton update.
 
-    ``fresh-jacobian``: assemble the pseudo-Jacobian at every iterate.  In
-    1D factorize it and solve directly.  In 2D, when its data equal the
-    frozen matrix's for this implicit scale ``step_dt`` (they share the
-    grid's pattern), solve with the frozen LU; otherwise solve by GMRES
-    preconditioned with the frozen factorization.  No second 2D
-    factorization is kept.  ``frozen-jacobian``: always iterate with the
-    frozen constant-coefficient factorization.
+    A refreshed update assembles the pseudo-Jacobian at its iterate.  When
+    its data equal the frozen matrix's, the frozen LU solves it (bitwise
+    what factorizing it again would give); otherwise 1D factorizes it and
+    2D runs GMRES preconditioned by the frozen LU.
     """
 
-    def __init__(self, spec, grid, mode="fresh-jacobian"):
-        if mode not in SOLVER_MODES:
-            raise ValueError(f"unknown solver mode {mode!r}; "
-                             f"expected one of {SOLVER_MODES}")
+    def __init__(self, spec, grid):
         self.spec = spec
         self.grid = grid
-        self.mode = mode
         self._frozen = {}
 
     def frozen(self, step_dt):
@@ -313,23 +307,19 @@ class JacobianEngine:
             self._frozen[key] = frozen_jacobian(self.spec, self.grid, key)
         return self._frozen[key]
 
-    def newton_update(self, state, step_dt, stage_time, residual):
-        """Solve ``J delta = -residual`` for the current iterate."""
+    def newton_update(self, state, step_dt, stage_time, residual, refresh):
+        """Solve ``J delta = -residual``: ``J`` is the frozen matrix, or the
+        pseudo-Jacobian at ``state`` when ``refresh`` is true."""
         rhs = -np.ravel(residual)
-        if self.mode == "frozen-jacobian":
-            delta = self.frozen(step_dt).solve(rhs)
-        else:
+        frozen = self.frozen(step_dt)
+        if refresh:
             jac = assemble_pseudo_jacobian(state, self.spec, self.grid,
                                            step_dt, t=stage_time)
-            if self.grid.dim == 1:
-                delta = jac.solve(rhs)
-            else:
-                frozen = self.frozen(step_dt)
-                if np.array_equal(jac.matrix.data, frozen.matrix.data):
-                    delta = frozen.solve(rhs)
-                else:
-                    delta = jac.solve(rhs, preconditioner=frozen)
-        return delta.reshape(self.grid.shape)
+            if not np.array_equal(jac.matrix.data, frozen.matrix.data):
+                preconditioner = None if self.grid.dim == 1 else frozen
+                delta = jac.solve(rhs, preconditioner=preconditioner)
+                return delta.reshape(self.grid.shape)
+        return frozen.solve(rhs).reshape(self.grid.shape)
 
 
 def _l2(v):
@@ -343,19 +333,24 @@ def _l2(v):
 def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                   tol, max_iter, what):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
-    quasi-Newton iteration with the engine's pseudo-Jacobian, starting from
-    ``guess``; the only Newton loop.
+    quasi-Newton iteration from ``guess``; the only Newton loop.  Updates
+    use the frozen matrix until a residual exceeds ``STALL_RATIO`` times the
+    previous one, and are refreshed for the rest of the solve.
 
     Returns ``(y, flux_of(y), SolverReport)`` once the l2 residual is at
-    most ``tol``.  ``report.iterations`` counts Newton updates.  Raises
+    most ``tol``.  ``report.iterations`` counts Newton updates.  A
+    non-finite residual raises ``ValueError`` at once.  Raises
     :class:`NonConvergenceError` carrying the final residual after
-    ``max_iter`` updates; ``what`` names the solve in its message.
+    ``max_iter`` updates; ``what`` names the solve in both messages.
     """
     y = np.asarray(guess, dtype=float).copy()
+    prev_res, refresh = np.inf, False
     for k in range(max_iter + 1):
         flux = flux_of(y)
         r = y - reference + step_dt * flux.divergence()
         res = _l2(r)
+        if not np.isfinite(res):
+            raise ValueError(f"{what}: non-finite residual at iteration {k}")
         if res <= tol:
             return y, flux, SolverReport(k, res, True, tol)
         if k == max_iter:
@@ -363,7 +358,9 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                 f"{what} stalled at residual {res:.3e} "
                 f"after {max_iter} iterations",
                 SolverReport(max_iter, res, False, tol))
-        y += engine.newton_update(y, step_dt, stage_time, r)
+        refresh = refresh or res > STALL_RATIO * prev_res
+        prev_res = res
+        y += engine.newton_update(y, step_dt, stage_time, r, refresh)
     raise AssertionError("unreachable")
 
 

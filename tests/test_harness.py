@@ -48,6 +48,7 @@ class TestRunConfigValidation:
         dict(study=(100,)),
         dict(study=(100, 150)),
         dict(snapshot_times=(-0.1,)),
+        dict(solver="frozen-jacobian"),
     ])
     def test_rejected_configurations(self, kwargs):
         with pytest.raises(ValueError):
@@ -233,9 +234,8 @@ STEPPER_GOLDEN = Path(__file__).parent / "data" / "stepper_golden.npz"
 
 class TestRoundoffLastStep:
     """A last step that differs from the nominal dt only by roundoff keeps
-    the nominal dt, so it meets no new implicit scale: one factorization per
-    scale (``splu`` calls; 2D fresh mode factorizes only the frozen
-    matrices), and the run still ends within ``TIME_RTOL`` of the final
+    the nominal dt, so it meets no new implicit scale: one frozen matrix
+    per scale, and the run still ends within ``TIME_RTOL`` of the final
     time.  At each of these final times, clipping the last step would
     change dt by an ulp or two."""
 
@@ -243,10 +243,10 @@ class TestRoundoffLastStep:
         (dict(problem="rotation2d", nx=12, scheme="sdirk5", limiter="gmc",
               t_final=3 * 0.5 / 12), 1),
         (dict(problem="linear1d", nx=30, scheme="sdirk5",
-              solver="frozen-jacobian", t_final=math.pi / 10), 1),
+              t_final=math.pi / 10), 1),
         # The stage scale a_mm*dt and the low-order scale dt of the FCT.
         (dict(problem="bl1d", nx=40, scheme="sdirk5", limiter="fct",
-              solver="frozen-jacobian", t_final=0.05), 2),
+              t_final=0.05), 2),
     ], ids=["rotation2d", "linear1d", "bl1d"])
     def test_one_factorization_per_scale(self, kwargs, scales, monkeypatch):
         ends = []
@@ -261,10 +261,10 @@ class TestRoundoffLastStep:
             return recorded
 
         monkeypatch.setattr(harness, "_make_stepper", recording_stepper)
-        with mock.patch.object(solvers.spla, "splu",
-                               wraps=solvers.spla.splu) as splu:
+        with mock.patch.object(solvers, "frozen_jacobian",
+                               wraps=solvers.frozen_jacobian) as frozen:
             run(RunConfig(**kwargs))
-        assert splu.call_count == scales
+        assert frozen.call_count == scales
         t_end = kwargs["t_final"]
         assert abs(ends[-1] - t_end) <= t_end * harness.TIME_RTOL
 
@@ -451,27 +451,26 @@ class TestCommandLine:
         assert code == 3
         assert err.startswith("error: solver-failure:")
 
-    # bl1d, be, frozen Jacobian, dt = 5h: one of the configurations of
-    # tools/stepper_sweep.py whose low-order solve stalls in the first step.
-    FAILING = dict(problem="bl1d", nx=40, t_final=0.1, scheme="be",
-                   solver="frozen-jacobian", dt_factor=5.0)
+    # burgers1d, sdirk5, dt = 20h: the quasi-Newton iteration of the third
+    # stage of the first step stalls on the shock.
+    FAILING = dict(problem="burgers1d", nx=40, t_final=1.0, scheme="sdirk5",
+                   dt_factor=20.0)
 
     def test_solver_failure_names_its_step(self):
         with pytest.raises(NonConvergenceError) as exc:
             run(RunConfig(**self.FAILING))
         err = exc.value
         assert str(err).startswith(
-            "step 1 at t=0, dt=0.1: low-order solve stalled at residual ")
+            "step 1 at t=0, dt=1: stage 3/5: stage solve stalled at residual ")
         assert err.report is err.__cause__.report
         assert not err.report.converged
 
     def test_solver_failure_cli_reports_the_step(self, capsys):
-        code = main(["--problem", "bl1d", "--nx", "40", "--t-final", "0.1",
-                     "--scheme", "be", "--solver", "frozen-jacobian",
-                     "--dt-factor", "5"])
+        code = main(["--problem", "burgers1d", "--nx", "40", "--t-final",
+                     "1", "--scheme", "sdirk5", "--dt-factor", "20"])
         assert code == 3
         assert capsys.readouterr().err.startswith(
-            "error: solver-failure: step 1 at t=0, dt=0.1: low-order solve")
+            "error: solver-failure: step 1 at t=0, dt=1: stage 3/5: ")
 
     def test_failing_step_counts_from_one(self, monkeypatch):
         calls = []

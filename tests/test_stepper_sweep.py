@@ -17,8 +17,7 @@ def sweep(monkeypatch):
 
 def _key(**kw):
     config = dict(problem="rotation2d", scheme="iex2", limiter="gmc",
-                  solver="fresh-jacobian", limit_stages=False, fct_iters=1,
-                  gamma=0.0, dt_factor=5.0)
+                  limit_stages=False, fct_iters=1, gamma=0.0, dt_factor=5.0)
     config.update(kw)
     return tuple(sorted(config.items()))
 
@@ -39,8 +38,8 @@ def test_compare_names_configurations_that_fail_in_one_file(sweep, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("dt_factor 5.0: 1/3 bitwise equal")
     assert lines[1:] == [
-        "  newly failing: rotation2d iex2+fct fresh-jacobian fct_iters=2",
-        "  newly passing: rotation2d iex2+gmc fresh-jacobian gamma=0"]
+        "  newly failing: rotation2d iex2+fct fct_iters=2",
+        "  newly passing: rotation2d iex2+gmc gamma=0"]
 
 
 def test_compare_passes_identical_files(sweep, capsys):
@@ -54,7 +53,7 @@ def test_compare_passes_identical_files(sweep, capsys):
 def test_compare_groups_results_that_moved(sweep, capsys):
     moved = {_key(): (_result(0.5), _result(0.5 + 2e-13)),
              _key(gamma=1.0): (_result(0.5), _result(0.5 - 1e-13)),
-             _key(problem="bl1d", solver="frozen-jacobian"):
+             _key(problem="bl1d", scheme="sdirk5"):
                  (_result(0.25), _result(0.25 + 1e-9)),
              _key(problem="bl1d"): (_result(0.25), _result(0.25))}
     old = {k: pair[0] for k, pair in moved.items()}
@@ -65,7 +64,5 @@ def test_compare_groups_results_that_moved(sweep, capsys):
     assert lines[0].startswith("dt_factor 5.0: 1/4 bitwise equal; "
                                "max |du|/width 1.000e-09;")
     assert lines[1:] == [
-        "  not bitwise equal: bl1d frozen-jacobian: 1, "
-        "max |du|/width 1.000e-09",
-        "  not bitwise equal: rotation2d fresh-jacobian: 2, "
-        "max |du|/width 2.000e-13"]
+        "  not bitwise equal: bl1d: 1, max |du|/width 1.000e-09",
+        "  not bitwise equal: rotation2d: 2, max |du|/width 2.000e-13"]

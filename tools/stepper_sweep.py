@@ -8,20 +8,20 @@ class name of the exception the run raised.  ``compare A B`` reads two such
 files and reports, per dt factor, how many configurations are bitwise
 equal, the largest ``|du|`` as a share of the problem's bound width,
 whether the same configurations failed, by name the configurations that
-fail in only one of the files, and, grouped by (problem, solver mode), how
-many finished configurations are not bitwise equal with each group's
-largest ``|du|`` per width.
+fail in only one of the files, and, grouped by problem, how many finished
+configurations are not bitwise equal with each group's largest ``|du|``
+per width.
 
 The matrix: problem (burgers1d nx=30 t=0.06, rotation2d 12^2 for two
 steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
-solver mode x ``limit_stages`` x ``fct_iters`` in {1, 2} (fct only) x
-``gamma`` in {0, 1} (gmc only), ``stage_delta`` on; 120 configurations per
-dt factor.  Then the whole catalogue: each of the 8 built-in problems (1D
-nx=30, 2D 12^2, epsilon=0.01 where the problem takes one) for two steps
-with sdirk5+gmc and iex2+fct in fresh-jacobian mode, 16 more
-configurations per dt factor but for those already in the matrix
-(rotation2d sdirk5+gmc at dt factor 0.5).  Both run at dt factors 0.5
-and 5.  Result files are pickles: compare only files this script wrote.
+``limit_stages`` x ``fct_iters`` in {1, 2} (fct only) x ``gamma`` in
+{0, 1} (gmc only), ``stage_delta`` on; 60 configurations per dt factor.
+Then the whole catalogue: each of the 8 built-in problems (1D nx=30, 2D
+12^2, epsilon=0.01 where the problem takes one) for two steps with
+sdirk5+gmc and iex2+fct, 16 more configurations per dt factor but for
+those already in the matrix (rotation2d sdirk5+gmc and iex2+fct at dt
+factor 0.5): 74 and 76 configurations at dt factors 0.5 and 5.  Result
+files are pickles: compare only files this script wrote.
 
 Compare two trees::
 
@@ -53,15 +53,13 @@ def configurations(dt_factor):
     """Every valid configuration of the matrix at one dt factor, as
     ``RunConfig`` keyword dictionaries."""
     from mppfv.limiters import LIMITER_CHOICES
-    from mppfv.solvers import SOLVER_MODES
 
     out = []
     for problem, size in PROBLEMS.items():
         size = dict(size)
         if problem == "rotation2d":  # two steps on the unit square
             size["t_final"] = 2.0 * dt_factor / size["nx"]
-        for scheme, limiter, mode in product(SCHEMES, LIMITER_CHOICES,
-                                             SOLVER_MODES):
+        for scheme, limiter in product(SCHEMES, LIMITER_CHOICES):
             if scheme == "be" and limiter != "none":
                 continue
             stage_options = ((False, True)
@@ -72,8 +70,7 @@ def configurations(dt_factor):
             for limit_stages, fct_iters, gamma in product(
                     stage_options, iters_options, gamma_options):
                 out.append(dict(problem=problem, scheme=scheme,
-                                limiter=limiter, solver=mode,
-                                limit_stages=limit_stages,
+                                limiter=limiter, limit_stages=limit_stages,
                                 fct_iters=fct_iters, gamma=gamma,
                                 dt_factor=dt_factor, stage_delta=True,
                                 **size))
@@ -81,7 +78,7 @@ def configurations(dt_factor):
 
 
 def _catalogue(dt_factor):
-    """Every built-in problem for two steps, fresh-jacobian mode."""
+    """Every built-in problem for two steps."""
     from mppfv.harness import _EPSILON_PROBLEMS, RunConfig, build_problem
     from mppfv.problems import BUILTIN_PROBLEMS, make_grid
 
@@ -93,10 +90,9 @@ def _catalogue(dt_factor):
         extra = dict(epsilon=0.01) if problem in _EPSILON_PROBLEMS else {}
         for scheme, limiter in CATALOGUE_SCHEMES:
             out.append(dict(problem=problem, scheme=scheme, limiter=limiter,
-                            solver="fresh-jacobian", limit_stages=False,
-                            fct_iters=1, gamma=0.0, dt_factor=dt_factor,
-                            stage_delta=True, nx=nx, t_final=2.0 * dt,
-                            **extra))
+                            limit_stages=False, fct_iters=1, gamma=0.0,
+                            dt_factor=dt_factor, stage_delta=True, nx=nx,
+                            t_final=2.0 * dt, **extra))
     return out
 
 
@@ -141,7 +137,7 @@ def _bits(result):
 def _name(key):
     """A configuration's name: its matrix entries, without the defaults."""
     c = dict(key)
-    name = f"{c['problem']} {c['scheme']}+{c['limiter']} {c['solver']}"
+    name = f"{c['problem']} {c['scheme']}+{c['limiter']}"
     if c["limit_stages"]:
         name += " limit_stages"
     if c["limiter"] == "fct":
@@ -168,16 +164,16 @@ def compare(old, new):
         fail_old = {k for k in keys if isinstance(old[k], str)}
         fail_new = {k for k in keys if isinstance(new[k], str)}
         worst = 0.0
-        moved = {}  # (problem, solver mode) -> (count, max |du|/width)
+        moved = {}  # problem -> (count, max |du|/width)
         for k in keys:
             if k in fail_old or k in fail_new:
                 continue
             du = np.max(np.abs(old[k]["u"] - new[k]["u"])) / old[k]["width"]
             worst = max(worst, du)
             if _bits(old[k]) != _bits(new[k]):
-                group = (dict(k)["problem"], dict(k)["solver"])
-                count, group_worst = moved.get(group, (0, 0.0))
-                moved[group] = (count + 1, max(group_worst, du))
+                problem = dict(k)["problem"]
+                count, group_worst = moved.get(problem, (0, 0.0))
+                moved[problem] = (count + 1, max(group_worst, du))
         same_failures = fail_old == fail_new
         print(f"dt_factor {dt_factor}: {equal}/{len(keys)} bitwise equal; "
               f"max |du|/width {worst:.3e}; failures {len(fail_old)} -> "
@@ -186,8 +182,8 @@ def compare(old, new):
                                ("newly passing", fail_old - fail_new)):
             for name in sorted(map(_name, changed)):
                 print(f"  {label}: {name}")
-        for (problem, solver), (count, du) in sorted(moved.items()):
-            print(f"  not bitwise equal: {problem} {solver}: {count}, "
+        for problem, (count, du) in sorted(moved.items()):
+            print(f"  not bitwise equal: {problem}: {count}, "
                   f"max |du|/width {du:.3e}")
         ok = ok and equal == len(keys) and same_failures
     return ok
