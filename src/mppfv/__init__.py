@@ -23,12 +23,11 @@ from .problems import (BUILTIN_PROBLEMS, ProblemSpec, evaluate_exact,
                        initial_cell_averages, make_grid)
 from .solvers import (JacobianEngine, NonConvergenceError, SolverReport,
                       assemble_pseudo_jacobian, frozen_jacobian,
-                      make_high_order_substep_solver, make_stage_solver,
-                      newton_low_order)
-from .time_integration import (ButcherTableau, StageSet,
-                               backward_euler_tableau, check_ssp_stages,
-                               dirk_step, iex_step, iex_tableau,
-                               order_condition_residuals, sdirk5_tableau)
+                      make_stage_solver, newton_low_order)
+from .time_integration import (ButcherTableau, backward_euler_tableau,
+                               check_ssp_stages, dirk_step, iex_step,
+                               iex_tableau, order_condition_residuals,
+                               sdirk5_tableau)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "DIRICHLET", "FaceFluxSet", "GHOST_WIDTH",
     "JacobianEngine", "LIMITER_CHOICES", "NonConvergenceError", "PERIODIC",
     "ProblemSpec", "RunConfig", "RunDiagnostics",
-    "SolverReport", "StageSet", "StructuredGrid",
+    "SolverReport", "StructuredGrid",
     "assemble_pseudo_jacobian", "backward_euler_tableau", "bar_states",
     "build_problem", "cell_center_values",
     "check_ssp_stages", "compute_E1", "convergence_study", "dirk_step",
@@ -45,7 +44,6 @@ __all__ = [
     "ghost_fill", "gmc_step", "high_order_flux", "iex_step", "iex_tableau",
     "initial_cell_averages", "low_order_flux_set", "low_order_rhs",
     "low_order_with_bars", "main", "make_grid",
-    "make_high_order_substep_solver",
     "make_semidiscrete_gmc_substep_solver", "make_stage_solver",
     "newton_low_order", "order_condition_residuals", "read_snapshot",
     "run", "sdirk5_tableau", "semidiscrete_gmc_rhs", "snapshot",

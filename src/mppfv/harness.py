@@ -12,11 +12,13 @@ so roundoff gives the implicit solves no new scale.
 Each step is a *proposal* followed by a *limiter*:
 
 proposal
-    ``sdirk5`` runs the DIRK stages and ``iex1`` .. ``iex4`` the
-    extrapolated backward-Euler substep chains, both on the
-    fifth-order-in-space fluxes.  The proposal returns its state, its
-    aggregated high-order flux and its intermediate states.  For ``iex``
-    with ``limiter="gmc"`` the substeps already use the semi-discretely
+    One DIRK step (:func:`time_integration.dirk_step`) on the
+    fifth-order-in-space fluxes: ``sdirk5`` on its tableau, ``iex1`` ..
+    ``iex4`` on the Runge-Kutta tableau of the extrapolated
+    backward-Euler substep chains.  The proposal returns its state, its
+    aggregated high-order flux and its stage values, which every run
+    folds into ``RunDiagnostics.stage_delta``.  For ``iex`` with
+    ``limiter="gmc"`` the substeps already use the semi-discretely
     limited flux.  With ``limit_stages`` the ``sdirk5`` proposal also
     passes every intermediate stage through the limiter (the stages of a
     high-order DIRK method are otherwise not bound preserving), using the
@@ -47,8 +49,7 @@ from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
 from .mesh import FIRST, LAST, cell_values
 from .metrics import RunDiagnostics, compute_E1, eoc, total_mass, update_delta
 from .problems import BUILTIN_PROBLEMS, initial_cell_averages, make_grid
-from .solvers import (JacobianEngine, NonConvergenceError,
-                      make_high_order_substep_solver, make_stage_solver,
+from .solvers import (JacobianEngine, NonConvergenceError, make_stage_solver,
                       newton_low_order)
 from .time_integration import dirk_step, iex_step, sdirk5_tableau
 
@@ -79,7 +80,6 @@ class RunConfig:
     study: tuple = ()
     snapshot_times: tuple = ()
     limit_stages: bool = False
-    stage_delta: bool = False
     epsilon: float | None = None
 
     def __post_init__(self):
@@ -189,20 +189,18 @@ def _make_stepper(config, spec, grid):
             limit_stage = lambda *stage: limit(*stage, strict=False)
 
         def propose(u, t, dt):
-            u_new, flux, stages = dirk_step(u, tableau, spec, grid,
-                                            stage_solver, dt, t=t,
-                                            limit_stage=limit_stage)
-            return u_new, flux, stages.stages
+            return dirk_step(u, tableau, spec, grid, stage_solver, dt, t=t,
+                             limit_stage=limit_stage)
     else:
         p = int(config.scheme[3:])
         if config.limiter == "gmc":
-            substep = make_semidiscrete_gmc_substep_solver(spec, grid,
-                                                           config.gamma)
+            stage_solver = make_semidiscrete_gmc_substep_solver(
+                spec, grid, config.gamma)
         else:
-            substep = make_high_order_substep_solver(engine)
+            stage_solver = make_stage_solver(engine)
 
         def propose(u, t, dt):
-            return iex_step(u, p, spec, grid, substep, dt, t=t)
+            return iex_step(u, p, spec, grid, stage_solver, dt, t=t)
 
     if config.limiter == "none":
         return propose
@@ -321,11 +319,10 @@ def run(config):
                 err.report) from err
         t += dt
         update_delta(diag, u, spec)
-        if config.stage_delta:
-            stage_diag = RunDiagnostics(delta=diag.stage_delta)
-            for s_field in stage_fields:
-                update_delta(stage_diag, s_field, spec)
-            diag.stage_delta = stage_diag.delta
+        stage_diag = RunDiagnostics(delta=diag.stage_delta)
+        for s_field in stage_fields:
+            update_delta(stage_diag, s_field, spec)
+        diag.stage_delta = stage_diag.delta
         outflow += dt * _boundary_outflow(flux)
         for s in list(targets):
             if abs(t - s) <= max(abs(s), t_end) * TIME_RTOL:
@@ -394,7 +391,7 @@ def convergence_study(config):
 
 _INT_KEYS = {"nx", "ny", "fct_iters"}
 _FLOAT_KEYS = {"gamma", "dt_factor", "t_final", "epsilon"}
-_BOOL_KEYS = {"limit_stages", "stage_delta"}
+_BOOL_KEYS = {"limit_stages"}
 _INT_TUPLE_KEYS = {"study"}
 _FLOAT_TUPLE_KEYS = {"snapshot_times"}
 
@@ -466,8 +463,6 @@ def _build_parser():
                              "solution snapshots")
     parser.add_argument("--limit-stages", action="store_true", default=None,
                         help="limit every DIRK stage value (sdirk5 only)")
-    parser.add_argument("--stage-delta", action="store_true", default=None,
-                        help="track bound violations of intermediate stages")
     parser.add_argument("--epsilon", type=float,
                         help="diffusion coefficient for the problems that "
                              "take one")
@@ -508,7 +503,7 @@ def main(argv=None):
             if diag.e1:
                 t_end = max(diag.e1)
                 parts.append(f"E1={diag.e1[t_end]:.6e}")
-            if config.stage_delta:
+            if np.isfinite(diag.stage_delta):
                 parts.append(f"stage_delta={diag.stage_delta:.6e}")
             print(" ".join(parts))
     except NonConvergenceError as exc:

@@ -24,7 +24,7 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   ``_gmc_fixed_point``, holds the sweep loop; it takes ``G^H`` as a
   callable of the iterate, which returns the frozen step-start flux for
   :func:`gmc_step` and rebuilds the flux from the iterate for the
-  semi-discrete substep below.  Each sweep mixes the diagonal update
+  semi-discrete stage solver below.  Each sweep mixes the diagonal update
   above with the previous ``ANDERSON_DEPTH`` sweeps (type-II Anderson
   acceleration, Walker & Ni 2011), which needs a fraction of the plain
   sweeps and converges at large steps where they stall.  The mixed
@@ -40,8 +40,9 @@ axes on the array-axis convention of :mod:`mesh`, with
 Also here: the semi-discrete GMC right-hand side (both flux orders
 evaluated at the current state, limited so the semi-discretization is
 locally-extremum-diminishing with respect to the global bounds) and the
-implicit-Euler substep solver built on it for the extrapolation
-integrator.
+implicit-Euler stage solver built on it, which runs the stages of the
+extrapolation integrator in the DIRK stage loop of
+:mod:`time_integration`.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
     high_flux(u)))``, the only GMC sweep loop.
 
     ``high_flux`` returns a frozen ``G^H`` for the step-level limiter and
-    rebuilds it from the iterate for the semidiscrete substep; the low-order
+    rebuilds it from the iterate for the semidiscrete stage; the low-order
     flux is evaluated at time ``t``.  Each sweep evaluates the diagonal map
     ``T(u) = (u0 + w g(u))/(1 + w)`` and mixes it with the last
     ``ANDERSON_DEPTH`` differences of ``T`` and of ``f = T(u) - u``
@@ -440,19 +441,23 @@ def semidiscrete_gmc_rhs(field, spec, grid, gamma=0.0, t=0.0):
 
 
 def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
-    """Implicit-Euler substep solver on the limited semi-discretization,
-    for :func:`time_integration.iex_step`.
+    """Stage solver on the limited semi-discretization, for
+    :func:`time_integration.dirk_step` and
+    :func:`time_integration.iex_step`.
 
-    Each substep solves ``y = r + sub_dt * RHS(y)`` by the same
+    ``solver(reference, step_dt, stage_time, guess)`` solves the
+    implicit-Euler stage ``y = reference + step_dt * RHS(y)`` by the same
     Anderson-mixed fixed point as :func:`gmc_step` (with the high-order
-    flux rebuilt at every iterate); the returned state is recomputed from
-    the realized flux so substep chains conserve mass exactly.
+    flux rebuilt at every iterate), sweeping from ``reference`` (the guess
+    is not used), and returns ``(y, realized flux, SolverReport)``; the
+    stage value is recomputed from the realized flux, so chained stages
+    conserve mass exactly.
     """
 
-    def substep(u_prev, sub_dt, sub_time):
+    def solver(reference, step_dt, stage_time, guess):
         return _gmc_fixed_point(
-            np.asarray(u_prev, dtype=float),
-            lambda y: high_order_flux(y, spec, grid, t=sub_time),
-            spec, grid, sub_dt, gamma, sub_time)[:2]
+            np.asarray(reference, dtype=float),
+            lambda y: high_order_flux(y, spec, grid, t=stage_time),
+            spec, grid, step_dt, gamma, stage_time)
 
-    return substep
+    return solver

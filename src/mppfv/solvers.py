@@ -42,13 +42,13 @@ If the assembled data equal the frozen matrix's (state-independent
 problems), the frozen LU solves it; otherwise 1D factorizes it and 2D runs
 GMRES preconditioned by the frozen LU (relative tolerance 1e-13).
 
-One loop, ``_quasi_newton``, runs every such solve; its callers differ only
-in the flux they iterate on and in the reference state: the low-order
-backward-Euler step (:func:`newton_low_order`), a DIRK stage (the solver
-from :func:`make_stage_solver`) and an IEX substep (the solver from
-:func:`make_high_order_substep_solver`).  It stops at the first iterate
-whose l2 residual meets the tolerance and returns that iterate with the
-flux evaluated there; when the budget runs out it raises
+One loop, ``_quasi_newton``, runs every such solve; its two callers differ
+only in the flux they iterate on and in their reference and starting
+states: the low-order backward-Euler step (:func:`newton_low_order`) and
+a stage of the DIRK loop, an IEX substep included (the solver from
+:func:`make_stage_solver`).  It stops at the first iterate whose l2
+residual meets the tolerance and returns that iterate with the flux
+evaluated there; when the budget runs out it raises
 :class:`NonConvergenceError` whose report carries the final residual.
 """
 
@@ -108,14 +108,13 @@ class SparseBandedMatrix:
     face contributes both off-diagonal positions (values may be zero).
     """
 
-    dimension: int
     matrix: object
     _lu: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix)
-        if m.shape != (self.dimension, self.dimension):
-            raise ValueError("matrix shape must equal (dimension, dimension)")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError("matrix must be square")
         self.matrix = m
 
     def factorize(self):
@@ -233,7 +232,7 @@ class _JacobianPattern:
         data = np.bincount(self.slots, weights=terms, minlength=self.nnz)
         csr = sp.csr_matrix((data, self.indices, self.indptr),
                             shape=self.shape)
-        return SparseBandedMatrix(self.shape[0], csr)
+        return SparseBandedMatrix(csr)
 
 
 @functools.lru_cache(maxsize=16)
@@ -266,7 +265,7 @@ def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     return pattern.matrix(np.concatenate(terms))
 
 
-def frozen_jacobian(spec, grid, dt, scale=1.0):
+def frozen_jacobian(spec, grid, dt):
     """Constant-coefficient pseudo-Jacobian, factorized once.
 
     Linearizes about the constant state ``ubar = (max u0 - min u0)/2`` of
@@ -277,7 +276,7 @@ def frozen_jacobian(spec, grid, dt, scale=1.0):
     u0 = initial_cell_averages(spec, grid).values
     ubar = 0.5 * (float(np.max(u0)) - float(np.min(u0)))
     frozen_state = np.full(grid.shape, ubar)
-    jac = assemble_pseudo_jacobian(frozen_state, spec, grid, scale * dt, t=0.0)
+    jac = assemble_pseudo_jacobian(frozen_state, spec, grid, dt, t=0.0)
     jac.factorize()
     return jac
 
@@ -409,24 +408,3 @@ def make_stage_solver(engine):
 
     return solver
 
-
-def make_high_order_substep_solver(engine):
-    """Backward-Euler substep solver (unlimited high-order flux) for
-    :func:`time_integration.iex_step` on the engine's problem and grid.
-
-    The returned state is recomputed from the realized flux,
-    ``out = in - (sub_dt/|K|) sum |S| G^H(y)``, so chaining substeps
-    conserves mass exactly.
-    """
-    spec, grid = engine.spec, engine.grid
-
-    def substep(u_prev, sub_dt, sub_time):
-        u_prev = np.asarray(u_prev, dtype=float)
-        _, flux, _ = _quasi_newton(
-            u_prev,
-            lambda y: fluxes.high_order_flux(y, spec, grid, t=sub_time),
-            sub_dt, sub_time, u_prev, engine, TOL_STAGE, MAX_ITER_STAGE,
-            "substep solve")
-        return u_prev - sub_dt * flux.divergence(), flux
-
-    return substep

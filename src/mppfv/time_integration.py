@@ -3,9 +3,9 @@
 Provides Butcher tableaus (backward Euler, a five-stage fifth-order SDIRK
 with exact rational coefficients, and the implicit-Euler extrapolation
 family IEX-p in Runge-Kutta form), rooted-tree order-condition residuals,
-the stage-MPP inequality checker, the generic DIRK stepper with stage-flux
-aggregation and an optional per-stage limit hook, and the extrapolation
-stepper in its production (Aitken-Neville tableau) form.
+the stage-MPP inequality checker, and the one DIRK stage loop with
+stage-flux aggregation and an optional per-stage limit hook; the
+extrapolation stepper is that loop on the IEX-p tableau.
 
 The IEX-p method of order p runs, for k = 1..p, a chain of k backward-Euler
 substeps of size dt/k, then extrapolates the k first-order results to order
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fluxes import FaceFluxSet, high_order_flux
+from .fluxes import high_order_flux
 from .mesh import CellField, cell_values
 from .solvers import NonConvergenceError
 
@@ -189,19 +189,6 @@ def check_ssp_stages(tableau, mu, tol=1e-12):
     return bool(np.all(AX >= -tol) and np.all(AX @ np.ones(M) <= 1.0 + tol))
 
 
-@dataclass
-class StageSet:
-    """The intermediate solutions of one DIRK step and their recorded
-    high-order fluxes (one of each per stage)."""
-
-    stages: tuple
-    fluxes: tuple
-
-    def __post_init__(self):
-        if len(self.stages) != len(self.fluxes):
-            raise ValueError("stage values and stage fluxes must match in count")
-
-
 def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
               limit_stage=None):
     """One DIRK step of the high-order scheme.
@@ -211,7 +198,10 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     aggregated as ``G^H = sum_m b_m (F^H - P^H)(y^(m))`` and the update is
     ``u^{n+1} = u^n - (dt/|K|) sum |S| G^H`` (computed exactly in that
     form, so re-substituting the returned flux set reproduces the update
-    bitwise).
+    bitwise).  A stage solve starts from the previous stage's value, or
+    from its own reference ``r`` when ``A[m, m-1] = 0`` (the first stage,
+    and the first stage of each IEX chain, which does not follow on from
+    the stage before it).
 
     Parameters
     ----------
@@ -232,7 +222,8 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
 
     Returns
     -------
-    (CellField, FaceFluxSet, StageSet)
+    (CellField, FaceFluxSet, tuple of CellField)
+        The new state, the aggregated flux set and every stage value.
 
     Raises
     ------
@@ -246,7 +237,6 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     A, b, c = tableau.A, tableau.b, tableau.c
     stage_fields = []
     stage_fluxes = []
-    guess = u0
     for m in range(tableau.stages):
         r = u0.copy()
         for s in range(m):
@@ -258,6 +248,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
             y = r
             flux = high_order_flux(y, spec, grid, t=stage_time)
         else:
+            guess = y if m and A[m, m - 1] != 0.0 else r
             try:
                 y, flux, _ = stage_solver(r, step_dt, stage_time, guess)
             except NonConvergenceError as err:
@@ -270,68 +261,29 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
             y = limited.values
         stage_fields.append(CellField(grid, y))
         stage_fluxes.append(flux)
-        guess = y
 
     total = stage_fluxes[0] * b[0]
     for m in range(1, tableau.stages):
         total = total + stage_fluxes[m] * b[m]
     total.check_finite()
     u_new = u0 - dt * total.divergence()
-    return (CellField(grid, u_new), total,
-            StageSet(tuple(stage_fields), tuple(stage_fluxes)))
+    return CellField(grid, u_new), total, tuple(stage_fields)
 
 
-def iex_step(u_n, p, spec, grid, substep_solver, dt, t=0.0):
-    """One step of the order-p implicit-Euler extrapolation method.
+def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
+    """One step of the order-p implicit-Euler extrapolation method:
+    :func:`dirk_step` on :func:`iex_tableau` ``(p)``.
 
-    For k = 1..p, k backward-Euler substeps of size dt/k are chained; the
-    first-order results are extrapolated with the Aitken-Neville recurrence
-
-        T_jk = T_{j,k-1} + (T_{j,k-1} - T_{j-1,k-1}) / (j/(j-k+1) - 1).
-
-    The same recurrence is applied to the per-chain averaged substep fluxes
-    (the updates are affine in them with weights summing to one), and the
-    returned state is ``u^n - (dt/|K|) sum |S| F_pp`` with the extrapolated
-    flux set, which conserves mass exactly.
-
-    Parameters
-    ----------
-    substep_solver : callable(values, sub_dt, sub_time) ->
-        (values, FaceFluxSet)
-        Solves one implicit-Euler substep and reports the realized flux, so
-        that ``out = in - (sub_dt/|K|) sum |S| flux`` holds.
+    The stages are the k backward-Euler substeps of size dt/k of chain
+    k = 1..p, in that order, and the update weighs chain k's fluxes by
+    ``w_k/k``, which conserves mass exactly.  ``stage_solver`` is as for
+    :func:`dirk_step`; the first substep of every chain starts its solve
+    from ``u^n``.
 
     Returns
     -------
-    (CellField, FaceFluxSet, list[CellField])
+    (CellField, FaceFluxSet, tuple of CellField)
         The new state, the extrapolated flux set, and every substep chain
         state (the "intermediate stages" of the method).
     """
-    if p < 1:
-        raise ValueError("extrapolation order p must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    u0 = cell_values(u_n)
-
-    T = {}
-    F = {}
-    chain_states = []
-    for k in range(1, p + 1):
-        y = u0
-        flux_sum = None
-        for j in range(1, k + 1):
-            y, flux = substep_solver(y, dt / k, t + j * dt / k)
-            chain_states.append(CellField(grid, np.asarray(y, dtype=float)))
-            flux_sum = flux if flux_sum is None else flux_sum + flux
-        T[(k, 1)] = np.asarray(y, dtype=float)
-        F[(k, 1)] = flux_sum * (1.0 / k)
-
-    for k in range(2, p + 1):
-        for j in range(k, p + 1):
-            w = 1.0 / (j / (j - k + 1) - 1.0)
-            T[(j, k)] = T[(j, k - 1)] + w * (T[(j, k - 1)] - T[(j - 1, k - 1)])
-            F[(j, k)] = F[(j, k - 1)] + w * (F[(j, k - 1)] - F[(j - 1, k - 1)])
-
-    flux_pp = F[(p, p)].check_finite()
-    u_new = u0 - dt * flux_pp.divergence()
-    return CellField(grid, u_new), flux_pp, chain_states
+    return dirk_step(u_n, iex_tableau(p), spec, grid, stage_solver, dt, t=t)

@@ -15,7 +15,10 @@ through a COO matrix, where :mod:`mppfv.solvers` uses a cached sparsity
 pattern; :func:`nested_loop_cell_averages` projects the initial data with
 one quadrature loop per dimension on full coordinate meshes, where
 :func:`mppfv.problems.initial_cell_averages` runs one loop over broadcast
-points.
+points.  A third, :func:`iex_chain_step`, is the extrapolation step in its
+chain form (backward-Euler chains and the Aitken-Neville recurrence),
+where :func:`mppfv.time_integration.iex_step` runs the DIRK stage loop on
+the Runge-Kutta tableau; the two agree to roundoff and solver tolerance.
 """
 
 from __future__ import annotations
@@ -331,3 +334,42 @@ def nested_loop_cell_averages(spec, grid):
             vals += wx * wy * spec.initial_condition(X + nx_ * hx,
                                                      Y + ny_ * hy)
     return vals
+
+
+# ---------------------------------------------------------------------------
+# The extrapolation step as backward-Euler chains
+# ---------------------------------------------------------------------------
+
+def iex_chain_step(u_n, p, stage_solver, dt, t=0.0):
+    """One IEX-p step in chain form.
+
+    For k = 1..p, k backward-Euler substeps of size dt/k are chained, each
+    solved by ``stage_solver(reference, step_dt, stage_time, guess)`` with
+    reference and guess the previous chain state; the next chain state is
+    rebuilt from the substep's flux, ``y - (dt/k) div flux``.  The chain
+    results and the chains' averaged fluxes are extrapolated by the
+    Aitken-Neville recurrence
+
+        T_jk = T_{j,k-1} + (T_{j,k-1} - T_{j-1,k-1}) / (j/(j-k+1) - 1).
+
+    Returns ``(u^n - dt div F_pp, F_pp, T_pp, chain states)``, the chain
+    states as arrays in chain order.
+    """
+    u0 = np.asarray(u_n, dtype=float)
+    T, F, chain_states = {}, {}, []
+    for k in range(1, p + 1):
+        y, flux_sum = u0, None
+        for j in range(1, k + 1):
+            _, flux, _ = stage_solver(y, dt / k, t + j * dt / k, y)
+            y = y - (dt / k) * flux.divergence()
+            chain_states.append(y)
+            flux_sum = flux if flux_sum is None else flux_sum + flux
+        T[(k, 1)] = y
+        F[(k, 1)] = flux_sum * (1.0 / k)
+    for k in range(2, p + 1):
+        for j in range(k, p + 1):
+            w = 1.0 / (j / (j - k + 1) - 1.0)
+            T[(j, k)] = T[(j, k - 1)] + w * (T[(j, k - 1)] - T[(j - 1, k - 1)])
+            F[(j, k)] = F[(j, k - 1)] + w * (F[(j, k - 1)] - F[(j - 1, k - 1)])
+    flux_pp = F[(p, p)]
+    return u0 - dt * flux_pp.divergence(), flux_pp, T[(p, p)], chain_states

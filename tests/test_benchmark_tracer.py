@@ -1,11 +1,14 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps about 25 ``mppfv``
 names, which it looks up by string.  A refactor that renames or moves one of
 them breaks the traced benchmark run; this test installs the tracer, makes
-one small traced run and checks that uninstalling restores every module and
-class it patched."""
+one small traced run per configuration and checks that uninstalling
+restores every module and class it patched.  iex2+gmc runs its substeps
+through the semidiscrete GMC stage solver, iex2+fct through the quasi-Newton
+stage solver."""
 
 from pathlib import Path
 
+import pytest
 import scipy.sparse.linalg
 
 from mppfv import (fluxes, harness, limiters, mesh, metrics, solvers,
@@ -19,12 +22,13 @@ OWNERS = (fluxes, harness, limiters, mesh, metrics, solvers,
           solvers.SparseBandedMatrix, scipy.sparse.linalg)
 
 
-def test_tracer_installs_every_point_and_unwinds(monkeypatch):
+@pytest.mark.parametrize("limiter", ["gmc", "fct"], ids=lambda s: f"iex2-{s}")
+def test_tracer_installs_every_point_and_unwinds(monkeypatch, limiter):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import ROOT_SPAN, Tracer
 
     config = RunConfig(problem="burgers1d", nx=40, scheme="iex2",
-                       limiter="gmc", t_final=0.05)
+                       limiter=limiter, t_final=0.05)
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = Tracer()
     tracer.install()
@@ -36,7 +40,10 @@ def test_tracer_installs_every_point_and_unwinds(monkeypatch):
     layers = tracer.layer_metrics(1.0)
     assert layers["harness.steps"] >= 1
     assert layers["weno.face_values.calls"] > 0
-    assert layers["limiters.gmc_substep.sweeps_per_substep_mean"] > 0
+    if limiter == "gmc":
+        assert layers["limiters.gmc_substep.sweeps_per_substep_mean"] > 0
+    else:
+        assert layers["solvers.newton.iters_per_stage_mean"] > 0
     after = [dict(vars(owner)) for owner in OWNERS]
     for owner, old, new in zip(OWNERS, before, after):
         assert old.keys() == new.keys(), owner

@@ -92,14 +92,13 @@ class TestConfigFile:
         snapshot-times = 0.1, 0.2
         study = 32,64
         limit-stages = no
-        stage_delta = true
         """
         p = tmp_path / "run.cfg"
         p.write_text(text)
         kwargs = load_config_file(p)
         assert kwargs == dict(problem="linear1d", nx=64, dt_factor=0.25,
                               snapshot_times=(0.1, 0.2), study=(32, 64),
-                              limit_stages=False, stage_delta=True)
+                              limit_stages=False)
         RunConfig(**kwargs)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -205,10 +204,10 @@ class TestRunLoop:
         assert abs(diag.mass_drift) <= 1e-10
 
     def test_stage_delta_tracking(self):
-        on = run(_quick(scheme="sdirk5", stage_delta=True))[0]
-        off = run(_quick(scheme="sdirk5"))[0]
-        assert np.isfinite(on.stage_delta)
-        assert off.stage_delta == np.inf
+        # Every proposal's stage values are folded in; be has none.
+        assert run(_quick(scheme="be"))[0].stage_delta == np.inf
+        for scheme in ("sdirk5", "iex2"):
+            assert np.isfinite(run(_quick(scheme=scheme))[0].stage_delta)
 
 
 #: Every stepper branch of ``harness._make_stepper``, run on burgers1d for
@@ -419,6 +418,10 @@ class TestCommandLine:
         assert code == 0
         assert "problem=linear1d" in out and "scheme=be" in out
         assert "delta=" in out and "mass_drift=" in out and "E1=" in out
+        assert "stage_delta=" not in out  # be has no stages
+        assert main(["--problem", "linear1d", "--nx", "16", "--scheme",
+                     "iex2", "--t-final", "0.1"]) == 0
+        assert "stage_delta=" in capsys.readouterr().out
 
     def test_study_prints_table(self, capsys):
         code = main(["--problem", "linear1d", "--nx", "16", "--scheme", "be",

@@ -386,15 +386,16 @@ class TestSemidiscreteGmc:
             return flux
 
         monkeypatch.setattr(limiters, "high_order_flux", poisoned)
-        substep = make_semidiscrete_gmc_substep_solver(spec, grid)
+        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         with pytest.raises(ValueError, match="non-finite"):
-            substep(u0, 0.1, 0.1)
+            solver(u0, 0.1, 0.1, u0)
 
     def test_substep_solver_bounds_and_identity_at_huge_step(self):
         spec, grid, u0 = _burgers_pulse(60)
-        substep = make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0)
+        solver = make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0)
         dt = 50.0 * grid.spacing[0]
-        y, realized = substep(u0, dt, dt)
+        y, realized, report = solver(u0, dt, dt, u0)
+        assert report.converged
         assert np.array_equal(y, u0 - dt * realized.divergence())
         assert np.min(y) >= spec.global_min - 1e-12
         assert np.max(y) <= spec.global_max + 1e-12
@@ -405,9 +406,9 @@ class TestSemidiscreteGmc:
         # extrapolated combination itself carries signed weights and only
         # inherits conservation, not the bounds.
         spec, grid, u0 = _burgers_pulse(50)
-        substep = make_semidiscrete_gmc_substep_solver(spec, grid)
+        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         dt = 2.0 * grid.spacing[0]
-        u1, _, chains = iex_step(u0, 4, spec, grid, substep, dt)
+        u1, _, chains = iex_step(u0, 4, spec, grid, solver, dt)
         assert len(chains) == 10
         for state in chains:
             assert np.min(state.values) >= spec.global_min - 1e-12

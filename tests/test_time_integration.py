@@ -10,16 +10,18 @@ import math
 import numpy as np
 import pytest
 
+from mppfv.limiters import make_semidiscrete_gmc_substep_solver
 from mppfv.mesh import CellField
-from mppfv.solvers import (JacobianEngine, NonConvergenceError,
-                           SolverReport, make_high_order_substep_solver,
-                           make_stage_solver)
-from mppfv.time_integration import (ButcherTableau, StageSet,
-                                    backward_euler_tableau, check_ssp_stages,
-                                    dirk_step, iex_step, iex_tableau,
-                                    order_condition_residuals, sdirk5_tableau)
+from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
+from mppfv.solvers import (TOL_STAGE, JacobianEngine, NonConvergenceError,
+                           SolverReport, make_stage_solver)
+from mppfv.time_integration import (ButcherTableau, backward_euler_tableau,
+                                    check_ssp_stages, dirk_step, iex_step,
+                                    iex_tableau, order_condition_residuals,
+                                    sdirk5_tableau)
 
 from conftest import make_linear_advection_1d
+from oracles import iex_chain_step
 
 
 def rooted_tree_conditions(A, b, c):
@@ -194,8 +196,8 @@ class TestDirkStep:
         solver = make_stage_solver(JacobianEngine(spec, grid))
         u1, total, stages = dirk_step(u0, sdirk5_tableau(), spec, grid,
                                       solver, dt=0.01)
-        assert isinstance(stages, StageSet)
-        assert len(stages.stages) == len(stages.fluxes) == 5
+        assert isinstance(stages, tuple) and len(stages) == 5
+        assert all(isinstance(s, CellField) for s in stages)
         assert np.array_equal(u1.values, u0 - 0.01 * total.divergence())
 
     def test_mass_conserved_on_periodic_grid(self, advdiff_setup):
@@ -239,7 +241,7 @@ class TestDirkStep:
                              c=[0.0, 1.0], order=2)
         solver = make_stage_solver(JacobianEngine(spec, grid))
         _, _, stages = dirk_step(u0, tab, spec, grid, solver, dt=0.01)
-        first = stages.stages[0].values
+        first = stages[0].values
         assert np.array_equal(first, kept)  # the explicit stage is u^n
         first[0] = 99.0
         assert np.array_equal(u0, kept)  # ... but not aliased to it
@@ -271,34 +273,65 @@ class TestDirkStep:
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.fixture
+def burgers_setup():
+    spec = burgers_1d()
+    grid = make_grid(spec, 40)
+    return spec, grid, initial_cell_averages(spec, grid).values
+
+
 class TestExtrapolationStep:
     def test_first_order_step_is_one_implicit_euler_substep(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
-        got, _, _ = iex_step(u0, 1, spec, grid, substep, dt=0.01)
-        want, _ = substep(u0, 0.01, 0.01)
-        assert np.array_equal(got.values, want)
+        inner = make_stage_solver(JacobianEngine(spec, grid))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        got, _, stages = iex_step(u0, 1, spec, grid, counting, dt=0.01)
+        assert len(calls) == len(stages) == 1
+        _, flux, _ = inner(u0, 0.01, 0.01, u0)
+        assert np.array_equal(got.values, u0 - 0.01 * flux.divergence())
 
     def test_chain_states_and_flux_details(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         p = 4
-        u1, flux, chains = iex_step(u0, p, spec, grid, substep, dt=0.01)
+        u1, flux, chains = iex_step(u0, p, spec, grid, solver, dt=0.01)
         assert len(chains) == p * (p + 1) // 2
         assert np.array_equal(u1.values, u0 - 0.01 * flux.divergence())
 
-    def test_matches_direct_extrapolation_of_chain_results(self, advdiff_setup):
-        # The Aitken-Neville recurrence must reproduce the closed-form
-        # weighted combination of the per-chain backward-Euler results.
+    def test_chain_starts_solve_from_step_start(self, advdiff_setup):
+        # The first substep of each chain starts from u^n, every other one
+        # from the substep before it.
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
+        inner = make_stage_solver(JacobianEngine(spec, grid))
+        guesses, values = [], []
+
+        def recording(reference, step_dt, stage_time, guess):
+            guesses.append(np.array(guess))
+            y, flux, report = inner(reference, step_dt, stage_time, guess)
+            values.append(y)
+            return y, flux, report
+
+        iex_step(u0, 3, spec, grid, recording, dt=0.01)
+        for m, guess in enumerate(guesses):
+            want = u0 if m in (0, 1, 3) else values[m - 1]
+            assert np.array_equal(guess, want), m
+
+    def test_matches_direct_extrapolation_of_chain_results(self,
+                                                           burgers_setup):
+        # The update must equal the closed-form weighted combination of the
+        # per-chain backward-Euler results.  The GMC stage values are
+        # rebuilt from their flux, so they are the chain results to roundoff
+        # (quasi-Newton stage values are iterates, off by the residual).
+        spec, grid, u0 = burgers_setup
+        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         p = 3
-        u1, _, chains = iex_step(u0, p, spec, grid, substep, dt=0.01)
-        finals = []
-        offset = 0
-        for k in range(1, p + 1):
-            finals.append(chains[offset + k - 1].values)
-            offset += k
+        u1, _, chains = iex_step(u0, p, spec, grid, solver, dt=0.05)
+        finals = [chains[k * (k + 1) // 2 - 1].values for k in range(1, p + 1)]
         weights = [math.prod(k / (k - l) for l in range(1, p + 1) if l != k)
                    for k in range(1, p + 1)]
         direct = sum(w * f for w, f in zip(weights, finals))
@@ -306,28 +339,52 @@ class TestExtrapolationStep:
 
     def test_mass_conserved(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
-        u1, _, _ = iex_step(u0, 4, spec, grid, substep, dt=0.02)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
+        u1, _, _ = iex_step(u0, 4, spec, grid, solver, dt=0.02)
         assert np.sum(u1.values) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_validation(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         with pytest.raises(ValueError):
-            iex_step(u0, 0, spec, grid, substep, dt=0.01)
+            iex_step(u0, 0, spec, grid, solver, dt=0.01)
         with pytest.raises(ValueError):
-            iex_step(u0, 2, spec, grid, substep, dt=-0.01)
+            iex_step(u0, 2, spec, grid, solver, dt=-0.01)
 
     def test_higher_order_beats_first_order_on_smooth_problem(self, advdiff_setup):
         # One coarse step with p=4 should land far closer to a heavily
         # substepped reference than the p=1 step does.
         spec, grid, u0 = advdiff_setup
-        substep = make_high_order_substep_solver(JacobianEngine(spec, grid))
+        solver = make_stage_solver(JacobianEngine(spec, grid))
         dt = 0.05
         ref = u0.copy()
         m = 200
         for j in range(m):
-            ref, _ = substep(ref, dt / m, (j + 1) * dt / m)
-        e1 = np.max(np.abs(iex_step(u0, 1, spec, grid, substep, dt)[0].values - ref))
-        e4 = np.max(np.abs(iex_step(u0, 4, spec, grid, substep, dt)[0].values - ref))
+            ref = iex_step(ref, 1, spec, grid, solver, dt / m,
+                           t=j * dt / m)[0].values
+        e1 = np.max(np.abs(iex_step(u0, 1, spec, grid, solver, dt)[0].values - ref))
+        e4 = np.max(np.abs(iex_step(u0, 4, spec, grid, solver, dt)[0].values - ref))
         assert e4 < e1 / 50.0
+
+    @pytest.mark.parametrize("kind", ["newton", "gmc"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_chain_form_oracle(self, burgers_setup, kind, p):
+        spec, grid, u0 = burgers_setup
+        solver = (make_stage_solver(JacobianEngine(spec, grid))
+                  if kind == "newton"
+                  else make_semidiscrete_gmc_substep_solver(spec, grid))
+        dt = 2.0 * grid.spacing[0]
+        u1, flux, stages = iex_step(u0, p, spec, grid, solver, dt, t=0.1)
+        want, want_flux, extrapolated, chains = iex_chain_step(
+            u0, p, solver, dt, t=0.1)
+        tol = 1e-12 * (spec.global_max - spec.global_min)
+        assert np.max(np.abs(u1.values - want)) <= tol
+        assert np.max(np.abs(u1.values - extrapolated)) <= tol
+        for got_axis, want_axis in zip(flux.arrays, want_flux.arrays):
+            assert np.max(np.abs(got_axis - want_axis)) <= tol
+        # Quasi-Newton stage values are iterates, within the stage
+        # tolerance of the chain states rebuilt from their flux.
+        stage_tol = tol if kind == "gmc" else 2.0 * TOL_STAGE
+        assert len(stages) == len(chains) == p * (p + 1) // 2
+        for got, chain in zip(stages, chains):
+            assert np.max(np.abs(got.values - chain)) <= stage_tol

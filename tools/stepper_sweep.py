@@ -15,13 +15,15 @@ per width.
 The matrix: problem (burgers1d nx=30 t=0.06, rotation2d 12^2 for two
 steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
 ``limit_stages`` x ``fct_iters`` in {1, 2} (fct only) x ``gamma`` in
-{0, 1} (gmc only), ``stage_delta`` on; 60 configurations per dt factor.
+{0, 1} (gmc only); 60 configurations per dt factor.
 Then the whole catalogue: each of the 8 built-in problems (1D nx=30, 2D
 12^2, epsilon=0.01 where the problem takes one) for two steps with
 sdirk5+gmc and iex2+fct, 16 more configurations per dt factor but for
 those already in the matrix (rotation2d sdirk5+gmc and iex2+fct at dt
 factor 0.5): 74 and 76 configurations at dt factors 0.5 and 5.  Result
-files are pickles: compare only files this script wrote.
+files are pickles: compare only files this script wrote.  Files written
+while ``RunConfig`` had a ``stage_delta`` switch (the sweep turned it on)
+compare with the ones written since, which always record it.
 
 Compare two trees::
 
@@ -72,8 +74,7 @@ def configurations(dt_factor):
                 out.append(dict(problem=problem, scheme=scheme,
                                 limiter=limiter, limit_stages=limit_stages,
                                 fct_iters=fct_iters, gamma=gamma,
-                                dt_factor=dt_factor, stage_delta=True,
-                                **size))
+                                dt_factor=dt_factor, **size))
     return out + [c for c in _catalogue(dt_factor) if c not in out]
 
 
@@ -91,8 +92,8 @@ def _catalogue(dt_factor):
         for scheme, limiter in CATALOGUE_SCHEMES:
             out.append(dict(problem=problem, scheme=scheme, limiter=limiter,
                             limit_stages=False, fct_iters=1, gamma=0.0,
-                            dt_factor=dt_factor, stage_delta=True, nx=nx,
-                            t_final=2.0 * dt, **extra))
+                            dt_factor=dt_factor, nx=nx, t_final=2.0 * dt,
+                            **extra))
     return out
 
 
@@ -122,6 +123,15 @@ def run_matrix():
         print(f"dt_factor {dt_factor}: {time.perf_counter() - start:.1f} s",
               file=sys.stderr)
     return results
+
+
+def _load(path):
+    """A result file, with the ``stage_delta`` entry dropped from the keys
+    of files that have one."""
+    with open(path, "rb") as fh:
+        results = pickle.load(fh)
+    return {tuple(kv for kv in key if kv[0] != "stage_delta"): result
+            for key, result in results.items()}
 
 
 def _bits(result):
@@ -203,11 +213,7 @@ def main(argv=None):
         with open(args.out, "wb") as fh:
             pickle.dump(results, fh)
         return 0
-    with open(args.old, "rb") as fh:
-        old = pickle.load(fh)
-    with open(args.new, "rb") as fh:
-        new = pickle.load(fh)
-    return 0 if compare(old, new) else 1
+    return 0 if compare(_load(args.old), _load(args.new)) else 1
 
 
 if __name__ == "__main__":
