@@ -9,14 +9,14 @@ one-face-at-a-time path),
 * the low-order diffusive flux ``P^L = c_ij (u_j - u_i)/|x_j - x_i|`` with
   ``c_ij = c((u_i+u_j)/2)`` at the face,
 * the combined low-order flux ``G^L = F^L - P^L``,
-* the *bar states*: the convective intermediate state
-  ``ubar^A = (u_i+u_j)/2 - n.(f_j - f_i)/(2 lam^A)``, the diffusive average
-  ``ubar^D = (u_i+u_j)/2``, their blend ``ubar`` weighted by
-  ``2 c_ij/(lam^A |dx|)``, and the combined face speed
-  ``lam = lam^A (1 + 2 c_ij/(lam^A |dx|))``.  These satisfy
+* the combined face speed ``lam = lam^A (1 + 2 c_ij/(lam^A |dx|))`` and the
+  blended *bar state* ``ubar``: the convective intermediate state
+  ``ubar^A = (u_i+u_j)/2 - n.(f_j - f_i)/(2 lam^A)`` and the diffusive
+  average ``(u_i+u_j)/2`` weighted by ``2 c_ij/(lam^A |dx|)``.  They satisfy
   ``sum_j |S_ij| lam_ij (ubar_ij - u_i) = -sum_j |S_ij| G^L_ij`` cellwise,
   the identity behind the local-extremum-diminishing structure of the
-  low-order scheme,
+  low-order scheme; :func:`low_order_with_bars` returns ``G^L``, ``lam``
+  and ``ubar`` from one pass, and the GMC limiter sums them per cell,
 * the high-order flux ``G^H = F^H - P^H`` built from fifth-order WENO face
   values (Rusanov form on the two reconstructed point values) and the
   linear fourth-order face derivative with the diffusion coefficient
@@ -26,11 +26,12 @@ Storage convention: one array per axis holding the flux *along the positive
 axis direction* at every face plane, laid out like a cell field (grid axis
 ``k`` is array axis ``-1-k``, see :mod:`mesh`) with one more entry along the
 face normal: shape ``(nx+1,)`` in 1D and ``(ny, nx+1)`` / ``(ny+1, nx)`` for
-x-/y-faces in 2D.  On periodic axes the wrap face appears at both array
-ends; the far entry is copied bitwise from the near one so every geometric
-face has exactly one computed value and antisymmetry ``G_ij = -G_ji`` is
-exact.  :func:`adjacent_cells` gives the two cells of every face; the
-kernels between face and cell arrays are one loop over grid axes.
+x-/y-faces in 2D.  Face speeds and bar states use the same layout.  On
+periodic axes the wrap face appears at both array ends; the far entry is
+copied bitwise from the near one so every geometric face has exactly one
+computed value and antisymmetry ``G_ij = -G_ji`` is exact.
+:func:`adjacent_cells` gives the two cells of every face; the kernels
+between face and cell arrays are one loop over grid axes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import weno
 from .mesh import (FIRST, GHOST_WIDTH, LAST, PERIODIC, axis_index,
-                   cell_values, ghost_fill, sides)
+                   ghost_fill, sides)
 from .problems import LAMBDA_FLOOR
 
 
@@ -199,41 +200,6 @@ class FaceFluxSet:
         return self * -1.0
 
 
-@dataclass
-class BarStateSet:
-    """Per-face bar states and speeds (orientation-symmetric), plus the
-    adjacent cell values they were built from."""
-
-    grid: object
-    ubar_a: tuple   # convective bar state
-    ubar_d: tuple   # diffusive bar state (arithmetic mean)
-    ubar: tuple     # blended bar state
-    lam: tuple      # combined face speed lam_ij
-    lam_a: tuple    # convective wave-speed bound lam^A_ij
-    c_mid: tuple    # face diffusion coefficient c_ij
-    u_low: tuple    # low-side adjacent cell value
-    u_high: tuple   # high-side adjacent cell value
-
-    def _cell_sum(self, per_axis):
-        """Sum ``|S_ij| q_ij`` over the faces of each cell."""
-        face_area = self.grid.face_area
-        for axis, q in enumerate(per_axis):
-            low, high = sides(q, axis)
-            term = face_area(axis) * (low + high)
-            out = term if axis == 0 else out + term
-        return out
-
-    def cell_coefficient(self):
-        """``a_i = sum_j |S_ij| lam_ij`` per cell."""
-        return self._cell_sum(self.lam)
-
-    def cell_bar_average(self, a):
-        """``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij`` per cell, given
-        ``a = cell_coefficient()``."""
-        weighted = tuple(l * u for l, u in zip(self.lam, self.ubar))
-        return self._cell_sum(weighted) / a
-
-
 # ---------------------------------------------------------------------------
 # Wave-speed evaluation
 # ---------------------------------------------------------------------------
@@ -270,75 +236,36 @@ def _face_states(u_ext, spec, grid, axis, t):
     return ua, ub, face_xy, a_xy, b_xy, lam_a, u_mid, c_mid
 
 
-class _AxisLowOrder:
-    __slots__ = ("G", "ubar_a", "ubar_d", "ubar", "lam", "lam_a", "c_mid",
-                 "ua", "ub")
-
-
 def _axis_low_order(u_ext, spec, grid, axis, t):
+    """``(G^L, lam, ubar)`` on the faces of ``axis``."""
     ua, ub, _, a_xy, b_xy, lam_a, u_mid, c_mid = _face_states(
         u_ext, spec, grid, axis, t)
     fa = np.asarray(spec.flux(axis, ua, *a_xy, t), dtype=float)
     fb = np.asarray(spec.flux(axis, ub, *b_xy, t), dtype=float)
     d = grid.spacing[axis]
-
-    out = _AxisLowOrder()
-    out.ua, out.ub = ua, ub
-    out.G = 0.5 * (fa + fb) - 0.5 * lam_a * (ub - ua) - c_mid * (ub - ua) / d
-    out.ubar_d = u_mid
-    out.ubar_a = out.ubar_d - (fb - fa) / (2.0 * lam_a)
+    G = 0.5 * (fa + fb) - 0.5 * lam_a * (ub - ua) - c_mid * (ub - ua) / d
+    ubar_a = u_mid - (fb - fa) / (2.0 * lam_a)
     ratio = 2.0 * c_mid / (lam_a * d)
-    out.lam = lam_a * (1.0 + ratio)
-    out.lam_a = lam_a
-    out.c_mid = c_mid
-    out.ubar = (out.ubar_a + ratio * out.ubar_d) / (1.0 + ratio)
-    for name in ("G", "ubar_a", "ubar_d", "ubar", "lam", "lam_a", "c_mid"):
-        tie_periodic_seam(getattr(out, name), grid, axis)
-    return out
+    lam = lam_a * (1.0 + ratio)
+    ubar = (ubar_a + ratio * u_mid) / (1.0 + ratio)
+    return tuple(tie_periodic_seam(v, grid, axis) for v in (G, lam, ubar))
 
 
 def low_order_with_bars(field, spec, grid, t=0.0):
     """Low-order fluxes and bar states in one pass.
 
-    Returns ``(FaceFluxSet of G^L, BarStateSet)``.
+    Returns ``(G^L, lam, ubar)``: the :class:`FaceFluxSet` of ``G^L`` and
+    per-axis tuples of the combined face speed and the blended bar state.
     """
     u_ext = ghost_fill(field, spec, grid, time=t, width=1)
-    per_axis = [_axis_low_order(u_ext, spec, grid, axis, t)
-                for axis in range(grid.dim)]
-    flux = unchecked(FaceFluxSet, grid=grid,
-                     arrays=tuple(p.G for p in per_axis))
-    bars = BarStateSet(
-        grid,
-        ubar_a=tuple(p.ubar_a for p in per_axis),
-        ubar_d=tuple(p.ubar_d for p in per_axis),
-        ubar=tuple(p.ubar for p in per_axis),
-        lam=tuple(p.lam for p in per_axis),
-        lam_a=tuple(p.lam_a for p in per_axis),
-        c_mid=tuple(p.c_mid for p in per_axis),
-        u_low=tuple(p.ua for p in per_axis),
-        u_high=tuple(p.ub for p in per_axis),
-    )
-    return flux, bars
+    G, lam, ubar = zip(*(_axis_low_order(u_ext, spec, grid, axis, t)
+                         for axis in range(grid.dim)))
+    return unchecked(FaceFluxSet, grid=grid, arrays=G), lam, ubar
 
 
 def low_order_flux_set(field, spec, grid, t=0.0):
     """``G^L = F^L - P^L`` per face as a :class:`FaceFluxSet`."""
     return low_order_with_bars(field, spec, grid, t)[0]
-
-
-def bar_states(field, spec, grid, t=0.0):
-    """Bar states, blended states and face speeds per face."""
-    return low_order_with_bars(field, spec, grid, t)[1]
-
-
-def low_order_rhs(field, spec, grid, t=0.0):
-    """Per-cell ``sum_j |S_ij| lam_ij (ubar_ij - u_i) / |K_i|`` — the
-    bar-state form of the low-order right-hand side, algebraically equal to
-    ``-(1/|K_i|) sum_j |S_ij| G^L_ij``."""
-    u = cell_values(field)
-    bars = bar_states(field, spec, grid, t)
-    a = bars.cell_coefficient()
-    return (a * (bars.cell_bar_average(a) - u)) / grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

@@ -23,31 +23,30 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   Any solution is bounded with no time-step restriction.  One kernel,
   ``_gmc_fixed_point``, holds the sweep loop; it takes ``G^H`` as a
   callable of the iterate, which returns the frozen step-start flux for
-  :func:`gmc_step` and rebuilds the flux from the iterate for the
-  semi-discrete stage solver below.  Each sweep mixes the diagonal update
-  above with the previous ``ANDERSON_DEPTH`` sweeps (type-II Anderson
-  acceleration, Walker & Ni 2011), which needs a fraction of the plain
-  sweeps and converges at large steps where they stall.  The mixed
-  iterates are not projected onto the bounds; boundedness comes from the
-  converged fixed point, whose state is recomputed from the realized flux.
+  the step-level limiter ``_gmc_with_flux`` and rebuilds the flux from
+  the iterate for the semi-discrete stage solver below.  Each sweep mixes
+  the diagonal update above with the previous ``ANDERSON_DEPTH`` sweeps
+  (type-II Anderson acceleration, Walker & Ni 2011), which needs a
+  fraction of the plain sweeps and converges at large steps where they
+  stall.  The mixed iterates are not projected onto the bounds;
+  boundedness comes from the converged fixed point, whose state is
+  recomputed from the realized flux.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
-Coefficients, budgets and correction sums are built by one loop over grid
-axes on the array-axis convention of :mod:`mesh`, with
-:func:`fluxes.adjacent_cells` giving each face its two cells.
+The coefficients are one plain array per axis, laid out like the face
+fluxes of :mod:`fluxes`; they, the allowances and the cell sums are built
+by one loop over grid axes on the array-axis convention of :mod:`mesh`,
+with :func:`fluxes.adjacent_cells` giving each face its two cells.
 
-Also here: the semi-discrete GMC right-hand side (both flux orders
-evaluated at the current state, limited so the semi-discretization is
-locally-extremum-diminishing with respect to the global bounds) and the
-implicit-Euler stage solver built on it, which runs the stages of the
-extrapolation integrator in the DIRK stage loop of
-:mod:`time_integration`.
+Also here: the implicit-Euler stage solver on the semi-discrete GMC
+limiting (both flux orders evaluated at the stage state, limited so the
+semi-discretization is locally-extremum-diminishing with respect to the
+global bounds), which runs the stages of the extrapolation integrator in
+the DIRK stage loop of :mod:`time_integration`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,56 +75,19 @@ LIMITER_CHOICES = ("none", "fct", "gmc")
 REFERENCE_SLACK = 1e-9
 
 
-@dataclass
-class LimiterCoefficients:
-    """One ``alpha in [0,1]`` per geometric face, stored like a
-    :class:`fluxes.FaceFluxSet` (symmetry ``alpha_ij = alpha_ji`` holds by
-    construction: each geometric face has exactly one entry), with the
-    :class:`BoundBudget` they were computed from, if any."""
-
-    grid: object
-    arrays: tuple
-    budget: BoundBudget | None = None
-
-    def __post_init__(self):
-        self.arrays = tuple(np.asarray(a, dtype=float) for a in self.arrays)
-        self.check()
-
-    def check(self):
-        """Raise ``ValueError`` unless the budget ratios and the
-        coefficients lie in [0, 1]."""
-        if self.budget is not None:
-            self.budget.check()
-        for a in self.arrays:
-            if a.size and (np.min(a) < 0.0 or np.max(a) > 1.0):
-                raise ValueError("limiter coefficients must lie in [0, 1]")
-
-    def apply(self, flux_set):
-        """Coefficient-weighted flux set (elementwise per face)."""
-        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
-            a * g for a, g in zip(self.arrays, flux_set.arrays)))
+def _check_alphas(alphas):
+    """Raise ``ValueError`` unless every limiter coefficient lies in
+    [0, 1]."""
+    for a in alphas:
+        if a.size and (np.min(a) < 0.0 or np.max(a) > 1.0):
+            raise ValueError("limiter coefficients must lie in [0, 1]")
 
 
-@dataclass
-class BoundBudget:
-    """Cellwise limiter budgets: allowances ``Q^-<=0<=Q^+``, raw correction
-    sums ``P^±``, and the resulting ratios ``R^± in [0,1]``."""
-
-    q_minus: np.ndarray
-    q_plus: np.ndarray
-    p_minus: np.ndarray
-    p_plus: np.ndarray
-    r_minus: np.ndarray
-    r_plus: np.ndarray
-
-    def __post_init__(self):
-        self.check()
-
-    def check(self):
-        """Raise ``ValueError`` unless both ratios lie in [0, 1]."""
-        for r in (self.r_minus, self.r_plus):
-            if np.min(r) < 0.0 or np.max(r) > 1.0:
-                raise ValueError("limiter ratios must lie in [0, 1]")
+def _weighted(alphas, flux_set):
+    """The coefficient-weighted flux set ``alpha * G`` (elementwise per
+    face)."""
+    return unchecked(FaceFluxSet, grid=flux_set.grid, arrays=tuple(
+        a * g for a, g in zip(alphas, flux_set.arrays)))
 
 
 def _outward_sums(flux_set, grid):
@@ -142,10 +104,20 @@ def _outward_sums(flux_set, grid):
     return p_plus, p_minus
 
 
-def compute_bound_budgets(flux_corrections, q_minus, q_plus, grid):
-    """Zalesak budget stage: correction sums ``P^±`` and ratios
-    ``R^± = min(1, Q^±/P^±)`` with ``R = 1`` where ``P = 0``.  The ratios
-    are range-checked by :meth:`BoundBudget.check`, not here."""
+def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
+    """Per-face limiter coefficients capping the outward correction sums by
+    the cell allowances, one array per axis.
+
+    With the correction sums ``P^±`` and the ratios
+    ``R^± = min(1, Q^±/P^±)`` (``R = 1`` where ``P = 0``),
+    ``alpha_ij = min(R_i^+, R_j^-)`` where the correction leaves cell ``i``
+    (and symmetrically otherwise), so that
+    ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell.  Raises
+    ``ValueError`` unless ``Q^- <= 0 <= Q^+``.
+
+    The fixed-point sweeps call this once per sweep, so the coefficients
+    are not range-checked here: the limiters call :func:`_check_alphas` on
+    the coefficients of each flux they realize."""
     q_minus = np.asarray(q_minus, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     if np.any(q_minus > 0.0) or np.any(q_plus < 0.0):
@@ -160,34 +132,16 @@ def compute_bound_budgets(flux_corrections, q_minus, q_plus, grid):
                            np.minimum(1.0, q_minus / np.where(p_minus < 0.0,
                                                               p_minus, -1.0)),
                            1.0)
-    return unchecked(BoundBudget, q_minus=q_minus, q_plus=q_plus,
-                      p_minus=p_minus, p_plus=p_plus, r_minus=r_minus,
-                      r_plus=r_plus)
-
-
-def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
-    """Per-face limiter coefficients capping the outward correction sums by
-    the cell allowances: ``alpha_ij = min(R_i^+, R_j^-)`` where the
-    correction leaves cell ``i`` (and symmetrically otherwise), so that
-    ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell.
-
-    The fixed-point sweeps call this once per sweep, so neither the budget
-    nor the coefficients are range-checked here: the limiters call
-    :meth:`LimiterCoefficients.check` on the coefficients of each flux they
-    realize."""
-    budget = compute_bound_budgets(flux_corrections, q_minus, q_plus, grid)
-    arrays = []
-    for axis in range(grid.dim):
-        dg = flux_corrections.arrays[axis]
+    alphas = []
+    for axis, dg in enumerate(flux_corrections.arrays):
         # Ghost cells impose no budget.
-        rp_lo, rp_hi = adjacent_cells(budget.r_plus, grid, axis, 1.0)
-        rm_lo, rm_hi = adjacent_cells(budget.r_minus, grid, axis, 1.0)
+        rp_lo, rp_hi = adjacent_cells(r_plus, grid, axis, 1.0)
+        rm_lo, rm_hi = adjacent_cells(r_minus, grid, axis, 1.0)
         alpha = np.where(dg >= 0.0,
                          np.minimum(rp_lo, rm_hi),
                          np.minimum(rm_lo, rp_hi))
-        arrays.append(tie_periodic_seam(alpha, grid, axis))
-    return unchecked(LimiterCoefficients, grid=grid, arrays=tuple(arrays),
-                      budget=budget)
+        alphas.append(tie_periodic_seam(alpha, grid, axis))
+    return tuple(alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +188,16 @@ def _restore_bounds(values, spec):
 
 def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
                    strict_reference=True):
+    """Flux-corrected step ``u = u^L + (dt/|K|) sum |S| alpha (G^L - G^H)``
+    with allowances ``Q^± = (|K|/dt)(u^{max/min} - u^L)``; returns
+    ``(CellField, realized flux)``.
+
+    ``iterations > 1`` re-limits the rejected remainder ``(1-alpha) dG``
+    against the budgets of the updated solution, recovering more of the
+    high-order flux.  With ``strict_reference`` the output lies in the
+    global bounds up to roundoff whenever ``u^L`` does (precondition,
+    checked).
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     u_L = cell_values(u_L)
@@ -246,9 +210,9 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
     for _ in range(iterations):
         q_plus = np.maximum(0.0, volume_rate * (spec.global_max - u))
         q_minus = np.minimum(0.0, volume_rate * (spec.global_min - u))
-        alpha = zalesak_alphas(remainder, q_minus, q_plus, grid)
-        alpha.check()
-        accepted = alpha.apply(remainder)
+        alphas = zalesak_alphas(remainder, q_minus, q_plus, grid)
+        _check_alphas(alphas)
+        accepted = _weighted(alphas, remainder)
         u = u + dt * accepted.divergence()
         realized = realized - accepted
         remainder = remainder - accepted
@@ -256,18 +220,6 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
     if strict_reference:
         u = _restore_bounds(u, spec)
     return CellField(grid, u), realized
-
-
-def fct_step(G_L, u_L, G_H, spec, grid, dt, iterations=1):
-    """Flux-corrected step ``u = u^L + (dt/|K|) sum |S| alpha (G^L - G^H)``
-    with allowances ``Q^± = (|K|/dt)(u^{max/min} - u^L)``.
-
-    ``iterations > 1`` re-limits the rejected remainder ``(1-alpha) dG``
-    against the budgets of the updated solution, recovering more of the
-    high-order flux.  The output lies in the global bounds up to roundoff
-    whenever ``u^L`` does (precondition, checked).
-    """
-    return _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +241,28 @@ def gmc_budgets(a, ubar_cell, values, spec, gamma):
     return np.minimum(0.0, q_minus), np.maximum(0.0, q_plus)
 
 
+def _cell_sum(per_axis, grid):
+    """Sum ``|S_ij| q_ij`` over the faces of each cell."""
+    for axis, q in enumerate(per_axis):
+        low, high = sides(q, axis)
+        term = grid.face_area(axis) * (low + high)
+        out = term if axis == 0 else out + term
+    return out
+
+
 def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     """The GMC terms of state ``u`` against high-order flux ``G_H``: the
     low-order flux ``G^L`` at time ``t``, the limiter coefficients
     ``alpha``, the accepted correction ``alpha (G^L - G^H)``, the cell
-    coefficients ``a_i`` and the bar-state averages ``ubar_i``."""
-    G_L, bars = low_order_with_bars(u, spec, grid, t=t)
-    a = bars.cell_coefficient()
-    ubar = bars.cell_bar_average(a)
+    coefficients ``a_i = sum_j |S_ij| lam_ij`` and the bar-state averages
+    ``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij``."""
+    G_L, lam, ubar_face = low_order_with_bars(u, spec, grid, t=t)
+    a = _cell_sum(lam, grid)
+    ubar = _cell_sum(tuple(l * b for l, b in zip(lam, ubar_face)), grid) / a
     correction = G_L - G_H
     q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
-    alpha = zalesak_alphas(correction, q_minus, q_plus, grid)
-    return G_L, alpha, alpha.apply(correction), a, ubar
+    alphas = zalesak_alphas(correction, q_minus, q_plus, grid)
+    return G_L, alphas, _weighted(alphas, correction), a, ubar
 
 
 def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
@@ -331,7 +293,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
     dT = np.empty((ANDERSON_DEPTH, u.size))
     kept, f_prev = 0, None
     for sweep in range(max_sweeps + 1):
-        G_L, alpha, accepted, a, ubar = _gmc_face_terms(
+        G_L, alphas, accepted, a, ubar = _gmc_face_terms(
             u, high_flux(u), spec, grid, gamma, t)
         realized = G_L - accepted
         residual = u - u0 + dt * realized.divergence()
@@ -342,7 +304,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
         stalled = res > STALL_RATIO * prev_res
         if (res <= TOL_GMC_TARGET
                 or (res <= tol and (stalled or sweep == max_sweeps))):
-            alpha.check()
+            _check_alphas(alphas)
             return (u0 - dt * realized.divergence(), realized,
                     SolverReport(sweep, res, True, tol))
         if sweep == max_sweeps:
@@ -374,6 +336,12 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
 
 def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol=TOL_GMC,
                    max_sweeps=MAX_GMC_SWEEPS, strict_reference=True):
+    """One bound-preserving step: the fixed point of
+    :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
+    and the low-order flux at ``t + dt``.  Returns ``(CellField, realized
+    flux, SolverReport)``.  With ``strict_reference`` the previous solution
+    must lie in the global bounds, and roundoff is snapped back into them.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if gamma < 0:
@@ -388,57 +356,9 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol=TOL_GMC,
     return CellField(grid, u_new), realized, report
 
 
-def gmc_step(u_n, G_H, spec, grid, dt, gamma=0.0, t=0.0, tol=TOL_GMC,
-             max_sweeps=MAX_GMC_SWEEPS):
-    """One bound-preserving step with the high-order flux frozen at step
-    start and the low-order flux treated implicitly.
-
-    Fixed-point sweeps rebuild the bar states, allowances and limiter
-    coefficients from the current iterate, evaluate the diagonal update
-
-        T(u) = [u^n + nu a (1+gamma) g] / [1 + nu a (1+gamma)]
-
-    and set ``u <- T(u) - dT c``, where ``dT`` and ``dF`` hold the
-    differences of ``T`` and of ``f = T(u) - u`` over the last
-    ``ANDERSON_DEPTH`` sweeps and ``c`` solves ``dF c = f`` in the
-    least-squares sense (Anderson mixing; the first sweep, and any sweep
-    whose residual grew more than ``ANDERSON_RESTART``-fold, is
-    ``u <- T(u)`` and restarts the history).  Sweeps stop once the
-    self-consistent l2 residual drops below tolerance (1e-12; sweeps
-    continue toward 1e-13 while they keep contracting).  The returned
-    state is recomputed from the realized flux ``G^L - alpha (G^L - G^H)``
-    at the final iterate, so mass is conserved exactly.  Raises :class:`NonConvergenceError` after ``max_sweeps``.
-    """
-    result, _, report = _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
-                                       tol, max_sweeps)
-    return result, report
-
-
 # ---------------------------------------------------------------------------
 # Semi-discrete GMC limiting (for integrators with SSP stages)
 # ---------------------------------------------------------------------------
-
-def _semidiscrete_gmc_flux(field, spec, grid, gamma, t=0.0):
-    """Limited instantaneous flux ``G^L - alpha (G^L - G^H)`` with both
-    orders evaluated at the current state and allowances referenced to it."""
-    values = cell_values(field)
-    G_L, alpha, accepted, _, _ = _gmc_face_terms(
-        values, high_order_flux(values, spec, grid, t=t), spec, grid, gamma, t)
-    alpha.check()
-    return (G_L - accepted).check_finite()
-
-
-def semidiscrete_gmc_rhs(field, spec, grid, gamma=0.0, t=0.0):
-    """Per-cell limited right-hand side
-    ``-(1/|K|) sum |S| [G^L - alpha (G^L - G^H)]`` at the current state.
-
-    The allowances keep every bar-state average within the global bounds,
-    making this semi-discretization locally extremum diminishing with
-    respect to them: implicit-Euler substeps preserve the bounds
-    unconditionally.
-    """
-    return -_semidiscrete_gmc_flux(field, spec, grid, gamma, t).divergence()
-
 
 def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     """Stage solver on the limited semi-discretization, for
@@ -446,12 +366,18 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     :func:`time_integration.iex_step`.
 
     ``solver(reference, step_dt, stage_time, guess)`` solves the
-    implicit-Euler stage ``y = reference + step_dt * RHS(y)`` by the same
-    Anderson-mixed fixed point as :func:`gmc_step` (with the high-order
-    flux rebuilt at every iterate), sweeping from ``reference`` (the guess
-    is not used), and returns ``(y, realized flux, SolverReport)``; the
-    stage value is recomputed from the realized flux, so chained stages
-    conserve mass exactly.
+    implicit-Euler stage ``y = reference + step_dt * RHS(y)``, where
+    ``RHS = -(1/|K|) sum |S| [G^L - alpha (G^L - G^H)]`` has both flux
+    orders and the allowances evaluated at ``y``, by the same
+    Anderson-mixed fixed point as the step-level limiter (with the
+    high-order flux rebuilt at every iterate), sweeping from ``reference``
+    (the guess is not used), and returns ``(y, realized flux,
+    SolverReport)``; the stage value is recomputed from the realized flux,
+    so chained stages conserve mass exactly.  The allowances keep every
+    bar-state average within the global bounds, so this
+    semi-discretization is locally extremum diminishing with respect to
+    them and the implicit-Euler stages preserve the bounds
+    unconditionally.
     """
 
     def solver(reference, step_dt, stage_time, guess):

@@ -137,11 +137,8 @@ class SparseBandedMatrix:
             return np.zeros_like(b)
         lu = preconditioner.factorize()
         M = spla.LinearOperator(self.matrix.shape, matvec=lu.solve)
-        kwargs = dict(M=M, restart=60, maxiter=300, atol=0.0)
-        try:
-            x, info = spla.gmres(self.matrix, b, rtol=rtol, **kwargs)
-        except TypeError:  # older scipy spells the relative tolerance 'tol'
-            x, info = spla.gmres(self.matrix, b, tol=rtol, **kwargs)
+        x, info = spla.gmres(self.matrix, b, M=M, restart=60, maxiter=300,
+                             rtol=rtol, atol=0.0)
         if info != 0 or np.linalg.norm(self.matrix @ x - b) > 10 * rtol * nb:
             return self.factorize().solve(b)
         return x

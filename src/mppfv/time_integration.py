@@ -1,8 +1,8 @@
 """Diagonally implicit Runge-Kutta (DIRK) machinery.
 
-Provides Butcher tableaus (backward Euler, a five-stage fifth-order SDIRK
-with exact rational coefficients, and the implicit-Euler extrapolation
-family IEX-p in Runge-Kutta form), rooted-tree order-condition residuals,
+Provides Butcher tableaus (a five-stage fifth-order SDIRK with exact
+rational coefficients, and the implicit-Euler extrapolation family IEX-p in
+Runge-Kutta form, whose IEX-1 is backward Euler), rooted-tree order-condition residuals,
 the stage-MPP inequality checker, and the one DIRK stage loop with
 stage-flux aggregation and an optional per-stage limit hook; the
 extrapolation stepper is that loop on the IEX-p tableau.
@@ -62,11 +62,6 @@ class ButcherTableau:
     @property
     def stages(self):
         return len(self.b)
-
-
-def backward_euler_tableau():
-    """The one-stage first-order implicit Euler tableau."""
-    return ButcherTableau(A=[[1.0]], b=[1.0], c=[1.0], order=1, name="be")
 
 
 #: Diagonal entry shared by all stages of the five-stage SDIRK method.

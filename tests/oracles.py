@@ -263,11 +263,11 @@ def zalesak_alpha_oracle(flux_set, q_minus, q_plus, grid):
     return out
 
 
-def outward_limited_sums(alpha, flux_set, grid):
+def outward_limited_sums(alphas, flux_set, grid):
     """Cellwise ``sum |S| alpha dG`` (outward), via the face records."""
     total = np.zeros(grid.shape)
     for f in faces(grid):
-        v = face_entry(alpha.arrays, grid, f) * outward_value(flux_set, f) * f.area
+        v = face_entry(alphas, grid, f) * outward_value(flux_set, f) * f.area
         total[cell_slot(f.owner, grid)] += v
         if f.neighbor is not None:
             total[cell_slot(f.neighbor, grid)] -= v

@@ -1,5 +1,9 @@
 """Face-flux assembly, bar states, and the two equivalent low-order forms.
 
+The bar-state form ``a_i (ubar_i - u_i)`` is built from the face speeds and
+bar states of :func:`low_order_with_bars` by the cell sums the GMC limiter
+uses.
+
 The low-order flux, the divergence and the cell sums are checked against the
 face-by-face walks of :mod:`oracles`, which never touch the vectorized array
 layout.
@@ -8,9 +12,9 @@ layout.
 import numpy as np
 import pytest
 
-from mppfv.fluxes import (FaceFluxSet, bar_states, high_order_flux,
-                          low_order_flux_set, low_order_rhs,
-                          low_order_with_bars)
+from mppfv.fluxes import (FaceFluxSet, _face_states, high_order_flux,
+                          low_order_flux_set, low_order_with_bars)
+from mppfv.limiters import _cell_sum
 from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid, ghost_fill
 from mppfv.problems import (buckley_leverett_1d, kpp_2d, make_grid,
                             steady_gaussian_1d)
@@ -199,33 +203,66 @@ class TestLowOrderFluxMatchesFaceOracle:
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def convective_face_states(u, spec, grid, t=0.0):
+    """Per axis, the wave-speed bound ``lam^A``, the diffusion coefficient
+    ``c_ij`` and the convective bar state ``ubar^A`` of every face."""
+    u_ext = ghost_fill(u, spec, grid, time=t, width=1)
+    out = []
+    for axis in range(grid.dim):
+        ua, ub, _, a_xy, b_xy, lam_a, u_mid, c_mid = _face_states(
+            u_ext, spec, grid, axis, t)
+        fa = spec.flux(axis, ua, *a_xy, t)
+        fb = spec.flux(axis, ub, *b_xy, t)
+        out.append((lam_a, c_mid, u_mid - (fb - fa) / (2.0 * lam_a)))
+    return out
+
+
+def adjacent_range(u, spec, grid):
+    """Per face of axis 0, the smaller and larger adjacent state."""
+    u_ext = ghost_fill(u, spec, grid, time=0.0, width=1)
+    ua, ub = _face_states(u_ext, spec, grid, 0, 0.0)[:2]
+    return np.minimum(ua, ub), np.maximum(ua, ub)
+
+
+def bar_state_form(u, spec, grid, t=0.0):
+    """``a_i (ubar_i - u_i)``, with ``a_i = sum_j |S_ij| lam_ij`` and
+    ``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij``."""
+    _, lam, ubar = low_order_with_bars(u, spec, grid, t)
+    a = _cell_sum(lam, grid)
+    weighted = tuple(l * b for l, b in zip(lam, ubar))
+    return a * (_cell_sum(weighted, grid) / a - u)
+
+
 class TestBarStates:
     def test_constant_field_collapses_all_states(self):
         spec, grid = make_burgers_1d(9)
-        bars = bar_states(np.full(9, 0.6), spec, grid)
-        for name in ("ubar_a", "ubar_d", "ubar"):
-            assert np.allclose(getattr(bars, name)[0], 0.6, rtol=0, atol=1e-15)
+        u = np.full(9, 0.6)
+        _, _, ubar = low_order_with_bars(u, spec, grid)
+        assert np.allclose(ubar[0], 0.6, rtol=0, atol=1e-15)
 
     def test_zero_diffusion_degeneracy(self, rng):
         spec, grid = make_linear_advection_1d(velocity=1.5, diffusion=0.0, n=12)
-        bars = bar_states(rng.uniform(0.0, 1.0, 12), spec, grid)
-        assert np.array_equal(bars.ubar[0], bars.ubar_a[0])
-        assert np.array_equal(bars.lam[0], bars.lam_a[0])
+        u = rng.uniform(0.0, 1.0, 12)
+        _, lam, ubar = low_order_with_bars(u, spec, grid)
+        lam_a, _, ubar_a = convective_face_states(u, spec, grid)[0]
+        assert np.array_equal(ubar[0], ubar_a)
+        assert np.array_equal(lam[0], lam_a)
 
     def test_linear_flux_bar_state_is_upwind_value(self):
         spec, grid = make_linear_advection_1d(velocity=1.0, n=5, wave_speed=1.0)
         u = np.array([0.0, 1.0, 0.5, 0.5, 0.5])
-        bars = bar_states(u, spec, grid)
+        _, _, ubar = low_order_with_bars(u, spec, grid)
         # Face between the first two cells: (0+1)/2 - (1-0)/2 = 0.
-        assert bars.ubar_a[0][1] == pytest.approx(0.0, abs=1e-15)
+        assert ubar[0][1] == pytest.approx(0.0, abs=1e-15)
         face = next(f for f in faces(grid)
                     if f.owner == (0,) and f.neighbor == (1,))
-        assert face_entry(bars.ubar_a, grid, face) == pytest.approx(0.0, abs=1e-15)
+        assert face_entry(ubar, grid, face) == pytest.approx(0.0, abs=1e-15)
 
     def test_combined_speed_dominates_convective_bound(self, rng):
         spec, grid = make_burgers_1d(16)
-        bars = bar_states(rng.uniform(-2.0, 2.0, 16), spec, grid)
-        lam, lam_a, c_mid = bars.lam[0], bars.lam_a[0], bars.c_mid[0]
+        u = rng.uniform(-2.0, 2.0, 16)
+        lam = low_order_with_bars(u, spec, grid)[1][0]
+        lam_a, c_mid, _ = convective_face_states(u, spec, grid)[0]
         assert np.all(lam >= lam_a)
         d = grid.spacing[0]
         assert np.allclose(lam, lam_a * (1.0 + 2.0 * c_mid / (lam_a * d)),
@@ -235,7 +272,7 @@ class TestBarStates:
         spec, grid = make_linear_advection_1d(velocity=1.0, n=6,
                                               wave_speed=0.0)
         with pytest.raises(ValueError):
-            bar_states(np.linspace(0.0, 1.0, 6), spec, grid)
+            low_order_with_bars(np.linspace(0.0, 1.0, 6), spec, grid)
 
     def test_fuzz_bar_states_within_adjacent_range_square_flux(self, rng):
         n = 12000
@@ -244,13 +281,11 @@ class TestBarStates:
             **spec.__dict__,
             "diffusion": lambda u, x, y: np.square(np.asarray(u, dtype=float)),
         })
-        bars = bar_states(rng.uniform(-4.0, 4.0, n), spec, grid)
-        lo = np.minimum(bars.u_low[0], bars.u_high[0])
-        hi = np.maximum(bars.u_low[0], bars.u_high[0])
-        for name in ("ubar_a", "ubar_d", "ubar"):
-            v = getattr(bars, name)[0]
-            assert np.all(v >= lo - 1e-14), name
-            assert np.all(v <= hi + 1e-14), name
+        u = rng.uniform(-4.0, 4.0, n)
+        lo, hi = adjacent_range(u, spec, grid)
+        ubar = low_order_with_bars(u, spec, grid)[2][0]
+        assert np.all(ubar >= lo - 1e-14)
+        assert np.all(ubar <= hi + 1e-14)
 
     def test_fuzz_bar_states_within_adjacent_range_sine_flux(self, rng):
         n = 12000
@@ -263,23 +298,21 @@ class TestBarStates:
             "wave_speed_bound": constant_speed(1.0),
             "diffusion": lambda u, x, y: shaped(0.003, u, x),
         })
-        bars = bar_states(rng.uniform(-3.0, 3.0, n), spec, grid)
-        lo = np.minimum(bars.u_low[0], bars.u_high[0])
-        hi = np.maximum(bars.u_low[0], bars.u_high[0])
-        for name in ("ubar_a", "ubar_d", "ubar"):
-            v = getattr(bars, name)[0]
-            assert np.all(v >= lo - 1e-14), name
-            assert np.all(v <= hi + 1e-14), name
+        u = rng.uniform(-3.0, 3.0, n)
+        lo, hi = adjacent_range(u, spec, grid)
+        ubar = low_order_with_bars(u, spec, grid)[2][0]
+        assert np.all(ubar >= lo - 1e-14)
+        assert np.all(ubar <= hi + 1e-14)
 
     def test_still_fluid_drift_keeps_nonnegative_bar_states(self, rng):
         # With the speed bound at least the local |velocity|, drift toward
-        # the origin cannot produce negative convective bar states from
-        # nonnegative data.
+        # the origin cannot produce negative bar states from nonnegative
+        # data.
         spec = steady_gaussian_1d()
         grid = StructuredGrid(1, (64,), spec.domain_lo, spec.domain_hi,
                               spec.boundary)
-        bars = bar_states(rng.uniform(0.0, 1.0, 64), spec, grid)
-        assert np.all(bars.ubar_a[0] >= -1e-14)
+        u = rng.uniform(0.0, 1.0, 64)
+        assert np.all(low_order_with_bars(u, spec, grid)[2][0] >= -1e-14)
 
     def test_cell_coefficient_matches_face_loop(self, rng):
         for boundary in [(PERIODIC, PERIODIC), (DIRICHLET, PERIODIC)]:
@@ -289,11 +322,11 @@ class TestBarStates:
                 "diffusion": lambda u, x, y: shaped(0.02, u, x, y),
             })
             u = rng.uniform(0.0, 1.0, grid.shape)
-            bars = bar_states(u, spec, grid)
-            a = bars.cell_coefficient()
+            _, lam, _ = low_order_with_bars(u, spec, grid)
+            a = _cell_sum(lam, grid)
             want = np.zeros(grid.shape)
             for face in faces(grid):
-                contrib = face.area * face_entry(bars.lam, grid, face)
+                contrib = face.area * face_entry(lam, grid, face)
                 want[cell_slot(face.owner, grid)] += contrib
                 if face.neighbor is not None:
                     want[cell_slot(face.neighbor, grid)] += contrib
@@ -301,16 +334,19 @@ class TestBarStates:
 
 
 class TestLowOrderRhs:
+    """``a_i (ubar_i - u_i) = -|K_i| div G^L``: the bar-state and flux forms
+    of the low-order right-hand side agree."""
+
     def test_constant_field_is_stationary(self):
         spec, grid = make_burgers_1d(10)
         u = np.full(10, 1.3)
         assert np.all(low_order_flux_set(u, spec, grid).divergence() == 0.0)
-        assert np.allclose(low_order_rhs(u, spec, grid), 0.0, atol=1e-12)
+        assert np.allclose(bar_state_form(u, spec, grid), 0.0, atol=1e-12)
 
     def test_bar_state_form_equals_flux_form(self, rng):
         spec, grid = make_burgers_1d(8)
         u = rng.uniform(0.0, 2.0, 8)
-        rhs = low_order_rhs(u, spec, grid)
+        rhs = bar_state_form(u, spec, grid) / grid.cell_volume
         div = low_order_flux_set(u, spec, grid).divergence()
         assert np.max(np.abs(rhs + div)) <= 1e-12
 
@@ -322,7 +358,7 @@ class TestLowOrderRhs:
             "diffusion": lambda u, x, y: shaped(0.015, u, x, y),
         })
         u = rng.uniform(0.0, 1.0, grid.shape)
-        rhs = low_order_rhs(u, spec, grid)
+        rhs = bar_state_form(u, spec, grid) / grid.cell_volume
         div = low_order_flux_set(u, spec, grid).divergence()
         assert np.max(np.abs(rhs + div)) <= 1e-12
 
@@ -333,14 +369,14 @@ class TestLowOrderRhs:
         grid = StructuredGrid(1, (32,), spec.domain_lo, spec.domain_hi,
                               spec.boundary)
         u = rng.uniform(0.0, 1.0, 32)
-        rhs = low_order_rhs(u, spec, grid)
+        rhs = bar_state_form(u, spec, grid) / grid.cell_volume
         div = low_order_flux_set(u, spec, grid).divergence()
         assert np.max(np.abs(rhs + div)) <= 1e-12
 
     def test_sign_at_strict_local_extrema_1d(self):
         spec, grid = make_burgers_1d(5)
         u = np.array([0.2, 0.3, 0.9, 0.1, 0.4])
-        rhs = low_order_rhs(u, spec, grid)
+        rhs = -low_order_flux_set(u, spec, grid).divergence()
         assert rhs[2] <= 0.0   # strict local max cannot grow
         assert rhs[3] >= 0.0   # strict local min cannot shrink
 
@@ -349,19 +385,19 @@ class TestLowOrderRhs:
         u = rng.uniform(0.3, 0.7, grid.shape)
         u[3, 2] = 2.0
         u[1, 4] = -1.0
-        rhs = low_order_rhs(u, spec, grid)
+        rhs = -low_order_flux_set(u, spec, grid).divergence()
         assert rhs[3, 2] <= 0.0
         assert rhs[1, 4] >= 0.0
 
     def test_low_order_with_bars_returns_consistent_pair(self, rng):
         spec, grid = make_burgers_1d(8)
         u = rng.uniform(0.0, 2.0, 8)
-        flux, bars = low_order_with_bars(u, spec, grid)
+        flux = low_order_with_bars(u, spec, grid)[0]
         assert np.array_equal(flux.arrays[0],
                               low_order_flux_set(u, spec, grid).arrays[0])
-        a = bars.cell_coefficient()
-        led = a * (bars.cell_bar_average(a) - u) / grid.cell_volume
-        assert np.allclose(led, low_order_rhs(u, spec, grid), rtol=1e-13)
+        assert np.allclose(bar_state_form(u, spec, grid),
+                           -grid.cell_volume * flux.divergence(),
+                           rtol=1e-13, atol=1e-15)
 
 
 class TestHighOrderFlux:

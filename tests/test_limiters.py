@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from mppfv import limiters
 from mppfv.fluxes import (FaceFluxSet, high_order_flux, low_order_flux_set,
-                          low_order_rhs, low_order_with_bars,
                           tie_periodic_seam)
-from mppfv.limiters import (BoundBudget, LimiterCoefficients, REFERENCE_SLACK,
-                            _check_reference, _restore_bounds,
-                            compute_bound_budgets, fct_step, gmc_budgets,
-                            gmc_step, make_semidiscrete_gmc_substep_solver,
-                            semidiscrete_gmc_rhs, zalesak_alphas)
+from mppfv.limiters import (REFERENCE_SLACK, _check_alphas, _check_reference,
+                            _fct_with_flux, _gmc_face_terms, _gmc_with_flux,
+                            _outward_sums, _restore_bounds, _weighted,
+                            gmc_budgets, make_semidiscrete_gmc_substep_solver,
+                            zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError, newton_low_order
@@ -57,14 +56,12 @@ class TestZalesakCoefficients:
         grid = StructuredGrid(1, (4,), (0.0,), (1.0,), (PERIODIC,))
         dg = FaceFluxSet(grid, (np.array([1.0, 4.0, -2.0, 1.0, 1.0]),))
         q = np.ones(4)
-        alpha = zalesak_alphas(dg, -q, q, grid)
-        assert np.allclose(alpha.arrays[0],
+        alphas = zalesak_alphas(dg, -q, q, grid)
+        assert np.allclose(alphas[0],
                            [1.0, 1 / 6, 1 / 6, 1 / 3, 1.0], atol=1e-15)
-        budget = compute_bound_budgets(dg, -q, q, grid)
-        assert np.allclose(budget.p_plus, [4.0, 0.0, 3.0, 1.0])
-        assert np.allclose(budget.p_minus, [-1.0, -6.0, 0.0, -1.0])
-        assert np.allclose(budget.r_plus, [0.25, 1.0, 1 / 3, 1.0])
-        assert np.allclose(budget.r_minus, [1.0, 1 / 6, 1.0, 1.0])
+        p_plus, p_minus = _outward_sums(dg, grid)
+        assert np.allclose(p_plus, [4.0, 0.0, 3.0, 1.0])
+        assert np.allclose(p_minus, [-1.0, -6.0, 0.0, -1.0])
 
     def test_fuzz_matches_face_record_oracle_and_bounds(self, rng):
         total_faces = 0
@@ -78,12 +75,12 @@ class TestZalesakCoefficients:
                 arr[mask] = 0.0
                 tie_periodic_seam(arr, grid, axis)
             q_minus, q_plus = random_budgets(rng, grid)
-            alpha = zalesak_alphas(fs, q_minus, q_plus, grid)
+            alphas = zalesak_alphas(fs, q_minus, q_plus, grid)
             for f, want in zalesak_alpha_oracle(fs, q_minus, q_plus, grid):
-                got = face_entry(alpha.arrays, grid, f)
+                got = face_entry(alphas, grid, f)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
                 total_faces += 1
-            limited = outward_limited_sums(alpha, fs, grid)
+            limited = outward_limited_sums(alphas, fs, grid)
             scale = np.maximum.reduce([np.abs(q_minus), np.abs(q_plus),
                                        np.ones_like(limited)])
             slack = 10.0 * np.spacing(scale)
@@ -105,8 +102,8 @@ class TestZalesakCoefficients:
             st.floats(0, 5), min_size=n, max_size=n)))
         q_minus = -np.array(data.draw(st.lists(
             st.floats(0, 5), min_size=n, max_size=n)))
-        alpha = zalesak_alphas(fs, q_minus, q_plus, grid)
-        limited = outward_limited_sums(alpha, fs, grid)
+        alphas = zalesak_alphas(fs, q_minus, q_plus, grid)
+        limited = outward_limited_sums(alphas, fs, grid)
         slack = 10.0 * np.spacing(np.maximum(1.0, np.maximum(q_plus, -q_minus)))
         assert np.all(limited <= q_plus + slack)
         assert np.all(limited >= q_minus - slack)
@@ -115,54 +112,38 @@ class TestZalesakCoefficients:
         grid = StructuredGrid(1, (6,), (0.0,), (1.0,), (PERIODIC,))
         fs = random_flux_set(grid, rng)
         big = np.full(6, 1e6)
-        alpha = zalesak_alphas(fs, -big, big, grid)
-        assert np.all(alpha.arrays[0] == 1.0)
+        alphas = zalesak_alphas(fs, -big, big, grid)
+        assert np.all(alphas[0] == 1.0)
 
     def test_zero_budgets_reject_all_corrections(self, rng):
         grid = StructuredGrid(1, (6,), (0.0,), (1.0,), (PERIODIC,))
         fs = random_flux_set(grid, rng)
         zero = np.zeros(6)
-        alpha = zalesak_alphas(fs, zero, zero, grid)
-        accepted = alpha.apply(fs)
+        accepted = _weighted(zalesak_alphas(fs, zero, zero, grid), fs)
         assert np.allclose(accepted.arrays[0], 0.0, atol=1e-15)
 
     def test_budget_precondition_validated(self, rng):
         grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
         fs = random_flux_set(grid, rng)
-        with pytest.raises(ValueError):
-            compute_bound_budgets(fs, np.full(5, 0.1), np.ones(5), grid)
-        with pytest.raises(ValueError):
-            compute_bound_budgets(fs, -np.ones(5), np.full(5, -0.1), grid)
-
-    def test_budget_ratio_validation(self):
-        with pytest.raises(ValueError):
-            BoundBudget(q_minus=np.zeros(2), q_plus=np.zeros(2),
-                        p_minus=np.zeros(2), p_plus=np.zeros(2),
-                        r_minus=np.array([0.5, 1.5]), r_plus=np.ones(2))
-
-    def test_coefficient_container_validation(self, rng):
-        grid = StructuredGrid(1, (4,), (0.0,), (1.0,), (PERIODIC,))
-        with pytest.raises(ValueError):
-            LimiterCoefficients(grid, (np.array([0.5, 1.2, 0.1, 0.0, 0.5]),))
-        ok = LimiterCoefficients(grid, (np.full(5, 0.25),))
-        fs = random_flux_set(grid, rng)
-        assert np.allclose(ok.apply(fs).arrays[0], 0.25 * fs.arrays[0])
+        with pytest.raises(ValueError, match="precondition"):
+            zalesak_alphas(fs, np.full(5, 0.1), np.ones(5), grid)
+        with pytest.raises(ValueError, match="precondition"):
+            zalesak_alphas(fs, -np.ones(5), np.full(5, -0.1), grid)
 
     def test_sweep_coefficients_range_checked_on_demand(self, rng):
         # zalesak_alphas runs once per fixed-point sweep and skips the
-        # range checks; the limiters call check() on the coefficients of
-        # the flux they realize.
+        # range check; the limiters call _check_alphas on the coefficients
+        # of the flux they realize.
         grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
-        alpha = zalesak_alphas(random_flux_set(grid, rng), -np.ones(5),
-                               np.ones(5), grid)
-        alpha.check()
-        alpha.budget.r_plus[2] = 1.5
-        with pytest.raises(ValueError, match="ratios"):
-            alpha.check()
-        alpha.budget.r_plus[2] = 1.0
-        alpha.arrays[0][1] = -0.1
+        alphas = zalesak_alphas(random_flux_set(grid, rng), -np.ones(5),
+                                np.ones(5), grid)
+        _check_alphas(alphas)
+        alphas[0][1] = -0.1
         with pytest.raises(ValueError, match="coefficients"):
-            alpha.check()
+            _check_alphas(alphas)
+        alphas[0][1] = 1.2
+        with pytest.raises(ValueError, match="coefficients"):
+            _check_alphas(alphas)
 
 
 class TestReferenceGuards:
@@ -211,7 +192,7 @@ class TestFctStep:
         spec, grid, u0 = _burgers_pulse(50)
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
-        out = fct_step(G_L, u_L, G_L.copy(), spec, grid, dt)
+        out, _ = _fct_with_flux(G_L, u_L, G_L.copy(), spec, grid, dt, 1)
         assert np.array_equal(out.values, u_L.values)
 
     def test_full_acceptance_away_from_bounds(self):
@@ -221,7 +202,7 @@ class TestFctStep:
         dt = 0.4 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
-        out = fct_step(G_L, u_L, G_H, spec, grid, dt)
+        out, _ = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, 1)
         unlimited = u_L.values + dt * (G_L - G_H).divergence()
         assert np.array_equal(out.values, unlimited)
 
@@ -231,13 +212,12 @@ class TestFctStep:
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
         for iterations in (1, 2, 3):
-            out = fct_step(G_L, u_L, G_H, spec, grid, dt,
-                           iterations=iterations)
+            out, _ = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt,
+                                    iterations)
             assert np.min(out.values) >= spec.global_min
             assert np.max(out.values) <= spec.global_max
 
     def test_extra_iterations_recover_more_correction(self):
-        from mppfv.limiters import _fct_with_flux
         spec, grid, u0 = _burgers_pulse(100)
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
@@ -255,7 +235,7 @@ class TestFctStep:
         dt = grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
-        out = fct_step(G_L, u_L, G_H, spec, grid, dt, iterations=2)
+        out, _ = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, 2)
         assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_low_order_reference_validated(self):
@@ -264,14 +244,14 @@ class TestFctStep:
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         bad = u_L.values + 3.0  # far outside [0, 2]
         with pytest.raises(ValueError, match="low-order solution"):
-            fct_step(G_L, bad, G_L.copy(), spec, grid, dt)
+            _fct_with_flux(G_L, bad, G_L.copy(), spec, grid, dt, 1)
 
     def test_iteration_count_validated(self):
         spec, grid, u0 = _burgers_pulse(20)
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         with pytest.raises(ValueError):
-            fct_step(G_L, u_L, G_L.copy(), spec, grid, dt, iterations=0)
+            _fct_with_flux(G_L, u_L, G_L.copy(), spec, grid, dt, 0)
 
     def test_non_finite_high_order_flux_raises(self):
         spec, grid, u0 = _burgers_pulse(20)
@@ -280,7 +260,7 @@ class TestFctStep:
         G_H = G_L.copy()
         G_H.arrays[0][4] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            fct_step(G_L, u_L, G_H, spec, grid, dt)
+            _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, 1)
 
 
 class TestGmcStep:
@@ -288,7 +268,7 @@ class TestGmcStep:
         spec, grid = make_burgers_1d(16)
         u0 = np.full(16, 1.2)
         G_H = high_order_flux(u0, spec, grid)
-        out, report = gmc_step(u0, G_H, spec, grid, dt=0.1)
+        out, _, report = _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0)
         assert report.iterations == 0
         assert np.allclose(out.values, 1.2, atol=1e-14)
 
@@ -297,7 +277,7 @@ class TestGmcStep:
         spec, grid, u0 = _burgers_pulse(100)
         dt = 5.0 * grid.spacing[0]
         G_H = high_order_flux(u0, spec, grid)
-        out, report = gmc_step(u0, G_H, spec, grid, dt, gamma=gamma)
+        out, _, report = _gmc_with_flux(u0, G_H, spec, grid, dt, gamma, 0.0)
         assert report.converged
         assert np.min(out.values) >= spec.global_min
         assert np.max(out.values) <= spec.global_max
@@ -306,18 +286,18 @@ class TestGmcStep:
         spec, grid, u0 = _burgers_pulse(64)
         dt = 2.0 * grid.spacing[0]
         G_H = high_order_flux(u0, spec, grid)
-        out, _ = gmc_step(u0, G_H, spec, grid, dt, gamma=1.0)
+        out, _, _ = _gmc_with_flux(u0, G_H, spec, grid, dt, 1.0, 0.0)
         assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-12)
 
     def test_validation_errors(self):
         spec, grid, u0 = _burgers_pulse(16)
         G_H = high_order_flux(u0, spec, grid)
         with pytest.raises(ValueError):
-            gmc_step(u0, G_H, spec, grid, dt=0.0)
+            _gmc_with_flux(u0, G_H, spec, grid, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            gmc_step(u0, G_H, spec, grid, dt=0.1, gamma=-1.0)
+            _gmc_with_flux(u0, G_H, spec, grid, 0.1, -1.0, 0.0)
         with pytest.raises(ValueError, match="previous solution"):
-            gmc_step(u0 + 5.0, G_H, spec, grid, dt=0.1)
+            _gmc_with_flux(u0 + 5.0, G_H, spec, grid, 0.1, 0.0, 0.0)
 
     @pytest.mark.parametrize("gamma,ceiling", [(0.0, 37), (1.0, 71)])
     def test_sweep_count_ceiling(self, gamma, ceiling):
@@ -327,8 +307,8 @@ class TestGmcStep:
         grid = make_grid(spec, 200)
         u0 = initial_cell_averages(spec, grid)
         G_H = high_order_flux(u0, spec, grid)
-        _, report = gmc_step(u0, G_H, spec, grid, 0.5 * grid.spacing[0],
-                             gamma=gamma)
+        _, _, report = _gmc_with_flux(u0, G_H, spec, grid,
+                                      0.5 * grid.spacing[0], gamma, 0.0)
         assert report.converged
         assert report.iterations <= ceiling
 
@@ -337,19 +317,19 @@ class TestGmcStep:
         G_H = high_order_flux(u0, spec, grid)
         G_H.arrays[0][7] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            gmc_step(u0, G_H, spec, grid, dt=0.1)
+            _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0)
 
     def test_exhausted_sweeps_raise(self):
         spec, grid, u0 = _burgers_pulse(32)
         G_H = high_order_flux(u0, spec, grid)
         with pytest.raises(NonConvergenceError):
-            gmc_step(u0, G_H, spec, grid, dt=0.1, max_sweeps=0)
+            _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0,
+                           max_sweeps=0)
 
     def test_gmc_budget_signs_clamped(self):
         spec, grid, u0 = _burgers_pulse(16)
-        _, bars = low_order_with_bars(u0, spec, grid)
-        a = bars.cell_coefficient()
-        ubar = bars.cell_bar_average(a)
+        G_H = high_order_flux(u0, spec, grid)
+        *_, a, ubar = _gmc_face_terms(u0, G_H, spec, grid, 0.0, 0.0)
         # Nudge the reference past the bounds: allowances must stay signed.
         shifted = u0 + 1e-10
         qm, qp = gmc_budgets(a, ubar, shifted, spec, gamma=3.0)
@@ -365,13 +345,15 @@ class TestSemidiscreteGmc:
         G_L = low_order_flux_set(u0, spec, grid)
         G_H = high_order_flux(u0, spec, grid)
         correction = G_L - G_H
-        alpha = zalesak_alphas(correction, np.zeros(40), np.zeros(40), grid)
-        rhs = -(G_L - alpha.apply(correction)).divergence()
-        assert np.allclose(rhs, low_order_rhs(u0, spec, grid), atol=1e-13)
+        alphas = zalesak_alphas(correction, np.zeros(40), np.zeros(40), grid)
+        rhs = -(G_L - _weighted(alphas, correction)).divergence()
+        assert np.allclose(rhs, -G_L.divergence(), atol=1e-13)
 
     def test_led_at_cells_touching_global_bounds(self):
         spec, grid, u0 = _burgers_pulse(60)  # touches 0 and 2 exactly
-        rhs = semidiscrete_gmc_rhs(u0, spec, grid, gamma=0.0)
+        G_L, _, accepted, _, _ = _gmc_face_terms(
+            u0, high_order_flux(u0, spec, grid), spec, grid, 0.0, 0.0)
+        rhs = -(G_L - accepted).divergence()
         at_max = u0 == spec.global_max
         at_min = u0 == spec.global_min
         assert np.all(rhs[at_max] <= 1e-14)

@@ -14,9 +14,10 @@ import pytest
 import scipy.sparse as sp
 
 from mppfv import solvers
-from mppfv.fluxes import bar_states, high_order_flux, low_order_flux_set
+from mppfv.fluxes import _face_states, high_order_flux, low_order_flux_set
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid
+from mppfv.mesh import (DIRICHLET, PERIODIC, CellField, StructuredGrid,
+                        ghost_fill)
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, frozen_jacobian,
@@ -32,7 +33,9 @@ from oracles import coo_pseudo_jacobian
 def freeze_speed_bound(spec, grid, state, t=0.0):
     """Replace the wave-speed policy with the per-face values it takes at
     ``state`` so finite differences see exactly what the matrix assumes."""
-    lam = bar_states(state, spec, grid, t).lam_a
+    u_ext = ghost_fill(state, spec, grid, time=t, width=1)
+    lam = [_face_states(u_ext, spec, grid, axis, t)[5]
+           for axis in range(grid.dim)]
 
     def bound(axis, ua, ub, ra, rb, x, y, t):
         return lam[axis]

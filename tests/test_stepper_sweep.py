@@ -1,6 +1,5 @@
 """``tools/stepper_sweep.py compare`` on hand-made result files."""
 
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +66,3 @@ def test_compare_groups_results_that_moved(sweep, capsys):
     assert lines[1:] == [
         "  not bitwise equal: bl1d: 1, max |du|/width 1.000e-09",
         "  not bitwise equal: rotation2d: 2, max |du|/width 2.000e-13"]
-
-
-def test_load_drops_the_stage_delta_switch(sweep, tmp_path):
-    # Files written while RunConfig had a stage_delta switch keyed it.
-    switched = tuple(sorted(dict(_key(), stage_delta=True).items()))
-    path = tmp_path / "old.pkl"
-    path.write_bytes(pickle.dumps({switched: "NonConvergenceError",
-                                   _key(gamma=1.0): _result(0.5)}))
-    assert sorted(sweep._load(path)) == sorted([_key(), _key(gamma=1.0)])

@@ -15,10 +15,9 @@ from mppfv.mesh import CellField
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
 from mppfv.solvers import (TOL_STAGE, JacobianEngine, NonConvergenceError,
                            SolverReport, make_stage_solver)
-from mppfv.time_integration import (ButcherTableau, backward_euler_tableau,
-                                    check_ssp_stages, dirk_step, iex_step,
-                                    iex_tableau, order_condition_residuals,
-                                    sdirk5_tableau)
+from mppfv.time_integration import (ButcherTableau, check_ssp_stages,
+                                    dirk_step, iex_step, iex_tableau,
+                                    order_condition_residuals, sdirk5_tableau)
 
 from conftest import make_linear_advection_1d
 from oracles import iex_chain_step
@@ -59,7 +58,7 @@ def rooted_tree_conditions(A, b, c):
 
 class TestTableauConstruction:
     def test_backward_euler_tableau(self):
-        tab = backward_euler_tableau()
+        tab = iex_tableau(1)
         assert tab.stages == 1
         assert tab.A[0, 0] == 1.0 and tab.b[0] == 1.0 and tab.c[0] == 1.0
         assert tab.order == 1
@@ -129,7 +128,7 @@ class TestOrderConditions:
             assert residual <= 1e-10, f"order-{order} condition fails"
 
     def test_backward_euler_has_order_exactly_one(self):
-        tab = backward_euler_tableau()
+        tab = iex_tableau(1)
         conds = rooted_tree_conditions(tab.A, tab.b, tab.c)
         assert conds[0][1] == 0.0
         assert conds[1][1] == pytest.approx(0.5)  # b.c = 1 != 1/2
@@ -146,7 +145,7 @@ class TestOrderConditions:
             assert max(above) > 1e-4
 
     def test_production_residuals_match_oracle(self):
-        for tab in (backward_euler_tableau(), sdirk5_tableau(),
+        for tab in (iex_tableau(1), sdirk5_tableau(),
                     iex_tableau(3), iex_tableau(4)):
             got = order_condition_residuals(tab, max_order=5)
             want = rooted_tree_conditions(tab.A, tab.b, tab.c)
@@ -166,7 +165,7 @@ class TestOrderConditions:
 
 class TestStageBoundPreservation:
     def test_backward_euler_unconditionally_contractive(self):
-        tab = backward_euler_tableau()
+        tab = iex_tableau(1)
         assert check_ssp_stages(tab, 10.0)
         assert check_ssp_stages(tab, 1e6)
 
@@ -179,7 +178,7 @@ class TestStageBoundPreservation:
 
     def test_singular_shift_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            check_ssp_stages(backward_euler_tableau(), -1.0)
+            check_ssp_stages(iex_tableau(1), -1.0)
 
 
 @pytest.fixture
@@ -209,7 +208,7 @@ class TestDirkStep:
     def test_single_stage_tableau_equals_one_solve(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
         solver = make_stage_solver(JacobianEngine(spec, grid))
-        u1, _, _ = dirk_step(u0, backward_euler_tableau(), spec, grid,
+        u1, _, _ = dirk_step(u0, iex_tableau(1), spec, grid,
                              solver, dt=0.01)
         y, flux, report = solver(u0, 0.01, 0.01, u0)
         assert report.converged

@@ -21,9 +21,7 @@ Then the whole catalogue: each of the 8 built-in problems (1D nx=30, 2D
 sdirk5+gmc and iex2+fct, 16 more configurations per dt factor but for
 those already in the matrix (rotation2d sdirk5+gmc and iex2+fct at dt
 factor 0.5): 74 and 76 configurations at dt factors 0.5 and 5.  Result
-files are pickles: compare only files this script wrote.  Files written
-while ``RunConfig`` had a ``stage_delta`` switch (the sweep turned it on)
-compare with the ones written since, which always record it.
+files are pickles: compare only files this script wrote.
 
 Compare two trees::
 
@@ -126,12 +124,8 @@ def run_matrix():
 
 
 def _load(path):
-    """A result file, with the ``stage_delta`` entry dropped from the keys
-    of files that have one."""
     with open(path, "rb") as fh:
-        results = pickle.load(fh)
-    return {tuple(kv for kv in key if kv[0] != "stage_delta"): result
-            for key, result in results.items()}
+        return pickle.load(fh)
 
 
 def _bits(result):
