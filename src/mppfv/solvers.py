@@ -39,8 +39,18 @@ factorized once per scale and held by the :class:`JacobianEngine`.  Once an
 iterate's residual is more than ``STALL_RATIO`` of the previous one, every
 later update of that solve assembles the pseudo-Jacobian at its iterate.
 If the assembled data equal the frozen matrix's (state-independent
-problems), the frozen LU solves it; otherwise 1D factorizes it and 2D runs
-GMRES preconditioned by the frozen LU (relative tolerance 1e-13).
+problems), the frozen LU solves it and every later update of the solve,
+with no further assembly; otherwise 1D factorizes it and 2D runs GMRES
+preconditioned by the frozen LU (relative tolerance 1e-13).
+
+Each LU fits its matrix (:class:`SparseBandedMatrix`).  The 1D
+pseudo-Jacobian is tridiagonal, with two corner entries on a periodic
+axis: LAPACK ``dgttrf``/``dgttrs`` factorize and solve it in ``O(N)``,
+the corners by Sherman–Morrison (Press et al., *Numerical Recipes*,
+§2.7).  The 2D pattern is structurally symmetric, so SuperLU orders it by
+minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``) rather than by its
+default COLAMD, with about half the fill.  The GMRES preconditioner is the
+same LU.
 
 One loop, ``_quasi_newton``, runs every such solve; its two callers differ
 only in the flux they iterate on and in their reference and starting
@@ -60,6 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import fluxes
 from .mesh import LAST, PERIODIC, CellField, cell_values, ghost_fill
@@ -99,6 +110,71 @@ class SolverReport:
             raise ValueError("converged report must satisfy its tolerance")
 
 
+def _cyclic_band_slots(indptr, indices):
+    """Data slots of the sub-, main and super-diagonal of a CSR matrix read
+    cyclically (row ``i``, columns ``i-1``, ``i``, ``i+1`` mod ``N``), as a
+    ``(3, N)`` array in which ``nnz`` marks an entry that is not stored; so
+    the corner ``[0, N-1]`` is the first sub-diagonal slot and ``[N-1, 0]``
+    the last super-diagonal one.  ``None`` when ``N < 3``, an entry lies
+    off these diagonals or one is stored twice."""
+    n, nnz = len(indptr) - 1, int(indptr[-1])
+    if n < 3 or nnz > 3 * n:
+        return None
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    band = (indices - rows + 1) % n  # 0 sub, 1 main, 2 super
+    if np.any(band > 2):
+        return None
+    slots = np.full((3, n), nnz)
+    slots[band, rows] = np.arange(nnz)
+    if np.count_nonzero(slots < nnz) < nnz:
+        return None
+    return slots
+
+
+class _TridiagonalLU:
+    """LAPACK ``gttrf`` factors of a cyclic tridiagonal matrix given by its
+    bands (row ``i`` holds ``sub[i]``, ``main[i]``, ``sup[i]`` in columns
+    ``i-1``, ``i``, ``i+1`` mod ``N``; ``main`` is overwritten).
+
+    Nonzero corners ``top = A[0, N-1]`` and ``bottom = A[N-1, 0]`` are split
+    off by Sherman–Morrison (Press et al., *Numerical Recipes*, §2.7):
+    ``A = T + u v^T`` with ``u = (gamma, 0, ..., bottom)`` and
+    ``v = (1, 0, ..., top/gamma)``, ``T`` tridiagonal.  ``gamma = -A[0, 0]``
+    (or minus the larger corner when that is 0), and ``T^{-1} u`` is solved
+    once, here.  Raises ``LinAlgError`` when ``T`` or the correction is
+    exactly singular.
+    """
+
+    def __init__(self, sub, main, sup):
+        top, bottom = sub[0], sup[-1]
+        cyclic = top != 0.0 or bottom != 0.0
+        if cyclic:
+            gamma = -main[0] if main[0] != 0.0 else -max(abs(top),
+                                                         abs(bottom))
+            main[0] -= gamma
+            main[-1] -= top * bottom / gamma
+        *self._factors, info = lapack.dgttrf(sub[1:], main, sup[:-1])
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal factor is exactly singular at row {info - 1}")
+        self._z = None
+        if cyclic:
+            u = np.zeros(len(main))
+            u[0], u[-1] = gamma, bottom
+            z = lapack.dgttrs(*self._factors, u)[0]
+            self._v_last = top / gamma
+            denom = 1.0 + z[0] + self._v_last * z[-1]
+            if denom == 0.0:
+                raise np.linalg.LinAlgError("cyclic correction is singular")
+            self._z = z / denom
+
+    def solve(self, b):
+        x = lapack.dgttrs(*self._factors, b)[0]
+        if self._z is not None:
+            x -= (x[0] + self._v_last * x[-1]) * self._z
+        return x
+
+
 @dataclass
 class SparseBandedMatrix:
     """Banded sparse matrix (tridiagonal with periodic corners in 1D,
@@ -106,24 +182,45 @@ class SparseBandedMatrix:
 
     The stored pattern is structurally symmetric by construction: every
     face contributes both off-diagonal positions (values may be zero).
+
+    The LU fits the pattern.  A matrix of ``N >= 3`` rows stored only on
+    the three cyclic diagonals (main, first sub- and super-diagonal, the
+    two periodic corners) gets :class:`_TridiagonalLU`.  Any other gets
+    SuperLU with the minimum-degree ordering of ``A^T + A``, which suits a
+    structurally symmetric pattern (rotation2d 128²: L+U 2.44M → 1.08M
+    nonzeros against the default COLAMD).  SuperLU also decides every
+    matrix the tridiagonal LU finds singular.  ``_bands`` holds the slots
+    of :func:`_cyclic_band_slots`, found from the pattern unless given.
     """
 
     matrix: object
     _lu: object = field(default=None, repr=False, compare=False)
+    _bands: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         self.matrix = m
+        if self._bands is None:
+            self._bands = _cyclic_band_slots(m.indptr, m.indices)
 
     def factorize(self):
-        """Compute (once) and return the sparse LU factorization."""
+        """Compute (once) and return the LU factorization; the returned
+        object solves with ``.solve(b)``."""
         if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix.tocsc())
-            except RuntimeError as err:  # splu signals exact singularity
-                raise np.linalg.LinAlgError(str(err)) from err
+            if self._bands is not None:
+                bands = np.append(self.matrix.data, 0.0)[self._bands]
+                try:
+                    self._lu = _TridiagonalLU(*bands)
+                except np.linalg.LinAlgError:
+                    pass  # SuperLU decides
+            if self._lu is None:
+                try:
+                    self._lu = spla.splu(self.matrix.tocsc(),
+                                         permc_spec="MMD_AT_PLUS_A")
+                except RuntimeError as err:  # splu signals exact singularity
+                    raise np.linalg.LinAlgError(str(err)) from err
         return self._lu
 
     def solve(self, rhs, preconditioner=None, rtol=1e-13):
@@ -223,13 +320,14 @@ class _JacobianPattern:
         # Every matrix on this grid shares these; none may change them.
         self.indices.setflags(write=False)
         self.indptr.setflags(write=False)
+        self.bands = _cyclic_band_slots(self.indptr, self.indices)
 
     def matrix(self, terms):
         """The CSR matrix with each term summed into its slot, in order."""
         data = np.bincount(self.slots, weights=terms, minlength=self.nnz)
         csr = sp.csr_matrix((data, self.indices, self.indptr),
                             shape=self.shape)
-        return SparseBandedMatrix(csr)
+        return SparseBandedMatrix(csr, _bands=self.bands)
 
 
 @functools.lru_cache(maxsize=16)
@@ -305,7 +403,8 @@ class JacobianEngine:
 
     def newton_update(self, state, step_dt, stage_time, residual, refresh):
         """Solve ``J delta = -residual``: ``J`` is the frozen matrix, or the
-        pseudo-Jacobian at ``state`` when ``refresh`` is true."""
+        pseudo-Jacobian at ``state`` when ``refresh`` is true.  Returns
+        ``delta`` and whether a refreshed matrix equalled the frozen one."""
         rhs = -np.ravel(residual)
         frozen = self.frozen(step_dt)
         if refresh:
@@ -314,8 +413,8 @@ class JacobianEngine:
             if not np.array_equal(jac.matrix.data, frozen.matrix.data):
                 preconditioner = None if self.grid.dim == 1 else frozen
                 delta = jac.solve(rhs, preconditioner=preconditioner)
-                return delta.reshape(self.grid.shape)
-        return frozen.solve(rhs).reshape(self.grid.shape)
+                return delta.reshape(self.grid.shape), False
+        return frozen.solve(rhs).reshape(self.grid.shape), refresh
 
 
 def _l2(v):
@@ -331,7 +430,9 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
     quasi-Newton iteration from ``guess``; the only Newton loop.  Updates
     use the frozen matrix until a residual exceeds ``STALL_RATIO`` times the
-    previous one, and are refreshed for the rest of the solve.
+    previous one, and are refreshed for the rest of the solve, unless a
+    refreshed matrix equals the frozen one: then the frozen LU serves the
+    rest.
 
     Returns ``(y, flux_of(y), SolverReport)`` once the l2 residual is at
     most ``tol``.  ``report.iterations`` counts Newton updates.  A
@@ -340,7 +441,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     ``max_iter`` updates; ``what`` names the solve in both messages.
     """
     y = np.asarray(guess, dtype=float).copy()
-    prev_res, refresh = np.inf, False
+    prev_res, refresh, stall = np.inf, False, STALL_RATIO
     for k in range(max_iter + 1):
         flux = flux_of(y)
         r = y - reference + step_dt * flux.divergence()
@@ -354,9 +455,13 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                 f"{what} stalled at residual {res:.3e} "
                 f"after {max_iter} iterations",
                 SolverReport(max_iter, res, False, tol))
-        refresh = refresh or res > STALL_RATIO * prev_res
+        refresh = refresh or res > stall * prev_res
         prev_res = res
-        y += engine.newton_update(y, step_dt, stage_time, r, refresh)
+        delta, exact = engine.newton_update(y, step_dt, stage_time, r,
+                                            refresh)
+        if exact:  # the frozen matrix is the pseudo-Jacobian: keep its LU
+            refresh, stall = False, np.inf
+        y += delta
     raise AssertionError("unreachable")
 
 

@@ -225,16 +225,26 @@ class TestCachedPattern:
 class TestFactorizationReuse:
     """Every solve starts on the frozen LU of its implicit scale and
     refreshes only once it contracts too slowly.  A refreshed matrix equal
-    to the frozen one is solved with the frozen LU; otherwise 1D factorizes
-    it and 2D runs GMRES.  Counted on whole runs: ``splu`` calls are
-    factorizations, ``gmres`` calls are Krylov solves, and the ``scale``
-    arguments of the assemblies are the implicit scales (one engine serves
-    every solve of a run)."""
+    to the frozen one is solved with the frozen LU, and so is the rest of
+    that solve; otherwise 1D factorizes it and 2D runs GMRES.  Counted on
+    whole runs: ``SparseBandedMatrix.factorize`` calls made while the
+    matrix holds no LU are factorizations (as the benchmark tracer counts
+    them), ``gmres`` calls are Krylov solves, ``_quasi_newton`` calls are
+    nonlinear solves, and the ``scale`` arguments of the assemblies are
+    the implicit scales (one engine serves every solve of a run)."""
 
     @staticmethod
     def count(**kwargs):
-        with mock.patch.object(solvers.spla, "splu",
-                               wraps=solvers.spla.splu) as splu, \
+        factorized = []
+        factorize = SparseBandedMatrix.factorize
+
+        def counted_factorize(matrix):
+            if matrix._lu is None:
+                factorized.append(matrix)
+            return factorize(matrix)
+
+        with mock.patch.object(SparseBandedMatrix, "factorize",
+                               counted_factorize), \
                 mock.patch.object(solvers.spla, "gmres",
                                   wraps=solvers.spla.gmres) as gmres, \
                 mock.patch.object(solvers, "assemble_pseudo_jacobian",
@@ -242,15 +252,15 @@ class TestFactorizationReuse:
                 as assemble:
             run(RunConfig(**kwargs))
         scales = {float(call.args[3]) for call in assemble.call_args_list}
-        return splu.call_count, gmres.call_count, assemble.call_count, scales
+        return len(factorized), gmres.call_count, assemble.call_count, scales
 
     def assert_frozen_only(self, **kwargs):
         # One assembly and one factorization per scale: the frozen matrix
         # of the stage scale a_mm*dt and of the low-order scale dt.
-        splu, gmres, assembled, scales = self.count(
+        factorized, gmres, assembled, scales = self.count(
             scheme="sdirk5", limiter="fct", **kwargs)
         assert gmres == 0
-        assert assembled == splu == len(scales) == 2
+        assert assembled == factorized == len(scales) == 2
 
     @pytest.mark.parametrize("problem", ["rotation2d", "linear2d"])
     def test_state_independent_2d_solves_with_the_frozen_lu(self, problem):
@@ -259,22 +269,55 @@ class TestFactorizationReuse:
     def test_state_independent_1d_solves_with_the_frozen_lu(self):
         self.assert_frozen_only(problem="linear1d", nx=20, t_final=0.1)
 
+    def test_state_independent_refresh_assembles_once_per_solve(self):
+        # The stage solves contract at 0.50-0.53 per update, just above
+        # STALL_RATIO: each refreshes once, finds the frozen matrix and
+        # stays on its LU.
+        config = dict(problem="rotation2d", nx=12, scheme="sdirk5",
+                      limiter="gmc", dt_factor=0.5, t_final=0.5 / 12)
+        with mock.patch.object(solvers, "_quasi_newton",
+                               wraps=solvers._quasi_newton) as solves:
+            factorized, gmres, assembled, scales = self.count(**config)
+        assert factorized == len(scales) == 1 and gmres == 0
+        assert 1 < assembled <= len(scales) + solves.call_count
+
     def test_state_dependent_2d_still_runs_gmres(self):
         # One step of dt = 0.83 at 12^2: the stage solves stall on the
         # frozen LU and refresh, and the refreshed matrices differ from it.
-        splu, gmres, _, scales = self.count(
+        factorized, gmres, _, scales = self.count(
             problem="kpp2d", nx=12, scheme="sdirk5", dt_factor=5.0,
             t_final=2.5 / 3)
         assert gmres > 0
-        assert splu == len(scales) == 1
+        assert factorized == len(scales) == 1
 
     def test_1d_factorizes_the_refreshed_matrices(self):
         # On the frozen LU alone this low-order solve stalls at 2e-9 after
         # 100 iterations.
-        splu, gmres, assembled, scales = self.count(
+        factorized, gmres, assembled, scales = self.count(
             problem="bl1d", nx=40, t_final=0.1, scheme="be", dt_factor=5.0)
         assert gmres == 0
-        assert assembled == splu > len(scales) == 1
+        assert assembled == factorized > len(scales) == 1
+
+
+class TestLuChoice:
+    """1D runs factorize with LAPACK's tridiagonal LU and never call
+    SuperLU; 2D runs call SuperLU with the symmetric-pattern ordering."""
+
+    def test_1d_run_never_calls_splu(self):
+        with mock.patch.object(solvers.spla, "splu",
+                               wraps=solvers.spla.splu) as splu:
+            run(RunConfig(problem="bl1d", nx=40, t_final=0.1, scheme="be",
+                          dt_factor=5.0))
+        assert splu.call_count == 0
+
+    def test_2d_run_orders_for_the_symmetric_pattern(self):
+        with mock.patch.object(solvers.spla, "splu",
+                               wraps=solvers.spla.splu) as splu:
+            run(RunConfig(problem="rotation2d", nx=12, scheme="sdirk5",
+                          limiter="fct", t_final=0.5 / 12))
+        assert splu.call_count > 0
+        assert all(call.kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
+                   for call in splu.call_args_list)
 
 
 def _direct_solve(matrix, rhs):
@@ -332,6 +375,89 @@ class TestLinearSolve:
         rhs = rng.standard_normal(30)
         x = _direct_solve(sp.csr_matrix(m), rhs)
         assert np.linalg.norm(m @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+class TestTridiagonalLu:
+    """Matrices on the three cyclic diagonals are factorized by
+    ``dgttrf`` (the corners by Sherman-Morrison) and must solve as the
+    dense LU does."""
+
+    @staticmethod
+    def cyclic(rng, n, corners=True):
+        m = (np.diag(rng.uniform(3.0, 4.0, n))
+             + np.diag(rng.uniform(-1.0, 0.0, n - 1), 1)
+             + np.diag(rng.uniform(-1.0, 0.0, n - 1), -1))
+        if corners:
+            m[0, -1], m[-1, 0] = rng.uniform(-1.0, -0.1, 2)
+        return m
+
+    @staticmethod
+    def assert_tridiagonal_solve(m, rng):
+        # Stored entries: the pattern the matrix shows, explicit zeros off
+        # it dropped, so the dense input takes the tridiagonal path.
+        matrix = SparseBandedMatrix(m)
+        assert isinstance(matrix.factorize(), solvers._TridiagonalLU)
+        rhs = rng.standard_normal(len(m))
+        want = np.linalg.solve(m, rhs)
+        got = matrix.solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_dirichlet_tridiagonal(self, rng):
+        self.assert_tridiagonal_solve(self.cyclic(rng, 17, corners=False),
+                                      rng)
+
+    @pytest.mark.parametrize("n", [3, 4, 25])
+    def test_cyclic_with_corners(self, n, rng):
+        self.assert_tridiagonal_solve(self.cyclic(rng, n), rng)
+
+    def test_one_corner_only(self, rng):
+        m = self.cyclic(rng, 9)
+        m[-1, 0] = 0.0
+        self.assert_tridiagonal_solve(m, rng)
+
+    def test_cyclic_with_zero_first_diagonal_entry(self, rng):
+        # gamma = -A[0, 0] would be 0; the larger corner takes its place.
+        m = self.cyclic(rng, 8)
+        m[0, 0] = 0.0
+        m[0, 1], m[0, -1] = 2.0, -1.5
+        self.assert_tridiagonal_solve(m, rng)
+
+    def test_row_interchange(self, rng):
+        # A small leading pivot: dgttrf swaps rows 0 and 1.
+        m = self.cyclic(rng, 10, corners=False)
+        m[0, 0], m[1, 0] = 1e-6, 5.0
+        matrix = SparseBandedMatrix(m)
+        ipiv = matrix.factorize()._factors[4]
+        assert ipiv[0] == 2  # LAPACK's 1-based row index
+        self.assert_tridiagonal_solve(m, rng)
+
+    def test_pseudo_jacobian_bands_come_from_the_pattern(self, rng):
+        for boundary in (PERIODIC, DIRICHLET):
+            spec, grid = make_burgers_1d(12, boundary=boundary)
+            jac = assemble_pseudo_jacobian(rng.uniform(0.0, 2.0, 12), spec,
+                                           grid, 0.1)
+            assert jac._bands is solvers._jacobian_pattern(grid).bands
+            assert isinstance(jac.factorize(), solvers._TridiagonalLU)
+            rhs = rng.standard_normal(12)
+            want = np.linalg.solve(jac.matrix.toarray(), rhs)
+            assert np.allclose(jac.solve(rhs), want, rtol=0, atol=1e-12)
+
+    def test_other_patterns_take_superlu(self, rng):
+        m = self.cyclic(rng, 6)
+        m[0, 3] = 0.5  # off the three cyclic diagonals
+        assert SparseBandedMatrix(m)._bands is None
+        assert SparseBandedMatrix(np.eye(2))._bands is None  # N < 3
+        rhs = rng.standard_normal(6)
+        assert np.allclose(_direct_solve(m, rhs), np.linalg.solve(m, rhs),
+                           rtol=0, atol=1e-12)
+
+    def test_singular_tridiagonal_raises(self):
+        m = (np.diag(np.full(6, 2.0)) + np.diag(np.full(5, -1.0), 1)
+             + np.diag(np.full(5, -1.0), -1))
+        m[0, 0] = m[-1, -1] = 1.0  # the Neumann Laplacian: rows sum to 0
+        for matrix in (m, sp.csr_matrix(m)):
+            with pytest.raises(np.linalg.LinAlgError):
+                _direct_solve(matrix, np.ones(6))
 
 
 class TestSparseBandedMatrix:
