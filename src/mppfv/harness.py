@@ -19,9 +19,13 @@ proposal
     aggregated high-order flux and its stage values, which every run
     folds into ``RunDiagnostics.stage_delta``.  For ``iex`` with
     ``limiter="gmc"`` the substeps already use the semi-discretely
-    limited flux.  With ``limit_stages`` the ``sdirk5`` proposal also
-    passes every intermediate stage through the limiter (the stages of a
-    high-order DIRK method are otherwise not bound preserving), using the
+    limited flux; they stop at the stage tolerance ``TOL_STAGE``, so
+    their states are bounded only up to it and ``stage_delta`` can read
+    about -1e-10 (-7e-10 on burgers1d, nx=200, iex4 at dt = h/2); the
+    limited step itself keeps ``delta`` >= -1e-12.  With
+    ``limit_stages`` the ``sdirk5`` proposal also passes every
+    intermediate stage through the limiter (the stages of a high-order
+    DIRK method are otherwise not bound preserving), using the
     ``limit_stage`` hook of :func:`time_integration.dirk_step`.
 limiter
     ``"none"`` keeps the proposal as the step.  ``"fct"`` limits the

@@ -30,7 +30,10 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   fraction of the plain sweeps and converges at large steps where they
   stall.  The mixed iterates are not projected onto the bounds;
   boundedness comes from the converged fixed point, whose state is
-  recomputed from the realized flux.
+  recomputed from the realized flux.  Each caller passes its own stopping
+  tolerances: the step-level limit, which makes ``u^{n+1}`` bounded,
+  sweeps to ``TOL_GMC_TARGET`` (``TOL_GMC`` on stagnation); a stage stops
+  at ``solvers.TOL_STAGE``, as the quasi-Newton stage solves do.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -43,17 +46,22 @@ Also here: the implicit-Euler stage solver on the semi-discrete GMC
 limiting (both flux orders evaluated at the stage state, limited so the
 semi-discretization is locally-extremum-diminishing with respect to the
 global bounds), which runs the stages of the extrapolation integrator in
-the DIRK stage loop of :mod:`time_integration`.
+the DIRK stage loop of :mod:`time_integration`.  Its stages stop at
+``TOL_STAGE``, so the chain states are bounded only up to that
+tolerance; boundedness with no step-size limit holds at the fixed point,
+and the step-level limit removes what the stages leave.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
                      low_order_with_bars, tie_periodic_seam, unchecked)
 from .mesh import CellField, cell_values, sides
-from .solvers import STALL_RATIO, NonConvergenceError, SolverReport
+from .solvers import (STALL_RATIO, TOL_STAGE, NonConvergenceError,
+                      SolverReport)
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
@@ -265,8 +273,19 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     return G_L, alphas, _weighted(alphas, correction), a, ubar
 
 
-def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
-                     tol=TOL_GMC, max_sweeps=MAX_GMC_SWEEPS):
+def _anderson_coefficients(dF, f):
+    """The least-squares solution ``c`` of ``dF^T c = f`` for the few rows
+    of ``dF``, from the Cholesky factors of the Gram matrix ``dF dF^T``
+    (LAPACK ``dposv``); ``lstsq`` takes over when that matrix is not
+    numerically positive definite."""
+    _, c, info = lapack.dposv(dF @ dF.T, dF @ f)
+    if info != 0 or not np.all(np.isfinite(c)):
+        c = np.linalg.lstsq(dF.T, f, rcond=None)[0]
+    return c
+
+
+def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target,
+                     max_sweeps=MAX_GMC_SWEEPS):
     """The GMC fixed point ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
     high_flux(u)))``, the only GMC sweep loop.
 
@@ -278,8 +297,9 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
     (type-II Anderson acceleration): ``u <- T(u) - dT c`` with ``c`` the
     least-squares solution of ``dF c = f``.  A sweep whose residual grew
     more than ``ANDERSON_RESTART``-fold drops the history and takes the
-    plain ``u <- T(u)``.  Sweeps stop at ``TOL_GMC_TARGET``, or at ``tol``
-    once they stall or run out.  Returns
+    plain ``u <- T(u)``.  Sweeps stop at the first absolute l2 residual at
+    most ``target``, or at most ``tol`` once they stall or run out; the
+    report's tolerance is ``tol``.  Returns
     ``(u0 - dt div(realized), realized, SolverReport)``.  A non-finite
     residual raises ``ValueError`` at once (a finite one means a finite
     realized flux); the limiter coefficients are range-checked on exit.
@@ -302,7 +322,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
             raise ValueError(f"bound-preserving fixed point: non-finite "
                              f"residual at sweep {sweep}")
         stalled = res > STALL_RATIO * prev_res
-        if (res <= TOL_GMC_TARGET
+        if (res <= target
                 or (res <= tol and (stalled or sweep == max_sweeps))):
             _check_alphas(alphas)
             return (u0 - dt * realized.divergence(), realized,
@@ -327,20 +347,21 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t,
             dT[kept % ANDERSON_DEPTH] = T - T_prev
             kept += 1
             rows = min(kept, ANDERSON_DEPTH)
-            c = np.linalg.lstsq(dF[:rows].T, f, rcond=None)[0]
-            mixed = T - c @ dT[:rows]
+            mixed = T - _anderson_coefficients(dF[:rows], f) @ dT[:rows]
         u = mixed.reshape(u0.shape)
         f_prev, T_prev = f, T
     raise AssertionError("unreachable")
 
 
-def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol=TOL_GMC,
+def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
                    max_sweeps=MAX_GMC_SWEEPS, strict_reference=True):
     """One bound-preserving step: the fixed point of
     :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
-    and the low-order flux at ``t + dt``.  Returns ``(CellField, realized
-    flux, SolverReport)``.  With ``strict_reference`` the previous solution
-    must lie in the global bounds, and roundoff is snapped back into them.
+    and the low-order flux at ``t + dt``, swept to ``TOL_GMC_TARGET`` (to
+    ``TOL_GMC`` on stagnation): this solve is what makes ``u^{n+1}``
+    bounded.  Returns ``(CellField, realized flux, SolverReport)``.  With
+    ``strict_reference`` the previous solution must lie in the global
+    bounds, and roundoff is snapped back into them.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -350,7 +371,8 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, tol=TOL_GMC,
     if strict_reference:
         _check_reference(u0, spec, "the previous solution")
     u_new, realized, report = _gmc_fixed_point(
-        u0, lambda _: G_H, spec, grid, dt, gamma, t + dt, tol, max_sweeps)
+        u0, lambda _: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
+        TOL_GMC_TARGET, max_sweeps)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
     return CellField(grid, u_new), realized, report
@@ -373,17 +395,22 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     high-order flux rebuilt at every iterate), sweeping from ``reference``
     (the guess is not used), and returns ``(y, realized flux,
     SolverReport)``; the stage value is recomputed from the realized flux,
-    so chained stages conserve mass exactly.  The allowances keep every
-    bar-state average within the global bounds, so this
-    semi-discretization is locally extremum diminishing with respect to
-    them and the implicit-Euler stages preserve the bounds
-    unconditionally.
+    so chained stages conserve mass exactly.  The sweeps stop at the first
+    absolute l2 residual at most ``TOL_STAGE``, the rule and norm of the
+    quasi-Newton stage solver, and the report carries that tolerance.
+
+    The allowances keep every bar-state average within the global bounds,
+    so this semi-discretization is locally extremum diminishing with
+    respect to them and its implicit-Euler stages preserve the bounds with
+    no step-size limit at the fixed point.  A stage stopped at
+    ``TOL_STAGE`` is bounded only up to that tolerance; the step-level
+    limit makes the step's result bounded.
     """
 
     def solver(reference, step_dt, stage_time, guess):
         return _gmc_fixed_point(
             np.asarray(reference, dtype=float),
             lambda y: high_order_flux(y, spec, grid, t=stage_time),
-            spec, grid, step_dt, gamma, stage_time)
+            spec, grid, step_dt, gamma, stage_time, TOL_STAGE, TOL_STAGE)
 
     return solver

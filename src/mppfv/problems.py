@@ -103,18 +103,41 @@ class ProblemSpec:
 LAMBDA_FLOOR = 1e-12
 
 
+def _filled(value):
+    """``filled(a, b)``: ``np.full`` of ``value`` shaped like ``a`` and
+    ``b`` broadcast together, built once per pair of shapes and returned
+    read-only, so every caller shares it."""
+    cache = {}
+
+    def filled(a, b):
+        key = (np.shape(a), np.shape(b))
+        out = cache.get(key)
+        if out is None:
+            out = np.full(np.broadcast_shapes(*key), value)
+            out.flags.writeable = False
+            cache[key] = out
+        return out
+
+    return filled
+
+
 def _constant_wave_speed(value):
+    filled = _filled(float(value))
+
     def policy(axis, ua, ub, ra, rb, x, y, t):
-        return np.full(np.broadcast_shapes(np.shape(ua), np.shape(ub)), float(value))
+        return filled(ua, ub)
 
     return policy
 
 
 def _constant(value):
     """The coefficient callback ``(u, x, y) -> value`` (diffusion or its
-    derivative), shaped like ``u`` and ``x`` broadcast together."""
+    derivative), shaped like ``u`` and ``x`` broadcast together; the array
+    is read-only and shared between calls."""
+    filled = _filled(value)
+
     def coefficient(u, x, y):
-        return np.full(np.broadcast_shapes(np.shape(u), np.shape(x)), value)
+        return filled(u, x)
 
     return coefficient
 

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from mppfv import limiters
 from mppfv.fluxes import (FaceFluxSet, high_order_flux, low_order_flux_set,
                           tie_periodic_seam)
-from mppfv.limiters import (REFERENCE_SLACK, _check_alphas, _check_reference,
-                            _fct_with_flux, _gmc_face_terms, _gmc_with_flux,
-                            _outward_sums, _restore_bounds, _weighted,
-                            gmc_budgets, make_semidiscrete_gmc_substep_solver,
+from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _anderson_coefficients,
+                            _check_alphas, _check_reference, _fct_with_flux,
+                            _gmc_face_terms, _gmc_with_flux, _outward_sums,
+                            _restore_bounds, _weighted, gmc_budgets,
+                            make_semidiscrete_gmc_substep_solver,
                             zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
-from mppfv.solvers import NonConvergenceError, newton_low_order
+from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
 from mppfv.time_integration import iex_step
 
 from conftest import make_advection_2d, make_burgers_1d, random_flux_set
@@ -312,6 +313,17 @@ class TestGmcStep:
         assert report.converged
         assert report.iterations <= ceiling
 
+    def test_step_limit_stops_at_gmc_tolerance(self):
+        # The step-level limit is what makes u^{n+1} bounded, so it keeps
+        # the tight tolerance the stage solves no longer sweep to.
+        spec, grid, u0 = _burgers_pulse(100)
+        G_H = high_order_flux(u0, spec, grid)
+        _, _, report = _gmc_with_flux(u0, G_H, spec, grid,
+                                      2.0 * grid.spacing[0], 0.0, 0.0)
+        assert report.converged
+        assert report.tolerance == TOL_GMC
+        assert report.residual <= TOL_GMC
+
     def test_non_finite_high_order_flux_raises(self):
         spec, grid, u0 = _burgers_pulse(32)
         G_H = high_order_flux(u0, spec, grid)
@@ -335,6 +347,24 @@ class TestGmcStep:
         qm, qp = gmc_budgets(a, ubar, shifted, spec, gamma=3.0)
         assert np.all(qm <= 0.0)
         assert np.all(qp >= 0.0)
+
+
+class TestAndersonCoefficients:
+    def test_matches_least_squares(self, rng):
+        dF = rng.standard_normal((4, 50))
+        f = rng.standard_normal(50)
+        want = np.linalg.lstsq(dF.T, f, rcond=None)[0]
+        assert np.allclose(_anderson_coefficients(dF, f), want,
+                           rtol=1e-10, atol=1e-12)
+
+    def test_singular_history_falls_back_to_least_squares(self, rng):
+        # A zero difference (a repeated residual) makes the Gram matrix
+        # singular; the minimum-norm least-squares solution ignores it.
+        dF = np.vstack([rng.standard_normal(20), np.zeros(20)])
+        f = 0.5 * dF[0]
+        c = _anderson_coefficients(dF, f)
+        assert np.all(np.isfinite(c))
+        assert np.allclose(c, [0.5, 0.0], rtol=0, atol=1e-14)
 
 
 class TestSemidiscreteGmc:
@@ -371,6 +401,35 @@ class TestSemidiscreteGmc:
         solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         with pytest.raises(ValueError, match="non-finite"):
             solver(u0, 0.1, 0.1, u0)
+
+    def test_stage_stops_at_stage_tolerance(self):
+        spec, grid, u0 = _burgers_pulse(60)
+        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
+        dt = 2.0 * grid.spacing[0]
+        _, _, report = solver(u0, dt, dt, u0)
+        assert report.converged
+        assert report.iterations > 0
+        assert report.tolerance == TOL_STAGE
+        assert report.residual <= TOL_STAGE
+
+    def test_stage_sweep_count_ceiling(self):
+        # One iex4 step of burgers1d at dt = h/2: the stages averaged 34.0
+        # sweeps when they swept on to the step limit's 1e-13 and 21.2 when
+        # they stop at TOL_STAGE.
+        spec = burgers_1d()
+        grid = make_grid(spec, 200)
+        u0 = initial_cell_averages(spec, grid)
+        inner = make_semidiscrete_gmc_substep_solver(spec, grid)
+        sweeps = []
+
+        def counting(reference, step_dt, stage_time, guess):
+            y, flux, report = inner(reference, step_dt, stage_time, guess)
+            sweeps.append(report.iterations)
+            return y, flux, report
+
+        iex_step(u0, 4, spec, grid, counting, 0.5 * grid.spacing[0])
+        assert len(sweeps) == 10
+        assert np.mean(sweeps) <= 25.0
 
     def test_substep_solver_bounds_and_identity_at_huge_step(self):
         spec, grid, u0 = _burgers_pulse(60)

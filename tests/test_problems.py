@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mppfv import problems
 from mppfv.mesh import DIRICHLET, PERIODIC
 from mppfv.problems import (BUILTIN_PROBLEMS, LAMBDA_FLOOR, buckley_leverett_1d,
                             burgers_1d, evaluate_exact, initial_cell_averages,
@@ -52,6 +53,24 @@ class TestCommonContract:
         x = np.full_like(u, 0.5 * (spec.domain_lo[0] + spec.domain_hi[0]))
         y = x if spec.dim == 2 else 0.0
         assert np.min(spec.diffusion(u, x, y)) >= 0.0
+
+    @pytest.mark.parametrize("shapes", [((5,), (5,)), ((3, 4), (4,)),
+                                        ((6,), ())])
+    def test_constant_coefficients_are_cached_full_arrays(self, shapes):
+        u_shape, x_shape = shapes
+        u, x = np.zeros(u_shape), np.zeros(x_shape)
+        coefficient = problems._constant(0.25)
+        wave_speed = problems._constant_wave_speed(2)
+        for got, want in ((coefficient(u, x, 0.0), np.full(
+                              np.broadcast_shapes(u_shape, x_shape), 0.25)),
+                          (wave_speed(0, u, x, u, x, x, 0.0, 0.0), np.full(
+                              np.broadcast_shapes(u_shape, x_shape), 2.0))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[...] = 1.0
+        assert coefficient(u, x, 0.0) is coefficient(u + 1.0, x, 0.0)
 
     def test_exact_at_t0_matches_initial_condition_where_defined(self):
         for spec in build_all().values():

@@ -1,18 +1,33 @@
-"""``tools/stepper_sweep.py compare`` on hand-made result files."""
+"""``tools/stepper_sweep.py compare`` and ``check`` on hand-made result
+files, and the large-step gate: the sweep's iex2/iex4 + gmc
+configurations run here and keep its ``check`` gates."""
 
+import importlib.util
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mppfv.harness import RunConfig, run
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "stepper_sweep", TOOLS / "stepper_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SWEEP = _load_sweep()
+
+
 @pytest.fixture
-def sweep(monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))
-    import stepper_sweep
-    return stepper_sweep
+def sweep():
+    return SWEEP
 
 
 def _key(**kw):
@@ -66,3 +81,63 @@ def test_compare_groups_results_that_moved(sweep, capsys):
     assert lines[1:] == [
         "  not bitwise equal: bl1d: 1, max |du|/width 1.000e-09",
         "  not bitwise equal: rotation2d: 2, max |du|/width 2.000e-13"]
+
+
+def test_check_names_configurations_that_break_a_gate(sweep, capsys,
+                                                      tmp_path):
+    unlimited = _key(limiter="none", dt_factor=0.5)
+    results = {_key(): _result(0.5),
+               _key(gamma=1.0): "NonConvergenceError",
+               _key(scheme="iex4"): _result(0.5),
+               unlimited: _result(0.5)}
+    results[_key(scheme="iex4")]["delta"] = -2e-12
+    results[_key(scheme="iex4")]["mass_drift"] = 3e-12
+    results[unlimited]["delta"] = -0.1  # no limiter: may overshoot
+    path = tmp_path / "results.pkl"
+    path.write_bytes(pickle.dumps(results))
+    assert sweep.main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "dt_factor 0.5: 0/1 fail",
+        "dt_factor 5.0: 2/3 fail",
+        "  rotation2d iex2+gmc gamma=1: raised NonConvergenceError",
+        "  rotation2d iex4+gmc gamma=0: delta -2.000e-12 < -1e-12; "
+        "|mass_drift| 3.000e-12 > 1e-12"]
+
+
+def test_check_passes_results_within_the_gates(sweep, capsys, tmp_path):
+    results = {_key(): _result(0.5), _key(gamma=1.0): _result(0.25)}
+    results[_key()]["delta"] = sweep.DELTA_MIN
+    results[_key(gamma=1.0)]["mass_drift"] = -sweep.MASS_DRIFT_MAX
+    path = tmp_path / "results.pkl"
+    path.write_bytes(pickle.dumps(results))
+    assert sweep.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["dt_factor 5.0: 0/2 fail"]
+
+
+def _large_step_configurations():
+    """The sweep's iex2/iex4 + gmc configurations, both gammas: burgers1d
+    and bl1d at both dt factors, rotation2d at 0.5 (at 5 its runs take
+    seconds each; ``check`` covers them)."""
+    return [c for dt_factor in SWEEP.DT_FACTORS
+            for c in SWEEP.configurations(dt_factor)
+            if c["scheme"] in ("iex2", "iex4") and c["limiter"] == "gmc"
+            and (c["problem"] != "rotation2d" or dt_factor == 0.5)]
+
+
+@pytest.mark.parametrize(
+    "kwargs", _large_step_configurations(),
+    ids=lambda c: f"{SWEEP._name(SWEEP._key(c))} dt={c['dt_factor']:g}")
+def test_large_step_gate(kwargs):
+    diag, _ = run(RunConfig(**kwargs))
+    assert diag.delta >= SWEEP.DELTA_MIN
+    assert abs(diag.mass_drift) <= SWEEP.MASS_DRIFT_MAX
+
+
+def test_large_step_gate_covers_the_matrix():
+    counts = {}
+    for c in _large_step_configurations():
+        key = (c["problem"], c["dt_factor"])
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {("burgers1d", 0.5): 4, ("burgers1d", 5.0): 4,
+                      ("bl1d", 0.5): 4, ("bl1d", 5.0): 4,
+                      ("rotation2d", 0.5): 4}

@@ -10,7 +10,11 @@ equal, the largest ``|du|`` as a share of the problem's bound width,
 whether the same configurations failed, by name the configurations that
 fail in only one of the files, and, grouped by problem, how many finished
 configurations are not bitwise equal with each group's largest ``|du|``
-per width.
+per width.  ``check OUT`` reads one such file and exits non-zero when any
+configuration raised or broke a gate: ``|mass_drift| <= MASS_DRIFT_MAX``
+for every run, and bound violation ``delta >= DELTA_MIN`` for every run
+that is bound preserving (a limiter, or ``be``; the unlimited high-order
+schemes overshoot by design).
 
 The matrix: problem (burgers1d nx=30 t=0.06, rotation2d 12^2 for two
 steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
@@ -28,6 +32,10 @@ Compare two trees::
     PYTHONPATH=<old>/src python tools/stepper_sweep.py run old.pkl
     PYTHONPATH=<new>/src python tools/stepper_sweep.py run new.pkl
     python tools/stepper_sweep.py compare old.pkl new.pkl
+
+Gate one tree on the whole matrix::
+
+    python tools/stepper_sweep.py check new.pkl
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ PROBLEMS = {"burgers1d": dict(nx=30, t_final=0.06),
 SCHEMES = ("be", "sdirk5", "iex2", "iex4")
 CATALOGUE_SIZES = {1: 30, 2: 12}
 CATALOGUE_SCHEMES = (("sdirk5", "gmc"), ("iex2", "fct"))
+#: The gates of ``check``: every bound-preserving run keeps
+#: ``delta >= DELTA_MIN``, every run ``|mass_drift| <= MASS_DRIFT_MAX``.
+DELTA_MIN = -1e-12
+MASS_DRIFT_MAX = 1e-12
 
 
 def configurations(dt_factor):
@@ -193,6 +205,42 @@ def compare(old, new):
     return ok
 
 
+def gate_failures(key, result):
+    """Why the stored result of configuration ``key`` fails the gates
+    (empty when it passes)."""
+    if isinstance(result, str):
+        return [f"raised {result}"]
+    c = dict(key)
+    bounded = c["limiter"] != "none" or c["scheme"] == "be"
+    failures = []
+    if bounded and not result["delta"] >= DELTA_MIN:
+        failures.append(f"delta {result['delta']:.3e} < {DELTA_MIN:g}")
+    if not abs(result["mass_drift"]) <= MASS_DRIFT_MAX:
+        failures.append(f"|mass_drift| {abs(result['mass_drift']):.3e} > "
+                        f"{MASS_DRIFT_MAX:g}")
+    return failures
+
+
+def check(results):
+    """Print, per dt factor, how many configurations fail the gates and,
+    by name, each failing one with its reasons; return True when none
+    fails."""
+    ok = True
+    for dt_factor in sorted({dict(k)["dt_factor"] for k in results}):
+        keys = [k for k in results if dict(k)["dt_factor"] == dt_factor]
+        failing = []
+        for k in keys:
+            failures = gate_failures(k, results[k])
+            if failures:
+                failing.append((_name(k), failures))
+        failing.sort()
+        print(f"dt_factor {dt_factor}: {len(failing)}/{len(keys)} fail")
+        for name, failures in failing:
+            print(f"  {name}: {'; '.join(failures)}")
+        ok = ok and not failing
+    return ok
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,12 +249,16 @@ def main(argv=None):
     p_cmp = sub.add_parser("compare", help="compare two result files")
     p_cmp.add_argument("old")
     p_cmp.add_argument("new")
+    p_check = sub.add_parser("check", help="gate one result file")
+    p_check.add_argument("out")
     args = parser.parse_args(argv)
     if args.command == "run":
         results = run_matrix()
         with open(args.out, "wb") as fh:
             pickle.dump(results, fh)
         return 0
+    if args.command == "check":
+        return 0 if check(_load(args.out)) else 1
     return 0 if compare(_load(args.old), _load(args.new)) else 1
 
 
