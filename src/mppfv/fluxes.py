@@ -23,7 +23,7 @@ one-face-at-a-time path),
   averaged over the two reconstructed states.
 
 Storage convention: one array per axis holding the flux *along the positive
-axis direction* at every face plane, laid out like a cell field (grid axis
+axis direction* at every face plane, laid out like a cell state (grid axis
 ``k`` is array axis ``-1-k``, see :mod:`mesh`) with one more entry along the
 face normal: shape ``(nx+1,)`` in 1D and ``(ny, nx+1)`` / ``(ny+1, nx)`` for
 x-/y-faces in 2D.  Face speeds and bar states use the same layout.  On
@@ -251,21 +251,22 @@ def _axis_low_order(u_ext, spec, grid, axis, t):
     return tuple(tie_periodic_seam(v, grid, axis) for v in (G, lam, ubar))
 
 
-def low_order_with_bars(field, spec, grid, t=0.0):
-    """Low-order fluxes and bar states in one pass.
+def low_order_with_bars(values, spec, grid, t=0.0):
+    """Low-order fluxes and bar states of the cell state ``values`` (an
+    array of ``grid.shape``) in one pass.
 
     Returns ``(G^L, lam, ubar)``: the :class:`FaceFluxSet` of ``G^L`` and
     per-axis tuples of the combined face speed and the blended bar state.
     """
-    u_ext = ghost_fill(field, spec, grid, time=t, width=1)
+    u_ext = ghost_fill(values, spec, grid, time=t, width=1)
     G, lam, ubar = zip(*(_axis_low_order(u_ext, spec, grid, axis, t)
                          for axis in range(grid.dim)))
     return unchecked(FaceFluxSet, grid=grid, arrays=G), lam, ubar
 
 
-def low_order_flux_set(field, spec, grid, t=0.0):
+def low_order_flux_set(values, spec, grid, t=0.0):
     """``G^L = F^L - P^L`` per face as a :class:`FaceFluxSet`."""
-    return low_order_with_bars(field, spec, grid, t)[0]
+    return low_order_with_bars(values, spec, grid, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +304,11 @@ def _axis_high_order(u_ext, spec, grid, axis, t):
     return tie_periodic_seam(GH, grid, axis)
 
 
-def high_order_flux(field, spec, grid, t=0.0):
+def high_order_flux(values, spec, grid, t=0.0):
     """``F^H - P^H`` per face: Rusanov form on the two WENO face values minus
     the reconstructed diffusive flux (fourth-order face derivative times the
     average of the diffusion coefficient at the two reconstructed states)."""
-    u_ext = ghost_fill(field, spec, grid, time=t, width=GHOST_WIDTH)
+    u_ext = ghost_fill(values, spec, grid, time=t, width=GHOST_WIDTH)
     arrays = tuple(_axis_high_order(u_ext, spec, grid, axis, t)
                    for axis in range(grid.dim))
     return unchecked(FaceFluxSet, grid=grid, arrays=arrays)

@@ -50,8 +50,9 @@ import numpy as np
 
 from .limiters import (LIMITER_CHOICES, _fct_with_flux, _gmc_with_flux,
                        make_semidiscrete_gmc_substep_solver)
-from .mesh import FIRST, LAST, cell_values
-from .metrics import RunDiagnostics, compute_E1, eoc, total_mass, update_delta
+from .mesh import FIRST, LAST, CellField
+from .metrics import (RunDiagnostics, bound_margin, compute_E1, eoc,
+                      total_mass, update_delta)
 from .problems import BUILTIN_PROBLEMS, initial_cell_averages, make_grid
 from .solvers import (JacobianEngine, NonConvergenceError, make_stage_solver,
                       newton_low_order)
@@ -154,7 +155,8 @@ def build_problem(config):
 # ---------------------------------------------------------------------------
 
 def _make_stepper(config, spec, grid):
-    """Build ``step(u, t, dt) -> (u_new, realized_flux, stage_fields)``.
+    """Build ``step(u, t, dt) -> (u_new, realized_flux, stage_values)``,
+    every state an array of ``grid.shape``.
 
     The realized flux satisfies the discrete balance
     ``u_new = u - dt * div(flux)`` up to solver tolerance (exactly, for the
@@ -233,8 +235,9 @@ def _boundary_outflow(flux):
 # Snapshots
 # ---------------------------------------------------------------------------
 
-def snapshot(field_in, grid, path):
-    """Write cell-center coordinates and values as plain-text CSV.
+def snapshot(values, grid, path):
+    """Write cell-center coordinates and the cell state ``values`` (an
+    array of ``grid.shape``) as plain-text CSV.
 
     Header ``x,u`` (1D) or ``x,y,u`` (2D); one row per cell in row-major
     order; 17 significant digits so values round-trip bitwise.
@@ -243,7 +246,7 @@ def snapshot(field_in, grid, path):
     path.parent.mkdir(parents=True, exist_ok=True)
     points = grid.center_mesh()[:grid.dim]
     columns = [np.broadcast_to(c, grid.shape).ravel()
-               for c in points + (cell_values(field_in),)]
+               for c in points + (values,)]
     lines = [",".join("xy"[:grid.dim]) + ",u"]
     lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
@@ -316,17 +319,15 @@ def run(config):
             dt = remaining
         steps += 1
         try:
-            u, flux, stage_fields = step(u, t, dt)
+            u, flux, stages = step(u, t, dt)
         except NonConvergenceError as err:
             raise NonConvergenceError(
                 f"step {steps} at t={t:.6g}, dt={dt:.6g}: {err}",
                 err.report) from err
         t += dt
         update_delta(diag, u, spec)
-        stage_diag = RunDiagnostics(delta=diag.stage_delta)
-        for s_field in stage_fields:
-            update_delta(stage_diag, s_field, spec)
-        diag.stage_delta = stage_diag.delta
+        for y in stages:
+            diag.stage_delta = min(diag.stage_delta, bound_margin(y, spec))
         outflow += dt * _boundary_outflow(flux)
         for s in list(targets):
             if abs(t - s) <= max(abs(s), t_end) * TIME_RTOL:
@@ -341,7 +342,7 @@ def run(config):
     mass_final = total_mass(u, grid)
     denom = max(abs(mass0), 1e-30)
     diag.mass_drift = (mass_final + outflow - mass0) / denom
-    return diag, u
+    return diag, CellField(grid, u)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ from scipy.linalg import lapack
 
 from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
                      low_order_with_bars, tie_periodic_seam, unchecked)
-from .mesh import CellField, cell_values, sides
+from .mesh import sides
+from .metrics import bound_margin
 from .solvers import (STALL_RATIO, TOL_STAGE, NonConvergenceError,
                       SolverReport)
 
@@ -181,10 +182,7 @@ def _restore_bounds(values, spec):
     rounding correction, not a limiter action; violations beyond roundoff
     scale are a defect and raise instead of being hidden.
     """
-    lo = float(np.min(values - spec.global_min))
-    hi = (float(np.min(spec.global_max - values))
-          if np.isfinite(spec.global_max) else 0.0)
-    worst = min(lo, hi)
+    worst = bound_margin(values, spec)
     if worst >= 0.0:
         return values
     if worst < -_ROUNDOFF_VIOLATION:
@@ -198,7 +196,7 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
                    strict_reference=True):
     """Flux-corrected step ``u = u^L + (dt/|K|) sum |S| alpha (G^L - G^H)``
     with allowances ``Q^± = (|K|/dt)(u^{max/min} - u^L)``; returns
-    ``(CellField, realized flux)``.
+    ``(u, realized flux)``, ``u`` an array like ``u_L``.
 
     ``iterations > 1`` re-limits the rejected remainder ``(1-alpha) dG``
     against the budgets of the updated solution, recovering more of the
@@ -208,7 +206,6 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    u_L = cell_values(u_L)
     if strict_reference:
         _check_reference(u_L, spec, "the low-order solution")
     u = u_L.copy()
@@ -227,7 +224,7 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
     realized.check_finite()
     if strict_reference:
         u = _restore_bounds(u, spec)
-    return CellField(grid, u), realized
+    return u, realized
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
     :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
     and the low-order flux at ``t + dt``, swept to ``TOL_GMC_TARGET`` (to
     ``TOL_GMC`` on stagnation): this solve is what makes ``u^{n+1}``
-    bounded.  Returns ``(CellField, realized flux, SolverReport)``.  With
+    bounded.  Returns ``(u^{n+1}, realized flux, SolverReport)``.  With
     ``strict_reference`` the previous solution must lie in the global
     bounds, and roundoff is snapped back into them.
     """
@@ -367,15 +364,14 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
         raise ValueError("dt must be positive")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    u0 = cell_values(u_n)
     if strict_reference:
-        _check_reference(u0, spec, "the previous solution")
+        _check_reference(u_n, spec, "the previous solution")
     u_new, realized, report = _gmc_fixed_point(
-        u0, lambda _: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
+        u_n, lambda _: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
         TOL_GMC_TARGET, max_sweeps)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
-    return CellField(grid, u_new), realized, report
+    return u_new, realized, report
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +405,7 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
 
     def solver(reference, step_dt, stage_time, guess):
         return _gmc_fixed_point(
-            np.asarray(reference, dtype=float),
-            lambda y: high_order_flux(y, spec, grid, t=stage_time),
+            reference, lambda y: high_order_flux(y, spec, grid, t=stage_time),
             spec, grid, step_dt, gamma, stage_time, TOL_STAGE, TOL_STAGE)
 
     return solver

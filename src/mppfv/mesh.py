@@ -1,9 +1,12 @@
 """Uniform structured 1D/2D grids with ghost-layer boundary handling.
 
-Cells are axis-aligned boxes of identical size.  Fields store one value per
-cell (the cell average).  Boundary conditions enter through ghost layers:
-periodic axes wrap the interior values, Dirichlet axes are filled with the
-prescribed constant boundary value.
+Cells are axis-aligned boxes of identical size.  A cell state is a plain
+float array of :attr:`StructuredGrid.shape` holding one value per cell (the
+cell average); every kernel takes and returns states in that form.
+:class:`CellField`, which attaches the grid, is only the final state that
+:func:`harness.run` returns.  Boundary conditions enter through ghost
+layers: periodic axes wrap the interior values, Dirichlet axes are filled
+with the prescribed constant boundary value.
 
 Array-axis convention: grid axis ``k`` is array axis ``-1-k`` of every cell
 and face array, in 1D and 2D alike, so x is the last array axis and y the
@@ -180,7 +183,8 @@ class StructuredGrid:
 
 @dataclass
 class CellField:
-    """A scalar field of cell averages attached to a grid."""
+    """A scalar field of cell averages attached to a grid: the final state
+    that :func:`harness.run` returns."""
 
     grid: StructuredGrid
     values: np.ndarray
@@ -193,18 +197,10 @@ class CellField:
                 f"{self.grid.shape}"
             )
 
-    def copy(self):
-        return CellField(self.grid, self.values.copy())
 
-
-def cell_values(field):
-    """The cell values of a :class:`CellField` or an array, as float64."""
-    return field.values if isinstance(field, CellField) else np.asarray(field, dtype=float)
-
-
-def ghost_fill(field, problem_spec, grid, time=0.0, width=GHOST_WIDTH):
-    """Extend the cell values of ``field`` (a :class:`CellField` or an
-    array of ``grid.shape``) with ``width`` ghost layers per side.
+def ghost_fill(values, problem_spec, grid, time=0.0, width=GHOST_WIDTH):
+    """Extend the cell state ``values`` (an array of ``grid.shape``) with
+    ``width`` ghost layers per side.
 
     Periodic axes copy wrapped interior values; Dirichlet axes fill every
     ghost layer with the prescribed constant boundary value taken from
@@ -219,7 +215,7 @@ def ghost_fill(field, problem_spec, grid, time=0.0, width=GHOST_WIDTH):
     """
     if width < 1:
         raise ValueError("ghost width must be >= 1")
-    ext = cell_values(field)
+    ext = np.asarray(values, dtype=float)
     if ext.shape != grid.shape:
         raise ValueError(f"values shape {ext.shape} does not match grid "
                          f"shape {grid.shape}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import weno
-from .mesh import cell_values, ghost_fill
+from .mesh import ghost_fill
 from .problems import evaluate_exact
 
 
@@ -33,22 +33,25 @@ class RunDiagnostics:
     stage_delta: float = np.inf                   # over intermediate stages
 
 
-def update_delta(diag, field_in, spec):
+def bound_margin(values, spec):
+    """``min_i min{u_i - u^min, u^max - u_i}`` of one cell state: negative
+    by the largest bound violation; an infinite ``u^max`` bounds nothing."""
+    low = float(np.min(values - spec.global_min))
+    if not np.isfinite(spec.global_max):
+        return low
+    return min(low, float(np.min(spec.global_max - values)))
+
+
+def update_delta(diag, values, spec):
     """Fold one state into the running bound-violation minimum."""
-    u = cell_values(field_in)
-    low = float(np.min(u - spec.global_min))
-    if np.isfinite(spec.global_max):
-        high = float(np.min(spec.global_max - u))
-    else:
-        high = np.inf
-    diag.delta = min(diag.delta, low, high)
+    diag.delta = min(diag.delta, bound_margin(values, spec))
     return diag
 
 
-def cell_center_values(field_in, spec, grid, t=0.0):
+def cell_center_values(values, spec, grid, t=0.0):
     """Cell-center point values from cell averages (degree-4 conversion,
     dimension by dimension)."""
-    values = ghost_fill(field_in, spec, grid, time=t, width=2)
+    values = ghost_fill(values, spec, grid, time=t, width=2)
     for axis in range(grid.dim):  # x, then y, each on the last array axis
         line = values.swapaxes(-1, -1 - axis)
         values = weno.center_point_values_line(line, ghost=2).swapaxes(
@@ -56,10 +59,10 @@ def cell_center_values(field_in, spec, grid, t=0.0):
     return values
 
 
-def compute_E1(field_in, spec, grid, t):
+def compute_E1(values, spec, grid, t):
     """``E1(t) = |K| sum_i |utilde_i - u_exact(center_i, t)|``."""
-    exact = evaluate_exact(spec, grid, t).values
-    utilde = cell_center_values(field_in, spec, grid, t=t)
+    exact = evaluate_exact(spec, grid, t)
+    utilde = cell_center_values(values, spec, grid, t=t)
     return float(grid.cell_volume * np.sum(np.abs(utilde - exact)))
 
 
@@ -76,7 +79,6 @@ def eoc(errors, spacings):
     return [float(r) for r in rates]
 
 
-def total_mass(field_in, grid):
+def total_mass(values, grid):
     """``sum_i |K_i| u_i``."""
-    u = cell_values(field_in)
-    return float(grid.cell_volume * np.sum(u))
+    return float(grid.cell_volume * np.sum(values))

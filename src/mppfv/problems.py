@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import CellField, StructuredGrid, PERIODIC, DIRICHLET
+from .mesh import StructuredGrid, PERIODIC, DIRICHLET
 
 
 @dataclass(frozen=True)
@@ -483,7 +483,7 @@ def kpp_2d(epsilon):
 # ---------------------------------------------------------------------------
 
 def evaluate_exact(spec, grid, t):
-    """Exact solution sampled at cell centers as a :class:`CellField`.
+    """Exact solution sampled at cell centers, an array of ``grid.shape``.
 
     Raises
     ------
@@ -492,7 +492,8 @@ def evaluate_exact(spec, grid, t):
     """
     if spec.exact_solution is None:
         raise ValueError(f"problem {spec.name!r} has no exact solution")
-    return CellField(grid, spec.exact_solution(*grid.center_mesh(), t))
+    return np.asarray(spec.exact_solution(*grid.center_mesh(), t),
+                      dtype=float)
 
 
 #: 5-point Gauss-Legendre rule on [-1/2, 1/2] (exact through degree 9).
@@ -505,7 +506,8 @@ def initial_cell_averages(spec, grid):
     """Project the pointwise initial condition to cell averages with a
     per-axis 5-point Gauss-Legendre rule (positive weights, so averages stay
     inside the global bounds whenever the pointwise data does).  The terms
-    of the tensor rule are summed with the x node outermost."""
+    of the tensor rule are summed with the x node outermost.  Returns an
+    array of ``grid.shape``."""
     centers = [grid.axis_centers(k) for k in range(grid.dim)]
     vals = np.zeros(grid.shape)
     for nodes in itertools.product(zip(_GL_NODES, _GL_WEIGHTS),
@@ -514,7 +516,7 @@ def initial_cell_averages(spec, grid):
         per_axis = [c + node * h
                     for c, (node, _), h in zip(centers, nodes, grid.spacing)]
         vals += weight * spec.initial_condition(*grid.points(per_axis))
-    return CellField(grid, vals)
+    return vals
 
 
 #: Registry used by the command-line harness.

@@ -73,7 +73,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from . import fluxes
-from .mesh import LAST, PERIODIC, CellField, cell_values, ghost_fill
+from .mesh import LAST, PERIODIC, ghost_fill
 from .problems import initial_cell_averages
 
 TOL_LOW_ORDER = 1e-12
@@ -336,7 +336,7 @@ def _jacobian_pattern(grid):
     return _JacobianPattern(grid)
 
 
-def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
+def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
     """Pseudo-Jacobian ``J = I + (scale/|K_i|) sum_faces |S| dG^L/du_j`` at
     the given state, with the wave-speed bound held fixed.
 
@@ -345,7 +345,7 @@ def assemble_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     of Dirichlet boundaries are data, not unknowns: they contribute no
     columns.  The matrix shares the grid's cached index arrays.
     """
-    u_ext = ghost_fill(field_in, spec, grid, time=t, width=1)
+    u_ext = ghost_fill(values, spec, grid, time=t, width=1)
     pattern = _jacobian_pattern(grid)
     terms = []
     for axis, groups in enumerate(pattern.groups):
@@ -368,7 +368,7 @@ def frozen_jacobian(spec, grid, dt):
     terms vanish, so the matrix is exactly the discrete linear
     convection-diffusion operator and can be reused across all steps.
     """
-    u0 = initial_cell_averages(spec, grid).values
+    u0 = initial_cell_averages(spec, grid)
     ubar = 0.5 * (float(np.max(u0)) - float(np.min(u0)))
     frozen_state = np.full(grid.shape, ubar)
     jac = assemble_pseudo_jacobian(frozen_state, spec, grid, dt, t=0.0)
@@ -470,7 +470,7 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
     """Solve the low-order backward-Euler system
     ``u - u^n + (dt/|K_i|) sum |S| G^L(u) = 0`` to l2 residual <= tol.
 
-    Returns ``(u^L CellField, G^L FaceFluxSet, SolverReport)``; raises
+    Returns ``(u^L, G^L FaceFluxSet, SolverReport)``; raises
     :class:`NonConvergenceError` when the iteration budget is exhausted.
     The returned state is recomputed from the returned fluxes,
     ``u^L = u^n - (dt/|K|) sum |S| G^L``, so the pair is exactly
@@ -482,12 +482,11 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
         raise ValueError("dt must be positive")
     if engine is None:
         engine = JacobianEngine(spec, grid)
-    u0 = cell_values(u_n)
     stage_time = t + dt
     _, flux, report = _quasi_newton(
-        u0, lambda u: fluxes.low_order_flux_set(u, spec, grid, t=stage_time),
-        dt, stage_time, u0, engine, tol, max_iter, "low-order solve")
-    return CellField(grid, u0 - dt * flux.divergence()), flux, report
+        u_n, lambda u: fluxes.low_order_flux_set(u, spec, grid, t=stage_time),
+        dt, stage_time, u_n, engine, tol, max_iter, "low-order solve")
+    return u_n - dt * flux.divergence(), flux, report
 
 
 def make_stage_solver(engine):

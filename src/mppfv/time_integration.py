@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .fluxes import high_order_flux
-from .mesh import CellField, cell_values
 from .solvers import NonConvergenceError
 
 
@@ -208,7 +207,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
         :class:`NonConvergenceError` on failure.  Stages with ``a_mm = 0``
         are explicit and call :func:`fluxes.high_order_flux` instead.
     limit_stage : callable(reference, flux, step_dt, start_time) ->
-        (CellField, FaceFluxSet), optional
+        (values, FaceFluxSet), optional
         Replaces the value and flux of every stage with ``a_mm != 0`` by a
         limited pair, treating the stage as a step of size ``step_dt``
         from ``reference`` that starts at ``stage_time - step_dt``.  Later
@@ -217,8 +216,9 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
 
     Returns
     -------
-    (CellField, FaceFluxSet, tuple of CellField)
-        The new state, the aggregated flux set and every stage value.
+    (ndarray, FaceFluxSet, tuple of ndarray)
+        The new state, the aggregated flux set and every stage value, all
+        cell states of ``grid.shape`` like ``u_n``.
 
     Raises
     ------
@@ -228,12 +228,11 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u0 = cell_values(u_n)
     A, b, c = tableau.A, tableau.b, tableau.c
-    stage_fields = []
+    stage_values = []
     stage_fluxes = []
     for m in range(tableau.stages):
-        r = u0.copy()
+        r = u_n.copy()
         for s in range(m):
             if A[m, s] != 0.0:
                 r -= (dt * A[m, s]) * stage_fluxes[s].divergence()
@@ -251,18 +250,15 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
                     f"stage {m + 1}/{tableau.stages}: {err}",
                     err.report) from err
         if limit_stage is not None and A[m, m] != 0.0:
-            limited, flux = limit_stage(r, flux, step_dt,
-                                        stage_time - step_dt)
-            y = limited.values
-        stage_fields.append(CellField(grid, y))
+            y, flux = limit_stage(r, flux, step_dt, stage_time - step_dt)
+        stage_values.append(y)
         stage_fluxes.append(flux)
 
     total = stage_fluxes[0] * b[0]
     for m in range(1, tableau.stages):
         total = total + stage_fluxes[m] * b[m]
     total.check_finite()
-    u_new = u0 - dt * total.divergence()
-    return CellField(grid, u_new), total, tuple(stage_fields)
+    return u_n - dt * total.divergence(), total, tuple(stage_values)
 
 
 def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
@@ -277,7 +273,7 @@ def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
 
     Returns
     -------
-    (CellField, FaceFluxSet, tuple of CellField)
+    (ndarray, FaceFluxSet, tuple of ndarray)
         The new state, the extrapolated flux set, and every substep chain
         state (the "intermediate stages" of the method).
     """

@@ -15,7 +15,7 @@ import pytest
 from mppfv.fluxes import (FaceFluxSet, _face_states, high_order_flux,
                           low_order_flux_set, low_order_with_bars)
 from mppfv.limiters import _cell_sum
-from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid, ghost_fill
+from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
 from mppfv.problems import (buckley_leverett_1d, kpp_2d, make_grid,
                             steady_gaussian_1d)
 
@@ -483,7 +483,7 @@ class TestGhostCoupling:
     def test_periodic_ghost_fill_roundtrip(self, rng):
         spec, grid = make_burgers_1d(8)
         u = rng.uniform(0.0, 1.0, 8)
-        ext = ghost_fill(CellField(grid, u), spec, grid, width=3)
+        ext = ghost_fill(u, spec, grid, width=3)
         assert np.array_equal(ext[3:-3], u)
         assert np.array_equal(ext[:3], u[-3:])
         assert np.array_equal(ext[-3:], u[:3])

@@ -15,7 +15,7 @@ from mppfv.harness import (RunConfig, _make_stepper, build_problem,
                            convergence_study, load_config_file, main,
                            read_snapshot, run, snapshot)
 from mppfv.limiters import _restore_bounds
-from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
+from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid
 from mppfv.metrics import RunDiagnostics
 from mppfv.problems import initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError
@@ -163,6 +163,13 @@ class TestRunLoop:
         assert u.values.shape == (16,)
         assert np.isfinite(diag.delta)
 
+    def test_returns_cell_field_on_the_run_grid(self):
+        cfg = _quick(problem="rotation2d", nx=8, ny=6, t_final=0.05)
+        _, u = run(cfg)
+        assert isinstance(u, CellField)
+        assert u.grid == make_grid(build_problem(cfg), 8, 6)
+        assert u.values.shape == (6, 8) and u.values.dtype == np.float64
+
     def test_snapshot_files_and_initial_state(self, tmp_path):
         cfg = _quick(snapshot_times=(0.0, 0.25, 0.5), out=str(tmp_path))
         diag, _ = run(cfg)
@@ -173,8 +180,7 @@ class TestRunLoop:
         _, data = read_snapshot(tmp_path / "linear1d_be_t0.000000.csv")
         spec = build_problem(cfg)
         grid = make_grid(spec, cfg.nx)
-        assert np.array_equal(data[:, 1],
-                              initial_cell_averages(spec, grid).values)
+        assert np.array_equal(data[:, 1], initial_cell_averages(spec, grid))
         # intermediate snapshot times also get an error entry
         assert set(diag.e1) == {0.25, 0.5}
 
@@ -326,13 +332,13 @@ class TestStageLimitedStep:
                         limiter=limiter, limit_stages=True, **kw)
         out, realized, stages = _make_stepper(cfg, spec, grid)(u0, 0.0, dt)
         assert len(stages) == 5
-        assert np.min(out.values) >= spec.global_min
-        assert np.max(out.values) <= spec.global_max
-        assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-12)
+        assert np.min(out) >= spec.global_min
+        assert np.max(out) <= spec.global_max
+        assert np.sum(out) == pytest.approx(np.sum(u0), rel=1e-12)
         # The realized flux reproduces the update; the two summation orders
         # agree to roundoff only, so the comparison is not bitwise.
         assert np.allclose(
-            out.values,
+            out,
             _restore_bounds(u0 - dt * realized.divergence(), spec),
             rtol=0.0, atol=1e-12)
 
@@ -497,12 +503,13 @@ class TestCommandLine:
                                   "stage 2/5: stalled")
         assert exc.value.report == "report"
 
-    def test_module_entry_point(self):
+    @pytest.mark.parametrize("module", ["mppfv", "mppfv.harness"])
+    def test_module_entry_point(self, module):
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "mppfv", "--problem", "linear1d",
+            [sys.executable, "-m", module, "--problem", "linear1d",
              "--nx", "16", "--scheme", "be", "--t-final", "0.1"],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

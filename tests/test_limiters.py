@@ -194,7 +194,7 @@ class TestFctStep:
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         out, _ = _fct_with_flux(G_L, u_L, G_L.copy(), spec, grid, dt, 1)
-        assert np.array_equal(out.values, u_L.values)
+        assert np.array_equal(out, u_L)
 
     def test_full_acceptance_away_from_bounds(self):
         spec, grid = make_burgers_1d(32)
@@ -204,8 +204,8 @@ class TestFctStep:
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
         out, _ = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, 1)
-        unlimited = u_L.values + dt * (G_L - G_H).divergence()
-        assert np.array_equal(out.values, unlimited)
+        unlimited = u_L + dt * (G_L - G_H).divergence()
+        assert np.array_equal(out, unlimited)
 
     def test_output_within_global_bounds_on_shock_data(self):
         spec, grid, u0 = _burgers_pulse(100)
@@ -215,8 +215,8 @@ class TestFctStep:
         for iterations in (1, 2, 3):
             out, _ = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt,
                                     iterations)
-            assert np.min(out.values) >= spec.global_min
-            assert np.max(out.values) <= spec.global_max
+            assert np.min(out) >= spec.global_min
+            assert np.max(out) <= spec.global_max
 
     def test_extra_iterations_recover_more_correction(self):
         spec, grid, u0 = _burgers_pulse(100)
@@ -237,13 +237,13 @@ class TestFctStep:
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
         G_H = high_order_flux(u0, spec, grid)
         out, _ = _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, 2)
-        assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-13)
+        assert np.sum(out) == pytest.approx(np.sum(u0), rel=1e-13)
 
     def test_low_order_reference_validated(self):
         spec, grid, u0 = _burgers_pulse(20)
         dt = 0.5 * grid.spacing[0]
         u_L, G_L, _ = newton_low_order(u0, spec, grid, dt)
-        bad = u_L.values + 3.0  # far outside [0, 2]
+        bad = u_L + 3.0  # far outside [0, 2]
         with pytest.raises(ValueError, match="low-order solution"):
             _fct_with_flux(G_L, bad, G_L.copy(), spec, grid, dt, 1)
 
@@ -271,7 +271,7 @@ class TestGmcStep:
         G_H = high_order_flux(u0, spec, grid)
         out, _, report = _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0)
         assert report.iterations == 0
-        assert np.allclose(out.values, 1.2, atol=1e-14)
+        assert np.allclose(out, 1.2, atol=1e-14)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_large_step_stays_within_bounds(self, gamma):
@@ -280,15 +280,15 @@ class TestGmcStep:
         G_H = high_order_flux(u0, spec, grid)
         out, _, report = _gmc_with_flux(u0, G_H, spec, grid, dt, gamma, 0.0)
         assert report.converged
-        assert np.min(out.values) >= spec.global_min
-        assert np.max(out.values) <= spec.global_max
+        assert np.min(out) >= spec.global_min
+        assert np.max(out) <= spec.global_max
 
     def test_mass_conserved(self):
         spec, grid, u0 = _burgers_pulse(64)
         dt = 2.0 * grid.spacing[0]
         G_H = high_order_flux(u0, spec, grid)
         out, _, _ = _gmc_with_flux(u0, G_H, spec, grid, dt, 1.0, 0.0)
-        assert np.sum(out.values) == pytest.approx(np.sum(u0), rel=1e-12)
+        assert np.sum(out) == pytest.approx(np.sum(u0), rel=1e-12)
 
     def test_validation_errors(self):
         spec, grid, u0 = _burgers_pulse(16)
@@ -443,15 +443,18 @@ class TestSemidiscreteGmc:
         assert np.sum(y) == pytest.approx(np.sum(u0), rel=1e-12)
 
     def test_extrapolation_chain_respects_bounds(self):
-        # Every internal chain state is limited and therefore bounded; the
-        # extrapolated combination itself carries signed weights and only
-        # inherits conservation, not the bounds.
+        # Every internal chain state is a limited substep, but its sweeps
+        # stop at the stage tolerance TOL_STAGE, so it is bounded only up
+        # to that tolerance (stage_delta reads -7e-10 on burgers1d, nx=200,
+        # iex4 at dt = h/2).  This small case stays within 1e-12 by margin,
+        # not by guarantee.  The extrapolated combination itself carries
+        # signed weights and only inherits conservation, not the bounds.
         spec, grid, u0 = _burgers_pulse(50)
         solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         dt = 2.0 * grid.spacing[0]
         u1, _, chains = iex_step(u0, 4, spec, grid, solver, dt)
         assert len(chains) == 10
         for state in chains:
-            assert np.min(state.values) >= spec.global_min - 1e-12
-            assert np.max(state.values) <= spec.global_max + 1e-12
-        assert np.sum(u1.values) == pytest.approx(np.sum(u0), rel=1e-12)
+            assert np.min(state) >= spec.global_min - 1e-12
+            assert np.max(state) <= spec.global_max + 1e-12
+        assert np.sum(u1) == pytest.approx(np.sum(u0), rel=1e-12)

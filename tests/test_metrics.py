@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mppfv.mesh import CellField, PERIODIC, StructuredGrid
+from mppfv.mesh import PERIODIC, StructuredGrid
 from mppfv.metrics import (RunDiagnostics, cell_center_values, compute_E1,
                            eoc, total_mass, update_delta)
 from mppfv.problems import linear_advdiff_1d
@@ -44,13 +44,6 @@ class TestUpdateDelta:
         diag = RunDiagnostics()
         update_delta(diag, np.array([5.0, 7.0]), _Bounds(0.0, np.inf))
         assert diag.delta == pytest.approx(5.0)
-
-    def test_accepts_cell_field(self):
-        grid = StructuredGrid(1, (3,), (0.0,), (1.0,), (PERIODIC,))
-        diag = RunDiagnostics()
-        update_delta(diag, CellField(grid, np.array([0.25, 0.5, 0.75])),
-                     _Bounds(0.0, 1.0))
-        assert diag.delta == pytest.approx(0.25)
 
     def test_defaults(self):
         diag = RunDiagnostics()
@@ -160,4 +153,3 @@ class TestTotalMass:
         u = rng.standard_normal(grid.shape)
         want = grid.cell_volume * float(np.sum(u))
         assert total_mass(u, grid) == want
-        assert total_mass(CellField(grid, u), grid) == want

@@ -41,7 +41,7 @@ class TestCommonContract:
             samples = spec.initial_condition(X, Y)
         assert np.min(samples) >= spec.global_min - 1e-14
         assert np.max(samples) <= spec.global_max + 1e-14
-        avgs = initial_cell_averages(spec, grid).values
+        avgs = initial_cell_averages(spec, grid)
         assert np.min(avgs) >= spec.global_min - 1e-14
         assert np.max(avgs) <= spec.global_max + 1e-14
 
@@ -77,7 +77,7 @@ class TestCommonContract:
             if spec.exact_solution is None:
                 continue
             grid = make_grid(spec, 31) if spec.dim == 1 else make_grid(spec, 13, 11)
-            exact0 = evaluate_exact(spec, grid, 0.0).values
+            exact0 = evaluate_exact(spec, grid, 0.0)
             ic = spec.initial_condition(*grid.center_mesh())
             # The steady problem's reference is the limit state, not the data.
             if spec.name == "steady1d":
@@ -94,7 +94,7 @@ class TestCellAveraging:
         spec, grid = make_linear_advection_1d(n=9, lo=-1.0, hi=2.0)
         spec = type(spec)(**{**spec.__dict__,
                              "initial_condition": lambda x, y: np.asarray(x) ** 4})
-        avg = initial_cell_averages(spec, grid).values
+        avg = initial_cell_averages(spec, grid)
         edges = grid.axis_faces(0)
         exact = (edges[1:] ** 5 - edges[:-1] ** 5) / (5.0 * np.diff(edges))
         assert np.allclose(avg, exact, rtol=1e-14, atol=1e-14)
@@ -106,7 +106,7 @@ class TestCellAveraging:
                                  lambda x, y: (np.asarray(x) ** 3
                                                * np.asarray(y) ** 2 + 2.0)})
         grid = make_grid(spec, 6, 5)
-        avg = initial_cell_averages(spec, grid).values
+        avg = initial_cell_averages(spec, grid)
         xe = grid.axis_faces(0)
         ye = grid.axis_faces(1)
         ax = (xe[1:] ** 4 - xe[:-1] ** 4) / (4.0 * np.diff(xe))
@@ -119,7 +119,7 @@ class TestCellAveraging:
     def test_bitwise_equal_to_nested_loops(self, name, cells):
         spec = build_all()[name]
         grid = make_grid(spec, *cells)
-        avg = initial_cell_averages(spec, grid).values
+        avg = initial_cell_averages(spec, grid)
         assert avg.tobytes() == nested_loop_cell_averages(spec, grid).tobytes()
 
 

@@ -16,8 +16,7 @@ import scipy.sparse as sp
 from mppfv import solvers
 from mppfv.fluxes import _face_states, high_order_flux, low_order_flux_set
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import (DIRICHLET, PERIODIC, CellField, StructuredGrid,
-                        ghost_fill)
+from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, frozen_jacobian,
@@ -184,7 +183,7 @@ class TestCachedPattern:
             spec = build_problem(RunConfig(problem=name, epsilon=epsilon))
             grid = make_grid(spec, 9, 7 if spec.dim == 2 else None)
             hi = spec.global_max if np.isfinite(spec.global_max) else 2.0
-            states = [initial_cell_averages(spec, grid).values]
+            states = [initial_cell_averages(spec, grid)]
             states += [rng.uniform(spec.global_min, hi, grid.shape)
                        for _ in range(3)]
             for u in states:
@@ -496,7 +495,7 @@ class TestNewtonLowOrder:
         u, flux, report = newton_low_order(np.full(12, 0.8), spec, grid,
                                            dt=0.05)
         assert report.converged and report.iterations == 0
-        assert np.allclose(u.values, 0.8, atol=1e-15)
+        assert np.allclose(u, 0.8, atol=1e-15)
 
     def test_linear_problem_converges_in_one_update(self):
         spec, grid = make_linear_advection_1d(velocity=1.0, diffusion=0.01,
@@ -510,7 +509,7 @@ class TestNewtonLowOrder:
         u0 = rng.uniform(0.0, 2.0, 16)
         u, flux, report = newton_low_order(u0, spec, grid, dt=0.1)
         assert report.converged
-        assert np.array_equal(u.values, u0 - 0.1 * flux.divergence())
+        assert np.array_equal(u, u0 - 0.1 * flux.divergence())
 
     def test_large_step_respects_initial_range(self):
         spec = burgers_1d()
@@ -520,15 +519,15 @@ class TestNewtonLowOrder:
         dt = 10.0 * grid.spacing[0]
         u, _, report = newton_low_order(u0, spec, grid, dt=dt)
         assert report.converged
-        assert np.min(u.values) >= -1e-13
-        assert np.max(u.values) <= 2.0 + 1e-13
+        assert np.min(u) >= -1e-13
+        assert np.max(u) <= 2.0 + 1e-13
 
     def test_residual_certificate(self, rng):
         spec, grid = make_burgers_1d(16)
         u0 = rng.uniform(0.0, 2.0, 16)
         u, flux, report = newton_low_order(u0, spec, grid, dt=0.05)
-        r = u.values - u0 + 0.05 * low_order_flux_set(
-            u.values, spec, grid, t=0.05).divergence()
+        r = u - u0 + 0.05 * low_order_flux_set(
+            u, spec, grid, t=0.05).divergence()
         # The recomputed state differs from the converged iterate by at
         # most the solve tolerance, so its own residual is of that order.
         assert np.linalg.norm(r) <= 10.0 * report.tolerance
@@ -557,14 +556,14 @@ class TestNewtonLowOrder:
         frozen, _, rep_frozen = newton_low_order(u0, spec, grid, dt=0.05)
         assert rep_frozen.converged
         assert rep_frozen.iterations > rep_fresh.iterations
-        assert np.max(np.abs(fresh.values - frozen.values)) <= 1e-10
+        assert np.max(np.abs(fresh - frozen)) <= 1e-10
 
     def test_dirichlet_problem_steps_cleanly(self, rng):
         spec, grid = make_burgers_1d(16, boundary=DIRICHLET)
         u0 = rng.uniform(0.0, 2.0, 16)
         u, _, report = newton_low_order(u0, spec, grid, dt=0.05)
         assert report.converged
-        assert np.all(np.isfinite(u.values))
+        assert np.all(np.isfinite(u))
 
 
 class TestNewtonStage:

@@ -114,6 +114,16 @@ def test_check_passes_results_within_the_gates(sweep, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines() == ["dt_factor 5.0: 0/2 fail"]
 
 
+@pytest.mark.parametrize("dt_factor", SWEEP.DT_FACTORS)
+def test_configurations_are_distinct_with_unique_names(sweep, dt_factor):
+    # The catalogue's runs that repeat a matrix run are dropped, which
+    # needs both lists to compute the same final time to the last bit.
+    configs = sweep.configurations(dt_factor)
+    assert len(configs) == 74
+    assert len({sweep._key(c) for c in configs}) == 74
+    assert len({sweep._name(sweep._key(c)) for c in configs}) == 74
+
+
 def _large_step_configurations():
     """The sweep's iex2/iex4 + gmc configurations, both gammas: burgers1d
     and bl1d at both dt factors, rotation2d at 0.5 (at 5 its runs take

@@ -23,9 +23,12 @@ steps, bl1d nx=40 t=0.1) x scheme (be, sdirk5, iex2, iex4) x limiter x
 Then the whole catalogue: each of the 8 built-in problems (1D nx=30, 2D
 12^2, epsilon=0.01 where the problem takes one) for two steps with
 sdirk5+gmc and iex2+fct, 16 more configurations per dt factor but for
-those already in the matrix (rotation2d sdirk5+gmc and iex2+fct at dt
-factor 0.5): 74 and 76 configurations at dt factors 0.5 and 5.  Result
-files are pickles: compare only files this script wrote.
+the two already in the matrix (rotation2d sdirk5+gmc and iex2+fct): 74
+configurations per dt factor.  Both lists compute two steps' final time
+one way, so the overlap is dropped at every dt factor; a catalogue run of
+a matrix problem with its own final time (burgers1d, bl1d) carries that
+time in its name, so names are unique.  Result files are pickles: compare
+only files this script wrote.
 
 Compare two trees::
 
@@ -64,13 +67,15 @@ MASS_DRIFT_MAX = 1e-12
 def configurations(dt_factor):
     """Every valid configuration of the matrix at one dt factor, as
     ``RunConfig`` keyword dictionaries."""
+    from mppfv.harness import RunConfig, build_problem
     from mppfv.limiters import LIMITER_CHOICES
 
     out = []
     for problem, size in PROBLEMS.items():
         size = dict(size)
-        if problem == "rotation2d":  # two steps on the unit square
-            size["t_final"] = 2.0 * dt_factor / size["nx"]
+        if problem == "rotation2d":
+            spec = build_problem(RunConfig(problem=problem))
+            size["t_final"] = _two_steps(spec, size["nx"], dt_factor)
         for scheme, limiter in product(SCHEMES, LIMITER_CHOICES):
             if scheme == "be" and limiter != "none":
                 continue
@@ -88,22 +93,29 @@ def configurations(dt_factor):
     return out + [c for c in _catalogue(dt_factor) if c not in out]
 
 
+def _two_steps(spec, nx, dt_factor):
+    """The final time of two steps on ``nx`` cells per axis, the step
+    computed as the harness computes it."""
+    from mppfv.problems import make_grid
+
+    return 2.0 * (dt_factor * min(make_grid(spec, nx).spacing))
+
+
 def _catalogue(dt_factor):
     """Every built-in problem for two steps."""
     from mppfv.harness import _EPSILON_PROBLEMS, RunConfig, build_problem
-    from mppfv.problems import BUILTIN_PROBLEMS, make_grid
+    from mppfv.problems import BUILTIN_PROBLEMS
 
     out = []
     for problem in BUILTIN_PROBLEMS:
         spec = build_problem(RunConfig(problem=problem))
         nx = CATALOGUE_SIZES[spec.dim]
-        dt = dt_factor * min(make_grid(spec, nx).spacing)
         extra = dict(epsilon=0.01) if problem in _EPSILON_PROBLEMS else {}
         for scheme, limiter in CATALOGUE_SCHEMES:
             out.append(dict(problem=problem, scheme=scheme, limiter=limiter,
                             limit_stages=False, fct_iters=1, gamma=0.0,
-                            dt_factor=dt_factor, nx=nx, t_final=2.0 * dt,
-                            **extra))
+                            dt_factor=dt_factor, nx=nx,
+                            t_final=_two_steps(spec, nx, dt_factor), **extra))
     return out
 
 
@@ -151,7 +163,9 @@ def _bits(result):
 
 
 def _name(key):
-    """A configuration's name: its matrix entries, without the defaults."""
+    """A configuration's name: its matrix entries, without the defaults,
+    and the final time where it is not that of the problem's matrix
+    runs."""
     c = dict(key)
     name = f"{c['problem']} {c['scheme']}+{c['limiter']}"
     if c["limit_stages"]:
@@ -162,6 +176,9 @@ def _name(key):
         name += f" gamma={c['gamma']:g}"
     if "epsilon" in c:
         name += f" epsilon={c['epsilon']:g}"
+    matrix_t = PROBLEMS.get(c["problem"], {}).get("t_final")
+    if matrix_t is not None and c.get("t_final", matrix_t) != matrix_t:
+        name += f" t_final={c['t_final']:g}"
     return name
 
 
