@@ -258,7 +258,7 @@ def low_order_with_bars(values, spec, grid, t=0.0):
     Returns ``(G^L, lam, ubar)``: the :class:`FaceFluxSet` of ``G^L`` and
     per-axis tuples of the combined face speed and the blended bar state.
     """
-    u_ext = ghost_fill(values, spec, grid, time=t, width=1)
+    u_ext = ghost_fill(values, spec, grid, width=1)
     G, lam, ubar = zip(*(_axis_low_order(u_ext, spec, grid, axis, t)
                          for axis in range(grid.dim)))
     return unchecked(FaceFluxSet, grid=grid, arrays=G), lam, ubar
@@ -308,7 +308,7 @@ def high_order_flux(values, spec, grid, t=0.0):
     """``F^H - P^H`` per face: Rusanov form on the two WENO face values minus
     the reconstructed diffusive flux (fourth-order face derivative times the
     average of the diffusion coefficient at the two reconstructed states)."""
-    u_ext = ghost_fill(values, spec, grid, time=t, width=GHOST_WIDTH)
+    u_ext = ghost_fill(values, spec, grid, width=GHOST_WIDTH)
     arrays = tuple(_axis_high_order(u_ext, spec, grid, axis, t)
                    for axis in range(grid.dim))
     return unchecked(FaceFluxSet, grid=grid, arrays=arrays)

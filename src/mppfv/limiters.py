@@ -281,8 +281,7 @@ def _anderson_coefficients(dF, f):
     return c
 
 
-def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target,
-                     max_sweeps=MAX_GMC_SWEEPS):
+def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
     """The GMC fixed point ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
     high_flux(u)))``, the only GMC sweep loop.
 
@@ -295,13 +294,14 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target,
     least-squares solution of ``dF c = f``.  A sweep whose residual grew
     more than ``ANDERSON_RESTART``-fold drops the history and takes the
     plain ``u <- T(u)``.  Sweeps stop at the first absolute l2 residual at
-    most ``target``, or at most ``tol`` once they stall or run out; the
-    report's tolerance is ``tol``.  Returns
+    most ``target``, or at most ``tol`` once they stall or reach
+    ``MAX_GMC_SWEEPS``; the report's tolerance is ``tol``.  Returns
     ``(u0 - dt div(realized), realized, SolverReport)``.  A non-finite
     residual raises ``ValueError`` at once (a finite one means a finite
     realized flux); the limiter coefficients are range-checked on exit.
     """
     nu = dt / grid.cell_volume
+    max_sweeps = MAX_GMC_SWEEPS
     u = u0.copy()
     prev_res = np.inf
     # Rows hold the last differences of f and T(u), in rotating order;
@@ -350,8 +350,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target,
     raise AssertionError("unreachable")
 
 
-def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
-                   max_sweeps=MAX_GMC_SWEEPS, strict_reference=True):
+def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
     """One bound-preserving step: the fixed point of
     :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
     and the low-order flux at ``t + dt``, swept to ``TOL_GMC_TARGET`` (to
@@ -368,7 +367,7 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t,
         _check_reference(u_n, spec, "the previous solution")
     u_new, realized, report = _gmc_fixed_point(
         u_n, lambda _: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
-        TOL_GMC_TARGET, max_sweeps)
+        TOL_GMC_TARGET)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
     return u_new, realized, report

@@ -198,7 +198,7 @@ class CellField:
             )
 
 
-def ghost_fill(values, problem_spec, grid, time=0.0, width=GHOST_WIDTH):
+def ghost_fill(values, problem_spec, grid, width=GHOST_WIDTH):
     """Extend the cell state ``values`` (an array of ``grid.shape``) with
     ``width`` ghost layers per side.
 

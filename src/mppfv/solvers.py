@@ -34,14 +34,15 @@ Every face keeps both off-diagonal positions (explicit zeros included), so
 the pattern is structurally symmetric.
 
 Linear solves (modified Newton, Hairer & Wanner, *Solving ODEs II*,
-§IV.8): every solve starts on the frozen matrix for its implicit scale,
-factorized once per scale and held by the :class:`JacobianEngine`.  Once an
-iterate's residual is more than ``STALL_RATIO`` of the previous one, every
-later update of that solve assembles the pseudo-Jacobian at its iterate.
-If the assembled data equal the frozen matrix's (state-independent
-problems), the frozen LU solves it and every later update of the solve,
-with no further assembly; otherwise 1D factorizes it and 2D runs GMRES
-preconditioned by the frozen LU (relative tolerance 1e-13).
+§IV.8), one rule in every dimension: a solve starts on the frozen matrix
+for its implicit scale, factorized once per scale and held by the
+:class:`JacobianEngine`.  Once an iterate's residual is more than
+``STALL_RATIO`` of the previous one, every later update of that solve
+assembles the pseudo-Jacobian at its iterate and factorizes it.  A
+refreshed matrix whose data equal those of the matrix in use (the frozen
+one, or the last refreshed one) keeps that LU for the rest of the solve,
+with no further assembly: the pseudo-Jacobian of a state-independent
+problem (rotation2d) or of one that depends on time only (vortex2d).
 
 Each LU fits its matrix (:class:`SparseBandedMatrix`).  The 1D
 pseudo-Jacobian is tridiagonal, with two corner entries on a periodic
@@ -49,8 +50,7 @@ axis: LAPACK ``dgttrf``/``dgttrs`` factorize and solve it in ``O(N)``,
 the corners by Sherman–Morrison (Press et al., *Numerical Recipes*,
 §2.7).  The 2D pattern is structurally symmetric, so SuperLU orders it by
 minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``) rather than by its
-default COLAMD, with about half the fill.  The GMRES preconditioner is the
-same LU.
+default COLAMD, with about half the fill.
 
 One loop, ``_quasi_newton``, runs every such solve; its two callers differ
 only in the flux they iterate on and in their reference and starting
@@ -183,12 +183,13 @@ class SparseBandedMatrix:
     The stored pattern is structurally symmetric by construction: every
     face contributes both off-diagonal positions (values may be zero).
 
-    The LU fits the pattern.  A matrix of ``N >= 3`` rows stored only on
-    the three cyclic diagonals (main, first sub- and super-diagonal, the
-    two periodic corners) gets :class:`_TridiagonalLU`.  Any other gets
-    SuperLU with the minimum-degree ordering of ``A^T + A``, which suits a
-    structurally symmetric pattern (rotation2d 128²: L+U 2.44M → 1.08M
-    nonzeros against the default COLAMD).  SuperLU also decides every
+    Every matrix, frozen or refreshed, in 1D and 2D, is solved with its
+    own LU, which fits the pattern.  A matrix of ``N >= 3`` rows stored
+    only on the three cyclic diagonals (main, first sub- and
+    super-diagonal, the two periodic corners) gets :class:`_TridiagonalLU`.
+    Any other gets SuperLU with the minimum-degree ordering of
+    ``A^T + A``, which suits a structurally symmetric pattern (rotation2d
+    128²: L+U 2.44M → 1.08M nonzeros against the default COLAMD).  SuperLU also decides every
     matrix the tridiagonal LU finds singular.  ``_bands`` holds the slots
     of :func:`_cyclic_band_slots`, found from the pattern unless given.
     """
@@ -223,22 +224,9 @@ class SparseBandedMatrix:
                     raise np.linalg.LinAlgError(str(err)) from err
         return self._lu
 
-    def solve(self, rhs, preconditioner=None, rtol=1e-13):
-        """Solve ``A x = rhs``: directly via LU, or by preconditioned GMRES
-        when another factorized matrix is supplied as preconditioner."""
-        b = np.ravel(np.asarray(rhs, dtype=float))
-        if preconditioner is None:
-            return self.factorize().solve(b)
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return np.zeros_like(b)
-        lu = preconditioner.factorize()
-        M = spla.LinearOperator(self.matrix.shape, matvec=lu.solve)
-        x, info = spla.gmres(self.matrix, b, M=M, restart=60, maxiter=300,
-                             rtol=rtol, atol=0.0)
-        if info != 0 or np.linalg.norm(self.matrix @ x - b) > 10 * rtol * nb:
-            return self.factorize().solve(b)
-        return x
+    def solve(self, rhs):
+        """Solve ``A x = rhs`` with the LU of :meth:`factorize`."""
+        return self.factorize().solve(np.ravel(np.asarray(rhs, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +333,7 @@ def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
     of Dirichlet boundaries are data, not unknowns: they contribute no
     columns.  The matrix shares the grid's cached index arrays.
     """
-    u_ext = ghost_fill(values, spec, grid, time=t, width=1)
+    u_ext = ghost_fill(values, spec, grid, width=1)
     pattern = _jacobian_pattern(grid)
     terms = []
     for axis, groups in enumerate(pattern.groups):
@@ -381,14 +369,9 @@ def frozen_jacobian(spec, grid, dt):
 # ---------------------------------------------------------------------------
 
 class JacobianEngine:
-    """Holds one frozen factorization per implicit scale ``step_dt`` and
-    solves each quasi-Newton update.
-
-    A refreshed update assembles the pseudo-Jacobian at its iterate.  When
-    its data equal the frozen matrix's, the frozen LU solves it (bitwise
-    what factorizing it again would give); otherwise 1D factorizes it and
-    2D runs GMRES preconditioned by the frozen LU.
-    """
+    """The problem and grid of a run, with one frozen factorization per
+    implicit scale ``step_dt``, built on first use and shared by every
+    quasi-Newton solve of the run."""
 
     def __init__(self, spec, grid):
         self.spec = spec
@@ -400,21 +383,6 @@ class JacobianEngine:
         if key not in self._frozen:
             self._frozen[key] = frozen_jacobian(self.spec, self.grid, key)
         return self._frozen[key]
-
-    def newton_update(self, state, step_dt, stage_time, residual, refresh):
-        """Solve ``J delta = -residual``: ``J`` is the frozen matrix, or the
-        pseudo-Jacobian at ``state`` when ``refresh`` is true.  Returns
-        ``delta`` and whether a refreshed matrix equalled the frozen one."""
-        rhs = -np.ravel(residual)
-        frozen = self.frozen(step_dt)
-        if refresh:
-            jac = assemble_pseudo_jacobian(state, self.spec, self.grid,
-                                           step_dt, t=stage_time)
-            if not np.array_equal(jac.matrix.data, frozen.matrix.data):
-                preconditioner = None if self.grid.dim == 1 else frozen
-                delta = jac.solve(rhs, preconditioner=preconditioner)
-                return delta.reshape(self.grid.shape), False
-        return frozen.solve(rhs).reshape(self.grid.shape), refresh
 
 
 def _l2(v):
@@ -428,11 +396,14 @@ def _l2(v):
 def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                   tol, max_iter, what):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
-    quasi-Newton iteration from ``guess``; the only Newton loop.  Updates
-    use the frozen matrix until a residual exceeds ``STALL_RATIO`` times the
-    previous one, and are refreshed for the rest of the solve, unless a
-    refreshed matrix equals the frozen one: then the frozen LU serves the
-    rest.
+    quasi-Newton iteration from ``guess``; the only Newton loop.
+
+    Updates start on the engine's frozen LU of ``step_dt``.  Once a
+    residual exceeds ``STALL_RATIO`` times the previous one, every later
+    update refreshes: it assembles the pseudo-Jacobian at its iterate and
+    solves with that matrix's LU.  A refreshed matrix equal to the one in
+    use is not factorized again: the solve keeps that LU and stops
+    refreshing (a pseudo-Jacobian that does not depend on the state).
 
     Returns ``(y, flux_of(y), SolverReport)`` once the l2 residual is at
     most ``tol``.  ``report.iterations`` counts Newton updates.  A
@@ -441,6 +412,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     ``max_iter`` updates; ``what`` names the solve in both messages.
     """
     y = np.asarray(guess, dtype=float).copy()
+    jac = engine.frozen(step_dt)
     prev_res, refresh, stall = np.inf, False, STALL_RATIO
     for k in range(max_iter + 1):
         flux = flux_of(y)
@@ -457,18 +429,21 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                 SolverReport(max_iter, res, False, tol))
         refresh = refresh or res > stall * prev_res
         prev_res = res
-        delta, exact = engine.newton_update(y, step_dt, stage_time, r,
-                                            refresh)
-        if exact:  # the frozen matrix is the pseudo-Jacobian: keep its LU
-            refresh, stall = False, np.inf
-        y += delta
+        if refresh:
+            fresh = assemble_pseudo_jacobian(y, engine.spec, engine.grid,
+                                             step_dt, t=stage_time)
+            if np.array_equal(fresh.matrix.data, jac.matrix.data):
+                refresh, stall = False, np.inf
+            else:
+                jac = fresh
+        y += jac.solve(-np.ravel(r)).reshape(y.shape)
     raise AssertionError("unreachable")
 
 
-def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
-                     tol=TOL_LOW_ORDER, max_iter=MAX_ITER_LOW_ORDER):
+def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
     """Solve the low-order backward-Euler system
-    ``u - u^n + (dt/|K_i|) sum |S| G^L(u) = 0`` to l2 residual <= tol.
+    ``u - u^n + (dt/|K_i|) sum |S| G^L(u) = 0`` to l2 residual at most
+    ``TOL_LOW_ORDER`` in at most ``MAX_ITER_LOW_ORDER`` updates.
 
     Returns ``(u^L, G^L FaceFluxSet, SolverReport)``; raises
     :class:`NonConvergenceError` when the iteration budget is exhausted.
@@ -485,7 +460,8 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None,
     stage_time = t + dt
     _, flux, report = _quasi_newton(
         u_n, lambda u: fluxes.low_order_flux_set(u, spec, grid, t=stage_time),
-        dt, stage_time, u_n, engine, tol, max_iter, "low-order solve")
+        dt, stage_time, u_n, engine, TOL_LOW_ORDER, MAX_ITER_LOW_ORDER,
+        "low-order solve")
     return u_n - dt * flux.divergence(), flux, report
 
 

@@ -206,7 +206,7 @@ class TestLowOrderFluxMatchesFaceOracle:
 def convective_face_states(u, spec, grid, t=0.0):
     """Per axis, the wave-speed bound ``lam^A``, the diffusion coefficient
     ``c_ij`` and the convective bar state ``ubar^A`` of every face."""
-    u_ext = ghost_fill(u, spec, grid, time=t, width=1)
+    u_ext = ghost_fill(u, spec, grid, width=1)
     out = []
     for axis in range(grid.dim):
         ua, ub, _, a_xy, b_xy, lam_a, u_mid, c_mid = _face_states(
@@ -219,7 +219,7 @@ def convective_face_states(u, spec, grid, t=0.0):
 
 def adjacent_range(u, spec, grid):
     """Per face of axis 0, the smaller and larger adjacent state."""
-    u_ext = ghost_fill(u, spec, grid, time=0.0, width=1)
+    u_ext = ghost_fill(u, spec, grid, width=1)
     ua, ub = _face_states(u_ext, spec, grid, 0, 0.0)[:2]
     return np.minimum(ua, ub), np.maximum(ua, ub)
 

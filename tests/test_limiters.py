@@ -25,7 +25,7 @@ from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
 from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
 from mppfv.time_integration import iex_step
 
-from conftest import make_advection_2d, make_burgers_1d, random_flux_set
+from conftest import make_burgers_1d, random_flux_set
 from oracles import face_entry, outward_limited_sums, zalesak_alpha_oracle
 
 
@@ -331,12 +331,12 @@ class TestGmcStep:
         with pytest.raises(ValueError, match="non-finite"):
             _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0)
 
-    def test_exhausted_sweeps_raise(self):
+    def test_exhausted_sweeps_raise(self, monkeypatch):
         spec, grid, u0 = _burgers_pulse(32)
         G_H = high_order_flux(u0, spec, grid)
+        monkeypatch.setattr(limiters, "MAX_GMC_SWEEPS", 0)
         with pytest.raises(NonConvergenceError):
-            _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0,
-                           max_sweeps=0)
+            _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0)
 
     def test_gmc_budget_signs_clamped(self):
         spec, grid, u0 = _burgers_pulse(16)

@@ -16,12 +16,12 @@ import scipy.sparse as sp
 from mppfv import solvers
 from mppfv.fluxes import _face_states, high_order_flux, low_order_flux_set
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
+from mppfv.mesh import DIRICHLET, PERIODIC, ghost_fill
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, frozen_jacobian,
                            make_stage_solver, newton_low_order)
-from mppfv.problems import (BUILTIN_PROBLEMS, ProblemSpec, burgers_1d,
+from mppfv.problems import (BUILTIN_PROBLEMS, burgers_1d,
                             initial_cell_averages, make_grid)
 
 from conftest import (make_advection_2d, make_burgers_1d,
@@ -32,7 +32,7 @@ from oracles import coo_pseudo_jacobian
 def freeze_speed_bound(spec, grid, state, t=0.0):
     """Replace the wave-speed policy with the per-face values it takes at
     ``state`` so finite differences see exactly what the matrix assumes."""
-    u_ext = ghost_fill(state, spec, grid, time=t, width=1)
+    u_ext = ghost_fill(state, spec, grid, width=1)
     lam = [_face_states(u_ext, spec, grid, axis, t)[5]
            for axis in range(grid.dim)]
 
@@ -223,17 +223,18 @@ class TestCachedPattern:
 
 class TestFactorizationReuse:
     """Every solve starts on the frozen LU of its implicit scale and
-    refreshes only once it contracts too slowly.  A refreshed matrix equal
-    to the frozen one is solved with the frozen LU, and so is the rest of
-    that solve; otherwise 1D factorizes it and 2D runs GMRES.  Counted on
-    whole runs: ``SparseBandedMatrix.factorize`` calls made while the
-    matrix holds no LU are factorizations (as the benchmark tracer counts
-    them), ``gmres`` calls are Krylov solves, ``_quasi_newton`` calls are
-    nonlinear solves, and the ``scale`` arguments of the assemblies are
-    the implicit scales (one engine serves every solve of a run)."""
+    refreshes only once it contracts too slowly.  A refreshed matrix is
+    factorized, in 1D and 2D alike, unless it equals the matrix in use:
+    then that LU serves the rest of the solve, with no further assembly.
+    Counted on whole runs: ``SparseBandedMatrix.factorize`` calls made
+    while the matrix holds no LU are factorizations (as the benchmark
+    tracer counts them), ``_quasi_newton`` calls are nonlinear solves, and
+    the ``scale`` arguments of the assemblies are the implicit scales (one
+    engine serves every solve of a run)."""
 
     @staticmethod
     def count(**kwargs):
+        """``(factorizations, assemblies, scales, solves)`` of one run."""
         factorized = []
         factorize = SparseBandedMatrix.factorize
 
@@ -244,21 +245,21 @@ class TestFactorizationReuse:
 
         with mock.patch.object(SparseBandedMatrix, "factorize",
                                counted_factorize), \
-                mock.patch.object(solvers.spla, "gmres",
-                                  wraps=solvers.spla.gmres) as gmres, \
                 mock.patch.object(solvers, "assemble_pseudo_jacobian",
                                   wraps=solvers.assemble_pseudo_jacobian) \
-                as assemble:
+                as assemble, \
+                mock.patch.object(solvers, "_quasi_newton",
+                                  wraps=solvers._quasi_newton) as solves:
             run(RunConfig(**kwargs))
         scales = {float(call.args[3]) for call in assemble.call_args_list}
-        return len(factorized), gmres.call_count, assemble.call_count, scales
+        return (len(factorized), assemble.call_count, scales,
+                solves.call_count)
 
     def assert_frozen_only(self, **kwargs):
         # One assembly and one factorization per scale: the frozen matrix
         # of the stage scale a_mm*dt and of the low-order scale dt.
-        factorized, gmres, assembled, scales = self.count(
+        factorized, assembled, scales, _ = self.count(
             scheme="sdirk5", limiter="fct", **kwargs)
-        assert gmres == 0
         assert assembled == factorized == len(scales) == 2
 
     @pytest.mark.parametrize("problem", ["rotation2d", "linear2d"])
@@ -272,29 +273,36 @@ class TestFactorizationReuse:
         # The stage solves contract at 0.50-0.53 per update, just above
         # STALL_RATIO: each refreshes once, finds the frozen matrix and
         # stays on its LU.
-        config = dict(problem="rotation2d", nx=12, scheme="sdirk5",
-                      limiter="gmc", dt_factor=0.5, t_final=0.5 / 12)
-        with mock.patch.object(solvers, "_quasi_newton",
-                               wraps=solvers._quasi_newton) as solves:
-            factorized, gmres, assembled, scales = self.count(**config)
-        assert factorized == len(scales) == 1 and gmres == 0
-        assert 1 < assembled <= len(scales) + solves.call_count
+        factorized, assembled, scales, solves = self.count(
+            problem="rotation2d", nx=12, scheme="sdirk5", limiter="gmc",
+            dt_factor=0.5, t_final=0.5 / 12)
+        assert factorized == len(scales) == 1
+        assert 1 < assembled <= len(scales) + solves
 
-    def test_state_dependent_2d_still_runs_gmres(self):
+    def test_state_dependent_2d_factorizes_the_refreshed_matrices(self):
         # One step of dt = 0.83 at 12^2: the stage solves stall on the
         # frozen LU and refresh, and the refreshed matrices differ from it.
-        factorized, gmres, _, scales = self.count(
+        factorized, assembled, scales, _ = self.count(
             problem="kpp2d", nx=12, scheme="sdirk5", dt_factor=5.0,
             t_final=2.5 / 3)
-        assert gmres > 0
-        assert factorized == len(scales) == 1
+        assert assembled == factorized > len(scales) == 1
+
+    def test_time_dependent_2d_keeps_the_repeated_lu(self):
+        # vortex2d's pseudo-Jacobian depends on time but not on the state:
+        # a solve's first refresh differs from the frozen matrix, its
+        # second repeats the first, and the solve keeps that LU.
+        spec = build_problem(RunConfig(problem="vortex2d"))
+        factorized, assembled, scales, solves = self.count(
+            problem="vortex2d", nx=12, scheme="sdirk5", limiter="gmc",
+            dt_factor=2.0, t_final=2.0 * min(make_grid(spec, 12).spacing))
+        assert factorized > len(scales) == 1
+        assert assembled <= len(scales) + 2 * solves
 
     def test_1d_factorizes_the_refreshed_matrices(self):
         # On the frozen LU alone this low-order solve stalls at 2e-9 after
         # 100 iterations.
-        factorized, gmres, assembled, scales = self.count(
+        factorized, assembled, scales, _ = self.count(
             problem="bl1d", nx=40, t_final=0.1, scheme="be", dt_factor=5.0)
-        assert gmres == 0
         assert assembled == factorized > len(scales) == 1
 
 
@@ -464,20 +472,6 @@ class TestSparseBandedMatrix:
         with pytest.raises(ValueError, match="square"):
             SparseBandedMatrix(sp.csr_matrix((4, 3)))
 
-    def test_preconditioned_solve_matches_direct(self, rng):
-        spec, grid = make_advection_2d(shape=(6, 5))
-        spec = type(spec)(**{
-            **spec.__dict__,
-            "diffusion": lambda u, x, y: shaped(0.01, u, x, y),
-        })
-        u = rng.uniform(0.2, 0.8, grid.shape)
-        jac = assemble_pseudo_jacobian(u, spec, grid, 0.05)
-        pre = frozen_jacobian(spec, grid, 0.05)
-        rhs = rng.standard_normal(grid.num_cells)
-        direct = jac.solve(rhs)
-        iterated = jac.solve(rhs, preconditioner=pre)
-        assert np.allclose(iterated, direct, atol=1e-10)
-
 
 class TestSolverReport:
     def test_converged_report_must_meet_tolerance(self):
@@ -532,11 +526,12 @@ class TestNewtonLowOrder:
         # most the solve tolerance, so its own residual is of that order.
         assert np.linalg.norm(r) <= 10.0 * report.tolerance
 
-    def test_exhausted_budget_raises_with_report(self, rng):
+    def test_exhausted_budget_raises_with_report(self, rng, monkeypatch):
         spec, grid = make_burgers_1d(16)
         u0 = rng.uniform(0.0, 2.0, 16)
+        monkeypatch.setattr(solvers, "MAX_ITER_LOW_ORDER", 0)
         with pytest.raises(NonConvergenceError) as exc:
-            newton_low_order(u0, spec, grid, dt=0.1, max_iter=0)
+            newton_low_order(u0, spec, grid, dt=0.1)
         assert exc.value.report is not None
         assert not exc.value.report.converged
 

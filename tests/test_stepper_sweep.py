@@ -1,6 +1,7 @@
 """``tools/stepper_sweep.py compare`` and ``check`` on hand-made result
 files, and the large-step gate: the sweep's iex2/iex4 + gmc
-configurations run here and keep its ``check`` gates."""
+configurations and its kpp2d and vortex2d runs (refreshed 2D
+pseudo-Jacobians) run here and keep its ``check`` gates."""
 
 import importlib.util
 import pickle
@@ -127,11 +128,15 @@ def test_configurations_are_distinct_with_unique_names(sweep, dt_factor):
 def _large_step_configurations():
     """The sweep's iex2/iex4 + gmc configurations, both gammas: burgers1d
     and bl1d at both dt factors, rotation2d at 0.5 (at 5 its runs take
-    seconds each; ``check`` covers them)."""
+    seconds each; ``check`` covers them).  Then the catalogue's kpp2d and
+    vortex2d runs at both dt factors, whose stage solves factorize
+    refreshed 2D pseudo-Jacobians: a state-dependent one (kpp2d) and one
+    that depends on time only (vortex2d)."""
     return [c for dt_factor in SWEEP.DT_FACTORS
             for c in SWEEP.configurations(dt_factor)
-            if c["scheme"] in ("iex2", "iex4") and c["limiter"] == "gmc"
-            and (c["problem"] != "rotation2d" or dt_factor == 0.5)]
+            if c["problem"] in ("kpp2d", "vortex2d")
+            or (c["scheme"] in ("iex2", "iex4") and c["limiter"] == "gmc"
+                and (c["problem"] != "rotation2d" or dt_factor == 0.5))]
 
 
 @pytest.mark.parametrize(
@@ -150,4 +155,6 @@ def test_large_step_gate_covers_the_matrix():
         counts[key] = counts.get(key, 0) + 1
     assert counts == {("burgers1d", 0.5): 4, ("burgers1d", 5.0): 4,
                       ("bl1d", 0.5): 4, ("bl1d", 5.0): 4,
-                      ("rotation2d", 0.5): 4}
+                      ("rotation2d", 0.5): 4,
+                      ("kpp2d", 0.5): 2, ("kpp2d", 5.0): 2,
+                      ("vortex2d", 0.5): 2, ("vortex2d", 5.0): 2}
