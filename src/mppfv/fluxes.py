@@ -22,14 +22,16 @@ one-face-at-a-time path),
   linear fourth-order face derivative with the diffusion coefficient
   averaged over the two reconstructed states.
 
-Storage convention: one array per axis holding the flux *along the positive
-axis direction* at every face plane, laid out like a cell state (grid axis
-``k`` is array axis ``-1-k``, see :mod:`mesh`) with one more entry along the
-face normal: shape ``(nx+1,)`` in 1D and ``(ny, nx+1)`` / ``(ny+1, nx)`` for
-x-/y-faces in 2D.  Face speeds and bar states use the same layout.  On
-periodic axes the wrap face appears at both array ends; the far entry is
-copied bitwise from the near one so every geometric face has exactly one
-computed value and antisymmetry ``G_ij = -G_ji`` is exact.
+Storage convention: face data are plain tuples of per-axis arrays (see
+:func:`face_array_shapes`).  The array of an axis holds the flux *along the
+positive axis direction* at every face plane, laid out like a cell state
+(grid axis ``k`` is array axis ``-1-k``, see :mod:`mesh`) with one more
+entry along the face normal: shape ``(nx+1,)`` in 1D and ``(ny, nx+1)`` /
+``(ny+1, nx)`` for x-/y-faces in 2D.  Face speeds, bar states and limiter
+coefficients use the same layout; :func:`divergence` gives the cell balance
+of a flux.  On periodic axes the wrap face appears at both array ends; the
+far entry is copied bitwise from the near one so every geometric face has
+exactly one computed value and antisymmetry ``G_ij = -G_ji`` is exact.
 :func:`adjacent_cells` gives the two cells of every face; the kernels
 between face and cell arrays are one loop over grid axes.
 """
@@ -120,84 +122,44 @@ def tie_periodic_seam(arr, grid, axis):
 
 
 # ---------------------------------------------------------------------------
-# Face data containers
+# Face fluxes
 # ---------------------------------------------------------------------------
 
-def unchecked(cls, **fields):
-    """An instance of dataclass ``cls`` holding ``fields``, built without the
-    checks of its ``__post_init__``: for values derived from checked ones
-    inside a loop, which checks its result once on exit."""
-    out = object.__new__(cls)
-    out.__dict__.update(fields)
+def divergence(faces, grid):
+    """Per-cell ``(1/|K_i|) sum_j |S_ij| G_ij`` (outward) of the per-axis
+    face arrays ``faces``."""
+    spacing = grid.spacing
+    for axis, G in enumerate(faces):
+        low, high = sides(G, axis)
+        term = (high - low) / spacing[axis]
+        out = term if axis == 0 else out + term
     return out
+
+
+def check_finite(faces):
+    """Raise ``ValueError`` unless every face value of ``faces`` is finite."""
+    if not all(np.isfinite(a).all() for a in faces):
+        raise ValueError("face fluxes must be finite")
 
 
 @dataclass
 class FaceFluxSet:
-    """One flux value per geometric face, stored along +axis per axis.
+    """Per-axis face fluxes with checked shapes and finite values.
 
-    Supports elementwise arithmetic (for flux differences and tableau-
-    weighted aggregation) and cellwise divergence.  Construction checks
-    the shapes and finiteness of the arrays; arithmetic and the flux
-    kernels build theirs with :func:`unchecked`, so the solver loops raise
-    on a non-finite residual and the kernels that combine flux sets call
-    :meth:`check_finite` once on the flux they return.
+    The package passes face fluxes as plain tuples and builds none of
+    these; the benchmark's tracer counts their constructions.
     """
 
     grid: object
     arrays: tuple
 
     def __post_init__(self):
-        expected = face_array_shapes(self.grid)
-        if len(self.arrays) != self.grid.dim:
-            raise ValueError("one face array per axis required")
-        arrays = []
-        for arr, shape in zip(self.arrays, expected):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"face array shape {arr.shape}, expected {shape}")
-            arrays.append(arr)
-        self.arrays = tuple(arrays)
-        self.check_finite()
-
-    def check_finite(self):
-        """Raise ``ValueError`` unless every face flux is finite."""
-        if not all(np.isfinite(a).all() for a in self.arrays):
-            raise ValueError("face fluxes must be finite")
-        return self
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, tuple(np.zeros(s) for s in face_array_shapes(grid)))
-
-    def copy(self):
-        return FaceFluxSet(self.grid, tuple(a.copy() for a in self.arrays))
-
-    def divergence(self):
-        """Per-cell ``(1/|K_i|) sum_j |S_ij| G_ij`` (outward)."""
-        spacing = self.grid.spacing
-        for axis, G in enumerate(self.arrays):
-            low, high = sides(G, axis)
-            term = (high - low) / spacing[axis]
-            out = term if axis == 0 else out + term
-        return out
-
-    def __add__(self, other):
-        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
-            a + b for a, b in zip(self.arrays, other.arrays)))
-
-    def __sub__(self, other):
-        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
-            a - b for a, b in zip(self.arrays, other.arrays)))
-
-    def __mul__(self, scalar):
-        return unchecked(FaceFluxSet, grid=self.grid, arrays=tuple(
-            a * float(scalar) for a in self.arrays))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        self.arrays = tuple(np.asarray(a, dtype=float) for a in self.arrays)
+        shapes = tuple(a.shape for a in self.arrays)
+        if shapes != face_array_shapes(self.grid):
+            raise ValueError(f"face array shapes {shapes}, expected "
+                             f"{face_array_shapes(self.grid)}")
+        check_finite(self.arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +217,13 @@ def low_order_with_bars(values, spec, grid, t=0.0):
     """Low-order fluxes and bar states of the cell state ``values`` (an
     array of ``grid.shape``) in one pass.
 
-    Returns ``(G^L, lam, ubar)``: the :class:`FaceFluxSet` of ``G^L`` and
-    per-axis tuples of the combined face speed and the blended bar state.
+    Returns ``(G^L, lam, ubar)``, each a per-axis tuple of face arrays:
+    the flux ``G^L = F^L - P^L``, the combined face speed and the blended
+    bar state.
     """
     u_ext = ghost_fill(values, spec, grid, width=1)
-    G, lam, ubar = zip(*(_axis_low_order(u_ext, spec, grid, axis, t)
-                         for axis in range(grid.dim)))
-    return unchecked(FaceFluxSet, grid=grid, arrays=G), lam, ubar
-
-
-def low_order_flux_set(values, spec, grid, t=0.0):
-    """``G^L = F^L - P^L`` per face as a :class:`FaceFluxSet`."""
-    return low_order_with_bars(values, spec, grid, t)[0]
+    return tuple(zip(*(_axis_low_order(u_ext, spec, grid, axis, t)
+                       for axis in range(grid.dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +264,8 @@ def _axis_high_order(u_ext, spec, grid, axis, t):
 def high_order_flux(values, spec, grid, t=0.0):
     """``F^H - P^H`` per face: Rusanov form on the two WENO face values minus
     the reconstructed diffusive flux (fourth-order face derivative times the
-    average of the diffusion coefficient at the two reconstructed states)."""
+    average of the diffusion coefficient at the two reconstructed states),
+    a per-axis tuple of face arrays."""
     u_ext = ghost_fill(values, spec, grid, width=GHOST_WIDTH)
-    arrays = tuple(_axis_high_order(u_ext, spec, grid, axis, t)
-                   for axis in range(grid.dim))
-    return unchecked(FaceFluxSet, grid=grid, arrays=arrays)
+    return tuple(_axis_high_order(u_ext, spec, grid, axis, t)
+                 for axis in range(grid.dim))

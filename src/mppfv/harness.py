@@ -219,12 +219,12 @@ def _make_stepper(config, spec, grid):
     return step
 
 
-def _boundary_outflow(flux):
+def _boundary_outflow(flux, grid):
     """Net mass flow rate out of the domain, ``sum_boundary |S| G``
-    (outward).  Periodic axes contribute exactly zero because the wrap
-    face is stored once and tied."""
-    grid = flux.grid
-    for axis, G in enumerate(flux.arrays):
+    (outward), of the per-axis face arrays ``flux``.  Periodic axes
+    contribute exactly zero because the wrap face is stored once and
+    tied."""
+    for axis, G in enumerate(flux):
         term = grid.face_area(axis) * float(np.sum(G[LAST[axis]])
                                             - np.sum(G[FIRST[axis]]))
         out = term if axis == 0 else out + term
@@ -251,14 +251,6 @@ def snapshot(values, grid, path):
     lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def read_snapshot(path):
-    """Read a snapshot CSV back into coordinate and value arrays."""
-    rows = Path(path).read_text().strip().splitlines()
-    header = rows[0].split(",")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    return header, data
 
 
 def _scheme_tag(config):
@@ -328,7 +320,7 @@ def run(config):
         update_delta(diag, u, spec)
         for y in stages:
             diag.stage_delta = min(diag.stage_delta, bound_margin(y, spec))
-        outflow += dt * _boundary_outflow(flux)
+        outflow += dt * _boundary_outflow(flux, grid)
         for s in list(targets):
             if abs(t - s) <= max(abs(s), t_end) * TIME_RTOL:
                 if out_dir:

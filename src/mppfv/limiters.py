@@ -57,8 +57,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .fluxes import (FaceFluxSet, adjacent_cells, high_order_flux,
-                     low_order_with_bars, tie_periodic_seam, unchecked)
+from .fluxes import (adjacent_cells, check_finite, divergence,
+                     high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
 from .solvers import (STALL_RATIO, TOL_STAGE, NonConvergenceError,
@@ -92,16 +92,14 @@ def _check_alphas(alphas):
             raise ValueError("limiter coefficients must lie in [0, 1]")
 
 
-def _weighted(alphas, flux_set):
-    """The coefficient-weighted flux set ``alpha * G`` (elementwise per
-    face)."""
-    return unchecked(FaceFluxSet, grid=flux_set.grid, arrays=tuple(
-        a * g for a, g in zip(alphas, flux_set.arrays)))
+def _weighted(alphas, flux):
+    """The coefficient-weighted flux ``alpha * G`` (elementwise per face)."""
+    return tuple(a * g for a, g in zip(alphas, flux))
 
 
-def _outward_sums(flux_set, grid):
+def _outward_sums(flux, grid):
     """Cellwise ``(sum |S| max(0, dG_outward), sum |S| min(0, dG_outward))``."""
-    for axis, dg in enumerate(flux_set.arrays):
+    for axis, dg in enumerate(flux):
         area = grid.face_area(axis)
         low, high = sides(dg, axis)
         plus = area * (np.maximum(0.0, high) + np.maximum(0.0, -low))
@@ -121,16 +119,12 @@ def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
     ``R^± = min(1, Q^±/P^±)`` (``R = 1`` where ``P = 0``),
     ``alpha_ij = min(R_i^+, R_j^-)`` where the correction leaves cell ``i``
     (and symmetrically otherwise), so that
-    ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell.  Raises
-    ``ValueError`` unless ``Q^- <= 0 <= Q^+``.
+    ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell.  Callers
+    pass allowances clamped to ``Q^- <= 0 <= Q^+`` (cell arrays).
 
     The fixed-point sweeps call this once per sweep, so the coefficients
     are not range-checked here: the limiters call :func:`_check_alphas` on
     the coefficients of each flux they realize."""
-    q_minus = np.asarray(q_minus, dtype=float)
-    q_plus = np.asarray(q_plus, dtype=float)
-    if np.any(q_minus > 0.0) or np.any(q_plus < 0.0):
-        raise ValueError("budget precondition violated: need Q- <= 0 <= Q+")
     p_plus, p_minus = _outward_sums(flux_corrections, grid)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         r_plus = np.where(p_plus > 0.0,
@@ -142,7 +136,7 @@ def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
                                                               p_minus, -1.0)),
                            1.0)
     alphas = []
-    for axis, dg in enumerate(flux_corrections.arrays):
+    for axis, dg in enumerate(flux_corrections):
         # Ghost cells impose no budget.
         rp_lo, rp_hi = adjacent_cells(r_plus, grid, axis, 1.0)
         rm_lo, rm_hi = adjacent_cells(r_minus, grid, axis, 1.0)
@@ -209,8 +203,8 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
     if strict_reference:
         _check_reference(u_L, spec, "the low-order solution")
     u = u_L.copy()
-    remainder = G_L - G_H
-    realized = G_L.copy()
+    remainder = tuple(gl - gh for gl, gh in zip(G_L, G_H))
+    realized = G_L
     volume_rate = grid.cell_volume / dt
     for _ in range(iterations):
         q_plus = np.maximum(0.0, volume_rate * (spec.global_max - u))
@@ -218,10 +212,10 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
         alphas = zalesak_alphas(remainder, q_minus, q_plus, grid)
         _check_alphas(alphas)
         accepted = _weighted(alphas, remainder)
-        u = u + dt * accepted.divergence()
-        realized = realized - accepted
-        remainder = remainder - accepted
-    realized.check_finite()
+        u = u + dt * divergence(accepted, grid)
+        realized = tuple(g - c for g, c in zip(realized, accepted))
+        remainder = tuple(g - c for g, c in zip(remainder, accepted))
+    check_finite(realized)
     if strict_reference:
         u = _restore_bounds(u, spec)
     return u, realized
@@ -264,7 +258,7 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     G_L, lam, ubar_face = low_order_with_bars(u, spec, grid, t=t)
     a = _cell_sum(lam, grid)
     ubar = _cell_sum(tuple(l * b for l, b in zip(lam, ubar_face)), grid) / a
-    correction = G_L - G_H
+    correction = tuple(gl - gh for gl, gh in zip(G_L, G_H))
     q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
     alphas = zalesak_alphas(correction, q_minus, q_plus, grid)
     return G_L, alphas, _weighted(alphas, correction), a, ubar
@@ -312,8 +306,8 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
     for sweep in range(max_sweeps + 1):
         G_L, alphas, accepted, a, ubar = _gmc_face_terms(
             u, high_flux(u), spec, grid, gamma, t)
-        realized = G_L - accepted
-        residual = u - u0 + dt * realized.divergence()
+        realized = tuple(gl - c for gl, c in zip(G_L, accepted))
+        residual = u - u0 + dt * divergence(realized, grid)
         res = float(np.linalg.norm(np.ravel(residual)))
         if not np.isfinite(res):
             raise ValueError(f"bound-preserving fixed point: non-finite "
@@ -322,7 +316,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
         if (res <= target
                 or (res <= tol and (stalled or sweep == max_sweeps))):
             _check_alphas(alphas)
-            return (u0 - dt * realized.divergence(), realized,
+            return (u0 - dt * divergence(realized, grid), realized,
                     SolverReport(sweep, res, True, tol))
         if sweep == max_sweeps:
             raise NonConvergenceError(
@@ -333,7 +327,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
             # The last mixed sweep made things worse: drop the history.
             kept, f_prev = 0, None
         prev_res = res
-        ustar = ubar + grid.cell_volume * accepted.divergence() / a
+        ustar = ubar + grid.cell_volume * divergence(accepted, grid) / a
         g = u + (ustar - u) / (1.0 + gamma)
         w = nu * a * (1.0 + gamma)
         T = np.ravel((u0 + w * g) / (1.0 + w))

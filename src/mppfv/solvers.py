@@ -416,7 +416,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     prev_res, refresh, stall = np.inf, False, STALL_RATIO
     for k in range(max_iter + 1):
         flux = flux_of(y)
-        r = y - reference + step_dt * flux.divergence()
+        r = y - reference + step_dt * fluxes.divergence(flux, engine.grid)
         res = _l2(r)
         if not np.isfinite(res):
             raise ValueError(f"{what}: non-finite residual at iteration {k}")
@@ -445,10 +445,10 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
     ``u - u^n + (dt/|K_i|) sum |S| G^L(u) = 0`` to l2 residual at most
     ``TOL_LOW_ORDER`` in at most ``MAX_ITER_LOW_ORDER`` updates.
 
-    Returns ``(u^L, G^L FaceFluxSet, SolverReport)``; raises
-    :class:`NonConvergenceError` when the iteration budget is exhausted.
-    The returned state is recomputed from the returned fluxes,
-    ``u^L = u^n - (dt/|K|) sum |S| G^L``, so the pair is exactly
+    Returns ``(u^L, G^L, SolverReport)``, ``G^L`` a per-axis tuple of face
+    arrays; raises :class:`NonConvergenceError` when the iteration budget
+    is exhausted.  The returned state is recomputed from the returned
+    fluxes, ``u^L = u^n - (dt/|K|) sum |S| G^L``, so the pair is exactly
     conservative; the reported residual is that of the final Newton
     iterate, from which the returned state differs by at most the
     tolerance.
@@ -459,10 +459,11 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
         engine = JacobianEngine(spec, grid)
     stage_time = t + dt
     _, flux, report = _quasi_newton(
-        u_n, lambda u: fluxes.low_order_flux_set(u, spec, grid, t=stage_time),
+        u_n,
+        lambda u: fluxes.low_order_with_bars(u, spec, grid, t=stage_time)[0],
         dt, stage_time, u_n, engine, TOL_LOW_ORDER, MAX_ITER_LOW_ORDER,
         "low-order solve")
-    return u_n - dt * flux.divergence(), flux, report
+    return u_n - dt * fluxes.divergence(flux, grid), flux, report
 
 
 def make_stage_solver(engine):
@@ -472,7 +473,8 @@ def make_stage_solver(engine):
 
     ``solver(reference, step_dt, stage_time, guess)`` solves
     ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0`` and returns
-    ``(y, G^H(y), SolverReport)``; it raises on non-convergence.
+    ``(y, G^H(y), SolverReport)``, ``G^H(y)`` a per-axis tuple of face
+    arrays; it raises on non-convergence.
     """
     spec, grid = engine.spec, engine.grid
 

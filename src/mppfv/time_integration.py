@@ -2,10 +2,10 @@
 
 Provides Butcher tableaus (a five-stage fifth-order SDIRK with exact
 rational coefficients, and the implicit-Euler extrapolation family IEX-p in
-Runge-Kutta form, whose IEX-1 is backward Euler), rooted-tree order-condition residuals,
-the stage-MPP inequality checker, and the one DIRK stage loop with
-stage-flux aggregation and an optional per-stage limit hook; the
-extrapolation stepper is that loop on the IEX-p tableau.
+Runge-Kutta form, whose IEX-1 is backward Euler) and the one DIRK stage
+loop with stage-flux aggregation and an optional per-stage limit hook; the
+extrapolation stepper is that loop on the IEX-p tableau.  Stage fluxes are
+per-axis tuples of face arrays (see :mod:`fluxes`).
 
 The IEX-p method of order p runs, for k = 1..p, a chain of k backward-Euler
 substeps of size dt/k, then extrapolates the k first-order results to order
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fluxes import high_order_flux
+from .fluxes import check_finite, divergence, high_order_flux
 from .solvers import NonConvergenceError
 
 
@@ -128,61 +128,6 @@ def iex_tableau(p):
     return ButcherTableau(A=A, b=b, c=c, order=p, name=f"iex{p}")
 
 
-def order_condition_residuals(tableau, max_order=5):
-    """Rooted-tree order-condition residuals up to ``max_order`` (<= 5).
-
-    Returns a list of ``(order, residual)`` pairs, one per rooted tree (17
-    trees through order 5): a method has order q exactly when every residual
-    of order <= q vanishes.
-    """
-    if not 1 <= max_order <= 5:
-        raise ValueError("max_order must be between 1 and 5")
-    A, b, c = tableau.A, tableau.b, tableau.c
-    e = np.ones_like(c)
-    Ac = A @ c
-    Ac2 = A @ (c * c)
-    A2c = A @ Ac
-    conditions = [
-        (1, b @ e, 1.0),
-        (2, b @ c, 1.0 / 2.0),
-        (3, b @ (c * c), 1.0 / 3.0),
-        (3, b @ Ac, 1.0 / 6.0),
-        (4, b @ (c ** 3), 1.0 / 4.0),
-        (4, b @ (c * Ac), 1.0 / 8.0),
-        (4, b @ Ac2, 1.0 / 12.0),
-        (4, b @ A2c, 1.0 / 24.0),
-        (5, b @ (c ** 4), 1.0 / 5.0),
-        (5, b @ ((c * c) * Ac), 1.0 / 10.0),
-        (5, b @ (Ac * Ac), 1.0 / 20.0),
-        (5, b @ (c * Ac2), 1.0 / 15.0),
-        (5, b @ (c * A2c), 1.0 / 30.0),
-        (5, b @ (A @ (c ** 3)), 1.0 / 20.0),
-        (5, b @ (A @ (c * Ac)), 1.0 / 40.0),
-        (5, b @ (A @ Ac2), 1.0 / 60.0),
-        (5, b @ (A @ A2c), 1.0 / 120.0),
-    ]
-    return [(order, abs(lhs - rhs)) for order, lhs, rhs in conditions
-            if order <= max_order]
-
-
-def check_ssp_stages(tableau, mu, tol=1e-12):
-    """Stage-MPP inequality: with ``X = (I + mu*A)^{-1}``, return True iff
-    ``A@X >= 0`` entrywise and ``(A@X)@e <= e`` entrywise.
-
-    Methods passing this for arbitrarily large ``mu`` have unconditionally
-    MPP stages when the semi-discretization is MPP under forward Euler.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If ``I + mu*A`` is singular.
-    """
-    M = tableau.stages
-    X = np.linalg.solve(np.eye(M) + mu * tableau.A, np.eye(M))
-    AX = tableau.A @ X
-    return bool(np.all(AX >= -tol) and np.all(AX @ np.ones(M) <= 1.0 + tol))
-
-
 def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
               limit_stage=None):
     """One DIRK step of the high-order scheme.
@@ -191,7 +136,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     accumulating the prior stage fluxes; the recorded stage fluxes are
     aggregated as ``G^H = sum_m b_m (F^H - P^H)(y^(m))`` and the update is
     ``u^{n+1} = u^n - (dt/|K|) sum |S| G^H`` (computed exactly in that
-    form, so re-substituting the returned flux set reproduces the update
+    form, so re-substituting the returned flux reproduces the update
     bitwise).  A stage solve starts from the previous stage's value, or
     from its own reference ``r`` when ``A[m, m-1] = 0`` (the first stage,
     and the first stage of each IEX chain, which does not follow on from
@@ -200,14 +145,14 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     Parameters
     ----------
     stage_solver : callable(reference, step_dt, stage_time, guess) ->
-        (values, FaceFluxSet, SolverReport)
+        (values, flux, SolverReport)
         Nonlinear solver for one stage with effective implicit step
         ``step_dt = a_mm * dt``; returns the converged stage value with the
         high-order flux evaluated there, and raises
         :class:`NonConvergenceError` on failure.  Stages with ``a_mm = 0``
         are explicit and call :func:`fluxes.high_order_flux` instead.
     limit_stage : callable(reference, flux, step_dt, start_time) ->
-        (values, FaceFluxSet), optional
+        (values, flux), optional
         Replaces the value and flux of every stage with ``a_mm != 0`` by a
         limited pair, treating the stage as a step of size ``step_dt``
         from ``reference`` that starts at ``stage_time - step_dt``.  Later
@@ -216,9 +161,9 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
 
     Returns
     -------
-    (ndarray, FaceFluxSet, tuple of ndarray)
-        The new state, the aggregated flux set and every stage value, all
-        cell states of ``grid.shape`` like ``u_n``.
+    (ndarray, tuple of ndarray, tuple of ndarray)
+        The new state, the aggregated flux (one face array per axis) and
+        every stage value, all cell states of ``grid.shape`` like ``u_n``.
 
     Raises
     ------
@@ -235,7 +180,7 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
         r = u_n.copy()
         for s in range(m):
             if A[m, s] != 0.0:
-                r -= (dt * A[m, s]) * stage_fluxes[s].divergence()
+                r -= (dt * A[m, s]) * divergence(stage_fluxes[s], grid)
         stage_time = t + c[m] * dt
         step_dt = A[m, m] * dt
         if A[m, m] == 0.0:
@@ -254,11 +199,11 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
         stage_values.append(y)
         stage_fluxes.append(flux)
 
-    total = stage_fluxes[0] * b[0]
+    total = tuple(f * b[0] for f in stage_fluxes[0])
     for m in range(1, tableau.stages):
-        total = total + stage_fluxes[m] * b[m]
-    total.check_finite()
-    return u_n - dt * total.divergence(), total, tuple(stage_values)
+        total = tuple(g + f * b[m] for g, f in zip(total, stage_fluxes[m]))
+    check_finite(total)
+    return u_n - dt * divergence(total, grid), total, tuple(stage_values)
 
 
 def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
@@ -273,8 +218,8 @@ def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
 
     Returns
     -------
-    (ndarray, FaceFluxSet, tuple of ndarray)
-        The new state, the extrapolated flux set, and every substep chain
-        state (the "intermediate stages" of the method).
+    (ndarray, tuple of ndarray, tuple of ndarray)
+        The new state, the extrapolated flux (one face array per axis), and
+        every substep chain state (the "intermediate stages" of the method).
     """
     return dirk_step(u_n, iex_tableau(p), spec, grid, stage_solver, dt, t=t)

@@ -4,7 +4,7 @@ random periodic-consistent flux sets."""
 import numpy as np
 import pytest
 
-from mppfv.fluxes import FaceFluxSet, face_array_shapes, tie_periodic_seam
+from mppfv.fluxes import face_array_shapes, tie_periodic_seam
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import LAMBDA_FLOOR, ProblemSpec
 
@@ -148,11 +148,14 @@ def make_advection_2d(vel=(1.0, -0.5), shape=(6, 5),
 
 
 def random_flux_set(grid, rng):
-    arrays = []
-    for axis, shape in enumerate(face_array_shapes(grid)):
-        arr = rng.standard_normal(shape)
-        arrays.append(tie_periodic_seam(arr, grid, axis))
-    return FaceFluxSet(grid, tuple(arrays))
+    """Random per-axis face arrays of ``grid``, periodic seams tied."""
+    return tuple(tie_periodic_seam(rng.standard_normal(shape), grid, axis)
+                 for axis, shape in enumerate(face_array_shapes(grid)))
+
+
+def minus(a, b):
+    """The per-axis difference ``a - b`` of two face fluxes."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 @pytest.fixture

@@ -19,15 +19,21 @@ points.  A third, :func:`iex_chain_step`, is the extrapolation step in its
 chain form (backward-Euler chains and the Aitken-Neville recurrence),
 where :func:`mppfv.time_integration.iex_step` runs the DIRK stage loop on
 the Runge-Kutta tableau; the two agree to roundoff and solver tolerance.
+
+Last, helpers that only the tests use: the rooted-tree order-condition
+residuals and the stage-MPP inequality of a Butcher tableau, and a reader
+for the snapshot CSV files of :func:`mppfv.harness.snapshot`.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from mppfv.fluxes import divergence
 from mppfv.mesh import PERIODIC, ghost_fill
 from mppfv.problems import _GL_NODES, _GL_WEIGHTS, LAMBDA_FLOOR
 from mppfv.solvers import _axis_flux_derivatives, _face_adjacent_ids
@@ -143,9 +149,8 @@ def cell_slot(cell, grid):
 # ---------------------------------------------------------------------------
 
 def face_entry(arrays, grid, face):
-    """The entry at ``face`` of per-axis face arrays (a flux set's
-    ``arrays``, a bar-state field, limiter coefficients), stored along
-    +axis."""
+    """The entry at ``face`` of per-axis face arrays (a flux, a bar-state
+    field, limiter coefficients), stored along +axis."""
     if grid.dim == 1:
         i = face.owner[0]
         index = (i + 1,) if face.normal > 0 else (0,)
@@ -158,9 +163,10 @@ def face_entry(arrays, grid, face):
     return arrays[face.axis][index]
 
 
-def outward_value(flux_set, face):
-    """Flux through ``face`` oriented outward from its owner cell."""
-    v = face_entry(flux_set.arrays, flux_set.grid, face)
+def outward_value(flux, grid, face):
+    """Flux through ``face`` of the per-axis face arrays ``flux``, oriented
+    outward from its owner cell."""
+    v = face_entry(flux, grid, face)
     return v if face.normal > 0 else -v
 
 
@@ -210,24 +216,24 @@ def low_order_diffusive_flux(u_i, u_j, face, spec):
 # Cell sums and the Zalesak limiter, walked over the records
 # ---------------------------------------------------------------------------
 
-def divergence_by_face_loop(flux_set, grid):
+def divergence_by_face_loop(flux, grid):
     """Slow-path divergence: walk the geometric face records one by one."""
     div = np.zeros(grid.shape)
     for face in faces(grid):
-        outward = outward_value(flux_set, face) * face.area / grid.cell_volume
+        outward = outward_value(flux, grid, face) * face.area / grid.cell_volume
         div[cell_slot(face.owner, grid)] += outward
         if face.neighbor is not None:
             div[cell_slot(face.neighbor, grid)] -= outward
     return div
 
 
-def zalesak_by_face_records(flux_set, q_minus, q_plus, grid):
+def zalesak_by_face_records(flux, q_minus, q_plus, grid):
     """The limiter written as a per-record walk over the geometric faces."""
     p_plus = np.zeros(grid.shape)
     p_minus = np.zeros(grid.shape)
     recs = list(faces(grid))
     for f in recs:
-        v = outward_value(flux_set, f) * f.area
+        v = outward_value(flux, grid, f) * f.area
         p_plus[cell_slot(f.owner, grid)] += max(0.0, v)
         p_minus[cell_slot(f.owner, grid)] += min(0.0, v)
         if f.neighbor is not None:
@@ -245,14 +251,14 @@ def zalesak_by_face_records(flux_set, q_minus, q_plus, grid):
     return p_plus, p_minus, r_plus, r_minus, recs
 
 
-def zalesak_alpha_oracle(flux_set, q_minus, q_plus, grid):
+def zalesak_alpha_oracle(flux, q_minus, q_plus, grid):
     """Face-record restatement of the coefficient rule: a list of
     ``(FaceRecord, alpha)``."""
     p_plus, p_minus, r_plus, r_minus, recs = zalesak_by_face_records(
-        flux_set, q_minus, q_plus, grid)
+        flux, q_minus, q_plus, grid)
     out = []
     for f in recs:
-        dg = f.normal * outward_value(flux_set, f)  # value stored along +axis
+        dg = f.normal * outward_value(flux, grid, f)  # value stored along +axis
         lo, hi = (f.owner, f.neighbor) if f.normal > 0 else (f.neighbor, f.owner)
         rp_lo = r_plus(lo) if lo is not None else 1.0
         rm_lo = r_minus(lo) if lo is not None else 1.0
@@ -263,11 +269,11 @@ def zalesak_alpha_oracle(flux_set, q_minus, q_plus, grid):
     return out
 
 
-def outward_limited_sums(alphas, flux_set, grid):
+def outward_limited_sums(alphas, flux, grid):
     """Cellwise ``sum |S| alpha dG`` (outward), via the face records."""
     total = np.zeros(grid.shape)
     for f in faces(grid):
-        v = face_entry(alphas, grid, f) * outward_value(flux_set, f) * f.area
+        v = face_entry(alphas, grid, f) * outward_value(flux, grid, f) * f.area
         total[cell_slot(f.owner, grid)] += v
         if f.neighbor is not None:
             total[cell_slot(f.neighbor, grid)] -= v
@@ -340,7 +346,7 @@ def nested_loop_cell_averages(spec, grid):
 # The extrapolation step as backward-Euler chains
 # ---------------------------------------------------------------------------
 
-def iex_chain_step(u_n, p, stage_solver, dt, t=0.0):
+def iex_chain_step(u_n, p, stage_solver, dt, grid, t=0.0):
     """One IEX-p step in chain form.
 
     For k = 1..p, k backward-Euler substeps of size dt/k are chained, each
@@ -352,8 +358,9 @@ def iex_chain_step(u_n, p, stage_solver, dt, t=0.0):
 
         T_jk = T_{j,k-1} + (T_{j,k-1} - T_{j-1,k-1}) / (j/(j-k+1) - 1).
 
-    Returns ``(u^n - dt div F_pp, F_pp, T_pp, chain states)``, the chain
-    states as arrays in chain order.
+    Returns ``(u^n - dt div F_pp, F_pp, T_pp, chain states)``, the flux a
+    per-axis tuple of face arrays of ``grid`` and the chain states arrays
+    in chain order.
     """
     u0 = np.asarray(u_n, dtype=float)
     T, F, chain_states = {}, {}, []
@@ -361,15 +368,89 @@ def iex_chain_step(u_n, p, stage_solver, dt, t=0.0):
         y, flux_sum = u0, None
         for j in range(1, k + 1):
             _, flux, _ = stage_solver(y, dt / k, t + j * dt / k, y)
-            y = y - (dt / k) * flux.divergence()
+            y = y - (dt / k) * divergence(flux, grid)
             chain_states.append(y)
-            flux_sum = flux if flux_sum is None else flux_sum + flux
+            flux_sum = flux if flux_sum is None else tuple(
+                a + b for a, b in zip(flux_sum, flux))
         T[(k, 1)] = y
-        F[(k, 1)] = flux_sum * (1.0 / k)
+        F[(k, 1)] = tuple(a * (1.0 / k) for a in flux_sum)
     for k in range(2, p + 1):
         for j in range(k, p + 1):
             w = 1.0 / (j / (j - k + 1) - 1.0)
             T[(j, k)] = T[(j, k - 1)] + w * (T[(j, k - 1)] - T[(j - 1, k - 1)])
-            F[(j, k)] = F[(j, k - 1)] + w * (F[(j, k - 1)] - F[(j - 1, k - 1)])
+            F[(j, k)] = tuple(a + w * (a - b) for a, b in
+                              zip(F[(j, k - 1)], F[(j - 1, k - 1)]))
     flux_pp = F[(p, p)]
-    return u0 - dt * flux_pp.divergence(), flux_pp, T[(p, p)], chain_states
+    return (u0 - dt * divergence(flux_pp, grid), flux_pp, T[(p, p)],
+            chain_states)
+
+
+# ---------------------------------------------------------------------------
+# Butcher-tableau checks
+# ---------------------------------------------------------------------------
+
+def order_condition_residuals(tableau, max_order=5):
+    """Rooted-tree order-condition residuals up to ``max_order`` (<= 5).
+
+    Returns a list of ``(order, residual)`` pairs, one per rooted tree (17
+    trees through order 5): a method has order q exactly when every residual
+    of order <= q vanishes.
+    """
+    if not 1 <= max_order <= 5:
+        raise ValueError("max_order must be between 1 and 5")
+    A, b, c = tableau.A, tableau.b, tableau.c
+    e = np.ones_like(c)
+    Ac = A @ c
+    Ac2 = A @ (c * c)
+    A2c = A @ Ac
+    conditions = [
+        (1, b @ e, 1.0),
+        (2, b @ c, 1.0 / 2.0),
+        (3, b @ (c * c), 1.0 / 3.0),
+        (3, b @ Ac, 1.0 / 6.0),
+        (4, b @ (c ** 3), 1.0 / 4.0),
+        (4, b @ (c * Ac), 1.0 / 8.0),
+        (4, b @ Ac2, 1.0 / 12.0),
+        (4, b @ A2c, 1.0 / 24.0),
+        (5, b @ (c ** 4), 1.0 / 5.0),
+        (5, b @ ((c * c) * Ac), 1.0 / 10.0),
+        (5, b @ (Ac * Ac), 1.0 / 20.0),
+        (5, b @ (c * Ac2), 1.0 / 15.0),
+        (5, b @ (c * A2c), 1.0 / 30.0),
+        (5, b @ (A @ (c ** 3)), 1.0 / 20.0),
+        (5, b @ (A @ (c * Ac)), 1.0 / 40.0),
+        (5, b @ (A @ Ac2), 1.0 / 60.0),
+        (5, b @ (A @ A2c), 1.0 / 120.0),
+    ]
+    return [(order, abs(lhs - rhs)) for order, lhs, rhs in conditions
+            if order <= max_order]
+
+
+def check_ssp_stages(tableau, mu, tol=1e-12):
+    """Stage-MPP inequality: with ``X = (I + mu*A)^{-1}``, return True iff
+    ``A@X >= 0`` entrywise and ``(A@X)@e <= e`` entrywise.
+
+    Methods passing this for arbitrarily large ``mu`` have unconditionally
+    MPP stages when the semi-discretization is MPP under forward Euler.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``I + mu*A`` is singular.
+    """
+    M = tableau.stages
+    X = np.linalg.solve(np.eye(M) + mu * tableau.A, np.eye(M))
+    AX = tableau.A @ X
+    return bool(np.all(AX >= -tol) and np.all(AX @ np.ones(M) <= 1.0 + tol))
+
+
+# ---------------------------------------------------------------------------
+# Snapshot files
+# ---------------------------------------------------------------------------
+
+def read_snapshot(path):
+    """Read a snapshot CSV back into coordinate and value arrays."""
+    rows = Path(path).read_text().strip().splitlines()
+    header = rows[0].split(",")
+    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    return header, data

@@ -12,12 +12,16 @@ layout.
 import numpy as np
 import pytest
 
-from mppfv.fluxes import (FaceFluxSet, _face_states, high_order_flux,
-                          low_order_flux_set, low_order_with_bars)
-from mppfv.limiters import _cell_sum
+from mppfv.fluxes import (FaceFluxSet, _face_states, divergence,
+                          face_array_shapes, high_order_flux,
+                          low_order_with_bars)
+from mppfv.limiters import _cell_sum, _fct_with_flux, _gmc_with_flux
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
 from mppfv.problems import (buckley_leverett_1d, kpp_2d, make_grid,
                             steady_gaussian_1d)
+from mppfv.solvers import (JacobianEngine, SolverReport, make_stage_solver,
+                           newton_low_order)
+from mppfv.time_integration import dirk_step, iex_tableau, sdirk5_tableau
 
 from conftest import (constant_speed, make_advection_2d, make_burgers_1d,
                       make_linear_advection_1d, random_flux_set, shaped)
@@ -26,7 +30,16 @@ from oracles import (cell_slot, divergence_by_face_loop, face_entry, faces,
                      outward_value)
 
 
+def assert_face_arrays(flux, grid):
+    """``flux`` is a tuple of float arrays of ``face_array_shapes(grid)``."""
+    assert isinstance(flux, tuple)
+    assert tuple(a.shape for a in flux) == face_array_shapes(grid)
+    assert all(a.dtype == np.float64 for a in flux)
+
+
 class TestFaceFluxSet:
+    """Face fluxes are plain tuples of per-axis arrays at every layer."""
+
     @pytest.mark.parametrize("dim,cells,boundary", [
         (1, (7,), (PERIODIC,)),
         (1, (6,), (DIRICHLET,)),
@@ -37,39 +50,21 @@ class TestFaceFluxSet:
         lo, hi = (0.0,) * dim, tuple(float(dim) for _ in range(dim))
         grid = StructuredGrid(dim, cells, lo, hi, boundary)
         fs = random_flux_set(grid, rng)
-        got = fs.divergence()
+        got = divergence(fs, grid)
         want = divergence_by_face_loop(fs, grid)
         assert np.allclose(got, want, rtol=0, atol=1e-13)
 
     def test_boundary_face_values_are_owner_outward(self):
         grid = StructuredGrid(1, (4,), (0.0,), (1.0,), (DIRICHLET,))
-        fs = FaceFluxSet(grid, (np.array([1.0, 2.0, 3.0, 4.0, 5.0]),))
+        fs = (np.array([1.0, 2.0, 3.0, 4.0, 5.0]),)
         boundary = [f for f in faces(grid) if f.neighbor is None]
         assert len(boundary) == 2
         for face in boundary:
             if face.normal < 0:
-                assert outward_value(fs, face) == -1.0  # outward at the low end
+                # outward at the low end
+                assert outward_value(fs, grid, face) == -1.0
             else:
-                assert outward_value(fs, face) == 5.0
-
-    def test_algebra_and_zeros(self, rng):
-        grid = StructuredGrid(2, (4, 3), (0.0, 0.0), (1.0, 1.0),
-                              (PERIODIC, PERIODIC))
-        a = random_flux_set(grid, rng)
-        b = random_flux_set(grid, rng)
-        for arr_sum, arr_a, arr_b in zip((a + b).arrays, a.arrays, b.arrays):
-            assert np.array_equal(arr_sum, arr_a + arr_b)
-        for arr_diff, arr_a, arr_b in zip((a - b).arrays, a.arrays, b.arrays):
-            assert np.array_equal(arr_diff, arr_a - arr_b)
-        for arr_scaled, arr_a in zip((2.5 * a).arrays, a.arrays):
-            assert np.array_equal(arr_scaled, 2.5 * arr_a)
-        for arr_neg, arr_a in zip((-a).arrays, a.arrays):
-            assert np.array_equal(arr_neg, -arr_a)
-        z = FaceFluxSet.zeros(grid)
-        assert all(not arr.any() for arr in z.arrays)
-        c = a.copy()
-        c.arrays[0][0, 0] += 1.0
-        assert a.arrays[0][0, 0] != c.arrays[0][0, 0]
+                assert outward_value(fs, grid, face) == 5.0
 
     def test_validation_errors(self):
         grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
@@ -82,14 +77,40 @@ class TestFaceFluxSet:
         with pytest.raises(ValueError):
             FaceFluxSet(grid, (bad,))
 
-    def test_arithmetic_defers_finiteness_check(self):
-        grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
-        a = FaceFluxSet(grid, (np.ones(6),))
-        infinite = a * np.inf
-        assert np.all(np.isinf(infinite.arrays[0]))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_layer_returns_per_axis_arrays(self, dim, rng):
+        spec, grid = make_burgers_1d(16) if dim == 1 else make_advection_2d()
+        u = rng.uniform(0.2, 0.8, grid.shape)
+        dt = 0.5 * min(grid.spacing)
+        G_H = high_order_flux(u, spec, grid)
+        assert_face_arrays(G_H, grid)
+        for face_data in low_order_with_bars(u, spec, grid):
+            assert_face_arrays(face_data, grid)
+        u_L, G_L, _ = newton_low_order(u, spec, grid, dt)
+        assert_face_arrays(G_L, grid)
+        assert_face_arrays(
+            _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, 2)[1], grid)
+        assert_face_arrays(
+            _gmc_with_flux(u, G_H, spec, grid, dt, 0.0, 0.0)[1], grid)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
+        assert_face_arrays(
+            dirk_step(u, sdirk5_tableau(), spec, grid, solver, dt)[1], grid)
+
+    @pytest.mark.parametrize("exit_", ["dirk_step", "fct"])
+    def test_non_finite_flux_raises_at_exit(self, exit_):
+        spec, grid = make_burgers_1d(16)
+        u = np.full(16, 0.5)
+        G = high_order_flux(u, spec, grid)
+        G[0][3] = np.nan
+
+        def poisoned(reference, step_dt, stage_time, guess):
+            return reference, G, SolverReport(0, 0.0, True, 1.0)
+
         with pytest.raises(ValueError, match="finite"):
-            infinite.check_finite()
-        assert (a + a - a).check_finite().arrays[0].tolist() == [1.0] * 6
+            if exit_ == "dirk_step":
+                dirk_step(u, iex_tableau(1), spec, grid, poisoned, 0.1)
+            else:
+                _fct_with_flux(G, u, G, spec, grid, 0.1, 1)
 
 
 class TestSingleFaceFluxes:
@@ -189,7 +210,7 @@ class TestLowOrderFluxMatchesFaceOracle:
         hi = spec.global_max if np.isfinite(spec.global_max) else 1.0
         u = rng.uniform(spec.global_min, hi, grid.shape)
         t = 0.3
-        G = low_order_flux_set(u, spec, grid, t=t)
+        G = low_order_with_bars(u, spec, grid, t=t)[0]
         got, want = [], []
         for face in faces(grid):
             u_i = u[cell_slot(face.owner, grid)]
@@ -197,7 +218,7 @@ class TestLowOrderFluxMatchesFaceOracle:
                 u_j = spec.dirichlet_values[face.axis][face.normal > 0]
             else:
                 u_j = u[cell_slot(face.neighbor, grid)]
-            got.append(outward_value(G, face))
+            got.append(outward_value(G, grid, face))
             want.append(low_order_convective_flux(u_i, u_j, face, spec, t)
                         - low_order_diffusive_flux(u_i, u_j, face, spec))
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
@@ -340,14 +361,15 @@ class TestLowOrderRhs:
     def test_constant_field_is_stationary(self):
         spec, grid = make_burgers_1d(10)
         u = np.full(10, 1.3)
-        assert np.all(low_order_flux_set(u, spec, grid).divergence() == 0.0)
+        G = low_order_with_bars(u, spec, grid)[0]
+        assert np.all(divergence(G, grid) == 0.0)
         assert np.allclose(bar_state_form(u, spec, grid), 0.0, atol=1e-12)
 
     def test_bar_state_form_equals_flux_form(self, rng):
         spec, grid = make_burgers_1d(8)
         u = rng.uniform(0.0, 2.0, 8)
         rhs = bar_state_form(u, spec, grid) / grid.cell_volume
-        div = low_order_flux_set(u, spec, grid).divergence()
+        div = divergence(low_order_with_bars(u, spec, grid)[0], grid)
         assert np.max(np.abs(rhs + div)) <= 1e-12
 
     def test_bar_state_form_equals_flux_form_2d(self, rng):
@@ -359,7 +381,7 @@ class TestLowOrderRhs:
         })
         u = rng.uniform(0.0, 1.0, grid.shape)
         rhs = bar_state_form(u, spec, grid) / grid.cell_volume
-        div = low_order_flux_set(u, spec, grid).divergence()
+        div = divergence(low_order_with_bars(u, spec, grid)[0], grid)
         assert np.max(np.abs(rhs + div)) <= 1e-12
 
     def test_bar_state_form_equals_flux_form_center_evaluated_flux(self, rng):
@@ -370,13 +392,13 @@ class TestLowOrderRhs:
                               spec.boundary)
         u = rng.uniform(0.0, 1.0, 32)
         rhs = bar_state_form(u, spec, grid) / grid.cell_volume
-        div = low_order_flux_set(u, spec, grid).divergence()
+        div = divergence(low_order_with_bars(u, spec, grid)[0], grid)
         assert np.max(np.abs(rhs + div)) <= 1e-12
 
     def test_sign_at_strict_local_extrema_1d(self):
         spec, grid = make_burgers_1d(5)
         u = np.array([0.2, 0.3, 0.9, 0.1, 0.4])
-        rhs = -low_order_flux_set(u, spec, grid).divergence()
+        rhs = -divergence(low_order_with_bars(u, spec, grid)[0], grid)
         assert rhs[2] <= 0.0   # strict local max cannot grow
         assert rhs[3] >= 0.0   # strict local min cannot shrink
 
@@ -385,7 +407,7 @@ class TestLowOrderRhs:
         u = rng.uniform(0.3, 0.7, grid.shape)
         u[3, 2] = 2.0
         u[1, 4] = -1.0
-        rhs = -low_order_flux_set(u, spec, grid).divergence()
+        rhs = -divergence(low_order_with_bars(u, spec, grid)[0], grid)
         assert rhs[3, 2] <= 0.0
         assert rhs[1, 4] >= 0.0
 
@@ -393,10 +415,8 @@ class TestLowOrderRhs:
         spec, grid = make_burgers_1d(8)
         u = rng.uniform(0.0, 2.0, 8)
         flux = low_order_with_bars(u, spec, grid)[0]
-        assert np.array_equal(flux.arrays[0],
-                              low_order_flux_set(u, spec, grid).arrays[0])
         assert np.allclose(bar_state_form(u, spec, grid),
-                           -grid.cell_volume * flux.divergence(),
+                           -grid.cell_volume * divergence(flux, grid),
                            rtol=1e-13, atol=1e-15)
 
 
@@ -406,13 +426,13 @@ class TestHighOrderFlux:
         G = high_order_flux(np.full(9, 0.8), spec, grid)
         # Diffusive part vanishes; convective part is f(0.8) = 0.32 stored
         # along the +axis direction.
-        assert np.allclose(G.arrays[0], 0.32, rtol=0, atol=1e-15)
+        assert np.allclose(G[0], 0.32, rtol=0, atol=1e-15)
 
     def test_constant_field_gives_pointwise_flux_2d(self):
         spec, grid = make_advection_2d(vel=(1.0, -0.5), shape=(7, 6))
         G = high_order_flux(np.full(grid.shape, 0.4), spec, grid)
-        assert np.allclose(G.arrays[0], 1.0 * 0.4, atol=1e-15)
-        assert np.allclose(G.arrays[1], -0.5 * 0.4, atol=1e-15)
+        assert np.allclose(G[0], 1.0 * 0.4, atol=1e-15)
+        assert np.allclose(G[1], -0.5 * 0.4, atol=1e-15)
 
     def test_fifth_order_face_accuracy_on_smooth_data(self):
         errs, hs = [], []
@@ -423,7 +443,7 @@ class TestHighOrderFlux:
             edges = grid.axis_faces(0)
             avgs = (np.cos(edges[:-1]) - np.cos(edges[1:])) / h
             G = high_order_flux(avgs, spec, grid)
-            errs.append(np.max(np.abs(G.arrays[0] - np.sin(edges))))
+            errs.append(np.max(np.abs(G[0] - np.sin(edges))))
             hs.append(h)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= 4.5
@@ -453,9 +473,9 @@ class TestHighOrderFlux:
         spec, grid = make_advection_2d(shape=(6, 7),
                                        boundary=(PERIODIC, PERIODIC))
         u = rng.uniform(0.0, 1.0, grid.shape)
-        for fs in (low_order_flux_set(u, spec, grid),
+        for fs in (low_order_with_bars(u, spec, grid)[0],
                    high_order_flux(u, spec, grid)):
-            Gx, Gy = fs.arrays
+            Gx, Gy = fs
             assert np.array_equal(Gx[:, 0], Gx[:, -1])
             assert np.array_equal(Gy[0, :], Gy[-1, :])
 
@@ -463,7 +483,7 @@ class TestHighOrderFlux:
         # Telescoping conservation: interior sums cancel exactly on a torus.
         spec, grid = make_burgers_1d(24)
         u = rng.uniform(0.0, 2.0, 24)
-        div = high_order_flux(u, spec, grid).divergence()
+        div = divergence(high_order_flux(u, spec, grid), grid)
         total = np.sum(div) * grid.cell_volume
         assert total == pytest.approx(0.0, abs=1e-13)
 
@@ -474,7 +494,7 @@ class TestGhostCoupling:
             velocity=1.0, n=6, boundary=DIRICHLET, dirichlet=(0.25, 0.75),
             wave_speed=1.0)
         u = np.full(6, 0.5)
-        G = low_order_flux_set(u, spec, grid).arrays[0]
+        G = low_order_with_bars(u, spec, grid)[0][0]
         # Low end: upwind of (ghost 0.25 -> cell 0.5) is the ghost value.
         assert G[0] == pytest.approx(0.25, rel=1e-14)
         # High end: upwind of (cell 0.5 -> ghost 0.75) is the cell value.

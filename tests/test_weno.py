@@ -166,7 +166,7 @@ class TestFaceValueOracle:
         for hi in (1.0, 1e-3):
             spec, grid = make_linear_advection_1d(velocity=1.0, n=9, hi=hi,
                                                   wave_speed=1.0)
-            fluxes.append(high_order_flux(vals, spec, grid).arrays[0])
+            fluxes.append(high_order_flux(vals, spec, grid)[0])
         assert fluxes[0] == pytest.approx(fluxes[1], rel=1e-14)
 
     def test_convex_combination_bounded_by_candidate_range(self, rng):
