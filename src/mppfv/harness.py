@@ -163,7 +163,8 @@ def _make_stepper(config, spec, grid):
     paths that reconstruct the state from the flux), so accumulating its
     boundary contribution gives the flux-corrected mass audit.  One
     :class:`JacobianEngine` serves every implicit solve of the run, so each
-    frozen matrix is factorized once.
+    solve starts on the matrix and LU that the last converged solve at its
+    implicit scale ended with.
     """
     engine = JacobianEngine(spec, grid)
 

@@ -33,16 +33,18 @@ assembly (bitwise, but for the sign of zeros: every slot starts at +0.0).
 Every face keeps both off-diagonal positions (explicit zeros included), so
 the pattern is structurally symmetric.
 
-Linear solves (modified Newton, Hairer & Wanner, *Solving ODEs II*,
-§IV.8), one rule in every dimension: a solve starts on the frozen matrix
-for its implicit scale, factorized once per scale and held by the
-:class:`JacobianEngine`.  Once an iterate's residual is more than
+Linear solves (modified Newton with the Jacobian reused across solves,
+Hairer & Wanner, *Solving ODEs II*, §IV.8), one rule in every dimension:
+the :class:`JacobianEngine` holds, per implicit scale, the matrix and LU
+that the last converged solve at that scale ended with, and the next solve
+there starts on it.  The first solve at a scale assembles the
+pseudo-Jacobian at its guess.  Once an iterate's residual is more than
 ``STALL_RATIO`` of the previous one, every later update of that solve
 assembles the pseudo-Jacobian at its iterate and factorizes it.  A
-refreshed matrix whose data equal those of the matrix in use (the frozen
-one, or the last refreshed one) keeps that LU for the rest of the solve,
-with no further assembly: the pseudo-Jacobian of a state-independent
-problem (rotation2d) or of one that depends on time only (vortex2d).
+refreshed matrix whose data equal those of the matrix in use keeps that LU
+for the rest of the solve, with no further assembly: the pseudo-Jacobian
+of a state-independent problem (rotation2d) or of one that depends on time
+only (vortex2d).
 
 Each LU fits its matrix (:class:`SparseBandedMatrix`).  The 1D
 pseudo-Jacobian is tridiagonal, with two corner entries on a periodic
@@ -74,7 +76,6 @@ from scipy.linalg import lapack
 
 from . import fluxes
 from .mesh import LAST, PERIODIC, ghost_fill
-from .problems import initial_cell_averages
 
 TOL_LOW_ORDER = 1e-12
 TOL_STAGE = 1e-8
@@ -183,10 +184,10 @@ class SparseBandedMatrix:
     The stored pattern is structurally symmetric by construction: every
     face contributes both off-diagonal positions (values may be zero).
 
-    Every matrix, frozen or refreshed, in 1D and 2D, is solved with its
-    own LU, which fits the pattern.  A matrix of ``N >= 3`` rows stored
-    only on the three cyclic diagonals (main, first sub- and
-    super-diagonal, the two periodic corners) gets :class:`_TridiagonalLU`.
+    Every matrix, in 1D and 2D, is solved with its own LU, which fits the
+    pattern.  A matrix of ``N >= 3`` rows stored only on the three cyclic
+    diagonals (main, first sub- and super-diagonal, the two periodic
+    corners) gets :class:`_TridiagonalLU`.
     Any other gets SuperLU with the minimum-degree ordering of
     ``A^T + A``, which suits a structurally symmetric pattern (rotation2d
     128²: L+U 2.44M → 1.08M nonzeros against the default COLAMD).  SuperLU also decides every
@@ -348,41 +349,20 @@ def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
     return pattern.matrix(np.concatenate(terms))
 
 
-def frozen_jacobian(spec, grid, dt):
-    """Constant-coefficient pseudo-Jacobian, factorized once.
-
-    Linearizes about the constant state ``ubar = (max u0 - min u0)/2`` of
-    the initial data; at a constant state the slope-dependent diffusion
-    terms vanish, so the matrix is exactly the discrete linear
-    convection-diffusion operator and can be reused across all steps.
-    """
-    u0 = initial_cell_averages(spec, grid)
-    ubar = 0.5 * (float(np.max(u0)) - float(np.min(u0)))
-    frozen_state = np.full(grid.shape, ubar)
-    jac = assemble_pseudo_jacobian(frozen_state, spec, grid, dt, t=0.0)
-    jac.factorize()
-    return jac
-
-
 # ---------------------------------------------------------------------------
 # Linear-solve strategy of the quasi-Newton loop
 # ---------------------------------------------------------------------------
 
 class JacobianEngine:
-    """The problem and grid of a run, with one frozen factorization per
-    implicit scale ``step_dt``, built on first use and shared by every
-    quasi-Newton solve of the run."""
+    """The problem and grid of a run, and in ``held`` the pseudo-Jacobian
+    (with its LU) that the last converged quasi-Newton solve at each
+    implicit scale ``float(step_dt)`` ended with; one engine serves every
+    solve of the run, and only :func:`_quasi_newton` reads ``held``."""
 
     def __init__(self, spec, grid):
         self.spec = spec
         self.grid = grid
-        self._frozen = {}
-
-    def frozen(self, step_dt):
-        key = float(step_dt)
-        if key not in self._frozen:
-            self._frozen[key] = frozen_jacobian(self.spec, self.grid, key)
-        return self._frozen[key]
+        self.held = {}
 
 
 def _l2(v):
@@ -398,12 +378,15 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
     quasi-Newton iteration from ``guess``; the only Newton loop.
 
-    Updates start on the engine's frozen LU of ``step_dt``.  Once a
-    residual exceeds ``STALL_RATIO`` times the previous one, every later
-    update refreshes: it assembles the pseudo-Jacobian at its iterate and
-    solves with that matrix's LU.  A refreshed matrix equal to the one in
-    use is not factorized again: the solve keeps that LU and stops
-    refreshing (a pseudo-Jacobian that does not depend on the state).
+    Updates start on the matrix the engine holds for ``step_dt``, the one
+    the last converged solve at that scale ended with; the first solve at
+    a scale assembles the pseudo-Jacobian at ``guess`` and ``stage_time``.
+    Once a residual exceeds ``STALL_RATIO`` times the previous one, every
+    later update refreshes: it assembles the pseudo-Jacobian at its iterate
+    and solves with that matrix's LU.  A refreshed matrix equal to the one
+    in use is not factorized again: the solve keeps that LU and stops
+    refreshing (a pseudo-Jacobian that does not depend on the state).  A
+    converged solve leaves the engine holding the matrix it ended with.
 
     Returns ``(y, flux_of(y), SolverReport)`` once the l2 residual is at
     most ``tol``.  ``report.iterations`` counts Newton updates.  A
@@ -412,7 +395,11 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     ``max_iter`` updates; ``what`` names the solve in both messages.
     """
     y = np.asarray(guess, dtype=float).copy()
-    jac = engine.frozen(step_dt)
+    scale = float(step_dt)
+    jac = engine.held.get(scale)
+    if jac is None:
+        jac = assemble_pseudo_jacobian(y, engine.spec, engine.grid, step_dt,
+                                       t=stage_time)
     prev_res, refresh, stall = np.inf, False, STALL_RATIO
     for k in range(max_iter + 1):
         flux = flux_of(y)
@@ -421,6 +408,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
         if not np.isfinite(res):
             raise ValueError(f"{what}: non-finite residual at iteration {k}")
         if res <= tol:
+            engine.held[scale] = jac
             return y, flux, SolverReport(k, res, True, tol)
         if k == max_iter:
             raise NonConvergenceError(
@@ -468,8 +456,8 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
 
 def make_stage_solver(engine):
     """Stage-solver callable for :func:`time_integration.dirk_step` on the
-    engine's problem and grid, sharing the engine's frozen factorizations
-    across all stages and steps.
+    engine's problem and grid; every stage of every step starts on the
+    matrix the engine holds for its implicit scale.
 
     ``solver(reference, step_dt, stage_time, guess)`` solves
     ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0`` and returns

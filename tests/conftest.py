@@ -102,7 +102,6 @@ def make_burgers_1d(n=None, eps=0.01, boundary=PERIODIC, lo=-1.0, hi=1.0):
         wave_speed_bound=lambda axis, ua, ub, ra, rb, x, y, t: np.maximum(
             np.maximum.reduce([np.abs(ua), np.abs(ub),
                                np.abs(ra), np.abs(rb)]), LAMBDA_FLOOR),
-        # Spans [0, 2] so the frozen-state linearization sits mid-range.
         initial_condition=lambda x, y: 1.0 + np.sin(
             np.pi * np.asarray(x, dtype=float)),
         global_min=-4.0,

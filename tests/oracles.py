@@ -20,9 +20,9 @@ chain form (backward-Euler chains and the Aitken-Neville recurrence),
 where :func:`mppfv.time_integration.iex_step` runs the DIRK stage loop on
 the Runge-Kutta tableau; the two agree to roundoff and solver tolerance.
 
-Last, helpers that only the tests use: the rooted-tree order-condition
-residuals and the stage-MPP inequality of a Butcher tableau, and a reader
-for the snapshot CSV files of :func:`mppfv.harness.snapshot`.
+Last, helpers that only the tests use: the stage-MPP inequality of a
+Butcher tableau, and a reader for the snapshot CSV files of
+:func:`mppfv.harness.snapshot`.
 """
 
 from __future__ import annotations
@@ -388,43 +388,6 @@ def iex_chain_step(u_n, p, stage_solver, dt, grid, t=0.0):
 # ---------------------------------------------------------------------------
 # Butcher-tableau checks
 # ---------------------------------------------------------------------------
-
-def order_condition_residuals(tableau, max_order=5):
-    """Rooted-tree order-condition residuals up to ``max_order`` (<= 5).
-
-    Returns a list of ``(order, residual)`` pairs, one per rooted tree (17
-    trees through order 5): a method has order q exactly when every residual
-    of order <= q vanishes.
-    """
-    if not 1 <= max_order <= 5:
-        raise ValueError("max_order must be between 1 and 5")
-    A, b, c = tableau.A, tableau.b, tableau.c
-    e = np.ones_like(c)
-    Ac = A @ c
-    Ac2 = A @ (c * c)
-    A2c = A @ Ac
-    conditions = [
-        (1, b @ e, 1.0),
-        (2, b @ c, 1.0 / 2.0),
-        (3, b @ (c * c), 1.0 / 3.0),
-        (3, b @ Ac, 1.0 / 6.0),
-        (4, b @ (c ** 3), 1.0 / 4.0),
-        (4, b @ (c * Ac), 1.0 / 8.0),
-        (4, b @ Ac2, 1.0 / 12.0),
-        (4, b @ A2c, 1.0 / 24.0),
-        (5, b @ (c ** 4), 1.0 / 5.0),
-        (5, b @ ((c * c) * Ac), 1.0 / 10.0),
-        (5, b @ (Ac * Ac), 1.0 / 20.0),
-        (5, b @ (c * Ac2), 1.0 / 15.0),
-        (5, b @ (c * A2c), 1.0 / 30.0),
-        (5, b @ (A @ (c ** 3)), 1.0 / 20.0),
-        (5, b @ (A @ (c * Ac)), 1.0 / 40.0),
-        (5, b @ (A @ Ac2), 1.0 / 60.0),
-        (5, b @ (A @ A2c), 1.0 / 120.0),
-    ]
-    return [(order, abs(lhs - rhs)) for order, lhs, rhs in conditions
-            if order <= max_order]
-
 
 def check_ssp_stages(tableau, mu, tol=1e-12):
     """Stage-MPP inequality: with ``X = (I + mu*A)^{-1}``, return True iff

@@ -20,8 +20,8 @@ from mppfv.harness import RunConfig, build_problem, run
 from mppfv.mesh import DIRICHLET, PERIODIC, ghost_fill
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
-                           assemble_pseudo_jacobian, frozen_jacobian,
-                           make_stage_solver, newton_low_order)
+                           assemble_pseudo_jacobian, make_stage_solver,
+                           newton_low_order)
 from mppfv.problems import (BUILTIN_PROBLEMS, burgers_1d,
                             initial_cell_averages, make_grid)
 
@@ -149,14 +149,6 @@ class TestPseudoJacobian:
         pattern.data = np.ones_like(pattern.data)
         assert (pattern != pattern.T).nnz == 0
 
-    def test_frozen_jacobian_linearizes_at_half_range(self):
-        spec = burgers_1d()
-        grid = make_grid(spec, 40)
-        frozen = frozen_jacobian(spec, grid, dt=0.01)
-        # Initial data spans [0, 2]; the frozen state is the half-range 1.
-        direct = assemble_pseudo_jacobian(np.full(40, 1.0), spec, grid, 0.01)
-        assert np.max(np.abs((frozen.matrix - direct.matrix).toarray())) == 0.0
-
 
 class TestCachedPattern:
     """The pseudo-Jacobian assembled into the grid's cached pattern is the
@@ -223,7 +215,8 @@ class TestCachedPattern:
 
 
 class TestFactorizationReuse:
-    """Every solve starts on the frozen LU of its implicit scale and
+    """Every solve starts on the matrix its engine holds for its implicit
+    scale (the first solve there on one assembled at its guess) and
     refreshes only once it contracts too slowly.  A refreshed matrix is
     factorized, in 1D and 2D alike, unless it equals the matrix in use:
     then that LU serves the rest of the solve, with no further assembly.
@@ -256,23 +249,26 @@ class TestFactorizationReuse:
         return (len(factorized), assemble.call_count, scales,
                 solves.call_count)
 
-    def assert_frozen_only(self, **kwargs):
-        # One assembly and one factorization per scale: the frozen matrix
-        # of the stage scale a_mm*dt and of the low-order scale dt.
+    def assert_one_matrix_per_scale(self, **kwargs):
+        # One assembly and one factorization per scale: the matrix the
+        # first solve at the stage scale a_mm*dt and at the low-order
+        # scale dt assembles serves every later solve there.
         factorized, assembled, scales, _ = self.count(
             scheme="sdirk5", limiter="fct", **kwargs)
         assert assembled == factorized == len(scales) == 2
 
     @pytest.mark.parametrize("problem", ["rotation2d", "linear2d"])
     def test_state_independent_2d_solves_with_the_frozen_lu(self, problem):
-        self.assert_frozen_only(problem=problem, nx=16, t_final=0.5 / 16)
+        self.assert_one_matrix_per_scale(problem=problem, nx=16,
+                                         t_final=0.5 / 16)
 
     def test_state_independent_1d_solves_with_the_frozen_lu(self):
-        self.assert_frozen_only(problem="linear1d", nx=20, t_final=0.1)
+        self.assert_one_matrix_per_scale(problem="linear1d", nx=20,
+                                         t_final=0.1)
 
     def test_state_independent_refresh_assembles_once_per_solve(self):
         # The stage solves contract at 0.50-0.53 per update, just above
-        # STALL_RATIO: each refreshes once, finds the frozen matrix and
+        # STALL_RATIO: each refreshes once, finds the held matrix and
         # stays on its LU.
         factorized, assembled, scales, solves = self.count(
             problem="rotation2d", nx=12, scheme="sdirk5", limiter="gmc",
@@ -282,7 +278,7 @@ class TestFactorizationReuse:
 
     def test_state_dependent_2d_factorizes_the_refreshed_matrices(self):
         # One step of dt = 0.83 at 12^2: the stage solves stall on the
-        # frozen LU and refresh, and the refreshed matrices differ from it.
+        # held LU and refresh, and the refreshed matrices differ from it.
         factorized, assembled, scales, _ = self.count(
             problem="kpp2d", nx=12, scheme="sdirk5", dt_factor=5.0,
             t_final=2.5 / 3)
@@ -290,8 +286,9 @@ class TestFactorizationReuse:
 
     def test_time_dependent_2d_keeps_the_repeated_lu(self):
         # vortex2d's pseudo-Jacobian depends on time but not on the state:
-        # a solve's first refresh differs from the frozen matrix, its
-        # second repeats the first, and the solve keeps that LU.
+        # a solve's first refresh differs from a matrix held from an
+        # earlier stage time, its second repeats the first, and the solve
+        # keeps that LU.
         spec = build_problem(RunConfig(problem="vortex2d"))
         factorized, assembled, scales, solves = self.count(
             problem="vortex2d", nx=12, scheme="sdirk5", limiter="gmc",
@@ -300,11 +297,81 @@ class TestFactorizationReuse:
         assert assembled <= len(scales) + 2 * solves
 
     def test_1d_factorizes_the_refreshed_matrices(self):
-        # On the frozen LU alone this low-order solve stalls at 2e-9 after
-        # 100 iterations.
+        # On the matrix assembled at its guess alone this low-order solve
+        # stalls at 1.7 after 100 iterations.
         factorized, assembled, scales, _ = self.count(
             problem="bl1d", nx=40, t_final=0.1, scheme="be", dt_factor=5.0)
         assert assembled == factorized > len(scales) == 1
+
+
+class TestHeldMatrix:
+    """An engine holds, per implicit scale, the matrix the last converged
+    solve there ended with: the first solve at a scale assembles at its
+    guess and stage time, and every later solve there starts on the held
+    matrix and its LU."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Lists that fill with ``(state, scale, t)`` of every assembly and
+        the matrix of every linear solve."""
+        assembled, used = [], []
+        assemble = solvers.assemble_pseudo_jacobian
+        solve = SparseBandedMatrix.solve
+
+        def recording_assemble(values, spec, grid, scale, t=0.0):
+            assembled.append((np.array(values), scale, t))
+            return assemble(values, spec, grid, scale, t=t)
+
+        def recording_solve(matrix, rhs):
+            used.append(matrix)
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(solvers, "assemble_pseudo_jacobian",
+                            recording_assemble)
+        monkeypatch.setattr(SparseBandedMatrix, "solve", recording_solve)
+        return assembled, used
+
+    def test_first_solve_assembles_at_its_guess_and_stage_time(
+            self, rng, monkeypatch):
+        spec, grid = make_burgers_1d(16)
+        guess = rng.uniform(0.0, 2.0, 16)
+        assembled, _ = self.recorded(monkeypatch)
+        solver = make_stage_solver(JacobianEngine(spec, grid))
+        _, _, report = solver(guess, 0.05, 0.3, guess)
+        assert report.iterations > 0
+        state, scale, t = assembled[0]
+        assert np.array_equal(state, guess)
+        assert (scale, t) == (0.05, 0.3)
+
+    def test_solve_after_a_refresh_starts_on_its_last_matrix(
+            self, monkeypatch):
+        # bl1d at dt = 5h: the first low-order solve stalls on the matrix
+        # assembled at its guess and refreshes.
+        spec = build_problem(RunConfig(problem="bl1d"))
+        grid = make_grid(spec, 40)
+        dt = 5.0 * grid.spacing[0]
+        engine = JacobianEngine(spec, grid)
+        assembled, used = self.recorded(monkeypatch)
+        u1, _, _ = newton_low_order(initial_cell_averages(spec, grid), spec,
+                                    grid, dt, engine=engine)
+        first = len(used)
+        assert len(assembled) > 1
+        newton_low_order(u1, spec, grid, dt, t=dt, engine=engine)
+        assert used[first] is used[first - 1]
+
+    def test_solve_that_does_not_stall_assembles_nothing(self, monkeypatch):
+        spec, grid = make_burgers_1d(16)
+        u0 = 1.0 + np.sin(np.pi * grid.axis_centers(0))
+        solver = make_stage_solver(JacobianEngine(spec, grid))
+        assembled, used = self.recorded(monkeypatch)
+        y, _, _ = solver(u0, 0.05, 0.0, u0)
+        assert len(assembled) == 1
+        held = used[0]
+        first = len(used)
+        _, _, report = solver(y, 0.05, 0.05, y)
+        assert report.iterations > 0
+        assert len(assembled) == 1
+        assert all(matrix is held for matrix in used[first:])
 
 
 class TestLuChoice:
@@ -543,7 +610,8 @@ class TestNewtonLowOrder:
 
     def test_frozen_engine_reaches_same_solution(self, rng, monkeypatch):
         # A stall ratio of 0 refreshes every update after the first; an
-        # infinite one never refreshes.
+        # infinite one never refreshes, so every update uses the matrix
+        # assembled at the guess.
         spec, grid = make_burgers_1d(16)
         u0 = rng.uniform(0.0, 2.0, 16)
         monkeypatch.setattr(solvers, "STALL_RATIO", 0.0)

@@ -1,8 +1,8 @@
 """Tableaux, order conditions, SSP-stage checks, and the two steppers.
 
 The order-condition oracle below hand-codes the seventeen rooted-tree
-conditions through order five from first principles; the residual routine
-of :mod:`oracles` must agree with it value for value.
+conditions through order five from first principles; every tableau's order
+is checked against it.
 """
 
 import math
@@ -19,8 +19,7 @@ from mppfv.time_integration import (ButcherTableau, dirk_step, iex_step,
                                     iex_tableau, sdirk5_tableau)
 
 from conftest import make_linear_advection_1d
-from oracles import (check_ssp_stages, iex_chain_step,
-                     order_condition_residuals)
+from oracles import check_ssp_stages, iex_chain_step
 
 
 def rooted_tree_conditions(A, b, c):
@@ -143,24 +142,6 @@ class TestOrderConditions:
         if p < 5:
             above = [r for order, r in conds if order == p + 1]
             assert max(above) > 1e-4
-
-    def test_production_residuals_match_oracle(self):
-        for tab in (iex_tableau(1), sdirk5_tableau(),
-                    iex_tableau(3), iex_tableau(4)):
-            got = order_condition_residuals(tab, max_order=5)
-            want = rooted_tree_conditions(tab.A, tab.b, tab.c)
-            assert len(got) == len(want) == 17
-            for (o1, r1), (o2, r2) in zip(got, want):
-                assert o1 == o2
-                assert r1 == pytest.approx(r2, abs=1e-14)
-
-    def test_max_order_filters_and_validates(self):
-        tab = sdirk5_tableau()
-        assert len(order_condition_residuals(tab, max_order=3)) == 4
-        with pytest.raises(ValueError):
-            order_condition_residuals(tab, max_order=6)
-        with pytest.raises(ValueError):
-            order_condition_residuals(tab, max_order=0)
 
 
 class TestStageBoundPreservation:
@@ -360,13 +341,19 @@ class TestExtrapolationStep:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matches_chain_form_oracle(self, burgers_setup, kind, p):
         spec, grid, u0 = burgers_setup
-        solver = (make_stage_solver(JacobianEngine(spec, grid))
-                  if kind == "newton"
-                  else make_semidiscrete_gmc_substep_solver(spec, grid))
+
+        def make_solver():
+            # Each step gets its own engine: neither starts on matrices the
+            # other left.
+            if kind == "newton":
+                return make_stage_solver(JacobianEngine(spec, grid))
+            return make_semidiscrete_gmc_substep_solver(spec, grid)
+
         dt = 2.0 * grid.spacing[0]
-        u1, flux, stages = iex_step(u0, p, spec, grid, solver, dt, t=0.1)
+        u1, flux, stages = iex_step(u0, p, spec, grid, make_solver(), dt,
+                                    t=0.1)
         want, want_flux, extrapolated, chains = iex_chain_step(
-            u0, p, solver, dt, grid, t=0.1)
+            u0, p, make_solver(), dt, grid, t=0.1)
         tol = 1e-12 * (spec.global_max - spec.global_min)
         assert np.max(np.abs(u1 - want)) <= tol
         assert np.max(np.abs(u1 - extrapolated)) <= tol

@@ -10,6 +10,7 @@ line of its own (see :func:`face_value`).
 """
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,22 +192,33 @@ class TestFaceValueOracle:
 
 
 def quartic_cell_averages(coeffs, centers, h):
-    """Exact cell averages of a polynomial given by ``coeffs`` (low->high)."""
-    p = sum(c * X ** k for k, c in enumerate(coeffs))
-    P = sp.integrate(p, X)
-    return [float((P.subs(X, xc + sp.Rational(1, 2) * h)
-                   - P.subs(X, xc - sp.Rational(1, 2) * h)) / h)
+    """Exact cell averages of a polynomial given by ``coeffs`` (low->high),
+    from the antiderivatives of its monomials in rational arithmetic (every
+    argument is a rational or a binary float, so each converts exactly)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    h = Fraction(h)
+
+    def antiderivative(x):
+        return sum(c * x ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+
+    return [float((antiderivative(Fraction(xc) + h / 2)
+                   - antiderivative(Fraction(xc) - h / 2)) / h)
             for xc in centers]
+
+
+def random_quartic(rng):
+    """Five coefficients (low->high) drawn from U(-3, 3), each the exact
+    rational value of its binary float."""
+    return [Fraction(c) for c in rng.uniform(-3, 3, 5)]
 
 
 class TestDegree4Reproduction:
     """The linear parts of the reconstruction are exact through degree 4."""
 
     def test_center_point_value_reproduces_quartics(self, rng):
-        h = sp.Rational(1, 7)
+        h = Fraction(1, 7)
         for _ in range(25):
-            coeffs = [sp.nsimplify(c, rational=True)
-                      for c in rng.uniform(-3, 3, 5)]
+            coeffs = random_quartic(rng)
             avgs = quartic_cell_averages(coeffs, [k * h for k in range(-2, 3)], h)
             exact = float(coeffs[0])  # polynomial value at the cell center x=0
             got = center_value(avgs)
@@ -214,13 +226,12 @@ class TestDegree4Reproduction:
 
     @pytest.mark.parametrize("side", ["+", "-"])
     def test_face_derivative_reproduces_quartics(self, side, rng):
-        h = sp.Rational(1, 5)
+        h = Fraction(1, 5)
         face = h / 2 if side == "+" else -h / 2
         for _ in range(25):
-            coeffs = [sp.nsimplify(c, rational=True)
-                      for c in rng.uniform(-3, 3, 5)]
-            p = sum(c * X ** k for k, c in enumerate(coeffs))
-            exact = float(sp.diff(p, X).subs(X, face))
+            coeffs = random_quartic(rng)
+            exact = float(sum(k * c * face ** (k - 1)
+                              for k, c in enumerate(coeffs) if k))
             avgs = quartic_cell_averages(coeffs, [k * h for k in range(-2, 3)], h)
             got = face_derivative(avgs, float(h), side)
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
@@ -228,12 +239,10 @@ class TestDegree4Reproduction:
     def test_linear_weighted_face_value_reproduces_quartics(self, rng):
         # The optimal-weight combination of the production candidates must
         # return the unique degree-4 polynomial's face value.
-        h = sp.Rational(1, 3)
+        h = Fraction(1, 3)
         for _ in range(25):
-            coeffs = [sp.nsimplify(c, rational=True)
-                      for c in rng.uniform(-3, 3, 5)]
-            p = sum(c * X ** k for k, c in enumerate(coeffs))
-            exact = float(p.subs(X, h / 2))
+            coeffs = random_quartic(rng)
+            exact = float(sum(c * (h / 2) ** k for k, c in enumerate(coeffs)))
             avgs = quartic_cell_averages(coeffs, [k * h for k in range(-2, 3)], h)
             cand = weno._candidates_right(*avgs)
             got = sum(g * q for g, q in zip(LINEAR_WEIGHTS_RIGHT, cand))
