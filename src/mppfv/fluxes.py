@@ -167,9 +167,10 @@ class FaceFluxSet:
 # ---------------------------------------------------------------------------
 
 def _wave_speeds(spec, axis, ua, ub, ra, rb, xf, yf, t):
-    lam = np.array(spec.wave_speed_bound(axis, ua, ub, ra, rb, xf, yf, t),
-                   dtype=float)
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
+    lam = np.asarray(spec.wave_speed_bound(axis, ua, ub, ra, rb, xf, yf, t),
+                     dtype=float)
+    # NaN fails both comparisons.
+    if not (lam.min() > 0.0 and lam.max() < np.inf):
         raise ValueError("wave-speed bound must be positive and finite")
     return np.maximum(lam, LAMBDA_FLOOR)
 
@@ -241,8 +242,9 @@ def _axis_high_order(u_ext, spec, grid, axis, t):
     for other in range(grid.dim):
         if other != axis:
             line = line[_INTERIOR[other]]
-    # The WENO kernels reconstruct along the last array axis.
-    line = line.swapaxes(-1, -1 - axis)
+    # The WENO kernels reconstruct along the last array axis, fastest on
+    # contiguous rows; both read this one copy.
+    line = np.ascontiguousarray(line.swapaxes(-1, -1 - axis))
     um, up = weno.face_values_line(line, ghost=w)
     dP = weno.face_derivatives_line(line, grid.spacing[axis], ghost=w)
     um, up, dP = (v.swapaxes(-1, -1 - axis) for v in (um, up, dP))
@@ -252,12 +254,18 @@ def _axis_high_order(u_ext, spec, grid, axis, t):
     xf, yf = face_coordinates(grid, axis)
     lam = _wave_speeds(spec, axis, ua, ub, um, up, xf, yf, t)
 
-    fm = np.asarray(spec.flux(axis, um, xf, yf, t), dtype=float)
-    fp = np.asarray(spec.flux(axis, up, xf, yf, t), dtype=float)
-    FH = 0.5 * (fm + fp) - 0.5 * lam * (up - um)
-    cH = 0.5 * (np.asarray(spec.diffusion(um, xf, yf), dtype=float)
-                + np.asarray(spec.diffusion(up, xf, yf), dtype=float))
-    GH = FH - cH * dP
+    # G^H = (f(um) + f(up) - lam (up - um) - (c(um) + c(up)) dP) / 2, in
+    # place on the two arrays made here: callbacks may return shared or
+    # read-only arrays, and ``um`` or ``up`` themselves.
+    GH = np.add(spec.flux(axis, um, xf, yf, t), spec.flux(axis, up, xf, yf, t),
+                dtype=float)
+    tmp = np.subtract(up, um)
+    tmp *= lam
+    GH -= tmp
+    np.add(spec.diffusion(um, xf, yf), spec.diffusion(up, xf, yf), out=tmp)
+    tmp *= dP
+    GH -= tmp
+    GH *= 0.5
     return tie_periodic_seam(GH, grid, axis)
 
 

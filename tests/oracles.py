@@ -20,6 +20,12 @@ chain form (backward-Euler chains and the Aitken-Neville recurrence),
 where :func:`mppfv.time_integration.iex_step` runs the DIRK stage loop on
 the Runge-Kutta tableau; the two agree to roundoff and solver tolerance.
 
+The WENO5 face values of :func:`reference_face_values_line` are a fourth
+such oracle: the classic formulation (three candidates and three weights
+per side, built by small helpers from the five stencil values) that
+:func:`mppfv.weno.face_values_line` replaced with a kernel on shared
+differences; the two agree to roundoff.
+
 Last, helpers that only the tests use: the stage-MPP inequality of a
 Butcher tableau, and a reader for the snapshot CSV files of
 :func:`mppfv.harness.snapshot`.
@@ -37,6 +43,7 @@ from mppfv.fluxes import divergence
 from mppfv.mesh import PERIODIC, ghost_fill
 from mppfv.problems import _GL_NODES, _GL_WEIGHTS, LAMBDA_FLOOR
 from mppfv.solvers import _axis_flux_derivatives, _face_adjacent_ids
+from mppfv.weno import EPS_WENO, LINEAR_WEIGHTS_RIGHT
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +390,72 @@ def iex_chain_step(u_n, p, stage_solver, dt, grid, t=0.0):
     flux_pp = F[(p, p)]
     return (u0 - dt * divergence(flux_pp, grid), flux_pp, T[(p, p)],
             chain_states)
+
+
+# ---------------------------------------------------------------------------
+# WENO5 face values, one candidate and one weight at a time
+# ---------------------------------------------------------------------------
+
+def _smoothness_indicators(v0, v1, v2, v3, v4):
+    """Classic smoothness indicators of the three quadratic sub-stencils."""
+    b0 = 13.0 / 12.0 * (v0 - 2.0 * v1 + v2) ** 2 + 0.25 * (v0 - 4.0 * v1 + 3.0 * v2) ** 2
+    b1 = 13.0 / 12.0 * (v1 - 2.0 * v2 + v3) ** 2 + 0.25 * (v1 - v3) ** 2
+    b2 = 13.0 / 12.0 * (v2 - 2.0 * v3 + v4) ** 2 + 0.25 * (3.0 * v2 - 4.0 * v3 + v4) ** 2
+    return b0, b1, b2
+
+
+def _candidates_right(v0, v1, v2, v3, v4):
+    """Sub-stencil quadratic values at the right face of the center cell."""
+    p0 = (2.0 * v0 - 7.0 * v1 + 11.0 * v2) / 6.0
+    p1 = (-v1 + 5.0 * v2 + 2.0 * v3) / 6.0
+    p2 = (2.0 * v2 + 5.0 * v3 - v4) / 6.0
+    return p0, p1, p2
+
+
+def _candidates_left(v0, v1, v2, v3, v4):
+    """Sub-stencil quadratic values at the left face of the center cell."""
+    p0 = (-v0 + 5.0 * v1 + 2.0 * v2) / 6.0
+    p1 = (2.0 * v1 + 5.0 * v2 - v3) / 6.0
+    p2 = (11.0 * v2 - 7.0 * v3 + 2.0 * v4) / 6.0
+    return p0, p1, p2
+
+
+def _nonlinear_weights(b0, b1, b2, side):
+    """Normalized weights of the right (``side > 0``) or left face."""
+    d = LINEAR_WEIGHTS_RIGHT if side > 0 else LINEAR_WEIGHTS_RIGHT[::-1]
+    a0 = d[0] / (EPS_WENO + b0) ** 2
+    a1 = d[1] / (EPS_WENO + b1) ** 2
+    a2 = d[2] / (EPS_WENO + b2) ** 2
+    s = a0 + a1 + a2
+    return a0 / s, a1 / s, a2 / s
+
+
+def reference_face_values_line(v_ext, ghost=3):
+    """Both-side WENO face values along the last axis, with the signature
+    and output layout of :func:`mppfv.weno.face_values_line`."""
+    if ghost < 3:
+        raise ValueError("face_values_line needs at least 3 ghost layers")
+    m = v_ext.shape[-1]
+    n = m - 2 * ghost
+    lo = ghost - 3  # shift so exactly 3 ghost layers are consumed
+    s0 = v_ext[..., lo + 0 : lo + n + 2]
+    s1 = v_ext[..., lo + 1 : lo + n + 3]
+    s2 = v_ext[..., lo + 2 : lo + n + 4]
+    s3 = v_ext[..., lo + 3 : lo + n + 5]
+    s4 = v_ext[..., lo + 4 : lo + n + 6]
+    b0, b1, b2 = _smoothness_indicators(s0, s1, s2, s3, s4)
+
+    w0, w1, w2 = _nonlinear_weights(b0, b1, b2, +1)
+    p0, p1, p2 = _candidates_right(s0, s1, s2, s3, s4)
+    right = w0 * p0 + w1 * p1 + w2 * p2  # right-face value of each center cell
+
+    w0, w1, w2 = _nonlinear_weights(b0, b1, b2, -1)
+    p0, p1, p2 = _candidates_left(s0, s1, s2, s3, s4)
+    left = w0 * p0 + w1 * p1 + w2 * p2  # left-face value of each center cell
+
+    # Center cells run from interior index -1 to n; face k takes the right
+    # face of cell k-1 (minus side) and the left face of cell k (plus side).
+    return right[..., 0 : n + 1], left[..., 1 : n + 2]
 
 
 # ---------------------------------------------------------------------------

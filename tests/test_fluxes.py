@@ -9,6 +9,8 @@ face-by-face walks of :mod:`oracles`, which never touch the vectorized array
 layout.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from mppfv.fluxes import (FaceFluxSet, _face_states, divergence,
                           low_order_with_bars)
 from mppfv.limiters import _cell_sum, _fct_with_flux, _gmc_with_flux
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
-from mppfv.problems import (buckley_leverett_1d, kpp_2d, make_grid,
-                            steady_gaussian_1d)
+from mppfv.problems import (buckley_leverett_1d, kpp_2d, linear_advdiff_2d,
+                            make_grid, steady_gaussian_1d)
 from mppfv.solvers import (JacobianEngine, SolverReport, make_stage_solver,
                            newton_low_order)
 from mppfv.time_integration import dirk_step, iex_tableau, sdirk5_tableau
@@ -486,6 +488,58 @@ class TestHighOrderFlux:
         div = divergence(high_order_flux(u, spec, grid), grid)
         total = np.sum(div) * grid.cell_volume
         assert total == pytest.approx(0.0, abs=1e-13)
+
+    def test_leaves_state_and_callback_arrays_unchanged(self, rng):
+        # Each callback returns one writable array per shape on every call,
+        # as a caching problem might; a write into it would go unnoticed
+        # by the run and change every later call.
+        returned = {}
+
+        def cached(name, value):
+            def callback(*args):
+                shape = np.broadcast_shapes(*(np.shape(a) for a in args
+                                              if isinstance(a, np.ndarray)))
+                key = (name, shape)
+                if key not in returned:
+                    returned[key] = np.full(shape, value)
+                return returned[key]
+            return callback
+
+        base, grid = make_advection_2d(shape=(7, 6))
+        spec = dataclasses.replace(
+            base, flux=cached("flux", 0.3),
+            diffusion=cached("diffusion", 0.02),
+            wave_speed_bound=cached("speed", 1.5))
+        u = rng.uniform(0.0, 1.0, grid.shape)
+        before = u.copy()
+        high_order_flux(u, spec, grid)
+        assert np.array_equal(u, before)
+        assert {name for name, _ in returned} == {"flux", "diffusion",
+                                                  "speed"}
+        for (name, _), arr in returned.items():
+            assert np.all(arr == {"flux": 0.3, "diffusion": 0.02,
+                                  "speed": 1.5}[name])
+
+    def test_y_axis_flux_is_x_axis_flux_of_transposed_state(self, rng):
+        # linear2d is symmetric under x <-> y, so any offset or axis slip
+        # of the y-axis slicing breaks this bitwise equality.
+        spec = linear_advdiff_2d(0.01)
+        grid = make_grid(spec, 12)
+        u = rng.uniform(0.0, 1.0, grid.shape)
+        Gy = high_order_flux(u, spec, grid)[1]
+        Gx_of_transpose = high_order_flux(u.T.copy(), spec, grid)[0]
+        assert np.array_equal(Gy, Gx_of_transpose.T)
+
+
+class TestWaveSpeedCheck:
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kernel", [low_order_with_bars, high_order_flux],
+                             ids=["low", "high"])
+    def test_rejects_bounds_not_positive_and_finite(self, kernel, bound):
+        spec, grid = make_linear_advection_1d(velocity=1.0, n=6,
+                                              wave_speed=bound)
+        with pytest.raises(ValueError, match="wave-speed bound"):
+            kernel(np.linspace(0.0, 1.0, 6), spec, grid)
 
 
 class TestGhostCoupling:

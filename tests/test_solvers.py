@@ -258,11 +258,11 @@ class TestFactorizationReuse:
         assert assembled == factorized == len(scales) == 2
 
     @pytest.mark.parametrize("problem", ["rotation2d", "linear2d"])
-    def test_state_independent_2d_solves_with_the_frozen_lu(self, problem):
+    def test_state_independent_2d_solves_with_the_held_lu(self, problem):
         self.assert_one_matrix_per_scale(problem=problem, nx=16,
                                          t_final=0.5 / 16)
 
-    def test_state_independent_1d_solves_with_the_frozen_lu(self):
+    def test_state_independent_1d_solves_with_the_held_lu(self):
         self.assert_one_matrix_per_scale(problem="linear1d", nx=20,
                                          t_final=0.1)
 
@@ -608,7 +608,7 @@ class TestNewtonLowOrder:
         with pytest.raises(ValueError):
             newton_low_order(np.zeros(8), spec, grid, dt=0.0)
 
-    def test_frozen_engine_reaches_same_solution(self, rng, monkeypatch):
+    def test_held_matrix_engine_reaches_same_solution(self, rng, monkeypatch):
         # A stall ratio of 0 refreshes every update after the first; an
         # infinite one never refreshes, so every update uses the matrix
         # assembled at the guess.
@@ -617,10 +617,10 @@ class TestNewtonLowOrder:
         monkeypatch.setattr(solvers, "STALL_RATIO", 0.0)
         fresh, _, rep_fresh = newton_low_order(u0, spec, grid, dt=0.05)
         monkeypatch.setattr(solvers, "STALL_RATIO", np.inf)
-        frozen, _, rep_frozen = newton_low_order(u0, spec, grid, dt=0.05)
-        assert rep_frozen.converged
-        assert rep_frozen.iterations > rep_fresh.iterations
-        assert np.max(np.abs(fresh - frozen)) <= 1e-10
+        held, _, rep_held = newton_low_order(u0, spec, grid, dt=0.05)
+        assert rep_held.converged
+        assert rep_held.iterations > rep_fresh.iterations
+        assert np.max(np.abs(fresh - held)) <= 1e-10
 
     def test_dirichlet_problem_steps_cleanly(self, rng):
         spec, grid = make_burgers_1d(16, boundary=DIRICHLET)

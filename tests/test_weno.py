@@ -6,7 +6,10 @@ arithmetic, smoothness indicators are computed from their defining integrals,
 and the optimal linear weights are derived by matching the five-cell
 reconstruction.  The production kernels must agree with this independent
 construction.  A single five-cell stencil is fed to the line kernels as a
-line of its own (see :func:`face_value`).
+line of its own (see :func:`face_value`).  The face-value kernel is also
+held, on whole lines, to the classic formulation it replaced
+(:func:`oracles.reference_face_values_line`), whose weights and candidates
+the tests read directly.
 """
 
 import functools
@@ -16,13 +19,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from mppfv import weno
 from mppfv.fluxes import high_order_flux
 from mppfv.weno import (CENTER_STENCIL, EPS_WENO, LINEAR_WEIGHTS_RIGHT,
                         center_point_values_line, face_derivatives_line,
                         face_values_line)
 
 from conftest import make_linear_advection_1d
+from oracles import (_candidates_right, _nonlinear_weights,
+                     _smoothness_indicators, reference_face_values_line)
 
 X = sp.Symbol("x")
 
@@ -37,9 +41,9 @@ def face_value(v, side):
 
 def face_weights(v, side):
     """The three nonlinear weights behind :func:`face_value`."""
-    b = weno._smoothness_indicators(*np.asarray(v, dtype=float))
+    b = _smoothness_indicators(*np.asarray(v, dtype=float))
     return tuple(float(w) for w in
-                 weno._nonlinear_weights(*b, +1 if side == "+" else -1))
+                 _nonlinear_weights(*b, +1 if side == "+" else -1))
 
 
 def face_derivative(v, h, side):
@@ -244,7 +248,7 @@ class TestDegree4Reproduction:
             coeffs = random_quartic(rng)
             exact = float(sum(c * (h / 2) ** k for k, c in enumerate(coeffs)))
             avgs = quartic_cell_averages(coeffs, [k * h for k in range(-2, 3)], h)
-            cand = weno._candidates_right(*avgs)
+            cand = _candidates_right(*avgs)
             got = sum(g * q for g, q in zip(LINEAR_WEIGHTS_RIGHT, cand))
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
@@ -275,6 +279,54 @@ class TestShockBehaviour:
         for side in "+-":
             v = face_value(st, side)
             assert -1e-12 <= v <= 2.0 + 1e-12
+
+
+class TestKernelMatchesReference:
+    """The shared-difference kernel against the classic formulation, to
+    ``32 eps max(1, max|v|)`` on every face of whole lines."""
+
+    @staticmethod
+    def assert_matches(v, ghost=3):
+        got = face_values_line(v, ghost=ghost)
+        want = reference_face_values_line(v, ghost=ghost)
+        bound = 32.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(v)))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= bound
+
+    @pytest.mark.parametrize("m,ghost", [(206, 3), (806, 3), (48, 4)])
+    def test_random_lines(self, m, ghost, rng):
+        self.assert_matches(rng.uniform(-2.0, 2.0, m), ghost)
+
+    @pytest.mark.parametrize("ghost", [3, 4])
+    def test_both_axes_of_a_2d_state(self, ghost, rng):
+        # The x-axis line is a block of whole rows, the y-axis line the
+        # strided view the high-order flux hands over.
+        u_ext = rng.uniform(0.0, 1.0, (11 + 2 * ghost, 17 + 2 * ghost))
+        inner = slice(ghost, -ghost)
+        self.assert_matches(u_ext[inner, :], ghost)
+        self.assert_matches(u_ext[:, inner].swapaxes(-1, -2), ghost)
+
+    @pytest.mark.parametrize("data", ["step", "constant", "eps", "sqrt-eps"])
+    def test_special_data(self, data, rng):
+        # Amplitudes of EPS_WENO and of its square root put the smoothness
+        # indicators far below and near the regularization.
+        m = 64
+        v = {"step": lambda: np.where(np.arange(m) < m // 2, 0.0, 2.0),
+             "constant": lambda: np.full(m, 0.7),
+             "eps": lambda: EPS_WENO * rng.uniform(-1.0, 1.0, m),
+             "sqrt-eps": lambda: np.sqrt(EPS_WENO) * rng.uniform(-1.0, 1.0, m),
+             }[data]()
+        self.assert_matches(v)
+        self.assert_matches(np.tile(v, (3, 1)))
+
+    def test_kernels_leave_their_input_unchanged(self, rng):
+        # Any write into the read-only input lines would raise.
+        u_ext = rng.uniform(0.0, 1.0, (14, 19))
+        u_ext.flags.writeable = False
+        for line in (u_ext[3:-3, :], u_ext[:, 3:-3].swapaxes(-1, -2)):
+            face_values_line(line)
+            face_derivatives_line(line, 0.1)
 
 
 class TestVectorizedKernels:
