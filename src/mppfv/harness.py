@@ -356,9 +356,8 @@ def convergence_study(config):
     rows = []
     errors, spacings = [], []
     for n in config.study:
-        ny = None
-        if spec.dim == 2 and config.ny is not None and config.ny != config.nx:
-            ny = int(round(n * config.ny / config.nx))
+        ny = None if config.ny is None else int(round(n * config.ny
+                                                      / config.nx))
         sub = replace(config, nx=int(n), ny=ny, study=(), snapshot_times=(),
                       out=None)
         diag, _ = run(sub)

@@ -156,7 +156,10 @@ def _transport(velocity):
 
 
 def make_grid(spec, nx, ny=None):
-    """Build the :class:`StructuredGrid` matching a problem's domain."""
+    """Build the :class:`StructuredGrid` matching a problem's domain; ``ny``
+    (default ``nx``) only for a 2D problem."""
+    if ny is not None and spec.dim < 2:
+        raise ValueError(f"problem {spec.name!r} is 1D and takes no ny")
     cells = (int(nx), int(nx) if ny is None else int(ny))[:spec.dim]
     return StructuredGrid(spec.dim, cells, spec.domain_lo, spec.domain_hi,
                           spec.boundary)

@@ -25,13 +25,17 @@ Euler, ``a_mm * dt`` for stage ``m``).  Cell ids are the flattened cell
 array of the :mod:`mesh` axis convention, so the face-to-cell map of every
 axis comes from :func:`fluxes.adjacent_cells` with no dimension branch.
 
-The matrix is assembled into a sparsity pattern computed once per grid
-(the first time that grid is assembled): the CSR index arrays and the data
-slot of every face term, the terms summed into their slots in the order a
-COO-to-CSR conversion sums them, so the data equal those of a COO
-assembly (bitwise, but for the sign of zeros: every slot starts at +0.0).
-Every face keeps both off-diagonal positions (explicit zeros included), so
-the pattern is structurally symmetric.
+The matrix is held as a per-cell stencil, an array of shape
+``(1 + 2*dim, *grid.shape)``: row 0 is the diagonal, rows ``1 + 2*axis``
+and ``2 + 2*axis`` are each cell's couplings to the previous and the next
+cell along ``axis`` (across the seam of a periodic axis; zero where that
+cell is a Dirichlet ghost, which is data, not an unknown).  The diagonal
+sums its face terms in the order a COO assembly does, so the stencil read
+as CSR equals a COO assembly's data (bitwise, but for the sign of zeros).
+Only SuperLU and the tests read it as CSR
+(:attr:`SparseBandedMatrix.matrix`), through index arrays computed once per
+grid; every face between two cells keeps both off-diagonal positions
+(explicit zeros included), so the pattern is structurally symmetric.
 
 Linear solves (modified Newton with the Jacobian reused across solves,
 Hairer & Wanner, *Solving ODEs II*, §IV.8), one rule in every dimension:
@@ -41,18 +45,18 @@ there starts on it.  The first solve at a scale assembles the
 pseudo-Jacobian at its guess.  Once an iterate's residual is more than
 ``STALL_RATIO`` of the previous one, every later update of that solve
 assembles the pseudo-Jacobian at its iterate and factorizes it.  A
-refreshed matrix whose data equal those of the matrix in use keeps that LU
-for the rest of the solve, with no further assembly: the pseudo-Jacobian
-of a state-independent problem (rotation2d) or of one that depends on time
-only (vortex2d).
+refreshed matrix whose stencil equals that of the matrix in use (signs of
+zeros aside) keeps that LU for the rest of the solve, with no further
+assembly: the pseudo-Jacobian of a state-independent problem (rotation2d)
+or of one that depends on time only (vortex2d).
 
-Each LU fits its matrix (:class:`SparseBandedMatrix`).  The 1D
-pseudo-Jacobian is tridiagonal, with two corner entries on a periodic
-axis: LAPACK ``dgttrf``/``dgttrs`` factorize and solve it in ``O(N)``,
-the corners by Sherman–Morrison (Press et al., *Numerical Recipes*,
-§2.7).  The 2D pattern is structurally symmetric, so SuperLU orders it by
-minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``) rather than by its
-default COLAMD, with about half the fill.
+Each LU fits its matrix (:class:`SparseBandedMatrix`).  The three rows
+of a 1D stencil are the bands of a tridiagonal matrix, with two corner
+entries on a periodic axis: LAPACK ``dgttrf``/``dgttrs`` factorize and
+solve it in ``O(N)``, the corners by Sherman–Morrison (Press et al.,
+*Numerical Recipes*, §2.7).  The 2D pattern is structurally symmetric, so
+SuperLU orders it by minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``)
+rather than by its default COLAMD, with about half the fill.
 
 One loop, ``_quasi_newton``, runs every such solve; its two callers differ
 only in the flux they iterate on and in their reference and starting
@@ -75,7 +79,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from . import fluxes
-from .mesh import LAST, PERIODIC, ghost_fill
+from .mesh import FIRST, LAST, PERIODIC, ghost_fill, sides
 
 TOL_LOW_ORDER = 1e-12
 TOL_STAGE = 1e-8
@@ -111,31 +115,10 @@ class SolverReport:
             raise ValueError("converged report must satisfy its tolerance")
 
 
-def _cyclic_band_slots(indptr, indices):
-    """Data slots of the sub-, main and super-diagonal of a CSR matrix read
-    cyclically (row ``i``, columns ``i-1``, ``i``, ``i+1`` mod ``N``), as a
-    ``(3, N)`` array in which ``nnz`` marks an entry that is not stored; so
-    the corner ``[0, N-1]`` is the first sub-diagonal slot and ``[N-1, 0]``
-    the last super-diagonal one.  ``None`` when ``N < 3``, an entry lies
-    off these diagonals or one is stored twice."""
-    n, nnz = len(indptr) - 1, int(indptr[-1])
-    if n < 3 or nnz > 3 * n:
-        return None
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    band = (indices - rows + 1) % n  # 0 sub, 1 main, 2 super
-    if np.any(band > 2):
-        return None
-    slots = np.full((3, n), nnz)
-    slots[band, rows] = np.arange(nnz)
-    if np.count_nonzero(slots < nnz) < nnz:
-        return None
-    return slots
-
-
 class _TridiagonalLU:
     """LAPACK ``gttrf`` factors of a cyclic tridiagonal matrix given by its
     bands (row ``i`` holds ``sub[i]``, ``main[i]``, ``sup[i]`` in columns
-    ``i-1``, ``i``, ``i+1`` mod ``N``; ``main`` is overwritten).
+    ``i-1``, ``i``, ``i+1`` mod ``N``; the bands are left unchanged).
 
     Nonzero corners ``top = A[0, N-1]`` and ``bottom = A[N-1, 0]`` are split
     off by Sherman–Morrison (Press et al., *Numerical Recipes*, §2.7):
@@ -152,6 +135,7 @@ class _TridiagonalLU:
         if cyclic:
             gamma = -main[0] if main[0] != 0.0 else -max(abs(top),
                                                          abs(bottom))
+            main = main.copy()
             main[0] -= gamma
             main[-1] -= top * bottom / gamma
         *self._factors, info = lapack.dgttrf(sub[1:], main, sup[:-1])
@@ -176,45 +160,41 @@ class _TridiagonalLU:
         return x
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseBandedMatrix:
-    """Banded sparse matrix (tridiagonal with periodic corners in 1D,
-    5-point pattern with periodic wrap in 2D) with a cached factorization.
+    """The pseudo-Jacobian on ``grid`` as its per-cell ``stencil`` (see the
+    module docstring), with a cached factorization.
 
-    The stored pattern is structurally symmetric by construction: every
-    face contributes both off-diagonal positions (values may be zero).
-
-    Every matrix, in 1D and 2D, is solved with its own LU, which fits the
-    pattern.  A matrix of ``N >= 3`` rows stored only on the three cyclic
-    diagonals (main, first sub- and super-diagonal, the two periodic
-    corners) gets :class:`_TridiagonalLU`.
-    Any other gets SuperLU with the minimum-degree ordering of
-    ``A^T + A``, which suits a structurally symmetric pattern (rotation2d
-    128²: L+U 2.44M → 1.08M nonzeros against the default COLAMD).  SuperLU also decides every
-    matrix the tridiagonal LU finds singular.  ``_bands`` holds the slots
-    of :func:`_cyclic_band_slots`, found from the pattern unless given.
+    Every matrix is solved with its own LU, which fits the stencil.  The
+    three rows of a 1D stencil on ``N >= 3`` cells go straight to
+    :class:`_TridiagonalLU`.  Any other matrix gets SuperLU on
+    :attr:`matrix` with the minimum-degree ordering of ``A^T + A``, which
+    suits a structurally symmetric pattern (rotation2d 128²: L+U 2.44M →
+    1.08M nonzeros against the default COLAMD).  SuperLU also decides every
+    matrix the tridiagonal LU finds singular.
     """
 
-    matrix: object
-    _lu: object = field(default=None, repr=False, compare=False)
-    _bands: object = field(default=None, repr=False, compare=False)
+    stencil: np.ndarray
+    grid: object
+    _lu: object = field(default=None, repr=False)
 
-    def __post_init__(self):
-        m = sp.csr_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        self.matrix = m
-        if self._bands is None:
-            self._bands = _cyclic_band_slots(m.indptr, m.indices)
+    @functools.cached_property
+    def matrix(self):
+        """The matrix as CSR, on the index arrays cached for its grid."""
+        indices, indptr, slots = _csr_index(self.grid)
+        data = np.bincount(slots, weights=self.stencil.ravel(),
+                           minlength=len(indices) + 1)[:-1]
+        n = self.grid.num_cells
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def factorize(self):
         """Compute (once) and return the LU factorization; the returned
         object solves with ``.solve(b)``."""
         if self._lu is None:
-            if self._bands is not None:
-                bands = np.append(self.matrix.data, 0.0)[self._bands]
+            if len(self.stencil) == 3 and self.grid.num_cells >= 3:
+                main, sub, sup = self.stencil
                 try:
-                    self._lu = _TridiagonalLU(*bands)
+                    self._lu = _TridiagonalLU(sub, main, sup)
                 except np.linalg.LinAlgError:
                     pass  # SuperLU decides
             if self._lu is None:
@@ -230,21 +210,37 @@ class SparseBandedMatrix:
         return self.factorize().solve(np.ravel(np.asarray(rhs, dtype=float)))
 
 
+@functools.lru_cache(maxsize=16)
+def _csr_index(grid):
+    """``(indices, indptr, slots)``: the CSR index arrays of the
+    pseudo-Jacobian on ``grid`` and the data slot of every entry of the
+    flattened stencil, ``nnz`` for a Dirichlet ghost coupling (not
+    stored).  Computed on the grid's first use, shared and read-only."""
+    n = grid.num_cells
+    ids = np.arange(n).reshape(grid.shape)
+    cols = [ids]
+    for axis in range(grid.dim):
+        low, high = fluxes.adjacent_cells(ids, grid, axis, -1)
+        cols += [sides(low, axis)[0], sides(high, axis)[1]]
+    cols = np.ravel(cols)
+    rows = np.tile(ids.ravel(), len(cols) // n)
+    stored = cols >= 0
+    entries, inverse = np.unique(rows[stored] * n + cols[stored],
+                                 return_inverse=True)
+    slots = np.full(len(cols), len(entries))
+    slots[stored] = inverse
+    r, c = np.divmod(entries, n)
+    index = np.int32 if max(len(entries), n) < 2**31 else np.int64
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
+    out = (c.astype(index), indptr.astype(index), slots)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Pseudo-Jacobian assembly
 # ---------------------------------------------------------------------------
-
-def _face_adjacent_ids(grid, axis):
-    """Flattened cell ids on the low/high side of each face of ``axis``,
-    with -1 marking a ghost side, and the mask of faces to assemble (on
-    periodic axes the wrap face is counted once, at the near array end)."""
-    ids = np.arange(grid.num_cells).reshape(grid.shape)
-    low, high = fluxes.adjacent_cells(ids, grid, axis, -1)
-    use = np.ones(low.shape, dtype=bool)
-    if grid.boundary[axis] == PERIODIC:
-        use[LAST[axis]] = False
-    return low.ravel(), high.ravel(), use.ravel()
-
 
 def _axis_flux_derivatives(u_ext, spec, grid, axis, t):
     """Per-face ``(dG/du_L, dG/du_R)`` of the low-order flux."""
@@ -263,90 +259,35 @@ def _axis_flux_derivatives(u_ext, spec, grid, axis, t):
     return dGdL, dGdR
 
 
-class _JacobianPattern:
-    """The pseudo-Jacobian's sparsity pattern on one grid.
-
-    ``groups[axis]`` lists the face-term groups of that axis in assembly
-    order as ``(faces, sign, side)``: the flat indices of the faces in the
-    group, the sign of the term and which flux derivative it takes (0 for
-    ``dG/du_L``, 1 for ``dG/du_R``).  The groups are the row of the
-    low-side cell (the face is outward, +axis): its diagonal and, where
-    both sides are cells, its high-side column; then the row of the
-    high-side cell (the face is inward, -axis): its diagonal and its
-    low-side column.  ``slots`` maps every term, the identity's last, to
-    its CSR data slot.
-    """
-
-    def __init__(self, grid):
-        N = grid.num_cells
-        self.groups, rows, cols = [], [], []
-        for axis in range(grid.dim):
-            low, high, use = _face_adjacent_ids(grid, axis)
-            faces = np.flatnonzero(use)
-            L, R = low[faces], high[faces]
-            mL, mR = L >= 0, R >= 0
-            both = mL & mR
-            groups = []
-            for m, sign, side, row, col in ((mL, 1.0, 0, L, L),
-                                            (both, 1.0, 1, L, R),
-                                            (mR, -1.0, 1, R, R),
-                                            (both, -1.0, 0, R, L)):
-                groups.append((faces[m], sign, side))
-                rows.append(row[m])
-                cols.append(col[m])
-            self.groups.append(groups)
-        ids = np.arange(N)
-        rows = np.concatenate(rows + [ids])
-        cols = np.concatenate(cols + [ids])
-        entries, self.slots = np.unique(rows * N + cols, return_inverse=True)
-        self.nnz = len(entries)
-        r, c = np.divmod(entries, N)
-        index = np.int32 if max(self.nnz, N) < 2**31 else np.int64
-        self.shape = (N, N)
-        self.indices = c.astype(index)
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(r, minlength=N)))).astype(index)
-        # Every matrix on this grid shares these; none may change them.
-        self.indices.setflags(write=False)
-        self.indptr.setflags(write=False)
-        self.bands = _cyclic_band_slots(self.indptr, self.indices)
-
-    def matrix(self, terms):
-        """The CSR matrix with each term summed into its slot, in order."""
-        data = np.bincount(self.slots, weights=terms, minlength=self.nnz)
-        csr = sp.csr_matrix((data, self.indices, self.indptr),
-                            shape=self.shape)
-        return SparseBandedMatrix(csr, _bands=self.bands)
-
-
-@functools.lru_cache(maxsize=16)
-def _jacobian_pattern(grid):
-    """The grid's pattern, built on its first assembly."""
-    return _JacobianPattern(grid)
-
-
 def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
     """Pseudo-Jacobian ``J = I + (scale/|K_i|) sum_faces |S| dG^L/du_j`` at
     the given state, with the wave-speed bound held fixed.
 
     ``scale`` is the total implicit weight: the time step itself for the
     backward-Euler system, ``a_mm * dt`` for DIRK stage ``m``.  Ghost cells
-    of Dirichlet boundaries are data, not unknowns: they contribute no
-    columns.  The matrix shares the grid's cached index arrays.
+    of Dirichlet boundaries are data, not unknowns: their couplings are
+    zero.
     """
     u_ext = ghost_fill(values, spec, grid, width=1)
-    pattern = _jacobian_pattern(grid)
-    terms = []
-    for axis, groups in enumerate(pattern.groups):
-        dG = [d.ravel() for d in _axis_flux_derivatives(u_ext, spec, grid,
-                                                        axis, t)]
+    stencil = np.zeros((1 + 2 * grid.dim,) + grid.shape)
+    main = stencil[0]
+    for axis in range(grid.dim):
         coef = scale / grid.spacing[axis]
-        terms += [sign * coef * dG[side][faces]
-                  for faces, sign, side in groups]
-    # The identity's ones are summed into the diagonal slots last; explicit
-    # zeros of one-sided (pure upwind) couplings stay in the pattern.
-    terms.append(np.ones(grid.num_cells))
-    return pattern.matrix(np.concatenate(terms))
+        dL, dR = (fluxes.tie_periodic_seam(coef * d, grid, axis)
+                  for d in _axis_flux_derivatives(u_ext, spec, grid, axis, t))
+        (dL_lo, dL_hi), (dR_lo, dR_hi) = sides(dL, axis), sides(dR, axis)
+        # The order of a COO assembly: each cell's high face (where the
+        # cell is the low side), then its low face, axis by axis.  The zero
+        # start changes no bit once the identity is added.
+        main += dL_hi
+        main -= dR_lo
+        prev, nxt = stencil[1 + 2 * axis], stencil[2 + 2 * axis]
+        prev[...] = -dL_lo
+        nxt[...] = dR_hi
+        if grid.boundary[axis] != PERIODIC:
+            prev[FIRST[axis]] = nxt[LAST[axis]] = 0.0
+    main += 1.0
+    return SparseBandedMatrix(stencil, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +361,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
         if refresh:
             fresh = assemble_pseudo_jacobian(y, engine.spec, engine.grid,
                                              step_dt, t=stage_time)
-            if np.array_equal(fresh.matrix.data, jac.matrix.data):
+            if np.array_equal(fresh.stencil, jac.stencil):
                 refresh, stall = False, np.inf
             else:
                 jac = fresh

@@ -11,8 +11,8 @@ these walks.
 Two oracles are of another kind, each an assembly the library replaced
 and the tests hold bitwise equal to it: :func:`coo_pseudo_jacobian`
 assembles the pseudo-Jacobian from the library's per-face derivatives
-through a COO matrix, where :mod:`mppfv.solvers` uses a cached sparsity
-pattern; :func:`nested_loop_cell_averages` projects the initial data with
+through a COO matrix, where :mod:`mppfv.solvers` writes a per-cell
+stencil; :func:`nested_loop_cell_averages` projects the initial data with
 one quadrature loop per dimension on full coordinate meshes, where
 :func:`mppfv.problems.initial_cell_averages` runs one loop over broadcast
 points.  A third, :func:`iex_chain_step`, is the extrapolation step in its
@@ -39,10 +39,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from mppfv.fluxes import divergence
-from mppfv.mesh import PERIODIC, ghost_fill
+from mppfv.fluxes import adjacent_cells, divergence
+from mppfv.mesh import LAST, PERIODIC, ghost_fill
 from mppfv.problems import _GL_NODES, _GL_WEIGHTS, LAMBDA_FLOOR
-from mppfv.solvers import _axis_flux_derivatives, _face_adjacent_ids
+from mppfv.solvers import _axis_flux_derivatives
 from mppfv.weno import EPS_WENO, LINEAR_WEIGHTS_RIGHT
 
 
@@ -290,6 +290,18 @@ def outward_limited_sums(alphas, flux, grid):
 # ---------------------------------------------------------------------------
 # The pseudo-Jacobian through a COO matrix
 # ---------------------------------------------------------------------------
+
+def _face_adjacent_ids(grid, axis):
+    """Flattened cell ids on the low/high side of each face of ``axis``,
+    with -1 marking a ghost side, and the mask of faces to assemble (on
+    periodic axes the wrap face is counted once, at the near array end)."""
+    ids = np.arange(grid.num_cells).reshape(grid.shape)
+    low, high = adjacent_cells(ids, grid, axis, -1)
+    use = np.ones(low.shape, dtype=bool)
+    if grid.boundary[axis] == PERIODIC:
+        use[LAST[axis]] = False
+    return low.ravel(), high.ravel(), use.ravel()
+
 
 def coo_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     """``J = I + (scale/|K_i|) sum_faces |S| dG^L/du_j`` as a canonical CSR

@@ -450,6 +450,15 @@ class TestCommandLine:
         assert code == 2
         assert err.startswith("error: invalid-config:")
 
+    def test_ny_on_a_1d_problem_exits_2(self, capsys):
+        for problem, extra in (("bl1d", []),
+                               ("linear1d", ["--study", "20,40"])):
+            code = main(["--problem", problem, "--nx", "20", "--ny", "7",
+                         "--scheme", "be", "--t-final", "0.02"] + extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: invalid-config:") and "ny" in err
+
     def test_missing_config_file_exits_2(self, capsys):
         code = main(["--config", "/nonexistent/run.cfg"])
         assert code == 2

@@ -11,13 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mppfv import solvers
 from mppfv.fluxes import (_face_states, divergence, high_order_flux,
                           low_order_with_bars)
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import DIRICHLET, PERIODIC, ghost_fill
+from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, make_stage_solver,
@@ -375,8 +374,9 @@ class TestHeldMatrix:
 
 
 class TestLuChoice:
-    """1D runs factorize with LAPACK's tridiagonal LU and never call
-    SuperLU; 2D runs call SuperLU with the symmetric-pattern ordering."""
+    """1D runs factorize the stencil's bands with LAPACK's tridiagonal LU
+    and never build a CSR matrix or call SuperLU; 2D runs call SuperLU
+    with the symmetric-pattern ordering."""
 
     def test_1d_run_never_calls_splu(self):
         with mock.patch.object(solvers.spla, "splu",
@@ -384,6 +384,17 @@ class TestLuChoice:
             run(RunConfig(problem="bl1d", nx=40, t_final=0.1, scheme="be",
                           dt_factor=5.0))
         assert splu.call_count == 0
+
+    def test_1d_run_never_builds_a_csr_matrix(self):
+        read = []
+        with mock.patch.object(SparseBandedMatrix, "matrix",
+                               property(read.append)), \
+                mock.patch.object(solvers.sp, "csr_matrix",
+                                  wraps=solvers.sp.csr_matrix) as csr:
+            run(RunConfig(problem="bl1d", nx=40, t_final=0.1, scheme="be",
+                          dt_factor=5.0))
+        assert read == []
+        assert csr.call_count == 0
 
     def test_2d_run_orders_for_the_symmetric_pattern(self):
         with mock.patch.object(solvers.spla, "splu",
@@ -395,67 +406,88 @@ class TestLuChoice:
                    for call in splu.call_args_list)
 
 
-def _direct_solve(matrix, rhs):
-    """Direct solve through :class:`SparseBandedMatrix`, the production
-    linear solver."""
-    return SparseBandedMatrix(matrix).solve(rhs)
+def unit_grid(shape, boundary):
+    """A grid on the unit box whose cell arrays have ``shape`` (cell counts
+    in array order, x last)."""
+    dim = len(shape)
+    return StructuredGrid(dim, tuple(reversed(shape)), (0.0,) * dim,
+                          (1.0,) * dim, boundary)
+
+
+def tridiagonal_matrix(m):
+    """The cyclic tridiagonal ``m`` as a 1D stencil: on a periodic grid
+    when a corner is nonzero, else on a Dirichlet one."""
+    n = len(m)
+    i = np.arange(n)
+    stencil = np.array([m[i, i], m[i, (i - 1) % n], m[i, (i + 1) % n]])
+    periodic = m[0, -1] != 0.0 or m[-1, 0] != 0.0
+    return SparseBandedMatrix(
+        stencil, unit_grid((n,), (PERIODIC if periodic else DIRICHLET,)))
 
 
 class TestLinearSolve:
-    def _banded(self, rng, n=12):
-        m = np.zeros((n, n))
-        for i in range(n):
-            m[i, i] = 4.0 + rng.uniform(0, 1)
-            m[i, (i + 1) % n] = -1.0 + 0.1 * rng.uniform(0, 1)
-            m[i, (i - 1) % n] = -1.0
-        return m
+    """Solves with 1D and 2D stencils agree with the dense solve of their
+    CSR matrix."""
+
+    @staticmethod
+    def banded(rng, grid):
+        """A random diagonally dominant stencil on ``grid``."""
+        stencil = rng.uniform(-1.0, -0.9, (1 + 2 * grid.dim,) + grid.shape)
+        stencil[0] = rng.uniform(2.0 * grid.dim + 1.0, 2.0 * grid.dim + 2.0,
+                                 grid.shape)
+        return SparseBandedMatrix(stencil, grid)
+
+    @staticmethod
+    def grids(n):
+        """A periodic 1D grid and a 2D grid with a periodic and a Dirichlet
+        axis, each of ``n`` cells (``n`` a multiple of 5)."""
+        return (unit_grid((n,), (PERIODIC,)),
+                unit_grid((n // 5, 5), (PERIODIC, DIRICHLET)))
 
     def test_identity_returns_rhs(self, rng):
-        rhs = rng.standard_normal(7)
-        assert np.allclose(_direct_solve(np.eye(7), rhs), rhs, atol=1e-14)
-
-    def test_three_input_types_agree_with_dense_oracle(self, rng):
-        m = self._banded(rng)
-        rhs = rng.standard_normal(12)
-        want = np.linalg.solve(m, rhs)
-        # Dense, CSR and COO input all become the same stored CSR matrix.
-        assert np.allclose(_direct_solve(m, rhs), want, atol=1e-12)
-        assert np.allclose(_direct_solve(sp.csr_matrix(m), rhs), want,
-                           atol=1e-12)
-        assert np.allclose(_direct_solve(sp.coo_matrix(m), rhs), want,
-                           atol=1e-12)
+        for grid in self.grids(10):
+            stencil = np.zeros((1 + 2 * grid.dim,) + grid.shape)
+            stencil[0] = 1.0
+            rhs = rng.standard_normal(grid.num_cells)
+            got = SparseBandedMatrix(stencil, grid).solve(rhs)
+            assert np.allclose(got, rhs, atol=1e-14)
 
     def test_tridiagonal_roundtrip(self, rng):
         n = 20
         m = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
              + np.diag(np.full(n - 1, -1.0), -1))
         x = rng.standard_normal(n)
-        got = _direct_solve(sp.csr_matrix(m), m @ x)
+        got = tridiagonal_matrix(m).solve(m @ x)
         assert np.max(np.abs(got - x)) <= 1e-10
 
     def test_periodic_corner_case_against_dense(self, rng):
-        m = self._banded(rng, n=9)  # periodic corners filled
-        rhs = rng.standard_normal(9)
-        got = _direct_solve(sp.csr_matrix(m), rhs)
-        assert np.allclose(got, np.linalg.solve(m, rhs), atol=1e-12)
+        # Every periodic coupling filled, the seam's included.
+        for grid in (unit_grid((9,), (PERIODIC,)),
+                     unit_grid((4, 5), (PERIODIC, PERIODIC))):
+            matrix = self.banded(rng, grid)
+            rhs = rng.standard_normal(matrix.grid.num_cells)
+            want = np.linalg.solve(matrix.matrix.toarray(), rhs)
+            assert np.allclose(matrix.solve(rhs), want, atol=1e-12)
 
     def test_singular_matrix_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            _direct_solve(np.zeros((4, 4)), np.ones(4))
-        with pytest.raises(np.linalg.LinAlgError):
-            _direct_solve(sp.csr_matrix(np.zeros((4, 4))), np.ones(4))
+        for grid in self.grids(10):
+            zero = SparseBandedMatrix(
+                np.zeros((1 + 2 * grid.dim,) + grid.shape), grid)
+            with pytest.raises(np.linalg.LinAlgError):
+                zero.solve(np.ones(grid.num_cells))
 
     def test_residual_certificate(self, rng):
-        m = self._banded(rng, n=30)
-        rhs = rng.standard_normal(30)
-        x = _direct_solve(sp.csr_matrix(m), rhs)
-        assert np.linalg.norm(m @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+        for grid in self.grids(30):
+            matrix = self.banded(rng, grid)
+            rhs = rng.standard_normal(matrix.grid.num_cells)
+            x = matrix.solve(rhs)
+            residual = matrix.matrix @ x - rhs
+            assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(rhs)
 
 
 class TestTridiagonalLu:
-    """Matrices on the three cyclic diagonals are factorized by
-    ``dgttrf`` (the corners by Sherman-Morrison) and must solve as the
-    dense LU does."""
+    """1D stencils are factorized by ``dgttrf`` on their three rows (the
+    corners by Sherman-Morrison) and must solve as the dense LU does."""
 
     @staticmethod
     def cyclic(rng, n, corners=True):
@@ -468,14 +500,14 @@ class TestTridiagonalLu:
 
     @staticmethod
     def assert_tridiagonal_solve(m, rng):
-        # Stored entries: the pattern the matrix shows, explicit zeros off
-        # it dropped, so the dense input takes the tridiagonal path.
-        matrix = SparseBandedMatrix(m)
+        matrix = tridiagonal_matrix(m)
         assert isinstance(matrix.factorize(), solvers._TridiagonalLU)
         rhs = rng.standard_normal(len(m))
         want = np.linalg.solve(m, rhs)
         got = matrix.solve(rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # The CSR matrix of the stencil is ``m``.
+        assert np.array_equal(matrix.matrix.toarray(), m)
 
     def test_dirichlet_tridiagonal(self, rng):
         self.assert_tridiagonal_solve(self.cyclic(rng, 17, corners=False),
@@ -501,44 +533,61 @@ class TestTridiagonalLu:
         # A small leading pivot: dgttrf swaps rows 0 and 1.
         m = self.cyclic(rng, 10, corners=False)
         m[0, 0], m[1, 0] = 1e-6, 5.0
-        matrix = SparseBandedMatrix(m)
-        ipiv = matrix.factorize()._factors[4]
+        ipiv = tridiagonal_matrix(m).factorize()._factors[4]
         assert ipiv[0] == 2  # LAPACK's 1-based row index
         self.assert_tridiagonal_solve(m, rng)
 
     def test_pseudo_jacobian_bands_come_from_the_pattern(self, rng):
+        # The stencil's rows are the main, sub- and super-diagonal of the
+        # matrix read cyclically, the corners included.
         for boundary in (PERIODIC, DIRICHLET):
             spec, grid = make_burgers_1d(12, boundary=boundary)
             jac = assemble_pseudo_jacobian(rng.uniform(0.0, 2.0, 12), spec,
                                            grid, 0.1)
-            assert jac._bands is solvers._jacobian_pattern(grid).bands
+            dense = jac.matrix.toarray()
+            i = np.arange(12)
+            for row, offset in zip(jac.stencil, (0, -1, 1)):
+                assert np.array_equal(row, dense[i, (i + offset) % 12])
             assert isinstance(jac.factorize(), solvers._TridiagonalLU)
             rhs = rng.standard_normal(12)
-            want = np.linalg.solve(jac.matrix.toarray(), rhs)
+            want = np.linalg.solve(dense, rhs)
             assert np.allclose(jac.solve(rhs), want, rtol=0, atol=1e-12)
 
     def test_other_patterns_take_superlu(self, rng):
-        m = self.cyclic(rng, 6)
-        m[0, 3] = 0.5  # off the three cyclic diagonals
-        assert SparseBandedMatrix(m)._bands is None
-        assert SparseBandedMatrix(np.eye(2))._bands is None  # N < 3
-        rhs = rng.standard_normal(6)
-        assert np.allclose(_direct_solve(m, rhs), np.linalg.solve(m, rhs),
-                           rtol=0, atol=1e-12)
+        # 2D stencils, and 1D ones on fewer than three cells.
+        for shape, boundary in (((4, 6), (PERIODIC, DIRICHLET)),
+                                ((2,), (PERIODIC,)), ((2,), (DIRICHLET,))):
+            matrix = TestLinearSolve.banded(rng, unit_grid(shape, boundary))
+            assert not isinstance(matrix.factorize(), solvers._TridiagonalLU)
+            rhs = rng.standard_normal(matrix.grid.num_cells)
+            want = np.linalg.solve(matrix.matrix.toarray(), rhs)
+            assert np.allclose(matrix.solve(rhs), want, rtol=0, atol=1e-12)
 
     def test_singular_tridiagonal_raises(self):
         m = (np.diag(np.full(6, 2.0)) + np.diag(np.full(5, -1.0), 1)
              + np.diag(np.full(5, -1.0), -1))
         m[0, 0] = m[-1, -1] = 1.0  # the Neumann Laplacian: rows sum to 0
-        for matrix in (m, sp.csr_matrix(m)):
-            with pytest.raises(np.linalg.LinAlgError):
-                _direct_solve(matrix, np.ones(6))
+        matrix = tridiagonal_matrix(m)
+        main, sub, sup = matrix.stencil
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._TridiagonalLU(sub, main, sup)
+        with pytest.raises(np.linalg.LinAlgError):  # and SuperLU agrees
+            matrix.solve(np.ones(6))
 
-
-class TestSparseBandedMatrix:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            SparseBandedMatrix(sp.csr_matrix((4, 3)))
+    def test_factorizing_leaves_the_stencil_unchanged(self, rng):
+        # The periodic corners shift two diagonal entries for
+        # Sherman-Morrison; that shift must not reach the held stencil.
+        spec, grid = make_burgers_1d(12)
+        u = rng.uniform(0.0, 2.0, 12)
+        jac = assemble_pseudo_jacobian(u, spec, grid, 0.1)
+        assert jac.stencil[1, 0] != 0.0 and jac.stencil[2, -1] != 0.0
+        stencil = jac.stencil.copy()
+        data = jac.matrix.data.copy()
+        jac.factorize()
+        assert jac.stencil.tobytes() == stencil.tobytes()
+        assert jac.matrix.data.tobytes() == data.tobytes()
+        again = assemble_pseudo_jacobian(u, spec, grid, 0.1)
+        assert np.array_equal(again.stencil, jac.stencil)
 
 
 class TestSolverReport:
