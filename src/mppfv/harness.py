@@ -274,9 +274,10 @@ def run(config):
 
     Returns ``(RunDiagnostics, final CellField)``.  Snapshots are written
     to ``config.out`` at the requested times (0 means the initial data).
-    Solver failures propagate as :class:`NonConvergenceError`, re-raised
-    with a ``step k at t=..., dt=...:`` prefix (``k`` counts from 1) and the
-    failed solve's report.
+    A step that fails to finish (a spent iteration budget, or a
+    ``ValueError`` such as a non-finite residual) raises
+    :class:`NonConvergenceError` prefixed ``step k at t=..., dt=...:``
+    (``k`` counts from 1), caused by that error and with its report, if any.
     """
     spec = build_problem(config)
     grid = make_grid(spec, config.nx, config.ny)
@@ -313,10 +314,10 @@ def run(config):
         steps += 1
         try:
             u, flux, stages = step(u, t, dt)
-        except NonConvergenceError as err:
+        except (NonConvergenceError, ValueError) as err:
             raise NonConvergenceError(
                 f"step {steps} at t={t:.6g}, dt={dt:.6g}: {err}",
-                err.report) from err
+                getattr(err, "report", None)) from err
         t += dt
         update_delta(diag, u, spec)
         for y in stages:

@@ -21,19 +21,19 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   ``ubar*_i = ubar_i + (1/a_i) sum |S| alpha dG``, and the allowances are
   ``Q^± = a_i [(u^{max/min} - ubar_i) + gamma (u^{max/min} - u_i)]``.
   Any solution is bounded with no time-step restriction.  One kernel,
-  ``_gmc_fixed_point``, holds the sweep loop; it takes ``G^H`` as a
-  callable of the iterate, which returns the frozen step-start flux for
-  the step-level limiter ``_gmc_with_flux`` and rebuilds the flux from
-  the iterate for the semi-discrete stage solver below.  Each sweep mixes
-  the diagonal update above with the previous ``ANDERSON_DEPTH`` sweeps
-  (type-II Anderson acceleration, Walker & Ni 2011), which needs a
-  fraction of the plain sweeps and converges at large steps where they
-  stall.  The mixed iterates are not projected onto the bounds;
-  boundedness comes from the converged fixed point, whose state is
-  recomputed from the realized flux.  Each caller passes its own stopping
-  tolerances: the step-level limit, which makes ``u^{n+1}`` bounded,
-  sweeps to ``TOL_GMC_TARGET`` (``TOL_GMC`` on stagnation); a stage stops
-  at ``solvers.TOL_STAGE``, as the quasi-Newton stage solves do.
+  ``_gmc_fixed_point``, runs this update in ``solvers.iterate``, the loop
+  of the quasi-Newton solves too; it takes ``G^H`` as a callable of the
+  iterate, which returns the frozen step-start flux for the step-level
+  limiter ``_gmc_with_flux`` and rebuilds the flux from the iterate for
+  the semi-discrete stage solver below.  Each update mixes the diagonal
+  map above with the previous ``ANDERSON_DEPTH`` updates (type-II
+  Anderson acceleration, Walker & Ni 2011), which needs a fraction of the
+  plain sweeps and converges at large steps where they stall.  The mixed
+  iterates are not projected onto the bounds; boundedness comes from the
+  converged fixed point, whose state is recomputed from the realized
+  flux.  The step-level limit, which makes ``u^{n+1}`` bounded, iterates
+  to ``TOL_GMC_TARGET`` (``TOL_GMC`` on stagnation); a stage stops at
+  ``solvers.TOL_STAGE``, as the quasi-Newton stage solves do.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -61,8 +61,7 @@ from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import (STALL_RATIO, TOL_STAGE, NonConvergenceError,
-                      SolverReport)
+from .solvers import TOL_STAGE, iterate
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
@@ -277,56 +276,40 @@ def _anderson_coefficients(dF, f):
 
 def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
     """The GMC fixed point ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
-    high_flux(u)))``, the only GMC sweep loop.
+    high_flux(u)))`` by :func:`solvers.iterate` from ``u0``, to ``target``
+    (``tol`` on stagnation) in at most ``MAX_GMC_SWEEPS`` updates.
 
     ``high_flux`` returns a frozen ``G^H`` for the step-level limiter and
     rebuilds it from the iterate for the semidiscrete stage; the low-order
-    flux is evaluated at time ``t``.  Each sweep evaluates the diagonal map
-    ``T(u) = (u0 + w g(u))/(1 + w)`` and mixes it with the last
+    flux is evaluated at time ``t``.  Each update evaluates the diagonal
+    map ``T(u) = (u0 + w g(u))/(1 + w)`` and mixes it with the last
     ``ANDERSON_DEPTH`` differences of ``T`` and of ``f = T(u) - u``
     (type-II Anderson acceleration): ``u <- T(u) - dT c`` with ``c`` the
-    least-squares solution of ``dF c = f``.  A sweep whose residual grew
+    least-squares solution of ``dF c = f``.  An update whose residual grew
     more than ``ANDERSON_RESTART``-fold drops the history and takes the
-    plain ``u <- T(u)``.  Sweeps stop at the first absolute l2 residual at
-    most ``target``, or at most ``tol`` once they stall or reach
-    ``MAX_GMC_SWEEPS``; the report's tolerance is ``tol``.  Returns
-    ``(u0 - dt div(realized), realized, SolverReport)``.  A non-finite
-    residual raises ``ValueError`` at once (a finite one means a finite
-    realized flux); the limiter coefficients are range-checked on exit.
+    plain ``u <- T(u)``.  Returns ``(u0 - dt div(realized), realized,
+    SolverReport)``, and raises as :func:`solvers.iterate` (a finite
+    residual means a finite realized flux); the limiter coefficients are
+    range-checked on exit.
     """
     nu = dt / grid.cell_volume
-    max_sweeps = MAX_GMC_SWEEPS
-    u = u0.copy()
-    prev_res = np.inf
     # Rows hold the last differences of f and T(u), in rotating order;
     # ``kept`` counts the differences stored since the last restart.
-    dF = np.empty((ANDERSON_DEPTH, u.size))
-    dT = np.empty((ANDERSON_DEPTH, u.size))
-    kept, f_prev = 0, None
-    for sweep in range(max_sweeps + 1):
-        G_L, alphas, accepted, a, ubar = _gmc_face_terms(
-            u, high_flux(u), spec, grid, gamma, t)
-        realized = tuple(gl - c for gl, c in zip(G_L, accepted))
-        residual = u - u0 + dt * divergence(realized, grid)
-        res = float(np.linalg.norm(np.ravel(residual)))
-        if not np.isfinite(res):
-            raise ValueError(f"bound-preserving fixed point: non-finite "
-                             f"residual at sweep {sweep}")
-        stalled = res > STALL_RATIO * prev_res
-        if (res <= target
-                or (res <= tol and (stalled or sweep == max_sweeps))):
-            _check_alphas(alphas)
-            return (u0 - dt * divergence(realized, grid), realized,
-                    SolverReport(sweep, res, True, tol))
-        if sweep == max_sweeps:
-            raise NonConvergenceError(
-                f"bound-preserving fixed point stalled at residual "
-                f"{res:.3e} after {max_sweeps} sweeps",
-                SolverReport(max_sweeps, res, False, tol))
+    dF = np.empty((ANDERSON_DEPTH, u0.size))
+    dT = np.empty((ANDERSON_DEPTH, u0.size))
+    kept, f_prev, T_prev, terms = 0, None, None, None
+
+    def realized_flux(u):
+        nonlocal terms
+        G_L, *terms = _gmc_face_terms(u, high_flux(u), spec, grid, gamma, t)
+        return tuple(gl - c for gl, c in zip(G_L, terms[1]))
+
+    def update(u, _, res, prev_res):
+        nonlocal kept, f_prev, T_prev
+        _, accepted, a, ubar = terms
         if res > ANDERSON_RESTART * prev_res:
-            # The last mixed sweep made things worse: drop the history.
+            # The last mixed update made things worse: drop the history.
             kept, f_prev = 0, None
-        prev_res = res
         ustar = ubar + grid.cell_volume * divergence(accepted, grid) / a
         g = u + (ustar - u) / (1.0 + gamma)
         w = nu * a * (1.0 + gamma)
@@ -339,9 +322,14 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
             kept += 1
             rows = min(kept, ANDERSON_DEPTH)
             mixed = T - _anderson_coefficients(dF[:rows], f) @ dT[:rows]
-        u = mixed.reshape(u0.shape)
         f_prev, T_prev = f, T
-    raise AssertionError("unreachable")
+        return mixed.reshape(u0.shape)
+
+    _, realized, report = iterate(u0, realized_flux, update, dt, u0, grid, tol,
+                                  target, MAX_GMC_SWEEPS,
+                                  "bound-preserving fixed point")
+    _check_alphas(terms[0])
+    return u0 - dt * divergence(realized, grid), realized, report
 
 
 def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
@@ -384,9 +372,9 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     high-order flux rebuilt at every iterate), sweeping from ``reference``
     (the guess is not used), and returns ``(y, realized flux,
     SolverReport)``; the stage value is recomputed from the realized flux,
-    so chained stages conserve mass exactly.  The sweeps stop at the first
-    absolute l2 residual at most ``TOL_STAGE``, the rule and norm of the
-    quasi-Newton stage solver, and the report carries that tolerance.
+    so chained stages conserve mass exactly.  It stops at the first
+    absolute l2 residual at most ``TOL_STAGE``, in the loop of the
+    quasi-Newton stage solver (:func:`solvers.iterate`).
 
     The allowances keep every bar-state average within the global bounds,
     so this semi-discretization is locally extremum diminishing with

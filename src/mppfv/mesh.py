@@ -109,14 +109,6 @@ class StructuredGrid:
             for lo, hi, n in zip(self.domain_lo, self.domain_hi, self.cells_per_axis)
         )
 
-    @property
-    def nx(self):
-        return self.cells_per_axis[0]
-
-    @property
-    def ny(self):
-        return self.cells_per_axis[1] if self.dim == 2 else 1
-
     @cached_property
     def shape(self):
         """ndarray shape of a cell field, the cell counts in reverse axis

@@ -58,14 +58,14 @@ solve it in ``O(N)``, the corners by Sherman–Morrison (Press et al.,
 SuperLU orders it by minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``)
 rather than by its default COLAMD, with about half the fill.
 
-One loop, ``_quasi_newton``, runs every such solve; its two callers differ
-only in the flux they iterate on and in their reference and starting
-states: the low-order backward-Euler step (:func:`newton_low_order`) and
-a stage of the DIRK loop, an IEX substep included (the solver from
-:func:`make_stage_solver`).  It stops at the first iterate whose l2
-residual meets the tolerance and returns that iterate with the flux
-evaluated there; when the budget runs out it raises
-:class:`NonConvergenceError` whose report carries the final residual.
+One loop, :func:`iterate`, runs every nonlinear solve: it takes the l2
+norm of the residual ``y - reference + step_dt div(G)``, checks it is
+finite, applies the stop rule, raises :class:`NonConvergenceError` on a
+spent budget and otherwise calls its caller's update.  The quasi-Newton
+update (``_quasi_newton``, for :func:`newton_low_order` and the stages of
+:func:`make_stage_solver`, IEX substeps included) solves with the
+pseudo-Jacobian above; ``limiters._gmc_fixed_point`` takes an
+Anderson-mixed GMC update.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ STALL_RATIO = 0.5
 
 
 class NonConvergenceError(RuntimeError):
-    """A nonlinear solve exhausted its iteration budget."""
+    """A nonlinear solve exhausted its iteration budget, or a time step
+    failed to finish (``harness.run`` keeps the step's error as cause)."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -306,18 +307,46 @@ class JacobianEngine:
         self.held = {}
 
 
-def _l2(v):
-    return float(np.linalg.norm(np.ravel(v)))
-
-
 # ---------------------------------------------------------------------------
-# The quasi-Newton loop
+# The nonlinear iteration loop
 # ---------------------------------------------------------------------------
+
+def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, target,
+            max_iter, what):
+    """Solve ``y - reference + (step_dt/|K_i|) sum |S| evaluate(y) = 0``
+    from ``guess`` by the updates ``y = advance(y, r, res, prev_res)``
+    (``r`` the residual, ``res`` its l2 norm, ``prev_res`` infinite at first).
+
+    Stops at the first ``res`` at most ``target``, or at most ``tol`` once
+    ``res > STALL_RATIO * prev_res`` or ``max_iter`` updates are spent, and
+    returns ``(y, evaluate(y), SolverReport)`` with the number of updates
+    and ``tol``.  A non-finite residual raises ``ValueError`` at once, a
+    spent budget :class:`NonConvergenceError` with the final residual;
+    ``what`` names the solve in both messages.
+    """
+    y, prev_res = guess, np.inf
+    for k in range(max_iter + 1):
+        flux = evaluate(y)
+        r = y - reference + step_dt * fluxes.divergence(flux, grid)
+        res = float(np.linalg.norm(np.ravel(r)))
+        if not np.isfinite(res):
+            raise ValueError(f"{what}: non-finite residual at iteration {k}")
+        if res <= target or (res <= tol and (res > STALL_RATIO * prev_res
+                                             or k == max_iter)):
+            return y, flux, SolverReport(k, res, True, tol)
+        if k < max_iter:
+            y = advance(y, r, res, prev_res)
+            prev_res = res
+    raise NonConvergenceError(
+        f"{what} stalled at residual {res:.3e} after {max_iter} iterations",
+        SolverReport(max_iter, res, False, tol))
+
 
 def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                   tol, max_iter, what):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
-    quasi-Newton iteration from ``guess``; the only Newton loop.
+    quasi-Newton iteration from ``guess``: :func:`iterate` to ``tol``, with
+    this update.
 
     Updates start on the matrix the engine holds for ``step_dt``, the one
     the last converged solve at that scale ended with; the first solve at
@@ -328,12 +357,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     in use is not factorized again: the solve keeps that LU and stops
     refreshing (a pseudo-Jacobian that does not depend on the state).  A
     converged solve leaves the engine holding the matrix it ended with.
-
-    Returns ``(y, flux_of(y), SolverReport)`` once the l2 residual is at
-    most ``tol``.  ``report.iterations`` counts Newton updates.  A
-    non-finite residual raises ``ValueError`` at once.  Raises
-    :class:`NonConvergenceError` carrying the final residual after
-    ``max_iter`` updates; ``what`` names the solve in both messages.
+    Returns and raises as :func:`iterate`.
     """
     y = np.asarray(guess, dtype=float).copy()
     scale = float(step_dt)
@@ -341,23 +365,11 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     if jac is None:
         jac = assemble_pseudo_jacobian(y, engine.spec, engine.grid, step_dt,
                                        t=stage_time)
-    prev_res, refresh, stall = np.inf, False, STALL_RATIO
-    for k in range(max_iter + 1):
-        flux = flux_of(y)
-        r = y - reference + step_dt * fluxes.divergence(flux, engine.grid)
-        res = _l2(r)
-        if not np.isfinite(res):
-            raise ValueError(f"{what}: non-finite residual at iteration {k}")
-        if res <= tol:
-            engine.held[scale] = jac
-            return y, flux, SolverReport(k, res, True, tol)
-        if k == max_iter:
-            raise NonConvergenceError(
-                f"{what} stalled at residual {res:.3e} "
-                f"after {max_iter} iterations",
-                SolverReport(max_iter, res, False, tol))
+    refresh, stall = False, STALL_RATIO
+
+    def update(y, r, res, prev_res):
+        nonlocal jac, refresh, stall
         refresh = refresh or res > stall * prev_res
-        prev_res = res
         if refresh:
             fresh = assemble_pseudo_jacobian(y, engine.spec, engine.grid,
                                              step_dt, t=stage_time)
@@ -366,7 +378,12 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
             else:
                 jac = fresh
         y += jac.solve(-np.ravel(r)).reshape(y.shape)
-    raise AssertionError("unreachable")
+        return y
+
+    out = iterate(reference, flux_of, update, step_dt, y, engine.grid, tol,
+                  tol, max_iter, what)
+    engine.held[scale] = jac
+    return out
 
 
 def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):

@@ -85,7 +85,7 @@ def faces(grid):
 
 
 def _axis_faces_1d(grid, out):
-    nx = grid.nx
+    (nx,) = grid.cells_per_axis
     xf = grid.axis_faces(0)
     h = grid.spacing[0]
     if grid.boundary[0] == PERIODIC:
@@ -99,7 +99,7 @@ def _axis_faces_1d(grid, out):
 
 
 def _axis_faces_2d(grid, axis, out):
-    nx, ny = grid.nx, grid.ny
+    nx, ny = grid.cells_per_axis
     area = grid.face_area(axis)
     xf = grid.axis_faces(0)
     yf = grid.axis_faces(1)

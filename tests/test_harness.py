@@ -517,6 +517,29 @@ class TestCommandLine:
                                   "stage 2/5: stalled")
         assert exc.value.report == "report"
 
+    # burgers1d at dt = 1000h: the solves of the first step blow up to a
+    # non-finite residual or wave-speed bound (a ValueError in the step).
+    BLOWUP = ["--problem", "burgers1d", "--nx", "40", "--dt-factor", "1000",
+              "--t-final", "50"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["be", "sdirk5", "iex2"])
+    def test_value_error_in_a_step_is_a_solver_failure(self, scheme, capsys):
+        assert main(self.BLOWUP + ["--scheme", scheme]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: solver-failure: step 1 at t=0, dt=50: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["be", "sdirk5", "iex2"])
+    def test_value_error_in_a_step_is_the_cause(self, scheme):
+        config = RunConfig(problem="burgers1d", nx=40, scheme=scheme,
+                           dt_factor=1000.0, t_final=50.0)
+        with pytest.raises(NonConvergenceError) as exc:
+            run(config)
+        assert isinstance(exc.value.__cause__, ValueError)
+        assert str(exc.value) == (f"step 1 at t=0, dt=50: "
+                                  f"{exc.value.__cause__}")
+
     @pytest.mark.parametrize("module", ["mppfv", "mppfv.harness"])
     def test_module_entry_point(self, module):
         src = str(Path(harness.__file__).resolve().parents[1])

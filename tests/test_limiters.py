@@ -41,7 +41,7 @@ def random_grid(rng):
 
 
 def random_budgets(rng, grid):
-    shape = (grid.nx,) if grid.dim == 1 else grid.shape
+    shape = grid.shape
     q_plus = np.maximum(0.0, rng.uniform(-0.5, 3.0, shape))   # some zeros
     q_minus = np.minimum(0.0, rng.uniform(-3.0, 0.5, shape))
     return q_minus, q_plus

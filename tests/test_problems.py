@@ -344,13 +344,13 @@ class TestGridFactory:
     def test_1d_and_2d_dimensions(self):
         spec1 = linear_advdiff_1d(0.0)
         g1 = make_grid(spec1, 50)
-        assert g1.dim == 1 and g1.nx == 50
+        assert g1.dim == 1 and g1.cells_per_axis == (50,)
         assert g1.domain_lo == spec1.domain_lo
         spec2 = kpp_2d(0.0)
         g2 = make_grid(spec2, 16)
-        assert g2.dim == 2 and (g2.nx, g2.ny) == (16, 16)
+        assert g2.dim == 2 and g2.cells_per_axis == (16, 16)
         g3 = make_grid(spec2, 16, 24)
-        assert (g3.nx, g3.ny) == (16, 24)
+        assert g3.cells_per_axis == (16, 24)
 
     def test_evaluate_exact_requires_closed_form(self):
         spec = burgers_1d()

@@ -600,6 +600,69 @@ class TestSolverReport:
         assert ok.converged
 
 
+class TestIterationLoop:
+    """The loop shared by the quasi-Newton solves and the GMC fixed point,
+    on a linear contraction: the flux is zero, so the residual is
+    ``y - reference``, and each update shrinks it by the factor ``rate``
+    (a stall when ``rate > STALL_RATIO``).  ``seen`` collects the residual
+    norm of every evaluation, ``updates`` the arguments of every update."""
+
+    GRID = StructuredGrid(1, (8,), (0.0,), (1.0,), (PERIODIC,))
+
+    def solve(self, rate, tol, target, max_iter, flux=np.zeros(9)):
+        reference = np.zeros(8)
+        self.seen, self.updates = [], []
+
+        def evaluate(y):
+            self.seen.append(float(np.linalg.norm(y - reference)))
+            return (flux,)
+
+        def advance(y, r, res, prev_res):
+            self.updates.append((res, prev_res))
+            return y - (1.0 - rate) * r
+
+        return solvers.iterate(reference, evaluate, advance, 0.1,
+                               np.linspace(1.0, 2.0, 8), self.GRID, tol,
+                               target, max_iter, "toy solve")
+
+    def test_stops_at_target(self):
+        y, flux, report = self.solve(0.1, 1e-6, 1e-6, 50)
+        seen = self.seen
+        assert report == SolverReport(len(self.updates), seen[-1], True, 1e-6)
+        assert seen[-2] > 1e-6 >= seen[-1]
+        assert np.linalg.norm(y) == seen[-1] and not np.any(flux[0])
+        assert self.updates[0][1] == np.inf
+        assert [prev for _, prev in self.updates[1:]] == seen[:-2]
+
+    def test_accepts_tol_only_after_a_stall_or_a_spent_budget(self):
+        tol, target = 1e-3, 1e-9
+        # Contracting: goes on past residuals within tol to the target.
+        self.solve(0.1, tol, target, 50)
+        assert self.seen[-1] <= target < self.seen[-2] <= tol
+        # Stalled: the first residual within tol is accepted.
+        report = self.solve(0.6, tol, target, 50)[2]
+        assert target < report.residual <= tol < self.seen[-2]
+        assert report == SolverReport(len(self.seen) - 1, self.seen[-1],
+                                      True, tol)
+        # Contracting, but the budget is spent within tol.
+        report = self.solve(0.1, tol, target, 4)[2]
+        assert target < report.residual <= tol
+        assert report == SolverReport(4, self.seen[-1], True, tol)
+
+    def test_spent_budget_raises_with_report(self):
+        with pytest.raises(NonConvergenceError, match="^toy solve ") as exc:
+            self.solve(0.1, 1e-12, 1e-13, 3)
+        assert len(self.seen) == 4
+        assert exc.value.report == SolverReport(3, self.seen[-1], False,
+                                                1e-12)
+
+    def test_non_finite_residual_raises_after_one_evaluation(self):
+        with pytest.raises(ValueError, match="^toy solve: non-finite "
+                                             "residual at iteration 0$"):
+            self.solve(0.1, 1e-6, 1e-6, 50, flux=np.full(9, np.nan))
+        assert len(self.seen) == 1 and not self.updates
+
+
 class TestNewtonLowOrder:
     def test_constant_state_converges_without_updates(self):
         spec, grid = make_burgers_1d(12)
