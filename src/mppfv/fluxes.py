@@ -91,9 +91,10 @@ def adjacent_center_coordinates(grid, axis):
 
 
 def adjacent_slices(grid, width, axis):
-    """Index tuples selecting, from a ghost-extended array, the low-side and
-    high-side cell values of every face of ``axis`` (face-array shape)."""
-    lo = [slice(width, width + n) for n in grid.shape]
+    """Index tuples selecting, from a ghost-extended array (or a stack of
+    them along leading axes), the low-side and high-side cell values of
+    every face of ``axis`` (face-array shape)."""
+    lo = [Ellipsis] + [slice(width, width + n) for n in grid.shape]
     hi = lo.copy()
     n = grid.cells_per_axis[axis]
     lo[-1 - axis] = slice(width - 1, width + n)

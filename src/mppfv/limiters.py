@@ -46,7 +46,11 @@ Also here: the implicit-Euler stage solver on the semi-discrete GMC
 limiting (both flux orders evaluated at the stage state, limited so the
 semi-discretization is locally-extremum-diminishing with respect to the
 global bounds), which runs the stages of the extrapolation integrator in
-the DIRK stage loop of :mod:`time_integration`.  Its stages stop at
+the DIRK stage loop of :mod:`time_integration`.  That loop hands it each
+dependency level as one stack (substep j of every chain), and it runs the
+members' fixed points in one ``iterate`` loop: one flux evaluation per
+sweep for the whole stack, each member mixed and stopped on its own, so
+each keeps the result of its substep solved alone.  Its stages stop at
 ``TOL_STAGE``, so the chain states are bounded only up to that
 tolerance; boundedness with no step-size limit holds at the fixed point,
 and the step-level limit removes what the stages leave.
@@ -61,7 +65,7 @@ from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import TOL_STAGE, iterate
+from .solvers import TOL_STAGE, iterate, take
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
@@ -275,61 +279,85 @@ def _anderson_coefficients(dF, f):
 
 
 def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
-    """The GMC fixed point ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
-    high_flux(u)))`` by :func:`solvers.iterate` from ``u0``, to ``target``
-    (``tol`` on stagnation) in at most ``MAX_GMC_SWEEPS`` updates.
+    """The GMC fixed points ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
+    high_flux(u)))`` of a stack of members by :func:`solvers.iterate` from
+    ``u0``, to ``target`` (``tol`` on stagnation) in at most
+    ``MAX_GMC_SWEEPS`` updates.
 
-    ``high_flux`` returns a frozen ``G^H`` for the step-level limiter and
-    rebuilds it from the iterate for the semidiscrete stage; the low-order
-    flux is evaluated at time ``t``.  Each update evaluates the diagonal
-    map ``T(u) = (u0 + w g(u))/(1 + w)`` and mixes it with the last
-    ``ANDERSON_DEPTH`` differences of ``T`` and of ``f = T(u) - u``
-    (type-II Anderson acceleration): ``u <- T(u) - dT c`` with ``c`` the
-    least-squares solution of ``dF c = f``.  An update whose residual grew
-    more than ``ANDERSON_RESTART``-fold drops the history and takes the
-    plain ``u <- T(u)``.  Returns ``(u0 - dt div(realized), realized,
-    SolverReport)``, and raises as :func:`solvers.iterate` (a finite
-    residual means a finite realized flux); the limiter coefficients are
+    ``u0`` is a stack of cell states, shape ``(m, *grid.shape)``; ``dt``
+    and ``t`` broadcast against it (per-member ``(m,) + (1,)*dim`` arrays,
+    or scalars).  ``high_flux(u, members)`` returns a frozen ``G^H`` for
+    the step-level limiter and rebuilds it from the iterate for the
+    semidiscrete stage (``members`` as in :func:`solvers.iterate`); the
+    low-order flux is evaluated at time ``t``.  Each update evaluates the
+    diagonal map ``T(u) = (u0 + w g(u))/(1 + w)`` and, per member, mixes it
+    with the member's last ``ANDERSON_DEPTH`` differences of ``T`` and of
+    ``f = T(u) - u`` (type-II Anderson acceleration): ``u <- T(u) - dT c``
+    with ``c`` the least-squares solution of ``dF c = f``.  A member whose
+    residual grew more than ``ANDERSON_RESTART``-fold drops its history and
+    takes the plain ``u <- T(u)``.  Returns the stacks ``(u0 - dt
+    div(realized), realized)`` and the :class:`solvers.StackReport`, and
+    raises as :func:`solvers.iterate` (a finite residual means a finite
+    realized flux); the limiter coefficients each member stopped at are
     range-checked on exit.
     """
+    count, size = len(u0), u0[0].size
     nu = dt / grid.cell_volume
-    # Rows hold the last differences of f and T(u), in rotating order;
-    # ``kept`` counts the differences stored since the last restart.
-    dF = np.empty((ANDERSON_DEPTH, u0.size))
-    dT = np.empty((ANDERSON_DEPTH, u0.size))
-    kept, f_prev, T_prev, terms = 0, None, None, None
+    # Per member, rows hold the last differences of f and T(u), in rotating
+    # order; ``kept`` counts the differences stored since the last restart.
+    dF = np.empty((count, ANDERSON_DEPTH, size))
+    dT = np.empty((count, ANDERSON_DEPTH, size))
+    kept, f_prev, T_prev = [0] * count, [None] * count, [None] * count
+    terms = alphas = evaluated = None
 
-    def realized_flux(u):
-        nonlocal terms
-        G_L, *terms = _gmc_face_terms(u, high_flux(u), spec, grid, gamma, t)
+    def realized_flux(u, members):
+        nonlocal terms, alphas, evaluated
+        evaluated = members
+        G_L, *terms = _gmc_face_terms(u, high_flux(u, members), spec, grid,
+                                      gamma, take(t, members))
+        if members is None:
+            alphas = terms[0]
+        elif alphas is not None:
+            for full, part in zip(alphas, terms[0]):
+                full[members] = part
         return tuple(gl - c for gl, c in zip(G_L, terms[1]))
 
-    def update(u, _, res, prev_res):
-        nonlocal kept, f_prev, T_prev
+    def update(u, _, res, prev_res, members):
         _, accepted, a, ubar = terms
-        if res > ANDERSON_RESTART * prev_res:
-            # The last mixed update made things worse: drop the history.
-            kept, f_prev = 0, None
+        if members is not evaluated:
+            # Members stopped at the last evaluation: keep the others' rows.
+            rows = members if evaluated is None else np.searchsorted(
+                evaluated, members)
+            accepted = tuple(x[rows] for x in accepted)
+            a, ubar = a[rows], ubar[rows]
         ustar = ubar + grid.cell_volume * divergence(accepted, grid) / a
         g = u + (ustar - u) / (1.0 + gamma)
-        w = nu * a * (1.0 + gamma)
-        T = np.ravel((u0 + w * g) / (1.0 + w))
-        f = T - np.ravel(u)
-        mixed = T
-        if f_prev is not None:
-            dF[kept % ANDERSON_DEPTH] = f - f_prev
-            dT[kept % ANDERSON_DEPTH] = T - T_prev
-            kept += 1
-            rows = min(kept, ANDERSON_DEPTH)
-            mixed = T - _anderson_coefficients(dF[:rows], f) @ dT[:rows]
-        f_prev, T_prev = f, T
-        return mixed.reshape(u0.shape)
+        w = take(nu, members) * a * (1.0 + gamma)
+        T = ((take(u0, members) + w * g) / (1.0 + w)).reshape(len(u), -1)
+        f = T - u.reshape(len(u), -1)
+        mixed = []
+        for j, i in enumerate(range(count) if members is None else members):
+            if res[j] > ANDERSON_RESTART * prev_res[j]:
+                # The last mixed update made things worse: drop the history.
+                kept[i], f_prev[i] = 0, None
+            if f_prev[i] is None:
+                mixed.append(T[j])
+            else:
+                dF[i, kept[i] % ANDERSON_DEPTH] = f[j] - f_prev[i]
+                dT[i, kept[i] % ANDERSON_DEPTH] = T[j] - T_prev[i]
+                kept[i] += 1
+                rows = min(kept[i], ANDERSON_DEPTH)
+                mixed.append(T[j] - _anderson_coefficients(dF[i, :rows], f[j])
+                             @ dT[i, :rows])
+            f_prev[i], T_prev[i] = f[j], T[j]
+        return (mixed[0] if len(mixed) == 1 else np.stack(mixed)).reshape(
+            u.shape)
 
-    _, realized, report = iterate(u0, realized_flux, update, dt, u0, grid, tol,
-                                  target, MAX_GMC_SWEEPS,
-                                  "bound-preserving fixed point")
-    _check_alphas(terms[0])
-    return u0 - dt * divergence(realized, grid), realized, report
+    _, realized, reports = iterate(u0, realized_flux, update, dt, u0, grid,
+                                   tol, target, MAX_GMC_SWEEPS,
+                                   "bound-preserving fixed point")
+    _check_alphas(alphas)
+    return u0 - dt * divergence(realized, grid), realized, reports
 
 
 def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
@@ -347,12 +375,14 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
         raise ValueError("gamma must be >= 0")
     if strict_reference:
         _check_reference(u_n, spec, "the previous solution")
-    u_new, realized, report = _gmc_fixed_point(
-        u_n, lambda _: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
+    G_H = tuple(g[None] for g in G_H)
+    u_new, realized, reports = _gmc_fixed_point(
+        u_n[None], lambda *_: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
         TOL_GMC_TARGET)
+    u_new, realized = u_new[0], tuple(g[0] for g in realized)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
-    return u_new, realized, report
+    return u_new, realized, reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +394,20 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     :func:`time_integration.dirk_step` and
     :func:`time_integration.iex_step`.
 
-    ``solver(reference, step_dt, stage_time, guess)`` solves the
-    implicit-Euler stage ``y = reference + step_dt * RHS(y)``, where
+    ``solver(reference, step_dt, stage_time, guess)`` solves, for every
+    member of the stacked stage contract of
+    :func:`time_integration.dirk_step`, the implicit-Euler stage
+    ``y = reference + step_dt * RHS(y)``, where
     ``RHS = -(1/|K|) sum |S| [G^L - alpha (G^L - G^H)]`` has both flux
     orders and the allowances evaluated at ``y``, by the same
     Anderson-mixed fixed point as the step-level limiter (with the
     high-order flux rebuilt at every iterate), sweeping from ``reference``
-    (the guess is not used), and returns ``(y, realized flux,
-    SolverReport)``; the stage value is recomputed from the realized flux,
-    so chained stages conserve mass exactly.  It stops at the first
-    absolute l2 residual at most ``TOL_STAGE``, in the loop of the
-    quasi-Newton stage solver (:func:`solvers.iterate`).
+    (the guess is not used), and returns the stacks ``(y, realized flux)``
+    and a :class:`solvers.StackReport`; the stage value is recomputed from
+    the realized flux, so chained stages conserve mass exactly.  Each
+    member stops at its first absolute l2 residual at most ``TOL_STAGE``,
+    in the loop of the quasi-Newton stage solver
+    (:func:`solvers.iterate`).
 
     The allowances keep every bar-state average within the global bounds,
     so this semi-discretization is locally extremum diminishing with
@@ -386,7 +419,9 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
 
     def solver(reference, step_dt, stage_time, guess):
         return _gmc_fixed_point(
-            reference, lambda y: high_order_flux(y, spec, grid, t=stage_time),
+            reference,
+            lambda y, members: high_order_flux(
+                y, spec, grid, t=take(stage_time, members)),
             spec, grid, step_dt, gamma, stage_time, TOL_STAGE, TOL_STAGE)
 
     return solver

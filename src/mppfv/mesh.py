@@ -11,7 +11,12 @@ with the prescribed constant boundary value.
 Array-axis convention: grid axis ``k`` is array axis ``-1-k`` of every cell
 and face array, in 1D and 2D alike, so x is the last array axis and y the
 one before it (``values[iy, ix]``, row-major with x fastest), and
-:attr:`StructuredGrid.shape` lists the cell counts in reverse.  Kernels
+:attr:`StructuredGrid.shape` lists the cell counts in reverse.  Axes ahead
+of the grid axes are member axes: the cell and face kernels take a stack
+of states, shape ``(m, *grid.shape)``, and treat each member as if it came
+alone (the stacked stage solves of :mod:`time_integration`); a per-member
+value such as the time broadcasts against the stack as an
+``(m,) + (1,)*dim`` array.  Kernels
 between face and cell arrays are one loop over grid axes and meet the
 convention only through :func:`axis_index` (and the index tuples ``LOW``,
 ``HIGH``, ``FIRST``, ``LAST`` built from it once), :func:`sides` and
@@ -191,24 +196,26 @@ class CellField:
 
 
 def ghost_fill(values, problem_spec, grid, width=GHOST_WIDTH):
-    """Extend the cell state ``values`` (an array of ``grid.shape``) with
-    ``width`` ghost layers per side.
+    """Extend the cell state ``values`` (an array of ``grid.shape``, or a
+    stack of them along leading axes) with ``width`` ghost layers per side
+    of every grid axis.
 
     Periodic axes copy wrapped interior values; Dirichlet axes fill every
     ghost layer with the prescribed constant boundary value taken from
     ``problem_spec.dirichlet_values`` (a per-axis ``(lo_value, hi_value)``
-    pair).  Returns a plain ndarray of shape ``interior + 2*width`` per axis.
+    pair).  Returns a plain ndarray of shape ``interior + 2*width`` per grid
+    axis, leading axes unchanged.
 
     Raises
     ------
     ValueError
-        If the values do not have ``grid.shape``, or a Dirichlet axis has
-        no boundary values on the problem spec.
+        If the trailing axes of the values are not ``grid.shape``, or a
+        Dirichlet axis has no boundary values on the problem spec.
     """
     if width < 1:
         raise ValueError("ghost width must be >= 1")
     ext = np.asarray(values, dtype=float)
-    if ext.shape != grid.shape:
+    if ext.shape[max(ext.ndim - grid.dim, 0):] != grid.shape:
         raise ValueError(f"values shape {ext.shape} does not match grid "
                          f"shape {grid.shape}")
     for axis in range(grid.dim):

@@ -105,17 +105,22 @@ LAMBDA_FLOOR = 1e-12
 
 def _filled(value):
     """``filled(a, b)``: ``np.full`` of ``value`` shaped like ``a`` and
-    ``b`` broadcast together, built once per pair of shapes and returned
-    read-only, so every caller shares it."""
-    cache = {}
+    ``b`` broadcast together, returned read-only, so every caller shares
+    it.  Each pair of shapes gets a view of one buffer per size, so the
+    x- and y-faces of a square grid, or a state and a stack of one, share
+    their storage."""
+    cache, buffers = {}, {}
 
     def filled(a, b):
         key = (np.shape(a), np.shape(b))
         out = cache.get(key)
         if out is None:
-            out = np.full(np.broadcast_shapes(*key), value)
-            out.flags.writeable = False
-            cache[key] = out
+            shape = np.broadcast_shapes(*key)
+            size = math.prod(shape)
+            if size not in buffers:
+                buffers[size] = np.full(size, value)
+                buffers[size].flags.writeable = False
+            out = cache[key] = buffers[size].reshape(shape)
         return out
 
     return filled

@@ -58,19 +58,25 @@ solve it in ``O(N)``, the corners by Sherman–Morrison (Press et al.,
 SuperLU orders it by minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``)
 rather than by its default COLAMD, with about half the fill.
 
-One loop, :func:`iterate`, runs every nonlinear solve: it takes the l2
-norm of the residual ``y - reference + step_dt div(G)``, checks it is
-finite, applies the stop rule, raises :class:`NonConvergenceError` on a
-spent budget and otherwise calls its caller's update.  The quasi-Newton
-update (``_quasi_newton``, for :func:`newton_low_order` and the stages of
+One loop, :func:`iterate`, runs every nonlinear solve, on a stack of
+members (the member axes of :mod:`mesh`; a single solve is a stack of
+one): it takes the l2 norm of each member's residual ``y - reference +
+step_dt div(G)``, checks it is finite, applies the stop rule per member,
+raises :class:`NonConvergenceError` on a spent budget and otherwise calls
+its caller's update.  A member that stops leaves the stack with the
+iterate and flux it stopped at, so each member's result and report are
+those of its solve alone, and the others go on without it.  The
+quasi-Newton update (``_quasi_newton``, for :func:`newton_low_order` and the stages of
 :func:`make_stage_solver`, IEX substeps included) solves with the
-pseudo-Jacobian above; ``limiters._gmc_fixed_point`` takes an
-Anderson-mixed GMC update.
+pseudo-Jacobian above, one held matrix and LU per member's scale;
+``limiters._gmc_fixed_point`` takes an Anderson-mixed GMC update, with one
+mixing history and least-squares problem per member.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,78 +317,175 @@ class JacobianEngine:
 # The nonlinear iteration loop
 # ---------------------------------------------------------------------------
 
+class StackReport(tuple):
+    """The :class:`SolverReport` of every member of a stacked solve, in
+    stack order.  Its ``iterations`` are the stack's: the updates the
+    stacked solve made, which are its slowest member's."""
+
+    @property
+    def iterations(self):
+        return max(report.iterations for report in self)
+
+
+def take(value, members):
+    """The entries of the per-member ``value`` that belong to ``members``
+    (all of them when ``members`` is None); a scalar belongs to every
+    member."""
+    if members is None or np.ndim(value) == 0:
+        return value
+    return value[members]
+
+
+def _blame(err, member):
+    """``err``, naming the stack ``member`` it came from (kept when set)."""
+    if getattr(err, "member", None) is None:
+        err.member = member
+    return err
+
+
 def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, target,
             max_iter, what):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| evaluate(y) = 0``
-    from ``guess`` by the updates ``y = advance(y, r, res, prev_res)``
-    (``r`` the residual, ``res`` its l2 norm, ``prev_res`` infinite at first).
+    for every member of a stack from ``guess`` by the updates
+    ``y = advance(y, r, res, prev_res, members)``.
 
-    Stops at the first ``res`` at most ``target``, or at most ``tol`` once
-    ``res > STALL_RATIO * prev_res`` or ``max_iter`` updates are spent, and
-    returns ``(y, evaluate(y), SolverReport)`` with the number of updates
-    and ``tol``.  A non-finite residual raises ``ValueError`` at once, a
-    spent budget :class:`NonConvergenceError` with the final residual;
-    ``what`` names the solve in both messages.
+    ``reference`` and ``guess`` are stacks of cell states, shape
+    ``(m, *grid.shape)``; ``step_dt`` broadcasts against them (a per-member
+    ``(m,) + (1,)*dim`` array, or one scalar for all).  ``evaluate(y,
+    members)`` returns the stacked face flux of the iterate stack ``y``.
+    ``members`` lists the stack indices of the rows of ``y``, ``r`` (the
+    residuals) and the lists ``res`` (their l2 norms) and ``prev_res``
+    (the previous ones, infinite at first); it is None while every member
+    is in the stack.
+
+    Each member stops on its own residual: at the first one at most
+    ``target``, or at most ``tol`` once it exceeds ``STALL_RATIO`` times
+    the member's previous one or ``max_iter`` updates are spent.  A member
+    that stops leaves the stack, so later evaluations and updates see only
+    the members still iterating, and keeps the iterate and flux it stopped
+    at, as if it had been solved alone.  Returns the stacks ``(y,
+    evaluate(y))`` and a :class:`StackReport` with each member's number of
+    updates and ``tol``.  A non-finite residual raises ``ValueError`` at
+    once, a spent budget :class:`NonConvergenceError` with the member's
+    final residual; ``what`` names the solve in both messages, and the
+    error's ``member`` attribute is the stack index of the member that
+    raised it, also for a ``ValueError`` from ``evaluate``.
     """
-    y, prev_res = guess, np.inf
+    count = len(guess)
+    y, members, out = guess, None, None
+    ids, prev_res = range(count), [np.inf] * count
+    reports = [None] * count
     for k in range(max_iter + 1):
-        flux = evaluate(y)
+        try:
+            flux = evaluate(y, members)
+        except ValueError as err:
+            _blame(err, _first_failing(evaluate, y, ids))
+            raise
         r = y - reference + step_dt * fluxes.divergence(flux, grid)
-        res = float(np.linalg.norm(np.ravel(r)))
-        if not np.isfinite(res):
-            raise ValueError(f"{what}: non-finite residual at iteration {k}")
-        if res <= target or (res <= tol and (res > STALL_RATIO * prev_res
-                                             or k == max_iter)):
-            return y, flux, SolverReport(k, res, True, tol)
-        if k < max_iter:
-            y = advance(y, r, res, prev_res)
-            prev_res = res
-    raise NonConvergenceError(
-        f"{what} stalled at residual {res:.3e} after {max_iter} iterations",
-        SolverReport(max_iter, res, False, tol))
+        # Each member's l2 norm, as np.linalg.norm takes it.
+        res = [math.sqrt(row.dot(row)) for row in r.reshape(len(r), -1)]
+        stop = []
+        for j, (value, prev) in enumerate(zip(res, prev_res)):
+            if not math.isfinite(value):
+                raise _blame(ValueError(
+                    f"{what}: non-finite residual at iteration {k}"), ids[j])
+            if value <= target or (value <= tol and (value > STALL_RATIO * prev
+                                                     or k == max_iter)):
+                reports[ids[j]] = SolverReport(k, value, True, tol)
+                stop.append(j)
+        if stop:
+            if len(stop) == len(ids) and out is None:
+                return y, flux, StackReport(reports)
+            if out is None:
+                out = (np.empty((count,) + y.shape[1:]),
+                       tuple(np.empty((count,) + f.shape[1:]) for f in flux))
+            done = [ids[j] for j in stop]
+            out[0][done] = y[stop]
+            for f_out, f in zip(out[1], flux):
+                f_out[done] = f[stop]
+            if len(stop) == len(ids):
+                return out + (StackReport(reports),)
+            keep = [j for j in range(len(ids)) if j not in stop]
+            ids = [ids[j] for j in keep]
+            members = np.array(ids)
+            y, r, reference = y[keep], r[keep], reference[keep]
+            step_dt = take(step_dt, keep)
+            res = [res[j] for j in keep]
+            prev_res = [prev_res[j] for j in keep]
+        if k == max_iter:
+            raise _blame(NonConvergenceError(
+                f"{what} stalled at residual {res[0]:.3e} after {max_iter} "
+                f"iterations", SolverReport(max_iter, res[0], False, tol)),
+                ids[0])
+        y = advance(y, r, res, prev_res, members)
+        prev_res = res
+
+
+def _first_failing(evaluate, y, ids):
+    """The stack index of the first member whose flux, evaluated alone,
+    raises ``ValueError`` (the first member when none does)."""
+    if len(ids) > 1:
+        for j, member in enumerate(ids):
+            try:
+                evaluate(y[j:j + 1], np.array([member]))
+            except ValueError:
+                return member
+    return ids[0]
 
 
 def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                   tol, max_iter, what):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
-    quasi-Newton iteration from ``guess``: :func:`iterate` to ``tol``, with
-    this update.
+    quasi-Newton iteration from ``guess`` for every member of a stack:
+    :func:`iterate` to ``tol``, with this update.  ``step_dt`` and
+    ``stage_time`` hold one value per member (any shape with ``m``
+    entries).
 
-    Updates start on the matrix the engine holds for ``step_dt``, the one
-    the last converged solve at that scale ended with; the first solve at
-    a scale assembles the pseudo-Jacobian at ``guess`` and ``stage_time``.
-    Once a residual exceeds ``STALL_RATIO`` times the previous one, every
-    later update refreshes: it assembles the pseudo-Jacobian at its iterate
-    and solves with that matrix's LU.  A refreshed matrix equal to the one
-    in use is not factorized again: the solve keeps that LU and stops
+    Each member's updates start on the matrix the engine holds for its
+    ``step_dt``, the one the last converged solve at that scale ended with;
+    the first solve at a scale assembles the pseudo-Jacobian at the
+    member's guess and ``stage_time``.  Once a member's residual exceeds
+    ``STALL_RATIO`` times its previous one, every later update of that
+    member refreshes: it assembles the pseudo-Jacobian at its iterate and
+    solves with that matrix's LU.  A refreshed matrix equal to the one in
+    use is not factorized again: the member keeps that LU and stops
     refreshing (a pseudo-Jacobian that does not depend on the state).  A
-    converged solve leaves the engine holding the matrix it ended with.
-    Returns and raises as :func:`iterate`.
+    converged solve leaves the engine holding, for each member's scale in
+    stack order, the matrix that member ended with.  Returns and raises as
+    :func:`iterate`.
     """
-    y = np.asarray(guess, dtype=float).copy()
-    scale = float(step_dt)
-    jac = engine.held.get(scale)
-    if jac is None:
-        jac = assemble_pseudo_jacobian(y, engine.spec, engine.grid, step_dt,
-                                       t=stage_time)
-    refresh, stall = False, STALL_RATIO
+    y = np.array(guess, dtype=float)
+    scales = [float(s) for s in np.ravel(step_dt)]
+    times = np.ravel(stage_time)
+    spec, grid = engine.spec, engine.grid
+    jac = [engine.held.get(scale) for scale in scales]
+    for i, matrix in enumerate(jac):
+        if matrix is None:
+            jac[i] = assemble_pseudo_jacobian(y[i], spec, grid, scales[i],
+                                              t=times[i])
+    refresh, stall = [False] * len(y), [STALL_RATIO] * len(y)
 
-    def update(y, r, res, prev_res):
-        nonlocal jac, refresh, stall
-        refresh = refresh or res > stall * prev_res
-        if refresh:
-            fresh = assemble_pseudo_jacobian(y, engine.spec, engine.grid,
-                                             step_dt, t=stage_time)
-            if np.array_equal(fresh.stencil, jac.stencil):
-                refresh, stall = False, np.inf
-            else:
-                jac = fresh
-        y += jac.solve(-np.ravel(r)).reshape(y.shape)
+    def update(y, r, res, prev_res, members):
+        for j, i in enumerate(range(len(y)) if members is None else members):
+            try:
+                refresh[i] = refresh[i] or res[j] > stall[i] * prev_res[j]
+                if refresh[i]:
+                    fresh = assemble_pseudo_jacobian(y[j], spec, grid,
+                                                     scales[i], t=times[i])
+                    if np.array_equal(fresh.stencil, jac[i].stencil):
+                        refresh[i], stall[i] = False, np.inf
+                    else:
+                        jac[i] = fresh
+                y[j] += jac[i].solve(-np.ravel(r[j])).reshape(y[j].shape)
+            except ValueError as err:
+                _blame(err, i)
+                raise
         return y
 
-    out = iterate(reference, flux_of, update, step_dt, y, engine.grid, tol,
-                  tol, max_iter, what)
-    engine.held[scale] = jac
+    out = iterate(reference, flux_of, update, step_dt, y, grid, tol, tol,
+                  max_iter, what)
+    for scale, matrix in zip(scales, jac):
+        engine.held[scale] = matrix
     return out
 
 
@@ -404,12 +507,14 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
     if engine is None:
         engine = JacobianEngine(spec, grid)
     stage_time = t + dt
-    _, flux, report = _quasi_newton(
-        u_n,
-        lambda u: fluxes.low_order_with_bars(u, spec, grid, t=stage_time)[0],
-        dt, stage_time, u_n, engine, TOL_LOW_ORDER, MAX_ITER_LOW_ORDER,
+    _, flux, reports = _quasi_newton(
+        u_n[None],
+        lambda u, _: fluxes.low_order_with_bars(u, spec, grid,
+                                                t=stage_time)[0],
+        dt, stage_time, u_n[None], engine, TOL_LOW_ORDER, MAX_ITER_LOW_ORDER,
         "low-order solve")
-    return u_n - dt * fluxes.divergence(flux, grid), flux, report
+    flux = tuple(f[0] for f in flux)
+    return u_n - dt * fluxes.divergence(flux, grid), flux, reports[0]
 
 
 def make_stage_solver(engine):
@@ -417,17 +522,19 @@ def make_stage_solver(engine):
     engine's problem and grid; every stage of every step starts on the
     matrix the engine holds for its implicit scale.
 
-    ``solver(reference, step_dt, stage_time, guess)`` solves
-    ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0`` and returns
-    ``(y, G^H(y), SolverReport)``, ``G^H(y)`` a per-axis tuple of face
-    arrays; it raises on non-convergence.
+    ``solver(reference, step_dt, stage_time, guess)`` solves the stacked
+    stages ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0``, one per
+    member (the stage contract of :func:`time_integration.dirk_step`), and
+    returns ``(y, G^H(y), StackReport)``, ``G^H(y)`` a per-axis tuple of
+    stacked face arrays; it raises on non-convergence.
     """
     spec, grid = engine.spec, engine.grid
 
     def solver(reference, step_dt, stage_time, guess):
         return _quasi_newton(
             reference,
-            lambda y: fluxes.high_order_flux(y, spec, grid, t=stage_time),
+            lambda y, members: fluxes.high_order_flux(
+                y, spec, grid, t=take(stage_time, members)),
             step_dt, stage_time, guess, engine, TOL_STAGE, MAX_ITER_STAGE,
             "stage solve")
 

@@ -7,6 +7,19 @@ loop with stage-flux aggregation and an optional per-stage limit hook; the
 extrapolation stepper is that loop on the IEX-p tableau.  Stage fluxes are
 per-axis tuples of face arrays (see :mod:`fluxes`).
 
+The loop solves the stages by dependency level (:attr:`ButcherTableau.levels`):
+a stage's level is one more than the highest level of the stages it reads
+(``A[m, s] != 0``), and the implicit stages of a level go to the stage
+solver in one call, stacked along a leading member axis (the member axes of
+:mod:`mesh`).  The stage solver's contract is stacked in, stacked out: the
+references, guesses, implicit steps ``a_mm dt`` and stage times of the
+members in, their values and fluxes and one :class:`solvers.SolverReport`
+per member out, each member's result that of its own solve
+(:func:`solvers.iterate` stops and freezes every member on its own
+residual).  SDIRK5's levels are single stages; IEX-p's are the substeps
+with the same index in every chain, so iex4's ten substeps are four stacked
+solves of 4, 3, 2 and 1 members.
+
 The IEX-p method of order p runs, for k = 1..p, a chain of k backward-Euler
 substeps of size dt/k, then extrapolates the k first-order results to order
 p.  Written as a Runge-Kutta method it has p(p+1)/2 stages in k-indexed
@@ -17,6 +30,7 @@ ones matrix) and weights w_k/k repeated over block k, where
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +75,19 @@ class ButcherTableau:
     @property
     def stages(self):
         return len(self.b)
+
+    @functools.cached_property
+    def levels(self):
+        """The stage indices by dependency level, in stage order within
+        each level: stage m's level is one more than the highest level of
+        the stages s < m with ``A[m, s] != 0`` (0 when there are none), so
+        the stages of a level depend only on those of earlier levels."""
+        level = []
+        for m in range(self.stages):
+            level.append(1 + max((level[s] for s in range(m)
+                                  if self.A[m, s] != 0.0), default=-1))
+        return tuple(tuple(m for m in range(self.stages) if level[m] == k)
+                     for k in range(max(level) + 1))
 
 
 #: Diagonal entry shared by all stages of the five-stage SDIRK method.
@@ -142,15 +169,26 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
     and the first stage of each IEX chain, which does not follow on from
     the stage before it).
 
+    The stages are solved level by level (:attr:`ButcherTableau.levels`):
+    the implicit stages of a level go to one ``stage_solver`` call, stacked
+    along a leading member axis in stage order, and each member's result
+    is that of its own solve.
+
     Parameters
     ----------
     stage_solver : callable(reference, step_dt, stage_time, guess) ->
-        (values, flux, SolverReport)
-        Nonlinear solver for one stage with effective implicit step
-        ``step_dt = a_mm * dt``; returns the converged stage value with the
-        high-order flux evaluated there, and raises
-        :class:`NonConvergenceError` on failure.  Stages with ``a_mm = 0``
-        are explicit and call :func:`fluxes.high_order_flux` instead.
+        (values, flux, StackReport)
+        Nonlinear solver for a stack of stages, the stage contract:
+        ``reference`` and ``guess`` have shape ``(m, *grid.shape)``, and
+        ``step_dt`` (``a_mm * dt``, the effective implicit step) and
+        ``stage_time`` shape ``(m,) + (1,)*dim``, one entry per member.  It
+        returns the converged stage values, the high-order flux evaluated
+        there (per-axis face arrays with the same leading axis) and one
+        :class:`solvers.SolverReport` per member, and raises
+        :class:`NonConvergenceError` or ``ValueError`` on failure, naming
+        the member in the error's ``member`` attribute.  Stages with
+        ``a_mm = 0`` are explicit and call :func:`fluxes.high_order_flux`
+        instead.
     limit_stage : callable(reference, flux, step_dt, start_time) ->
         (values, flux), optional
         Replaces the value and flux of every stage with ``a_mm != 0`` by a
@@ -167,43 +205,77 @@ def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,
 
     Raises
     ------
-    NonConvergenceError
-        The stage solver's, re-raised with a ``stage m/M:`` prefix and the
-        same report.
+    NonConvergenceError, ValueError
+        The stage solver's, re-raised as the same type with a
+        ``stage m/M:`` prefix (the failing member's stage) and, for
+        :class:`NonConvergenceError`, the same report.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     A, b, c = tableau.A, tableau.b, tableau.c
-    stage_values = []
-    stage_fluxes = []
-    for m in range(tableau.stages):
-        r = u_n.copy()
+    member_shape = (-1,) + (1,) * np.ndim(u_n)
+    stage_values = [None] * tableau.stages
+    stage_fluxes = [None] * tableau.stages
+
+    def stage_reference(m, out):
+        out[...] = u_n
         for s in range(m):
             if A[m, s] != 0.0:
-                r -= (dt * A[m, s]) * divergence(stage_fluxes[s], grid)
-        stage_time = t + c[m] * dt
-        step_dt = A[m, m] * dt
-        if A[m, m] == 0.0:
-            y = r
-            flux = high_order_flux(y, spec, grid, t=stage_time)
-        else:
-            guess = y if m and A[m, m - 1] != 0.0 else r
-            try:
-                y, flux, _ = stage_solver(r, step_dt, stage_time, guess)
-            except NonConvergenceError as err:
-                raise NonConvergenceError(
-                    f"stage {m + 1}/{tableau.stages}: {err}",
-                    err.report) from err
-        if limit_stage is not None and A[m, m] != 0.0:
-            y, flux = limit_stage(r, flux, step_dt, stage_time - step_dt)
-        stage_values.append(y)
-        stage_fluxes.append(flux)
+                out -= (dt * A[m, s]) * divergence(stage_fluxes[s], grid)
+        return out
+
+    for level in tableau.levels:
+        implicit = [m for m in level if A[m, m] != 0.0]
+        for m in level:
+            if A[m, m] == 0.0:
+                stage_values[m] = stage_reference(m, np.empty_like(u_n))
+                stage_fluxes[m] = high_order_flux(stage_values[m], spec, grid,
+                                                  t=t + c[m] * dt)
+        if not implicit:
+            continue
+        reference = np.empty((len(implicit),) + u_n.shape)
+        for j, m in enumerate(implicit):
+            stage_reference(m, reference[j])
+        guess = [stage_values[m - 1] if m and A[m, m - 1] != 0.0 else
+                 reference[j] for j, m in enumerate(implicit)]
+        # A stack of one is a view: a level of one copies nothing.
+        guess = guess[0][None] if len(guess) == 1 else np.stack(guess)
+        step_dt = [A[m, m] * dt for m in implicit]
+        stage_time = [t + c[m] * dt for m in implicit]
+        try:
+            y, flux, _ = stage_solver(
+                reference, np.reshape(step_dt, member_shape),
+                np.reshape(stage_time, member_shape), guess)
+        except (NonConvergenceError, ValueError) as err:
+            raise _at_stage(err, implicit, tableau.stages) from err
+        for j, m in enumerate(implicit):
+            stage_values[m] = y[j]
+            stage_fluxes[m] = tuple(f[j] for f in flux)
+            if limit_stage is not None:
+                stage_values[m], stage_fluxes[m] = limit_stage(
+                    reference[j], stage_fluxes[m], step_dt[j],
+                    stage_time[j] - step_dt[j])
 
     total = tuple(f * b[0] for f in stage_fluxes[0])
     for m in range(1, tableau.stages):
         total = tuple(g + f * b[m] for g, f in zip(total, stage_fluxes[m]))
     check_finite(total)
     return u_n - dt * divergence(total, grid), total, tuple(stage_values)
+
+
+def _at_stage(err, stages, count):
+    """``err`` as the same type, prefixed with the stage among ``stages``
+    (the members of the failed solve) that its ``member`` names; every
+    member's when it names none and there are several."""
+    member = getattr(err, "member", None)
+    if member is None and len(stages) == 1:
+        member = 0
+    where = (f"stage {stages[member] + 1}" if member is not None else
+             "stages " + ", ".join(str(m + 1) for m in stages))
+    message = f"{where}/{count}: {err}"
+    if isinstance(err, NonConvergenceError):
+        return NonConvergenceError(message, err.report)
+    return type(err)(message)
 
 
 def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
@@ -213,8 +285,9 @@ def iex_step(u_n, p, spec, grid, stage_solver, dt, t=0.0):
     The stages are the k backward-Euler substeps of size dt/k of chain
     k = 1..p, in that order, and the update weighs chain k's fluxes by
     ``w_k/k``, which conserves mass exactly.  ``stage_solver`` is as for
-    :func:`dirk_step`; the first substep of every chain starts its solve
-    from ``u^n``.
+    :func:`dirk_step`, which solves substep j of every chain k >= j as one
+    stacked level; the first substep of every chain starts its solve from
+    ``u^n``.
 
     Returns
     -------

@@ -27,8 +27,9 @@ per side, built by small helpers from the five stencil values) that
 differences; the two agree to roundoff.
 
 Last, helpers that only the tests use: the stage-MPP inequality of a
-Butcher tableau, and a reader for the snapshot CSV files of
-:func:`mppfv.harness.snapshot`.
+Butcher tableau, a reader for the snapshot CSV files of
+:func:`mppfv.harness.snapshot`, and :func:`solve_one`, which runs one
+stage solve through the stacked stage contract as a stack of one.
 """
 
 from __future__ import annotations
@@ -365,12 +366,24 @@ def nested_loop_cell_averages(spec, grid):
 # The extrapolation step as backward-Euler chains
 # ---------------------------------------------------------------------------
 
+def solve_one(stage_solver, reference, step_dt, stage_time, guess):
+    """One stage of a stage solver (the stacked contract of
+    :func:`mppfv.time_integration.dirk_step`) as a stack of one member:
+    returns its ``(y, flux, SolverReport)`` with the member axis dropped."""
+    member = (1,) * (np.ndim(reference) + 1)
+    y, flux, reports = stage_solver(
+        np.asarray(reference)[None], np.full(member, step_dt),
+        np.full(member, stage_time), np.asarray(guess)[None])
+    assert len(reports) == 1
+    return y[0], tuple(f[0] for f in flux), reports[0]
+
+
 def iex_chain_step(u_n, p, stage_solver, dt, grid, t=0.0):
     """One IEX-p step in chain form.
 
     For k = 1..p, k backward-Euler substeps of size dt/k are chained, each
-    solved by ``stage_solver(reference, step_dt, stage_time, guess)`` with
-    reference and guess the previous chain state; the next chain state is
+    solved alone by the stage solver (:func:`solve_one`) with reference and
+    guess the previous chain state; the next chain state is
     rebuilt from the substep's flux, ``y - (dt/k) div flux``.  The chain
     results and the chains' averaged fluxes are extrapolated by the
     Aitken-Neville recurrence
@@ -386,7 +399,7 @@ def iex_chain_step(u_n, p, stage_solver, dt, grid, t=0.0):
     for k in range(1, p + 1):
         y, flux_sum = u0, None
         for j in range(1, k + 1):
-            _, flux, _ = stage_solver(y, dt / k, t + j * dt / k, y)
+            _, flux, _ = solve_one(stage_solver, y, dt / k, t + j * dt / k, y)
             y = y - (dt / k) * divergence(flux, grid)
             chain_states.append(y)
             flux_sum = flux if flux_sum is None else tuple(

@@ -106,7 +106,8 @@ class TestFaceFluxSet:
         G[0][3] = np.nan
 
         def poisoned(reference, step_dt, stage_time, guess):
-            return reference, G, SolverReport(0, 0.0, True, 1.0)
+            return (reference, tuple(g[None] for g in G),
+                    (SolverReport(0, 0.0, True, 1.0),))
 
         with pytest.raises(ValueError, match="finite"):
             if exit_ == "dirk_step":
@@ -561,3 +562,101 @@ class TestGhostCoupling:
         assert np.array_equal(ext[3:-3], u)
         assert np.array_equal(ext[:3], u[-3:])
         assert np.array_equal(ext[-3:], u[:3])
+
+
+def _member_states(spec, grid, members, rng):
+    """``members`` bounded cell states of ``grid``, stacked along a leading
+    axis."""
+    lo, hi = spec.global_min, spec.global_max
+    return rng.uniform(lo, hi, (members,) + grid.shape)
+
+
+def _stack_cases():
+    """Stacks on 1D periodic (burgers1d), 1D Dirichlet (bl1d) and 2D
+    periodic (rotation2d) grids."""
+    from mppfv.problems import BUILTIN_PROBLEMS
+    for name, cells in (("burgers1d", (40,)), ("bl1d", (40,)),
+                        ("rotation2d", (12, 9))):
+        spec = BUILTIN_PROBLEMS[name]()
+        yield pytest.param(spec, make_grid(spec, *cells), id=name)
+
+
+class TestMemberStacks:
+    """Every cell and face kernel takes a stack of states of shape
+    ``(m, *grid.shape)`` and gives each member, bitwise, what that member
+    gives alone; the per-member time broadcasts as ``(m,) + (1,)*dim``."""
+
+    @staticmethod
+    def assert_members(stacked, alone):
+        """Member ``j`` of every array in the (nested) tuple ``stacked``
+        equals the array in the same place of ``alone[j]``."""
+        def equal(got, want, j):
+            if isinstance(want, tuple):
+                return all(equal(a, b, j) for a, b in zip(got, want))
+            return np.array_equal(got[j], want)
+
+        for j, want in enumerate(alone):
+            assert equal(stacked, want, j), j
+
+    @pytest.mark.parametrize("spec,grid", _stack_cases())
+    def test_every_kernel_matches_each_member_alone(self, spec, grid, rng):
+        from mppfv.limiters import _gmc_face_terms, zalesak_alphas
+
+        u = _member_states(spec, grid, 3, rng)
+        t = np.array([0.0, 0.1, 0.35]).reshape((3,) + (1,) * grid.dim)
+        for width in (1, 3):
+            got = ghost_fill(u, spec, grid, width=width)
+            for j in range(3):
+                assert np.array_equal(got[j],
+                                      ghost_fill(u[j], spec, grid, width))
+        self.assert_members(
+            high_order_flux(u, spec, grid, t=t),
+            [high_order_flux(u[j], spec, grid, t=t.flat[j]) for j in range(3)])
+        self.assert_members(
+            low_order_with_bars(u, spec, grid, t=t),
+            [low_order_with_bars(u[j], spec, grid, t=t.flat[j])
+             for j in range(3)])
+        G_H = high_order_flux(u, spec, grid, t=t)
+        self.assert_members(
+            (divergence(G_H, grid),),
+            [(divergence(tuple(g[j] for g in G_H), grid),) for j in range(3)])
+        budgets = (-rng.uniform(0.0, 1.0, u.shape),
+                   rng.uniform(0.0, 1.0, u.shape))
+        self.assert_members(
+            zalesak_alphas(G_H, *budgets, grid),
+            [zalesak_alphas(tuple(g[j] for g in G_H), budgets[0][j],
+                            budgets[1][j], grid) for j in range(3)])
+        for gamma in (0.0, 1.0):
+            self.assert_members(
+                _gmc_face_terms(u, G_H, spec, grid, gamma, t),
+                [_gmc_face_terms(u[j], tuple(g[j] for g in G_H), spec, grid,
+                                 gamma, t.flat[j]) for j in range(3)])
+
+    def test_time_dependent_callbacks_take_per_member_times(self, rng):
+        # vortex2d's velocity scales with cos(pi t / T): the stacked
+        # kernels evaluate it on a (m, 1, 1) array of times, and the cosine
+        # of an array matches that of each scalar time bitwise here.
+        from mppfv.problems import swirling_vortex_2d
+
+        spec = swirling_vortex_2d()
+        grid = make_grid(spec, 10, 8)
+        u = _member_states(spec, grid, 4, rng)
+        t = np.array([0.05, 0.3, 0.75, 1.2]).reshape(4, 1, 1)
+        stacked = high_order_flux(u, spec, grid, t=t)
+        assert not np.array_equal(stacked[0][0], high_order_flux(
+            u[0], spec, grid, t=t.flat[1])[0])
+        self.assert_members(
+            stacked,
+            [high_order_flux(u[j], spec, grid, t=t.flat[j]) for j in range(4)])
+        self.assert_members(
+            low_order_with_bars(u, spec, grid, t=t),
+            [low_order_with_bars(u[j], spec, grid, t=t.flat[j])
+             for j in range(4)])
+
+    def test_ghost_fill_checks_the_trailing_axes(self):
+        spec = buckley_leverett_1d()
+        grid = make_grid(spec, 8)
+        with pytest.raises(ValueError, match="does not match"):
+            ghost_fill(np.zeros((2, 9)), spec, grid, width=1)
+        assert ghost_fill(np.zeros((2, 3, 8)), spec, grid,
+                          width=2).shape == (2, 3, 12)

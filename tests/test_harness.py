@@ -522,14 +522,14 @@ class TestCommandLine:
     BLOWUP = ["--problem", "burgers1d", "--nx", "40", "--dt-factor", "1000",
               "--t-final", "50"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["be", "sdirk5", "iex2"])
     def test_value_error_in_a_step_is_a_solver_failure(self, scheme, capsys):
         assert main(self.BLOWUP + ["--scheme", scheme]) == 3
         assert capsys.readouterr().err.startswith(
             "error: solver-failure: step 1 at t=0, dt=50: ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["be", "sdirk5", "iex2"])
     def test_value_error_in_a_step_is_the_cause(self, scheme):
         config = RunConfig(problem="burgers1d", nx=40, scheme=scheme,
@@ -539,6 +539,20 @@ class TestCommandLine:
         assert isinstance(exc.value.__cause__, ValueError)
         assert str(exc.value) == (f"step 1 at t=0, dt=50: "
                                   f"{exc.value.__cause__}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_error_in_a_stacked_level_names_its_stage(self):
+        # iex3's first level stacks stages 1, 2 and 4; the iterate of
+        # stage 4 (chain 3) blows up first, and its wave-speed bound
+        # rejects the stacked flux evaluation.
+        config = RunConfig(problem="burgers1d", nx=60, scheme="iex3",
+                           dt_factor=3000.0, t_final=50.0)
+        with pytest.raises(NonConvergenceError) as exc:
+            run(config)
+        assert type(exc.value.__cause__) is ValueError
+        assert str(exc.value) == ("step 1 at t=0, dt=50: stage 4/6: "
+                                  "wave-speed bound must be positive and "
+                                  "finite")
 
     @pytest.mark.parametrize("module", ["mppfv", "mppfv.harness"])
     def test_module_entry_point(self, module):

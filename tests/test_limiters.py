@@ -26,7 +26,8 @@ from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
 from mppfv.time_integration import iex_step
 
 from conftest import make_burgers_1d, minus, random_flux_set
-from oracles import face_entry, outward_limited_sums, zalesak_alpha_oracle
+from oracles import (face_entry, outward_limited_sums, solve_one,
+                     zalesak_alpha_oracle)
 
 
 def random_grid(rng):
@@ -386,19 +387,19 @@ class TestSemidiscreteGmc:
 
         def poisoned(values, *args, **kwargs):
             flux = high_order_flux(values, *args, **kwargs)
-            flux[0][7] = np.nan
+            flux[0][..., 7] = np.nan
             return flux
 
         monkeypatch.setattr(limiters, "high_order_flux", poisoned)
         solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         with pytest.raises(ValueError, match="non-finite"):
-            solver(u0, 0.1, 0.1, u0)
+            solve_one(solver, u0, 0.1, 0.1, u0)
 
     def test_stage_stops_at_stage_tolerance(self):
         spec, grid, u0 = _burgers_pulse(60)
         solver = make_semidiscrete_gmc_substep_solver(spec, grid)
         dt = 2.0 * grid.spacing[0]
-        _, _, report = solver(u0, dt, dt, u0)
+        _, _, report = solve_one(solver, u0, dt, dt, u0)
         assert report.converged
         assert report.iterations > 0
         assert report.tolerance == TOL_STAGE
@@ -407,7 +408,8 @@ class TestSemidiscreteGmc:
     def test_stage_sweep_count_ceiling(self):
         # One iex4 step of burgers1d at dt = h/2: the stages averaged 34.0
         # sweeps when they swept on to the step limit's 1e-13 and 21.2 when
-        # they stop at TOL_STAGE.
+        # they stop at TOL_STAGE.  The ten substeps come in four stacked
+        # solves, one report per member.
         spec = burgers_1d()
         grid = make_grid(spec, 200)
         u0 = initial_cell_averages(spec, grid)
@@ -415,9 +417,9 @@ class TestSemidiscreteGmc:
         sweeps = []
 
         def counting(reference, step_dt, stage_time, guess):
-            y, flux, report = inner(reference, step_dt, stage_time, guess)
-            sweeps.append(report.iterations)
-            return y, flux, report
+            y, flux, reports = inner(reference, step_dt, stage_time, guess)
+            sweeps.extend(report.iterations for report in reports)
+            return y, flux, reports
 
         iex_step(u0, 4, spec, grid, counting, 0.5 * grid.spacing[0])
         assert len(sweeps) == 10
@@ -427,7 +429,7 @@ class TestSemidiscreteGmc:
         spec, grid, u0 = _burgers_pulse(60)
         solver = make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0)
         dt = 50.0 * grid.spacing[0]
-        y, realized, report = solver(u0, dt, dt, u0)
+        y, realized, report = solve_one(solver, u0, dt, dt, u0)
         assert report.converged
         assert np.array_equal(y, u0 - dt * divergence(realized, grid))
         assert np.min(y) >= spec.global_min - 1e-12

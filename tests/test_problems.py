@@ -72,6 +72,21 @@ class TestCommonContract:
                 got[...] = 1.0
         assert coefficient(u, x, 0.0) is coefficient(u + 1.0, x, 0.0)
 
+    def test_constant_coefficients_share_one_buffer_per_size(self):
+        # A state and a stack of one, or the x- and y-faces of a square
+        # grid, hold one array's worth of the constant between them.
+        coefficient = problems._constant(0.25)
+        state = coefficient(np.zeros((4, 5)), np.zeros(5), 0.0)
+        stack = coefficient(np.zeros((1, 4, 5)), np.zeros(5), 0.0)
+        y_faces = coefficient(np.zeros((5, 4)), np.zeros((5, 1)), 0.0)
+        assert (state.shape, stack.shape, y_faces.shape) == (
+            (4, 5), (1, 4, 5), (5, 4))
+        assert np.shares_memory(state, stack)
+        assert np.shares_memory(state, y_faces)
+        assert not stack.flags.writeable
+        assert not np.shares_memory(
+            state, coefficient(np.zeros(7), np.zeros(7), 0.0))
+
     def test_exact_at_t0_matches_initial_condition_where_defined(self):
         for spec in build_all().values():
             if spec.exact_solution is None:

@@ -26,7 +26,7 @@ from mppfv.problems import (BUILTIN_PROBLEMS, burgers_1d,
 
 from conftest import (make_advection_2d, make_burgers_1d,
                       make_linear_advection_1d, make_pure_diffusion_1d, shaped)
-from oracles import coo_pseudo_jacobian
+from oracles import coo_pseudo_jacobian, solve_one
 
 
 def freeze_speed_bound(spec, grid, state, t=0.0):
@@ -336,7 +336,7 @@ class TestHeldMatrix:
         guess = rng.uniform(0.0, 2.0, 16)
         assembled, _ = self.recorded(monkeypatch)
         solver = make_stage_solver(JacobianEngine(spec, grid))
-        _, _, report = solver(guess, 0.05, 0.3, guess)
+        _, _, report = solve_one(solver, guess, 0.05, 0.3, guess)
         assert report.iterations > 0
         state, scale, t = assembled[0]
         assert np.array_equal(state, guess)
@@ -363,11 +363,11 @@ class TestHeldMatrix:
         u0 = 1.0 + np.sin(np.pi * grid.axis_centers(0))
         solver = make_stage_solver(JacobianEngine(spec, grid))
         assembled, used = self.recorded(monkeypatch)
-        y, _, _ = solver(u0, 0.05, 0.0, u0)
+        y, _, _ = solve_one(solver, u0, 0.05, 0.0, u0)
         assert len(assembled) == 1
         held = used[0]
         first = len(used)
-        _, _, report = solver(y, 0.05, 0.05, y)
+        _, _, report = solve_one(solver, y, 0.05, 0.05, y)
         assert report.iterations > 0
         assert len(assembled) == 1
         assert all(matrix is held for matrix in used[first:])
@@ -605,25 +605,105 @@ class TestIterationLoop:
     on a linear contraction: the flux is zero, so the residual is
     ``y - reference``, and each update shrinks it by the factor ``rate``
     (a stall when ``rate > STALL_RATIO``).  ``seen`` collects the residual
-    norm of every evaluation, ``updates`` the arguments of every update."""
+    norm of every evaluation, ``updates`` the arguments of every update.
+    :meth:`solve` runs a stack of one member, :meth:`solve_stack` one
+    member per rate."""
 
     GRID = StructuredGrid(1, (8,), (0.0,), (1.0,), (PERIODIC,))
 
     def solve(self, rate, tol, target, max_iter, flux=np.zeros(9)):
-        reference = np.zeros(8)
+        reference = np.zeros((1, 8))
         self.seen, self.updates = [], []
 
-        def evaluate(y):
+        def evaluate(y, members):
+            assert members is None
             self.seen.append(float(np.linalg.norm(y - reference)))
-            return (flux,)
+            return (flux[None],)
 
-        def advance(y, r, res, prev_res):
-            self.updates.append((res, prev_res))
+        def advance(y, r, res, prev_res, members):
+            self.updates.append((res[0], prev_res[0]))
             return y - (1.0 - rate) * r
 
-        return solvers.iterate(reference, evaluate, advance, 0.1,
-                               np.linspace(1.0, 2.0, 8), self.GRID, tol,
-                               target, max_iter, "toy solve")
+        y, flux, reports = solvers.iterate(
+            reference, evaluate, advance, 0.1, np.linspace(1.0, 2.0, 8)[None],
+            self.GRID, tol, target, max_iter, "toy solve")
+        return y[0], tuple(f[0] for f in flux), reports[0]
+
+    def solve_stack(self, rates, tol, target, max_iter, flux=None, first=1):
+        """Member ``j`` contracts by ``rates[j]`` from its own guess, the
+        one of member ``first - 1 + j`` of a larger stack; ``flux`` maps a
+        member to its flux (zero when None).  Returns the ``iterate``
+        result; ``members`` collects the members of every evaluation."""
+        count = len(rates)
+        reference = np.zeros((count, 8))
+        guess = np.linspace(1.0, 2.0, 8) * np.arange(
+            first, first + count, dtype=float)[:, None]
+        self.members = []
+
+        def evaluate(y, members):
+            ids = range(count) if members is None else members
+            self.members.append(list(ids))
+            return (np.array([np.zeros(9) if flux is None else flux(i)
+                              for i in ids]),)
+
+        def advance(y, r, res, prev_res, members):
+            ids = range(count) if members is None else members
+            rate = np.array([rates[i] for i in ids])[:, None]
+            return y - (1.0 - rate) * r
+
+        return solvers.iterate(reference, evaluate, advance, 0.1, guess,
+                               self.GRID, tol, target, max_iter, "toy solve")
+
+    def test_each_member_stops_on_its_own_residual(self):
+        rates = (0.1, 0.3, 0.05, 0.6)
+        y, flux, reports = self.solve_stack(rates, 1e-6, 1e-9, 80)
+        assert len(reports) == 4
+        alone = [self.solve_stack((rate,), 1e-6, 1e-9, 80, first=j + 1)
+                 for j, rate in enumerate(rates)]
+        for j, (y_j, flux_j, (report,)) in enumerate(alone):
+            assert reports[j] == report
+            assert np.array_equal(y[j], y_j[0])
+            assert np.array_equal(flux[0][j], flux_j[0][0])
+        assert reports.iterations == max(r.iterations for r in reports)
+        # A member that stopped leaves the stack: the stack evaluates once
+        # per update of its slowest member, and each member as often as it
+        # does alone.
+        stacked = self.solve_stack(rates, 1e-6, 1e-9, 80)[2]
+        assert len(self.members) == stacked.iterations + 1
+        for j, report in enumerate(stacked):
+            assert sum(j in ids for ids in self.members) == (
+                report.iterations + 1)
+
+    def test_failures_name_their_member(self):
+        nan_flux = lambda i: np.full(9, np.nan if i == 2 else 0.0)
+        with pytest.raises(ValueError, match="non-finite residual") as exc:
+            self.solve_stack((0.1, 0.1, 0.1), 1e-6, 1e-6, 50, nan_flux)
+        assert exc.value.member == 2
+        with pytest.raises(NonConvergenceError) as exc:
+            self.solve_stack((0.01, 0.9, 0.01), 1e-12, 1e-13, 20)
+        assert exc.value.member == 1
+        assert exc.value.report == SolverReport(20, exc.value.report.residual,
+                                                False, 1e-12)
+
+    def test_value_error_of_a_stacked_evaluation_names_its_member(self):
+        # Member 1's flux callback rejects its state once it fell below a
+        # level the others never reach; the loop finds it by evaluating the
+        # members alone.
+        count = 3
+        guess = np.ones((count, 8)) * np.array([[1.0], [0.5], [2.0]])
+
+        def evaluate(y, members):
+            if np.any(y.max(axis=1) < 0.3):
+                raise ValueError("wave-speed bound must be positive")
+            return (np.zeros((len(y), 9)),)
+
+        def advance(y, r, res, prev_res, members):
+            return y - 0.5 * r
+
+        with pytest.raises(ValueError, match="wave-speed") as exc:
+            solvers.iterate(np.zeros((count, 8)), evaluate, advance, 0.1,
+                            guess, self.GRID, 1e-6, 1e-6, 50, "toy solve")
+        assert exc.value.member == 1
 
     def test_stops_at_target(self):
         y, flux, report = self.solve(0.1, 1e-6, 1e-6, 50)
@@ -748,7 +828,7 @@ class TestNewtonStage:
                                               n=24, wave_speed=1.0)
         u0 = spec.initial_condition(grid.axis_centers(0), 0.0)
         solver = make_stage_solver(JacobianEngine(spec, grid))
-        y, flux, report = solver(u0, 0.278 * 0.01, 0.0, u0)
+        y, flux, report = solve_one(solver, u0, 0.278 * 0.01, 0.0, u0)
         assert report.converged
         assert report.residual <= report.tolerance
         # The returned flux is the one evaluated at the converged stage.
@@ -765,11 +845,11 @@ class TestNewtonStage:
         def poisoned(values, *args, **kwargs):
             calls.append(1)
             flux = high_order_flux(values, *args, **kwargs)
-            flux[0][7] = np.nan
+            flux[0][..., 7] = np.nan
             return flux
 
         monkeypatch.setattr(solvers.fluxes, "high_order_flux", poisoned)
         solver = make_stage_solver(JacobianEngine(spec, grid))
         with pytest.raises(ValueError, match="non-finite residual"):
-            solver(u0, 0.278 * 0.01, 0.0, u0)
+            solve_one(solver, u0, 0.278 * 0.01, 0.0, u0)
         assert len(calls) == 1

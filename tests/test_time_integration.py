@@ -19,7 +19,7 @@ from mppfv.time_integration import (ButcherTableau, dirk_step, iex_step,
                                     iex_tableau, sdirk5_tableau)
 
 from conftest import make_linear_advection_1d
-from oracles import check_ssp_stages, iex_chain_step
+from oracles import check_ssp_stages, iex_chain_step, solve_one
 
 
 def rooted_tree_conditions(A, b, c):
@@ -101,6 +101,17 @@ class TestTableauConstruction:
         tab = iex_tableau(1)
         assert tab.stages == 1
         assert tab.A[0, 0] == 1.0 and tab.b[0] == 1.0
+
+    def test_dependency_levels(self):
+        # IEX-p: level j holds substep j+1 of the chains k > j, so iex4's
+        # ten substeps are four levels of 4, 3, 2 and 1 members.
+        assert iex_tableau(4).levels == ((0, 1, 3, 6), (2, 4, 7), (5, 8),
+                                         (9,))
+        assert sdirk5_tableau().levels == ((0,), (1,), (2,), (3,), (4,))
+        # A stage waits for every stage it reads, not only the one before.
+        tab = ButcherTableau(A=[[0.5, 0, 0], [0, 0.5, 0], [0.25, 0, 0.75]],
+                             b=[0.25, 0.25, 0.5], c=[0.5, 0.5, 1.0], order=1)
+        assert tab.levels == ((0, 1), (2,))
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +202,7 @@ class TestDirkStep:
         solver = make_stage_solver(JacobianEngine(spec, grid))
         u1, _, _ = dirk_step(u0, iex_tableau(1), spec, grid,
                              solver, dt=0.01)
-        y, flux, report = solver(u0, 0.01, 0.01, u0)
+        y, flux, report = solve_one(solver, u0, 0.01, 0.01, u0)
         assert report.converged
         assert all(np.array_equal(a, b) for a, b in zip(
             flux, high_order_flux(y, spec, grid, t=0.01)))
@@ -204,14 +215,19 @@ class TestDirkStep:
         inner = make_stage_solver(JacobianEngine(spec, grid))
 
         def counting(reference, step_dt, stage_time, guess):
-            calls.append(step_dt)
+            calls.append((reference.shape, step_dt, stage_time))
             return inner(reference, step_dt, stage_time, guess)
 
         # Trapezoidal-type tableau: first stage explicit (zero diagonal).
         tab = ButcherTableau(A=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
                              c=[0.0, 1.0], order=2)
         dirk_step(u0, tab, spec, grid, counting, dt=0.01)
+        # One solve, of the implicit stage alone: a stack of one member.
         assert len(calls) == 1
+        shape, step_dt, stage_time = calls[0]
+        assert shape == (1,) + grid.shape
+        assert step_dt.shape == stage_time.shape == (1, 1)
+        assert (step_dt.item(), stage_time.item()) == (0.005, 0.01)
 
     def test_explicit_first_stage_does_not_alias_input(self, advdiff_setup):
         spec, grid, u0 = advdiff_setup
@@ -243,6 +259,40 @@ class TestDirkStep:
         assert exc.value.report is report
         assert "stage 1/5" in str(exc.value)
 
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+    def test_stage_value_error_keeps_its_type_and_names_the_stage(
+            self, advdiff_setup, error):
+        spec, grid, u0 = advdiff_setup
+
+        def failing(reference, step_dt, stage_time, guess):
+            raise error("non-finite residual at iteration 3")
+
+        with pytest.raises(error) as exc:
+            dirk_step(u0, sdirk5_tableau(), spec, grid, failing, dt=0.01)
+        assert type(exc.value) is error
+        assert str(exc.value) == "stage 1/5: non-finite residual at iteration 3"
+        assert type(exc.value.__cause__) is error
+
+    @pytest.mark.parametrize("member,named", [(0, "stage 1/6"),
+                                              (1, "stage 2/6"),
+                                              (2, "stage 4/6"),
+                                              (None, "stages 1, 2, 4/6")])
+    @pytest.mark.parametrize("error", [ValueError, NonConvergenceError])
+    def test_stacked_failure_names_its_member_stage(self, advdiff_setup,
+                                                    member, named, error):
+        # iex3's first level stacks stages 1, 2 and 4; the error's member
+        # attribute is the stack index of the member that failed.
+        spec, grid, u0 = advdiff_setup
+
+        def failing(reference, step_dt, stage_time, guess):
+            err = error("stalled")
+            if member is not None:
+                err.member = member
+            raise err
+
+        with pytest.raises(error, match=f"^{named}: stalled$"):
+            iex_step(u0, 3, spec, grid, failing, dt=0.01)
+
 
 @pytest.fixture
 def burgers_setup():
@@ -263,7 +313,7 @@ class TestExtrapolationStep:
 
         got, _, stages = iex_step(u0, 1, spec, grid, counting, dt=0.01)
         assert len(calls) == len(stages) == 1
-        _, flux, _ = inner(u0, 0.01, 0.01, u0)
+        _, flux, _ = solve_one(inner, u0, 0.01, 0.01, u0)
         assert np.array_equal(got, u0 - 0.01 * divergence(flux, grid))
 
     def test_chain_states_and_flux_details(self, advdiff_setup):
@@ -276,19 +326,22 @@ class TestExtrapolationStep:
 
     def test_chain_starts_solve_from_step_start(self, advdiff_setup):
         # The first substep of each chain starts from u^n, every other one
-        # from the substep before it.
+        # from the substep before it.  Each solve is one dependency level,
+        # its members in stage order.
         spec, grid, u0 = advdiff_setup
         inner = make_stage_solver(JacobianEngine(spec, grid))
-        guesses, values = [], []
+        guesses, values = {}, {}
+        levels = iter(iex_tableau(3).levels)
 
         def recording(reference, step_dt, stage_time, guess):
-            guesses.append(np.array(guess))
-            y, flux, report = inner(reference, step_dt, stage_time, guess)
-            values.append(y)
-            return y, flux, report
+            y, flux, reports = inner(reference, step_dt, stage_time, guess)
+            for j, m in enumerate(next(levels)):
+                guesses[m], values[m] = np.array(guess[j]), y[j]
+            return y, flux, reports
 
         iex_step(u0, 3, spec, grid, recording, dt=0.01)
-        for m, guess in enumerate(guesses):
+        assert sorted(guesses) == list(range(6))
+        for m, guess in guesses.items():
             want = u0 if m in (0, 1, 3) else values[m - 1]
             assert np.array_equal(guess, want), m
 
@@ -365,3 +418,103 @@ class TestExtrapolationStep:
         assert len(stages) == len(chains) == p * (p + 1) // 2
         for got, chain in zip(stages, chains):
             assert np.max(np.abs(got - chain)) <= stage_tol
+
+
+def member_by_member(inner):
+    """The stage solver ``inner`` called once per member of every stacked
+    level, in stack order, as a stack of one; the results are stacked
+    back."""
+    def solver(reference, step_dt, stage_time, guess):
+        alone = [solve_one(inner, reference[j], step_dt.flat[j],
+                           stage_time.flat[j], guess[j])
+                 for j in range(len(reference))]
+        y, flux, reports = zip(*alone)
+        return (np.stack(y), tuple(np.stack(f) for f in zip(*flux)),
+                reports)
+
+    return solver
+
+
+class TestStackedLevels:
+    """Each member of a stacked level keeps the result of its own solve:
+    the level loop is bitwise the loop that solves every stage alone."""
+
+    @pytest.mark.parametrize("kind", ["newton", "gmc"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_iex_step_equals_member_by_member_solves(self, burgers_setup,
+                                                     kind, p):
+        spec, grid, u0 = burgers_setup
+
+        def make_solver():
+            if kind == "newton":
+                return make_stage_solver(JacobianEngine(spec, grid))
+            return make_semidiscrete_gmc_substep_solver(spec, grid)
+
+        dt = 2.0 * grid.spacing[0]
+        stacked = make_solver()
+        alone = member_by_member(make_solver())
+        for step in range(2):
+            t = step * dt
+            u1, flux, stages = iex_step(u0, p, spec, grid, stacked, dt, t=t)
+            want, want_flux, want_stages = iex_step(u0, p, spec, grid, alone,
+                                                    dt, t=t)
+            assert np.array_equal(u1, want)
+            assert all(np.array_equal(a, b) for a, b in zip(flux, want_flux))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(stages, want_stages))
+            u0 = u1
+
+    def test_time_dependent_problem_stacks_bitwise(self):
+        # vortex2d's velocity depends on t: every member sees its own
+        # stage time.
+        from mppfv.problems import swirling_vortex_2d
+
+        spec = swirling_vortex_2d()
+        grid = make_grid(spec, 10)
+        u0 = initial_cell_averages(spec, grid)
+        dt = 0.5 * grid.spacing[0]
+        u1, _, stages = iex_step(u0, 3, spec, grid,
+                                 make_semidiscrete_gmc_substep_solver(
+                                     spec, grid), dt, t=0.4)
+        want, _, want_stages = iex_step(
+            u0, 3, spec, grid,
+            member_by_member(make_semidiscrete_gmc_substep_solver(spec, grid)),
+            dt, t=0.4)
+        assert np.array_equal(u1, want)
+        assert all(np.array_equal(a, b) for a, b in zip(stages, want_stages))
+
+    def test_substep_flux_evaluations_per_level(self, monkeypatch):
+        # One iex4+gmc step of burgers1d, nx=200, at dt = h/2: each level
+        # evaluates the high-order flux once per update of its slowest
+        # member plus once to confirm, and each member takes as many
+        # updates as the same substep solved alone.
+        from mppfv import limiters
+
+        spec = burgers_1d()
+        grid = make_grid(spec, 200)
+        u0 = initial_cell_averages(spec, grid)
+        inner = make_semidiscrete_gmc_substep_solver(spec, grid)
+        calls, levels = [], []
+
+        def counting_flux(*args, **kwargs):
+            calls.append(1)
+            return high_order_flux(*args, **kwargs)
+
+        def recording(reference, step_dt, stage_time, guess):
+            y, flux, reports = inner(reference, step_dt, stage_time, guess)
+            levels.append((reference.copy(), step_dt, stage_time, reports))
+            return y, flux, reports
+
+        monkeypatch.setattr(limiters, "high_order_flux", counting_flux)
+        iex_step(u0, 4, spec, grid, recording, 0.5 * grid.spacing[0])
+        assert [len(level[3]) for level in levels] == [4, 3, 2, 1]
+        assert len(calls) == sum(reports.iterations + 1
+                                 for *_, reports in levels)
+        for reference, step_dt, stage_time, reports in levels:
+            for j, report in enumerate(reports):
+                alone = solve_one(inner, reference[j], step_dt.flat[j],
+                                  stage_time.flat[j], reference[j])[2]
+                assert report == alone
+        # The members stop at different updates, so some leave their stack
+        # early.
+        assert len({r.iterations for r in levels[0][3]}) > 1
