@@ -25,8 +25,8 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   of the quasi-Newton solves too; it takes ``G^H`` as a callable of the
   iterate, which returns the frozen step-start flux for the step-level
   limiter ``_gmc_with_flux`` and rebuilds the flux from the iterate for
-  the semi-discrete stage solver below.  Each update mixes the diagonal
-  map above with the previous ``ANDERSON_DEPTH`` updates (type-II
+  the semi-discrete stage solver below.  ``solvers.anderson_mixed`` mixes
+  each update of the diagonal map above with the previous ones (type-II
   Anderson acceleration, Walker & Ni 2011), which needs a fraction of the
   plain sweeps and converges at large steps where they stall.  The mixed
   iterates are not projected onto the bounds; boundedness comes from the
@@ -59,23 +59,17 @@ and the step-level limit removes what the stages leave.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import TOL_STAGE, iterate, take
+from .solvers import TOL_STAGE, anderson_mixed, iterate, take
 
 TOL_GMC = 1e-12
 #: Sweep until this tighter residual when reachable; fall back to TOL_GMC
 #: on stagnation so realized states stay well inside the 1e-12 slack.
 TOL_GMC_TARGET = 1e-13
-#: Number of past sweeps the Anderson mixing of the GMC fixed point keeps,
-#: and the residual growth over one sweep that drops them.  Dropping them
-#: on any growth can lock the sweeps into a cycle just above TOL_GMC.
-ANDERSON_DEPTH = 5
-ANDERSON_RESTART = 2.0
 # The plain diagonal sweep contracts at a rate that degrades with the step
 # size (thousands of sweeps at dt ~ 5 dx on a shock); Anderson mixing cuts
 # that to tens or hundreds, and the cap bounds the rest.
@@ -267,17 +261,6 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     return G_L, alphas, _weighted(alphas, correction), a, ubar
 
 
-def _anderson_coefficients(dF, f):
-    """The least-squares solution ``c`` of ``dF^T c = f`` for the few rows
-    of ``dF``, from the Cholesky factors of the Gram matrix ``dF dF^T``
-    (LAPACK ``dposv``); ``lstsq`` takes over when that matrix is not
-    numerically positive definite."""
-    _, c, info = lapack.dposv(dF @ dF.T, dF @ f)
-    if info != 0 or not np.all(np.isfinite(c)):
-        c = np.linalg.lstsq(dF.T, f, rcond=None)[0]
-    return c
-
-
 def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
     """The GMC fixed points ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
     high_flux(u)))`` of a stack of members by :func:`solvers.iterate` from
@@ -289,25 +272,15 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
     or scalars).  ``high_flux(u, members)`` returns a frozen ``G^H`` for
     the step-level limiter and rebuilds it from the iterate for the
     semidiscrete stage (``members`` as in :func:`solvers.iterate`); the
-    low-order flux is evaluated at time ``t``.  Each update evaluates the
-    diagonal map ``T(u) = (u0 + w g(u))/(1 + w)`` and, per member, mixes it
-    with the member's last ``ANDERSON_DEPTH`` differences of ``T`` and of
-    ``f = T(u) - u`` (type-II Anderson acceleration): ``u <- T(u) - dT c``
-    with ``c`` the least-squares solution of ``dF c = f``.  A member whose
-    residual grew more than ``ANDERSON_RESTART``-fold drops its history and
-    takes the plain ``u <- T(u)``.  Returns the stacks ``(u0 - dt
+    low-order flux is evaluated at time ``t``.  Each update is the
+    diagonal map ``T(u) = (u0 + w g(u))/(1 + w)``, mixed per member by
+    :func:`solvers.anderson_mixed`.  Returns the stacks ``(u0 - dt
     div(realized), realized)`` and the :class:`solvers.StackReport`, and
     raises as :func:`solvers.iterate` (a finite residual means a finite
     realized flux); the limiter coefficients each member stopped at are
     range-checked on exit.
     """
-    count, size = len(u0), u0[0].size
     nu = dt / grid.cell_volume
-    # Per member, rows hold the last differences of f and T(u), in rotating
-    # order; ``kept`` counts the differences stored since the last restart.
-    dF = np.empty((count, ANDERSON_DEPTH, size))
-    dT = np.empty((count, ANDERSON_DEPTH, size))
-    kept, f_prev, T_prev = [0] * count, [None] * count, [None] * count
     terms = alphas = evaluated = None
 
     def realized_flux(u, members):
@@ -322,7 +295,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
                 full[members] = part
         return tuple(gl - c for gl, c in zip(G_L, terms[1]))
 
-    def update(u, _, res, prev_res, members):
+    def diagonal_map(u, r, res, prev_res, members):
         _, accepted, a, ubar = terms
         if members is not evaluated:
             # Members stopped at the last evaluation: keep the others' rows.
@@ -333,28 +306,11 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
         ustar = ubar + grid.cell_volume * divergence(accepted, grid) / a
         g = u + (ustar - u) / (1.0 + gamma)
         w = take(nu, members) * a * (1.0 + gamma)
-        T = ((take(u0, members) + w * g) / (1.0 + w)).reshape(len(u), -1)
-        f = T - u.reshape(len(u), -1)
-        mixed = []
-        for j, i in enumerate(range(count) if members is None else members):
-            if res[j] > ANDERSON_RESTART * prev_res[j]:
-                # The last mixed update made things worse: drop the history.
-                kept[i], f_prev[i] = 0, None
-            if f_prev[i] is None:
-                mixed.append(T[j])
-            else:
-                dF[i, kept[i] % ANDERSON_DEPTH] = f[j] - f_prev[i]
-                dT[i, kept[i] % ANDERSON_DEPTH] = T[j] - T_prev[i]
-                kept[i] += 1
-                rows = min(kept[i], ANDERSON_DEPTH)
-                mixed.append(T[j] - _anderson_coefficients(dF[i, :rows], f[j])
-                             @ dT[i, :rows])
-            f_prev[i], T_prev[i] = f[j], T[j]
-        return (mixed[0] if len(mixed) == 1 else np.stack(mixed)).reshape(
-            u.shape)
+        return (take(u0, members) + w * g) / (1.0 + w)
 
-    _, realized, reports = iterate(u0, realized_flux, update, dt, u0, grid,
-                                   tol, target, MAX_GMC_SWEEPS,
+    _, realized, reports = iterate(u0, realized_flux,
+                                   anderson_mixed(diagonal_map, u0), dt, u0,
+                                   grid, tol, target, MAX_GMC_SWEEPS,
                                    "bound-preserving fixed point")
     _check_alphas(alphas)
     return u0 - dt * divergence(realized, grid), realized, reports

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from mppfv import limiters
 from mppfv.fluxes import (divergence, high_order_flux, low_order_with_bars,
                           tie_periodic_seam)
-from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _anderson_coefficients,
-                            _check_alphas, _check_reference, _fct_with_flux,
+from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
+                            _check_reference, _fct_with_flux,
                             _gmc_face_terms, _gmc_with_flux, _outward_sums,
                             _restore_bounds, _weighted, gmc_budgets,
                             make_semidiscrete_gmc_substep_solver,
                             zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
-from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
+from mppfv.solvers import (TOL_STAGE, NonConvergenceError,
+                           _anderson_coefficients, newton_low_order)
 from mppfv.time_integration import iex_step
 
 from conftest import make_burgers_1d, minus, random_flux_set
