@@ -31,9 +31,10 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   plain sweeps and converges at large steps where they stall.  The mixed
   iterates are not projected onto the bounds; boundedness comes from the
   converged fixed point, whose state is recomputed from the realized
-  flux.  The step-level limit, which makes ``u^{n+1}`` bounded, iterates
-  to ``TOL_GMC_TARGET`` (``TOL_GMC`` on stagnation); a stage stops at
-  ``solvers.TOL_STAGE``, as the quasi-Newton stage solves do.
+  flux.  ``solvers.iterate`` stops every member at its first residual at
+  most its tolerance: ``TOL_GMC`` for the step-level limit, which makes
+  ``u^{n+1}`` bounded, and ``solvers.TOL_STAGE`` for a stage, as for the
+  quasi-Newton stage solves.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -67,9 +68,6 @@ from .metrics import bound_margin
 from .solvers import TOL_STAGE, anderson_mixed, iterate, take
 
 TOL_GMC = 1e-12
-#: Sweep until this tighter residual when reachable; fall back to TOL_GMC
-#: on stagnation so realized states stay well inside the 1e-12 slack.
-TOL_GMC_TARGET = 1e-13
 # The plain diagonal sweep contracts at a rate that degrades with the step
 # size (thousands of sweeps at dt ~ 5 dx on a shock); Anderson mixing cuts
 # that to tens or hundreds, and the cap bounds the rest.
@@ -261,11 +259,10 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     return G_L, alphas, _weighted(alphas, correction), a, ubar
 
 
-def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
+def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol):
     """The GMC fixed points ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
     high_flux(u)))`` of a stack of members by :func:`solvers.iterate` from
-    ``u0``, to ``target`` (``tol`` on stagnation) in at most
-    ``MAX_GMC_SWEEPS`` updates.
+    ``u0``, to ``tol`` in at most ``MAX_GMC_SWEEPS`` updates.
 
     ``u0`` is a stack of cell states, shape ``(m, *grid.shape)``; ``dt``
     and ``t`` broadcast against it (per-member ``(m,) + (1,)*dim`` arrays,
@@ -310,7 +307,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
 
     _, realized, reports = iterate(u0, realized_flux,
                                    anderson_mixed(diagonal_map, u0), dt, u0,
-                                   grid, tol, target, MAX_GMC_SWEEPS,
+                                   grid, tol, MAX_GMC_SWEEPS,
                                    "bound-preserving fixed point")
     _check_alphas(alphas)
     return u0 - dt * divergence(realized, grid), realized, reports
@@ -319,9 +316,8 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol, target):
 def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
     """One bound-preserving step: the fixed point of
     :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
-    and the low-order flux at ``t + dt``, swept to ``TOL_GMC_TARGET`` (to
-    ``TOL_GMC`` on stagnation): this solve is what makes ``u^{n+1}``
-    bounded.  Returns ``(u^{n+1}, realized flux, SolverReport)``.  With
+    and the low-order flux at ``t + dt``, swept to ``TOL_GMC``: this solve
+    is what makes ``u^{n+1}`` bounded.  Returns ``(u^{n+1}, realized flux, SolverReport)``.  With
     ``strict_reference`` the previous solution must lie in the global
     bounds, and roundoff is snapped back into them.
     """
@@ -333,8 +329,7 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
         _check_reference(u_n, spec, "the previous solution")
     G_H = tuple(g[None] for g in G_H)
     u_new, realized, reports = _gmc_fixed_point(
-        u_n[None], lambda *_: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC,
-        TOL_GMC_TARGET)
+        u_n[None], lambda *_: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC)
     u_new, realized = u_new[0], tuple(g[0] for g in realized)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
@@ -378,6 +373,6 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
             reference,
             lambda y, members: high_order_flux(
                 y, spec, grid, t=take(stage_time, members)),
-            spec, grid, step_dt, gamma, stage_time, TOL_STAGE, TOL_STAGE)
+            spec, grid, step_dt, gamma, stage_time, TOL_STAGE)
 
     return solver

@@ -61,9 +61,10 @@ rather than by its default COLAMD, with about half the fill.
 One loop, :func:`iterate`, runs every nonlinear solve, on a stack of
 members (the member axes of :mod:`mesh`; a single solve is a stack of
 one): it takes the l2 norm of each member's residual ``y - reference +
-step_dt div(G)``, checks it is finite, applies the stop rule per member,
-raises :class:`NonConvergenceError` on a spent budget and otherwise calls
-its caller's update.  A member that stops leaves the stack with the
+step_dt div(G)``, checks it is finite, stops each member at its first
+residual at most the solve's tolerance, raises
+:class:`NonConvergenceError` on a spent budget and otherwise calls its
+caller's update.  A member that stops leaves the stack with the
 iterate and flux it stopped at, so each member's result and report are
 those of its solve alone, and the others go on without it.  The
 quasi-Newton update (``_quasi_newton``, for :func:`newton_low_order` and the stages of
@@ -97,7 +98,7 @@ MAX_ITER_LOW_ORDER = 100
 # (dt ~ 5 dx on a shock) need ~60 iterations per stage.
 MAX_ITER_STAGE = 200
 #: An iterate whose residual is more than this share of the previous one has
-#: stalled: quasi-Newton refreshes its matrix, GMC may stop at its tolerance.
+#: stalled, and quasi-Newton refreshes its matrix.
 STALL_RATIO = 0.5
 #: Number of past updates an Anderson-mixed solve keeps, and the residual
 #: growth over one update that drops them.  Dropping them on any growth can
@@ -350,8 +351,8 @@ def _blame(err, member):
     return err
 
 
-def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, target,
-            max_iter, what):
+def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
+            what):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| evaluate(y) = 0``
     for every member of a stack from ``guess`` by the updates
     ``y = advance(y, r, res, prev_res, members)``.
@@ -365,9 +366,7 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, target,
     (the previous ones, infinite at first); it is None while every member
     is in the stack.
 
-    Each member stops on its own residual: at the first one at most
-    ``target``, or at most ``tol`` once it exceeds ``STALL_RATIO`` times
-    the member's previous one or ``max_iter`` updates are spent.  A member
+    Each member stops at its first residual at most ``tol``.  A member
     that stops leaves the stack, so later evaluations and updates see only
     the members still iterating, and keeps the iterate and flux it stopped
     at, as if it had been solved alone.  Returns the stacks ``(y,
@@ -392,12 +391,11 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, target,
         # Each member's l2 norm, as np.linalg.norm takes it.
         res = [math.sqrt(row.dot(row)) for row in r.reshape(len(r), -1)]
         stop = []
-        for j, (value, prev) in enumerate(zip(res, prev_res)):
+        for j, value in enumerate(res):
             if not math.isfinite(value):
                 raise _blame(ValueError(
                     f"{what}: non-finite residual at iteration {k}"), ids[j])
-            if value <= target or (value <= tol and (value > STALL_RATIO * prev
-                                                     or k == max_iter)):
+            if value <= tol:
                 reports[ids[j]] = SolverReport(k, value, True, tol)
                 stop.append(j)
         if stop:
@@ -540,8 +538,8 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                 raise
         return y
 
-    out = iterate(reference, flux_of, update, step_dt, y, grid, tol, tol,
-                  max_iter, what)
+    out = iterate(reference, flux_of, update, step_dt, y, grid, tol, max_iter,
+                  what)
     for scale, matrix in zip(scales, jac):
         engine.held[scale] = matrix
     return out
