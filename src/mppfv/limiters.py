@@ -81,9 +81,9 @@ REFERENCE_SLACK = 1e-9
 
 def _check_alphas(alphas):
     """Raise ``ValueError`` unless every limiter coefficient lies in
-    [0, 1]."""
+    [0, 1] (a NaN does not)."""
     for a in alphas:
-        if a.size and (np.min(a) < 0.0 or np.max(a) > 1.0):
+        if a.size and not (np.min(a) >= 0.0 and np.max(a) <= 1.0):
             raise ValueError("limiter coefficients must lie in [0, 1]")
 
 
@@ -147,9 +147,11 @@ def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
 # ---------------------------------------------------------------------------
 
 def _check_reference(values, spec, what):
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    if lo < spec.global_min - REFERENCE_SLACK or hi > spec.global_max + REFERENCE_SLACK:
+    """Raise ``ValueError`` unless ``values`` lie within the global bounds
+    up to ``REFERENCE_SLACK`` (a NaN does not)."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if not (lo >= spec.global_min - REFERENCE_SLACK
+            and hi <= spec.global_max + REFERENCE_SLACK):
         raise ValueError(
             f"{what} lies outside the global bounds "
             f"[{spec.global_min}, {spec.global_max}]: range [{lo}, {hi}]")

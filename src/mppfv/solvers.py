@@ -373,20 +373,21 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
     evaluate(y))`` and a :class:`StackReport` with each member's number of
     updates and ``tol``.  A non-finite residual raises ``ValueError`` at
     once, a spent budget :class:`NonConvergenceError` with the member's
-    final residual; ``what`` names the solve in both messages, and the
+    final residual.  A ``ValueError`` (``LinAlgError`` included) from
+    ``advance`` is raised again as the same type, with the iteration in
+    its message.  ``what`` names the solve in every message, and the
     error's ``member`` attribute is the stack index of the member that
-    raised it, also for a ``ValueError`` from ``evaluate``.
+    raised it, also for a ``ValueError`` from ``evaluate`` (an update's
+    error keeps the member it names, if any).
     """
     count = len(guess)
     y, members, out = guess, None, None
-    ids, prev_res = range(count), [np.inf] * count
-    reports = [None] * count
+    ids, prev_res, reports = range(count), [np.inf] * count, [None] * count
     for k in range(max_iter + 1):
         try:
             flux = evaluate(y, members)
         except ValueError as err:
-            _blame(err, _first_failing(evaluate, y, ids))
-            raise
+            raise _blame(err, _first_failing(evaluate, y, ids))
         r = y - reference + step_dt * fluxes.divergence(flux, grid)
         # Each member's l2 norm, as np.linalg.norm takes it.
         res = [math.sqrt(row.dot(row)) for row in r.reshape(len(r), -1)]
@@ -413,16 +414,19 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
             keep = [j for j in range(len(ids)) if j not in stop]
             ids = [ids[j] for j in keep]
             members = np.array(ids)
-            y, r, reference = y[keep], r[keep], reference[keep]
-            step_dt = take(step_dt, keep)
-            res = [res[j] for j in keep]
-            prev_res = [prev_res[j] for j in keep]
+            y, r, reference, step_dt = (take(v, keep)
+                                        for v in (y, r, reference, step_dt))
+            res, prev_res = ([v[j] for j in keep] for v in (res, prev_res))
         if k == max_iter:
             raise _blame(NonConvergenceError(
                 f"{what} stalled at residual {res[0]:.3e} after {max_iter} "
                 f"iterations", SolverReport(max_iter, res[0], False, tol)),
                 ids[0])
-        y = advance(y, r, res, prev_res, members)
+        try:
+            y = advance(y, r, res, prev_res, members)
+        except ValueError as err:
+            raise _blame(type(err)(f"{what}: {err} at iteration {k}"),
+                         getattr(err, "member", None)) from err
         prev_res = res
 
 
@@ -449,8 +453,7 @@ def anderson_mixed(propose, guess):
     count = len(guess)
     # Per member, rows hold the last differences of f and T(y), in rotating
     # order; ``kept`` counts the differences stored since the last restart.
-    dF = np.empty((count, ANDERSON_DEPTH, guess[0].size))
-    dT = np.empty_like(dF)
+    dF, dT = np.empty((2, count, ANDERSON_DEPTH, guess[0].size))
     kept, f_prev, T_prev = [0] * count, [None] * count, [None] * count
 
     def advance(y, r, res, prev_res, members):
@@ -534,8 +537,7 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                         jac[i] = fresh
                 y[j] += jac[i].solve(-np.ravel(r[j])).reshape(y[j].shape)
             except ValueError as err:
-                _blame(err, i)
-                raise
+                raise _blame(err, i)
         return y
 
     out = iterate(reference, flux_of, update, step_dt, y, grid, tol, max_iter,

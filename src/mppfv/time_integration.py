@@ -45,7 +45,8 @@ class ButcherTableau:
     """Coefficients of a diagonally implicit Runge-Kutta method.
 
     Invariants (validated): A is lower triangular, row sums of A equal c and
-    the weights b sum to one, both within 1e-12.
+    the weights b sum to one, both within 1e-12.  The arrays are float
+    copies of the inputs, read-only, so a tableau can be shared.
     """
 
     A: np.ndarray
@@ -55,9 +56,11 @@ class ButcherTableau:
     name: str = ""
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        for name in ("A", "b", "c"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        A, b, c = self.A, self.b, self.c
         M = len(b)
         if A.shape != (M, M) or c.shape != (M,):
             raise ValueError("tableau dimensions are inconsistent")
@@ -68,9 +71,6 @@ class ButcherTableau:
             raise ValueError("row sums of A must equal c within 1e-12")
         if abs(b.sum() - 1.0) > 1e-12:
             raise ValueError("weights b must sum to 1 within 1e-12")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     @property
     def stages(self):
@@ -131,9 +131,11 @@ def sdirk5_tableau():
                           name="sdirk5")
 
 
+@functools.cache
 def iex_tableau(p):
     """Runge-Kutta representation of the order-p implicit-Euler
-    extrapolation method (IEX-p) with p(p+1)/2 stages."""
+    extrapolation method (IEX-p) with p(p+1)/2 stages, built once per
+    order and shared (with its levels) by every step."""
     if p < 1:
         raise ValueError("extrapolation order p must be >= 1")
     M = p * (p + 1) // 2

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -553,6 +554,16 @@ class TestCommandLine:
         assert str(exc.value) == ("step 1 at t=0, dt=50: stage 4/6: "
                                   "wave-speed bound must be positive and "
                                   "finite")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_update_names_its_solve_and_iteration(self, capsys):
+        # iex2's second substep meets an exactly singular pseudo-Jacobian;
+        # the update's error names the solve and the iteration it failed in.
+        assert main(self.BLOWUP + ["--scheme", "iex2"]) == 3
+        assert re.fullmatch(
+            r"error: solver-failure: step 1 at t=0, dt=50: stage 2/3: stage "
+            r"solve: .*singular at iteration \d+\n",
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("module", ["mppfv", "mppfv.harness"])
     def test_module_entry_point(self, module):

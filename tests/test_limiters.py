@@ -140,6 +140,10 @@ class TestZalesakCoefficients:
         with pytest.raises(ValueError, match="coefficients"):
             _check_alphas(alphas)
 
+    def test_nan_coefficient_fails_the_range_check(self):
+        with pytest.raises(ValueError, match="coefficients"):
+            _check_alphas((np.array([0.5, np.nan]),))
+
 
 class TestReferenceGuards:
     class _Spec:
@@ -153,6 +157,11 @@ class TestReferenceGuards:
     def test_reference_beyond_slack_raises(self):
         with pytest.raises(ValueError, match="outside the global bounds"):
             _check_reference(np.array([0.5, 1.0 + 1e-8]), self._Spec(), "state")
+
+    def test_nan_reference_raises(self):
+        for values in ([0.5, np.nan], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="outside the global bounds"):
+                _check_reference(np.array(values), self._Spec(), "state")
 
     def test_restore_bounds_passthrough_and_clip(self):
         spec = self._Spec()

@@ -704,6 +704,24 @@ class TestIterationLoop:
                             guess, self.GRID, 1e-6, 50, "toy solve")
         assert exc.value.member == 1
 
+    def test_failed_update_keeps_its_type_and_member(self):
+        def evaluate(y, members):
+            return (np.zeros((len(y), 9)),)
+
+        def advance(y, r, res, prev_res, members):
+            if res[0] < 1.0:
+                err = np.linalg.LinAlgError("singular")
+                err.member = 1
+                raise err
+            return y - 0.5 * r
+
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            solvers.iterate(np.zeros((2, 8)), evaluate, advance, 0.1,
+                            np.ones((2, 8)), self.GRID, 1e-6, 50, "toy solve")
+        assert str(exc.value) == "toy solve: singular at iteration 2"
+        assert exc.value.member == 1
+        assert str(exc.value.__cause__) == "singular"
+
     def test_stops_at_target(self):
         y, flux, report = self.solve(0.1, 1e-6, 50)
         seen = self.seen

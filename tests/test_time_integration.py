@@ -113,6 +113,18 @@ class TestTableauConstruction:
                              b=[0.25, 0.25, 0.5], c=[0.5, 0.5, 1.0], order=1)
         assert tab.levels == ((0, 1), (2,))
 
+    def test_iex_tableau_is_built_once_per_order_and_read_only(self):
+        tab = iex_tableau(3)
+        assert iex_tableau(3) is tab and iex_tableau(2) is not tab
+        assert tab.levels is iex_tableau(3).levels
+        for values in (tab.A, tab.b, tab.c):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        # The inputs are copied, not frozen.
+        A = np.array([[1.0]])
+        ButcherTableau(A=A, b=[1.0], c=[1.0], order=1)
+        A[0, 0] = 0.5
+
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             iex_tableau(0)
