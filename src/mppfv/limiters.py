@@ -25,7 +25,7 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   of the quasi-Newton solves too; it takes ``G^H`` as a callable of the
   iterate, which returns the frozen step-start flux for the step-level
   limiter ``_gmc_with_flux`` and rebuilds the flux from the iterate for
-  the semi-discrete stage solver below.  ``solvers.anderson_mixed`` mixes
+  the semi-discrete stage solver below.  ``anderson.anderson_mixed`` mixes
   each update of the diagonal map above with the previous ones (type-II
   Anderson acceleration, Walker & Ni 2011), which needs a fraction of the
   plain sweeps and converges at large steps where they stall.  The mixed
@@ -65,7 +65,8 @@ from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import TOL_STAGE, anderson_mixed, iterate, take
+from .anderson import anderson_mixed
+from .solvers import TOL_STAGE, iterate, take
 
 TOL_GMC = 1e-12
 # The plain diagonal sweep contracts at a rate that degrades with the step
@@ -273,7 +274,7 @@ def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol):
     semidiscrete stage (``members`` as in :func:`solvers.iterate`); the
     low-order flux is evaluated at time ``t``.  Each update is the
     diagonal map ``T(u) = (u0 + w g(u))/(1 + w)``, mixed per member by
-    :func:`solvers.anderson_mixed`.  Returns the stacks ``(u0 - dt
+    :func:`anderson.anderson_mixed`.  Returns the stacks ``(u0 - dt
     div(realized), realized)`` and the :class:`solvers.StackReport`, and
     raises as :func:`solvers.iterate` (a finite residual means a finite
     realized flux); the limiter coefficients each member stopped at are
@@ -319,9 +320,9 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
     """One bound-preserving step: the fixed point of
     :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
     and the low-order flux at ``t + dt``, swept to ``TOL_GMC``: this solve
-    is what makes ``u^{n+1}`` bounded.  Returns ``(u^{n+1}, realized flux, SolverReport)``.  With
-    ``strict_reference`` the previous solution must lie in the global
-    bounds, and roundoff is snapped back into them.
+    is what makes ``u^{n+1}`` bounded.  Returns ``(u^{n+1}, realized flux,
+    SolverReport)``.  With ``strict_reference`` the previous solution must
+    lie in the global bounds, and roundoff is snapped back into them.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -71,9 +71,9 @@ quasi-Newton update (``_quasi_newton``, for :func:`newton_low_order` and the sta
 :func:`make_stage_solver`, IEX substeps included) solves with the
 pseudo-Jacobian above, one held matrix and LU per member's scale;
 ``limiters._gmc_fixed_point`` proposes the GMC diagonal map, and
-:func:`anderson_mixed` turns it into the update: type-II Anderson mixing,
-with one history and least-squares problem per member.  The quasi-Newton
-updates are not mixed.
+:func:`anderson.anderson_mixed` turns it into the update: type-II Anderson
+mixing, with one history and least-squares problem per member.  The
+quasi-Newton updates are not mixed.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ MAX_ITER_STAGE = 200
 #: An iterate whose residual is more than this share of the previous one has
 #: stalled, and quasi-Newton refreshes its matrix.
 STALL_RATIO = 0.5
-#: Number of past updates an Anderson-mixed solve keeps, and the residual
-#: growth over one update that drops them.  Dropping them on any growth can
-#: lock the GMC sweeps into a cycle just above ``limiters.TOL_GMC``.
-ANDERSON_DEPTH = 5
-ANDERSON_RESTART = 2.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -402,9 +397,8 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
         if stop:
             if len(stop) == len(ids) and out is None:
                 return y, flux, StackReport(reports)
-            if out is None:
-                out = (np.empty((count,) + y.shape[1:]),
-                       tuple(np.empty((count,) + f.shape[1:]) for f in flux))
+            out = out or (np.empty((count,) + y.shape[1:]), tuple(
+                np.empty((count,) + f.shape[1:]) for f in flux))
             done = [ids[j] for j in stop]
             out[0][done] = y[stop]
             for f_out, f in zip(out[1], flux):
@@ -428,56 +422,6 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
             raise _blame(type(err)(f"{what}: {err} at iteration {k}"),
                          getattr(err, "member", None)) from err
         prev_res = res
-
-
-def _anderson_coefficients(dF, f):
-    """The least-squares solution ``c`` of ``dF^T c = f`` for the few rows
-    of ``dF``, from the Cholesky factors of the Gram matrix ``dF dF^T``
-    (LAPACK ``dposv``); ``lstsq`` takes over when that matrix is not
-    numerically positive definite."""
-    _, c, info = lapack.dposv(dF @ dF.T, dF @ f)
-    if info != 0 or not np.all(np.isfinite(c)):
-        c = np.linalg.lstsq(dF.T, f, rcond=None)[0]
-    return c
-
-
-def anderson_mixed(propose, guess):
-    """An update for :func:`iterate` on the stack ``guess`` that mixes the
-    map ``propose(y, r, res, prev_res, members)`` (an update's arguments;
-    it returns the stack ``T(y)`` and leaves ``y`` as it is) by type-II
-    Anderson acceleration (Walker & Ni 2011), per member: with the
-    member's last ``ANDERSON_DEPTH`` differences of ``T`` and of ``f = T(y)
-    - y``, ``y <- T(y) - dT c``, ``c`` the least-squares solution of ``dF c
-    = f``.  A member whose residual grew more than ``ANDERSON_RESTART``-fold
-    drops its history and takes the plain ``y <- T(y)``."""
-    count = len(guess)
-    # Per member, rows hold the last differences of f and T(y), in rotating
-    # order; ``kept`` counts the differences stored since the last restart.
-    dF, dT = np.empty((2, count, ANDERSON_DEPTH, guess[0].size))
-    kept, f_prev, T_prev = [0] * count, [None] * count, [None] * count
-
-    def advance(y, r, res, prev_res, members):
-        T = propose(y, r, res, prev_res, members).reshape(len(y), -1)
-        f = T - y.reshape(len(y), -1)
-        mixed = []
-        for j, i in enumerate(range(count) if members is None else members):
-            if res[j] > ANDERSON_RESTART * prev_res[j]:
-                # The last mixed update made things worse: drop the history.
-                kept[i], f_prev[i] = 0, None
-            if f_prev[i] is None:
-                mixed.append(T[j])
-            else:
-                dF[i, kept[i] % ANDERSON_DEPTH] = f[j] - f_prev[i]
-                dT[i, kept[i] % ANDERSON_DEPTH] = T[j] - T_prev[i]
-                kept[i] += 1
-                rows = min(kept[i], ANDERSON_DEPTH)
-                mixed.append(T[j] - _anderson_coefficients(dF[i, :rows], f[j])
-                             @ dT[i, :rows])
-            f_prev[i], T_prev[i] = f[j], T[j]
-        return (mixed[0] if len(mixed) == 1 else np.stack(mixed)).reshape(
-            y.shape)
-
-    return advance
 
 
 def _first_failing(evaluate, y, ids):

@@ -56,11 +56,7 @@ class ButcherTableau:
     name: str = ""
 
     def __post_init__(self):
-        for name in ("A", "b", "c"):
-            value = np.array(getattr(self, name), dtype=float)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        A, b, c = self.A, self.b, self.c
+        A, b, c = (np.array(x, dtype=float) for x in (self.A, self.b, self.c))
         M = len(b)
         if A.shape != (M, M) or c.shape != (M,):
             raise ValueError("tableau dimensions are inconsistent")
@@ -71,6 +67,9 @@ class ButcherTableau:
             raise ValueError("row sums of A must equal c within 1e-12")
         if abs(b.sum() - 1.0) > 1e-12:
             raise ValueError("weights b must sum to 1 within 1e-12")
+        for name, value in zip("Abc", (A, b, c)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def stages(self):

@@ -22,8 +22,8 @@ from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
                             zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
-from mppfv.solvers import (TOL_STAGE, NonConvergenceError,
-                           _anderson_coefficients, newton_low_order)
+from mppfv.anderson import _anderson_coefficients
+from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
 from mppfv.time_integration import iex_step
 
 from conftest import make_burgers_1d, minus, random_flux_set
