@@ -61,11 +61,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .anderson import anderson_mixed
 from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .anderson import anderson_mixed
 from .solvers import TOL_STAGE, iterate, take
 
 TOL_GMC = 1e-12

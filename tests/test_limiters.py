@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mppfv import limiters
+from mppfv.anderson import _anderson_coefficients
 from mppfv.fluxes import (divergence, high_order_flux, low_order_with_bars,
                           tie_periodic_seam)
 from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
@@ -22,7 +23,6 @@ from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
                             zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
-from mppfv.anderson import _anderson_coefficients
 from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
 from mppfv.time_integration import iex_step
 
