@@ -1,7 +1,7 @@
 """Diagonally implicit Runge-Kutta (DIRK) machinery.
 
-Provides Butcher tableaus (a five-stage fifth-order SDIRK with exact
-rational coefficients, and the implicit-Euler extrapolation family IEX-p in
+Provides Butcher tableaus (a five-stage fifth-order SDIRK with rational
+coefficients, and the implicit-Euler extrapolation family IEX-p in
 Runge-Kutta form, whose IEX-1 is backward Euler) and the one DIRK stage
 loop with stage-flux aggregation and an optional per-stage limit hook; the
 extrapolation stepper is that loop on the IEX-p tableau.  Stage fluxes are
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,44 +88,46 @@ class ButcherTableau:
                      for k in range(max(level) + 1))
 
 
+# The five-stage SDIRK method's rational coefficients, each written as the
+# quotient of two integers: Python rounds int / int correctly, so every
+# float is the nearest to its exact fraction.
+
 #: Diagonal entry shared by all stages of the five-stage SDIRK method.
-_SDIRK5_DIAG = Fraction(4024571134387, 14474071345096)
+_SDIRK5_DIAG = 4024571134387 / 14474071345096
 
 _SDIRK5_A = [
     [_SDIRK5_DIAG, 0, 0, 0, 0],
-    [Fraction(9365021263232, 12572342979331), _SDIRK5_DIAG, 0, 0, 0],
-    [Fraction(2144716224527, 9320917548702),
-     Fraction(-397905335951, 4008788611757), _SDIRK5_DIAG, 0, 0],
-    [Fraction(-291541413000, 6267936762551),
-     Fraction(226761949132, 4473940808273),
-     Fraction(-1282248297070, 9697416712681), _SDIRK5_DIAG, 0],
-    [Fraction(-2481679516057, 4626464057815),
-     Fraction(-197112422687, 6604378783090),
-     Fraction(3952887910906, 9713059315593),
-     Fraction(4906835613583, 8134926921134), _SDIRK5_DIAG],
+    [9365021263232 / 12572342979331, _SDIRK5_DIAG, 0, 0, 0],
+    [2144716224527 / 9320917548702,
+     -397905335951 / 4008788611757, _SDIRK5_DIAG, 0, 0],
+    [-291541413000 / 6267936762551,
+     226761949132 / 4473940808273,
+     -1282248297070 / 9697416712681, _SDIRK5_DIAG, 0],
+    [-2481679516057 / 4626464057815,
+     -197112422687 / 6604378783090,
+     3952887910906 / 9713059315593,
+     4906835613583 / 8134926921134, _SDIRK5_DIAG],
 ]
 _SDIRK5_B = [
-    Fraction(-2522702558582, 12162329469185),
-    Fraction(1018267903655, 12907234417901),
-    Fraction(4542392826351, 13702606430957),
-    Fraction(5001116467727, 12224457745473),
-    Fraction(1509636094297, 3891594770934),
+    -2522702558582 / 12162329469185,
+    1018267903655 / 12907234417901,
+    4542392826351 / 13702606430957,
+    5001116467727 / 12224457745473,
+    1509636094297 / 3891594770934,
 ]
 _SDIRK5_C = [
     _SDIRK5_DIAG,
-    Fraction(5555633399575, 5431021154178),
-    Fraction(5255299487392, 12852514622453),
-    Fraction(3, 20),
-    Fraction(10449500210709, 14474071345096),
+    5555633399575 / 5431021154178,
+    5255299487392 / 12852514622453,
+    3 / 20,
+    10449500210709 / 14474071345096,
 ]
 
 
 def sdirk5_tableau():
-    """Five-stage, fifth-order SDIRK tableau with identical diagonal entries,
-    stored as exact integer fractions and converted to floats once."""
-    A = np.array([[float(a) for a in row] for row in _SDIRK5_A])
-    return ButcherTableau(A=A, b=[float(x) for x in _SDIRK5_B],
-                          c=[float(x) for x in _SDIRK5_C], order=5,
+    """Five-stage, fifth-order SDIRK tableau with identical diagonal
+    entries."""
+    return ButcherTableau(A=_SDIRK5_A, b=_SDIRK5_B, c=_SDIRK5_C, order=5,
                           name="sdirk5")
 
 

@@ -6,10 +6,16 @@ is checked against it.
 """
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mppfv import time_integration
 from mppfv.fluxes import divergence, high_order_flux
 from mppfv.limiters import make_semidiscrete_gmc_substep_solver
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
@@ -73,6 +79,47 @@ class TestTableauConstruction:
         assert np.max(np.abs(tab.A.sum(axis=1) - tab.c)) <= 1e-12
         assert tab.b.sum() == pytest.approx(1.0, abs=1e-13)
         assert tab.c[3] == pytest.approx(0.15, abs=1e-15)
+
+    def test_sdirk5_coefficients_are_the_nearest_floats(self):
+        # Each coefficient is the float nearest to its exact fraction.
+        F = Fraction
+        d = F(4024571134387, 14474071345096)
+        A = [[d, 0, 0, 0, 0],
+             [F(9365021263232, 12572342979331), d, 0, 0, 0],
+             [F(2144716224527, 9320917548702),
+              F(-397905335951, 4008788611757), d, 0, 0],
+             [F(-291541413000, 6267936762551), F(226761949132, 4473940808273),
+              F(-1282248297070, 9697416712681), d, 0],
+             [F(-2481679516057, 4626464057815),
+              F(-197112422687, 6604378783090),
+              F(3952887910906, 9713059315593),
+              F(4906835613583, 8134926921134), d]]
+        b = [F(-2522702558582, 12162329469185),
+             F(1018267903655, 12907234417901),
+             F(4542392826351, 13702606430957),
+             F(5001116467727, 12224457745473),
+             F(1509636094297, 3891594770934)]
+        c = [d, F(5555633399575, 5431021154178),
+             F(5255299487392, 12852514622453), F(3, 20),
+             F(10449500210709, 14474071345096)]
+        tab = sdirk5_tableau()
+        for got, exact in ((tab.A, A), (tab.b, b), (tab.c, c)):
+            want = np.array([float(x) for x in np.ravel(exact)])
+            assert np.array_equal(got.ravel(), want)
+            assert np.array_equal(np.signbit(got.ravel()), np.signbit(want))
+
+    def test_package_import_leaves_out_fractions(self):
+        # Importing fractions pulls in decimal, about 0.4 MiB and a few ms
+        # of every run's start-up.
+        src = str(Path(time_integration.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, mppfv.harness; print("
+             "sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_extrapolation_tableau_block_structure(self):
         p = 4
