@@ -4,9 +4,17 @@
 members into the mixed update (Walker & Ni, SIAM J. Numer. Anal. 49, 2011),
 with one history, restart and least-squares problem per member, so each
 member's iterates are those of its solve alone.  The GMC fixed point of
-:mod:`limiters` proposes its diagonal map; the quasi-Newton updates of
-:mod:`solvers` are not mixed.
+:mod:`limiters` proposes its diagonal map.  The stage solves of
+:mod:`solvers` propose the quasi-Newton map ``y - J^{-1} r(y)`` with the
+held low-order pseudo-Jacobian ``J``; mixing it is, on a linear problem,
+essentially GMRES preconditioned by ``J``, with no extra flux evaluation.
+The low-order solve is not mixed: ``J`` is its own residual's Jacobian
+except for the wave-speed bound, so the plain update already contracts
+fast, and mixing it took more updates and flux evaluations (bl1d, nx=800
+at dt = 5h: 9.44 → 15.50 updates per solve).
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -24,7 +32,7 @@ def _anderson_coefficients(dF, f):
     (LAPACK ``dposv``); ``lstsq`` takes over when that matrix is not
     numerically positive definite."""
     _, c, info = lapack.dposv(dF @ dF.T, dF @ f)
-    if info != 0 or not np.all(np.isfinite(c)):
+    if info != 0 or not all(map(math.isfinite, c.tolist())):
         c = np.linalg.lstsq(dF.T, f, rcond=None)[0]
     return c
 

@@ -69,11 +69,12 @@ iterate and flux it stopped at, so each member's result and report are
 those of its solve alone, and the others go on without it.  The
 quasi-Newton update (``_quasi_newton``, for :func:`newton_low_order` and the stages of
 :func:`make_stage_solver`, IEX substeps included) solves with the
-pseudo-Jacobian above, one held matrix and LU per member's scale;
-``limiters._gmc_fixed_point`` proposes the GMC diagonal map, and
-:func:`anderson.anderson_mixed` turns it into the update: type-II Anderson
-mixing, with one history and least-squares problem per member.  The
-quasi-Newton updates are not mixed.
+pseudo-Jacobian above, one held matrix and LU per member's scale.
+:func:`anderson.anderson_mixed` turns a proposed map into the update by
+type-II Anderson mixing, with one history and least-squares problem per
+member: the quasi-Newton map of the stage solves, and
+``limiters._gmc_fixed_point``'s GMC diagonal map.  The low-order solve
+takes the plain quasi-Newton update (:mod:`anderson` says why).
 """
 
 from __future__ import annotations
@@ -88,14 +89,16 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from . import fluxes
+from .anderson import anderson_mixed
 from .mesh import FIRST, LAST, PERIODIC, ghost_fill, sides
 
 TOL_LOW_ORDER = 1e-12
 TOL_STAGE = 1e-8
 MAX_ITER_LOW_ORDER = 100
-# The stage iteration matrix is the low-order pseudo-Jacobian, so convergence
-# is linear with a rate that degrades as the step size grows; large-step runs
-# (dt ~ 5 dx on a shock) need ~60 iterations per stage.
+# The stage iteration matrix is the low-order pseudo-Jacobian, so the plain
+# update converges linearly at a rate that degrades as the step grows.  The
+# mixed updates of large-step runs (dt = 5h) take 12.5 per stage on bl1d
+# nx=800 (at most 17) and 37-70 on kpp2d at 16^2-64^2 (at most 88).
 MAX_ITER_STAGE = 200
 #: An iterate whose residual is more than this share of the previous one has
 #: stalled, and quasi-Newton refreshes its matrix.
@@ -437,7 +440,7 @@ def _first_failing(evaluate, y, ids):
 
 
 def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
-                  tol, max_iter, what):
+                  tol, max_iter, what, mixed):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
     quasi-Newton iteration from ``guess`` for every member of a stack:
     :func:`iterate` to ``tol``, with this update.  ``step_dt`` and
@@ -456,6 +459,10 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     converged solve leaves the engine holding, for each member's scale in
     stack order, the matrix that member ended with.  Returns and raises as
     :func:`iterate`.
+
+    With ``mixed`` the update is the proposal ``y + J^{-1}(-r)``, mixed per
+    member by :func:`anderson.anderson_mixed`; a member keeps its history
+    across its matrix refreshes.  Without, it is the proposal itself.
     """
     y = np.array(guess, dtype=float)
     scales = [float(s) for s in np.ravel(step_dt)]
@@ -464,11 +471,15 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     jac = [engine.held.get(scale) for scale in scales]
     for i, matrix in enumerate(jac):
         if matrix is None:
-            jac[i] = assemble_pseudo_jacobian(y[i], spec, grid, scales[i],
-                                              t=times[i])
+            try:
+                jac[i] = assemble_pseudo_jacobian(y[i], spec, grid,
+                                                  scales[i], t=times[i])
+            except ValueError as err:
+                raise _blame(err, i)
     refresh, stall = [False] * len(y), [STALL_RATIO] * len(y)
 
-    def update(y, r, res, prev_res, members):
+    def propose(y, r, res, prev_res, members):
+        proposal = np.empty_like(y)
         for j, i in enumerate(range(len(y)) if members is None else members):
             try:
                 refresh[i] = refresh[i] or res[j] > stall[i] * prev_res[j]
@@ -479,11 +490,13 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
                         refresh[i], stall[i] = False, np.inf
                     else:
                         jac[i] = fresh
-                y[j] += jac[i].solve(-np.ravel(r[j])).reshape(y[j].shape)
+                proposal[j] = y[j] + jac[i].solve(-np.ravel(r[j])).reshape(
+                    y[j].shape)
             except ValueError as err:
                 raise _blame(err, i)
-        return y
+        return proposal
 
+    update = anderson_mixed(propose, y) if mixed else propose
     out = iterate(reference, flux_of, update, step_dt, y, grid, tol, max_iter,
                   what)
     for scale, matrix in zip(scales, jac):
@@ -514,7 +527,7 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
         lambda u, _: fluxes.low_order_with_bars(u, spec, grid,
                                                 t=stage_time)[0],
         dt, stage_time, u_n[None], engine, TOL_LOW_ORDER, MAX_ITER_LOW_ORDER,
-        "low-order solve")
+        "low-order solve", mixed=False)
     flux = tuple(f[0] for f in flux)
     return u_n - dt * fluxes.divergence(flux, grid), flux, reports[0]
 
@@ -522,7 +535,8 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
 def make_stage_solver(engine):
     """Stage-solver callable for :func:`time_integration.dirk_step` on the
     engine's problem and grid; every stage of every step starts on the
-    matrix the engine holds for its implicit scale.
+    matrix the engine holds for its implicit scale, and its quasi-Newton
+    updates are Anderson-mixed (:func:`_quasi_newton`).
 
     ``solver(reference, step_dt, stage_time, guess)`` solves the stacked
     stages ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0``, one per
@@ -538,7 +552,7 @@ def make_stage_solver(engine):
             lambda y, members: fluxes.high_order_flux(
                 y, spec, grid, t=take(stage_time, members)),
             step_dt, stage_time, guess, engine, TOL_STAGE, MAX_ITER_STAGE,
-            "stage solve")
+            "stage solve", mixed=True)
 
     return solver
 

@@ -1,5 +1,6 @@
 """Run driver: configuration, config files, CLI, snapshots, studies."""
 
+import dataclasses
 import math
 import os
 import re
@@ -475,26 +476,27 @@ class TestCommandLine:
         assert code == 3
         assert err.startswith("error: solver-failure:")
 
-    # burgers1d, sdirk5, dt = 20h: the quasi-Newton iteration of the third
-    # stage of the first step stalls on the shock.
-    FAILING = dict(problem="burgers1d", nx=40, t_final=1.0, scheme="sdirk5",
-                   dt_factor=20.0)
+    # bl1d, sdirk5, dt = 1000h: the mixed quasi-Newton iteration of the
+    # third stage of the first step stalls at a residual near 1e-3.
+    FAILING = dict(problem="bl1d", nx=20, t_final=50.0, scheme="sdirk5",
+                   dt_factor=1000.0)
 
     def test_solver_failure_names_its_step(self):
         with pytest.raises(NonConvergenceError) as exc:
             run(RunConfig(**self.FAILING))
         err = exc.value
         assert str(err).startswith(
-            "step 1 at t=0, dt=1: stage 3/5: stage solve stalled at residual ")
+            "step 1 at t=0, dt=50: stage 3/5: stage solve stalled at "
+            "residual ")
         assert err.report is err.__cause__.report
         assert not err.report.converged
 
     def test_solver_failure_cli_reports_the_step(self, capsys):
-        code = main(["--problem", "burgers1d", "--nx", "40", "--t-final",
-                     "1", "--scheme", "sdirk5", "--dt-factor", "20"])
+        code = main(["--problem", "bl1d", "--nx", "20", "--t-final", "50",
+                     "--scheme", "sdirk5", "--dt-factor", "1000"])
         assert code == 3
         assert capsys.readouterr().err.startswith(
-            "error: solver-failure: step 1 at t=0, dt=1: stage 3/5: ")
+            "error: solver-failure: step 1 at t=0, dt=50: stage 3/5: ")
 
     def test_failing_step_counts_from_one(self, monkeypatch):
         calls = []
@@ -518,21 +520,45 @@ class TestCommandLine:
                                   "stage 2/5: stalled")
         assert exc.value.report == "report"
 
-    # burgers1d at dt = 1000h: the solves of the first step blow up to a
-    # non-finite residual or wave-speed bound (a ValueError in the step).
+    # burgers1d at dt = 1000h: the low-order solve of be's first step blows
+    # up to a non-finite residual (a ValueError in the step).  The mixed
+    # stage solves of sdirk5 and iex2 finish that step, so there the flux
+    # returns NaN at every time after the start.
     BLOWUP = ["--problem", "burgers1d", "--nx", "40", "--dt-factor", "1000",
               "--t-final", "50"]
 
+    @staticmethod
+    def patch_problem(monkeypatch, **callbacks):
+        """Make ``run`` build its problem with ``callbacks(spec)`` in place
+        of the named callbacks of the built one."""
+        build = harness.build_problem
+
+        def patched(config):
+            spec = build(config)
+            return dataclasses.replace(spec, **{
+                name: make(spec) for name, make in callbacks.items()})
+
+        monkeypatch.setattr(harness, "build_problem", patched)
+
+    def nan_flux_after_start(self, monkeypatch, scheme):
+        if scheme != "be":
+            self.patch_problem(monkeypatch, flux=lambda spec: (
+                lambda axis, u, x, y, t: np.where(
+                    np.asarray(t) > 0, np.nan, spec.flux(axis, u, x, y, t))))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["be", "sdirk5", "iex2"])
-    def test_value_error_in_a_step_is_a_solver_failure(self, scheme, capsys):
+    def test_value_error_in_a_step_is_a_solver_failure(self, scheme, capsys,
+                                                       monkeypatch):
+        self.nan_flux_after_start(monkeypatch, scheme)
         assert main(self.BLOWUP + ["--scheme", scheme]) == 3
         assert capsys.readouterr().err.startswith(
             "error: solver-failure: step 1 at t=0, dt=50: ")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["be", "sdirk5", "iex2"])
-    def test_value_error_in_a_step_is_the_cause(self, scheme):
+    def test_value_error_in_a_step_is_the_cause(self, scheme, monkeypatch):
+        self.nan_flux_after_start(monkeypatch, scheme)
         config = RunConfig(problem="burgers1d", nx=40, scheme=scheme,
                            dt_factor=1000.0, t_final=50.0)
         with pytest.raises(NonConvergenceError) as exc:
@@ -542,10 +568,16 @@ class TestCommandLine:
                                   f"{exc.value.__cause__}")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_value_error_in_a_stacked_level_names_its_stage(self):
-        # iex3's first level stacks stages 1, 2 and 4; the iterate of
-        # stage 4 (chain 3) blows up first, and its wave-speed bound
-        # rejects the stacked flux evaluation.
+    def test_value_error_in_a_stacked_level_names_its_stage(self,
+                                                            monkeypatch):
+        # iex3's first level stacks stages 1, 2 and 4, the first substeps
+        # of chains 1, 2 and 3 (stage times dt, dt/2 and dt/3).  The
+        # wave-speed bound is NaN at stage 4's time only, so it rejects the
+        # stacked flux evaluation, and the error names that member.
+        self.patch_problem(monkeypatch, wave_speed_bound=lambda spec: (
+            lambda axis, ua, ub, ra, rb, x, y, t: np.where(
+                np.isclose(t, 50.0 / 3), np.nan,
+                spec.wave_speed_bound(axis, ua, ub, ra, rb, x, y, t))))
         config = RunConfig(problem="burgers1d", nx=60, scheme="iex3",
                            dt_factor=3000.0, t_final=50.0)
         with pytest.raises(NonConvergenceError) as exc:
@@ -556,9 +588,21 @@ class TestCommandLine:
                                   "finite")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_failed_update_names_its_solve_and_iteration(self, capsys):
-        # iex2's second substep meets an exactly singular pseudo-Jacobian;
-        # the update's error names the solve and the iteration it failed in.
+    def test_failed_update_names_its_solve_and_iteration(self, capsys,
+                                                         monkeypatch):
+        # iex2's second substep (implicit scale dt/2 = 25) meets a
+        # pseudo-Jacobian with an empty row, exactly singular; the update's
+        # error names the solve and the iteration it failed in.
+        assemble = solvers.assemble_pseudo_jacobian
+
+        def singular_at_half_step(values, spec, grid, scale, t=0.0):
+            matrix = assemble(values, spec, grid, scale, t)
+            if scale == 25.0:
+                matrix.stencil[:, 5] = 0.0
+            return matrix
+
+        monkeypatch.setattr(solvers, "assemble_pseudo_jacobian",
+                            singular_at_half_step)
         assert main(self.BLOWUP + ["--scheme", "iex2"]) == 3
         assert re.fullmatch(
             r"error: solver-failure: step 1 at t=0, dt=50: stage 2/3: stage "
