@@ -3,11 +3,14 @@
 :func:`anderson_mixed` turns a map that an update proposes for a stack of
 members into the mixed update (Walker & Ni, SIAM J. Numer. Anal. 49, 2011),
 with one history, restart and least-squares problem per member, so each
-member's iterates are those of its solve alone.  The GMC fixed point of
-:mod:`limiters` proposes its diagonal map.  The stage solves of
-:mod:`solvers` propose the quasi-Newton map ``y - J^{-1} r(y)`` with the
-held low-order pseudo-Jacobian ``J``; mixing it is, on a linear problem,
-essentially GMRES preconditioned by ``J``, with no extra flux evaluation.
+member's iterates are those of its solve alone.  Two maps are mixed.  The
+GMC fixed points of :mod:`limiters` (the step-level limit, and a
+semi-discrete stage after its quasi-Newton updates) propose the diagonal
+map.  The stage solves of :mod:`solvers` (SDIRK5 stages and IEX
+substeps, on the high-order flux or on the semi-discretely limited one)
+propose the quasi-Newton map ``y - J^{-1} r(y)`` with the held low-order
+pseudo-Jacobian ``J``; mixing it is, on a linear problem, essentially
+GMRES preconditioned by ``J``, with no extra flux evaluation.
 The low-order solve is not mixed: ``J`` is its own residual's Jacobian
 except for the wave-speed bound, so the plain update already contracts
 fast, and mixing it took more updates and flux evaluations (bl1d, nx=800

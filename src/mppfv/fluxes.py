@@ -140,7 +140,7 @@ def divergence(faces, grid):
 def check_finite(faces):
     """Raise ``ValueError`` unless every face value of ``faces`` is finite."""
     if not all(np.isfinite(a).all() for a in faces):
-        raise ValueError("face fluxes must be finite")
+        raise ValueError("non-finite face flux")
 
 
 @dataclass

@@ -21,7 +21,7 @@ proposal
     ``limiter="gmc"`` the substeps already use the semi-discretely
     limited flux; they stop at the stage tolerance ``TOL_STAGE``, so
     their states are bounded only up to it and ``stage_delta`` can read
-    about -1e-10 (-7e-10 on burgers1d, nx=200, iex4 at dt = h/2); the
+    about -1e-10 (-2.5e-10 on burgers1d, nx=200, iex4 at dt = h/2); the
     limited step itself keeps ``delta`` >= -1e-12.  With
     ``limit_stages`` the ``sdirk5`` proposal also passes every
     intermediate stage through the limiter (the stages of a high-order
@@ -162,7 +162,8 @@ def _make_stepper(config, spec, grid):
     ``u_new = u - dt * div(flux)`` up to solver tolerance (exactly, for the
     paths that reconstruct the state from the flux), so accumulating its
     boundary contribution gives the flux-corrected mass audit.  One
-    :class:`JacobianEngine` serves every implicit solve of the run, so each
+    :class:`JacobianEngine` serves every implicit solve of the run (the
+    semi-discrete GMC substeps of ``iex`` with ``gmc`` included), so each
     solve starts on the matrix and LU that the last converged solve at its
     implicit scale ended with.
     """
@@ -202,7 +203,7 @@ def _make_stepper(config, spec, grid):
         p = int(config.scheme[3:])
         if config.limiter == "gmc":
             stage_solver = make_semidiscrete_gmc_substep_solver(
-                spec, grid, config.gamma)
+                spec, grid, config.gamma, engine)
         else:
             stage_solver = make_stage_solver(engine)
 

@@ -21,20 +21,23 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   ``ubar*_i = ubar_i + (1/a_i) sum |S| alpha dG``, and the allowances are
   ``Q^± = a_i [(u^{max/min} - ubar_i) + gamma (u^{max/min} - u_i)]``.
   Any solution is bounded with no time-step restriction.  One kernel,
-  ``_gmc_fixed_point``, runs this update in ``solvers.iterate``, the loop
-  of the quasi-Newton solves too; it takes ``G^H`` as a callable of the
-  iterate, which returns the frozen step-start flux for the step-level
-  limiter ``_gmc_with_flux`` and rebuilds the flux from the iterate for
-  the semi-discrete stage solver below.  ``anderson.anderson_mixed`` mixes
-  each update of the diagonal map above with the previous ones (type-II
-  Anderson acceleration, Walker & Ni 2011), which needs a fraction of the
-  plain sweeps and converges at large steps where they stall.  The mixed
-  iterates are not projected onto the bounds; boundedness comes from the
+  ``_gmc_face_terms``, evaluates the terms of this map, and
+  :class:`_GmcSystem` keeps them per member for both maps that solve it:
+  this diagonal map, which ``anderson.anderson_mixed`` mixes with the
+  previous updates (type-II Anderson acceleration, Walker & Ni 2011), and,
+  for the semi-discrete stages below, the quasi-Newton map of
+  ``solvers._quasi_newton`` on the limited flux.  ``G^H`` is a callable of
+  the iterate: it returns the frozen step-start flux for the step-level
+  limiter ``_gmc_with_flux``, which sweeps from the clipped high-order
+  state ``u^n - dt div G^H``, and rebuilds the flux from the iterate for
+  the stages.  A plain diagonal update is a convex combination of the
+  reference and bounded states, so it is bounded where they are; the mixed
+  ones are not projected onto the bounds, and boundedness comes from the
   converged fixed point, whose state is recomputed from the realized
-  flux.  ``solvers.iterate`` stops every member at its first residual at
-  most its tolerance: ``TOL_GMC`` for the step-level limit, which makes
-  ``u^{n+1}`` bounded, and ``solvers.TOL_STAGE`` for a stage, as for the
-  quasi-Newton stage solves.
+  flux.  ``solvers.iterate`` stops every
+  member at its first residual at most its tolerance: ``TOL_GMC`` for the
+  step-level limit, which makes ``u^{n+1}`` bounded, and
+  ``solvers.TOL_STAGE`` for a stage, as for the quasi-Newton stage solves.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -48,16 +51,23 @@ limiting (both flux orders evaluated at the stage state, limited so the
 semi-discretization is locally-extremum-diminishing with respect to the
 global bounds), which runs the stages of the extrapolation integrator in
 the DIRK stage loop of :mod:`time_integration`.  That loop hands it each
-dependency level as one stack (substep j of every chain), and it runs the
-members' fixed points in one ``iterate`` loop: one flux evaluation per
-sweep for the whole stack, each member mixed and stopped on its own, so
-each keeps the result of its substep solved alone.  Its stages stop at
-``TOL_STAGE``, so the chain states are bounded only up to that
+dependency level as one stack (substep j of every chain).  The members
+take the Anderson-mixed quasi-Newton updates of the stage solves, on the
+run's held pseudo-Jacobians and clipped into the bounds; a member whose
+residual freezes there (the limiter coefficients switch between iterates)
+goes on alone by the mixed diagonal map, and every member ends with a
+plain diagonal update from its iterate (and mixed ones after it while
+its residual is above the tolerance).  Each update evaluates the flux
+once for the whole stack, and each member is mixed and stopped on its
+own, so each keeps the result of its substep solved alone.  Its stages
+stop at ``TOL_STAGE``, so the chain states are bounded only up to that
 tolerance; boundedness with no step-size limit holds at the fixed point,
 and the step-level limit removes what the stages leave.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,13 +76,18 @@ from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import TOL_STAGE, iterate, take
+from .solvers import (MAX_ITER_STAGE, TOL_STAGE, JacobianEngine, StackReport,
+                      _quasi_newton, iterate, take)
 
 TOL_GMC = 1e-12
 # The plain diagonal sweep contracts at a rate that degrades with the step
 # size (thousands of sweeps at dt ~ 5 dx on a shock); Anderson mixing cuts
 # that to tens or hundreds, and the cap bounds the rest.
 MAX_GMC_SWEEPS = 5000
+#: Updates for which a semidiscrete stage member's quasi-Newton residual
+#: may stay frozen (``solvers.FROZEN_CHANGE``) before the member switches
+#: to the diagonal map.
+QUASI_NEWTON_PATIENCE = 3
 LIMITER_CHOICES = ("none", "fct", "gmc")
 
 #: Allowed out-of-bounds slack of reference states before limiting is
@@ -262,67 +277,83 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     return G_L, alphas, _weighted(alphas, correction), a, ubar
 
 
-def _gmc_fixed_point(u0, high_flux, spec, grid, dt, gamma, t, tol):
-    """The GMC fixed points ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
-    high_flux(u)))`` of a stack of members by :func:`solvers.iterate` from
-    ``u0``, to ``tol`` in at most ``MAX_GMC_SWEEPS`` updates.
+class _GmcSystem:
+    """The GMC systems ``u = u0 - dt div(G^L(u) - alpha(u) (G^L(u) -
+    high_flux(u)))`` of a stack of members, and the one kernel both maps of
+    their solves read.
 
     ``u0`` is a stack of cell states, shape ``(m, *grid.shape)``; ``dt``
     and ``t`` broadcast against it (per-member ``(m,) + (1,)*dim`` arrays,
     or scalars).  ``high_flux(u, members)`` returns a frozen ``G^H`` for
     the step-level limiter and rebuilds it from the iterate for the
     semidiscrete stage (``members`` as in :func:`solvers.iterate`); the
-    low-order flux is evaluated at time ``t``.  Each update is the
-    diagonal map ``T(u) = (u0 + w g(u))/(1 + w)``, mixed per member by
-    :func:`anderson.anderson_mixed`.  Returns the stacks ``(u0 - dt
-    div(realized), realized)`` and the :class:`solvers.StackReport`, and
-    raises as :func:`solvers.iterate` (a finite residual means a finite
-    realized flux); the limiter coefficients each member stopped at are
-    range-checked on exit.
+    low-order flux is evaluated at time ``t``.  :meth:`realized_flux`
+    evaluates the terms of :func:`_gmc_face_terms` at the iterates of
+    ``members`` and keeps, per member, those of its latest evaluation
+    (``alphas``, ``accepted``, ``a`` and ``ubar``, stacked over all
+    members); :meth:`diagonal_map` reads them.
     """
-    nu = dt / grid.cell_volume
-    terms = alphas = evaluated = None
 
-    def realized_flux(u, members):
-        nonlocal terms, alphas, evaluated
-        evaluated = members
-        G_L, *terms = _gmc_face_terms(u, high_flux(u, members), spec, grid,
-                                      gamma, take(t, members))
+    def __init__(self, u0, high_flux, spec, grid, dt, gamma, t):
+        self.u0, self.high_flux = u0, high_flux
+        self.spec, self.grid = spec, grid
+        self.dt, self.gamma, self.t = dt, gamma, t
+        self.nu = dt / grid.cell_volume
+
+    def realized_flux(self, u, members):
+        """The limited flux ``G^L - alpha (G^L - G^H)`` of the iterates
+        ``u`` of ``members``, for :func:`solvers.iterate`."""
+        G_L, alphas, accepted, a, ubar = _gmc_face_terms(
+            u, self.high_flux(u, members), self.spec, self.grid, self.gamma,
+            take(self.t, members))
         if members is None:
-            alphas = terms[0]
-        elif alphas is not None:
-            for full, part in zip(alphas, terms[0]):
+            self.alphas, self.accepted, self.a, self.ubar = (alphas, accepted,
+                                                             a, ubar)
+        else:
+            for full, part in zip((*self.alphas, *self.accepted, self.a,
+                                   self.ubar),
+                                  (*alphas, *accepted, a, ubar)):
                 full[members] = part
-        return tuple(gl - c for gl, c in zip(G_L, terms[1]))
+        return tuple(gl - c for gl, c in zip(G_L, accepted))
 
-    def diagonal_map(u, r, res, prev_res, members):
-        _, accepted, a, ubar = terms
-        if members is not evaluated:
-            # Members stopped at the last evaluation: keep the others' rows.
-            rows = members if evaluated is None else np.searchsorted(
-                evaluated, members)
-            accepted = tuple(x[rows] for x in accepted)
-            a, ubar = a[rows], ubar[rows]
-        ustar = ubar + grid.cell_volume * divergence(accepted, grid) / a
-        g = u + (ustar - u) / (1.0 + gamma)
-        w = take(nu, members) * a * (1.0 + gamma)
-        return (take(u0, members) + w * g) / (1.0 + w)
+    def diagonal_map(self, u, r, res, prev_res, members):
+        """The diagonal map ``T(u) = (u0 + w g(u))/(1 + w)`` of the
+        iterates ``u`` of ``members`` (an update's arguments), from the
+        terms of their latest evaluation."""
+        accepted = tuple(take(x, members) for x in self.accepted)
+        a, ubar = take(self.a, members), take(self.ubar, members)
+        ustar = ubar + self.grid.cell_volume * divergence(accepted,
+                                                          self.grid) / a
+        g = u + (ustar - u) / (1.0 + self.gamma)
+        w = take(self.nu, members) * a * (1.0 + self.gamma)
+        return (take(self.u0, members) + w * g) / (1.0 + w)
 
-    _, realized, reports = iterate(u0, realized_flux,
-                                   anderson_mixed(diagonal_map, u0), dt, u0,
-                                   grid, tol, MAX_GMC_SWEEPS,
-                                   "bound-preserving fixed point")
-    _check_alphas(alphas)
-    return u0 - dt * divergence(realized, grid), realized, reports
+    def fixed_point(self, guess, tol):
+        """The fixed points by :func:`solvers.iterate` from ``guess``, to
+        ``tol`` in at most ``MAX_GMC_SWEEPS`` updates, each the diagonal
+        map mixed per member by :func:`anderson.anderson_mixed`.  Returns
+        the stacks ``(u0 - dt div(realized), realized)`` and the
+        :class:`solvers.StackReport`, and raises as
+        :func:`solvers.iterate` (a finite residual means a finite realized
+        flux); the limiter coefficients each member stopped at are
+        range-checked on exit."""
+        _, realized, reports = iterate(
+            self.u0, self.realized_flux,
+            anderson_mixed(self.diagonal_map, guess), self.dt, guess,
+            self.grid, tol, MAX_GMC_SWEEPS, "bound-preserving fixed point")
+        _check_alphas(self.alphas)
+        return (self.u0 - self.dt * divergence(realized, self.grid),
+                realized, reports)
 
 
 def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
-    """One bound-preserving step: the fixed point of
-    :func:`_gmc_fixed_point` from ``u^n`` with ``G_H`` frozen at step start
-    and the low-order flux at ``t + dt``, swept to ``TOL_GMC``: this solve
-    is what makes ``u^{n+1}`` bounded.  Returns ``(u^{n+1}, realized flux,
-    SolverReport)``.  With ``strict_reference`` the previous solution must
-    lie in the global bounds, and roundoff is snapped back into them.
+    """One bound-preserving step: the fixed point of :class:`_GmcSystem`
+    from ``u^n`` with ``G_H`` frozen at step start and the low-order flux
+    at ``t + dt``, swept from the clipped high-order state ``u^n - dt div
+    G_H`` to ``TOL_GMC``: this solve is what makes ``u^{n+1}`` bounded.
+    Returns ``(u^{n+1}, realized flux, SolverReport)``.  With
+    ``strict_reference`` the previous solution must lie in the global
+    bounds, and roundoff is snapped back into them.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -330,9 +361,13 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
         raise ValueError("gamma must be >= 0")
     if strict_reference:
         _check_reference(u_n, spec, "the previous solution")
+    check_finite(G_H)
+    start = np.clip(u_n - dt * divergence(G_H, grid), spec.global_min,
+                    spec.global_max)
     G_H = tuple(g[None] for g in G_H)
-    u_new, realized, reports = _gmc_fixed_point(
-        u_n[None], lambda *_: G_H, spec, grid, dt, gamma, t + dt, TOL_GMC)
+    system = _GmcSystem(u_n[None], lambda *_: G_H, spec, grid, dt, gamma,
+                        t + dt)
+    u_new, realized, reports = system.fixed_point(start[None], TOL_GMC)
     u_new, realized = u_new[0], tuple(g[0] for g in realized)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
@@ -343,7 +378,7 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
 # Semi-discrete GMC limiting (for integrators with SSP stages)
 # ---------------------------------------------------------------------------
 
-def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
+def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, engine=None):
     """Stage solver on the limited semi-discretization, for
     :func:`time_integration.dirk_step` and
     :func:`time_integration.iex_step`.
@@ -353,15 +388,25 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     :func:`time_integration.dirk_step`, the implicit-Euler stage
     ``y = reference + step_dt * RHS(y)``, where
     ``RHS = -(1/|K|) sum |S| [G^L - alpha (G^L - G^H)]`` has both flux
-    orders and the allowances evaluated at ``y``, by the same
-    Anderson-mixed fixed point as the step-level limiter (with the
-    high-order flux rebuilt at every iterate), sweeping from ``reference``
-    (the guess is not used), and returns the stacks ``(y, realized flux)``
-    and a :class:`solvers.StackReport`; the stage value is recomputed from
-    the realized flux, so chained stages conserve mass exactly.  Each
-    member stops at its first absolute l2 residual at most ``TOL_STAGE``,
-    in the loop of the quasi-Newton stage solver
-    (:func:`solvers.iterate`).
+    orders and the allowances evaluated at ``y``, and returns the stacks
+    ``(y, realized flux)`` and a :class:`solvers.StackReport`.
+
+    Each member is solved in two parts, on one :class:`_GmcSystem`.  First
+    the Anderson-mixed quasi-Newton iteration of the stage solves
+    (:func:`solvers._quasi_newton`) on the limited flux, from the guess
+    clipped into the global bounds, on ``engine``'s held matrix for the
+    member's scale (a new :class:`solvers.JacobianEngine` when None), with
+    every iterate clipped into the bounds.  It stops a member at its
+    first residual at most ``TOL_STAGE``, or, unconverged, once its
+    residual has stayed frozen for ``QUASI_NEWTON_PATIENCE`` updates:
+    the limiter coefficients switch between iterates, and quasi-Newton
+    updates can freeze there.  Then every member takes one plain
+    diagonal update from its iterate, and the Anderson-mixed diagonal map
+    of the step-level limiter goes on from there to ``TOL_STAGE``; a
+    member that converged mostly stops at once.  The stage value is
+    recomputed from the realized flux there, so chained stages conserve
+    mass exactly.  A member's report counts the updates of both parts
+    and the plain one between them.
 
     The allowances keep every bar-state average within the global bounds,
     so this semi-discretization is locally extremum diminishing with
@@ -370,12 +415,26 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0):
     ``TOL_STAGE`` is bounded only up to that tolerance; the step-level
     limit makes the step's result bounded.
     """
+    if engine is None:
+        engine = JacobianEngine(spec, grid)
+    bounds = (spec.global_min, spec.global_max)
 
     def solver(reference, step_dt, stage_time, guess):
-        return _gmc_fixed_point(
+        system = _GmcSystem(
             reference,
-            lambda y, members: high_order_flux(
-                y, spec, grid, t=take(stage_time, members)),
-            spec, grid, step_dt, gamma, stage_time, TOL_STAGE)
+            lambda y, members: high_order_flux(y, spec, grid,
+                                               t=take(stage_time, members)),
+            spec, grid, step_dt, gamma, stage_time)
+        y, _, newton = _quasi_newton(
+            reference, system.realized_flux, step_dt, stage_time,
+            np.clip(guess, *bounds), engine, TOL_STAGE, MAX_ITER_STAGE,
+            "stage solve", mixed=True, bounds=bounds,
+            patience=QUASI_NEWTON_PATIENCE)
+        # One plain diagonal update from every member's iterate.
+        y = system.diagonal_map(y, None, None, None, None)
+        y, realized, sweeps = system.fixed_point(y, TOL_STAGE)
+        return y, realized, StackReport(
+            replace(last, iterations=first.iterations + 1 + last.iterations)
+            for first, last in zip(newton, sweeps))
 
     return solver

@@ -62,19 +62,23 @@ One loop, :func:`iterate`, runs every nonlinear solve, on a stack of
 members (the member axes of :mod:`mesh`; a single solve is a stack of
 one): it takes the l2 norm of each member's residual ``y - reference +
 step_dt div(G)``, checks it is finite, stops each member at its first
-residual at most the solve's tolerance, raises
-:class:`NonConvergenceError` on a spent budget and otherwise calls its
-caller's update.  A member that stops leaves the stack with the
+residual at most the solve's tolerance (or, on request, once it freezes),
+raises :class:`NonConvergenceError` on a spent budget and otherwise calls
+its caller's update.  A member that stops leaves the stack with the
 iterate and flux it stopped at, so each member's result and report are
 those of its solve alone, and the others go on without it.  The
-quasi-Newton update (``_quasi_newton``, for :func:`newton_low_order` and the stages of
-:func:`make_stage_solver`, IEX substeps included) solves with the
-pseudo-Jacobian above, one held matrix and LU per member's scale.
+quasi-Newton update (``_quasi_newton``) solves with the pseudo-Jacobian
+above, one held matrix and LU per member's scale.  It serves
+:func:`newton_low_order`, the stages of :func:`make_stage_solver` (SDIRK5
+stages and IEX substeps) and the semi-discrete GMC substeps of
+``limiters.make_semidiscrete_gmc_substep_solver``; for the last its
+iterates are clipped into the global bounds, and a member whose residual
+freezes leaves it for the GMC diagonal map.
 :func:`anderson.anderson_mixed` turns a proposed map into the update by
 type-II Anderson mixing, with one history and least-squares problem per
-member: the quasi-Newton map of the stage solves, and
-``limiters._gmc_fixed_point``'s GMC diagonal map.  The low-order solve
-takes the plain quasi-Newton update (:mod:`anderson` says why).
+member: the quasi-Newton map of the stage solves, and the GMC diagonal
+map of ``limiters._GmcSystem``.  The low-order solve takes the plain
+quasi-Newton update (:mod:`anderson` says why).
 """
 
 from __future__ import annotations
@@ -103,6 +107,13 @@ MAX_ITER_STAGE = 200
 #: An iterate whose residual is more than this share of the previous one has
 #: stalled, and quasi-Newton refreshes its matrix.
 STALL_RATIO = 0.5
+#: A residual that moves by at most this share of the previous one has
+#: frozen (the ``patience`` of :func:`iterate`).  Clipped quasi-Newton
+#: updates on a limited flux can freeze where the limiter coefficients
+#: switch (a burgers1d pulse at dt = 2h stays at 2.2e-2 for 190 updates);
+#: slow but converging ones (kpp2d 12^2 at dt = 5h, up to 122 updates)
+#: never stayed within 1 % for two updates running.
+FROZEN_CHANGE = 1e-2
 
 
 class NonConvergenceError(RuntimeError):
@@ -350,7 +361,7 @@ def _blame(err, member):
 
 
 def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
-            what):
+            what, patience=None):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| evaluate(y) = 0``
     for every member of a stack from ``guess`` by the updates
     ``y = advance(y, r, res, prev_res, members)``.
@@ -364,14 +375,18 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
     (the previous ones, infinite at first); it is None while every member
     is in the stack.
 
-    Each member stops at its first residual at most ``tol``.  A member
-    that stops leaves the stack, so later evaluations and updates see only
-    the members still iterating, and keeps the iterate and flux it stopped
+    Each member stops at its first residual at most ``tol``.  With
+    ``patience``, a member also stops, unconverged, once its residual has
+    frozen: it moved by at most ``FROZEN_CHANGE`` of the one before in
+    each of the member's last ``patience`` updates.  A member that stops
+    leaves the stack, so later evaluations and updates see only the
+    members still iterating, and keeps the iterate and flux it stopped
     at, as if it had been solved alone.  Returns the stacks ``(y,
-    evaluate(y))`` and a :class:`StackReport` with each member's number of
-    updates and ``tol``.  A non-finite residual raises ``ValueError`` at
-    once, a spent budget :class:`NonConvergenceError` with the member's
-    final residual.  A ``ValueError`` (``LinAlgError`` included) from
+    evaluate(y))`` and a :class:`StackReport` with each member's number
+    of updates and ``tol`` (``converged`` false for a member stopped by
+    ``patience``).  A non-finite residual raises ``ValueError`` at once,
+    a spent budget :class:`NonConvergenceError` with the member's final
+    residual.  A ``ValueError`` (``LinAlgError`` included) from
     ``advance`` is raised again as the same type, with the iteration in
     its message.  ``what`` names the solve in every message, and the
     error's ``member`` attribute is the stack index of the member that
@@ -381,6 +396,7 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
     count = len(guess)
     y, members, out = guess, None, None
     ids, prev_res, reports = range(count), [np.inf] * count, [None] * count
+    moved_at = [0] * count
     for k in range(max_iter + 1):
         try:
             flux = evaluate(y, members)
@@ -394,9 +410,16 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
             if not math.isfinite(value):
                 raise _blame(ValueError(
                     f"{what}: non-finite residual at iteration {k}"), ids[j])
+            i = ids[j]
             if value <= tol:
-                reports[ids[j]] = SolverReport(k, value, True, tol)
+                reports[i] = SolverReport(k, value, True, tol)
                 stop.append(j)
+            elif patience is not None:
+                if abs(value - prev_res[j]) > FROZEN_CHANGE * prev_res[j]:
+                    moved_at[i] = k
+                elif k - moved_at[i] >= patience:
+                    reports[i] = SolverReport(k, value, False, tol)
+                    stop.append(j)
         if stop:
             if len(stop) == len(ids) and out is None:
                 return y, flux, StackReport(reports)
@@ -440,7 +463,7 @@ def _first_failing(evaluate, y, ids):
 
 
 def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
-                  tol, max_iter, what, mixed):
+                  tol, max_iter, what, mixed, bounds=None, patience=None):
     """Solve ``y - reference + (step_dt/|K_i|) sum |S| flux_of(y) = 0`` by
     quasi-Newton iteration from ``guess`` for every member of a stack:
     :func:`iterate` to ``tol``, with this update.  ``step_dt`` and
@@ -463,6 +486,8 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     With ``mixed`` the update is the proposal ``y + J^{-1}(-r)``, mixed per
     member by :func:`anderson.anderson_mixed`; a member keeps its history
     across its matrix refreshes.  Without, it is the proposal itself.
+    With ``bounds = (lo, hi)`` every update is clipped into them, and
+    ``patience`` stops frozen members as in :func:`iterate`.
     """
     y = np.array(guess, dtype=float)
     scales = [float(s) for s in np.ravel(step_dt)]
@@ -497,8 +522,11 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
         return proposal
 
     update = anderson_mixed(propose, y) if mixed else propose
+    if bounds is not None:
+        unclipped = update
+        update = lambda *args: np.clip(unclipped(*args), *bounds)
     out = iterate(reference, flux_of, update, step_dt, y, grid, tol, max_iter,
-                  what)
+                  what, patience)
     for scale, matrix in zip(scales, jac):
         engine.held[scale] = matrix
     return out

@@ -628,7 +628,8 @@ class TestIterationLoop:
             self.GRID, tol, max_iter, "toy solve")
         return y[0], tuple(f[0] for f in flux), reports[0]
 
-    def solve_stack(self, rates, tol, max_iter, flux=None, first=1):
+    def solve_stack(self, rates, tol, max_iter, flux=None, first=1,
+                    patience=None):
         """Member ``j`` contracts by ``rates[j]`` from its own guess, the
         one of member ``first - 1 + j`` of a larger stack; ``flux`` maps a
         member to its flux (zero when None).  Returns the ``iterate``
@@ -651,7 +652,8 @@ class TestIterationLoop:
             return y - (1.0 - rate) * r
 
         return solvers.iterate(reference, evaluate, advance, 0.1, guess,
-                               self.GRID, tol, max_iter, "toy solve")
+                               self.GRID, tol, max_iter, "toy solve",
+                               patience)
 
     def test_each_member_stops_on_its_own_residual(self):
         rates = (0.1, 0.3, 0.05, 0.6)
@@ -672,6 +674,27 @@ class TestIterationLoop:
         for j, report in enumerate(stacked):
             assert sum(j in ids for ids in self.members) == (
                 report.iterations + 1)
+
+    def test_frozen_member_stops_unconverged_after_patience(self):
+        # With patience 3 a member stops once its residual has moved by at
+        # most FROZEN_CHANGE in each of its last 3 updates: at rate 0.995
+        # (0.5 % per update) after its third update, with the iterate it
+        # reached; at rate 0.9 never.  The others go on to tol.
+        rates = (0.1, 0.9, 0.995)
+        y, _, reports = self.solve_stack(rates, 1e-9, 300, patience=3)
+        assert [r.converged for r in reports] == [True, True, False]
+        assert reports[2].iterations == 3
+        guess = np.linspace(1.0, 2.0, 8) * 3.0
+        assert np.allclose(y[2], 0.995**3 * guess, rtol=1e-14, atol=0)
+        assert reports[2].residual == np.linalg.norm(y[2])
+        for j, rate in enumerate(rates):
+            alone = self.solve_stack((rate,), 1e-9, 300, first=j + 1,
+                                     patience=3)
+            assert alone[2][0] == reports[j]
+            assert np.array_equal(alone[0][0], y[j])
+        # Without patience the frozen member runs on to the budget.
+        with pytest.raises(NonConvergenceError):
+            self.solve_stack(rates, 1e-9, 300)
 
     def test_failures_name_their_member(self):
         nan_flux = lambda i: np.full(9, np.nan if i == 2 else 0.0)

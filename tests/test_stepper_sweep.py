@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mppfv.harness import RunConfig, run
+from mppfv.harness import RunConfig, build_problem, run
+from mppfv.problems import initial_cell_averages, make_grid
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -113,6 +114,24 @@ def test_check_passes_results_within_the_gates(sweep, capsys, tmp_path):
     path.write_bytes(pickle.dumps(results))
     assert sweep.main(["check", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["dt_factor 5.0: 0/2 fail"]
+
+
+def test_unbounded_problem_is_scaled_by_its_initial_range(sweep, capsys):
+    # steady1d has global_max = inf: a width of inf would report every
+    # change of its state as 0.
+    config = RunConfig(problem="steady1d", nx=30)
+    spec = build_problem(config)
+    u0 = initial_cell_averages(spec, make_grid(spec, 30))
+    width = sweep.width(config)
+    assert spec.global_max == np.inf
+    assert width == np.max(u0) - np.min(u0) > 0.2
+    key = _key(problem="steady1d", scheme="sdirk5")
+    old, new = _result(0.125), _result(0.125 + 1e-9)
+    old["width"] = new["width"] = width
+    assert not sweep.compare({key: old}, {key: new})
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"  not bitwise equal: steady1d: 1, max |du|/width "
+        f"{1e-9 / width:.3e}")
 
 
 @pytest.mark.parametrize("dt_factor", SWEEP.DT_FACTORS)

@@ -543,37 +543,85 @@ class TestStackedLevels:
         assert all(np.array_equal(a, b) for a, b in zip(stages, want_stages))
 
     def test_substep_flux_evaluations_per_level(self, monkeypatch):
-        # One iex4+gmc step of burgers1d, nx=200, at dt = h/2: each level
-        # evaluates the high-order flux once per update of its slowest
-        # member plus once to confirm, and each member takes as many
-        # updates as the same substep solved alone.
+        # One iex4+gmc step of burgers1d, nx=200, at dt = h/2: each member
+        # of a level has its high-order flux evaluated once per update plus
+        # once to confirm, and takes as many updates as the same substep
+        # solved alone.  The solver holds a matrix per scale across calls,
+        # so the members are solved alone on a fresh solver replayed level
+        # by level, as member_by_member does.
         from mppfv import limiters
 
         spec = burgers_1d()
         grid = make_grid(spec, 200)
         u0 = initial_cell_averages(spec, grid)
         inner = make_semidiscrete_gmc_substep_solver(spec, grid)
-        calls, levels = [], []
+        evaluated, levels = [], []
 
-        def counting_flux(*args, **kwargs):
-            calls.append(1)
-            return high_order_flux(*args, **kwargs)
+        def counting_flux(values, *args, **kwargs):
+            evaluated.append(len(values))
+            return high_order_flux(values, *args, **kwargs)
 
         def recording(reference, step_dt, stage_time, guess):
             y, flux, reports = inner(reference, step_dt, stage_time, guess)
-            levels.append((reference.copy(), step_dt, stage_time, reports))
+            levels.append((reference.copy(), step_dt, stage_time,
+                           guess.copy(), reports))
             return y, flux, reports
 
         monkeypatch.setattr(limiters, "high_order_flux", counting_flux)
         iex_step(u0, 4, spec, grid, recording, 0.5 * grid.spacing[0])
-        assert [len(level[3]) for level in levels] == [4, 3, 2, 1]
-        assert len(calls) == sum(reports.iterations + 1
-                                 for *_, reports in levels)
-        for reference, step_dt, stage_time, reports in levels:
-            for j, report in enumerate(reports):
-                alone = solve_one(inner, reference[j], step_dt.flat[j],
-                                  stage_time.flat[j], reference[j])[2]
-                assert report == alone
+        assert [len(level[-1]) for level in levels] == [4, 3, 2, 1]
+        assert sum(evaluated) == sum(report.iterations + 1
+                                     for *_, reports in levels
+                                     for report in reports)
+        alone = member_by_member(make_semidiscrete_gmc_substep_solver(spec,
+                                                                      grid))
+        for *level, reports in levels:
+            assert tuple(alone(*level)[2]) == tuple(reports)
         # The members stop at different updates, so some leave their stack
         # early.
-        assert len({r.iterations for r in levels[0][3]}) > 1
+        assert len({r.iterations for r in levels[0][-1]}) > 1
+
+    def test_stalled_member_switches_alone(self, monkeypatch):
+        # A sharp pulse at dt = 2h: in step 2 the quasi-Newton residuals of
+        # three substeps freeze while the limiter coefficients switch (at
+        # 2.2e-2, 1.2e-2 and, just above the tolerance, 7.4e-8).  Those
+        # members go on by the diagonal map, each on its own, so the
+        # stacked step stays bitwise the step that solves every member
+        # alone.
+        from mppfv import limiters
+
+        spec = burgers_1d()
+        grid = make_grid(spec, 50)
+        u0 = np.where(np.abs(grid.axis_centers(0)) < 0.5, 2.0, 0.0)
+        newton = []
+
+        def recording(*args, **kwargs):
+            out = quasi_newton(*args, **kwargs)
+            newton.append(out[2])
+            return out
+
+        quasi_newton = limiters._quasi_newton
+        monkeypatch.setattr(limiters, "_quasi_newton", recording)
+        dt = 2.0 * grid.spacing[0]
+        stacked = make_semidiscrete_gmc_substep_solver(spec, grid)
+        alone = member_by_member(make_semidiscrete_gmc_substep_solver(spec,
+                                                                      grid))
+        for step in range(2):
+            t = step * dt
+            del newton[:]
+            u1, flux, stages = iex_step(u0, 2, spec, grid, stacked, dt, t=t)
+            stacked_newton = [tuple(reports) for reports in newton]
+            want, want_flux, want_stages = iex_step(u0, 2, spec, grid, alone,
+                                                    dt, t=t)
+            assert np.array_equal(u1, want)
+            assert all(np.array_equal(a, b) for a, b in zip(flux, want_flux))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(stages, want_stages))
+            u0 = u1
+        # Step 2's first level stacks two members; both freeze, at
+        # different updates, well before the budget.
+        first = stacked_newton[0]
+        assert len(first) == 2
+        assert not any(report.converged for report in first)
+        assert first[0].iterations != first[1].iterations
+        assert max(report.iterations for report in first) < 50

@@ -6,7 +6,8 @@ found on the import path and pickles, per configuration, either the final
 state with ``delta``, ``mass_drift``, ``e1`` and ``stage_delta``, or the
 class name of the exception the run raised.  ``compare A B`` reads two such
 files and reports, per dt factor, how many configurations are bitwise
-equal, the largest ``|du|`` as a share of the problem's bound width,
+equal, the largest ``|du|`` as a share of the problem's bound width (of
+the range of its initial data where a bound is infinite),
 whether the same configurations failed, by name the configurations that
 fail in only one of the files, and, grouped by problem, how many finished
 configurations are not bitwise equal with each group's largest ``|du|``
@@ -123,8 +124,23 @@ def _key(kwargs):
     return tuple(sorted(kwargs.items()))
 
 
+def width(config):
+    """The width that ``compare`` scales ``|du|`` by: that of the problem's
+    global bounds, or the range of its initial data where a bound is
+    infinite (steady1d)."""
+    from mppfv.harness import build_problem
+    from mppfv.problems import initial_cell_averages, make_grid
+
+    spec = build_problem(config)
+    bounds = spec.global_max - spec.global_min
+    if np.isfinite(bounds):
+        return bounds
+    u0 = initial_cell_averages(spec, make_grid(spec, config.nx, config.ny))
+    return float(np.max(u0) - np.min(u0))
+
+
 def run_matrix():
-    from mppfv.harness import RunConfig, build_problem, run
+    from mppfv.harness import RunConfig, run
 
     results = {}
     for dt_factor in DT_FACTORS:
@@ -136,12 +152,10 @@ def run_matrix():
             except Exception as exc:  # record the failure class, keep going
                 results[_key(kwargs)] = type(exc).__name__
                 continue
-            spec = build_problem(config)
             results[_key(kwargs)] = {
                 "u": np.array(u.values), "delta": diag.delta,
                 "mass_drift": diag.mass_drift, "e1": dict(diag.e1),
-                "stage_delta": diag.stage_delta,
-                "width": spec.global_max - spec.global_min}
+                "stage_delta": diag.stage_delta, "width": width(config)}
         print(f"dt_factor {dt_factor}: {time.perf_counter() - start:.1f} s",
               file=sys.stderr)
     return results
