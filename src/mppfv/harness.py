@@ -203,7 +203,7 @@ def _make_stepper(config, spec, grid):
         p = int(config.scheme[3:])
         if config.limiter == "gmc":
             stage_solver = make_semidiscrete_gmc_substep_solver(
-                spec, grid, config.gamma, engine)
+                engine, config.gamma)
         else:
             stage_solver = make_stage_solver(engine)
 

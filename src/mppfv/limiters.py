@@ -29,12 +29,12 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   ``solvers._quasi_newton`` on the limited flux.  ``G^H`` is a callable of
   the iterate: it returns the frozen step-start flux for the step-level
   limiter ``_gmc_with_flux``, which sweeps from the clipped high-order
-  state ``u^n - dt div G^H``, and rebuilds the flux from the iterate for
-  the stages.  A plain diagonal update is a convex combination of the
-  reference and bounded states, so it is bounded where they are; the mixed
-  ones are not projected onto the bounds, and boundedness comes from the
-  converged fixed point, whose state is recomputed from the realized
-  flux.  ``solvers.iterate`` stops every
+  state ``u^n - dt div G^H`` (and again from ``u^n`` if that stalls), and
+  rebuilds the flux from the iterate for the stages.  A plain diagonal
+  update is a convex combination of the reference and bounded states, so
+  it is bounded where they are; the mixed ones are not projected onto the
+  bounds, and boundedness comes from the converged fixed point, whose
+  state is recomputed from the realized flux.  ``solvers.iterate`` stops every
   member at its first residual at most its tolerance: ``TOL_GMC`` for the
   step-level limit, which makes ``u^{n+1}`` bounded, and
   ``solvers.TOL_STAGE`` for a stage, as for the quasi-Newton stage solves.
@@ -55,14 +55,15 @@ dependency level as one stack (substep j of every chain).  The members
 take the Anderson-mixed quasi-Newton updates of the stage solves, on the
 run's held pseudo-Jacobians and clipped into the bounds; a member whose
 residual freezes there (the limiter coefficients switch between iterates)
-goes on alone by the mixed diagonal map, and every member ends with a
-plain diagonal update from its iterate (and mixed ones after it while
-its residual is above the tolerance).  Each update evaluates the flux
-once for the whole stack, and each member is mixed and stopped on its
-own, so each keeps the result of its substep solved alone.  Its stages
-stop at ``TOL_STAGE``, so the chain states are bounded only up to that
-tolerance; boundedness with no step-size limit holds at the fixed point,
-and the step-level limit removes what the stages leave.
+or that spends its budget goes on alone by the mixed diagonal map, and
+every member ends with a plain diagonal update from its iterate (and
+mixed ones after it while its residual is above the tolerance).  Each
+update evaluates the flux once for the whole stack, and each member is
+mixed and stopped on its own, so each keeps the result of its substep
+solved alone.  Its stages stop at ``TOL_STAGE``, so the chain states are
+bounded only up to that tolerance; boundedness with no step-size limit
+holds at the fixed point, and the step-level limit removes what the
+stages leave.
 """
 
 from __future__ import annotations
@@ -76,18 +77,15 @@ from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import (MAX_ITER_STAGE, TOL_STAGE, JacobianEngine, StackReport,
-                      _quasi_newton, iterate, take)
+from .solvers import (FROZEN_PATIENCE, MAX_ITER_STAGE, TOL_STAGE,
+                      NonConvergenceError, StackReport, _quasi_newton,
+                      iterate, take)
 
 TOL_GMC = 1e-12
 # The plain diagonal sweep contracts at a rate that degrades with the step
 # size (thousands of sweeps at dt ~ 5 dx on a shock); Anderson mixing cuts
 # that to tens or hundreds, and the cap bounds the rest.
 MAX_GMC_SWEEPS = 5000
-#: Updates for which a semidiscrete stage member's quasi-Newton residual
-#: may stay frozen (``solvers.FROZEN_CHANGE``) before the member switches
-#: to the diagonal map.
-QUASI_NEWTON_PATIENCE = 3
 LIMITER_CHOICES = ("none", "fct", "gmc")
 
 #: Allowed out-of-bounds slack of reference states before limiting is
@@ -291,7 +289,9 @@ class _GmcSystem:
     evaluates the terms of :func:`_gmc_face_terms` at the iterates of
     ``members`` and keeps, per member, those of its latest evaluation
     (``alphas``, ``accepted``, ``a`` and ``ubar``, stacked over all
-    members); :meth:`diagonal_map` reads them.
+    members); :meth:`diagonal_map` reads them.  An evaluation of some
+    members before the first of the whole stack (``solvers.iterate``
+    evaluating members alone to find the one that raised) keeps nothing.
     """
 
     def __init__(self, u0, high_flux, spec, grid, dt, gamma, t):
@@ -299,6 +299,7 @@ class _GmcSystem:
         self.spec, self.grid = spec, grid
         self.dt, self.gamma, self.t = dt, gamma, t
         self.nu = dt / grid.cell_volume
+        self.alphas = None
 
     def realized_flux(self, u, members):
         """The limited flux ``G^L - alpha (G^L - G^H)`` of the iterates
@@ -309,7 +310,7 @@ class _GmcSystem:
         if members is None:
             self.alphas, self.accepted, self.a, self.ubar = (alphas, accepted,
                                                              a, ubar)
-        else:
+        elif self.alphas is not None:
             for full, part in zip((*self.alphas, *self.accepted, self.a,
                                    self.ubar),
                                   (*alphas, *accepted, a, ubar)):
@@ -348,12 +349,15 @@ class _GmcSystem:
 
 def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
     """One bound-preserving step: the fixed point of :class:`_GmcSystem`
-    from ``u^n`` with ``G_H`` frozen at step start and the low-order flux
-    at ``t + dt``, swept from the clipped high-order state ``u^n - dt div
-    G_H`` to ``TOL_GMC``: this solve is what makes ``u^{n+1}`` bounded.
-    Returns ``(u^{n+1}, realized flux, SolverReport)``.  With
-    ``strict_reference`` the previous solution must lie in the global
-    bounds, and roundoff is snapped back into them.
+    with ``G_H`` frozen at step start and the low-order flux at ``t +
+    dt``, swept to ``TOL_GMC``: this solve is what makes ``u^{n+1}``
+    bounded.  It sweeps from the high-order state ``u^n - dt div G_H``
+    clipped into the global bounds, close to the limited one at small
+    steps; where that spends ``MAX_GMC_SWEEPS`` (the mixed iterates can
+    cycle at large steps), it sweeps again from ``u^n``, and the report
+    counts both.  Returns ``(u^{n+1}, realized flux, SolverReport)``.
+    With ``strict_reference`` the previous solution must lie in the
+    global bounds, and roundoff is snapped back into them.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -367,20 +371,25 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
     G_H = tuple(g[None] for g in G_H)
     system = _GmcSystem(u_n[None], lambda *_: G_H, spec, grid, dt, gamma,
                         t + dt)
-    u_new, realized, reports = system.fixed_point(start[None], TOL_GMC)
+    try:
+        u_new, realized, (report,) = system.fixed_point(start[None], TOL_GMC)
+    except NonConvergenceError as err:
+        spent = err.report.iterations
+        u_new, realized, (report,) = system.fixed_point(u_n[None], TOL_GMC)
+        report = replace(report, iterations=spent + report.iterations)
     u_new, realized = u_new[0], tuple(g[0] for g in realized)
     if strict_reference:
         u_new = _restore_bounds(u_new, spec)
-    return u_new, realized, reports[0]
+    return u_new, realized, report
 
 
 # ---------------------------------------------------------------------------
 # Semi-discrete GMC limiting (for integrators with SSP stages)
 # ---------------------------------------------------------------------------
 
-def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, engine=None):
-    """Stage solver on the limited semi-discretization, for
-    :func:`time_integration.dirk_step` and
+def make_semidiscrete_gmc_substep_solver(engine, gamma=0.0):
+    """Stage solver on the limited semi-discretization of the engine's
+    problem and grid, for :func:`time_integration.dirk_step` and
     :func:`time_integration.iex_step`.
 
     ``solver(reference, step_dt, stage_time, guess)`` solves, for every
@@ -394,19 +403,19 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, engine=None):
     Each member is solved in two parts, on one :class:`_GmcSystem`.  First
     the Anderson-mixed quasi-Newton iteration of the stage solves
     (:func:`solvers._quasi_newton`) on the limited flux, from the guess
-    clipped into the global bounds, on ``engine``'s held matrix for the
-    member's scale (a new :class:`solvers.JacobianEngine` when None), with
-    every iterate clipped into the bounds.  It stops a member at its
-    first residual at most ``TOL_STAGE``, or, unconverged, once its
-    residual has stayed frozen for ``QUASI_NEWTON_PATIENCE`` updates:
-    the limiter coefficients switch between iterates, and quasi-Newton
-    updates can freeze there.  Then every member takes one plain
-    diagonal update from its iterate, and the Anderson-mixed diagonal map
-    of the step-level limiter goes on from there to ``TOL_STAGE``; a
-    member that converged mostly stops at once.  The stage value is
-    recomputed from the realized flux there, so chained stages conserve
-    mass exactly.  A member's report counts the updates of both parts
-    and the plain one between them.
+    clipped into the global bounds, on the matrix ``engine`` holds for
+    the member's scale, with every iterate clipped into the bounds.  It
+    stops a member at its first residual at most ``TOL_STAGE``, or,
+    unconverged, once its residual has stayed frozen for
+    ``solvers.FROZEN_PATIENCE`` updates (the limiter coefficients switch
+    between iterates, and quasi-Newton updates can freeze there) or it
+    has spent ``MAX_ITER_STAGE`` updates.  Then every member takes one
+    plain diagonal update from its iterate, and the Anderson-mixed
+    diagonal map of the step-level limiter goes on from there to
+    ``TOL_STAGE``; a member that converged mostly stops at once.  The
+    stage value is recomputed from the realized flux there, so chained
+    stages conserve mass exactly.  A member's report counts the updates
+    of both parts and the plain one between them.
 
     The allowances keep every bar-state average within the global bounds,
     so this semi-discretization is locally extremum diminishing with
@@ -415,8 +424,7 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, engine=None):
     ``TOL_STAGE`` is bounded only up to that tolerance; the step-level
     limit makes the step's result bounded.
     """
-    if engine is None:
-        engine = JacobianEngine(spec, grid)
+    spec, grid = engine.spec, engine.grid
     bounds = (spec.global_min, spec.global_max)
 
     def solver(reference, step_dt, stage_time, guess):
@@ -429,7 +437,7 @@ def make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0, engine=None):
             reference, system.realized_flux, step_dt, stage_time,
             np.clip(guess, *bounds), engine, TOL_STAGE, MAX_ITER_STAGE,
             "stage solve", mixed=True, bounds=bounds,
-            patience=QUASI_NEWTON_PATIENCE)
+            patience=FROZEN_PATIENCE)
         # One plain diagonal update from every member's iterate.
         y = system.diagonal_map(y, None, None, None, None)
         y, realized, sweeps = system.fixed_point(y, TOL_STAGE)

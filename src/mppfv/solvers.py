@@ -62,9 +62,10 @@ One loop, :func:`iterate`, runs every nonlinear solve, on a stack of
 members (the member axes of :mod:`mesh`; a single solve is a stack of
 one): it takes the l2 norm of each member's residual ``y - reference +
 step_dt div(G)``, checks it is finite, stops each member at its first
-residual at most the solve's tolerance (or, on request, once it freezes),
-raises :class:`NonConvergenceError` on a spent budget and otherwise calls
-its caller's update.  A member that stops leaves the stack with the
+residual at most the solve's tolerance, raises
+:class:`NonConvergenceError` on a spent budget (or, on request, stops a
+member there or once its residual freezes) and otherwise calls its
+caller's update.  A member that stops leaves the stack with the
 iterate and flux it stopped at, so each member's result and report are
 those of its solve alone, and the others go on without it.  The
 quasi-Newton update (``_quasi_newton``) solves with the pseudo-Jacobian
@@ -73,7 +74,7 @@ above, one held matrix and LU per member's scale.  It serves
 stages and IEX substeps) and the semi-discrete GMC substeps of
 ``limiters.make_semidiscrete_gmc_substep_solver``; for the last its
 iterates are clipped into the global bounds, and a member whose residual
-freezes leaves it for the GMC diagonal map.
+freezes or whose budget is spent leaves it for the GMC diagonal map.
 :func:`anderson.anderson_mixed` turns a proposed map into the update by
 type-II Anderson mixing, with one history and least-squares problem per
 member: the quasi-Newton map of the stage solves, and the GMC diagonal
@@ -108,12 +109,16 @@ MAX_ITER_STAGE = 200
 #: stalled, and quasi-Newton refreshes its matrix.
 STALL_RATIO = 0.5
 #: A residual that moves by at most this share of the previous one has
-#: frozen (the ``patience`` of :func:`iterate`).  Clipped quasi-Newton
-#: updates on a limited flux can freeze where the limiter coefficients
-#: switch (a burgers1d pulse at dt = 2h stays at 2.2e-2 for 190 updates);
-#: slow but converging ones (kpp2d 12^2 at dt = 5h, up to 122 updates)
-#: never stayed within 1 % for two updates running.
+#: frozen.  Clipped quasi-Newton updates on a limited flux can freeze where
+#: the limiter coefficients switch (a burgers1d pulse at dt = 2h stays at
+#: 2.2e-2 for 190 updates); slow but converging ones (kpp2d 12^2 at
+#: dt = 5h, up to 122 updates) never stayed within 1 % for two updates
+#: running.
 FROZEN_CHANGE = 1e-2
+#: Updates for which a residual may stay frozen before the semi-discrete
+#: GMC substeps hand the member to the diagonal map (the ``patience`` of
+#: :func:`iterate`).
+FROZEN_PATIENCE = 3
 
 
 class NonConvergenceError(RuntimeError):
@@ -377,16 +382,18 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
 
     Each member stops at its first residual at most ``tol``.  With
     ``patience``, a member also stops, unconverged, once its residual has
-    frozen: it moved by at most ``FROZEN_CHANGE`` of the one before in
-    each of the member's last ``patience`` updates.  A member that stops
-    leaves the stack, so later evaluations and updates see only the
+    frozen (it moved by at most ``FROZEN_CHANGE`` of the one before in
+    each of the member's last ``patience`` updates) or its budget is
+    spent, for its caller to go on by another method.  A member that
+    stops leaves the stack, so later evaluations and updates see only the
     members still iterating, and keeps the iterate and flux it stopped
     at, as if it had been solved alone.  Returns the stacks ``(y,
     evaluate(y))`` and a :class:`StackReport` with each member's number
     of updates and ``tol`` (``converged`` false for a member stopped by
-    ``patience``).  A non-finite residual raises ``ValueError`` at once,
-    a spent budget :class:`NonConvergenceError` with the member's final
-    residual.  A ``ValueError`` (``LinAlgError`` included) from
+    ``patience``).  A non-finite residual raises ``ValueError`` at once;
+    without ``patience``, a spent budget raises
+    :class:`NonConvergenceError` with the member's final residual.  A
+    ``ValueError`` (``LinAlgError`` included) from
     ``advance`` is raised again as the same type, with the iteration in
     its message.  ``what`` names the solve in every message, and the
     error's ``member`` attribute is the stack index of the member that
@@ -417,7 +424,7 @@ def iterate(reference, evaluate, advance, step_dt, guess, grid, tol, max_iter,
             elif patience is not None:
                 if abs(value - prev_res[j]) > FROZEN_CHANGE * prev_res[j]:
                     moved_at[i] = k
-                elif k - moved_at[i] >= patience:
+                if k - moved_at[i] >= patience or k == max_iter:
                     reports[i] = SolverReport(k, value, False, tol)
                     stop.append(j)
         if stop:
@@ -487,7 +494,8 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     member by :func:`anderson.anderson_mixed`; a member keeps its history
     across its matrix refreshes.  Without, it is the proposal itself.
     With ``bounds = (lo, hi)`` every update is clipped into them, and
-    ``patience`` stops frozen members as in :func:`iterate`.
+    ``patience`` stops frozen and spent members as in :func:`iterate`;
+    the engine then holds the matrices the members stopped with.
     """
     y = np.array(guess, dtype=float)
     scales = [float(s) for s in np.ravel(step_dt)]

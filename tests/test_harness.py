@@ -588,6 +588,28 @@ class TestCommandLine:
                                   "finite")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_error_in_a_stacked_gmc_level_names_its_stage(
+            self, monkeypatch):
+        # As above, on iex3+gmc's semi-discrete substeps, in step 2: the
+        # engine holds a matrix for every substep scale by then, so no
+        # assembly comes first, and the stacked limited-flux evaluation is
+        # what the NaN bound at stage 4's time (dt + dt/3) rejects.
+        dt = 0.02
+        self.patch_problem(monkeypatch, wave_speed_bound=lambda spec: (
+            lambda axis, ua, ub, ra, rb, x, y, t: np.where(
+                np.isclose(t, dt + dt / 3), np.nan,
+                spec.wave_speed_bound(axis, ua, ub, ra, rb, x, y, t))))
+        config = RunConfig(problem="burgers1d", nx=50, scheme="iex3",
+                           limiter="gmc", dt_factor=dt / (2.0 / 50),
+                           t_final=3 * dt)
+        with pytest.raises(NonConvergenceError) as exc:
+            run(config)
+        assert type(exc.value.__cause__) is ValueError
+        assert str(exc.value) == ("step 2 at t=0.02, dt=0.02: stage 4/6: "
+                                  "wave-speed bound must be positive and "
+                                  "finite")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_update_names_its_solve_and_iteration(self, capsys,
                                                          monkeypatch):
         # iex2's second substep (implicit scale dt/2 = 25) meets a

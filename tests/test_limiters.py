@@ -6,6 +6,8 @@ walk of :mod:`oracles` (no shared array layout) plus a frozen hand-worked
 and its cell-bound guarantee is fuzz-tested over random instances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
                             zalesak_alphas)
 from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
-from mppfv.solvers import TOL_STAGE, NonConvergenceError, newton_low_order
+from mppfv.solvers import (TOL_STAGE, JacobianEngine, NonConvergenceError,
+                           newton_low_order)
 from mppfv.time_integration import iex_step
 
 from conftest import make_burgers_1d, minus, random_flux_set
@@ -341,6 +344,34 @@ class TestGmcStep:
         with pytest.raises(NonConvergenceError):
             _gmc_with_flux(u0, G_H, spec, grid, 0.1, 0.0, 0.0)
 
+    def test_stalled_clipped_start_sweeps_again_from_previous_solution(
+            self, monkeypatch):
+        # One sdirk5+gmc step of steady1d, nx=30, gamma=1, at dt = 20h:
+        # swept from the clipped high-order state the fixed point cycles
+        # through MAX_GMC_SWEEPS sweeps; swept again from u^n it converges.
+        # The step's report counts both.
+        from mppfv import harness
+        from mppfv.harness import RunConfig, build_problem, run
+
+        reports = []
+
+        def recording(*args, **kwargs):
+            out = gmc(*args, **kwargs)
+            reports.append(out[2])
+            return out
+
+        gmc = harness._gmc_with_flux
+        monkeypatch.setattr(harness, "_gmc_with_flux", recording)
+        config = RunConfig(problem="steady1d", nx=30, scheme="sdirk5",
+                           limiter="gmc", gamma=1.0, dt_factor=20.0)
+        dt = 20.0 * make_grid(build_problem(config), 30).spacing[0]
+        diag, _ = run(replace(config, t_final=dt))
+        (report,) = reports
+        assert report.converged
+        assert report.iterations > limiters.MAX_GMC_SWEEPS
+        assert diag.delta >= -1e-12
+        assert abs(diag.mass_drift) <= 1e-12
+
     def test_gmc_budget_signs_clamped(self):
         spec, grid, u0 = _burgers_pulse(16)
         G_H = high_order_flux(u0, spec, grid)
@@ -401,13 +432,15 @@ class TestSemidiscreteGmc:
             return flux
 
         monkeypatch.setattr(limiters, "high_order_flux", poisoned)
-        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
+        solver = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
         with pytest.raises(ValueError, match="non-finite"):
             solve_one(solver, u0, 0.1, 0.1, u0)
 
     def test_stage_stops_at_stage_tolerance(self):
         spec, grid, u0 = _burgers_pulse(60)
-        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
+        solver = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
         dt = 2.0 * grid.spacing[0]
         _, _, report = solve_one(solver, u0, dt, dt, u0)
         assert report.converged
@@ -423,7 +456,8 @@ class TestSemidiscreteGmc:
         spec = burgers_1d()
         grid = make_grid(spec, 200)
         u0 = initial_cell_averages(spec, grid)
-        inner = make_semidiscrete_gmc_substep_solver(spec, grid)
+        inner = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
         sweeps = []
 
         def counting(reference, step_dt, stage_time, guess):
@@ -437,7 +471,8 @@ class TestSemidiscreteGmc:
 
     def test_substep_solver_bounds_and_identity_at_huge_step(self):
         spec, grid, u0 = _burgers_pulse(60)
-        solver = make_semidiscrete_gmc_substep_solver(spec, grid, gamma=0.0)
+        solver = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid), gamma=0.0)
         dt = 50.0 * grid.spacing[0]
         y, realized, report = solve_one(solver, u0, dt, dt, u0)
         assert report.converged
@@ -454,7 +489,8 @@ class TestSemidiscreteGmc:
         # not by guarantee.  The extrapolated combination itself carries
         # signed weights and only inherits conservation, not the bounds.
         spec, grid, u0 = _burgers_pulse(50)
-        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
+        solver = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
         dt = 2.0 * grid.spacing[0]
         u1, _, chains = iex_step(u0, 4, spec, grid, solver, dt)
         assert len(chains) == 10
@@ -474,13 +510,46 @@ class TestSemidiscreteGmc:
         u0 = initial_cell_averages(spec, grid)
         dt = factor * grid.spacing[0]
         y, realized, report = solve_one(
-            make_semidiscrete_gmc_substep_solver(spec, grid), u0, dt, dt, u0)
+            make_semidiscrete_gmc_substep_solver(
+                JacobianEngine(spec, grid)), u0, dt, dt, u0)
         assert report.converged
         assert np.array_equal(y, u0 - dt * divergence(realized, grid))
         system = limiters._GmcSystem(
             u0[None], lambda v, _: high_order_flux(v, spec, grid, t=dt),
             spec, grid, dt, 0.0, dt)
         want = system.fixed_point(u0[None], TOL_GMC)[0][0]
+        width = spec.global_max - spec.global_min
+        assert np.max(np.abs(y - want)) <= 1e-8 * width
+
+    def test_spent_quasi_newton_budget_goes_on_by_diagonal_map(
+            self, monkeypatch):
+        # A burgers1d substep at dt = 5h takes 14 quasi-Newton updates.
+        # With a budget of 2 the member is handed, unconverged, to the
+        # diagonal map instead of raising, and converges there to the same
+        # fixed point.
+        spec = burgers_1d()
+        grid = make_grid(spec, 200)
+        u0 = initial_cell_averages(spec, grid)
+        dt = 5.0 * grid.spacing[0]
+        want = solve_one(make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid)), u0, dt, dt, u0)[0]
+        newton = []
+
+        def recording(*args, **kwargs):
+            out = quasi_newton(*args, **kwargs)
+            newton.append(out[2][0])
+            return out
+
+        quasi_newton = limiters._quasi_newton
+        monkeypatch.setattr(limiters, "_quasi_newton", recording)
+        monkeypatch.setattr(limiters, "MAX_ITER_STAGE", 2)
+        y, realized, report = solve_one(
+            make_semidiscrete_gmc_substep_solver(
+                JacobianEngine(spec, grid)), u0, dt, dt, u0)
+        (spent,) = newton
+        assert not spent.converged and spent.iterations == 2
+        assert report.converged and report.iterations > spent.iterations + 1
+        assert np.array_equal(y, u0 - dt * divergence(realized, grid))
         width = spec.global_max - spec.global_min
         assert np.max(np.abs(y - want)) <= 1e-8 * width
 

@@ -696,6 +696,19 @@ class TestIterationLoop:
         with pytest.raises(NonConvergenceError):
             self.solve_stack(rates, 1e-9, 300)
 
+    def test_spent_budget_stops_unconverged_with_patience(self):
+        # With patience a member still short of tol when its budget is spent
+        # stops there, unconverged, with the iterate it reached, instead of
+        # raising; rate 0.9 moves its residual by 10 % per update, so it
+        # never freezes.
+        y, _, reports = self.solve_stack((0.1, 0.9), 1e-9, 20, patience=3)
+        assert [r.converged for r in reports] == [True, False]
+        assert reports[1].iterations == 20
+        guess = np.linspace(1.0, 2.0, 8) * 2.0
+        assert np.allclose(y[1], 0.9**20 * guess, rtol=1e-12, atol=0)
+        with pytest.raises(NonConvergenceError):
+            self.solve_stack((0.1, 0.9), 1e-9, 20)
+
     def test_failures_name_their_member(self):
         nan_flux = lambda i: np.full(9, np.nan if i == 2 else 0.0)
         with pytest.raises(ValueError, match="non-finite residual") as exc:

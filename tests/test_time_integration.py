@@ -411,7 +411,8 @@ class TestExtrapolationStep:
         # rebuilt from their flux, so they are the chain results to roundoff
         # (quasi-Newton stage values are iterates, off by the residual).
         spec, grid, u0 = burgers_setup
-        solver = make_semidiscrete_gmc_substep_solver(spec, grid)
+        solver = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
         p = 3
         u1, _, chains = iex_step(u0, p, spec, grid, solver, dt=0.05)
         finals = [chains[k * (k + 1) // 2 - 1] for k in range(1, p + 1)]
@@ -459,7 +460,8 @@ class TestExtrapolationStep:
             # other left.
             if kind == "newton":
                 return make_stage_solver(JacobianEngine(spec, grid))
-            return make_semidiscrete_gmc_substep_solver(spec, grid)
+            return make_semidiscrete_gmc_substep_solver(
+                JacobianEngine(spec, grid))
 
         dt = 2.0 * grid.spacing[0]
         u1, flux, stages = iex_step(u0, p, spec, grid, make_solver(), dt,
@@ -507,7 +509,8 @@ class TestStackedLevels:
         def make_solver():
             if kind == "newton":
                 return make_stage_solver(JacobianEngine(spec, grid))
-            return make_semidiscrete_gmc_substep_solver(spec, grid)
+            return make_semidiscrete_gmc_substep_solver(
+                JacobianEngine(spec, grid))
 
         dt = 2.0 * grid.spacing[0]
         stacked = make_solver()
@@ -534,28 +537,33 @@ class TestStackedLevels:
         dt = 0.5 * grid.spacing[0]
         u1, _, stages = iex_step(u0, 3, spec, grid,
                                  make_semidiscrete_gmc_substep_solver(
-                                     spec, grid), dt, t=0.4)
+                                     JacobianEngine(spec, grid)), dt, t=0.4)
         want, _, want_stages = iex_step(
             u0, 3, spec, grid,
-            member_by_member(make_semidiscrete_gmc_substep_solver(spec, grid)),
+            member_by_member(make_semidiscrete_gmc_substep_solver(
+                JacobianEngine(spec, grid))),
             dt, t=0.4)
         assert np.array_equal(u1, want)
         assert all(np.array_equal(a, b) for a, b in zip(stages, want_stages))
 
     def test_substep_flux_evaluations_per_level(self, monkeypatch):
-        # One iex4+gmc step of burgers1d, nx=200, at dt = h/2: each member
-        # of a level has its high-order flux evaluated once per update plus
-        # once to confirm, and takes as many updates as the same substep
-        # solved alone.  The solver holds a matrix per scale across calls,
-        # so the members are solved alone on a fresh solver replayed level
-        # by level, as member_by_member does.
+        # One iex4+gmc step of burgers1d, nx=200, at dt = h/2.  Each of a
+        # level's two iterations (quasi-Newton, then the diagonal map)
+        # evaluates the high-order flux once for the whole stack per update
+        # of its slowest member, plus once to confirm; each member is
+        # evaluated once per update of its own plus once per iteration, and
+        # takes as many updates as the same substep solved alone.  The
+        # solver holds a matrix per scale across calls, so the members are
+        # solved alone on a fresh solver replayed level by level, as
+        # member_by_member does.
         from mppfv import limiters
 
         spec = burgers_1d()
         grid = make_grid(spec, 200)
         u0 = initial_cell_averages(spec, grid)
-        inner = make_semidiscrete_gmc_substep_solver(spec, grid)
-        evaluated, levels = [], []
+        inner = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
+        evaluated, levels, phases = [], [], []
 
         def counting_flux(values, *args, **kwargs):
             evaluated.append(len(values))
@@ -567,14 +575,29 @@ class TestStackedLevels:
                            guess.copy(), reports))
             return y, flux, reports
 
+        def phase(solve):
+            def recorded(*args, **kwargs):
+                out = solve(*args, **kwargs)
+                phases.append(out[2])
+                return out
+            return recorded
+
         monkeypatch.setattr(limiters, "high_order_flux", counting_flux)
+        monkeypatch.setattr(limiters, "_quasi_newton",
+                            phase(limiters._quasi_newton))
+        monkeypatch.setattr(limiters._GmcSystem, "fixed_point",
+                            phase(limiters._GmcSystem.fixed_point))
         iex_step(u0, 4, spec, grid, recording, 0.5 * grid.spacing[0])
         assert [len(level[-1]) for level in levels] == [4, 3, 2, 1]
+        # Per level, a quasi-Newton report and then a diagonal-map one.
+        assert len(phases) == 2 * len(levels)
+        assert len(evaluated) == sum(reports.iterations + 1
+                                     for reports in phases)
         assert sum(evaluated) == sum(report.iterations + 1
                                      for *_, reports in levels
                                      for report in reports)
-        alone = member_by_member(make_semidiscrete_gmc_substep_solver(spec,
-                                                                      grid))
+        alone = member_by_member(make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid)))
         for *level, reports in levels:
             assert tuple(alone(*level)[2]) == tuple(reports)
         # The members stop at different updates, so some leave their stack
@@ -603,9 +626,10 @@ class TestStackedLevels:
         quasi_newton = limiters._quasi_newton
         monkeypatch.setattr(limiters, "_quasi_newton", recording)
         dt = 2.0 * grid.spacing[0]
-        stacked = make_semidiscrete_gmc_substep_solver(spec, grid)
-        alone = member_by_member(make_semidiscrete_gmc_substep_solver(spec,
-                                                                      grid))
+        stacked = make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid))
+        alone = member_by_member(make_semidiscrete_gmc_substep_solver(
+            JacobianEngine(spec, grid)))
         for step in range(2):
             t = step * dt
             del newton[:]
