@@ -164,8 +164,8 @@ def _make_stepper(config, spec, grid):
     boundary contribution gives the flux-corrected mass audit.  One
     :class:`JacobianEngine` serves every implicit solve of the run (the
     semi-discrete GMC substeps of ``iex`` with ``gmc`` included), so each
-    solve starts on the matrix and LU that the last converged solve at its
-    implicit scale ended with.
+    solve starts on the matrix and factorization that the last converged
+    solve at its implicit scale ended with.
     """
     engine = JacobianEngine(spec, grid)
 

@@ -32,31 +32,45 @@ cell along ``axis`` (across the seam of a periodic axis; zero where that
 cell is a Dirichlet ghost, which is data, not an unknown).  The diagonal
 sums its face terms in the order a COO assembly does, so the stencil read
 as CSR equals a COO assembly's data (bitwise, but for the sign of zeros).
-Only SuperLU and the tests read it as CSR
+Only SuperLU, the exact LU of a 2D matrix, and the tests read it as CSR
 (:attr:`SparseBandedMatrix.matrix`), through index arrays computed once per
 grid; every face between two cells keeps both off-diagonal positions
 (explicit zeros included), so the pattern is structurally symmetric.
 
 Linear solves (modified Newton with the Jacobian reused across solves,
 Hairer & Wanner, *Solving ODEs II*, §IV.8), one rule in every dimension:
-the :class:`JacobianEngine` holds, per implicit scale, the matrix and LU
-that the last converged solve at that scale ended with, and the next solve
-there starts on it.  The first solve at a scale assembles the
-pseudo-Jacobian at its guess.  Once an iterate's residual is more than
-``STALL_RATIO`` of the previous one, every later update of that solve
-assembles the pseudo-Jacobian at its iterate and factorizes it.  A
-refreshed matrix whose stencil equals that of the matrix in use (signs of
-zeros aside) keeps that LU for the rest of the solve, with no further
-assembly: the pseudo-Jacobian of a state-independent problem (rotation2d)
-or of one that depends on time only (vortex2d).
+the :class:`JacobianEngine` holds, per implicit scale, the matrix and
+factorization that the last converged solve at that scale ended with, and
+the next solve there starts on it.  The first solve at a scale assembles
+the pseudo-Jacobian at its guess.  Once an iterate's residual is more than
+``STALL_RATIO`` of the previous one, the solve has stalled: from then on
+it solves with exact LUs, and every later update assembles the
+pseudo-Jacobian at its iterate and factorizes it.  A refreshed matrix
+whose stencil equals that of the matrix in use (signs of zeros aside)
+keeps that LU for the rest of the solve, with no further assembly: the
+pseudo-Jacobian of a state-independent problem (rotation2d) or of one
+that depends on time only (vortex2d).
 
-Each LU fits its matrix (:class:`SparseBandedMatrix`).  The three rows
-of a 1D stencil are the bands of a tridiagonal matrix, with two corner
-entries on a periodic axis: LAPACK ``dgttrf``/``dgttrs`` factorize and
-solve it in ``O(N)``, the corners by Sherman–Morrison (Press et al.,
-*Numerical Recipes*, §2.7).  The 2D pattern is structurally symmetric, so
-SuperLU orders it by minimum degree on ``A^T + A`` (``MMD_AT_PLUS_A``)
-rather than by its default COLAMD, with about half the fill.
+Each factorization fits its matrix (:class:`SparseBandedMatrix`).  The
+three rows of a 1D stencil are the bands of a tridiagonal matrix, with two
+corner entries on a periodic axis: LAPACK ``dgttrf``/``dgttrs`` factorize
+and solve it exactly in ``O(N)``, the corners by Sherman–Morrison (Press
+et al., *Numerical Recipes*, §2.7).  A 2D stencil ``D + X + Y`` (its
+diagonal, its x- and its y-couplings) is first solved with the
+approximate factorization ``M = (D + X) D^{-1} (D + Y)`` of Beam & Warming
+(AIAA J. 16, 1978), ``M - J = X D^{-1} Y``: each factor is a stack of
+cyclic tridiagonal lines, solved by the same LAPACK calls on the
+concatenated lines, with the corners of every line at once, so a solve
+costs ``O(N)`` and builds no fill.  ``M`` is only the iteration matrix; the
+residual keeps the true fluxes.  At small steps it contracts almost as well
+as the exact LU (rotation2d 128² at dt = h/2: 20.6 updates per stage
+against 20.0).  At large steps it may not contract at all (rotation2d 16²
+at dt = 10h: on ``M`` alone the low-order solve stalls at 6.3e-10 after 100
+updates), so a solve's first stall switches it to the exact LU: SuperLU
+on the CSR matrix with the minimum-degree ordering of ``A^T + A``
+(``MMD_AT_PLUS_A``), which suits the structurally symmetric pattern with
+about half the fill of the default COLAMD.  The held matrix keeps the
+switch, so later solves at that scale start on the exact LU.
 
 One loop, :func:`iterate`, runs every nonlinear solve, on a stack of
 members (the member axes of :mod:`mesh`; a single solve is a stack of
@@ -69,7 +83,7 @@ caller's update.  A member that stops leaves the stack with the
 iterate and flux it stopped at, so each member's result and report are
 those of its solve alone, and the others go on without it.  The
 quasi-Newton update (``_quasi_newton``) solves with the pseudo-Jacobian
-above, one held matrix and LU per member's scale.  It serves
+above, one held matrix and factorization per member's scale.  It serves
 :func:`newton_low_order`, the stages of :func:`make_stage_solver` (SDIRK5
 stages and IEX substeps) and the semi-discrete GMC substeps of
 ``limiters.make_semidiscrete_gmc_substep_solver``; for the last its
@@ -145,48 +159,85 @@ class SolverReport:
 
 
 class _TridiagonalLU:
-    """LAPACK ``gttrf`` factors of a cyclic tridiagonal matrix given by its
-    bands (row ``i`` holds ``sub[i]``, ``main[i]``, ``sup[i]`` in columns
-    ``i-1``, ``i``, ``i+1`` mod ``N``; the bands are left unchanged).
+    """LAPACK ``gttrf`` factors of a stack of cyclic tridiagonal lines given
+    by their bands, each of shape ``(lines, N)`` (or ``(N,)`` for one line):
+    row ``i`` of line ``l`` holds ``sub[l, i]``, ``main[l, i]``,
+    ``sup[l, i]`` in columns ``i-1``, ``i``, ``i+1`` mod ``N`` of that line.
+    The bands are left unchanged.  Right-hand sides and solutions are the
+    lines concatenated.
 
-    Nonzero corners ``top = A[0, N-1]`` and ``bottom = A[N-1, 0]`` are split
-    off by Sherman–Morrison (Press et al., *Numerical Recipes*, §2.7):
+    All lines go to one ``dgttrf``/``dgttrs`` call on their concatenation,
+    with zero couplings between lines, so each line is factorized as if
+    alone.  A line's nonzero corners ``top = A[0, N-1]`` and
+    ``bottom = A[N-1, 0]`` are split off by Sherman–Morrison (Press et al.,
+    *Numerical Recipes*, §2.7), vectorized over the lines:
     ``A = T + u v^T`` with ``u = (gamma, 0, ..., bottom)`` and
     ``v = (1, 0, ..., top/gamma)``, ``T`` tridiagonal.  ``gamma = -A[0, 0]``
     (or minus the larger corner when that is 0), and ``T^{-1} u`` is solved
-    once, here.  Raises ``LinAlgError`` when ``T`` or the correction is
-    exactly singular.
+    once, here, for all lines at once.  Raises ``LinAlgError`` when ``T``
+    or a line's correction is exactly singular.
     """
 
     def __init__(self, sub, main, sup):
-        top, bottom = sub[0], sup[-1]
-        cyclic = top != 0.0 or bottom != 0.0
-        if cyclic:
-            gamma = -main[0] if main[0] != 0.0 else -max(abs(top),
-                                                         abs(bottom))
-            main = main.copy()
-            main[0] -= gamma
-            main[-1] -= top * bottom / gamma
-        *self._factors, info = lapack.dgttrf(sub[1:], main, sup[:-1])
+        sub, main, sup = (np.atleast_2d(band) for band in (sub, main, sup))
+        top, bottom = sub[:, 0], sup[:, -1]
+        cyclic = np.flatnonzero((top != 0.0) | (bottom != 0.0))
+        main = main.copy()
+        if len(cyclic):
+            top, bottom, first = top[cyclic], bottom[cyclic], main[cyclic, 0]
+            gamma = np.where(first != 0.0, -first,
+                             -np.maximum(abs(top), abs(bottom)))
+            main[cyclic, 0] -= gamma
+            main[cyclic, -1] -= top * bottom / gamma
+        # The concatenated off-diagonals, zero between lines.
+        lower, upper = sub.copy(), sup.copy()
+        lower[:, 0] = upper[:, -1] = 0.0
+        *self._factors, info = lapack.dgttrf(lower.ravel()[1:], main.ravel(),
+                                             upper.ravel()[:-1])
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"tridiagonal factor is exactly singular at row {info - 1}")
         self._z = None
-        if cyclic:
-            u = np.zeros(len(main))
-            u[0], u[-1] = gamma, bottom
-            z = lapack.dgttrs(*self._factors, u)[0]
-            self._v_last = top / gamma
-            denom = 1.0 + z[0] + self._v_last * z[-1]
-            if denom == 0.0:
+        if len(cyclic):
+            u = np.zeros(main.shape)
+            u[cyclic, 0], u[cyclic, -1] = gamma, bottom
+            z = lapack.dgttrs(*self._factors, u.ravel())[0].reshape(
+                main.shape)
+            self._v_last = np.zeros(len(main))
+            self._v_last[cyclic] = top / gamma
+            denom = 1.0 + z[:, 0] + self._v_last * z[:, -1]
+            if np.any(denom == 0.0):
                 raise np.linalg.LinAlgError("cyclic correction is singular")
-            self._z = z / denom
+            self._z = z / denom[:, None]
 
     def solve(self, b):
         x = lapack.dgttrs(*self._factors, b)[0]
         if self._z is not None:
-            x -= (x[0] + self._v_last * x[-1]) * self._z
+            lines = x.reshape(self._z.shape)
+            lines -= ((lines[:, 0] + self._v_last * lines[:, -1])[:, None]
+                      * self._z)
         return x
+
+
+class _LineFactorization:
+    """The approximate factorization ``M = (D + X) D^{-1} (D + Y)`` of a 2D
+    stencil (Beam & Warming, AIAA J. 16, 1978): ``D`` is its diagonal, ``X``
+    its couplings along x and ``Y`` those along y, so ``M - A = X D^{-1}
+    Y``.  ``D + X`` is a stack of cyclic tridiagonal lines, the rows of the
+    cell array, and ``D + Y`` another, its columns; both go to
+    :class:`_TridiagonalLU`.  ``M x = b`` is solved as ``(D + X) w = b``,
+    then ``(D + Y) x = D w``.  Raises ``LinAlgError`` when a line is
+    exactly singular."""
+
+    def __init__(self, stencil):
+        self._d = main = stencil[0]
+        self._x = _TridiagonalLU(stencil[1], main, stencil[2])
+        self._y = _TridiagonalLU(stencil[3].T, main.T, stencil[4].T)
+
+    def solve(self, b):
+        w = self._x.solve(b).reshape(self._d.shape)
+        return self._y.solve((self._d * w).T.ravel()).reshape(
+            self._d.shape[::-1]).T.ravel()
 
 
 @dataclass(eq=False)
@@ -194,18 +245,23 @@ class SparseBandedMatrix:
     """The pseudo-Jacobian on ``grid`` as its per-cell ``stencil`` (see the
     module docstring), with a cached factorization.
 
-    Every matrix is solved with its own LU, which fits the stencil.  The
+    Each matrix is solved with a factorization that fits its stencil.  The
     three rows of a 1D stencil on ``N >= 3`` cells go straight to
-    :class:`_TridiagonalLU`.  Any other matrix gets SuperLU on
-    :attr:`matrix` with the minimum-degree ordering of ``A^T + A``, which
-    suits a structurally symmetric pattern (rotation2d 128²: L+U 2.44M →
-    1.08M nonzeros against the default COLAMD).  SuperLU also decides every
-    matrix the tridiagonal LU finds singular.
+    :class:`_TridiagonalLU`, which is exact.  A 2D stencil with at least
+    three cells along each axis is solved with the line-factorized
+    iteration matrix ``M`` of :class:`_LineFactorization` unless it is
+    ``exact``.  Any other matrix, an ``exact`` 2D one, and every matrix
+    whose lines are exactly singular, get SuperLU on :attr:`matrix` with
+    the minimum-degree ordering of ``A^T + A``, which suits a structurally
+    symmetric pattern (rotation2d 128²: L+U 2.44M → 1.08M nonzeros against
+    the default COLAMD); SuperLU decides whether such a matrix is
+    singular.  A matrix that falls back to SuperLU becomes ``exact``.
     """
 
     stencil: np.ndarray
     grid: object
     _lu: object = field(default=None, repr=False)
+    exact: bool = False
 
     @functools.cached_property
     def matrix(self):
@@ -216,17 +272,29 @@ class SparseBandedMatrix:
         n = self.grid.num_cells
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
+    def exactly(self):
+        """This matrix solved with its exact LU: itself when its
+        factorization is exact (every 1D matrix), else an ``exact`` copy
+        without a factorization."""
+        if self.exact or len(self.stencil) == 3:
+            return self
+        return SparseBandedMatrix(self.stencil, self.grid, exact=True)
+
     def factorize(self):
-        """Compute (once) and return the LU factorization; the returned
+        """Compute (once) and return the factorization; the returned
         object solves with ``.solve(b)``."""
         if self._lu is None:
-            if len(self.stencil) == 3 and self.grid.num_cells >= 3:
-                main, sub, sup = self.stencil
-                try:
+            lines = min(self.stencil.shape[1:]) >= 3
+            try:
+                if lines and len(self.stencil) == 3:
+                    main, sub, sup = self.stencil
                     self._lu = _TridiagonalLU(sub, main, sup)
-                except np.linalg.LinAlgError:
-                    pass  # SuperLU decides
+                elif lines and not self.exact:
+                    self._lu = _LineFactorization(self.stencil)
+            except np.linalg.LinAlgError:
+                pass  # SuperLU decides
             if self._lu is None:
+                self.exact = True
                 try:
                     self._lu = spla.splu(self.matrix.tocsc(),
                                          permc_spec="MMD_AT_PLUS_A")
@@ -235,7 +303,8 @@ class SparseBandedMatrix:
         return self._lu
 
     def solve(self, rhs):
-        """Solve ``A x = rhs`` with the LU of :meth:`factorize`."""
+        """Solve ``A x = rhs`` with the factorization of :meth:`factorize`
+        (``M x = rhs`` for a 2D matrix solved with ``M``)."""
         return self.factorize().solve(np.ravel(np.asarray(rhs, dtype=float)))
 
 
@@ -325,9 +394,10 @@ def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
 
 class JacobianEngine:
     """The problem and grid of a run, and in ``held`` the pseudo-Jacobian
-    (with its LU) that the last converged quasi-Newton solve at each
-    implicit scale ``float(step_dt)`` ended with; one engine serves every
-    solve of the run, and only :func:`_quasi_newton` reads ``held``."""
+    (with its factorization) that the last converged quasi-Newton solve at
+    each implicit scale ``float(step_dt)`` ended with; one engine serves
+    every solve of the run, and only :func:`_quasi_newton` reads
+    ``held``."""
 
     def __init__(self, spec, grid):
         self.spec = spec
@@ -481,13 +551,15 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     ``step_dt``, the one the last converged solve at that scale ended with;
     the first solve at a scale assembles the pseudo-Jacobian at the
     member's guess and ``stage_time``.  Once a member's residual exceeds
-    ``STALL_RATIO`` times its previous one, every later update of that
-    member refreshes: it assembles the pseudo-Jacobian at its iterate and
-    solves with that matrix's LU.  A refreshed matrix equal to the one in
-    use is not factorized again: the member keeps that LU and stops
-    refreshing (a pseudo-Jacobian that does not depend on the state).  A
-    converged solve leaves the engine holding, for each member's scale in
-    stack order, the matrix that member ended with.  Returns and raises as
+    ``STALL_RATIO`` times its previous one, the member switches to exact
+    LUs (:meth:`SparseBandedMatrix.exactly`; a 2D matrix is solved with
+    ``M`` until then), and every later update of that member refreshes:
+    it assembles the pseudo-Jacobian at its iterate and solves with that
+    matrix's exact LU.  A refreshed matrix equal to the one in use is not
+    factorized again: the member keeps that LU and stops refreshing (a
+    pseudo-Jacobian that does not depend on the state).  A converged solve
+    leaves the engine holding, for each member's scale in stack order, the
+    matrix that member ended with.  Returns and raises as
     :func:`iterate`.
 
     With ``mixed`` the update is the proposal ``y + J^{-1}(-r)``, mixed per
@@ -515,14 +587,15 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
         proposal = np.empty_like(y)
         for j, i in enumerate(range(len(y)) if members is None else members):
             try:
-                refresh[i] = refresh[i] or res[j] > stall[i] * prev_res[j]
+                if res[j] > stall[i] * prev_res[j]:
+                    refresh[i], jac[i] = True, jac[i].exactly()
                 if refresh[i]:
                     fresh = assemble_pseudo_jacobian(y[j], spec, grid,
                                                      scales[i], t=times[i])
                     if np.array_equal(fresh.stencil, jac[i].stencil):
                         refresh[i], stall[i] = False, np.inf
                     else:
-                        jac[i] = fresh
+                        jac[i] = fresh.exactly()
                 proposal[j] = y[j] + jac[i].solve(-np.ravel(r[j])).reshape(
                     y[j].shape)
             except ValueError as err:

@@ -25,6 +25,9 @@ such oracle: the classic formulation (three candidates and three weights
 per side, built by small helpers from the five stencil values) that
 :func:`mppfv.weno.face_values_line` replaced with a kernel on shared
 differences; the two agree to roundoff.
+:func:`line_factorized_dense` is a fifth: the dense iteration matrix
+``M = (D + X) D^{-1} (D + Y)`` that :mod:`mppfv.solvers` solves line by
+line on a 2D stencil, its couplings read face record by face record.
 
 Last, helpers that only the tests use: the stage-MPP inequality of a
 Butcher tableau, a reader for the snapshot CSV files of
@@ -335,6 +338,28 @@ def coo_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
                       shape=(N, N)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def line_factorized_dense(stencil, grid):
+    """The dense iteration matrix ``M = (D + X) D^{-1} (D + Y)`` of a 2D
+    pseudo-Jacobian ``stencil``, with ``D`` its diagonal and ``X``, ``Y``
+    its couplings across the x- and the y-faces, read one face record at a
+    time (the two couplings of a face: the owner's to its next cell, the
+    neighbor's to its previous one).  Returns ``(M, D + X + Y)``."""
+    n = grid.num_cells
+    d = np.diag(stencil[0].ravel())
+    couplings = [np.zeros((n, n)), np.zeros((n, n))]
+    for face in faces(grid):
+        if face.neighbor is None:
+            continue
+        low, high = (cell_slot(cell, grid)
+                     for cell in (face.owner, face.neighbor))
+        i, j = (np.ravel_multi_index(cell, grid.shape)
+                for cell in (low, high))
+        couplings[face.axis][i, j] += stencil[2 + 2 * face.axis][low]
+        couplings[face.axis][j, i] += stencil[1 + 2 * face.axis][high]
+    x, y = couplings
+    return (d + x) @ np.linalg.inv(d) @ (d + y), d + x + y
 
 
 # ---------------------------------------------------------------------------

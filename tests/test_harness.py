@@ -390,14 +390,28 @@ class TestConvergenceStudy:
         assert float(second[2]) == rows[1]["eoc"]
 
     def test_sdirk5_gmc_order_gate(self):
-        # End-to-end order of the limited fifth-order scheme on a smooth
-        # problem.  With epsilon = 0 the limited runs drop to about third
-        # order by design: the sin^4 data touches both global bounds, so the
-        # limiter clips the smooth extrema.  That case is not gated.
+        # End-to-end order of the fifth-order scheme with the GMC limiter
+        # on a smooth problem.  The limiter does not act on this data: the
+        # limited E1 equals that of limiter="none" to 12 significant digits
+        # at all three grids, so this gates the unlimited scheme.  With
+        # epsilon = 0 the limited runs drop to about third order by design:
+        # the sin^4 data touches both global bounds, so the limiter clips
+        # the smooth extrema.  That case is not gated.
         rows = convergence_study(RunConfig(
             problem="linear1d", epsilon=0.1, scheme="sdirk5", limiter="gmc",
             t_final=1.0, study=(40, 80, 160)))
         assert rows[-1]["eoc"] >= 4.5
+        assert all(row["delta"] >= -1e-12 for row in rows)
+
+    def test_sdirk5_gmc_2d_order_gate(self):
+        # The 2D stage solves of linear2d at dt = h/2 run on the
+        # line-factorized iteration matrix.  Here the limiter acts (the
+        # unlimited runs overshoot on every grid); EOC 2.95, then 4.25,
+        # E1 = 9.23e-3 at 64^2.
+        rows = convergence_study(RunConfig(
+            problem="linear2d", epsilon=0.01, scheme="sdirk5", limiter="gmc",
+            dt_factor=0.5, study=(16, 32, 64)))
+        assert rows[-1]["eoc"] >= 4.0
         assert all(row["delta"] >= -1e-12 for row in rows)
 
     def test_requires_study_grids_and_exact_solution(self):

@@ -484,10 +484,11 @@ class TestSemidiscreteGmc:
     def test_extrapolation_chain_respects_bounds(self):
         # Every internal chain state is a limited substep, but its sweeps
         # stop at the stage tolerance TOL_STAGE, so it is bounded only up
-        # to that tolerance (stage_delta reads -7e-10 on burgers1d, nx=200,
-        # iex4 at dt = h/2).  This small case stays within 1e-12 by margin,
-        # not by guarantee.  The extrapolated combination itself carries
-        # signed weights and only inherits conservation, not the bounds.
+        # to that tolerance (stage_delta reads -2.5e-10 on burgers1d,
+        # nx=200, iex4 at dt = h/2).  This small case stays within 1e-12 by
+        # margin, not by guarantee.  The extrapolated combination itself
+        # carries signed weights and only inherits conservation, not the
+        # bounds.
         spec, grid, u0 = _burgers_pulse(50)
         solver = make_semidiscrete_gmc_substep_solver(
             JacobianEngine(spec, grid))

@@ -16,7 +16,8 @@ from mppfv import solvers
 from mppfv.fluxes import (_face_states, divergence, high_order_flux,
                           low_order_with_bars)
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid, ghost_fill
+from mppfv.mesh import (DIRICHLET, FIRST, LAST, PERIODIC, StructuredGrid,
+                        ghost_fill)
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, make_stage_solver,
@@ -26,7 +27,7 @@ from mppfv.problems import (BUILTIN_PROBLEMS, burgers_1d,
 
 from conftest import (make_advection_2d, make_burgers_1d,
                       make_linear_advection_1d, make_pure_diffusion_1d, shaped)
-from oracles import coo_pseudo_jacobian, solve_one
+from oracles import coo_pseudo_jacobian, line_factorized_dense, solve_one
 
 
 def freeze_speed_bound(spec, grid, state, t=0.0):
@@ -219,6 +220,8 @@ class TestFactorizationReuse:
     refreshes only once it contracts too slowly.  A refreshed matrix is
     factorized, in 1D and 2D alike, unless it equals the matrix in use:
     then that LU serves the rest of the solve, with no further assembly.
+    A 2D matrix is factorized as the line-factorized ``M`` until its
+    solve first stalls, and exactly from then on.
     Counted on whole runs: ``SparseBandedMatrix.factorize`` calls made
     while the matrix holds no LU are factorizations (as the benchmark
     tracer counts them), ``_quasi_newton`` calls are nonlinear solves, and
@@ -268,11 +271,14 @@ class TestFactorizationReuse:
     def test_state_independent_refresh_assembles_once_per_solve(self):
         # At dt = h the mixed stage solves stall above STALL_RATIO: each
         # refreshes once, finds the held matrix and stays on its LU.  (At
-        # dt = h/2 they contract fast enough never to refresh.)
+        # dt = h/2 they contract fast enough never to refresh.)  Two
+        # factorizations of the one matrix: ``M`` for the first solve and,
+        # from its first stall on, the exact LU, which the engine holds
+        # for every later solve.
         factorized, assembled, scales, solves = self.count(
             problem="rotation2d", nx=12, scheme="sdirk5", limiter="gmc",
             dt_factor=1.0, t_final=1.0 / 12)
-        assert factorized == len(scales) == 1
+        assert factorized == 2 * len(scales) == 2
         assert 1 < assembled <= len(scales) + solves
 
     def test_state_dependent_2d_factorizes_the_refreshed_matrices(self):
@@ -372,11 +378,32 @@ class TestHeldMatrix:
         assert len(assembled) == 1
         assert all(matrix is held for matrix in used[first:])
 
+    def test_2d_solve_after_a_stall_starts_exact(self, monkeypatch):
+        # rotation2d 16^2 at dt = 10h: the first low-order solve stalls on
+        # M and switches to the exact LU of the same matrix (its pattern
+        # does not depend on the state); the next solve at that scale
+        # starts on that exact matrix and factorizes nothing.
+        spec = build_problem(RunConfig(problem="rotation2d"))
+        grid = make_grid(spec, 16)
+        dt = 10.0 * grid.spacing[0]
+        engine = JacobianEngine(spec, grid)
+        assembled, used = self.recorded(monkeypatch)
+        u1, _, _ = newton_low_order(initial_cell_averages(spec, grid), spec,
+                                    grid, dt, engine=engine)
+        assert not used[0].exact and used[-1].exact
+        assert used[-1].stencil is used[0].stencil
+        assert engine.held[dt] is used[-1]
+        first = len(used)
+        newton_low_order(u1, spec, grid, dt, t=dt, engine=engine)
+        assert all(matrix is used[first - 1] for matrix in used[first:])
+
 
 class TestLuChoice:
     """1D runs factorize the stencil's bands with LAPACK's tridiagonal LU
-    and never build a CSR matrix or call SuperLU; 2D runs call SuperLU
-    with the symmetric-pattern ordering."""
+    and never build a CSR matrix or call SuperLU.  2D solves start on the
+    line-factorized ``M``: at small steps they never call SuperLU, and a
+    solve that stalls on ``M`` falls back to SuperLU with the
+    symmetric-pattern ordering."""
 
     def test_1d_run_never_calls_splu(self):
         with mock.patch.object(solvers.spla, "splu",
@@ -396,14 +423,34 @@ class TestLuChoice:
         assert read == []
         assert csr.call_count == 0
 
+    # One step of rotation2d 16^2 sdirk5+fct at dt = 10h.
+    LARGE_STEP = dict(problem="rotation2d", nx=16, scheme="sdirk5",
+                      limiter="fct", dt_factor=10.0, t_final=10.0 / 16)
+
     def test_2d_run_orders_for_the_symmetric_pattern(self):
+        # The large step's solves stall on M and fall back to SuperLU.
         with mock.patch.object(solvers.spla, "splu",
                                wraps=solvers.spla.splu) as splu:
-            run(RunConfig(problem="rotation2d", nx=12, scheme="sdirk5",
-                          limiter="fct", t_final=0.5 / 12))
+            diag, _ = run(RunConfig(**self.LARGE_STEP))
+        assert diag.delta >= -1e-12
         assert splu.call_count > 0
         assert all(call.kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
                    for call in splu.call_args_list)
+
+    def test_2d_large_step_needs_the_exact_fallback(self):
+        # On M alone the low-order solve of that step stalls (at 6.3e-10
+        # after 100 updates).
+        with mock.patch.object(SparseBandedMatrix, "exactly",
+                               lambda matrix: matrix), \
+                pytest.raises(NonConvergenceError, match="low-order solve"):
+            run(RunConfig(**self.LARGE_STEP))
+
+    def test_2d_run_at_small_steps_never_calls_splu(self):
+        with mock.patch.object(solvers.spla, "splu",
+                               wraps=solvers.spla.splu) as splu:
+            run(RunConfig(problem="rotation2d", nx=16, scheme="sdirk5",
+                          limiter="gmc", dt_factor=0.5, t_final=1.0 / 16))
+        assert splu.call_count == 0
 
 
 def unit_grid(shape, boundary):
@@ -426,16 +473,17 @@ def tridiagonal_matrix(m):
 
 
 class TestLinearSolve:
-    """Solves with 1D and 2D stencils agree with the dense solve of their
-    CSR matrix."""
+    """Solves with 1D stencils and with ``exact`` 2D ones agree with the
+    dense solve of their CSR matrix."""
 
     @staticmethod
-    def banded(rng, grid):
-        """A random diagonally dominant stencil on ``grid``."""
+    def banded(rng, grid, exact=True):
+        """A random diagonally dominant stencil on ``grid``, ``exact`` (a
+        2D one is solved with its exact LU, not with ``M``)."""
         stencil = rng.uniform(-1.0, -0.9, (1 + 2 * grid.dim,) + grid.shape)
         stencil[0] = rng.uniform(2.0 * grid.dim + 1.0, 2.0 * grid.dim + 2.0,
                                  grid.shape)
-        return SparseBandedMatrix(stencil, grid)
+        return SparseBandedMatrix(stencil, grid, exact=exact)
 
     @staticmethod
     def grids(n):
@@ -554,11 +602,17 @@ class TestTridiagonalLu:
             assert np.allclose(jac.solve(rhs), want, rtol=0, atol=1e-12)
 
     def test_other_patterns_take_superlu(self, rng):
-        # 2D stencils, and 1D ones on fewer than three cells.
-        for shape, boundary in (((4, 6), (PERIODIC, DIRICHLET)),
-                                ((2,), (PERIODIC,)), ((2,), (DIRICHLET,))):
-            matrix = TestLinearSolve.banded(rng, unit_grid(shape, boundary))
-            assert not isinstance(matrix.factorize(), solvers._TridiagonalLU)
+        # Exact 2D stencils, 2D ones with fewer than three cells along an
+        # axis, and 1D ones on fewer than three cells.
+        for shape, boundary, exact in (
+                ((4, 6), (PERIODIC, DIRICHLET), True),
+                ((2, 6), (PERIODIC, PERIODIC), False),
+                ((2,), (PERIODIC,), False), ((2,), (DIRICHLET,), False)):
+            matrix = TestLinearSolve.banded(rng, unit_grid(shape, boundary),
+                                            exact)
+            assert not isinstance(matrix.factorize(), (
+                solvers._TridiagonalLU, solvers._LineFactorization))
+            assert matrix.exact
             rhs = rng.standard_normal(matrix.grid.num_cells)
             want = np.linalg.solve(matrix.matrix.toarray(), rhs)
             assert np.allclose(matrix.solve(rhs), want, rtol=0, atol=1e-12)
@@ -588,6 +642,141 @@ class TestTridiagonalLu:
         assert jac.matrix.data.tobytes() == data.tobytes()
         again = assemble_pseudo_jacobian(u, spec, grid, 0.1)
         assert np.array_equal(again.stencil, jac.stencil)
+
+
+class TestLineFactorization:
+    """A 2D stencil that is not ``exact`` solves with ``M = (D + X) D^{-1}
+    (D + Y)``, whose factors are stacks of cyclic tridiagonal lines solved
+    by one ``_TridiagonalLU`` each; its exact LU is SuperLU's."""
+
+    @staticmethod
+    def random_stencil(rng, grid):
+        """A diagonally dominant 2D stencil with the Dirichlet ghost
+        couplings zero, as the assembly writes them."""
+        matrix = TestLinearSolve.banded(rng, grid, exact=False)
+        for axis in range(2):
+            if grid.boundary[axis] != PERIODIC:
+                matrix.stencil[1 + 2 * axis][FIRST[axis]] = 0.0
+                matrix.stencil[2 + 2 * axis][LAST[axis]] = 0.0
+        return matrix
+
+    @staticmethod
+    def assert_solves_with_m(matrix, rng):
+        assert isinstance(matrix.factorize(), solvers._LineFactorization)
+        m, a = line_factorized_dense(matrix.stencil, matrix.grid)
+        assert np.array_equal(a, matrix.matrix.toarray())
+        rhs = rng.standard_normal(matrix.grid.num_cells)
+        want = np.linalg.solve(m, rhs)
+        got = matrix.solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not matrix.exact
+
+    @pytest.mark.parametrize("boundary", [
+        (PERIODIC, PERIODIC), (PERIODIC, DIRICHLET), (DIRICHLET, PERIODIC),
+        (DIRICHLET, DIRICHLET)])
+    def test_solves_with_m_on_a_non_square_grid(self, boundary, rng):
+        # 5 cells along x, 7 along y: a swapped axis or a missed transpose
+        # cannot pass.
+        grid = StructuredGrid(2, (5, 7), (0.0, 0.0), (1.0, 1.0), boundary)
+        self.assert_solves_with_m(self.random_stencil(rng, grid), rng)
+
+    @pytest.mark.parametrize("boundary", [
+        (PERIODIC, DIRICHLET), (DIRICHLET, PERIODIC)])
+    def test_pseudo_jacobian_solves_with_m(self, boundary, rng):
+        spec, grid = make_advection_2d(vel=(0.8, -0.6), shape=(5, 7),
+                                       boundary=boundary)
+        diffusive = type(spec)(**{
+            **spec.__dict__,
+            "diffusion": lambda u, x, y: shaped(0.02, u, x, y),
+        })
+        jac = assemble_pseudo_jacobian(rng.uniform(0.2, 0.8, grid.shape),
+                                       diffusive, grid, 0.3)
+        self.assert_solves_with_m(jac, rng)
+        assert not np.allclose(line_factorized_dense(jac.stencil, grid)[0],
+                               jac.matrix.toarray())
+
+    def test_exact_copy_solves_the_matrix(self, rng):
+        grid = StructuredGrid(2, (5, 7), (0.0, 0.0), (1.0, 1.0),
+                              (PERIODIC, DIRICHLET))
+        matrix = self.random_stencil(rng, grid)
+        exact = matrix.exactly()
+        assert exact is not matrix and exact.exact and not matrix.exact
+        assert exact.stencil is matrix.stencil and exact._lu is None
+        assert exact.exactly() is exact
+        rhs = rng.standard_normal(grid.num_cells)
+        want = np.linalg.solve(matrix.matrix.toarray(), rhs)
+        assert np.allclose(exact.solve(rhs), want, rtol=0, atol=1e-12)
+        one_d = TestLinearSolve.banded(rng, unit_grid((9,), (PERIODIC,)),
+                                       exact=False)
+        assert one_d.exactly() is one_d
+
+    @staticmethod
+    def lines(rng):
+        """Bands of a stack of five lines of 8 cells, ``(sub, main, sup)``:
+        a cyclic line, a Dirichlet one, one with a single corner, a cyclic
+        one whose first diagonal entry is 0, and a Dirichlet one that needs
+        a row interchange."""
+        sub, sup = (rng.uniform(-1.0, -0.1, (5, 8)) for _ in range(2))
+        main = rng.uniform(3.0, 4.0, (5, 8))
+        sub[1, 0] = sup[1, -1] = 0.0
+        sup[2, -1] = 0.0
+        main[3, 0], sup[3, 0], sub[3, 0] = 0.0, 2.0, -1.5
+        main[4, 0], sub[4, 1], sub[4, 0], sup[4, -1] = 1e-6, 5.0, 0.0, 0.0
+        return sub, main, sup
+
+    @staticmethod
+    def dense_line(sub, main, sup):
+        n = len(main)
+        i = np.arange(n)
+        m = np.zeros((n, n))
+        m[i, i] = main
+        m[i, (i - 1) % n] += sub
+        m[i, (i + 1) % n] += sup
+        return m
+
+    def test_stacked_lines_solve_each_line_as_if_alone(self, rng):
+        # Bitwise: one dgttrf/dgttrs on the concatenated lines does each
+        # line's arithmetic, and a stack of one line is the 1D solve.
+        sub, main, sup = self.lines(rng)
+        bands = tuple(band.copy() for band in (sub, main, sup))
+        stack = solvers._TridiagonalLU(sub, main, sup)
+        rhs = rng.standard_normal(main.shape)
+        got = stack.solve(rhs.ravel()).reshape(main.shape)
+        for line in range(len(main)):
+            alone = solvers._TridiagonalLU(sub[line], main[line], sup[line])
+            assert np.array_equal(got[line], alone.solve(rhs[line]))
+            dense = self.dense_line(sub[line], main[line], sup[line])
+            want = np.linalg.solve(dense, rhs[line])
+            assert np.max(np.abs(got[line] - want)) <= (
+                1e-12 * np.max(np.abs(want)))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(bands, (sub, main, sup)))
+
+    def test_singular_line_raises(self, rng):
+        # The Neumann Laplacian (rows sum to 0) as the stack's last line.
+        sub, main, sup = self.lines(rng)
+        main[-1], sub[-1], sup[-1] = 2.0, -1.0, -1.0
+        main[-1, [0, -1]] = 1.0
+        sub[-1, 0] = sup[-1, -1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._TridiagonalLU(sub, main, sup)
+
+    def test_singular_line_falls_back_to_the_exact_lu(self, rng):
+        # The x-line of the first row is the Neumann Laplacian, so M is
+        # singular; the y-couplings make the matrix itself regular.
+        grid = StructuredGrid(2, (5, 4), (0.0, 0.0), (1.0, 1.0),
+                              (DIRICHLET, PERIODIC))
+        matrix = self.random_stencil(rng, grid)
+        main, prev_x, next_x = matrix.stencil[:3]
+        main[0], prev_x[0], next_x[0] = 2.0, -1.0, -1.0
+        main[0, [0, -1]] = 1.0
+        prev_x[0, 0] = next_x[0, -1] = 0.0
+        matrix.stencil[3:, 0] = 0.25
+        rhs = rng.standard_normal(grid.num_cells)
+        want = np.linalg.solve(matrix.matrix.toarray(), rhs)
+        got = matrix.solve(rhs)
+        assert matrix.exact
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSolverReport:

@@ -81,8 +81,25 @@ def test_compare_groups_results_that_moved(sweep, capsys):
     assert lines[0].startswith("dt_factor 5.0: 1/4 bitwise equal; "
                                "max |du|/width 1.000e-09;")
     assert lines[1:] == [
-        "  not bitwise equal: bl1d: 1, max |du|/width 1.000e-09",
-        "  not bitwise equal: rotation2d: 2, max |du|/width 2.000e-13"]
+        "  not bitwise equal: bl1d: 1, max |du|/width 1.000e-09 "
+        "at bl1d sdirk5+gmc gamma=0",
+        "  not bitwise equal: rotation2d: 2, max |du|/width 2.000e-13 "
+        "at rotation2d iex2+gmc gamma=0"]
+
+
+def test_compare_names_the_largest_move_of_each_group(sweep, capsys):
+    # The group's largest move comes first in the file; the later ones, a
+    # smaller move and a member that moved only in its scalars (|du| = 0),
+    # are counted but not named.
+    keys = [_key(scheme="iex4"), _key(), _key(gamma=1.0)]
+    old = {k: _result(0.5) for k in keys}
+    new = {keys[0]: _result(0.5 + 3e-12), keys[1]: _result(0.5 + 1e-12),
+           keys[2]: _result(0.5)}
+    new[keys[2]]["delta"] = 1.0
+    assert not sweep.compare(old, new)
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  not bitwise equal: rotation2d: 3, max |du|/width 3.000e-12 "
+        "at rotation2d iex4+gmc gamma=0"]
 
 
 def test_check_names_configurations_that_break_a_gate(sweep, capsys,
@@ -131,7 +148,7 @@ def test_unbounded_problem_is_scaled_by_its_initial_range(sweep, capsys):
     assert not sweep.compare({key: old}, {key: new})
     assert capsys.readouterr().out.splitlines()[1] == (
         f"  not bitwise equal: steady1d: 1, max |du|/width "
-        f"{1e-9 / width:.3e}")
+        f"{1e-9 / width:.3e} at steady1d sdirk5+gmc gamma=0")
 
 
 @pytest.mark.parametrize("dt_factor", SWEEP.DT_FACTORS)

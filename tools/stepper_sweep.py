@@ -11,7 +11,8 @@ the range of its initial data where a bound is infinite),
 whether the same configurations failed, by name the configurations that
 fail in only one of the files, and, grouped by problem, how many finished
 configurations are not bitwise equal with each group's largest ``|du|``
-per width.  ``check OUT`` reads one such file and exits non-zero when any
+per width and, by name, the configuration it comes from.  ``check OUT``
+reads one such file and exits non-zero when any
 configuration raised or broke a gate: ``|mass_drift| <= MASS_DRIFT_MAX``
 for every run, and bound violation ``delta >= DELTA_MIN`` for every run
 that is bound preserving (a limiter, or ``be``; the unlimited high-order
@@ -211,7 +212,7 @@ def compare(old, new):
         fail_old = {k for k in keys if isinstance(old[k], str)}
         fail_new = {k for k in keys if isinstance(new[k], str)}
         worst = 0.0
-        moved = {}  # problem -> (count, max |du|/width)
+        moved = {}  # problem -> (count, max |du|/width, its key)
         for k in keys:
             if k in fail_old or k in fail_new:
                 continue
@@ -219,8 +220,10 @@ def compare(old, new):
             worst = max(worst, du)
             if _bits(old[k]) != _bits(new[k]):
                 problem = dict(k)["problem"]
-                count, group_worst = moved.get(problem, (0, 0.0))
-                moved[problem] = (count + 1, max(group_worst, du))
+                count, group_worst, at = moved.get(problem, (0, -1.0, k))
+                if du > group_worst:
+                    group_worst, at = du, k
+                moved[problem] = (count + 1, group_worst, at)
         same_failures = fail_old == fail_new
         print(f"dt_factor {dt_factor}: {equal}/{len(keys)} bitwise equal; "
               f"max |du|/width {worst:.3e}; failures {len(fail_old)} -> "
@@ -229,9 +232,9 @@ def compare(old, new):
                                ("newly passing", fail_old - fail_new)):
             for name in sorted(map(_name, changed)):
                 print(f"  {label}: {name}")
-        for problem, (count, du) in sorted(moved.items()):
+        for problem, (count, du, at) in sorted(moved.items()):
             print(f"  not bitwise equal: {problem}: {count}, "
-                  f"max |du|/width {du:.3e}")
+                  f"max |du|/width {du:.3e} at {_name(at)}")
         ok = ok and equal == len(keys) and same_failures
     return ok
 
