@@ -33,9 +33,9 @@ cell is a Dirichlet ghost, which is data, not an unknown).  The diagonal
 sums its face terms in the order a COO assembly does, so the stencil read
 as CSR equals a COO assembly's data (bitwise, but for the sign of zeros).
 Only SuperLU, the exact LU of a 2D matrix, and the tests read it as CSR
-(:attr:`SparseBandedMatrix.matrix`), through index arrays computed once per
-grid; every face between two cells keeps both off-diagonal positions
-(explicit zeros included), so the pattern is structurally symmetric.
+(:attr:`SparseBandedMatrix.matrix`, converted from the stencil when read);
+every face between two cells keeps both off-diagonal positions (explicit
+zeros included), so the pattern is structurally symmetric.
 
 Linear solves (modified Newton with the Jacobian reused across solves,
 Hairer & Wanner, *Solving ODEs II*, §IV.8), one rule in every dimension:
@@ -51,26 +51,26 @@ keeps that LU for the rest of the solve, with no further assembly: the
 pseudo-Jacobian of a state-independent problem (rotation2d) or of one
 that depends on time only (vortex2d).
 
-Each factorization fits its matrix (:class:`SparseBandedMatrix`).  The
-three rows of a 1D stencil are the bands of a tridiagonal matrix, with two
-corner entries on a periodic axis: LAPACK ``dgttrf``/``dgttrs`` factorize
-and solve it exactly in ``O(N)``, the corners by Sherman–Morrison (Press
-et al., *Numerical Recipes*, §2.7).  A 2D stencil ``D + X + Y`` (its
-diagonal, its x- and its y-couplings) is first solved with the
-approximate factorization ``M = (D + X) D^{-1} (D + Y)`` of Beam & Warming
-(AIAA J. 16, 1978), ``M - J = X D^{-1} Y``: each factor is a stack of
-cyclic tridiagonal lines, solved by the same LAPACK calls on the
-concatenated lines, with the corners of every line at once, so a solve
-costs ``O(N)`` and builds no fill.  ``M`` is only the iteration matrix; the
-residual keeps the true fluxes.  At small steps it contracts almost as well
-as the exact LU (rotation2d 128² at dt = h/2: 20.6 updates per stage
-against 20.0).  At large steps it may not contract at all (rotation2d 16²
-at dt = 10h: on ``M`` alone the low-order solve stalls at 6.3e-10 after 100
-updates), so a solve's first stall switches it to the exact LU: SuperLU
-on the CSR matrix with the minimum-degree ordering of ``A^T + A``
-(``MMD_AT_PLUS_A``), which suits the structurally symmetric pattern with
-about half the fill of the default COLAMD.  The held matrix keeps the
-switch, so later solves at that scale start on the exact LU.
+Every stencil is factorized line by line (:class:`_LineFactorization`).
+Along each axis, the diagonal and that axis's couplings form a stack of
+cyclic tridiagonal lines, factorized and solved by one LAPACK
+``dgttrf``/``dgttrs`` call on the concatenated lines in ``O(N)``, the
+corners of every line at once by Sherman–Morrison (Press et al.,
+*Numerical Recipes*, §2.7).  In 1D the one stack is the matrix, so the
+solve is exact.  A 2D stencil ``D + X + Y`` (its diagonal, its x- and its
+y-couplings) is solved with the two stacks' product ``M = (D + X) D^{-1}
+(D + Y)``, the approximate factorization of Beam & Warming (AIAA J. 16,
+1978), ``M - J = X D^{-1} Y``, which builds no fill.  ``M`` is only the
+iteration matrix; the residual keeps the true fluxes.  At small steps it
+contracts almost as well as the exact LU (rotation2d 128² at dt = h/2:
+20.6 updates per stage against 20.0).  At large steps it may not contract
+at all (rotation2d 16² at dt = 10h: on ``M`` alone the low-order solve
+stalls at 6.3e-10 after 100 updates), so a solve's first stall switches it
+to the exact LU: SuperLU on the CSR matrix with the minimum-degree
+ordering of ``A^T + A`` (``MMD_AT_PLUS_A``), which suits the structurally
+symmetric pattern with about half the fill of the default COLAMD.  The
+held matrix keeps the switch, so later solves at that scale start on the
+exact LU.
 
 One loop, :func:`iterate`, runs every nonlinear solve, on a stack of
 members (the member axes of :mod:`mesh`; a single solve is a stack of
@@ -98,7 +98,6 @@ quasi-Newton update (:mod:`anderson` says why).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -220,24 +219,31 @@ class _TridiagonalLU:
 
 
 class _LineFactorization:
-    """The approximate factorization ``M = (D + X) D^{-1} (D + Y)`` of a 2D
-    stencil (Beam & Warming, AIAA J. 16, 1978): ``D`` is its diagonal, ``X``
-    its couplings along x and ``Y`` those along y, so ``M - A = X D^{-1}
-    Y``.  ``D + X`` is a stack of cyclic tridiagonal lines, the rows of the
-    cell array, and ``D + Y`` another, its columns; both go to
-    :class:`_TridiagonalLU`.  ``M x = b`` is solved as ``(D + X) w = b``,
+    """The line factorization of a stencil: one :class:`_TridiagonalLU` per
+    axis, over that axis's lines (the rows of the cell array for x, its
+    columns for y), each with the diagonal ``D`` and that axis's
+    couplings.  In 1D the one factor is the matrix itself.  In 2D it is the
+    approximate factorization ``M = (D + X) D^{-1} (D + Y)`` of Beam &
+    Warming (AIAA J. 16, 1978), ``X`` and ``Y`` the x- and y-couplings, so
+    ``M - A = X D^{-1} Y``; ``M x = b`` is solved as ``(D + X) w = b``,
     then ``(D + Y) x = D w``.  Raises ``LinAlgError`` when a line is
     exactly singular."""
 
     def __init__(self, stencil):
         self._d = main = stencil[0]
-        self._x = _TridiagonalLU(stencil[1], main, stencil[2])
-        self._y = _TridiagonalLU(stencil[3].T, main.T, stencil[4].T)
+        self._lines = [_TridiagonalLU(*(
+            np.swapaxes(band, -1, -1 - axis)
+            for band in (stencil[1 + 2 * axis], main, stencil[2 + 2 * axis])))
+            for axis in range(main.ndim)]
+        if main.ndim == 1:  # the one factor solves, with no work added
+            self.solve = self._lines[0].solve
 
     def solve(self, b):
-        w = self._x.solve(b).reshape(self._d.shape)
-        return self._y.solve((self._d * w).T.ravel()).reshape(
-            self._d.shape[::-1]).T.ravel()
+        """``(D + X) w = b``, then ``(D + Y) x = D w`` on the y-lines."""
+        w = np.swapaxes(self._d * self._lines[0].solve(b).reshape(
+            self._d.shape), -1, -2)
+        return np.swapaxes(self._lines[1].solve(w.ravel()).reshape(w.shape),
+                           -1, -2).ravel()
 
 
 @dataclass(eq=False)
@@ -245,17 +251,15 @@ class SparseBandedMatrix:
     """The pseudo-Jacobian on ``grid`` as its per-cell ``stencil`` (see the
     module docstring), with a cached factorization.
 
-    Each matrix is solved with a factorization that fits its stencil.  The
-    three rows of a 1D stencil on ``N >= 3`` cells go straight to
-    :class:`_TridiagonalLU`, which is exact.  A 2D stencil with at least
-    three cells along each axis is solved with the line-factorized
-    iteration matrix ``M`` of :class:`_LineFactorization` unless it is
-    ``exact``.  Any other matrix, an ``exact`` 2D one, and every matrix
-    whose lines are exactly singular, get SuperLU on :attr:`matrix` with
-    the minimum-degree ordering of ``A^T + A``, which suits a structurally
-    symmetric pattern (rotation2d 128²: L+U 2.44M → 1.08M nonzeros against
-    the default COLAMD); SuperLU decides whether such a matrix is
-    singular.  A matrix that falls back to SuperLU becomes ``exact``.
+    A stencil with at least three cells along each axis is solved with
+    :class:`_LineFactorization`: exactly in 1D, and with the iteration
+    matrix ``M`` in 2D unless the matrix is ``exact``.  Any other matrix,
+    an ``exact`` 2D one, and every matrix whose lines are exactly singular,
+    get SuperLU on :attr:`matrix` with the minimum-degree ordering of
+    ``A^T + A``, which suits a structurally symmetric pattern (rotation2d
+    128²: L+U 2.44M → 1.08M nonzeros against the default COLAMD); SuperLU
+    decides whether such a matrix is singular.  A matrix that falls back to
+    SuperLU becomes ``exact``.
     """
 
     stencil: np.ndarray
@@ -263,14 +267,26 @@ class SparseBandedMatrix:
     _lu: object = field(default=None, repr=False)
     exact: bool = False
 
-    @functools.cached_property
+    @property
     def matrix(self):
-        """The matrix as CSR, on the index arrays cached for its grid."""
-        indices, indptr, slots = _csr_index(self.grid)
-        data = np.bincount(slots, weights=self.stencil.ravel(),
-                           minlength=len(indices) + 1)[:-1]
-        n = self.grid.num_cells
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        """The matrix as CSR: each stencil entry summed into its row and
+        column, the Dirichlet ghost couplings dropped and explicit zeros
+        kept."""
+        grid = self.grid
+        n = grid.num_cells
+        ids = np.arange(n).reshape(grid.shape)
+        cols = [ids]
+        for axis in range(grid.dim):
+            low, high = fluxes.adjacent_cells(ids, grid, axis, -1)
+            cols += [sides(low, axis)[0], sides(high, axis)[1]]
+        cols = np.ravel(cols)
+        rows = np.tile(ids.ravel(), len(cols) // n)
+        stored = cols >= 0
+        csr = sp.coo_matrix((self.stencil.ravel()[stored],
+                             (rows[stored], cols[stored])),
+                            shape=(n, n)).tocsr()
+        csr.data += 0.0  # a lone -0.0 coupling reads +0.0
+        return csr
 
     def exactly(self):
         """This matrix solved with its exact LU: itself when its
@@ -284,15 +300,12 @@ class SparseBandedMatrix:
         """Compute (once) and return the factorization; the returned
         object solves with ``.solve(b)``."""
         if self._lu is None:
-            lines = min(self.stencil.shape[1:]) >= 3
-            try:
-                if lines and len(self.stencil) == 3:
-                    main, sub, sup = self.stencil
-                    self._lu = _TridiagonalLU(sub, main, sup)
-                elif lines and not self.exact:
+            if min(self.stencil.shape[1:]) >= 3 and (
+                    len(self.stencil) == 3 or not self.exact):
+                try:
                     self._lu = _LineFactorization(self.stencil)
-            except np.linalg.LinAlgError:
-                pass  # SuperLU decides
+                except np.linalg.LinAlgError:
+                    pass  # SuperLU decides
             if self._lu is None:
                 self.exact = True
                 try:
@@ -306,34 +319,6 @@ class SparseBandedMatrix:
         """Solve ``A x = rhs`` with the factorization of :meth:`factorize`
         (``M x = rhs`` for a 2D matrix solved with ``M``)."""
         return self.factorize().solve(np.ravel(np.asarray(rhs, dtype=float)))
-
-
-@functools.lru_cache(maxsize=16)
-def _csr_index(grid):
-    """``(indices, indptr, slots)``: the CSR index arrays of the
-    pseudo-Jacobian on ``grid`` and the data slot of every entry of the
-    flattened stencil, ``nnz`` for a Dirichlet ghost coupling (not
-    stored).  Computed on the grid's first use, shared and read-only."""
-    n = grid.num_cells
-    ids = np.arange(n).reshape(grid.shape)
-    cols = [ids]
-    for axis in range(grid.dim):
-        low, high = fluxes.adjacent_cells(ids, grid, axis, -1)
-        cols += [sides(low, axis)[0], sides(high, axis)[1]]
-    cols = np.ravel(cols)
-    rows = np.tile(ids.ravel(), len(cols) // n)
-    stored = cols >= 0
-    entries, inverse = np.unique(rows[stored] * n + cols[stored],
-                                 return_inverse=True)
-    slots = np.full(len(cols), len(entries))
-    slots[stored] = inverse
-    r, c = np.divmod(entries, n)
-    index = np.int32 if max(len(entries), n) < 2**31 else np.int64
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
-    out = (c.astype(index), indptr.astype(index), slots)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

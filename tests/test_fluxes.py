@@ -116,65 +116,6 @@ class TestFaceFluxSet:
                 _fct_with_flux(G, u, G, spec, grid, 0.1, 1)
 
 
-class TestSingleFaceFluxes:
-    """The one-face reference fluxes of :mod:`oracles` on hand-worked
-    values."""
-
-    def _face(self, spec_grid):
-        spec, grid = spec_grid
-        face = next(f for f in faces(grid) if f.normal > 0)
-        return spec, face
-
-    def test_convective_consistency_at_equal_states(self):
-        spec, face = self._face(make_burgers_1d(8))
-        u = 0.7
-        assert low_order_convective_flux(u, u, face, spec) == pytest.approx(
-            face.normal * 0.5 * u * u, abs=1e-15)
-
-    def test_convective_pure_upwind_for_linear_flux(self):
-        spec, grid = make_linear_advection_1d(velocity=1.0, n=8,
-                                              wave_speed=1.0)
-        face = next(f for f in faces(grid) if f.normal > 0)
-        # n.(f_j + f_i)/2 - lam (u_j - u_i)/2 with f=u, lam=1 upwinds exactly.
-        assert low_order_convective_flux(2.0, 0.0, face, spec) == pytest.approx(2.0)
-
-    def test_convective_square_flux_value(self):
-        spec, face = self._face(make_burgers_1d(8))
-        # (0 + 2)/2 - (1/2)*2*(2 - 0) = -1 with the max-|state| speed bound.
-        assert low_order_convective_flux(0.0, 2.0, face, spec) == pytest.approx(-1.0)
-
-    def test_convective_rejects_nonpositive_speed_bound(self):
-        spec, grid = make_linear_advection_1d(velocity=1.0, n=8,
-                                              wave_speed=0.0)
-        face = next(iter(faces(grid)))
-        with pytest.raises(ValueError):
-            low_order_convective_flux(0.0, 1.0, face, spec)
-
-    def test_diffusive_zero_at_equal_states(self):
-        spec, face = self._face(make_burgers_1d(8))
-        assert low_order_diffusive_flux(0.3, 0.3, face, spec) == 0.0
-
-    def test_diffusive_constant_coefficient_value(self):
-        spec, grid = make_linear_advection_1d(velocity=1.0, diffusion=0.001,
-                                              n=10)
-        face = next(iter(faces(grid)))
-        assert face.spacing == pytest.approx(0.1)
-        assert low_order_diffusive_flux(0.0, 1.0, face, spec) == pytest.approx(
-            0.01, rel=1e-14)
-
-    def test_diffusive_degenerate_parabolic_coefficient(self):
-        # c(u) = 4u(1-u) evaluated at the mean of (0, 1) gives c = 1.
-        base = make_burgers_1d(8)
-        spec, grid = base
-        spec = type(spec)(**{
-            **spec.__dict__,
-            "diffusion": lambda u, x, y: 4.0 * np.asarray(u) * (1.0 - np.asarray(u)),
-        })
-        face = next(iter(faces(grid)))
-        assert low_order_diffusive_flux(0.0, 1.0, face, spec) == pytest.approx(
-            1.0 / face.spacing, rel=1e-14)
-
-
 def _on_grid(spec, *cells):
     return spec, make_grid(spec, *cells)
 

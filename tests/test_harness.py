@@ -403,6 +403,39 @@ class TestConvergenceStudy:
         assert rows[-1]["eoc"] >= 4.5
         assert all(row["delta"] >= -1e-12 for row in rows)
 
+    @pytest.mark.parametrize("scheme, limiter, least", [
+        ("iex2", "gmc", 1.8), ("iex4", "gmc", 4.8), ("sdirk5", "fct", 4.3)])
+    def test_scheme_family_order_gate(self, scheme, limiter, least):
+        # One gate per scheme family on the data of the sdirk5+gmc gate.
+        # EOC per refinement: iex2+gmc 2.05, 1.96; iex4+gmc 4.92, 5.23;
+        # sdirk5+fct 4.68, 4.50.
+        rows = convergence_study(RunConfig(
+            problem="linear1d", epsilon=0.1, scheme=scheme, limiter=limiter,
+            dt_factor=0.5, t_final=1.0, study=(40, 80, 160)))
+        assert rows[-1]["eoc"] >= least
+        assert all(row["delta"] >= -1e-12 for row in rows)
+
+    def test_active_gmc_limiter_order_gate(self):
+        # With epsilon = 0 the sin^4 data touches both global bounds, and
+        # the unlimited scheme overshoots (delta = -1.6e-3).  The limiter
+        # acts: its E1 differs from the unlimited one on every grid
+        # (1.461e-2 against 1.557e-2 at 40 cells), so this gate fails if
+        # the limiter goes idle.  High order survives the limiting only
+        # with the bound relaxation gamma large enough: EOC 3.88, 5.09 at
+        # gamma = 5.  At the default gamma = 0 the result is third order
+        # (2.85, 3.04), which is not gated.
+        config = RunConfig(problem="linear1d", epsilon=0.0, scheme="sdirk5",
+                           limiter="gmc", gamma=5.0, dt_factor=0.5,
+                           t_final=1.0, study=(40, 80, 160))
+        rows = convergence_study(config)
+        assert rows[-1]["eoc"] >= 4.5
+        assert all(row["delta"] >= -1e-12 for row in rows)
+        unlimited = convergence_study(dataclasses.replace(
+            config, limiter="none", gamma=0.0))
+        assert min(row["delta"] for row in unlimited) < -1e-4
+        assert all(row["e1"] != free["e1"]
+                   for row, free in zip(rows, unlimited))
+
     def test_sdirk5_gmc_2d_order_gate(self):
         # The 2D stage solves of linear2d at dt = h/2 run on the
         # line-factorized iteration matrix.  Here the limiter acts (the

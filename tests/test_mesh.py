@@ -1,5 +1,4 @@
-"""Grid geometry, ghost-layer filling, and the reference face enumeration
-of :mod:`oracles`."""
+"""Grid geometry, face points and ghost-layer filling."""
 
 import itertools
 
@@ -62,62 +61,6 @@ class TestGeometry:
         CellField(g, np.zeros((3, 4)))
         with pytest.raises(ValueError):
             CellField(g, np.zeros((4, 3)))
-
-
-class TestFaceEnumeration:
-    """The reference face enumeration of :mod:`oracles`."""
-
-    def test_periodic_1d_face_count_and_wrap(self):
-        g = grid_1d(6)
-        recs = faces(g)
-        assert len(recs) == 6
-        wrap = [r for r in recs if r.neighbor == (0,) and r.owner == (5,)]
-        assert len(wrap) == 1
-        assert all(r.normal == +1 for r in recs)
-        assert all(r.area == 1.0 for r in recs)
-
-    def test_dirichlet_1d_face_count_and_normals(self):
-        g = grid_1d(6, boundary=DIRICHLET)
-        recs = faces(g)
-        assert len(recs) == 7
-        boundary = [r for r in recs if r.neighbor is None]
-        assert len(boundary) == 2
-        low = next(r for r in boundary if r.midpoint == (0.0,))
-        high = next(r for r in boundary if r.midpoint == (1.0,))
-        assert low.normal == -1 and low.owner == (0,)
-        assert high.normal == +1 and high.owner == (5,)
-
-    def test_each_interior_connection_listed_once(self):
-        g = grid_2d(4, 3)
-        recs = faces(g)
-        # fully periodic: every cell has 4 faces, each shared by two cells
-        assert len(recs) == 2 * 4 * 3
-        seen = set()
-        for r in recs:
-            key = frozenset((r.owner, r.neighbor)) if r.neighbor else (r.owner, r.midpoint)
-            assert (r.axis, key) not in seen
-            seen.add((r.axis, key))
-
-    def test_mixed_boundary_2d_counts(self):
-        g = grid_2d(4, 3, bx=DIRICHLET, by=PERIODIC)
-        recs = faces(g)
-        x_faces = [r for r in recs if r.axis == 0]
-        y_faces = [r for r in recs if r.axis == 1]
-        assert len(x_faces) == (4 + 1) * 3
-        assert len(y_faces) == 4 * 3
-        assert sum(1 for r in x_faces if r.neighbor is None) == 2 * 3
-
-    def test_face_midpoints_lie_on_face_planes(self):
-        g = grid_2d(4, 3, bx=DIRICHLET, by=PERIODIC)
-        xf = set(np.round(g.axis_faces(0), 12))
-        for r in faces(g):
-            if r.axis == 0:
-                assert np.round(r.midpoint[0], 12) in xf
-
-    def test_spacing_is_center_to_center_distance(self):
-        g = grid_2d(4, 10)
-        for r in faces(g):
-            assert r.spacing == pytest.approx(g.spacing[r.axis])
 
 
 POINT_GRIDS = [grid_1d(), grid_1d(boundary=DIRICHLET),

@@ -151,9 +151,9 @@ class TestPseudoJacobian:
 
 
 class TestCachedPattern:
-    """The pseudo-Jacobian assembled into the grid's cached pattern is the
-    COO assembly of ``oracles.coo_pseudo_jacobian``: the same index arrays,
-    explicit zeros included, and equal data."""
+    """The CSR matrix of an assembled stencil is the COO assembly of
+    ``oracles.coo_pseudo_jacobian``: the same index arrays, explicit zeros
+    included, and equal data."""
 
     @staticmethod
     def assert_same(u, spec, grid, scale, t):
@@ -165,7 +165,7 @@ class TestCachedPattern:
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
         # Bitwise but for the sign of zeros: a slot whose only term is
-        # -0.0 reads +0.0 from the pattern (it sums from +0.0).
+        # -0.0 reads +0.0 from the stencil's CSR matrix.
         assert np.array_equal(got.data, want.data)
         return want
 
@@ -205,13 +205,6 @@ class TestCachedPattern:
         })
         self.assert_same(rng.uniform(0.2, 0.8, grid.shape), diffusive, grid,
                          0.05, 0.0)
-
-    def test_matrices_share_the_grid_pattern(self, rng):
-        spec, grid = make_burgers_1d(10)
-        a, b = (assemble_pseudo_jacobian(rng.uniform(0, 2, 10), spec, grid,
-                                         0.1) for _ in range(2))
-        assert np.shares_memory(a.matrix.indices, b.matrix.indices)
-        assert np.shares_memory(a.matrix.indptr, b.matrix.indptr)
 
 
 class TestFactorizationReuse:
@@ -549,7 +542,7 @@ class TestTridiagonalLu:
     @staticmethod
     def assert_tridiagonal_solve(m, rng):
         matrix = tridiagonal_matrix(m)
-        assert isinstance(matrix.factorize(), solvers._TridiagonalLU)
+        assert isinstance(matrix.factorize(), solvers._LineFactorization)
         rhs = rng.standard_normal(len(m))
         want = np.linalg.solve(m, rhs)
         got = matrix.solve(rhs)
@@ -581,7 +574,7 @@ class TestTridiagonalLu:
         # A small leading pivot: dgttrf swaps rows 0 and 1.
         m = self.cyclic(rng, 10, corners=False)
         m[0, 0], m[1, 0] = 1e-6, 5.0
-        ipiv = tridiagonal_matrix(m).factorize()._factors[4]
+        ipiv = tridiagonal_matrix(m).factorize()._lines[0]._factors[4]
         assert ipiv[0] == 2  # LAPACK's 1-based row index
         self.assert_tridiagonal_solve(m, rng)
 
@@ -596,7 +589,7 @@ class TestTridiagonalLu:
             i = np.arange(12)
             for row, offset in zip(jac.stencil, (0, -1, 1)):
                 assert np.array_equal(row, dense[i, (i + offset) % 12])
-            assert isinstance(jac.factorize(), solvers._TridiagonalLU)
+            assert isinstance(jac.factorize(), solvers._LineFactorization)
             rhs = rng.standard_normal(12)
             want = np.linalg.solve(dense, rhs)
             assert np.allclose(jac.solve(rhs), want, rtol=0, atol=1e-12)
@@ -645,7 +638,8 @@ class TestTridiagonalLu:
 
 
 class TestLineFactorization:
-    """A 2D stencil that is not ``exact`` solves with ``M = (D + X) D^{-1}
+    """A 1D stencil is one stack of lines, solved by a ``_TridiagonalLU``.
+    A 2D stencil that is not ``exact`` solves with ``M = (D + X) D^{-1}
     (D + Y)``, whose factors are stacks of cyclic tridiagonal lines solved
     by one ``_TridiagonalLU`` each; its exact LU is SuperLU's."""
 
@@ -733,6 +727,20 @@ class TestLineFactorization:
         m[i, (i - 1) % n] += sub
         m[i, (i + 1) % n] += sup
         return m
+
+    @pytest.mark.parametrize("corners", ["both", "none", "one"])
+    def test_1d_stencil_is_its_one_line(self, corners, rng):
+        # Bitwise: in 1D the line factorization is the one _TridiagonalLU
+        # of the stencil's bands (periodic, Dirichlet, one corner only).
+        m = TestTridiagonalLu.cyclic(rng, 11, corners=corners != "none")
+        if corners == "one":
+            m[-1, 0] = 0.0
+        stencil = tridiagonal_matrix(m).stencil
+        main, sub, sup = stencil
+        rhs = rng.standard_normal(11)
+        got = solvers._LineFactorization(stencil).solve(rhs)
+        want = solvers._TridiagonalLU(sub, main, sup).solve(rhs)
+        assert got.tobytes() == want.tobytes()
 
     def test_stacked_lines_solve_each_line_as_if_alone(self, rng):
         # Bitwise: one dgttrf/dgttrs on the concatenated lines does each
