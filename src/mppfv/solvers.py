@@ -230,12 +230,13 @@ class _LineFactorization:
     exactly singular."""
 
     def __init__(self, stencil):
-        self._d = main = stencil[0]
-        self._lines = [_TridiagonalLU(*(
-            np.swapaxes(band, -1, -1 - axis)
-            for band in (stencil[1 + 2 * axis], main, stencil[2 + 2 * axis])))
-            for axis in range(main.ndim)]
-        if main.ndim == 1:  # the one factor solves, with no work added
+        self._d = stencil[0]
+        self._lines = []
+        for axis in range(self._d.ndim):
+            bands = stencil.swapaxes(-1, -1 - axis)  # this axis's lines last
+            self._lines.append(_TridiagonalLU(bands[1 + 2 * axis], bands[0],
+                                              bands[2 + 2 * axis]))
+        if self._d.ndim == 1:  # the one factor solves, with no work added
             self.solve = self._lines[0].solve
 
     def solve(self, b):
