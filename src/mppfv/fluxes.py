@@ -13,10 +13,14 @@ one-face-at-a-time path),
   blended *bar state* ``ubar``: the convective intermediate state
   ``ubar^A = (u_i+u_j)/2 - n.(f_j - f_i)/(2 lam^A)`` and the diffusive
   average ``(u_i+u_j)/2`` weighted by ``2 c_ij/(lam^A |dx|)``.  They satisfy
-  ``sum_j |S_ij| lam_ij (ubar_ij - u_i) = -sum_j |S_ij| G^L_ij`` cellwise,
-  the identity behind the local-extremum-diminishing structure of the
-  low-order scheme; :func:`low_order_with_bars` returns ``G^L``, ``lam``
-  and ``ubar`` from one pass, and the GMC limiter sums them per cell,
+  ``sum_j |S_ij| lam_ij (ubar_ij - u_i) = -sum_j |S_ij| G^L_ij`` cellwise
+  where the cell's own flux cancels, ``sum_j |S_ij| n.f(u_i, x_ij) = 0``
+  at the points ``x_ij`` where ``f`` is sampled: for every ``f`` without
+  x-dependence or sampled at cell centers, and the builtin velocities on
+  square cells, not vortex2d's where dx != dy (ROADMAP item 4).  That is
+  the identity behind the local-extremum-diminishing low-order scheme and
+  the GMC diagonal map; :func:`low_order_with_bars` returns ``G^L``,
+  ``lam`` and ``ubar`` from one pass, and the GMC limiter sums them per cell,
 * the high-order flux ``G^H = F^H - P^H`` built from fifth-order WENO face
   values (Rusanov form on the two reconstructed point values) and the
   linear fourth-order face derivative with the diffusion coefficient
@@ -223,7 +227,7 @@ def low_order_with_bars(values, spec, grid, t=0.0):
     the flux ``G^L = F^L - P^L``, the combined face speed and the blended
     bar state.
     """
-    u_ext = ghost_fill(values, spec, grid, width=1)
+    u_ext = ghost_fill(values, grid, width=1)
     return tuple(zip(*(_axis_low_order(u_ext, spec, grid, axis, t)
                        for axis in range(grid.dim))))
 
@@ -275,6 +279,6 @@ def high_order_flux(values, spec, grid, t=0.0):
     the reconstructed diffusive flux (fourth-order face derivative times the
     average of the diffusion coefficient at the two reconstructed states),
     a per-axis tuple of face arrays."""
-    u_ext = ghost_fill(values, spec, grid, width=GHOST_WIDTH)
+    u_ext = ghost_fill(values, grid, width=GHOST_WIDTH)
     return tuple(_axis_high_order(u_ext, spec, grid, axis, t)
                  for axis in range(grid.dim))

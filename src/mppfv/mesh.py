@@ -6,7 +6,9 @@ cell average); every kernel takes and returns states in that form.
 :class:`CellField`, which attaches the grid, is only the final state that
 :func:`harness.run` returns.  Boundary conditions enter through ghost
 layers: periodic axes wrap the interior values, Dirichlet axes are filled
-with the prescribed constant boundary value.
+with their constant boundary values.  Both live on the grid, one entry of
+:attr:`StructuredGrid.boundary` per axis: :data:`PERIODIC`, or the
+Dirichlet pair ``(low, high)`` of the values beyond its two ends.
 
 Array-axis convention: grid axis ``k`` is array axis ``-1-k`` of every cell
 and face array, in 1D and 2D alike, so x is the last array axis and y the
@@ -45,8 +47,20 @@ import numpy as np
 #: (five-cell reconstructions centered on either side of a face).
 GHOST_WIDTH = 3
 
+#: The boundary entry of a periodic axis; any other is a Dirichlet pair.
 PERIODIC = "periodic"
-DIRICHLET = "dirichlet"
+
+
+def _boundary_entry(entry):
+    """One axis's boundary entry, checked: :data:`PERIODIC`, or a Dirichlet
+    pair ``(low, high)`` as two finite Python floats."""
+    if isinstance(entry, str) and entry == PERIODIC:
+        return entry
+    pair = np.asarray(() if isinstance(entry, str) else entry, dtype=float)
+    if pair.shape != (2,) or not np.all(np.isfinite(pair)):
+        raise ValueError(f"boundary entry {entry!r} is neither {PERIODIC!r} "
+                         "nor a pair of finite values")
+    return tuple(pair.tolist())
 
 
 def axis_index(axis, index):
@@ -77,17 +91,17 @@ class StructuredGrid:
 
     Parameters
     ----------
-    dim : int
-        Spatial dimension, 1 or 2.
     cells_per_axis : tuple of int
-        Number of cells along each axis, ``(nx,)`` or ``(nx, ny)``.
+        Number of cells along each axis, ``(nx,)`` or ``(nx, ny)``; its
+        length is the dimension :attr:`dim`, 1 or 2.
     domain_lo, domain_hi : tuple of float
         Physical coordinates of the box corners.
-    boundary : tuple of str
-        Per-axis boundary type, ``"periodic"`` or ``"dirichlet"``.
+    boundary : tuple
+        Per axis, :data:`PERIODIC` or the Dirichlet pair ``(low, high)`` of
+        the values :func:`ghost_fill` puts beyond the two ends, stored as
+        two finite Python floats so that the grid stays hashable.
     """
 
-    dim: int
     cells_per_axis: tuple
     domain_lo: tuple
     domain_hi: tuple
@@ -96,15 +110,20 @@ class StructuredGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        for name in ("cells_per_axis", "domain_lo", "domain_hi", "boundary"):
+        for name in ("domain_lo", "domain_hi", "boundary"):
             if len(getattr(self, name)) != self.dim:
                 raise ValueError(f"{name} must have length dim={self.dim}")
         if any(n <= 0 for n in self.cells_per_axis):
             raise ValueError("cells_per_axis entries must be positive")
         if any(hi <= lo for lo, hi in zip(self.domain_lo, self.domain_hi)):
             raise ValueError("domain_hi must exceed domain_lo on every axis")
-        if any(b not in (PERIODIC, DIRICHLET) for b in self.boundary):
-            raise ValueError("boundary entries must be 'periodic' or 'dirichlet'")
+        object.__setattr__(self, "boundary",
+                           tuple(map(_boundary_entry, self.boundary)))
+
+    @cached_property
+    def dim(self):
+        """Spatial dimension, the number of grid axes."""
+        return len(self.cells_per_axis)
 
     @cached_property
     def spacing(self):
@@ -195,22 +214,20 @@ class CellField:
             )
 
 
-def ghost_fill(values, problem_spec, grid, width=GHOST_WIDTH):
+def ghost_fill(values, grid, width=GHOST_WIDTH):
     """Extend the cell state ``values`` (an array of ``grid.shape``, or a
     stack of them along leading axes) with ``width`` ghost layers per side
     of every grid axis.
 
-    Periodic axes copy wrapped interior values; Dirichlet axes fill every
-    ghost layer with the prescribed constant boundary value taken from
-    ``problem_spec.dirichlet_values`` (a per-axis ``(lo_value, hi_value)``
-    pair).  Returns a plain ndarray of shape ``interior + 2*width`` per grid
-    axis, leading axes unchanged.
+    Periodic axes copy wrapped interior values; a Dirichlet axis fills its
+    low and high ghost layers with the two values of its pair in
+    ``grid.boundary``.  Returns a plain ndarray of shape ``interior +
+    2*width`` per grid axis, leading axes unchanged.
 
     Raises
     ------
     ValueError
-        If the trailing axes of the values are not ``grid.shape``, or a
-        Dirichlet axis has no boundary values on the problem spec.
+        If the trailing axes of the values are not ``grid.shape``.
     """
     if width < 1:
         raise ValueError("ghost width must be >= 1")
@@ -218,8 +235,8 @@ def ghost_fill(values, problem_spec, grid, width=GHOST_WIDTH):
     if ext.shape[max(ext.ndim - grid.dim, 0):] != grid.shape:
         raise ValueError(f"values shape {ext.shape} does not match grid "
                          f"shape {grid.shape}")
-    for axis in range(grid.dim):
-        if grid.boundary[axis] == PERIODIC:
+    for axis, boundary in enumerate(grid.boundary):
+        if boundary == PERIODIC:
             # Whole periods cover the layers even when width exceeds n.
             periods = -(-width // ext.shape[-1 - axis])
             tiled = (ext if periods == 1 else
@@ -227,15 +244,8 @@ def ghost_fill(values, problem_spec, grid, width=GHOST_WIDTH):
             before = tiled[axis_index(axis, slice(-width, None))]
             after = tiled[axis_index(axis, slice(None, width))]
         else:
-            dvals = getattr(problem_spec, "dirichlet_values", None)
-            if dvals is None or dvals[axis] is None:
-                raise ValueError(
-                    f"axis {axis} is Dirichlet but the problem spec provides "
-                    "no boundary values"
-                )
             shape = list(ext.shape)
             shape[-1 - axis] = width
-            before = np.full(shape, dvals[axis][0], dtype=float)
-            after = np.full(shape, dvals[axis][1], dtype=float)
+            before, after = (np.full(shape, v) for v in boundary)
         ext = np.concatenate((before, ext, after), axis=-1 - axis)
     return ext

@@ -48,10 +48,10 @@ def update_delta(diag, values, spec):
     return diag
 
 
-def cell_center_values(values, spec, grid):
+def cell_center_values(values, grid):
     """Cell-center point values from cell averages (degree-4 conversion,
     dimension by dimension)."""
-    values = ghost_fill(values, spec, grid, width=2)
+    values = ghost_fill(values, grid, width=2)
     for axis in range(grid.dim):  # x, then y, each on the last array axis
         line = values.swapaxes(-1, -1 - axis)
         values = weno.center_point_values_line(line, ghost=2).swapaxes(
@@ -62,7 +62,7 @@ def cell_center_values(values, spec, grid):
 def compute_E1(values, spec, grid, t):
     """``E1(t) = |K| sum_i |utilde_i - u_exact(center_i, t)|``."""
     exact = evaluate_exact(spec, grid, t)
-    utilde = cell_center_values(values, spec, grid)
+    utilde = cell_center_values(values, grid)
     return float(grid.cell_volume * np.sum(np.abs(utilde - exact)))
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import StructuredGrid, PERIODIC, DIRICHLET
+from .mesh import StructuredGrid, PERIODIC
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,12 @@ class ProblemSpec:
     ------
     name : str
         Registry name (e.g. ``"burgers1d"``).
-    dim : int
-        Spatial dimension.
     domain_lo, domain_hi : tuple
-        Box corners.
-    boundary : tuple of str
-        Per-axis ``"periodic"`` or ``"dirichlet"``.
-    dirichlet_values : tuple
-        Per-axis ``(low_value, high_value)`` boundary constants, or ``None``
-        entries for periodic axes.
+        Box corners; their length is the dimension :attr:`dim`.
+    boundary : tuple
+        Per axis, :data:`mesh.PERIODIC` or the Dirichlet pair ``(low,
+        high)``; :func:`make_grid` hands it to the grid, which checks it
+        and holds the values for :func:`mesh.ghost_fill`.
     flux : callable(axis, u, x, y, t) -> ndarray
         Component of f along ``axis``.
     flux_derivative : callable(axis, u, x, y, t) -> ndarray
@@ -70,9 +67,11 @@ class ProblemSpec:
         Where the x-dependence of f is sampled in the low-order flux and bar
         states.  ``False`` (default) samples at the face midpoint, which
         keeps the bar states inside the local value hull for velocity fields
-        bounded by the wave-speed policy and is discretely divergence-free
-        for the builtin incompressible flows.  ``True`` samples at the two
-        adjacent cell centers, which keeps the flux-form/bar-state-form
+        bounded by the wave-speed policy.  The flux-form/bar-state-form
+        identity of :mod:`fluxes` then holds where the sampled velocity is
+        discretely divergence-free: for the builtin incompressible flows on
+        square cells, but not for vortex2d where dx != dy (ROADMAP item 4).
+        ``True`` samples at the two adjacent cell centers, which keeps the
         identity exact for compressible drift (used by the steady problem,
         whose only enforced bound, zero, is scale-invariant and therefore
         survives center sampling).  High-order fluxes always sample at face
@@ -80,11 +79,9 @@ class ProblemSpec:
     """
 
     name: str
-    dim: int
     domain_lo: tuple
     domain_hi: tuple
     boundary: tuple
-    dirichlet_values: tuple
     flux: Callable
     flux_derivative: Callable
     diffusion: Callable
@@ -96,6 +93,11 @@ class ProblemSpec:
     final_time: float
     exact_solution: Optional[Callable] = None
     flux_at_cell_centers: bool = False
+
+    @property
+    def dim(self):
+        """Spatial dimension."""
+        return len(self.domain_lo)
 
 
 #: Floor applied by wave-speed policies so bar-state formulas may divide by
@@ -166,8 +168,7 @@ def make_grid(spec, nx, ny=None):
     if ny is not None and spec.dim < 2:
         raise ValueError(f"problem {spec.name!r} is 1D and takes no ny")
     cells = (int(nx), int(nx) if ny is None else int(ny))[:spec.dim]
-    return StructuredGrid(spec.dim, cells, spec.domain_lo, spec.domain_hi,
-                          spec.boundary)
+    return StructuredGrid(cells, spec.domain_lo, spec.domain_hi, spec.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +190,9 @@ def linear_advdiff_1d(epsilon):
 
     return ProblemSpec(
         name="linear1d",
-        dim=1,
         domain_lo=(0.0,),
         domain_hi=(2.0 * np.pi,),
         boundary=(PERIODIC,),
-        dirichlet_values=(None,),
         **_transport(lambda axis, x, y, t: 1.0),
         diffusion=_constant(eps),
         diffusion_derivative=_constant(0.0),
@@ -220,11 +219,9 @@ def burgers_1d():
 
     return ProblemSpec(
         name="burgers1d",
-        dim=1,
         domain_lo=(-1.0,),
         domain_hi=(1.0,),
         boundary=(PERIODIC,),
-        dirichlet_values=(None,),
         flux=lambda axis, u, x, y, t: 0.5 * np.asarray(u, dtype=float) ** 2,
         flux_derivative=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
         diffusion=_constant(eps),
@@ -267,11 +264,9 @@ def buckley_leverett_1d():
 
     return ProblemSpec(
         name="bl1d",
-        dim=1,
         domain_lo=(0.0,),
         domain_hi=(1.0,),
-        boundary=(DIRICHLET,),
-        dirichlet_values=((1.0, 0.0),),
+        boundary=((1.0, 0.0),),
         flux=flux,
         flux_derivative=flux_derivative,
         diffusion=diffusion,
@@ -299,11 +294,9 @@ def steady_gaussian_1d():
 
     return ProblemSpec(
         name="steady1d",
-        dim=1,
         domain_lo=(-1.0,),
         domain_hi=(1.0,),
-        boundary=(DIRICHLET,),
-        dirichlet_values=((0.0, 0.0),),
+        boundary=((0.0, 0.0),),
         **_transport(lambda axis, x, y, t: -drift * np.asarray(x, dtype=float)),
         diffusion=_constant(eps),
         diffusion_derivative=_constant(0.0),
@@ -362,11 +355,9 @@ def solid_rotation_2d():
 
     return ProblemSpec(
         name="rotation2d",
-        dim=2,
         domain_lo=(0.0, 0.0),
         domain_hi=(1.0, 1.0),
         boundary=(PERIODIC, PERIODIC),
-        dirichlet_values=(None, None),
         **_transport(velocity),
         diffusion=_constant(0.0),
         diffusion_derivative=_constant(0.0),
@@ -398,11 +389,9 @@ def swirling_vortex_2d(T=1.5):
 
     return ProblemSpec(
         name="vortex2d",
-        dim=2,
         domain_lo=(0.0, 0.0),
         domain_hi=(1.0, 1.0),
         boundary=(PERIODIC, PERIODIC),
-        dirichlet_values=(None, None),
         **_transport(velocity),
         diffusion=_constant(0.0),
         diffusion_derivative=_constant(0.0),
@@ -431,11 +420,9 @@ def linear_advdiff_2d(epsilon):
 
     return ProblemSpec(
         name="linear2d",
-        dim=2,
         domain_lo=(0.0, 0.0),
         domain_hi=(2.0 * np.pi, 2.0 * np.pi),
         boundary=(PERIODIC, PERIODIC),
-        dirichlet_values=(None, None),
         **_transport(lambda axis, x, y, t: 1.0),
         diffusion=_constant(eps),
         diffusion_derivative=_constant(0.0),
@@ -467,11 +454,9 @@ def kpp_2d(epsilon):
 
     return ProblemSpec(
         name="kpp2d",
-        dim=2,
         domain_lo=(-2.0, -2.5),
         domain_hi=(2.0, 1.5),
         boundary=(PERIODIC, PERIODIC),
-        dirichlet_values=(None, None),
         flux=flux,
         flux_derivative=flux_derivative,
         diffusion=_constant(eps),

@@ -352,7 +352,7 @@ def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
     of Dirichlet boundaries are data, not unknowns: their couplings are
     zero.
     """
-    u_ext = ghost_fill(values, spec, grid, width=1)
+    u_ext = ghost_fill(values, grid, width=1)
     stencil = np.zeros((1 + 2 * grid.dim,) + grid.shape)
     main = stencil[0]
     for axis in range(grid.dim):

@@ -51,7 +51,6 @@ class ButcherTableau:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    order: int
     name: str = ""
 
     def __post_init__(self):
@@ -127,8 +126,7 @@ _SDIRK5_C = [
 def sdirk5_tableau():
     """Five-stage, fifth-order SDIRK tableau with identical diagonal
     entries."""
-    return ButcherTableau(A=_SDIRK5_A, b=_SDIRK5_B, c=_SDIRK5_C, order=5,
-                          name="sdirk5")
+    return ButcherTableau(A=_SDIRK5_A, b=_SDIRK5_B, c=_SDIRK5_C, name="sdirk5")
 
 
 @functools.cache
@@ -154,7 +152,7 @@ def iex_tableau(p):
             c[row] = (r + 1) / k
             b[row] = w_k / k
         offset += k
-    return ButcherTableau(A=A, b=b, c=c, order=p, name=f"iex{p}")
+    return ButcherTableau(A=A, b=b, c=c, name=f"iex{p}")
 
 
 def dirk_step(u_n, tableau, spec, grid, stage_solver, dt, t=0.0,

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from mppfv.fluxes import face_array_shapes, tie_periodic_seam
-from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
+from mppfv.mesh import PERIODIC, StructuredGrid
 from mppfv.problems import LAMBDA_FLOOR, ProblemSpec
+
+#: The homogeneous Dirichlet boundary entry of an axis.
+DIRICHLET = (0.0, 0.0)
 
 
 def constant_speed(value):
@@ -18,18 +21,17 @@ def constant_speed(value):
 
 def make_linear_advection_1d(velocity=1.0, diffusion=0.0, n=None,
                              lo=0.0, hi=1.0, boundary=PERIODIC,
-                             dirichlet=(0.0, 0.0), wave_speed=None):
-    """Constant-coefficient advection-diffusion on [lo, hi]."""
+                             wave_speed=None):
+    """Constant-coefficient advection-diffusion on [lo, hi]; ``boundary``
+    is the one axis's entry, :data:`PERIODIC` or a Dirichlet pair."""
     eps = float(diffusion)
     v = float(velocity)
 
     spec = ProblemSpec(
         name="linear-test",
-        dim=1,
         domain_lo=(lo,),
         domain_hi=(hi,),
         boundary=(boundary,),
-        dirichlet_values=(dirichlet if boundary == DIRICHLET else None,),
         flux=lambda axis, u, x, y, t: v * np.asarray(u, dtype=float),
         flux_derivative=lambda axis, u, x, y, t: v * np.ones(np.shape(u)),
         diffusion=lambda u, x, y: np.full(
@@ -46,7 +48,7 @@ def make_linear_advection_1d(velocity=1.0, diffusion=0.0, n=None,
     )
     if n is None:
         return spec
-    grid = StructuredGrid(1, (n,), (lo,), (hi,), (boundary,))
+    grid = StructuredGrid((n,), (lo,), (hi,), (boundary,))
     return spec, grid
 
 
@@ -55,11 +57,9 @@ def make_pure_diffusion_1d(coefficient=1.0, n=None, boundary=PERIODIC):
     c = float(coefficient)
     spec = ProblemSpec(
         name="diffusion-test",
-        dim=1,
         domain_lo=(0.0,),
         domain_hi=(1.0,),
         boundary=(boundary,),
-        dirichlet_values=((0.0, 0.0) if boundary == DIRICHLET else None,),
         flux=lambda axis, u, x, y, t: np.zeros(
             np.broadcast_shapes(np.shape(u), np.shape(x))),
         flux_derivative=lambda axis, u, x, y, t: np.zeros(
@@ -77,7 +77,7 @@ def make_pure_diffusion_1d(coefficient=1.0, n=None, boundary=PERIODIC):
     )
     if n is None:
         return spec
-    grid = StructuredGrid(1, (n,), (0.0,), (1.0,), (boundary,))
+    grid = StructuredGrid((n,), (0.0,), (1.0,), (boundary,))
     return spec, grid
 
 
@@ -90,11 +90,9 @@ def make_burgers_1d(n=None, eps=0.01, boundary=PERIODIC, lo=-1.0, hi=1.0):
     """Inviscid-square flux with constant diffusion and a max-|state| bound."""
     spec = ProblemSpec(
         name="burgers-test",
-        dim=1,
         domain_lo=(lo,),
         domain_hi=(hi,),
         boundary=(boundary,),
-        dirichlet_values=((0.0, 0.0) if boundary == DIRICHLET else None,),
         flux=lambda axis, u, x, y, t: 0.5 * np.square(np.asarray(u, dtype=float)),
         flux_derivative=lambda axis, u, x, y, t: np.asarray(u, dtype=float),
         diffusion=lambda u, x, y: shaped(eps, u, x),
@@ -111,7 +109,7 @@ def make_burgers_1d(n=None, eps=0.01, boundary=PERIODIC, lo=-1.0, hi=1.0):
     )
     if n is None:
         return spec
-    return spec, StructuredGrid(1, (n,), (lo,), (hi,), (boundary,))
+    return spec, StructuredGrid((n,), (lo,), (hi,), (boundary,))
 
 
 def make_advection_2d(vel=(1.0, -0.5), shape=(6, 5),
@@ -120,12 +118,9 @@ def make_advection_2d(vel=(1.0, -0.5), shape=(6, 5),
     vx, vy = float(vel[0]), float(vel[1])
     spec = ProblemSpec(
         name="advection2d-test",
-        dim=2,
         domain_lo=(0.0, 0.0),
         domain_hi=(1.0, 1.0),
         boundary=tuple(boundary),
-        dirichlet_values=tuple(
-            (0.0, 0.0) if b == DIRICHLET else None for b in boundary),
         flux=lambda axis, u, x, y, t: (vx if axis == 0 else vy)
         * np.asarray(u, dtype=float),
         flux_derivative=lambda axis, u, x, y, t: shaped(
@@ -141,8 +136,7 @@ def make_advection_2d(vel=(1.0, -0.5), shape=(6, 5),
         final_time=1.0,
         exact_solution=None,
     )
-    grid = StructuredGrid(2, tuple(shape), (0.0, 0.0), (1.0, 1.0),
-                          tuple(boundary))
+    grid = StructuredGrid(tuple(shape), (0.0, 0.0), (1.0, 1.0), boundary)
     return spec, grid
 
 

@@ -312,7 +312,7 @@ def coo_pseudo_jacobian(field_in, spec, grid, scale, t=0.0):
     matrix, assembled from (row, column, value) triplets whose duplicates
     scipy sums in triplet order.  The identity goes into the same batch, so
     the explicit zeros of one-sided couplings stay in the pattern."""
-    u_ext = ghost_fill(field_in, spec, grid, width=1)
+    u_ext = ghost_fill(field_in, grid, width=1)
     rows, cols, vals = [], [], []
     for axis in range(grid.dim):
         dGdL, dGdR = _axis_flux_derivatives(u_ext, spec, grid, axis, t)

@@ -18,12 +18,12 @@ from mppfv.harness import (RunConfig, _make_stepper, build_problem,
                            convergence_study, load_config_file, main, run,
                            snapshot)
 from mppfv.limiters import _restore_bounds
-from mppfv.mesh import DIRICHLET, PERIODIC, CellField, StructuredGrid
+from mppfv.mesh import PERIODIC, CellField, StructuredGrid
 from mppfv.metrics import RunDiagnostics
 from mppfv.problems import initial_cell_averages, make_grid
 from mppfv.solvers import NonConvergenceError
 
-from conftest import random_flux_set
+from conftest import DIRICHLET, random_flux_set
 from oracles import read_snapshot
 from test_limiters import _burgers_pulse
 
@@ -126,7 +126,7 @@ class TestConfigFile:
 
 class TestSnapshots:
     def test_roundtrip_1d_bitwise(self, tmp_path, rng):
-        grid = StructuredGrid(1, (17,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((17,), (0.0,), (1.0,), (PERIODIC,))
         u = rng.standard_normal(17) * 1e3
         path = snapshot(u, grid, tmp_path / "deep" / "nested" / "snap.csv")
         header, data = read_snapshot(path)
@@ -135,7 +135,7 @@ class TestSnapshots:
         assert np.array_equal(data[:, 1], u)
 
     def test_2d_row_major_order(self, tmp_path):
-        grid = StructuredGrid(2, (3, 2), (0.0, 0.0), (3.0, 2.0),
+        grid = StructuredGrid((3, 2), (0.0, 0.0), (3.0, 2.0),
                               (PERIODIC, PERIODIC))
         u = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # u[iy, ix]
         header, data = read_snapshot(snapshot(u, grid, tmp_path / "s.csv"))
@@ -146,7 +146,7 @@ class TestSnapshots:
         assert np.array_equal(data[:, 1], [0.5, 0.5, 0.5, 1.5, 1.5, 1.5])
 
     def test_seventeen_digits_roundtrip_exactly(self, tmp_path):
-        grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((5,), (0.0,), (1.0,), (PERIODIC,))
         u = np.array([1 / 3, math.pi, 1e-300, -2 / 7, 0.1])
         _, data = read_snapshot(snapshot(u, grid, tmp_path / "s.csv"))
         assert np.array_equal(data[:, 1], u)
@@ -285,7 +285,7 @@ class TestBoundaryOutflow:
         (DIRICHLET, PERIODIC), (PERIODIC, DIRICHLET), (DIRICHLET, DIRICHLET)])
     def test_equals_total_divergence(self, boundary, rng):
         # sum_i |K| div_i telescopes to the boundary faces' outward flux.
-        grid = StructuredGrid(2, (6, 5), (0.0, -1.0), (1.5, 1.0), boundary)
+        grid = StructuredGrid((6, 5), (0.0, -1.0), (1.5, 1.0), boundary)
         flux = random_flux_set(grid, rng)
         want = grid.cell_volume * float(np.sum(divergence(flux, grid)))
         got = harness._boundary_outflow(flux, grid)
@@ -293,7 +293,7 @@ class TestBoundaryOutflow:
         assert abs(got) > 1e-3
 
     def test_zero_on_periodic_grid(self, rng):
-        grid = StructuredGrid(2, (6, 5), (0.0, -1.0), (1.5, 1.0),
+        grid = StructuredGrid((6, 5), (0.0, -1.0), (1.5, 1.0),
                               (PERIODIC, PERIODIC))
         assert harness._boundary_outflow(random_flux_set(grid, rng),
                                          grid) == 0.0

@@ -23,13 +23,13 @@ from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
                             _restore_bounds, _weighted, gmc_budgets,
                             make_semidiscrete_gmc_substep_solver,
                             zalesak_alphas)
-from mppfv.mesh import DIRICHLET, PERIODIC, StructuredGrid
+from mppfv.mesh import PERIODIC, StructuredGrid
 from mppfv.problems import burgers_1d, initial_cell_averages, make_grid
 from mppfv.solvers import (TOL_STAGE, JacobianEngine, NonConvergenceError,
                            newton_low_order)
 from mppfv.time_integration import iex_step
 
-from conftest import make_burgers_1d, minus, random_flux_set
+from conftest import DIRICHLET, make_burgers_1d, minus, random_flux_set
 from oracles import (face_entry, outward_limited_sums, solve_one,
                      zalesak_alpha_oracle)
 
@@ -38,11 +38,11 @@ def random_grid(rng):
     if rng.uniform() < 0.5:
         n = int(rng.integers(4, 40))
         b = PERIODIC if rng.uniform() < 0.5 else DIRICHLET
-        return StructuredGrid(1, (n,), (0.0,), (1.0,), (b,))
+        return StructuredGrid((n,), (0.0,), (1.0,), (b,))
     nx, ny = int(rng.integers(3, 9)), int(rng.integers(3, 9))
     bx = PERIODIC if rng.uniform() < 0.5 else DIRICHLET
     by = PERIODIC if rng.uniform() < 0.5 else DIRICHLET
-    return StructuredGrid(2, (nx, ny), (0.0, 0.0), (1.0, 2.0), (bx, by))
+    return StructuredGrid((nx, ny), (0.0, 0.0), (1.0, 2.0), (bx, by))
 
 
 def random_budgets(rng, grid):
@@ -59,7 +59,7 @@ class TestZalesakCoefficients:
         # P- = (-1, -6, 0, -1), R+ = (1/4, 1, 1/3, 1),
         # R- = (1, 1/6, 1, 1), so the face coefficients come out
         # (1, 1/6, 1/6, 1/3).
-        grid = StructuredGrid(1, (4,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((4,), (0.0,), (1.0,), (PERIODIC,))
         dg = (np.array([1.0, 4.0, -2.0, 1.0, 1.0]),)
         q = np.ones(4)
         alphas = zalesak_alphas(dg, -q, q, grid)
@@ -97,7 +97,7 @@ class TestZalesakCoefficients:
     @given(data=st.data(), n=st.integers(4, 12))
     @settings(max_examples=200, deadline=None)
     def test_property_cell_sums_within_allowances(self, data, n):
-        grid = StructuredGrid(1, (n,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((n,), (0.0,), (1.0,), (PERIODIC,))
         vals = data.draw(st.lists(
             st.floats(-10, 10, allow_nan=False), min_size=n + 1,
             max_size=n + 1))
@@ -115,14 +115,14 @@ class TestZalesakCoefficients:
         assert np.all(limited >= q_minus - slack)
 
     def test_inactive_when_allowances_exceed_sums(self, rng):
-        grid = StructuredGrid(1, (6,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((6,), (0.0,), (1.0,), (PERIODIC,))
         fs = random_flux_set(grid, rng)
         big = np.full(6, 1e6)
         alphas = zalesak_alphas(fs, -big, big, grid)
         assert np.all(alphas[0] == 1.0)
 
     def test_zero_budgets_reject_all_corrections(self, rng):
-        grid = StructuredGrid(1, (6,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((6,), (0.0,), (1.0,), (PERIODIC,))
         fs = random_flux_set(grid, rng)
         zero = np.zeros(6)
         accepted = _weighted(zalesak_alphas(fs, zero, zero, grid), fs)
@@ -132,7 +132,7 @@ class TestZalesakCoefficients:
         # zalesak_alphas runs once per fixed-point sweep and skips the
         # range check; the limiters call _check_alphas on the coefficients
         # of the flux they realize.
-        grid = StructuredGrid(1, (5,), (0.0,), (1.0,), (PERIODIC,))
+        grid = StructuredGrid((5,), (0.0,), (1.0,), (PERIODIC,))
         alphas = zalesak_alphas(random_flux_set(grid, rng), -np.ones(5),
                                 np.ones(5), grid)
         _check_alphas(alphas)

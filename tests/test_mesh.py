@@ -7,18 +7,18 @@ import pytest
 
 from mppfv.fluxes import (adjacent_center_coordinates, face_array_shapes,
                           face_coordinates)
-from mppfv.mesh import (DIRICHLET, PERIODIC, CellField, StructuredGrid,
-                        ghost_fill)
+from mppfv.mesh import PERIODIC, CellField, StructuredGrid, ghost_fill
 
+from conftest import DIRICHLET
 from oracles import face_entry, face_xy, faces
 
 
 def grid_1d(n=8, boundary=PERIODIC, lo=0.0, hi=1.0):
-    return StructuredGrid(1, (n,), (lo,), (hi,), (boundary,))
+    return StructuredGrid((n,), (lo,), (hi,), (boundary,))
 
 
 def grid_2d(nx=4, ny=3, bx=PERIODIC, by=PERIODIC):
-    return StructuredGrid(2, (nx, ny), (0.0, -1.0), (2.0, 1.0), (bx, by))
+    return StructuredGrid((nx, ny), (0.0, -1.0), (2.0, 1.0), (bx, by))
 
 
 class TestGeometry:
@@ -48,13 +48,13 @@ class TestGeometry:
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):
-            StructuredGrid(3, (2, 2, 2), (0,) * 3, (1,) * 3, (PERIODIC,) * 3)
+            StructuredGrid((2, 2, 2), (0,) * 3, (1,) * 3, (PERIODIC,) * 3)
         with pytest.raises(ValueError):
-            StructuredGrid(1, (0,), (0.0,), (1.0,), (PERIODIC,))
+            StructuredGrid((0,), (0.0,), (1.0,), (PERIODIC,))
         with pytest.raises(ValueError):
-            StructuredGrid(1, (4,), (1.0,), (0.0,), (PERIODIC,))
+            StructuredGrid((4,), (1.0,), (0.0,), (PERIODIC,))
         with pytest.raises(ValueError):
-            StructuredGrid(1, (4,), (0.0,), (1.0,), ("reflecting",))
+            StructuredGrid((4,), (0.0,), (1.0,), ("reflecting",))
 
     def test_cell_field_shape_checked(self):
         g = grid_2d(4, 3)
@@ -122,41 +122,42 @@ class TestPoints:
 
 class TestGhostFill:
     def test_periodic_wrap_1d(self):
-        spec_like = None
         g = grid_1d(5)
-        ext = ghost_fill(np.arange(5.0), spec_like, g, width=2)
+        ext = ghost_fill(np.arange(5.0), g, width=2)
         assert ext.shape == (9,)
         assert np.array_equal(ext, [3, 4, 0, 1, 2, 3, 4, 0, 1])
 
     def test_dirichlet_fill_uses_per_side_values(self):
-        g = grid_1d(4, boundary=DIRICHLET)
-
-        class Spec:
-            dirichlet_values = ((7.0, -3.0),)
-
+        g = grid_1d(4, boundary=(7.0, -3.0))
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        ext = ghost_fill(values, Spec(), g, width=3)
+        ext = ghost_fill(values, g, width=3)
         assert np.array_equal(ext[:3], [7.0, 7.0, 7.0])
         assert np.array_equal(ext[-3:], [-3.0, -3.0, -3.0])
         assert np.array_equal(ext[3:-3], values)
 
     def test_dirichlet_without_values_raises(self):
-        g = grid_1d(4, boundary=DIRICHLET)
-
-        class Spec:
-            dirichlet_values = (None,)
-
+        # A Dirichlet axis carries its values in its boundary entry, so a
+        # grid whose entry is not PERIODIC nor a pair of finite values is
+        # rejected when it is built.
+        for entry in ("dirichlet", (1.0, 2.0, 3.0), (0.0, np.nan),
+                      (np.inf, 0.0), (None, 1.0), None, 5.0):
+            with pytest.raises(ValueError):
+                grid_1d(4, boundary=entry)
         with pytest.raises(ValueError):
-            ghost_fill(np.zeros(4), Spec(), g)
+            grid_2d(bx=PERIODIC, by=(1.0,))
+
+    def test_dirichlet_pairs_are_stored_as_python_floats(self):
+        g = grid_2d(bx=np.array([1, 2]), by=PERIODIC)
+        assert g.boundary == ((1.0, 2.0), PERIODIC)
+        assert all(type(v) is float for v in g.boundary[0])
+        same = grid_2d(bx=(1.0, 2.0))
+        assert g == same and hash(g) == hash(same)
+        assert (g.dim, grid_1d().dim) == (2, 1)
 
     def test_2d_mixed_axes(self):
-        g = grid_2d(3, 2, bx=PERIODIC, by=DIRICHLET)
-
-        class Spec:
-            dirichlet_values = (None, (9.0, 8.0))
-
+        g = grid_2d(3, 2, bx=PERIODIC, by=(9.0, 8.0))
         vals = np.arange(6.0).reshape(2, 3)  # [iy, ix]
-        ext = ghost_fill(vals, Spec(), g, width=1)
+        ext = ghost_fill(vals, g, width=1)
         assert ext.shape == (4, 5)
         # periodic x: wrap columns
         assert np.array_equal(ext[1, :], [2, 0, 1, 2, 0])
@@ -167,22 +168,17 @@ class TestGhostFill:
     def test_width_validated(self):
         g = grid_1d(4)
         with pytest.raises(ValueError):
-            ghost_fill(np.zeros(4), None, g, width=0)
+            ghost_fill(np.zeros(4), g, width=0)
 
     @pytest.mark.parametrize("cells", [(2,), (5,), (2, 3), (5, 4)])
     @pytest.mark.parametrize("width", [1, 3, 5])
     def test_bitwise_equal_to_numpy_pad(self, cells, width, rng):
         # np.pad "wrap" repeats the period when the width exceeds it.
-        for boundary in itertools.product((PERIODIC, DIRICHLET),
-                                          repeat=len(cells)):
-            dim = len(cells)
-            g = StructuredGrid(dim, cells, (0.0,) * dim, (1.0,) * dim,
-                               boundary)
-
-            class Spec:
-                dirichlet_values = tuple(tuple(rng.random(2))
-                                         for _ in range(dim))
-
+        dim = len(cells)
+        for periodic in itertools.product((True, False), repeat=dim):
+            boundary = tuple(PERIODIC if p else tuple(rng.random(2))
+                             for p in periodic)
+            g = StructuredGrid(cells, (0.0,) * dim, (1.0,) * dim, boundary)
             values = rng.random(g.shape)
             want = values
             for axis, b in enumerate(boundary):
@@ -190,14 +186,14 @@ class TestGhostFill:
                 pad[-1 - axis] = (width, width)
                 want = (np.pad(want, pad, mode="wrap") if b == PERIODIC else
                         np.pad(want, pad, mode="constant",
-                               constant_values=(Spec.dirichlet_values[axis],)))
-            got = ghost_fill(values, Spec(), g, width=width)
+                               constant_values=(b,)))
+            got = ghost_fill(values, g, width=width)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_array_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            ghost_fill(np.zeros(5), None, grid_1d(4), width=1)
+            ghost_fill(np.zeros(5), grid_1d(4), width=1)
 
 
 class TestClosedCellIdentity:

@@ -53,27 +53,26 @@ class TestUpdateDelta:
 
 def _periodic_spec_grid(n, lo=0.0, hi=1.0):
     spec = linear_advdiff_1d(0.0)
-    grid = StructuredGrid(1, (n,), (lo,), (hi,), (PERIODIC,))
+    grid = StructuredGrid((n,), (lo,), (hi,), (PERIODIC,))
     return spec, grid
 
 
 class TestCellCenterValues:
     def test_constant_reproduced_exactly(self):
-        spec, grid = _periodic_spec_grid(12)
-        out = cell_center_values(np.full(12, 0.7), spec, grid)
+        _, grid = _periodic_spec_grid(12)
+        out = cell_center_values(np.full(12, 0.7), grid)
         assert np.allclose(out, 0.7, rtol=0.0, atol=1e-15)
 
     def test_fourth_order_convergence_1d(self):
-        spec, _ = _periodic_spec_grid(8)
         errs = []
         for n in (16, 32):
-            grid = StructuredGrid(1, (n,), (0.0,), (1.0,), (PERIODIC,))
+            grid = StructuredGrid((n,), (0.0,), (1.0,), (PERIODIC,))
             x = grid.axis_centers(0)
             h = grid.spacing[0]
             # exact sin averages via the antiderivative difference
             avg = (np.cos(2 * np.pi * (x - h / 2))
                    - np.cos(2 * np.pi * (x + h / 2))) / (2 * np.pi * h)
-            out = cell_center_values(avg, spec, grid)
+            out = cell_center_values(avg, grid)
             errs.append(np.max(np.abs(out - np.sin(2 * np.pi * x))))
         rate = math.log2(errs[0] / errs[1])
         assert rate > 3.7
@@ -81,12 +80,12 @@ class TestCellCenterValues:
     def test_quartic_averages_recover_center_values(self):
         # Degree-4 data: the conversion is exact up to roundoff.  Periodic
         # wrap breaks the polynomial, so only interior cells count.
-        spec, grid = _periodic_spec_grid(20)
+        _, grid = _periodic_spec_grid(20)
         x = grid.axis_centers(0)
         h = grid.spacing[0]
         coeffs = (0.3, -1.2, 0.8, 0.05, 2.0)
         avg = quartic_cell_averages(coeffs, x, h)
-        out = cell_center_values(np.asarray(avg, dtype=float), spec, grid)
+        out = cell_center_values(np.asarray(avg, dtype=float), grid)
         point = sum(c * x ** k for k, c in enumerate(coeffs))
         assert np.allclose(out[2:-2], point[2:-2], rtol=0.0, atol=1e-12)
 
@@ -107,7 +106,7 @@ class TestComputeE1:
         spec = linear_advdiff_1d(0.0)
         errs = []
         for n in (32, 64):
-            grid = StructuredGrid(1, (n,), spec.domain_lo, spec.domain_hi,
+            grid = StructuredGrid((n,), spec.domain_lo, spec.domain_hi,
                                   spec.boundary)
             x = grid.axis_centers(0)
             h = grid.spacing[0]
@@ -144,11 +143,11 @@ class TestEoc:
 
 class TestTotalMass:
     def test_unit_field_measures_domain(self):
-        grid = StructuredGrid(1, (10,), (0.0,), (2.0,), (PERIODIC,))
+        grid = StructuredGrid((10,), (0.0,), (2.0,), (PERIODIC,))
         assert total_mass(np.ones(10), grid) == pytest.approx(2.0, rel=1e-15)
 
     def test_matches_volume_weighted_sum(self, rng):
-        grid = StructuredGrid(2, (6, 4), (0.0, 0.0), (3.0, 1.0),
+        grid = StructuredGrid((6, 4), (0.0, 0.0), (3.0, 1.0),
                               (PERIODIC, PERIODIC))
         u = rng.standard_normal(grid.shape)
         want = grid.cell_volume * float(np.sum(u))

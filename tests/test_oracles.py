@@ -5,9 +5,9 @@ compare against."""
 import numpy as np
 import pytest
 
-from mppfv.mesh import DIRICHLET, PERIODIC
+from mppfv.mesh import PERIODIC
 
-from conftest import make_burgers_1d, make_linear_advection_1d
+from conftest import DIRICHLET, make_burgers_1d, make_linear_advection_1d
 from oracles import faces, low_order_convective_flux, low_order_diffusive_flux
 from test_mesh import grid_1d, grid_2d
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mppfv import problems
-from mppfv.mesh import DIRICHLET, PERIODIC
+from mppfv.mesh import PERIODIC
 from mppfv.problems import (BUILTIN_PROBLEMS, LAMBDA_FLOOR, buckley_leverett_1d,
                             burgers_1d, evaluate_exact, initial_cell_averages,
                             kpp_2d, linear_advdiff_1d, linear_advdiff_2d,
@@ -203,8 +203,7 @@ class TestBurgers1D:
 class TestBuckleyLeverett1D:
     def test_fractional_flow_values(self):
         spec = buckley_leverett_1d()
-        assert spec.boundary == (DIRICHLET,)
-        assert spec.dirichlet_values == ((1.0, 0.0),)
+        assert spec.boundary == ((1.0, 0.0),)
         u = np.array([0.0, 0.5, 1.0])
         assert np.allclose(spec.flux(0, u, u, 0.0, 0.0), [0.0, 0.5, 1.0])
         # derivative of u^2/(u^2+(1-u)^2) is 2u(1-u)/den^2

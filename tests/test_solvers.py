@@ -16,8 +16,7 @@ from mppfv import solvers
 from mppfv.fluxes import (_face_states, divergence, high_order_flux,
                           low_order_with_bars)
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import (DIRICHLET, FIRST, LAST, PERIODIC, StructuredGrid,
-                        ghost_fill)
+from mppfv.mesh import FIRST, LAST, PERIODIC, StructuredGrid, ghost_fill
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, make_stage_solver,
@@ -25,7 +24,7 @@ from mppfv.solvers import (JacobianEngine, NonConvergenceError,
 from mppfv.problems import (BUILTIN_PROBLEMS, burgers_1d,
                             initial_cell_averages, make_grid)
 
-from conftest import (make_advection_2d, make_burgers_1d,
+from conftest import (DIRICHLET, make_advection_2d, make_burgers_1d,
                       make_linear_advection_1d, make_pure_diffusion_1d, shaped)
 from oracles import coo_pseudo_jacobian, line_factorized_dense, solve_one
 
@@ -33,7 +32,7 @@ from oracles import coo_pseudo_jacobian, line_factorized_dense, solve_one
 def freeze_speed_bound(spec, grid, state, t=0.0):
     """Replace the wave-speed policy with the per-face values it takes at
     ``state`` so finite differences see exactly what the matrix assumes."""
-    u_ext = ghost_fill(state, spec, grid, width=1)
+    u_ext = ghost_fill(state, grid, width=1)
     lam = [_face_states(u_ext, spec, grid, axis, t)[5]
            for axis in range(grid.dim)]
 
@@ -183,7 +182,8 @@ class TestCachedPattern:
                 self.assert_same(u, spec, grid, rng.uniform(0.01, 0.5),
                                  rng.uniform(0.0, 0.5))
 
-    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET],
+                             ids=["periodic", "dirichlet"])
     def test_1d_boundary_kinds_match_coo_assembly(self, boundary, rng):
         for spec, grid in (make_burgers_1d(8, boundary=boundary),
                            make_linear_advection_1d(velocity=1.0, n=6,
@@ -450,7 +450,7 @@ def unit_grid(shape, boundary):
     """A grid on the unit box whose cell arrays have ``shape`` (cell counts
     in array order, x last)."""
     dim = len(shape)
-    return StructuredGrid(dim, tuple(reversed(shape)), (0.0,) * dim,
+    return StructuredGrid(tuple(reversed(shape)), (0.0,) * dim,
                           (1.0,) * dim, boundary)
 
 
@@ -603,8 +603,8 @@ class TestTridiagonalLu:
                 ((2,), (PERIODIC,), False), ((2,), (DIRICHLET,), False)):
             matrix = TestLinearSolve.banded(rng, unit_grid(shape, boundary),
                                             exact)
-            assert not isinstance(matrix.factorize(), (
-                solvers._TridiagonalLU, solvers._LineFactorization))
+            assert not isinstance(matrix.factorize(),
+                                  solvers._LineFactorization)
             assert matrix.exact
             rhs = rng.standard_normal(matrix.grid.num_cells)
             want = np.linalg.solve(matrix.matrix.toarray(), rhs)
@@ -671,7 +671,7 @@ class TestLineFactorization:
     def test_solves_with_m_on_a_non_square_grid(self, boundary, rng):
         # 5 cells along x, 7 along y: a swapped axis or a missed transpose
         # cannot pass.
-        grid = StructuredGrid(2, (5, 7), (0.0, 0.0), (1.0, 1.0), boundary)
+        grid = StructuredGrid((5, 7), (0.0, 0.0), (1.0, 1.0), boundary)
         self.assert_solves_with_m(self.random_stencil(rng, grid), rng)
 
     @pytest.mark.parametrize("boundary", [
@@ -690,7 +690,7 @@ class TestLineFactorization:
                                jac.matrix.toarray())
 
     def test_exact_copy_solves_the_matrix(self, rng):
-        grid = StructuredGrid(2, (5, 7), (0.0, 0.0), (1.0, 1.0),
+        grid = StructuredGrid((5, 7), (0.0, 0.0), (1.0, 1.0),
                               (PERIODIC, DIRICHLET))
         matrix = self.random_stencil(rng, grid)
         exact = matrix.exactly()
@@ -772,7 +772,7 @@ class TestLineFactorization:
     def test_singular_line_falls_back_to_the_exact_lu(self, rng):
         # The x-line of the first row is the Neumann Laplacian, so M is
         # singular; the y-couplings make the matrix itself regular.
-        grid = StructuredGrid(2, (5, 4), (0.0, 0.0), (1.0, 1.0),
+        grid = StructuredGrid((5, 4), (0.0, 0.0), (1.0, 1.0),
                               (DIRICHLET, PERIODIC))
         matrix = self.random_stencil(rng, grid)
         main, prev_x, next_x = matrix.stencil[:3]
@@ -805,7 +805,7 @@ class TestIterationLoop:
     the arguments of every update.  :meth:`solve` runs a stack of one
     member, :meth:`solve_stack` one member per rate."""
 
-    GRID = StructuredGrid(1, (8,), (0.0,), (1.0,), (PERIODIC,))
+    GRID = StructuredGrid((8,), (0.0,), (1.0,), (PERIODIC,))
 
     def solve(self, rate, tol, max_iter, flux=np.zeros(9)):
         reference = np.zeros((1, 8))

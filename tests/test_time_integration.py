@@ -66,7 +66,6 @@ class TestTableauConstruction:
         tab = iex_tableau(1)
         assert tab.stages == 1
         assert tab.A[0, 0] == 1.0 and tab.b[0] == 1.0 and tab.c[0] == 1.0
-        assert tab.order == 1
 
     def test_five_stage_tableau_is_singly_diagonal(self):
         tab = sdirk5_tableau()
@@ -157,7 +156,7 @@ class TestTableauConstruction:
         assert sdirk5_tableau().levels == ((0,), (1,), (2,), (3,), (4,))
         # A stage waits for every stage it reads, not only the one before.
         tab = ButcherTableau(A=[[0.5, 0, 0], [0, 0.5, 0], [0.25, 0, 0.75]],
-                             b=[0.25, 0.25, 0.5], c=[0.5, 0.5, 1.0], order=1)
+                             b=[0.25, 0.25, 0.5], c=[0.5, 0.5, 1.0])
         assert tab.levels == ((0, 1), (2,))
 
     def test_iex_tableau_is_built_once_per_order_and_read_only(self):
@@ -169,7 +168,7 @@ class TestTableauConstruction:
                 values[0] = 0.0
         # The inputs are copied, not frozen.
         A = np.array([[1.0]])
-        ButcherTableau(A=A, b=[1.0], c=[1.0], order=1)
+        ButcherTableau(A=A, b=[1.0], c=[1.0])
         A[0, 0] = 0.5
 
     def test_invalid_order_rejected(self):
@@ -179,15 +178,15 @@ class TestTableauConstruction:
     def test_tableau_validation(self):
         with pytest.raises(ValueError):  # upper-triangular entry
             ButcherTableau(A=[[0.5, 0.5], [0.0, 0.5]], b=[0.5, 0.5],
-                           c=[1.0, 0.5], order=2)
+                           c=[1.0, 0.5])
         with pytest.raises(ValueError):  # row sum != c
             ButcherTableau(A=[[0.5, 0.0], [0.0, 0.5]], b=[0.5, 0.5],
-                           c=[1.0, 0.5], order=2)
+                           c=[1.0, 0.5])
         with pytest.raises(ValueError):  # weights don't sum to one
             ButcherTableau(A=[[0.5, 0.0], [0.0, 0.5]], b=[0.5, 0.6],
-                           c=[0.5, 0.5], order=2)
+                           c=[0.5, 0.5])
         with pytest.raises(ValueError):  # shape mismatch
-            ButcherTableau(A=[[1.0]], b=[0.5, 0.5], c=[1.0], order=1)
+            ButcherTableau(A=[[1.0]], b=[0.5, 0.5], c=[1.0])
 
 
 class TestOrderConditions:
@@ -279,7 +278,7 @@ class TestDirkStep:
 
         # Trapezoidal-type tableau: first stage explicit (zero diagonal).
         tab = ButcherTableau(A=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
-                             c=[0.0, 1.0], order=2)
+                             c=[0.0, 1.0])
         dirk_step(u0, tab, spec, grid, counting, dt=0.01)
         # One solve, of the implicit stage alone: a stack of one member.
         assert len(calls) == 1
@@ -292,7 +291,7 @@ class TestDirkStep:
         spec, grid, u0 = advdiff_setup
         kept = u0.copy()
         tab = ButcherTableau(A=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
-                             c=[0.0, 1.0], order=2)
+                             c=[0.0, 1.0])
         solver = make_stage_solver(JacobianEngine(spec, grid))
         _, _, stages = dirk_step(u0, tab, spec, grid, solver, dt=0.01)
         first = stages[0]
