@@ -4,15 +4,17 @@ For the conservation law ``u_t + div f = div(c grad u)`` on a structured
 grid, this module assembles, for every geometric face at once (there is no
 one-face-at-a-time path),
 
-* the low-order convective flux (local Lax-Friedrichs / Rusanov form)
-  ``F^L = n.(f_i + f_j)/2 - lam^A (u_j - u_i)/2``,
-* the low-order diffusive flux ``P^L = c_ij (u_j - u_i)/|x_j - x_i|`` with
-  ``c_ij = c((u_i+u_j)/2)`` at the face,
-* the combined low-order flux ``G^L = F^L - P^L``,
-* the combined face speed ``lam = lam^A (1 + 2 c_ij/(lam^A |dx|))`` and the
-  blended *bar state* ``ubar``: the convective intermediate state
-  ``ubar^A = (u_i+u_j)/2 - n.(f_j - f_i)/(2 lam^A)`` and the diffusive
-  average ``(u_i+u_j)/2`` weighted by ``2 c_ij/(lam^A |dx|)``.  They satisfy
+* the combined low-order face speed ``lam = lam^A + 2 c_ij/|x_j - x_i|``:
+  the wave-speed bound ``lam^A`` plus the diffusion ``c_ij =
+  c((u_i+u_j)/2)`` at the face over the distance of the two centers,
+* the low-order flux ``G^L = n.(f_i + f_j)/2 - lam (u_j - u_i)/2``, the
+  local Lax-Friedrichs (Rusanov) convective flux minus the diffusive flux
+  ``c_ij (u_j - u_i)/|x_j - x_i|``,
+* the bar-state product ``lam ubar = lam (u_i+u_j)/2 - n.(f_j - f_i)/2``
+  of the bar state ``ubar`` of the GMC form (Kuzmin, CMAME 361, 2020),
+  which lies between ``u_i`` and ``u_j`` when ``lam^A`` bounds the wave
+  speed.  The GMC limiter only ever sums this product, so it is all that
+  is formed.  Speed and product satisfy
   ``sum_j |S_ij| lam_ij (ubar_ij - u_i) = -sum_j |S_ij| G^L_ij`` cellwise
   where the cell's own flux cancels, ``sum_j |S_ij| n.f(u_i, x_ij) = 0``
   at the points ``x_ij`` where ``f`` is sampled: for every ``f`` without
@@ -20,7 +22,8 @@ one-face-at-a-time path),
   square cells, not vortex2d's where dx != dy (ROADMAP item 4).  That is
   the identity behind the local-extremum-diminishing low-order scheme and
   the GMC diagonal map; :func:`low_order_with_bars` returns ``G^L``,
-  ``lam`` and ``ubar`` from one pass, and the GMC limiter sums them per cell,
+  ``lam`` and ``lam ubar`` from one pass, and the GMC limiter sums the
+  last two per cell,
 * the high-order flux ``G^H = F^H - P^H`` built from fifth-order WENO face
   values (Rusanov form on the two reconstructed point values) and the
   linear fourth-order face derivative with the diffusion coefficient
@@ -187,10 +190,11 @@ def _wave_speeds(spec, axis, ua, ub, ra, rb, xf, yf, t):
 def _face_states(u_ext, spec, grid, axis, t):
     """Face data shared by the low-order flux of ``axis`` and its
     pseudo-Jacobian, so the Jacobian differentiates exactly the flux the
-    residual uses: ``(ua, ub, face_xy, a_xy, b_xy, lam_a, u_mid, c_mid)``,
-    the adjacent states of a one-ghost-layer array, the face coordinates,
-    the flux sampling coordinates of each side, the wave-speed bound, the
-    mean state and the diffusion coefficient there."""
+    residual uses: ``(ua, ub, face_xy, a_xy, b_xy, lam, u_mid)``, the
+    adjacent states of a one-ghost-layer array, the face coordinates, the
+    flux sampling coordinates of each side, the combined face speed
+    ``lam = lam^A + 2 c/d`` (the wave-speed bound and the diffusion at the
+    mean state over the spacing) and the mean state."""
     lo, hi = adjacent_slices(grid, 1, axis)
     ua, ub = u_ext[lo], u_ext[hi]
     face_xy = face_coordinates(grid, axis)
@@ -200,32 +204,30 @@ def _face_states(u_ext, spec, grid, axis, t):
     else:
         a_xy = b_xy = face_xy
     u_mid = 0.5 * (ua + ub)
-    c_mid = np.array(spec.diffusion(u_mid, *face_xy), dtype=float)
-    return ua, ub, face_xy, a_xy, b_xy, lam_a, u_mid, c_mid
+    c_mid = np.asarray(spec.diffusion(u_mid, *face_xy), dtype=float)
+    lam = lam_a + 2.0 * c_mid / grid.spacing[axis]
+    return ua, ub, face_xy, a_xy, b_xy, lam, u_mid
 
 
 def _axis_low_order(u_ext, spec, grid, axis, t):
-    """``(G^L, lam, ubar)`` on the faces of ``axis``."""
-    ua, ub, _, a_xy, b_xy, lam_a, u_mid, c_mid = _face_states(
-        u_ext, spec, grid, axis, t)
+    """``(G^L, lam, lam ubar)`` on the faces of ``axis``."""
+    ua, ub, _, a_xy, b_xy, lam, u_mid = _face_states(u_ext, spec, grid,
+                                                     axis, t)
     fa = np.asarray(spec.flux(axis, ua, *a_xy, t), dtype=float)
     fb = np.asarray(spec.flux(axis, ub, *b_xy, t), dtype=float)
-    d = grid.spacing[axis]
-    G = 0.5 * (fa + fb) - 0.5 * lam_a * (ub - ua) - c_mid * (ub - ua) / d
-    ubar_a = u_mid - (fb - fa) / (2.0 * lam_a)
-    ratio = 2.0 * c_mid / (lam_a * d)
-    lam = lam_a * (1.0 + ratio)
-    ubar = (ubar_a + ratio * u_mid) / (1.0 + ratio)
-    return tuple(tie_periodic_seam(v, grid, axis) for v in (G, lam, ubar))
+    G = 0.5 * (fa + fb) - 0.5 * lam * (ub - ua)
+    lam_ubar = lam * u_mid - 0.5 * (fb - fa)
+    return tuple(tie_periodic_seam(v, grid, axis) for v in (G, lam, lam_ubar))
 
 
 def low_order_with_bars(values, spec, grid, t=0.0):
     """Low-order fluxes and bar states of the cell state ``values`` (an
     array of ``grid.shape``) in one pass.
 
-    Returns ``(G^L, lam, ubar)``, each a per-axis tuple of face arrays:
-    the flux ``G^L = F^L - P^L``, the combined face speed and the blended
-    bar state.
+    Returns ``(G^L, lam, lam ubar)``, each a per-axis tuple of face arrays:
+    the flux ``G^L = n.(f_i + f_j)/2 - lam (u_j - u_i)/2``, the combined
+    face speed ``lam = lam^A + 2 c_ij/|x_j - x_i|`` and the bar-state
+    product ``lam ubar = lam (u_i + u_j)/2 - n.(f_j - f_i)/2``.
     """
     u_ext = ghost_fill(values, grid, width=1)
     return tuple(zip(*(_axis_low_order(u_ext, spec, grid, axis, t)

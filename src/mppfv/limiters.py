@@ -12,14 +12,17 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
 
 * Global monolithic convex (GMC) limiting: the high-order flux is frozen at
   step start while the low-order flux and bar states are treated
-  implicitly.  With ``a_i = sum |S| lam_ij`` and the bar-state cell average
-  ``ubar_i``, the limited scheme is the fixed point of
+  implicitly.  With the combined face speeds ``lam_ij`` and bar-state
+  products ``lam_ij ubar_ij`` of :func:`fluxes.low_order_with_bars`, the
+  cell sums ``a_i = sum |S| lam_ij`` and ``a_i ubar_i = sum |S| lam_ij
+  ubar_ij`` (the bar-state cell average ``ubar_i`` is never formed on its
+  own), the limited scheme is the fixed point of
 
       u_i = [u^n_i + nu_i a_i (1+gamma) g_i(u)] / [1 + nu_i a_i (1+gamma)]
 
   where ``g_i = u_i + (ubar*_i - u_i)/(1+gamma)``,
-  ``ubar*_i = ubar_i + (1/a_i) sum |S| alpha dG``, and the allowances are
-  ``Q^± = a_i [(u^{max/min} - ubar_i) + gamma (u^{max/min} - u_i)]``.
+  ``ubar*_i = (a_i ubar_i + sum |S| alpha dG)/a_i``, and the allowances are
+  ``Q^± = a_i u^{max/min} (1+gamma) - a_i ubar_i - gamma a_i u_i``.
   Any solution is bounded with no time-step restriction.  One kernel,
   ``_gmc_face_terms``, evaluates the terms of this map, and
   :class:`_GmcSystem` keeps them per member for both maps that solve it:
@@ -29,15 +32,16 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   ``solvers._quasi_newton`` on the limited flux.  ``G^H`` is a callable of
   the iterate: it returns the frozen step-start flux for the step-level
   limiter ``_gmc_with_flux``, which sweeps from the clipped high-order
-  state ``u^n - dt div G^H`` (and again from ``u^n`` if that stalls), and
-  rebuilds the flux from the iterate for the stages.  A plain diagonal
-  update is a convex combination of the reference and bounded states, so
-  it is bounded where they are; the mixed ones are not projected onto the
-  bounds, and boundedness comes from the converged fixed point, whose
-  state is recomputed from the realized flux.  ``solvers.iterate`` stops every
-  member at its first residual at most its tolerance: ``TOL_GMC`` for the
-  step-level limit, which makes ``u^{n+1}`` bounded, and
-  ``solvers.TOL_STAGE`` for a stage, as for the quasi-Newton stage solves.
+  state ``u^n - dt div G^H`` (and again from ``u^n``, unmixed, if that
+  stalls), and rebuilds the flux from the iterate for the stages.  A plain
+  diagonal update is a convex combination of the reference and bounded
+  states, so it is bounded where they are; the mixed ones are not
+  projected onto the bounds, and boundedness comes from the converged
+  fixed point, whose state is recomputed from the realized flux.
+  ``solvers.iterate`` stops every member at its first residual at most
+  its tolerance: ``TOL_GMC`` for the step-level limit, which makes
+  ``u^{n+1}`` bounded, and ``solvers.TOL_STAGE`` for a stage, as for the
+  quasi-Newton stage solves.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -106,44 +110,37 @@ def _weighted(alphas, flux):
     return tuple(a * g for a, g in zip(alphas, flux))
 
 
-def _outward_sums(flux, grid):
-    """Cellwise ``(sum |S| max(0, dG_outward), sum |S| min(0, dG_outward))``."""
-    for axis, dg in enumerate(flux):
-        area = grid.face_area(axis)
-        low, high = sides(dg, axis)
-        plus = area * (np.maximum(0.0, high) + np.maximum(0.0, -low))
-        minus = area * (np.minimum(0.0, high) + np.minimum(0.0, -low))
-        if axis == 0:
-            p_plus, p_minus = plus, minus
-        else:
-            p_plus, p_minus = p_plus + plus, p_minus + minus
-    return p_plus, p_minus
-
-
 def zalesak_alphas(flux_corrections, q_minus, q_plus, grid):
     """Per-face limiter coefficients capping the outward correction sums by
     the cell allowances, one array per axis.
 
-    With the correction sums ``P^±`` and the ratios
-    ``R^± = min(1, Q^±/P^±)`` (``R = 1`` where ``P = 0``),
-    ``alpha_ij = min(R_i^+, R_j^-)`` where the correction leaves cell ``i``
-    (and symmetrically otherwise), so that
+    With the sums ``P^±`` of the positive and the negative outward
+    corrections of each cell (from each face's parts ``max(dG, 0)`` and
+    ``min(dG, 0)``) and the ratios ``R^± = min(1, Q^±/P^±)`` (``R = 1``
+    where ``P = 0``), ``alpha_ij = min(R_i^+, R_j^-)`` where the
+    correction leaves cell ``i`` (and symmetrically otherwise), so that
     ``Q_i^- <= sum |S| alpha dG <= Q_i^+`` holds for every cell.  Callers
     pass allowances clamped to ``Q^- <= 0 <= Q^+`` (cell arrays).
 
     The fixed-point sweeps call this once per sweep, so the coefficients
     are not range-checked here: the limiters call :func:`_check_alphas` on
     the coefficients of each flux they realize."""
-    p_plus, p_minus = _outward_sums(flux_corrections, grid)
+    # P^+ = p_out and P^- = -p_in: the corrections that leave and that
+    # enter each cell (a face's positive part leaves its low cell).
+    p_out = p_in = 0.0
+    for axis, dg in enumerate(flux_corrections):
+        pos_lo, pos_hi = sides(np.maximum(dg, 0.0), axis)
+        neg_lo, neg_hi = sides(np.minimum(dg, 0.0), axis)
+        p_out = p_out + grid.face_area(axis) * (pos_hi - neg_lo)
+        p_in = p_in + grid.face_area(axis) * (pos_lo - neg_hi)
+    # The last axis's parts would stay alive through the ratios and the
+    # coefficients, and raise the peak memory of every sweep.
+    del pos_lo, pos_hi, neg_lo, neg_hi
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        r_plus = np.where(p_plus > 0.0,
-                          np.minimum(1.0, q_plus / np.where(p_plus > 0.0,
-                                                            p_plus, 1.0)),
-                          1.0)
-        r_minus = np.where(p_minus < 0.0,
-                           np.minimum(1.0, q_minus / np.where(p_minus < 0.0,
-                                                              p_minus, -1.0)),
-                           1.0)
+        r_plus, r_minus = (
+            np.where(p > 0.0, np.minimum(1.0, q / np.where(p > 0.0, p, 1.0)),
+                     1.0)
+            for q, p in ((q_plus, p_out), (-q_minus, p_in)))
     alphas = []
     for axis, dg in enumerate(flux_corrections):
         # Ghost cells impose no budget.
@@ -236,18 +233,14 @@ def _fct_with_flux(G_L, u_L, G_H, spec, grid, dt, iterations,
 # GMC
 # ---------------------------------------------------------------------------
 
-def gmc_budgets(a, ubar_cell, values, spec, gamma):
-    """Allowances ``Q^± = a[(bound - ubar_i) + gamma (bound - u_i)]``,
-    clamped to their guaranteed sign (the references sit within the bounds
-    only up to solver tolerance)."""
-    if gamma == 0.0:
-        q_plus = a * (spec.global_max - ubar_cell)
-        q_minus = a * (spec.global_min - ubar_cell)
-    else:
-        q_plus = a * ((spec.global_max - ubar_cell)
-                      + gamma * (spec.global_max - values))
-        q_minus = a * ((spec.global_min - ubar_cell)
-                       + gamma * (spec.global_min - values))
+def gmc_budgets(a, a_ubar, values, spec, gamma):
+    """Allowances ``Q^± = a bound (1+gamma) - a ubar - gamma a u`` of the
+    cell coefficients ``a``, the bar-state sums ``a ubar`` and the states
+    ``u``, clamped to their guaranteed sign (the references sit within the
+    bounds only up to solver tolerance)."""
+    taken = a_ubar + gamma * a * values
+    q_plus = a * (spec.global_max * (1.0 + gamma)) - taken
+    q_minus = a * (spec.global_min * (1.0 + gamma)) - taken
     return np.minimum(0.0, q_minus), np.maximum(0.0, q_plus)
 
 
@@ -264,15 +257,14 @@ def _gmc_face_terms(u, G_H, spec, grid, gamma, t):
     """The GMC terms of state ``u`` against high-order flux ``G_H``: the
     low-order flux ``G^L`` at time ``t``, the limiter coefficients
     ``alpha``, the accepted correction ``alpha (G^L - G^H)``, the cell
-    coefficients ``a_i = sum_j |S_ij| lam_ij`` and the bar-state averages
-    ``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij``."""
-    G_L, lam, ubar_face = low_order_with_bars(u, spec, grid, t=t)
-    a = _cell_sum(lam, grid)
-    ubar = _cell_sum(tuple(l * b for l, b in zip(lam, ubar_face)), grid) / a
+    coefficients ``a_i = sum_j |S_ij| lam_ij`` and the bar-state sums
+    ``a_i ubar_i = sum_j |S_ij| lam_ij ubar_ij``."""
+    G_L, lam, lam_ubar = low_order_with_bars(u, spec, grid, t=t)
+    a, a_ubar = (_cell_sum(q, grid) for q in (lam, lam_ubar))
     correction = tuple(gl - gh for gl, gh in zip(G_L, G_H))
-    q_minus, q_plus = gmc_budgets(a, ubar, u, spec, gamma)
+    q_minus, q_plus = gmc_budgets(a, a_ubar, u, spec, gamma)
     alphas = zalesak_alphas(correction, q_minus, q_plus, grid)
-    return G_L, alphas, _weighted(alphas, correction), a, ubar
+    return G_L, alphas, _weighted(alphas, correction), a, a_ubar
 
 
 class _GmcSystem:
@@ -288,7 +280,7 @@ class _GmcSystem:
     low-order flux is evaluated at time ``t``.  :meth:`realized_flux`
     evaluates the terms of :func:`_gmc_face_terms` at the iterates of
     ``members`` and keeps, per member, those of its latest evaluation
-    (``alphas``, ``accepted``, ``a`` and ``ubar``, stacked over all
+    (``alphas``, ``accepted``, ``a`` and ``a_ubar``, stacked over all
     members); :meth:`diagonal_map` reads them.  An evaluation of some
     members before the first of the whole stack (``solvers.iterate``
     evaluating members alone to find the one that raised) keeps nothing.
@@ -304,16 +296,16 @@ class _GmcSystem:
     def realized_flux(self, u, members):
         """The limited flux ``G^L - alpha (G^L - G^H)`` of the iterates
         ``u`` of ``members``, for :func:`solvers.iterate`."""
-        G_L, alphas, accepted, a, ubar = _gmc_face_terms(
+        G_L, alphas, accepted, a, a_ubar = _gmc_face_terms(
             u, self.high_flux(u, members), self.spec, self.grid, self.gamma,
             take(self.t, members))
         if members is None:
-            self.alphas, self.accepted, self.a, self.ubar = (alphas, accepted,
-                                                             a, ubar)
+            self.alphas, self.accepted, self.a, self.a_ubar = (
+                alphas, accepted, a, a_ubar)
         elif self.alphas is not None:
             for full, part in zip((*self.alphas, *self.accepted, self.a,
-                                   self.ubar),
-                                  (*alphas, *accepted, a, ubar)):
+                                   self.a_ubar),
+                                  (*alphas, *accepted, a, a_ubar)):
                 full[members] = part
         return tuple(gl - c for gl, c in zip(G_L, accepted))
 
@@ -322,17 +314,18 @@ class _GmcSystem:
         iterates ``u`` of ``members`` (an update's arguments), from the
         terms of their latest evaluation."""
         accepted = tuple(take(x, members) for x in self.accepted)
-        a, ubar = take(self.a, members), take(self.ubar, members)
-        ustar = ubar + self.grid.cell_volume * divergence(accepted,
-                                                          self.grid) / a
+        a = take(self.a, members)
+        ustar = (take(self.a_ubar, members)
+                 + self.grid.cell_volume * divergence(accepted, self.grid)) / a
         g = u + (ustar - u) / (1.0 + self.gamma)
         w = take(self.nu, members) * a * (1.0 + self.gamma)
         return (take(self.u0, members) + w * g) / (1.0 + w)
 
-    def fixed_point(self, guess, tol):
+    def fixed_point(self, guess, tol, mixed=True):
         """The fixed points by :func:`solvers.iterate` from ``guess``, to
         ``tol`` in at most ``MAX_GMC_SWEEPS`` updates, each the diagonal
-        map mixed per member by :func:`anderson.anderson_mixed`.  Returns
+        map, mixed per member by :func:`anderson.anderson_mixed` unless
+        ``mixed`` is false (then every update is bounded).  Returns
         the stacks ``(u0 - dt div(realized), realized)`` and the
         :class:`solvers.StackReport`, and raises as
         :func:`solvers.iterate` (a finite residual means a finite realized
@@ -340,8 +333,9 @@ class _GmcSystem:
         range-checked on exit."""
         _, realized, reports = iterate(
             self.u0, self.realized_flux,
-            anderson_mixed(self.diagonal_map, guess), self.dt, guess,
-            self.grid, tol, MAX_GMC_SWEEPS, "bound-preserving fixed point")
+            anderson_mixed(self.diagonal_map, guess) if mixed
+            else self.diagonal_map, self.dt, guess, self.grid, tol,
+            MAX_GMC_SWEEPS, "bound-preserving fixed point")
         _check_alphas(self.alphas)
         return (self.u0 - self.dt * divergence(realized, self.grid),
                 realized, reports)
@@ -354,8 +348,10 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
     bounded.  It sweeps from the high-order state ``u^n - dt div G_H``
     clipped into the global bounds, close to the limited one at small
     steps; where that spends ``MAX_GMC_SWEEPS`` (the mixed iterates can
-    cycle at large steps), it sweeps again from ``u^n``, and the report
-    counts both.  Returns ``(u^{n+1}, realized flux, SolverReport)``.
+    cycle at large steps), it sweeps again from ``u^n`` by the plain
+    diagonal map, which contracts slowly but steadily there, and the
+    report counts both.  Returns ``(u^{n+1}, realized flux,
+    SolverReport)``.
     With ``strict_reference`` the previous solution must lie in the
     global bounds, and roundoff is snapped back into them.
     """
@@ -375,7 +371,8 @@ def _gmc_with_flux(u_n, G_H, spec, grid, dt, gamma, t, strict_reference=True):
         u_new, realized, (report,) = system.fixed_point(start[None], TOL_GMC)
     except NonConvergenceError as err:
         spent = err.report.iterations
-        u_new, realized, (report,) = system.fixed_point(u_n[None], TOL_GMC)
+        u_new, realized, (report,) = system.fixed_point(u_n[None], TOL_GMC,
+                                                        mixed=False)
         report = replace(report, iterations=spent + report.iterations)
     u_new, realized = u_new[0], tuple(g[0] for g in realized)
     if strict_reference:

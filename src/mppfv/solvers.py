@@ -11,13 +11,14 @@ answers are exact solutions of the intended systems regardless of the
 iteration matrix.
 
 Per face with low-side state ``u_L``, high-side state ``u_R``, spacing
-``d``, wave-speed bound ``lam``, face diffusion ``c`` and its state
-derivative ``c'`` (evaluated at the mean state; the face states come from
+``d``, combined face speed ``lam = lam^A + 2c/d`` (the wave-speed bound
+and the face diffusion ``c``) and the state derivative ``c'`` of the
+diffusion (evaluated at the mean state; the face states come from
 :func:`fluxes._face_states`, the same ones the low-order flux uses), the
 flux derivatives are
 
-    dG/du_L = f'(u_L)/2 + lam/2 + c/d - (c'/2) (u_R - u_L)/d
-    dG/du_R = f'(u_R)/2 - lam/2 - c/d - (c'/2) (u_R - u_L)/d
+    dG/du_L = (f'(u_L) + lam)/2 - c' (u_R - u_L)/(2d)
+    dG/du_R = (f'(u_R) - lam)/2 - c' (u_R - u_L)/(2d)
 
 and the pseudo-Jacobian is ``J = I + (scale/|K_i|) sum_faces |S| dG/du_j``
 with ``scale`` the total implicit weight (the time step for backward
@@ -328,19 +329,15 @@ class SparseBandedMatrix:
 
 def _axis_flux_derivatives(u_ext, spec, grid, axis, t):
     """Per-face ``(dG/du_L, dG/du_R)`` of the low-order flux."""
-    ua, ub, face_xy, a_xy, b_xy, lam, u_mid, c = fluxes._face_states(
+    ua, ub, face_xy, a_xy, b_xy, lam, u_mid = fluxes._face_states(
         u_ext, spec, grid, axis, t)
     fpa = np.asarray(spec.flux_derivative(axis, ua, *a_xy, t), dtype=float)
     fpb = np.asarray(spec.flux_derivative(axis, ub, *b_xy, t), dtype=float)
-    d = grid.spacing[axis]
     cp = np.asarray(spec.diffusion_derivative(u_mid, *face_xy), dtype=float)
-    slope = (ub - ua) / d
+    c_slope = cp * (ub - ua) / (2.0 * grid.spacing[axis])
     shape = ua.shape
-    dGdL = np.broadcast_to(0.5 * fpa + 0.5 * lam + c / d - 0.5 * cp * slope,
-                           shape)
-    dGdR = np.broadcast_to(0.5 * fpb - 0.5 * lam - c / d - 0.5 * cp * slope,
-                           shape)
-    return dGdL, dGdR
+    return (np.broadcast_to(0.5 * (fpa + lam) - c_slope, shape),
+            np.broadcast_to(0.5 * (fpb - lam) - c_slope, shape))
 
 
 def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):

@@ -28,6 +28,12 @@ differences; the two agree to roundoff.
 :func:`line_factorized_dense` is a fifth: the dense iteration matrix
 ``M = (D + X) D^{-1} (D + Y)`` that :mod:`mppfv.solvers` solves line by
 line on a 2D stencil, its couplings read face record by face record.
+:func:`blended_low_order` and :func:`blended_flux_derivatives` are a
+sixth: the low-order flux, face speed, bar-state product and flux
+derivatives written with the wave-speed bound and the diffusion as
+separate terms, the bar state blended from the convective one by the
+ratio ``2c/(lam^A d)``, where :mod:`mppfv.fluxes` forms one combined face
+speed; the two agree to roundoff.
 
 Last, helpers that only the tests use: the stage-MPP inequality of a
 Butcher tableau, a reader for the snapshot CSV files of
@@ -43,7 +49,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from mppfv.fluxes import adjacent_cells, divergence
+from mppfv.fluxes import (_wave_speeds, adjacent_cells,
+                          adjacent_center_coordinates, adjacent_slices,
+                          divergence, face_coordinates, tie_periodic_seam)
 from mppfv.mesh import LAST, PERIODIC, ghost_fill
 from mppfv.problems import _GL_NODES, _GL_WEIGHTS, LAMBDA_FLOOR
 from mppfv.solvers import _axis_flux_derivatives
@@ -238,18 +246,25 @@ def divergence_by_face_loop(flux, grid):
     return div
 
 
-def zalesak_by_face_records(flux, q_minus, q_plus, grid):
-    """The limiter written as a per-record walk over the geometric faces."""
+def outward_sums_by_face_loop(flux, grid):
+    """Cellwise ``(sum |S| max(0, dG_outward), sum |S| min(0, dG_outward))``,
+    walked over the face records."""
     p_plus = np.zeros(grid.shape)
     p_minus = np.zeros(grid.shape)
-    recs = list(faces(grid))
-    for f in recs:
+    for f in faces(grid):
         v = outward_value(flux, grid, f) * f.area
         p_plus[cell_slot(f.owner, grid)] += max(0.0, v)
         p_minus[cell_slot(f.owner, grid)] += min(0.0, v)
         if f.neighbor is not None:
             p_plus[cell_slot(f.neighbor, grid)] += max(0.0, -v)
             p_minus[cell_slot(f.neighbor, grid)] += min(0.0, -v)
+    return p_plus, p_minus
+
+
+def zalesak_by_face_records(flux, q_minus, q_plus, grid):
+    """The limiter written as a per-record walk over the geometric faces."""
+    p_plus, p_minus = outward_sums_by_face_loop(flux, grid)
+    recs = list(faces(grid))
 
     def r_plus(cell):
         p = p_plus[cell_slot(cell, grid)]
@@ -289,6 +304,92 @@ def outward_limited_sums(alphas, flux, grid):
         if f.neighbor is not None:
             total[cell_slot(f.neighbor, grid)] -= v
     return total
+
+
+# ---------------------------------------------------------------------------
+# The low-order flux with separate speed and diffusion terms
+# ---------------------------------------------------------------------------
+
+class BlendedFaces(NamedTuple):
+    """The face data of one axis that the blended formulas read: the
+    adjacent states, the wave-speed bound ``lam_a``, the diffusion ``c``
+    at the mean state and its derivative ``cp``, the flux ``fa``/``fb``
+    and its derivative ``fpa``/``fpb`` of each side, and the spacing."""
+
+    ua: np.ndarray
+    ub: np.ndarray
+    lam_a: np.ndarray
+    c: np.ndarray
+    cp: np.ndarray
+    fa: np.ndarray
+    fb: np.ndarray
+    fpa: np.ndarray
+    fpb: np.ndarray
+    spacing: float
+
+
+def blended_faces(u, spec, grid, t=0.0):
+    """Per axis, the :class:`BlendedFaces` of the state (or stack of
+    states) ``u`` at time ``t``."""
+    u_ext = ghost_fill(u, grid, width=1)
+    out = []
+    for axis in range(grid.dim):
+        lo, hi = adjacent_slices(grid, 1, axis)
+        ua, ub = u_ext[lo], u_ext[hi]
+        xy = face_coordinates(grid, axis)
+        a_xy, b_xy = (adjacent_center_coordinates(grid, axis)
+                      if spec.flux_at_cell_centers else (xy, xy))
+        u_mid = 0.5 * (ua + ub)
+
+        def array(value):
+            return np.broadcast_to(np.asarray(value, dtype=float), ua.shape)
+
+        out.append(BlendedFaces(
+            ua, ub, _wave_speeds(spec, axis, ua, ub, ua, ub, *xy, t),
+            array(spec.diffusion(u_mid, *xy)),
+            array(spec.diffusion_derivative(u_mid, *xy)),
+            array(spec.flux(axis, ua, *a_xy, t)),
+            array(spec.flux(axis, ub, *b_xy, t)),
+            array(spec.flux_derivative(axis, ua, *a_xy, t)),
+            array(spec.flux_derivative(axis, ub, *b_xy, t)),
+            grid.spacing[axis]))
+    return out
+
+
+def blended_low_order(u, spec, grid, t=0.0):
+    """Per axis, ``(G^L, lam, lam ubar)`` by the blended formulas: ``G^L``
+    with separate wave-speed and diffusion terms, ``ratio = 2c/(lam_a d)``,
+    ``lam = lam_a (1 + ratio)`` and the bar state ``ubar = (ubar_a + ratio
+    u_mid)/(1 + ratio)`` of the convective one ``ubar_a = u_mid - (fb -
+    fa)/(2 lam_a)``; periodic seams tied as the library ties them."""
+    out = []
+    for axis, f in enumerate(blended_faces(u, spec, grid, t)):
+        u_mid = 0.5 * (f.ua + f.ub)
+        G = (0.5 * (f.fa + f.fb) - 0.5 * f.lam_a * (f.ub - f.ua)
+             - f.c * (f.ub - f.ua) / f.spacing)
+        ubar_a = u_mid - (f.fb - f.fa) / (2.0 * f.lam_a)
+        ratio = 2.0 * f.c / (f.lam_a * f.spacing)
+        lam = f.lam_a * (1.0 + ratio)
+        ubar = (ubar_a + ratio * u_mid) / (1.0 + ratio)
+        out.append(tuple(tie_periodic_seam(v, grid, axis)
+                         for v in (G, lam, lam * ubar)))
+    return out
+
+
+def blended_flux_derivatives(u, spec, grid, t=0.0):
+    """Per axis, ``(dG/du_L, dG/du_R)`` of the low-order flux with separate
+    wave-speed and diffusion terms, ``f'/2 ± lam_a/2 ± c/d - c' slope/2``
+    (``slope = (u_R - u_L)/d``); the seams are not tied, as
+    ``solvers._axis_flux_derivatives`` leaves them."""
+    out = []
+    for f in blended_faces(u, spec, grid, t):
+        slope = (f.ub - f.ua) / f.spacing
+        diffusive = f.c / f.spacing
+        out.append((0.5 * f.fpa + 0.5 * f.lam_a + diffusive
+                    - 0.5 * f.cp * slope,
+                    0.5 * f.fpb - 0.5 * f.lam_a - diffusive
+                    - 0.5 * f.cp * slope))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,15 @@ def test_tracer_installs_every_point_and_unwinds(monkeypatch, limiter):
     layers = tracer.layer_metrics(1.0)
     assert layers["harness.steps"] >= 1
     assert layers["weno.face_values.calls"] > 0
+    # The kernels call the names the tracer patches: a kernel that stops
+    # calling them would read 0 here instead of in the benchmark's counts.
+    assert layers["limiters.zalesak.calls"] > 0
     if limiter == "gmc":
         assert layers["limiters.gmc_substep.sweeps_per_substep_mean"] > 0
+        assert layers["fluxes.low_order.calls"] > 0
     else:
         assert layers["solvers.newton.iters_per_stage_mean"] > 0
+        assert layers["solvers.assemble.calls"] > 0
     after = [dict(vars(owner)) for owner in OWNERS]
     for owner, old, new in zip(OWNERS, before, after):
         assert old.keys() == new.keys(), owner

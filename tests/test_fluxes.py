@@ -1,8 +1,8 @@
 """Face-flux assembly, bar states, and the two equivalent low-order forms.
 
 The bar-state form ``a_i (ubar_i - u_i)`` is built from the face speeds and
-bar states of :func:`low_order_with_bars` by the cell sums the GMC limiter
-uses.
+bar-state products of :func:`low_order_with_bars` by the cell sums the GMC
+limiter uses.
 
 The low-order flux, the divergence and the cell sums are checked against the
 face-by-face walks of :mod:`oracles`, which never touch the vectorized array
@@ -16,22 +16,24 @@ import pytest
 
 from mppfv.fluxes import (FaceFluxSet, _face_states, divergence,
                           face_array_shapes, high_order_flux,
-                          low_order_with_bars)
+                          low_order_with_bars, tie_periodic_seam)
 from mppfv.harness import RunConfig, build_problem
 from mppfv.limiters import _cell_sum, _fct_with_flux, _gmc_with_flux
 from mppfv.mesh import PERIODIC, StructuredGrid, ghost_fill
 from mppfv.problems import (BUILTIN_PROBLEMS, buckley_leverett_1d, kpp_2d,
                             linear_advdiff_2d, make_grid, steady_gaussian_1d)
-from mppfv.solvers import (JacobianEngine, SolverReport, make_stage_solver,
+from mppfv.solvers import (JacobianEngine, SolverReport,
+                           _axis_flux_derivatives, make_stage_solver,
                            newton_low_order)
 from mppfv.time_integration import dirk_step, iex_tableau, sdirk5_tableau
 
 from conftest import (DIRICHLET, constant_speed, make_advection_2d,
                       make_burgers_1d, make_linear_advection_1d,
                       random_flux_set, shaped)
-from oracles import (cell_slot, divergence_by_face_loop, face_entry, faces,
-                     low_order_convective_flux, low_order_diffusive_flux,
-                     outward_value)
+from oracles import (blended_faces, blended_flux_derivatives,
+                     blended_low_order, cell_slot, divergence_by_face_loop,
+                     face_entry, faces, low_order_convective_flux,
+                     low_order_diffusive_flux, outward_value)
 
 
 def assert_face_arrays(flux, grid):
@@ -170,15 +172,12 @@ class TestLowOrderFluxMatchesFaceOracle:
 
 def convective_face_states(u, spec, grid, t=0.0):
     """Per axis, the wave-speed bound ``lam^A``, the diffusion coefficient
-    ``c_ij`` and the convective bar state ``ubar^A`` of every face."""
-    u_ext = ghost_fill(u, grid, width=1)
+    ``c_ij`` and the convective bar-state product ``lam^A ubar^A =
+    lam^A (u_i+u_j)/2 - n.(f_j - f_i)/2`` of every face."""
     out = []
-    for axis in range(grid.dim):
-        ua, ub, _, a_xy, b_xy, lam_a, u_mid, c_mid = _face_states(
-            u_ext, spec, grid, axis, t)
-        fa = spec.flux(axis, ua, *a_xy, t)
-        fb = spec.flux(axis, ub, *b_xy, t)
-        out.append((lam_a, c_mid, u_mid - (fb - fa) / (2.0 * lam_a)))
+    for axis, f in enumerate(blended_faces(u, spec, grid, t)):
+        product = f.lam_a * (0.5 * (f.ua + f.ub)) - 0.5 * (f.fb - f.fa)
+        out.append((f.lam_a, f.c, tie_periodic_seam(product, grid, axis)))
     return out
 
 
@@ -189,34 +188,38 @@ def adjacent_range(u, spec, grid):
     return np.minimum(ua, ub), np.maximum(ua, ub)
 
 
+def bar_states(u, spec, grid, t=0.0):
+    """Per axis, the face bar states ``ubar = (lam ubar)/lam``."""
+    _, lam, lam_ubar = low_order_with_bars(u, spec, grid, t)
+    return tuple(p / l for l, p in zip(lam, lam_ubar))
+
+
 def bar_state_form(u, spec, grid, t=0.0):
-    """``a_i (ubar_i - u_i)``, with ``a_i = sum_j |S_ij| lam_ij`` and
-    ``ubar_i = (1/a_i) sum_j |S_ij| lam_ij ubar_ij``."""
-    _, lam, ubar = low_order_with_bars(u, spec, grid, t)
-    a = _cell_sum(lam, grid)
-    weighted = tuple(l * b for l, b in zip(lam, ubar))
-    return a * (_cell_sum(weighted, grid) / a - u)
+    """``a_i (ubar_i - u_i) = a_i ubar_i - a_i u_i``, with ``a_i = sum_j
+    |S_ij| lam_ij`` and ``a_i ubar_i = sum_j |S_ij| lam_ij ubar_ij``."""
+    _, lam, lam_ubar = low_order_with_bars(u, spec, grid, t)
+    return _cell_sum(lam_ubar, grid) - _cell_sum(lam, grid) * u
 
 
 class TestBarStates:
     def test_constant_field_collapses_all_states(self):
         spec, grid = make_burgers_1d(9)
         u = np.full(9, 0.6)
-        _, _, ubar = low_order_with_bars(u, spec, grid)
+        ubar = bar_states(u, spec, grid)
         assert np.allclose(ubar[0], 0.6, rtol=0, atol=1e-15)
 
     def test_zero_diffusion_degeneracy(self, rng):
         spec, grid = make_linear_advection_1d(velocity=1.5, diffusion=0.0, n=12)
         u = rng.uniform(0.0, 1.0, 12)
-        _, lam, ubar = low_order_with_bars(u, spec, grid)
-        lam_a, _, ubar_a = convective_face_states(u, spec, grid)[0]
-        assert np.array_equal(ubar[0], ubar_a)
+        _, lam, lam_ubar = low_order_with_bars(u, spec, grid)
+        lam_a, _, product_a = convective_face_states(u, spec, grid)[0]
+        assert np.array_equal(lam_ubar[0], product_a)
         assert np.array_equal(lam[0], lam_a)
 
     def test_linear_flux_bar_state_is_upwind_value(self):
         spec, grid = make_linear_advection_1d(velocity=1.0, n=5, wave_speed=1.0)
         u = np.array([0.0, 1.0, 0.5, 0.5, 0.5])
-        _, _, ubar = low_order_with_bars(u, spec, grid)
+        ubar = bar_states(u, spec, grid)
         # Face between the first two cells: (0+1)/2 - (1-0)/2 = 0.
         assert ubar[0][1] == pytest.approx(0.0, abs=1e-15)
         face = next(f for f in faces(grid)
@@ -248,7 +251,7 @@ class TestBarStates:
         })
         u = rng.uniform(-4.0, 4.0, n)
         lo, hi = adjacent_range(u, spec, grid)
-        ubar = low_order_with_bars(u, spec, grid)[2][0]
+        ubar = bar_states(u, spec, grid)[0]
         assert np.all(ubar >= lo - 1e-14)
         assert np.all(ubar <= hi + 1e-14)
 
@@ -265,7 +268,7 @@ class TestBarStates:
         })
         u = rng.uniform(-3.0, 3.0, n)
         lo, hi = adjacent_range(u, spec, grid)
-        ubar = low_order_with_bars(u, spec, grid)[2][0]
+        ubar = bar_states(u, spec, grid)[0]
         assert np.all(ubar >= lo - 1e-14)
         assert np.all(ubar <= hi + 1e-14)
 
@@ -277,7 +280,7 @@ class TestBarStates:
         grid = StructuredGrid((64,), spec.domain_lo, spec.domain_hi,
                               spec.boundary)
         u = rng.uniform(0.0, 1.0, 64)
-        assert np.all(low_order_with_bars(u, spec, grid)[2][0] >= -1e-14)
+        assert np.all(bar_states(u, spec, grid)[0] >= -1e-14)
 
     def test_cell_coefficient_matches_face_loop(self, rng):
         for boundary in [(PERIODIC, PERIODIC), (DIRICHLET, PERIODIC)]:
@@ -297,21 +300,59 @@ class TestBarStates:
                     want[cell_slot(face.neighbor, grid)] += contrib
             assert np.allclose(a, want, rtol=1e-13), boundary
 
-
-def _builtin_identity_cases():
-    """Every builtin problem on a 16-cell square grid, and each 2D one on
-    16x32 cells too."""
+def _builtin_grids():
+    """Every builtin problem with its grids: 16 cells in 1D, 16x16 and
+    16x32 in 2D."""
     for name in sorted(BUILTIN_PROBLEMS):
         dim = build_problem(RunConfig(problem=name)).dim
         for cells in [(16,)] if dim == 1 else [(16, 16), (16, 32)]:
-            marks = ()
-            if name == "vortex2d" and cells == (16, 32):
-                marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError,
-                    reason="ROADMAP item 4: vortex2d's face-midpoint velocity "
-                           "is not discretely divergence-free where dx != dy")
-            yield pytest.param(name, cells, marks=marks,
-                               id=f"{name}-{'x'.join(map(str, cells))}")
+            yield name, cells, f"{name}-{'x'.join(map(str, cells))}"
+
+
+def _builtin_identity_cases():
+    """Every builtin problem on its grids, vortex2d's non-square one
+    marked as failing."""
+    for name, cells, case_id in _builtin_grids():
+        marks = ()
+        if name == "vortex2d" and cells == (16, 32):
+            marks = pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason="ROADMAP item 4: vortex2d's face-midpoint velocity "
+                       "is not discretely divergence-free where dx != dy")
+        yield pytest.param(name, cells, marks=marks, id=case_id)
+
+
+class TestCombinedFaceSpeed:
+    """The low-order terms on the one combined face speed ``lam = lam^A +
+    2c/d`` against the blended formulas of :mod:`oracles`, which keep the
+    wave-speed bound and the diffusion apart: ``G^L``, ``lam``, ``lam
+    ubar`` and the flux derivatives of the pseudo-Jacobian, each within
+    1e-13 of the largest entry of its face array."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name,cells", [
+        pytest.param(name, cells, id=case_id)
+        for name, cells, case_id in _builtin_grids()])
+    def test_matches_blended_formulas(self, name, cells, rng):
+        spec = build_problem(RunConfig(problem=name))
+        grid = make_grid(spec, *cells)
+        hi = spec.global_max if np.isfinite(spec.global_max) else 2.0
+        u = rng.uniform(spec.global_min, hi, (3,) + grid.shape)
+        t = np.array([0.0, 0.3, 0.7]).reshape((3,) + (1,) * grid.dim)
+        got = zip(*low_order_with_bars(u, spec, grid, t=t))
+        for got_axis, want_axis in zip(got, blended_low_order(u, spec, grid,
+                                                              t)):
+            for g, w in zip(got_axis, want_axis):
+                self.assert_close(g, w)
+        u_ext = ghost_fill(u, grid, width=1)
+        for axis, want_axis in enumerate(
+                blended_flux_derivatives(u, spec, grid, t)):
+            got_axis = _axis_flux_derivatives(u_ext, spec, grid, axis, t)
+            for g, w in zip(got_axis, want_axis):
+                self.assert_close(g, w)
 
 
 class TestLowOrderRhs:

@@ -19,7 +19,7 @@ from mppfv.fluxes import (divergence, high_order_flux, low_order_with_bars,
                           tie_periodic_seam)
 from mppfv.limiters import (REFERENCE_SLACK, TOL_GMC, _check_alphas,
                             _check_reference, _fct_with_flux,
-                            _gmc_face_terms, _gmc_with_flux, _outward_sums,
+                            _gmc_face_terms, _gmc_with_flux,
                             _restore_bounds, _weighted, gmc_budgets,
                             make_semidiscrete_gmc_substep_solver,
                             zalesak_alphas)
@@ -30,7 +30,8 @@ from mppfv.solvers import (TOL_STAGE, JacobianEngine, NonConvergenceError,
 from mppfv.time_integration import iex_step
 
 from conftest import DIRICHLET, make_burgers_1d, minus, random_flux_set
-from oracles import (face_entry, outward_limited_sums, solve_one,
+from oracles import (face_entry, outward_limited_sums,
+                     outward_sums_by_face_loop, solve_one,
                      zalesak_alpha_oracle)
 
 
@@ -65,7 +66,7 @@ class TestZalesakCoefficients:
         alphas = zalesak_alphas(dg, -q, q, grid)
         assert np.allclose(alphas[0],
                            [1.0, 1 / 6, 1 / 6, 1 / 3, 1.0], atol=1e-15)
-        p_plus, p_minus = _outward_sums(dg, grid)
+        p_plus, p_minus = outward_sums_by_face_loop(dg, grid)
         assert np.allclose(p_plus, [4.0, 0.0, 3.0, 1.0])
         assert np.allclose(p_minus, [-1.0, -6.0, 0.0, -1.0])
 
@@ -375,10 +376,10 @@ class TestGmcStep:
     def test_gmc_budget_signs_clamped(self):
         spec, grid, u0 = _burgers_pulse(16)
         G_H = high_order_flux(u0, spec, grid)
-        *_, a, ubar = _gmc_face_terms(u0, G_H, spec, grid, 0.0, 0.0)
+        *_, a, a_ubar = _gmc_face_terms(u0, G_H, spec, grid, 0.0, 0.0)
         # Nudge the reference past the bounds: allowances must stay signed.
         shifted = u0 + 1e-10
-        qm, qp = gmc_budgets(a, ubar, shifted, spec, gamma=3.0)
+        qm, qp = gmc_budgets(a, a_ubar, shifted, spec, gamma=3.0)
         assert np.all(qm <= 0.0)
         assert np.all(qp >= 0.0)
 

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from mppfv import solvers
-from mppfv.fluxes import (_face_states, divergence, high_order_flux,
-                          low_order_with_bars)
+from mppfv.fluxes import divergence, high_order_flux, low_order_with_bars
 from mppfv.harness import RunConfig, build_problem, run
-from mppfv.mesh import FIRST, LAST, PERIODIC, StructuredGrid, ghost_fill
+from mppfv.mesh import FIRST, LAST, PERIODIC, StructuredGrid
 from mppfv.solvers import (JacobianEngine, NonConvergenceError,
                            SolverReport, SparseBandedMatrix,
                            assemble_pseudo_jacobian, make_stage_solver,
@@ -26,15 +25,14 @@ from mppfv.problems import (BUILTIN_PROBLEMS, burgers_1d,
 
 from conftest import (DIRICHLET, make_advection_2d, make_burgers_1d,
                       make_linear_advection_1d, make_pure_diffusion_1d, shaped)
-from oracles import coo_pseudo_jacobian, line_factorized_dense, solve_one
+from oracles import (blended_faces, coo_pseudo_jacobian,
+                     line_factorized_dense, solve_one)
 
 
 def freeze_speed_bound(spec, grid, state, t=0.0):
     """Replace the wave-speed policy with the per-face values it takes at
     ``state`` so finite differences see exactly what the matrix assumes."""
-    u_ext = ghost_fill(state, grid, width=1)
-    lam = [_face_states(u_ext, spec, grid, axis, t)[5]
-           for axis in range(grid.dim)]
+    lam = [faces.lam_a for faces in blended_faces(state, spec, grid, t)]
 
     def bound(axis, ua, ub, ra, rb, x, y, t):
         return lam[axis]

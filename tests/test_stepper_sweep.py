@@ -156,18 +156,18 @@ def test_configurations_are_distinct_with_unique_names(sweep, dt_factor):
     # The catalogue's runs that repeat a matrix run are dropped, which
     # needs both lists to compute the same final time to the last bit.
     configs = sweep.configurations(dt_factor)
-    assert len(configs) == 74
-    assert len({sweep._key(c) for c in configs}) == 74
-    assert len({sweep._name(sweep._key(c)) for c in configs}) == 74
+    assert len(configs) == 81
+    assert len({sweep._key(c) for c in configs}) == 81
+    assert len({sweep._name(sweep._key(c)) for c in configs}) == 81
 
 
 def _large_step_configurations():
     """The sweep's iex2/iex4 + gmc configurations, both gammas: burgers1d
     and bl1d at both dt factors, rotation2d at 0.5 (at 5 its runs take
     seconds each; ``check`` covers them).  Then the catalogue's kpp2d and
-    vortex2d runs at both dt factors, whose stage solves factorize
-    refreshed 2D pseudo-Jacobians: a state-dependent one (kpp2d) and one
-    that depends on time only (vortex2d)."""
+    vortex2d runs at both dt factors, square and 12x16, whose stage solves
+    factorize refreshed 2D pseudo-Jacobians: a state-dependent one (kpp2d)
+    and one that depends on time only (vortex2d)."""
     return [c for dt_factor in SWEEP.DT_FACTORS
             for c in SWEEP.configurations(dt_factor)
             if c["problem"] in ("kpp2d", "vortex2d")
@@ -192,5 +192,5 @@ def test_large_step_gate_covers_the_matrix():
     assert counts == {("burgers1d", 0.5): 4, ("burgers1d", 5.0): 4,
                       ("bl1d", 0.5): 4, ("bl1d", 5.0): 4,
                       ("rotation2d", 0.5): 4,
-                      ("kpp2d", 0.5): 2, ("kpp2d", 5.0): 2,
-                      ("vortex2d", 0.5): 2, ("vortex2d", 5.0): 2}
+                      ("kpp2d", 0.5): 4, ("kpp2d", 5.0): 4,
+                      ("vortex2d", 0.5): 3, ("vortex2d", 5.0): 3}
