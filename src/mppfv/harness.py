@@ -42,6 +42,7 @@ bound preserving and taking no limiter.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -107,12 +108,12 @@ class RunConfig:
             raise ValueError("ny must be at least 5")
         if self.fct_iters < 1:
             raise ValueError("fct_iters must be at least 1")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        if not self.dt_factor > 0.0:
-            raise ValueError("dt_factor must be positive")
-        if self.t_final is not None and not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not 0.0 < self.dt_factor < math.inf:
+            raise ValueError("dt_factor must be finite and positive")
+        if self.t_final is not None and not 0.0 < self.t_final < math.inf:
+            raise ValueError("t_final must be finite and positive")
         if self.scheme == "be" and self.limiter != "none":
             raise ValueError("scheme 'be' is the first-order baseline and "
                              "takes no limiter")
@@ -123,6 +124,8 @@ class RunConfig:
         if self.epsilon is not None and self.problem not in _EPSILON_PROBLEMS:
             raise ValueError(f"problem {self.problem!r} takes no epsilon "
                              f"parameter")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
         grids = tuple(int(n) for n in self.study)
         if grids:
             if len(grids) < 2:
@@ -133,8 +136,11 @@ class RunConfig:
                                      f"of two, got {a} -> {b}")
         object.__setattr__(self, "study", grids)
         times = tuple(float(s) for s in self.snapshot_times)
-        if any(s < 0.0 for s in times):
-            raise ValueError("snapshot times must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in times):
+            raise ValueError("snapshot times must be finite and nonnegative")
+        if len({_snapshot_name(self, s) for s in times}) < len(set(times)):
+            raise ValueError("snapshot times must differ in their file "
+                             "names (t to six decimals)")
         object.__setattr__(self, "snapshot_times", times)
 
 
@@ -163,9 +169,8 @@ def _make_stepper(config, spec, grid):
     paths that reconstruct the state from the flux), so accumulating its
     boundary contribution gives the flux-corrected mass audit.  One
     :class:`JacobianEngine` serves every implicit solve of the run (the
-    semi-discrete GMC substeps of ``iex`` with ``gmc`` included), so each
-    solve starts on the matrix and factorization that the last converged
-    solve at its implicit scale ended with.
+    semi-discrete GMC substeps of ``iex`` with ``gmc`` included); the
+    :mod:`solvers` docstring states when a solve assembles a new matrix.
     """
     engine = JacobianEngine(spec, grid)
 
@@ -290,6 +295,8 @@ def run(config):
     dt_nominal = config.dt_factor * min(grid.spacing)
     step = _make_stepper(config, spec, grid)
     out_dir = Path(config.out) if config.out else None
+    if out_dir and config.snapshot_times:
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     diag = RunDiagnostics()
     targets = sorted(set(config.snapshot_times))
@@ -357,6 +364,8 @@ def convergence_study(config):
     if spec.exact_solution is None:
         raise ValueError(f"problem {config.problem!r} has no exact solution "
                          f"to study against")
+    if config.out:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
     extent = spec.domain_hi[0] - spec.domain_lo[0]
     rows = []
     errors, spacings = [], []
@@ -375,15 +384,13 @@ def convergence_study(config):
     for row, rate in zip(rows[1:], rates):
         row["eoc"] = rate
     if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["dx,E1,EOC,delta"]
         for row in rows:
             eoc_txt = "" if row["eoc"] is None else f"{row['eoc']:.17g}"
             lines.append(f"{row['dx']:.17g},{row['e1']:.17g},{eoc_txt},"
                          f"{row['delta']:.17g}")
-        path = out_dir / f"study_{config.problem}_{_scheme_tag(config)}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        name = f"study_{config.problem}_{_scheme_tag(config)}.csv"
+        (Path(config.out) / name).write_text("\n".join(lines) + "\n")
     return rows
 
 
@@ -453,7 +460,9 @@ def _build_parser():
     parser.add_argument("--fct-iters", type=int,
                         help="flux-correction sweeps per step")
     parser.add_argument("--gamma", type=float,
-                        help="slack parameter of the monolithic limiter")
+                        help="bound relaxation of the gmc limiter; larger "
+                             "values keep more order where the solution "
+                             "touches its bounds (about 3rd at 0, 5th at 5)")
     parser.add_argument("--dt-factor", type=float,
                         help="dt = dt_factor * min(dx, dy)")
     parser.add_argument("--t-final", type=float, help="override final time")
@@ -511,7 +520,7 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"error: solver-failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: invalid-config: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -179,8 +179,8 @@ def linear_advdiff_1d(epsilon):
     """Linear advection-diffusion ``u_t + u_x = eps*u_xx`` on [0, 2*pi],
     periodic, with the classic sin^4 initial profile and a closed-form exact
     solution; bounds [0, 1], final time 2*pi."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     eps = float(epsilon)
 
     def exact(x, y, t):
@@ -408,8 +408,8 @@ def linear_advdiff_2d(epsilon):
     """Linear advection-diffusion ``u_t + u_x + u_y = eps*(u_xx + u_yy)`` on
     [0, 2*pi]^2, periodic, with the diagonal sin^4(x+y) profile and a
     closed-form exact solution; bounds [0, 1], final time 0.5."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     eps = float(epsilon)
 
     def exact(x, y, t):
@@ -440,8 +440,8 @@ def kpp_2d(epsilon):
     optional diffusion eps on [-2, 2] x [-2.5, 1.5], periodic; initial data
     14*pi/4 inside the unit disk at the origin, pi/4 outside; bounds
     [pi/4, 14*pi/4], wave-speed bound 1, final time 1."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     eps = float(epsilon)
 
     def flux(axis, u, x, y, t):

@@ -38,19 +38,20 @@ Only SuperLU, the exact LU of a 2D matrix, and the tests read it as CSR
 every face between two cells keeps both off-diagonal positions (explicit
 zeros included), so the pattern is structurally symmetric.
 
-Linear solves (modified Newton with the Jacobian reused across solves,
-Hairer & Wanner, *Solving ODEs II*, §IV.8), one rule in every dimension:
-the :class:`JacobianEngine` holds, per implicit scale, the matrix and
-factorization that the last converged solve at that scale ended with, and
-the next solve there starts on it.  The first solve at a scale assembles
-the pseudo-Jacobian at its guess.  Once an iterate's residual is more than
-``STALL_RATIO`` of the previous one, the solve has stalled: from then on
-it solves with exact LUs, and every later update assembles the
-pseudo-Jacobian at its iterate and factorizes it.  A refreshed matrix
-whose stencil equals that of the matrix in use (signs of zeros aside)
-keeps that LU for the rest of the solve, with no further assembly: the
-pseudo-Jacobian of a state-independent problem (rotation2d) or of one
-that depends on time only (vortex2d).
+The iteration matrix follows one rule in every dimension: modified Newton,
+which re-evaluates the Jacobian only when convergence is slow (Hairer &
+Wanner, *Solving ODEs II*, §IV.8).  The :class:`JacobianEngine` holds, per
+implicit scale, the matrix and factorization that the last solve at that
+scale ended with, and each member of a solve starts on it.  A member
+assembles the pseudo-Jacobian at its iterate in two cases: when it holds no
+matrix (the first solve at a scale, at its guess), and at each stall, an
+update whose residual is more than ``STALL_RATIO`` of the previous one.  A
+matrix assembled at a stall is solved with its exact LU
+(:meth:`SparseBandedMatrix.exactly`).  Otherwise the member keeps the
+matrix and LU it has.  A stall whose stencil equals the held one (signs of
+zeros aside) keeps the held matrix, solved exactly, and ends the member's
+stalls for that solve: the pseudo-Jacobian of a state-independent problem
+(rotation2d) or of one that depends on time only (vortex2d).
 
 Every stencil is factorized line by line (:class:`_LineFactorization`).
 Along each axis, the diagonal and that axis's couplings form a stack of
@@ -120,7 +121,7 @@ MAX_ITER_LOW_ORDER = 100
 # nx=800 (at most 17) and 37-70 on kpp2d at 16^2-64^2 (at most 88).
 MAX_ITER_STAGE = 200
 #: An iterate whose residual is more than this share of the previous one has
-#: stalled, and quasi-Newton refreshes its matrix.
+#: stalled, and quasi-Newton assembles its matrix anew.
 STALL_RATIO = 0.5
 #: A residual that moves by at most this share of the previous one has
 #: frozen.  Clipped quasi-Newton updates on a limited flux can freeze where
@@ -255,7 +256,8 @@ class SparseBandedMatrix:
 
     A stencil with at least three cells along each axis is solved with
     :class:`_LineFactorization`: exactly in 1D, and with the iteration
-    matrix ``M`` in 2D unless the matrix is ``exact``.  Any other matrix,
+    matrix ``M`` in 2D unless the matrix is ``exact`` (the module
+    docstring says when a solve makes it so).  Any other matrix,
     an ``exact`` 2D one, and every matrix whose lines are exactly singular,
     get SuperLU on :attr:`matrix` with the minimum-degree ordering of
     ``A^T + A``, which suits a structurally symmetric pattern (rotation2d
@@ -377,10 +379,10 @@ def assemble_pseudo_jacobian(values, spec, grid, scale, t=0.0):
 
 class JacobianEngine:
     """The problem and grid of a run, and in ``held`` the pseudo-Jacobian
-    (with its factorization) that the last converged quasi-Newton solve at
-    each implicit scale ``float(step_dt)`` ended with; one engine serves
-    every solve of the run, and only :func:`_quasi_newton` reads
-    ``held``."""
+    (with its factorization) that the last quasi-Newton solve at each
+    implicit scale ``float(step_dt)`` ended with, by the rule of the module
+    docstring; one engine serves every solve of the run, and only
+    :func:`_quasi_newton` reads ``held``."""
 
     def __init__(self, spec, grid):
         self.spec = spec
@@ -530,24 +532,14 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     ``stage_time`` hold one value per member (any shape with ``m``
     entries).
 
-    Each member's updates start on the matrix the engine holds for its
-    ``step_dt``, the one the last converged solve at that scale ended with;
-    the first solve at a scale assembles the pseudo-Jacobian at the
-    member's guess and ``stage_time``.  Once a member's residual exceeds
-    ``STALL_RATIO`` times its previous one, the member switches to exact
-    LUs (:meth:`SparseBandedMatrix.exactly`; a 2D matrix is solved with
-    ``M`` until then), and every later update of that member refreshes:
-    it assembles the pseudo-Jacobian at its iterate and solves with that
-    matrix's exact LU.  A refreshed matrix equal to the one in use is not
-    factorized again: the member keeps that LU and stops refreshing (a
-    pseudo-Jacobian that does not depend on the state).  A converged solve
-    leaves the engine holding, for each member's scale in stack order, the
-    matrix that member ended with.  Returns and raises as
-    :func:`iterate`.
+    Each member's matrix follows the rule of the module docstring, at its
+    ``step_dt`` and ``stage_time``.  A solve that returns leaves the engine
+    holding, for each member's scale in stack order, the matrix that
+    member ended with.  Returns and raises as :func:`iterate`.
 
     With ``mixed`` the update is the proposal ``y + J^{-1}(-r)``, mixed per
     member by :func:`anderson.anderson_mixed`; a member keeps its history
-    across its matrix refreshes.  Without, it is the proposal itself.
+    when it assembles.  Without, it is the proposal itself.
     With ``bounds = (lo, hi)`` every update is clipped into them, and
     ``patience`` stops frozen and spent members as in :func:`iterate`;
     the engine then holds the matrices the members stopped with.
@@ -557,28 +549,20 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     times = np.ravel(stage_time)
     spec, grid = engine.spec, engine.grid
     jac = [engine.held.get(scale) for scale in scales]
-    for i, matrix in enumerate(jac):
-        if matrix is None:
-            try:
-                jac[i] = assemble_pseudo_jacobian(y[i], spec, grid,
-                                                  scales[i], t=times[i])
-            except ValueError as err:
-                raise _blame(err, i)
-    refresh, stall = [False] * len(y), [STALL_RATIO] * len(y)
+    stall = [STALL_RATIO] * len(y)
 
     def propose(y, r, res, prev_res, members):
         proposal = np.empty_like(y)
         for j, i in enumerate(range(len(y)) if members is None else members):
             try:
-                if res[j] > stall[i] * prev_res[j]:
-                    refresh[i], jac[i] = True, jac[i].exactly()
-                if refresh[i]:
-                    fresh = assemble_pseudo_jacobian(y[j], spec, grid,
-                                                     scales[i], t=times[i])
-                    if np.array_equal(fresh.stencil, jac[i].stencil):
-                        refresh[i], stall[i] = False, np.inf
-                    else:
-                        jac[i] = fresh.exactly()
+                held = jac[i]
+                if held is None or res[j] > stall[i] * prev_res[j]:
+                    jac[i] = assemble_pseudo_jacobian(y[j], spec, grid,
+                                                      scales[i], t=times[i])
+                    if held is not None:
+                        if np.array_equal(jac[i].stencil, held.stencil):
+                            jac[i], stall[i] = held, np.inf
+                        jac[i] = jac[i].exactly()
                 proposal[j] = y[j] + jac[i].solve(-np.ravel(r[j])).reshape(
                     y[j].shape)
             except ValueError as err:
@@ -592,7 +576,8 @@ def _quasi_newton(reference, flux_of, step_dt, stage_time, guess, engine,
     out = iterate(reference, flux_of, update, step_dt, y, grid, tol, max_iter,
                   what, patience)
     for scale, matrix in zip(scales, jac):
-        engine.held[scale] = matrix
+        if matrix is not None:
+            engine.held[scale] = matrix
     return out
 
 
@@ -626,9 +611,9 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
 
 def make_stage_solver(engine):
     """Stage-solver callable for :func:`time_integration.dirk_step` on the
-    engine's problem and grid; every stage of every step starts on the
-    matrix the engine holds for its implicit scale, and its quasi-Newton
-    updates are Anderson-mixed (:func:`_quasi_newton`).
+    engine's problem and grid, whose quasi-Newton updates take the
+    iteration matrix by the rule of the module docstring and are
+    Anderson-mixed (:func:`_quasi_newton`).
 
     ``solver(reference, step_dt, stage_time, guess)`` solves the stacked
     stages ``y - reference + (step_dt/|K_i|) sum |S| G^H(y) = 0``, one per

@@ -53,6 +53,19 @@ class TestRunConfigValidation:
         dict(study=(100, 150)),
         dict(snapshot_times=(-0.1,)),
         dict(solver="frozen-jacobian"),
+        dict(gamma=math.nan),
+        dict(gamma=math.inf),
+        dict(dt_factor=math.nan),
+        dict(dt_factor=math.inf),
+        dict(t_final=math.nan),
+        dict(t_final=math.inf),
+        dict(epsilon=math.nan),
+        dict(epsilon=math.inf),
+        dict(epsilon=-0.01),
+        dict(snapshot_times=(math.nan,)),
+        dict(snapshot_times=(0.1, math.inf)),
+        # Both times name the file linear1d_sdirk5_t0.100000.csv.
+        dict(snapshot_times=(0.1, 0.1000001)),
     ])
     def test_rejected_configurations(self, kwargs):
         with pytest.raises(ValueError):
@@ -63,6 +76,7 @@ class TestRunConfigValidation:
         RunConfig(problem="linear1d", epsilon=0.001)
         RunConfig(study=(50, 100, 200))
         RunConfig(study=(50, 98))  # within 5% of doubling
+        RunConfig(snapshot_times=(0.1, 0.1, 0.100001))  # one file per time
 
     def test_study_normalized_to_ints(self):
         cfg = RunConfig(study=("25", "50"))
@@ -415,20 +429,21 @@ class TestConvergenceStudy:
         assert rows[-1]["eoc"] >= least
         assert all(row["delta"] >= -1e-12 for row in rows)
 
-    def test_active_gmc_limiter_order_gate(self):
+    @pytest.mark.parametrize("gamma, least", [(5.0, 4.5), (0.0, 2.6)])
+    def test_active_gmc_limiter_order_gate(self, gamma, least):
         # With epsilon = 0 the sin^4 data touches both global bounds, and
         # the unlimited scheme overshoots (delta = -1.6e-3).  The limiter
         # acts: its E1 differs from the unlimited one on every grid
-        # (1.461e-2 against 1.557e-2 at 40 cells), so this gate fails if
-        # the limiter goes idle.  High order survives the limiting only
-        # with the bound relaxation gamma large enough: EOC 3.88, 5.09 at
-        # gamma = 5.  At the default gamma = 0 the result is third order
-        # (2.85, 3.04), which is not gated.
+        # (1.461e-2 against 1.557e-2 at 40 cells at gamma = 5), so this
+        # gate fails if the limiter goes idle.  High order survives the
+        # limiting only with the bound relaxation gamma large enough: EOC
+        # 3.88, 5.09 at gamma = 5.  At the default gamma = 0 the result is
+        # third order (2.85, 3.04).
         config = RunConfig(problem="linear1d", epsilon=0.0, scheme="sdirk5",
-                           limiter="gmc", gamma=5.0, dt_factor=0.5,
+                           limiter="gmc", gamma=gamma, dt_factor=0.5,
                            t_final=1.0, study=(40, 80, 160))
         rows = convergence_study(config)
-        assert rows[-1]["eoc"] >= 4.5
+        assert rows[-1]["eoc"] >= least
         assert all(row["delta"] >= -1e-12 for row in rows)
         unlimited = convergence_study(dataclasses.replace(
             config, limiter="none", gamma=0.0))
@@ -512,6 +527,45 @@ class TestCommandLine:
         code = main(["--config", "/nonexistent/run.cfg"])
         assert code == 2
         assert "error: invalid-config:" in capsys.readouterr().err
+
+    def test_non_finite_setting_exits_2(self, capsys):
+        # An infinite final time finished after zero steps with delta=inf.
+        code = main(["--problem", "linear1d", "--nx", "16", "--t-final",
+                     "inf"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid-config: t_final must be finite")
+
+    @staticmethod
+    def blocked_out(tmp_path, under):
+        """An ``--out`` at a file, or under one."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        return str(blocker / "sub" if under else blocker)
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unwritable_out_of_a_run_exits_2(self, under, tmp_path, capsys,
+                                             monkeypatch):
+        # The output directory is made before the first step.
+        monkeypatch.setattr(harness, "newton_low_order", mock.Mock(
+            side_effect=AssertionError("a step ran")))
+        code = main(["--problem", "linear1d", "--nx", "16", "--scheme", "be",
+                     "--t-final", "0.1", "--snapshot-times", "0.05",
+                     "--out", self.blocked_out(tmp_path, under)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid-config:")
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unwritable_out_of_a_study_exits_2_before_any_grid(
+            self, under, tmp_path, capsys, monkeypatch):
+        grids = []
+        monkeypatch.setattr(harness, "run", grids.append)
+        code = main(["--problem", "linear1d", "--nx", "16", "--scheme", "be",
+                     "--t-final", "0.1", "--study", "16,32",
+                     "--out", self.blocked_out(tmp_path, under)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid-config:")
+        assert grids == []
 
     def test_solver_failure_exits_3(self, capsys, monkeypatch):
         def exploding_run(config):

@@ -171,6 +171,13 @@ class TestLinearAdvectionDiffusion1D:
         with pytest.raises(ValueError):
             linear_advdiff_1d(-1e-3)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    @pytest.mark.parametrize("ctor", [linear_advdiff_1d, linear_advdiff_2d,
+                                      kpp_2d])
+    def test_non_finite_epsilon_rejected(self, ctor, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            ctor(epsilon)
+
 
 class TestBurgers1D:
     def test_square_pulse_and_flux(self):

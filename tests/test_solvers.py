@@ -206,18 +206,14 @@ class TestCachedPattern:
 
 
 class TestFactorizationReuse:
-    """Every solve starts on the matrix its engine holds for its implicit
-    scale (the first solve there on one assembled at its guess) and
-    refreshes only once it contracts too slowly.  A refreshed matrix is
-    factorized, in 1D and 2D alike, unless it equals the matrix in use:
-    then that LU serves the rest of the solve, with no further assembly.
-    A 2D matrix is factorized as the line-factorized ``M`` until its
-    solve first stalls, and exactly from then on.
-    Counted on whole runs: ``SparseBandedMatrix.factorize`` calls made
-    while the matrix holds no LU are factorizations (as the benchmark
-    tracer counts them), ``_quasi_newton`` calls are nonlinear solves, and
-    the ``scale`` arguments of the assemblies are the implicit scales (one
-    engine serves every solve of a run)."""
+    """The iteration-matrix rule of the :mod:`mppfv.solvers` docstring: a
+    member assembles when it holds no matrix and at each stall, and keeps
+    its matrix and LU otherwise.  Counted on whole runs:
+    ``SparseBandedMatrix.factorize`` calls made while the matrix holds no
+    LU are factorizations (as the benchmark tracer counts them),
+    ``_quasi_newton`` calls are nonlinear solves, and the ``scale``
+    arguments of the assemblies are the implicit scales (one engine serves
+    every solve of a run)."""
 
     @staticmethod
     def count(**kwargs):
@@ -298,6 +294,46 @@ class TestFactorizationReuse:
         factorized, assembled, scales, _ = self.count(
             problem="bl1d", nx=40, t_final=0.1, scheme="be", dt_factor=5.0)
         assert assembled == factorized > len(scales) == 1
+
+    def test_1d_assembles_at_its_guess_and_at_each_stall(self, monkeypatch):
+        # bl1d nx=40, the first low-order solve at dt = 5h: two of its 17
+        # updates stall (residual ratios 1.46 and 0.69), so it assembles
+        # three matrices.  Re-assembling at every update after the first
+        # stall assembled six, in six updates.
+        ratios = []
+        iterate = solvers.iterate
+
+        def recording_iterate(reference, evaluate, advance, *args):
+            def recording_advance(y, r, res, prev_res, members):
+                ratios.append(res[0] / prev_res[0])
+                return advance(y, r, res, prev_res, members)
+            return iterate(reference, evaluate, recording_advance, *args)
+
+        monkeypatch.setattr(solvers, "iterate", recording_iterate)
+        spec = build_problem(RunConfig(problem="bl1d"))
+        grid = make_grid(spec, 40)
+        with mock.patch.object(solvers, "assemble_pseudo_jacobian",
+                               wraps=assemble_pseudo_jacobian) as assemble:
+            _, _, report = newton_low_order(
+                initial_cell_averages(spec, grid), spec, grid,
+                5.0 * grid.spacing[0])
+        stalls = sum(ratio > solvers.STALL_RATIO for ratio in ratios)
+        assert report.converged and stalls >= 1
+        assert assemble.call_count == 1 + stalls < len(ratios)
+
+    def test_state_dependent_2d_factorizes_with_superlu_at_stalls_only(self):
+        # kpp2d 32^2 sdirk5+fct at dt = 2h, two steps: 26 SuperLU
+        # factorizations.  Factorizing at every update after a member's
+        # first stall made 145.
+        spec = build_problem(RunConfig(problem="kpp2d", epsilon=0.01))
+        h = min(make_grid(spec, 32).spacing)
+        with mock.patch.object(solvers.spla, "splu",
+                               wraps=solvers.spla.splu) as splu:
+            diag, _ = run(RunConfig(problem="kpp2d", nx=32, epsilon=0.01,
+                                    scheme="sdirk5", limiter="fct",
+                                    dt_factor=2.0, t_final=4.0 * h))
+        assert diag.delta >= -1e-12
+        assert 0 < splu.call_count <= 40
 
 
 class TestHeldMatrix:
