@@ -19,10 +19,10 @@ proposal
     aggregated high-order flux and its stage values, which every run
     folds into ``RunDiagnostics.stage_delta``.  For ``iex`` with
     ``limiter="gmc"`` the substeps already use the semi-discretely
-    limited flux; they stop at the stage tolerance ``TOL_STAGE``, so
-    their states are bounded only up to it and ``stage_delta`` can read
-    about -1e-10 (-2.5e-10 on burgers1d, nx=200, iex4 at dt = h/2); the
-    limited step itself keeps ``delta`` >= -1e-12.  With
+    limited flux; they stop at ``solvers.stage_tolerance``, so their
+    states are bounded only up to it and ``stage_delta`` can read about
+    -1e-9 (-3.0e-9 on burgers1d, nx=200, iex4 at dt = h/2); the limited
+    step itself keeps ``delta`` >= -1e-12.  With
     ``limit_stages`` the ``sdirk5`` proposal also passes every
     intermediate stage through the limiter (the stages of a high-order
     DIRK method are otherwise not bound preserving), using the

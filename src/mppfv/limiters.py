@@ -40,8 +40,8 @@ limited scheme ``u = u^n - (dt/|K|) sum |S| [G^L - alpha (G^L - G^H)]``:
   fixed point, whose state is recomputed from the realized flux.
   ``solvers.iterate`` stops every member at its first residual at most
   its tolerance: ``TOL_GMC`` for the step-level limit, which makes
-  ``u^{n+1}`` bounded, and ``solvers.TOL_STAGE`` for a stage, as for the
-  quasi-Newton stage solves.
+  ``u^{n+1}`` bounded, and ``solvers.stage_tolerance`` for a stage, as for
+  the quasi-Newton stage solves.
 
 Both limiters are mass conservative: the correction arrays are
 antisymmetric per geometric face, so their divergences sum to zero.
@@ -64,10 +64,10 @@ every member ends with a plain diagonal update from its iterate (and
 mixed ones after it while its residual is above the tolerance).  Each
 update evaluates the flux once for the whole stack, and each member is
 mixed and stopped on its own, so each keeps the result of its substep
-solved alone.  Its stages stop at ``TOL_STAGE``, so the chain states are
-bounded only up to that tolerance; boundedness with no step-size limit
-holds at the fixed point, and the step-level limit removes what the
-stages leave.
+solved alone.  Its stages stop at the stage tolerance, so the chain states
+are bounded only up to their largest residual entry, at most that l2
+tolerance; boundedness with no step-size limit holds at the fixed point,
+and the step-level limit removes what the stages leave.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ from .fluxes import (adjacent_cells, check_finite, divergence,
                      high_order_flux, low_order_with_bars, tie_periodic_seam)
 from .mesh import sides
 from .metrics import bound_margin
-from .solvers import (FROZEN_PATIENCE, MAX_ITER_STAGE, TOL_STAGE,
-                      NonConvergenceError, StackReport, _quasi_newton,
-                      iterate, take)
+from .solvers import (FROZEN_PATIENCE, MAX_ITER_STAGE, NonConvergenceError,
+                      StackReport, _quasi_newton, iterate, stage_tolerance,
+                      take)
 
 TOL_GMC = 1e-12
 # The plain diagonal sweep contracts at a rate that degrades with the step
@@ -402,27 +402,27 @@ def make_semidiscrete_gmc_substep_solver(engine, gamma=0.0):
     (:func:`solvers._quasi_newton`) on the limited flux, from the guess
     clipped into the global bounds, on the matrix ``engine`` holds for
     the member's scale, with every iterate clipped into the bounds.  It
-    stops a member at its first residual at most ``TOL_STAGE``, or,
-    unconverged, once its residual has stayed frozen for
-    ``solvers.FROZEN_PATIENCE`` updates (the limiter coefficients switch
-    between iterates, and quasi-Newton updates can freeze there) or it
-    has spent ``MAX_ITER_STAGE`` updates.  Then every member takes one
-    plain diagonal update from its iterate, and the Anderson-mixed
-    diagonal map of the step-level limiter goes on from there to
-    ``TOL_STAGE``; a member that converged mostly stops at once.  The
-    stage value is recomputed from the realized flux there, so chained
-    stages conserve mass exactly.  A member's report counts the updates
-    of both parts and the plain one between them.
+    stops a member at its first residual at most the stage tolerance
+    (``solvers.stage_tolerance``), or, unconverged, once its residual has
+    stayed frozen for ``solvers.FROZEN_PATIENCE`` updates (the limiter
+    coefficients switch between iterates, and quasi-Newton updates can
+    freeze there) or it has spent ``MAX_ITER_STAGE`` updates.  Then every
+    member takes one plain diagonal update from its iterate, and the
+    Anderson-mixed diagonal map of the step-level limiter goes on from
+    there to that tolerance; a member that converged mostly stops at once.
+    The stage value is recomputed from the realized flux there, so chained
+    stages conserve mass exactly.  A member's report counts the updates of
+    both parts and the plain one between them.
 
     The allowances keep every bar-state average within the global bounds,
     so this semi-discretization is locally extremum diminishing with
     respect to them and its implicit-Euler stages preserve the bounds with
-    no step-size limit at the fixed point.  A stage stopped at
-    ``TOL_STAGE`` is bounded only up to that tolerance; the step-level
-    limit makes the step's result bounded.
+    no step-size limit at the fixed point; a stage stopped at the stage
+    tolerance is bounded only up to it (the module docstring says why).
     """
     spec, grid = engine.spec, engine.grid
     bounds = (spec.global_min, spec.global_max)
+    tol = stage_tolerance(spec, grid)
 
     def solver(reference, step_dt, stage_time, guess):
         system = _GmcSystem(
@@ -432,12 +432,12 @@ def make_semidiscrete_gmc_substep_solver(engine, gamma=0.0):
             spec, grid, step_dt, gamma, stage_time)
         y, _, newton = _quasi_newton(
             reference, system.realized_flux, step_dt, stage_time,
-            np.clip(guess, *bounds), engine, TOL_STAGE, MAX_ITER_STAGE,
+            np.clip(guess, *bounds), engine, tol, MAX_ITER_STAGE,
             "stage solve", mixed=True, bounds=bounds,
             patience=FROZEN_PATIENCE)
         # One plain diagonal update from every member's iterate.
         y = system.diagonal_map(y, None, None, None, None)
-        y, realized, sweeps = system.fixed_point(y, TOL_STAGE)
+        y, realized, sweeps = system.fixed_point(y, tol)
         return y, realized, StackReport(
             replace(last, iterations=first.iterations + 1 + last.iterations)
             for first, last in zip(newton, sweeps))

@@ -65,7 +65,7 @@ y-couplings) is solved with the two stacks' product ``M = (D + X) D^{-1}
 1978), ``M - J = X D^{-1} Y``, which builds no fill.  ``M`` is only the
 iteration matrix; the residual keeps the true fluxes.  At small steps it
 contracts almost as well as the exact LU (rotation2d 128² at dt = h/2:
-20.6 updates per stage against 20.0).  At large steps it may not contract
+14.8 updates per stage against 14.6).  At large steps it may not contract
 at all (rotation2d 16² at dt = 10h: on ``M`` alone the low-order solve
 stalls at 6.3e-10 after 100 updates), so a solve's first stall switches it
 to the exact LU: SuperLU on the CSR matrix with the minimum-degree
@@ -96,6 +96,15 @@ type-II Anderson mixing, with one history and least-squares problem per
 member: the quasi-Newton map of the stage solves, and the GMC diagonal
 map of ``limiters._GmcSystem``.  The low-order solve takes the plain
 quasi-Newton update (:mod:`anderson` says why).
+
+A stage solve need only be accurate relative to the solution, which the
+limiter bounds after it: it stops at :func:`stage_tolerance`, an RMS
+residual that does not tighten with the grid (Hairer & Wanner, §IV.8).
+``TOL_LOW_ORDER`` and ``limiters.TOL_GMC`` guarantee bounds and stay
+absolute: a state rebuilt from its realized flux, ``u0 - dt div G(u_k)``,
+is bounded up to the max-norm (at most the l2 norm) of the residual at
+``u_k``, and the ``delta >= -1e-12`` gate, ``REFERENCE_SLACK`` and the
+1e-10 guard of ``limiters._restore_bounds`` need it not to grow as √N.
 """
 
 from __future__ import annotations
@@ -116,9 +125,8 @@ TOL_LOW_ORDER = 1e-12
 TOL_STAGE = 1e-8
 MAX_ITER_LOW_ORDER = 100
 # The stage iteration matrix is the low-order pseudo-Jacobian, so the plain
-# update converges linearly at a rate that degrades as the step grows.  The
-# mixed updates of large-step runs (dt = 5h) take 12.5 per stage on bl1d
-# nx=800 (at most 17) and 37-70 on kpp2d at 16^2-64^2 (at most 88).
+# update converges linearly, slower as the step grows.  Mixed at dt = 5h: 9.5
+# updates per stage on bl1d nx=800 (max 13), 32-43 on kpp2d 16^2-64^2 (max 57).
 MAX_ITER_STAGE = 200
 #: An iterate whose residual is more than this share of the previous one has
 #: stalled, and quasi-Newton assembles its matrix anew.
@@ -609,6 +617,14 @@ def newton_low_order(u_n, spec, grid, dt, t=0.0, engine=None):
     return u_n - dt * fluxes.divergence(flux, grid), flux, reports[0]
 
 
+def stage_tolerance(spec, grid):
+    """The l2 residual at which a stage solve stops: an RMS residual per cell
+    of ``TOL_STAGE`` times the bound width (1 where a bound is infinite)."""
+    width = spec.global_max - spec.global_min
+    width = width if math.isfinite(width) else 1.0
+    return TOL_STAGE * width * math.sqrt(grid.num_cells)
+
+
 def make_stage_solver(engine):
     """Stage-solver callable for :func:`time_integration.dirk_step` on the
     engine's problem and grid, whose quasi-Newton updates take the
@@ -622,13 +638,14 @@ def make_stage_solver(engine):
     stacked face arrays; it raises on non-convergence.
     """
     spec, grid = engine.spec, engine.grid
+    tol = stage_tolerance(spec, grid)
 
     def solver(reference, step_dt, stage_time, guess):
         return _quasi_newton(
             reference,
             lambda y, members: fluxes.high_order_flux(
                 y, spec, grid, t=take(stage_time, members)),
-            step_dt, stage_time, guess, engine, TOL_STAGE, MAX_ITER_STAGE,
+            step_dt, stage_time, guess, engine, tol, MAX_ITER_STAGE,
             "stage solve", mixed=True)
 
     return solver

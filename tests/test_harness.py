@@ -578,8 +578,9 @@ class TestCommandLine:
         assert err.startswith("error: solver-failure:")
 
     # bl1d, sdirk5, dt = 1000h: the mixed quasi-Newton iteration of the
-    # third stage of the first step stalls at a residual near 1e-3.
-    FAILING = dict(problem="bl1d", nx=20, t_final=50.0, scheme="sdirk5",
+    # third stage of the first step stalls at a residual of 2.1e-5, far
+    # above the stage tolerance (5e-8).
+    FAILING = dict(problem="bl1d", nx=25, t_final=40.0, scheme="sdirk5",
                    dt_factor=1000.0)
 
     def test_solver_failure_names_its_step(self):
@@ -587,17 +588,17 @@ class TestCommandLine:
             run(RunConfig(**self.FAILING))
         err = exc.value
         assert str(err).startswith(
-            "step 1 at t=0, dt=50: stage 3/5: stage solve stalled at "
+            "step 1 at t=0, dt=40: stage 3/5: stage solve stalled at "
             "residual ")
         assert err.report is err.__cause__.report
         assert not err.report.converged
 
     def test_solver_failure_cli_reports_the_step(self, capsys):
-        code = main(["--problem", "bl1d", "--nx", "20", "--t-final", "50",
+        code = main(["--problem", "bl1d", "--nx", "25", "--t-final", "40",
                      "--scheme", "sdirk5", "--dt-factor", "1000"])
         assert code == 3
         assert capsys.readouterr().err.startswith(
-            "error: solver-failure: step 1 at t=0, dt=50: stage 3/5: ")
+            "error: solver-failure: step 1 at t=0, dt=40: stage 3/5: ")
 
     def test_failing_step_counts_from_one(self, monkeypatch):
         calls = []

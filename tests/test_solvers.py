@@ -7,12 +7,13 @@ state dependence, so the comparison freezes it too).
 """
 
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from mppfv import solvers
+from mppfv import harness, solvers
 from mppfv.fluxes import divergence, high_order_flux, low_order_with_bars
 from mppfv.harness import RunConfig, build_problem, run
 from mppfv.mesh import FIRST, LAST, PERIODIC, StructuredGrid
@@ -1139,6 +1140,57 @@ class TestNewtonStage:
         with pytest.raises(ValueError, match="non-finite residual"):
             solve_one(solver, u0, 0.278 * 0.01, 0.0, u0)
         assert len(calls) == 1
+
+
+class TestStageTolerance:
+    """The stage solves stop at an RMS residual per cell over the width of
+    the global bounds, a target that does not tighten as the grid is
+    refined."""
+
+    @staticmethod
+    def updates_per_stage(monkeypatch, nx):
+        """The mean updates per stage of one sdirk5+gmc step of rotation2d
+        on ``nx^2`` cells at dt = h/2, whose every stage report must carry
+        the stage tolerance."""
+        reports = []
+
+        def recording(engine):
+            inner = make_stage_solver(engine)
+
+            def solver(*args):
+                out = inner(*args)
+                reports.extend(out[2])
+                return out
+            return solver
+
+        monkeypatch.setattr(harness, "make_stage_solver", recording)
+        config = RunConfig(problem="rotation2d", nx=nx, scheme="sdirk5",
+                           limiter="gmc", dt_factor=0.5)
+        spec = build_problem(config)
+        grid = make_grid(spec, nx, nx)
+        run(replace(config, t_final=0.5 * min(grid.spacing)))
+        assert len(reports) == 5
+        tol = solvers.stage_tolerance(spec, grid)
+        assert all(report.tolerance == tol for report in reports)
+        return np.mean([report.iterations for report in reports])
+
+    def test_updates_per_stage_do_not_grow_with_the_grid(self, monkeypatch):
+        # With an absolute l2 tolerance, 15.6 updates per stage at 16^2
+        # became 17.8 at 64^2; with the RMS one they are 13.2 and 13.8.
+        coarse = self.updates_per_stage(monkeypatch, 16)
+        fine = self.updates_per_stage(monkeypatch, 64)
+        assert fine <= coarse + 1.0
+
+    def test_tolerance_is_the_rms_residual_over_the_bound_width(self):
+        kpp = build_problem(RunConfig(problem="kpp2d"))
+        grid = make_grid(kpp, 12, 12)
+        width = kpp.global_max - kpp.global_min
+        assert solvers.stage_tolerance(kpp, grid) == pytest.approx(
+            solvers.TOL_STAGE * width * 12.0, rel=1e-15)
+        # steady1d's upper bound is infinite: its width counts as 1.
+        steady = build_problem(RunConfig(problem="steady1d"))
+        assert solvers.stage_tolerance(
+            steady, make_grid(steady, 25)) == solvers.TOL_STAGE * 5.0
 
 
 class TestMixedStageSolves:
