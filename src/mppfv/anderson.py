@@ -29,12 +29,12 @@ ANDERSON_DEPTH = 5
 ANDERSON_RESTART = 2.0
 
 
-def _anderson_coefficients(dF, f, gram=None):
+def _anderson_coefficients(dF, f):
     """The least-squares solution ``c`` of ``dF^T c = f`` for the few rows
     of ``dF``, from the Cholesky factors of the Gram matrix ``dF dF^T``
-    (LAPACK ``dposv``; ``gram`` when given, else formed here); ``lstsq``
-    takes over when that matrix is not numerically positive definite."""
-    _, c, info = lapack.dposv(dF @ dF.T if gram is None else gram, dF @ f)
+    (LAPACK ``dposv``); ``lstsq`` takes over when that matrix is not
+    numerically positive definite."""
+    _, c, info = lapack.dposv(dF @ dF.T, dF @ f)
     if info != 0 or not all(map(math.isfinite, c.tolist())):
         c = np.linalg.lstsq(dF.T, f, rcond=None)[0]
     return c
@@ -50,10 +50,8 @@ def anderson_mixed(propose, guess):
     f``.  A member whose residual grew more than ``ANDERSON_RESTART``-fold
     drops its history and takes the plain ``y <- T(y)``."""
     # Per member, rows hold the last differences of f and T(y), in rotating
-    # order, and ``gram`` is ``dF dF^T``, one row and column new per update;
-    # ``kept`` counts the differences stored since the last restart.
+    # order; ``kept`` counts the differences stored since the last restart.
     dF, dT = np.empty((2, len(guess), ANDERSON_DEPTH, guess[0].size))
-    gram = np.empty((len(guess), ANDERSON_DEPTH, ANDERSON_DEPTH))
     kept, f_prev, T_prev = ([x] * len(guess) for x in (0, None, None))
 
     def advance(y, r, res, prev_res, members):
@@ -67,13 +65,12 @@ def anderson_mixed(propose, guess):
             if f_prev[i] is None:
                 mixed.append(T[j])
             else:
-                s = kept[i] % ANDERSON_DEPTH
-                dF[i, s], dT[i, s] = f[j] - f_prev[i], T[j] - T_prev[i]
+                dF[i, kept[i] % ANDERSON_DEPTH] = f[j] - f_prev[i]
+                dT[i, kept[i] % ANDERSON_DEPTH] = T[j] - T_prev[i]
                 kept[i] += 1
                 rows = min(kept[i], ANDERSON_DEPTH)
-                gram[i, s, :rows] = gram[i, :rows, s] = dF[i, :rows] @ dF[i, s]
-                mixed.append(T[j] - _anderson_coefficients(
-                    dF[i, :rows], f[j], gram[i, :rows, :rows]) @ dT[i, :rows])
+                mixed.append(T[j] - _anderson_coefficients(dF[i, :rows], f[j])
+                             @ dT[i, :rows])
             f_prev[i], T_prev[i] = f[j], T[j]
         return (mixed[0] if len(mixed) == 1 else np.stack(mixed)).reshape(
             y.shape)

@@ -404,10 +404,9 @@ class TestAndersonCoefficients:
 
     def test_mixer_matches_least_squares_over_rotating_history(self, rng):
         # Two members, twelve updates of an affine map each: the history
-        # rotates past ANDERSON_DEPTH and member 0 restarts at update 7, so
-        # every row of the mixer's Gram matrix, updated by one row and
-        # column per new difference, is rewritten.  Each update must equal
-        # the mixing by least squares on the kept differences.
+        # rotates past ANDERSON_DEPTH and member 0 restarts at update 7.
+        # Each update must equal the mixing by least squares on the kept
+        # differences.
         n = 30
         maps = [(0.95 * np.linalg.qr(rng.standard_normal((n, n)))[0],
                  rng.standard_normal(n)) for _ in range(2)]
